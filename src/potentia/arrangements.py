@@ -16,12 +16,14 @@ import numpy as np
 
 from . import qlin
 from .errors import DegenerateConditioningError, DomainError, ShapeError
-from .qlin import dagger, kron_all, max_abs
+from .qlin import dagger, frozen, kron_all, max_abs
 from .states import DensityOperator
 
 INTENSITY_TOL = 1e-8
 #: Conditioning refuses projectors with smaller overlap.
 OVERLAP_FLOOR = 1e-12
+EQUIVALENCE_TOL = 1e-10
+CHAIN_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -78,11 +80,8 @@ class DetectorBasis:
             mat = qlin.as_complex(raw)
             if mat.shape[0] != mat.shape[1]:
                 raise ShapeError(f"screen {k} basis is not square: {mat.shape}")
-            if max_abs(dagger(mat) @ mat - np.eye(mat.shape[0])) > 1e-9:
-                raise DomainError(f"screen {k} basis columns are not orthonormal within 1e-9")
-            mat = mat.copy()
-            mat.flags.writeable = False
-            mats.append(mat)
+            qlin.require_isometry(mat, what=f"screen {k} basis")
+            mats.append(frozen(mat))
         object.__setattr__(self, "screens", tuple(mats))
 
     @classmethod
@@ -114,19 +113,14 @@ class ExperimentalArrangement:
             raise ShapeError(f"matrix is {mat.shape}, factorization degree is {n}")
         if basis.shape != (n, n):
             raise ShapeError(f"basis matrix is {basis.shape}, expected {n}x{n}")
-        if max_abs(dagger(basis) @ basis - np.eye(n)) > 1e-9:
-            raise DomainError("basis matrix is not unitary within 1e-9")
+        qlin.require_isometry(basis, what="basis matrix")
         diag = np.real(np.diag(mat))
         if np.any(diag < -INTENSITY_TOL) or np.any(diag > 1 + INTENSITY_TOL):
             raise DomainError("diagonal intensities stray outside [0, 1]")
         if abs(float(diag.sum()) - 1.0) > INTENSITY_TOL:
             raise DomainError(f"intensities sum to {diag.sum():.12f}, expected 1")
-        mat = mat.copy()
-        mat.flags.writeable = False
-        basis = basis.copy()
-        basis.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "basis_matrix", basis)
+        object.__setattr__(self, "matrix", frozen(mat))
+        object.__setattr__(self, "basis_matrix", frozen(basis))
 
     @property
     def degree(self) -> int:
@@ -182,8 +176,7 @@ def change_detectors(
     v = qlin.as_complex(new_basis)
     if v.shape != (dims[screen], dims[screen]):
         raise ShapeError(f"screen {screen} basis must be {dims[screen]}x{dims[screen]}, got {v.shape}")
-    if max_abs(dagger(v) @ v - np.eye(dims[screen])) > 1e-9:
-        raise DomainError("new detector basis is not orthonormal within 1e-9")
+    qlin.require_isometry(v, what="new detector basis")
     factors = [np.eye(d, dtype=np.complex128) for d in dims]
     factors[screen] = v
     rotation = kron_all(factors)
@@ -210,7 +203,7 @@ def refactor(
 
 
 def ea_equivalent(
-    ea1: ExperimentalArrangement, ea2: ExperimentalArrangement, tol: float = 1e-10
+    ea1: ExperimentalArrangement, ea2: ExperimentalArrangement, tol: float = EQUIVALENCE_TOL
 ) -> bool:
     """Same degree and same ambient state once both bases are unwound."""
     if ea1.degree != ea2.degree:
@@ -308,7 +301,7 @@ class ChainReport:
 def complexity_chain_check(
     eas: Sequence[ExperimentalArrangement],
     links: Sequence[ChainLink] = (),
-    tol: float = 1e-9,
+    tol: float = CHAIN_TOL,
 ) -> ChainReport:
     """Validate an ascending complexity chain of arrangements.
 

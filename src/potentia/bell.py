@@ -13,11 +13,15 @@ import numpy as np
 
 from . import qlin
 from .errors import DomainError, ShapeError
-from .states import PAULI_X, PAULI_Y, PAULI_Z, DensityOperator
+from .states import NORM_TOL, PAULI_X, PAULI_Y, PAULI_Z, DensityOperator
 from .entanglement import Verdict, WernerRegion, ppt_criterion
 
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
+CORRELATION_TOL = 1e-9
+CHSH_TOL = 1e-9
+#: Components below this magnitude are skipped when fixing a singular-vector sign.
+SIGN_FLOOR = 1e-12
 
 _PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 
@@ -30,20 +34,18 @@ class CorrelationMatrix:
         mat = np.asarray(self.t, dtype=np.float64)
         if mat.shape != (3, 3):
             raise ShapeError(f"correlation matrix must be 3x3, got {mat.shape}")
-        if np.max(np.abs(mat)) > 1 + 1e-9:
+        if np.max(np.abs(mat)) > 1 + CORRELATION_TOL:
             raise DomainError("correlation entries must lie in [-1, 1]")
-        if np.max(np.linalg.svd(mat, compute_uv=False)) > 1 + 1e-9:
+        if np.max(np.linalg.svd(mat, compute_uv=False)) > 1 + CORRELATION_TOL:
             raise DomainError("correlation singular values must not exceed 1")
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "t", mat)
+        object.__setattr__(self, "t", qlin.frozen(mat))
 
 
 def _unit(vector) -> np.ndarray:
     v = np.asarray(vector, dtype=np.float64).reshape(-1)
     if v.shape != (3,):
         raise ShapeError(f"Bloch direction must be a 3-vector, got shape {v.shape}")
-    if abs(float(np.linalg.norm(v)) - 1.0) > 1e-9:
+    if abs(float(np.linalg.norm(v)) - 1.0) > NORM_TOL:
         raise DomainError(f"Bloch direction norm is {np.linalg.norm(v):.9f}, expected 1")
     return v
 
@@ -59,9 +61,7 @@ class MeasurementSetting:
 
     def __post_init__(self):
         for name in ("a", "a_prime", "b", "b_prime"):
-            vec = _unit(getattr(self, name))
-            vec.flags.writeable = False
-            object.__setattr__(self, name, vec)
+            object.__setattr__(self, name, qlin.frozen(_unit(getattr(self, name))))
 
 
 def _require_two_qubits(rho: DensityOperator):
@@ -103,7 +103,7 @@ def _sign_fix(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Lexicographic convention: first nonzero component of u is positive;
     # flipping u and v together leaves the correlation term unchanged.
     for entry in u:
-        if abs(entry) > 1e-12:
+        if abs(entry) > SIGN_FLOOR:
             if entry < 0:
                 return -u, -v
             break
@@ -135,6 +135,6 @@ def classify_regions(rho: DensityOperator) -> WernerRegion:
     _require_two_qubits(rho)
     if ppt_criterion(rho, (2, 2)).verdict is Verdict.SEPARABLE:
         return WernerRegion.SEPARABLE
-    if chsh_max(rho).value > CLASSICAL_BOUND + 1e-9:
+    if chsh_max(rho).value > CLASSICAL_BOUND + CHSH_TOL:
         return WernerRegion.NONLOCAL
     return WernerRegion.ENTANGLED_LOCAL

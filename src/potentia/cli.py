@@ -34,6 +34,10 @@ EXIT_CAPACITY = 4
 
 NAMED_BASES = ("computational", "hadamard", "fourier")
 
+#: Refactoring needs detector bases within this of the identity, entrywise.
+IDENTITY_TOL = 1e-12
+BISECT_TOL = 1e-9
+
 
 def _digest_file(path: str) -> str:
     return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -229,9 +233,7 @@ def cmd_transform(args) -> dict:
         except ValueError:
             raise ParseError(f"--refactor expects comma-separated integers, got {args.refactor!r}")
         identity_like = all(
-            screen.shape[0] == screen.shape[1]
-            and np.max(np.abs(screen - np.eye(screen.shape[0]))) < 1e-12
-            for screen in out_screens
+            qlin.max_abs(screen - np.eye(screen.shape[0])) < IDENTITY_TOL for screen in out_screens
         )
         if not identity_like:
             raise ValidationError(
@@ -353,7 +355,7 @@ def cmd_powers(args) -> dict:
 # ---------------------------------------------------------------- werner
 
 
-def _bisect(func, lo: float, hi: float, tol: float = 1e-9) -> float | None:
+def _bisect(func, lo: float, hi: float, tol: float = BISECT_TOL) -> float | None:
     f_lo, f_hi = func(lo), func(hi)
     if f_lo == 0.0:
         return lo

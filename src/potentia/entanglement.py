@@ -16,11 +16,11 @@ import numpy as np
 
 from . import qlin
 from .errors import DomainError, NoWitnessError, ShapeError
-from .qlin import dagger, herm_eig, max_abs, partial_trace, partial_transpose
+from .qlin import frozen, herm_eig, partial_trace, partial_transpose
+from .sampling import random_pure
 from .states import DensityOperator, PureVector, abstract_purity
 
-PT_NEGATIVITY_TOL = 1e-9
-MAJORIZATION_TOL = 1e-9
+VERDICT_TOL = 1e-9
 ENTROPY_TOL = 1e-9
 #: Schmidt coefficients below this count as zero when ranking.
 SCHMIDT_FLOOR = 1e-9
@@ -55,20 +55,18 @@ class SeparabilityVerdict:
             )
 
 
-def _bipartite(rho: DensityOperator, dims: Sequence[int]) -> tuple[int, int]:
+def _bipartite(dim: int, dims: Sequence[int]) -> tuple[int, int]:
     dims = tuple(int(d) for d in dims)
     if len(dims) != 2:
         raise ShapeError(f"expected two factors, got dims {dims}")
-    if dims[0] * dims[1] != rho.dim:
-        raise ShapeError(f"dims {dims} multiply to {dims[0] * dims[1]}, state dim is {rho.dim}")
+    if dims[0] * dims[1] != dim:
+        raise ShapeError(f"dims {dims} multiply to {dims[0] * dims[1]}, state dim is {dim}")
     return dims
 
 
 def schmidt(vector: PureVector, dims: Sequence[int]) -> np.ndarray:
     """Schmidt coefficients (descending); exactly one above threshold means product."""
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 2 or dims[0] * dims[1] != vector.dim:
-        raise ShapeError(f"dims {dims} do not factor a {vector.dim}-dimensional vector")
+    dims = _bipartite(vector.dim, dims)
     coefficients = np.linalg.svd(
         vector.amplitudes.reshape(dims), compute_uv=False
     )
@@ -95,10 +93,10 @@ def entropy_additivity_check(
 
 
 def entropy_criterion(
-    rho: DensityOperator, dims: Sequence[int], tol: float = ENTROPY_TOL
+    rho: DensityOperator, dims: Sequence[int], tol: float = VERDICT_TOL
 ) -> SeparabilityVerdict:
     """Necessary criterion: a separable state is at least as entropic as its parts."""
-    d_a, d_b = _bipartite(rho, dims)
+    d_a, d_b = _bipartite(rho.dim, dims)
     joint = von_neumann_entropy(rho)
     part_a = von_neumann_entropy(DensityOperator(partial_trace(rho.matrix, (d_a, d_b), (0,))))
     part_b = von_neumann_entropy(DensityOperator(partial_trace(rho.matrix, (d_a, d_b), (1,))))
@@ -116,11 +114,11 @@ def _majorization_margin(global_spec: np.ndarray, reduced_spec: np.ndarray) -> f
 
 
 def majorization_criterion(
-    rho: DensityOperator, dims: Sequence[int], tol: float = MAJORIZATION_TOL
+    rho: DensityOperator, dims: Sequence[int], tol: float = VERDICT_TOL
 ) -> SeparabilityVerdict:
     """Necessary criterion: the global spectrum of a separable state is
     majorized by each reduced spectrum (zero-padded partial sums)."""
-    d_a, d_b = _bipartite(rho, dims)
+    d_a, d_b = _bipartite(rho.dim, dims)
     global_spec = np.sort(np.linalg.eigvalsh(rho.matrix))[::-1]
     margins = []
     for keep in ((0,), (1,)):
@@ -134,15 +132,15 @@ def majorization_criterion(
 
 
 def min_pt_eigenvalue(rho: DensityOperator, dims: Sequence[int]) -> float:
-    d_a, d_b = _bipartite(rho, dims)
+    d_a, d_b = _bipartite(rho.dim, dims)
     return float(np.linalg.eigvalsh(partial_transpose(rho.matrix, (d_a, d_b), "B"))[0])
 
 
 def ppt_criterion(
-    rho: DensityOperator, dims: Sequence[int], tol: float = PT_NEGATIVITY_TOL
+    rho: DensityOperator, dims: Sequence[int], tol: float = VERDICT_TOL
 ) -> SeparabilityVerdict:
     """Partial-transpose test; an exact oracle at 2x2 and 2x3."""
-    d_a, d_b = _bipartite(rho, dims)
+    d_a, d_b = _bipartite(rho.dim, dims)
     minimum = min_pt_eigenvalue(rho, dims)
     if minimum < -tol:
         return SeparabilityVerdict(Verdict.ENTANGLED, "ppt", minimum)
@@ -160,11 +158,8 @@ class WitnessOperator:
 
     def __post_init__(self):
         mat = qlin.as_complex(self.matrix)
-        if max_abs(mat - dagger(mat)) > 1e-9:
-            raise DomainError("witness must be Hermitian")
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
+        qlin.require_hermitian(mat, what="witness")
+        object.__setattr__(self, "matrix", frozen(mat))
 
     def expectation(self, rho: DensityOperator) -> float:
         return float(np.real(np.trace(self.matrix @ rho.matrix)))
@@ -179,11 +174,11 @@ def witness_from_entangled(
     rho^T_B; then Tr(W rho) equals that negative eigenvalue while every
     product state scores >= 0.
     """
-    d_a, d_b = _bipartite(rho, dims)
+    d_a, d_b = _bipartite(rho.dim, dims)
     transposed = partial_transpose(rho.matrix, (d_a, d_b), "B")
     spectrum = herm_eig(transposed)
     minimum = float(spectrum.eigenvalues[-1])
-    if minimum >= -PT_NEGATIVITY_TOL:
+    if minimum >= -VERDICT_TOL:
         raise NoWitnessError(
             f"state is PPT (min partial-transpose eigenvalue {minimum:.3e}); "
             "the eigenvector construction yields no witness"
@@ -200,8 +195,6 @@ def check_witness_on_products(
     seed: int = 0,
 ) -> float:
     """Minimum witness expectation over sampled pure product states."""
-    from .sampling import random_pure  # local import to avoid a cycle
-
     d_a, d_b = int(dims[0]), int(dims[1])
     rng = np.random.default_rng(seed)
     worst = np.inf
@@ -225,11 +218,6 @@ def werner(p: float) -> DensityOperator:
 
 def werner_classify(p: float) -> WernerRegion:
     """Region of the Werner line, computed from the criteria (not hard-coded)."""
-    from .bell import chsh_max  # local import to avoid a cycle
+    from .bell import classify_regions  # bell imports this module
 
-    rho = werner(p)
-    if ppt_criterion(rho, (2, 2)).verdict is Verdict.SEPARABLE:
-        return WernerRegion.SEPARABLE
-    if chsh_max(rho).value > 2.0 + 1e-9:
-        return WernerRegion.NONLOCAL
-    return WernerRegion.ENTANGLED_LOCAL
+    return classify_regions(werner(p))

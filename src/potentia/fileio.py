@@ -16,6 +16,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from . import arrangements, entanglement, powers, qlin, states
 from .arrangements import DetectorBasis, Factorization
 from .errors import DomainError, ParseError, ShapeError, ValidationError
 from .locc import CPMap, QuantumInstrument
@@ -30,14 +31,13 @@ class Tolerances:
     """Load- and analysis-time tolerances; every field can be overridden
     via the CLI ``--tol name=value`` flag or a config file."""
 
-    hermiticity: float = 1e-9
-    trace: float = 1e-9
-    orthonormality: float = 1e-9
-    purity: float = 1e-9
-    verdict: float = 1e-9
-    equivalence: float = 1e-10
-    axioms: float = 1e-8
-    zero: float = 1e-10
+    hermiticity: float = qlin.HERMITICITY_TOL
+    trace: float = states.TRACE_TOL
+    purity: float = states.PURITY_TOL
+    verdict: float = entanglement.VERDICT_TOL
+    equivalence: float = arrangements.EQUIVALENCE_TOL
+    axioms: float = powers.AXIOM_TOL
+    zero: float = powers.ZERO_THRESHOLD
 
     def override(self, name: str, value: float) -> None:
         if not any(field.name == name for field in dataclasses.fields(self)):
@@ -111,6 +111,14 @@ def _require(document: dict, key: str, kind: type, path: str):
     return value
 
 
+def _validated(prefix: str, make, *args):
+    """``make(*args)``, with invariant failures of parsed data raised as ValidationError."""
+    try:
+        return make(*args)
+    except (DomainError, ShapeError) as exc:
+        raise ValidationError(f"{prefix}: {exc}")
+
+
 def _check_schema(document: dict, path: str):
     version = _require(document, "schema_version", str, path)
     if version != SCHEMA_VERSION:
@@ -145,18 +153,13 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
     if matrix.shape != (dim, dim):
         raise ParseError(f"{name}.matrix: shape {matrix.shape} does not match dim {dim}")
 
-    asymmetry = float(np.max(np.abs(matrix - matrix.conj().T)))
-    if asymmetry > tols.hermiticity:
-        raise ValidationError(
-            f"{name}: matrix violates Hermiticity (max asymmetry {asymmetry:.3e} "
-            f"> {tols.hermiticity:g})"
-        )
-    trace = complex(np.trace(matrix))
-    if abs(trace - 1.0) > tols.trace:
-        raise ValidationError(f"{name}: matrix violates unit trace (trace {trace:.12g})")
-    canonical = (matrix + matrix.conj().T) / 2.0
-    canonical /= np.real(np.trace(canonical))
     try:
+        qlin.require_hermitian(matrix, tols.hermiticity)
+        trace = complex(np.trace(matrix))
+        if abs(trace - 1.0) > tols.trace:
+            raise DomainError(f"matrix violates unit trace (trace {trace:.12g})")
+        canonical = (matrix + matrix.conj().T) / 2.0
+        canonical /= np.real(np.trace(canonical))
         density = DensityOperator(canonical)
     except DomainError as exc:
         raise ValidationError(f"{name}: {exc}")
@@ -190,10 +193,7 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
                     f"{factorization.screen_dims[k]}"
                 )
             screens.append(screen)
-        try:
-            basis = DetectorBasis(tuple(screens))
-        except (DomainError, ShapeError) as exc:
-            raise ValidationError(f"{name}: {exc}")
+        basis = _validated(name, DetectorBasis, tuple(screens))
     else:
         basis = DetectorBasis.computational(factorization)
 
@@ -251,10 +251,7 @@ def load_projectors(path: str | Path) -> list[PowerNode]:
             raise ParseError(
                 f"{name}.projectors[{k}].matrix: shape {matrix.shape} does not match dim {dim}"
             )
-        try:
-            nodes.append(PowerNode(matrix, label))
-        except (DomainError, ShapeError) as exc:
-            raise ValidationError(f"{name}: projector {label!r} invalid: {exc}")
+        nodes.append(_validated(f"{name}: projector {label!r} invalid", PowerNode, matrix, label))
     return nodes
 
 
@@ -276,14 +273,8 @@ def load_instrument(path: str | Path) -> QuantumInstrument:
             matrix_from_json(mat, f"{name}.branches[{k}].kraus[{i}]")
             for i, mat in enumerate(raw_kraus)
         )
-        try:
-            branches.append(CPMap(kraus))
-        except (DomainError, ShapeError) as exc:
-            raise ValidationError(f"{name}: branch {k} invalid: {exc}")
-    try:
-        return QuantumInstrument(tuple(branches))
-    except (DomainError, ShapeError) as exc:
-        raise ValidationError(f"{name}: {exc}")
+        branches.append(_validated(f"{name}: branch {k} invalid", CPMap, kraus))
+    return _validated(name, QuantumInstrument, tuple(branches))
 
 
 def render_json(document: dict) -> str:

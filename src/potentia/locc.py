@@ -40,9 +40,7 @@ class CPMap:
                 shape = mat.shape
             elif mat.shape != shape:
                 raise ShapeError(f"Kraus operator {k} is {mat.shape}, expected {shape}")
-            mat = mat.copy()
-            mat.flags.writeable = False
-            mats.append(mat)
+            mats.append(qlin.frozen(mat))
         total = self.completeness_sum_of(mats)
         excess = float(np.linalg.eigvalsh(total - np.eye(total.shape[0]))[-1])
         if excess > COMPLETENESS_TOL:

@@ -7,17 +7,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 
 from . import qlin
 from .errors import CapacityError, DomainError, ResidualError, ShapeError, UnderdeterminedError
-from .qlin import commutes, dagger, max_abs
+from .qlin import commutes, frozen, max_abs
 from .states import DensityOperator
 
 PROJECTOR_TOL = 1e-8
 #: Potentia at or below this count as zero for actualization.
 ZERO_THRESHOLD = 1e-10
+#: Potentia may stray this far outside [0, 1] before a valuation rejects them.
+POTENTIA_SLACK = 1e-12
+#: Born values may stray this far outside [0, 1] (eigensolver noise).
+BORN_SLACK = 1e-10
+AXIOM_TOL = 1e-8
+RESIDUAL_TOL = 1e-7
+#: Singular values of the reconstruction design below this do not count to its rank.
+RANK_TOL = 1e-10
 #: Clique enumeration refuses larger graphs (worst case 3^(n/3) cliques).
 CONTEXT_NODE_CAP = 24
 #: Exhaustive binary-valuation search refuses larger graphs.
@@ -35,15 +42,10 @@ class PowerNode:
 
     def __post_init__(self):
         mat = qlin.as_complex(self.projector)
-        if mat.shape[0] != mat.shape[1]:
-            raise ShapeError(f"power {self.label!r} is not square: {mat.shape}")
-        if max_abs(mat - dagger(mat)) > PROJECTOR_TOL:
-            raise DomainError(f"power {self.label!r} is not Hermitian within {PROJECTOR_TOL:g}")
+        qlin.require_hermitian(mat, PROJECTOR_TOL, f"power {self.label!r}")
         if max_abs(mat @ mat - mat) > PROJECTOR_TOL:
             raise DomainError(f"power {self.label!r} is not idempotent within {PROJECTOR_TOL:g}")
-        mat = mat.copy()
-        mat.flags.writeable = False
-        object.__setattr__(self, "projector", mat)
+        object.__setattr__(self, "projector", frozen(mat))
 
     @property
     def dim(self) -> int:
@@ -93,11 +95,9 @@ class ISAValuation:
             raise ShapeError(
                 f"{len(values)} potentia for {len(self.graph.nodes)} nodes"
             )
-        if np.any(values < -1e-12) or np.any(values > 1 + 1e-12):
+        if np.any(values < -POTENTIA_SLACK) or np.any(values > 1 + POTENTIA_SLACK):
             raise DomainError("potentia must lie in [0, 1]")
-        values = np.clip(values, 0.0, 1.0)
-        values.flags.writeable = False
-        object.__setattr__(self, "potentia", values)
+        object.__setattr__(self, "potentia", frozen(np.clip(values, 0.0, 1.0)))
 
     def value(self, label: str) -> float:
         for node, pot in zip(self.graph.nodes, self.potentia):
@@ -141,7 +141,7 @@ def isa_from_density(rho: DensityOperator, graph: PowersGraph) -> ISAValuation:
     values = np.array(
         [float(np.real(np.trace(rho.matrix @ node.projector))) for node in graph.nodes]
     )
-    if np.any(values < -1e-10) or np.any(values > 1 + 1e-10):
+    if np.any(values < -BORN_SLACK) or np.any(values > 1 + BORN_SLACK):
         raise DomainError("Born values strayed outside [0,1] beyond boundary noise")
     return ISAValuation(graph, np.clip(values, 0.0, 1.0))
 
@@ -205,7 +205,7 @@ class AxiomReport:
         return self.identity_ok and not self.additivity_violations
 
 
-def check_isa_axioms(valuation: ISAValuation, tol: float = 1e-8) -> AxiomReport:
+def check_isa_axioms(valuation: ISAValuation, tol: float = AXIOM_TOL) -> AxiomReport:
     """Verify the intensive-valuation axioms on the recorded node set.
 
     Violations are data, not errors: the report lists every orthogonal
@@ -226,20 +226,41 @@ def check_isa_axioms(valuation: ISAValuation, tol: float = 1e-8) -> AxiomReport:
     return AxiomReport(identity_ok, identity_value, tuple(violations))
 
 
+def _bits(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def maximal_contexts(graph: PowersGraph) -> list[Context]:
-    """All maximal cliques, deterministically ordered."""
+    """All maximal cliques, deterministically ordered: Bron–Kerbosch with Tomita
+    pivoting (Tomita, Tanaka & Takahashi, TCS 363 (2006)); node sets are bitmasks."""
     n = len(graph.nodes)
     if n > CONTEXT_NODE_CAP:
         raise CapacityError(
             f"clique enumeration capped at {CONTEXT_NODE_CAP} nodes, got {n}"
         )
-    g = nx.Graph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from(graph.edges)
-    cliques = sorted(tuple(sorted(c)) for c in nx.find_cliques(g))
-    for clique in cliques:
-        assert graph.is_context(clique)
-    return [Context(frozenset(c)) for c in cliques]
+    neighbours = [0] * n
+    for i, j in graph.edges:
+        neighbours[i] |= 1 << j
+        neighbours[j] |= 1 << i
+    cliques: list[tuple[int, ...]] = []
+
+    def expand(clique: int, candidates: int, excluded: int) -> None:
+        if not candidates:
+            if not excluded:
+                cliques.append(tuple(_bits(clique)))
+            return
+        pivot = max(
+            _bits(candidates | excluded),
+            key=lambda u: (candidates & neighbours[u]).bit_count(),
+        )
+        for v in _bits(candidates & ~neighbours[pivot]):
+            expand(clique | 1 << v, candidates & neighbours[v], excluded & neighbours[v])
+            candidates &= ~(1 << v)
+            excluded |= 1 << v
+
+    if n:
+        expand(0, (1 << n) - 1, 0)
+    return [Context(frozenset(c)) for c in sorted(cliques)]
 
 
 def actualization_map(
@@ -252,7 +273,9 @@ def actualization_map(
     return (valuation.potentia > zero_threshold).astype(np.int64)
 
 
-def reconstruct_density(valuation: ISAValuation, residual_tol: float = 1e-7) -> DensityOperator:
+def reconstruct_density(
+    valuation: ISAValuation, residual_tol: float = RESIDUAL_TOL
+) -> DensityOperator:
     """Recover the unique density operator whose Born values match the valuation.
 
     Solves the real linear system Tr(rho P_i) = potentia[i] by least squares
@@ -278,7 +301,7 @@ def reconstruct_density(valuation: ISAValuation, residual_tol: float = 1e-7) -> 
         return row
 
     design = np.stack([real_row(node.projector) for node in graph.nodes])
-    rank = int(np.linalg.matrix_rank(design, tol=1e-10))
+    rank = int(np.linalg.matrix_rank(design, tol=RANK_TOL))
     if rank < needed:
         raise UnderdeterminedError(
             f"projector family spans rank {rank} of {needed} Hermitian dimensions",

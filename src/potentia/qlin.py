@@ -20,6 +20,9 @@ DIM_CAP = 4096
 #: Absolute tolerance on the max entry of M - M† for "Hermitian".
 HERMITICITY_TOL = 1e-9
 
+#: Absolute tolerance on the max entry of V†V - I for "orthonormal columns".
+ISOMETRY_TOL = 1e-9
+
 #: Default tolerance for commutator tests.
 COMMUTE_TOL = 1e-8
 
@@ -47,11 +50,37 @@ def max_abs(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix))) if matrix.size else 0.0
 
 
+def frozen(arr: np.ndarray | Sequence) -> np.ndarray:
+    """Read-only C-contiguous copy of ``arr``, same dtype; the caller's array is untouched."""
+    out = np.array(arr, order="C")
+    out.flags.writeable = False
+    return out
+
+
+def require_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL, what: str = "matrix") -> None:
+    """Raise unless ``mat`` is square and within ``tol`` of its adjoint."""
+    if mat.shape[0] != mat.shape[1]:
+        raise ShapeError(f"{what} must be square, got {mat.shape}")
+    asymmetry = max_abs(mat - dagger(mat))
+    if asymmetry > tol:
+        raise DomainError(f"{what} violates Hermiticity (max asymmetry {asymmetry:.3e} > {tol:g})")
+
+
+def require_isometry(mat: np.ndarray, tol: float = ISOMETRY_TOL, what: str = "basis") -> None:
+    """Raise unless the columns of ``mat`` are orthonormal within ``tol``."""
+    gram_error = max_abs(dagger(mat) @ mat - np.eye(mat.shape[1]))
+    if gram_error > tol:
+        raise DomainError(
+            f"{what} columns are not orthonormal within {tol:g} (max Gram error {gram_error:.3e})"
+        )
+
+
 def is_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    matrix = as_complex(matrix)
-    if matrix.shape[0] != matrix.shape[1]:
+    try:
+        require_hermitian(as_complex(matrix), tol)
+    except (ShapeError, DomainError):
         return False
-    return max_abs(matrix - dagger(matrix)) <= tol
+    return True
 
 
 def kron(a: np.ndarray, b: np.ndarray, dim_cap: int = DIM_CAP) -> np.ndarray:
@@ -159,20 +188,10 @@ class HermitianSpectrum:
 def herm_eig(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> HermitianSpectrum:
     """Descending-order eigendecomposition; rejects non-Hermitian input."""
     matrix = as_complex(matrix)
-    if matrix.shape[0] != matrix.shape[1]:
-        raise ShapeError(f"eigendecomposition needs a square matrix, got {matrix.shape}")
-    if max_abs(matrix - dagger(matrix)) > tol:
-        raise DomainError(
-            f"matrix is not Hermitian within {tol:g} "
-            f"(max asymmetry {max_abs(matrix - dagger(matrix)):.3e})"
-        )
+    require_hermitian(matrix, tol)
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     order = np.argsort(eigenvalues)[::-1]
-    vals = np.ascontiguousarray(eigenvalues[order])
-    vecs = np.ascontiguousarray(eigenvectors[:, order])
-    vals.flags.writeable = False
-    vecs.flags.writeable = False
-    return HermitianSpectrum(vals, vecs)
+    return HermitianSpectrum(frozen(eigenvalues[order]), frozen(eigenvectors[:, order]))
 
 
 def commutes(p: np.ndarray, q: np.ndarray, tol: float = COMMUTE_TOL) -> bool:

@@ -10,23 +10,21 @@ import numpy as np
 
 from . import qlin
 from .errors import DomainError, ShapeError
-from .qlin import dagger, herm_eig, max_abs
+from .qlin import dagger, frozen, herm_eig
 
 NORM_TOL = 1e-9
 TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-7
-#: Mixture components below this weight are dropped.
+PURITY_TOL = 1e-9
+#: Mixture components below this weight are dropped, and weights below
+#: -WEIGHT_FLOOR are rejected as negative.
 WEIGHT_FLOOR = 1e-12
+#: Vectors shorter than this count as zero and cannot be normalized.
+ZERO_NORM = 1e-12
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.complex128)
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -40,7 +38,7 @@ class PureVector:
         norm = float(np.linalg.norm(amps))
         if abs(norm - 1.0) > NORM_TOL:
             raise DomainError(f"vector norm is {norm:.12f}, expected 1 within {NORM_TOL:g}")
-        object.__setattr__(self, "amplitudes", _frozen(amps))
+        object.__setattr__(self, "amplitudes", frozen(amps))
 
     @property
     def dim(self) -> int:
@@ -57,7 +55,7 @@ class PureVector:
         """Normalize and wrap; rejects the zero vector."""
         amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
         norm = float(np.linalg.norm(amps))
-        if norm < 1e-12:
+        if norm < ZERO_NORM:
             raise DomainError("cannot normalize the zero vector")
         return cls(amps / norm)
 
@@ -70,18 +68,14 @@ class DensityOperator:
 
     def __post_init__(self):
         mat = qlin.as_complex(self.matrix)
-        if mat.shape[0] != mat.shape[1]:
-            raise ShapeError(f"density operator must be square, got {mat.shape}")
-        asym = max_abs(mat - dagger(mat))
-        if asym > qlin.HERMITICITY_TOL:
-            raise DomainError(f"not Hermitian: max asymmetry {asym:.3e}")
+        qlin.require_hermitian(mat, what="density operator")
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > TRACE_TOL:
             raise DomainError(f"trace is {trace:.12g}, expected 1 within {TRACE_TOL:g}")
         min_eig = float(np.linalg.eigvalsh(mat)[0])
         if min_eig < EIGENVALUE_FLOOR:
             raise DomainError(f"negative eigenvalue {min_eig:.3e} below floor {EIGENVALUE_FLOOR:g}")
-        object.__setattr__(self, "matrix", _frozen(mat))
+        object.__setattr__(self, "matrix", frozen(mat))
 
     @property
     def dim(self) -> int:
@@ -123,7 +117,7 @@ class BlochPoint:
 
     def angles(self) -> tuple[float, float]:
         """(theta, phi) with theta in [0, pi], phi in [0, 2*pi)."""
-        theta = float(np.arccos(np.clip(self.z / max(self.norm, 1e-300), -1.0, 1.0)))
+        theta = float(np.arccos(np.clip(self.z / self.norm if self.norm else 0.0, -1.0, 1.0)))
         phi = float(np.arctan2(self.y, self.x)) % (2 * np.pi)
         return theta, phi
 
@@ -139,13 +133,11 @@ class MixtureDecomposition:
         weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         if len(weights) != len(self.components):
             raise ShapeError("weights and components differ in length")
-        if np.any(weights < -1e-12):
+        if np.any(weights < -WEIGHT_FLOOR):
             raise DomainError("mixture weights must be nonnegative")
         if abs(float(weights.sum()) - 1.0) > NORM_TOL:
             raise DomainError(f"mixture weights sum to {weights.sum():.12f}, expected 1")
-        weights = weights.copy()
-        weights.flags.writeable = False
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", frozen(weights))
         object.__setattr__(self, "components", tuple(self.components))
 
     def reconstruct(self) -> DensityOperator:
@@ -162,34 +154,27 @@ def density_from_vector(vector: PureVector) -> DensityOperator:
     return DensityOperator(np.outer(amps, amps.conj()))
 
 
-def abstract_purity(rho: DensityOperator, tol: float = 1e-9) -> bool:
+def abstract_purity(rho: DensityOperator, tol: float = PURITY_TOL) -> bool:
     """Basis-independent purity: Tr(rho^2) >= 1 - tol."""
     return rho.purity() >= 1.0 - tol
 
 
-def _basis_columns(basis: np.ndarray, dim: int) -> np.ndarray:
-    basis = qlin.as_complex(basis)
-    if basis.shape != (dim, dim):
-        raise ShapeError(f"basis is {basis.shape}, state needs {dim}x{dim}")
-    gram = dagger(basis) @ basis
-    if max_abs(gram - np.eye(dim)) > 1e-9:
-        raise DomainError("basis columns are not orthonormal within 1e-9")
-    return basis
-
-
-def operational_purity(rho: DensityOperator, basis: np.ndarray, tol: float = 1e-9) -> bool:
+def operational_purity(rho: DensityOperator, basis: np.ndarray, tol: float = PURITY_TOL) -> bool:
     """Basis-dependent purity: some detector fires with certainty.
 
     ``basis`` holds the detector vectors as orthonormal columns.  True iff
     some column b has <b|rho|b> >= 1 - tol; for a trace-one PSD operator that
     pins rho to that projector within tol.
     """
-    basis = _basis_columns(basis, rho.dim)
+    basis = qlin.as_complex(basis)
+    if basis.shape != (rho.dim, rho.dim):
+        raise ShapeError(f"basis is {basis.shape}, state needs {rho.dim}x{rho.dim}")
+    qlin.require_isometry(basis)
     diagonal = np.real(np.einsum("ij,jk,ki->i", dagger(basis), rho.matrix, basis))
     return bool(np.max(diagonal) >= 1.0 - tol)
 
 
-def operational_purity_exists(rho: DensityOperator, tol: float = 1e-9) -> bool:
+def operational_purity_exists(rho: DensityOperator, tol: float = PURITY_TOL) -> bool:
     """Existential reading: is there *any* basis with a certain detector?
 
     The best basis is the eigenbasis, so this is a max-eigenvalue test.
@@ -204,7 +189,7 @@ class PurityReport:
 
 
 def purity_agreement_report(
-    rho: DensityOperator, basis: np.ndarray, tol: float = 1e-9
+    rho: DensityOperator, basis: np.ndarray, tol: float = PURITY_TOL
 ) -> PurityReport:
     """Both purity predicates side by side; they are not equivalent."""
     return PurityReport(
@@ -246,7 +231,7 @@ def shadow(vector: PureVector, axis: PureVector) -> tuple[complex, np.ndarray]:
     return coefficient, coefficient * axis.amplitudes
 
 
-def projective_distance(p: DensityOperator, q: DensityOperator, tol: float = 1e-9) -> float:
+def projective_distance(p: DensityOperator, q: DensityOperator, tol: float = PURITY_TOL) -> float:
     """Hilbert-Schmidt distance sqrt(Tr((P-Q)^2)) between rank-one projectors.
 
     Equals sqrt(2) exactly on orthogonal pairs.
@@ -290,9 +275,7 @@ def alternative_decomposition(
         raise ShapeError(f"mixer must have {k} columns, got shape {mixer.shape}")
     if mixer.shape[0] < k:
         raise DomainError("mixer must have at least as many rows as columns")
-    gram = dagger(mixer) @ mixer
-    if max_abs(gram - np.eye(k)) > 1e-9:
-        raise DomainError("mixer columns are not orthonormal (not an isometry)")
+    qlin.require_isometry(mixer, what="mixer")
 
     dim = decomposition.components[0].dim
     scaled = np.stack(

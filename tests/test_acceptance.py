@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
 criterion (a failed criterion fails its test instead).
 """
 
+import json
 import subprocess
 import sys
 import time
@@ -321,6 +322,15 @@ GOLDEN_COMMANDS = (
     ("werner", "--scan", "0,1,101", "--format", "json"),
 )
 
+#: Stored output of each golden command, aligned with GOLDEN_COMMANDS.
+GOLDEN_FILES = (
+    "analyze_werner_05.json",
+    "transform_worked_ea.json",
+    "powers_zero_state.json",
+    "werner_scan.json",
+)
+GOLDEN_FLOAT_TOL = 1e-12
+
 
 def test_criterion_10_cli_determinism():
     for command in GOLDEN_COMMANDS:
@@ -337,3 +347,38 @@ def test_criterion_10_cli_determinism():
         assert outputs[0] == outputs[1], f"nondeterministic output for {command}"
         assert outputs[0]
     announce(10, f"{len(GOLDEN_COMMANDS)} documented commands byte-stable across reruns")
+
+
+def _golden_mismatches(expected, actual, path="$") -> list[str]:
+    """Differences between two parsed reports: floats within
+    GOLDEN_FLOAT_TOL absolute, everything else (structure, strings,
+    booleans, integers, nulls) exactly."""
+    if type(expected) is not type(actual):
+        return [f"{path}: {type(expected).__name__} became {type(actual).__name__}"]
+    if isinstance(expected, dict):
+        if sorted(expected) != sorted(actual):
+            return [f"{path}: keys {sorted(expected)} became {sorted(actual)}"]
+        return [m for key in expected for m in _golden_mismatches(expected[key], actual[key], f"{path}.{key}")]
+    if isinstance(expected, list):
+        if len(expected) != len(actual):
+            return [f"{path}: length {len(expected)} became {len(actual)}"]
+        return [m for k, (e, a) in enumerate(zip(expected, actual)) for m in _golden_mismatches(e, a, f"{path}[{k}]")]
+    if isinstance(expected, float):
+        if not abs(expected - actual) <= GOLDEN_FLOAT_TOL:
+            return [f"{path}: {expected!r} became {actual!r}"]
+        return []
+    return [] if expected == actual else [f"{path}: {expected!r} became {actual!r}"]
+
+
+@pytest.mark.parametrize("command,golden", zip(GOLDEN_COMMANDS, GOLDEN_FILES), ids=GOLDEN_FILES)
+def test_golden_outputs_match_stored_baseline(command, golden):
+    proc = subprocess.run(
+        [sys.executable, "-m", "potentia.cli", *command],
+        cwd=ROOT,
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    expected = json.loads((ROOT / "tests" / "golden" / golden).read_text(encoding="utf-8"))
+    mismatches = _golden_mismatches(expected, json.loads(proc.stdout))
+    assert not mismatches, "\n".join(mismatches[:20])

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -311,6 +313,12 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_removed_orthonormality_tol_is_parse_error(self, capsys):
+        code, _ = run(
+            capsys, "analyze", SAMPLES / "zero_state.json", "--tol", "orthonormality=1e-3"
+        )
+        assert code == 2
+
     def test_config_file_sets_tolerances(self, capsys, tmp_path):
         matrix = np.diag([0.5, 0.5 + 3e-9]).astype(complex)
         payload = {
@@ -338,3 +346,12 @@ class TestDeterminism:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    probe = "import sys, potentia.cli; print('networkx' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -2,12 +2,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from potentia import families
 from potentia.errors import CapacityError, DomainError, ResidualError, UnderdeterminedError
 from potentia.powers import (
     ISAValuation,
     PowerNode,
+    PowersGraph,
     actualization_map,
     build_graph,
     check_isa_axioms,
@@ -134,17 +137,36 @@ class TestAxioms:
 
 
 def cliques_by_exhaustion(graph):
-    """Subset-check oracle: maximal cliques by brute force."""
+    """Subset-check oracle: maximal cliques by brute force over all 2^n node
+    sets, each set an integer bitmask (bit i for node i)."""
     n = len(graph.nodes)
-    cliques = []
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            if graph.is_context(subset):
-                cliques.append(set(subset))
+    masks = np.arange(1 << n, dtype=np.int64)
+    # foreign[v]: the nodes other than v that v does not commute with.
+    foreign = [
+        sum(1 << u for u in range(n) if u != v and not graph.adjacent(u, v)) for v in range(n)
+    ]
+    clique = np.ones(1 << n, dtype=bool)
+    extendable = np.zeros(1 << n, dtype=bool)
+    for v in range(n):
+        member = (masks >> v) & 1 == 1
+        compatible = masks & foreign[v] == 0
+        clique &= ~member | compatible
+        extendable |= ~member & compatible
     return sorted(
-        (c for c in cliques if not any(c < other for other in cliques)),
+        ({i for i in range(n) if mask >> i & 1} for mask in np.flatnonzero(clique & ~extendable)),
         key=sorted,
     )
+
+
+@st.composite
+def small_graphs(draw):
+    """A PowersGraph over at most 12 nodes with arbitrary edges; clique
+    enumeration reads only the node count and the edge set."""
+    n = draw(st.integers(1, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = frozenset(pair for pair, kept in zip(pairs, keep) if kept)
+    return PowersGraph((ZERO,) * n, edges, 2, 0)
 
 
 class TestContexts:
@@ -189,6 +211,28 @@ class TestContexts:
         ]
         with pytest.raises(CapacityError):
             maximal_contexts(build_graph(nodes))
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs())
+    def test_matches_exhaustive_search(self, graph):
+        contexts = maximal_contexts(graph)
+        assert [set(c.node_indices) for c in contexts] == cliques_by_exhaustion(graph)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            families.computational_family(4),
+            families.qubit_two_bases(),
+            families.qubit_mub_family(),
+            families.tomography_family(4),
+            families.ks18_family(),
+        ],
+        ids=["computational4", "two_bases", "mub", "tomography4", "ks18"],
+    )
+    def test_bundled_families_match_exhaustive_search(self, family):
+        graph = build_graph(family)
+        contexts = maximal_contexts(graph)
+        assert [set(c.node_indices) for c in contexts] == cliques_by_exhaustion(graph)
 
 
 class TestActualization:

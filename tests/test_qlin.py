@@ -189,6 +189,19 @@ class TestHermEig:
             qlin.herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+class TestFrozen:
+    @pytest.mark.parametrize(
+        "arr", [np.arange(3.0), np.eye(2, dtype=np.complex128)[:, ::-1], np.arange(4)]
+    )
+    def test_read_only_contiguous_copy_with_dtype_kept(self, arr):
+        out = qlin.frozen(arr)
+        assert out.dtype == arr.dtype
+        assert np.array_equal(out, arr)
+        assert not np.shares_memory(out, arr)
+        assert out.flags.c_contiguous and not out.flags.writeable
+        assert arr.flags.writeable
+
+
 class TestCommutes:
     def test_self(self):
         p = projector([1, 2j, 0])

@@ -48,6 +48,20 @@ class TestDensityFromVector:
             PureVector([1.0, 1.0])
 
 
+class TestInputsAreCopied:
+    def test_density_operator_leaves_caller_matrix_writable(self):
+        matrix = np.eye(2, dtype=np.complex128) / 2
+        rho = DensityOperator(matrix)
+        matrix[0, 0] = 7.0
+        assert rho.matrix[0, 0] == 0.5
+
+    def test_pure_vector_ignores_later_writes(self):
+        amplitudes = np.array([1.0, 0.0], dtype=np.complex128)
+        vector = PureVector(amplitudes)
+        amplitudes[0] = 5.0
+        assert np.linalg.norm(vector.amplitudes) == 1.0
+
+
 class TestPurity:
     def test_abstract_on_projector(self):
         assert abstract_purity(density_from_vector(PureVector.basis_state(2, 0)))

@@ -9,13 +9,14 @@ by canonical mixed radix with screen 0 most significant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import qlin
-from .errors import DegenerateConditioningError, DomainError, ShapeError
+from .errors import CapacityError, DegenerateConditioningError, DomainError, ShapeError
 from .qlin import dagger, frozen, kron_all, max_abs
 from .states import DensityOperator
 
@@ -36,11 +37,13 @@ class Factorization:
         dims = tuple(int(d) for d in self.screen_dims)
         if not dims or any(d < 1 for d in dims):
             raise DomainError(f"screen dims must be positive, got {dims}")
+        if math.prod(dims) > qlin.DIM_CAP:
+            raise CapacityError(f"screen dims {dims} exceed the dimension cap of {qlin.DIM_CAP}")
         object.__setattr__(self, "screen_dims", dims)
 
     @property
     def degree(self) -> int:
-        return int(np.prod(self.screen_dims))
+        return math.prod(self.screen_dims)
 
     @property
     def screens(self) -> int:
@@ -48,24 +51,16 @@ class Factorization:
 
     def flat_index(self, multi_index: Sequence[int]) -> int:
         if len(multi_index) != self.screens:
-            raise ShapeError(
-                f"multi-index has {len(multi_index)} entries for {self.screens} screens"
-            )
-        flat = 0
+            raise ShapeError(f"multi-index has {len(multi_index)} entries for {self.screens} screens")
         for k, dim in zip(multi_index, self.screen_dims):
             if not 0 <= int(k) < dim:
                 raise IndexError(f"detector index {k} out of range for screen of size {dim}")
-            flat = flat * dim + int(k)
-        return flat
+        return int(np.ravel_multi_index(tuple(int(k) for k in multi_index), self.screen_dims))
 
     def multi_index(self, flat: int) -> tuple[int, ...]:
         if not 0 <= flat < self.degree:
             raise IndexError(f"flat index {flat} out of range for degree {self.degree}")
-        out = []
-        for dim in reversed(self.screen_dims):
-            out.append(flat % dim)
-            flat //= dim
-        return tuple(reversed(out))
+        return tuple(int(k) for k in np.unravel_index(flat, self.screen_dims))
 
 
 @dataclass(frozen=True)
@@ -92,6 +87,14 @@ class DetectorBasis:
         return kron_all(self.screens)
 
 
+def _require_intensities(mat: np.ndarray) -> None:
+    diag = np.real(np.diag(mat))
+    if np.any(diag < -INTENSITY_TOL) or np.any(diag > 1 + INTENSITY_TOL):
+        raise DomainError("diagonal intensities stray outside [0, 1]")
+    if abs(float(diag.sum()) - 1.0) > INTENSITY_TOL:
+        raise DomainError(f"intensities sum to {diag.sum():.12f}, expected 1")
+
+
 @dataclass(frozen=True)
 class ExperimentalArrangement:
     """A density operator carved into screens and detectors.
@@ -109,18 +112,24 @@ class ExperimentalArrangement:
         mat = qlin.as_complex(self.matrix)
         basis = qlin.as_complex(self.basis_matrix)
         n = self.factorization.degree
-        if mat.shape != (n, n):
-            raise ShapeError(f"matrix is {mat.shape}, factorization degree is {n}")
-        if basis.shape != (n, n):
-            raise ShapeError(f"basis matrix is {basis.shape}, expected {n}x{n}")
+        for what, arr in (("matrix", mat), ("basis matrix", basis)):
+            if arr.shape != (n, n):
+                raise ShapeError(f"{what} is {arr.shape}, factorization degree is {n}")
         qlin.require_isometry(basis, what="basis matrix")
-        diag = np.real(np.diag(mat))
-        if np.any(diag < -INTENSITY_TOL) or np.any(diag > 1 + INTENSITY_TOL):
-            raise DomainError("diagonal intensities stray outside [0, 1]")
-        if abs(float(diag.sum()) - 1.0) > INTENSITY_TOL:
-            raise DomainError(f"intensities sum to {diag.sum():.12f}, expected 1")
+        _require_intensities(mat)
         object.__setattr__(self, "matrix", frozen(mat))
         object.__setattr__(self, "basis_matrix", frozen(basis))
+
+    @classmethod
+    def _trusted(cls, matrix, factorization, basis_matrix) -> "ExperimentalArrangement":
+        """Arrangement derived from checked values, skipping the shape and isometry
+        checks that hold by construction; the O(N) intensity check still runs."""
+        _require_intensities(matrix)
+        ea = object.__new__(cls)
+        object.__setattr__(ea, "matrix", frozen(matrix))
+        object.__setattr__(ea, "factorization", factorization)
+        object.__setattr__(ea, "basis_matrix", frozen(basis_matrix))
+        return ea
 
     @property
     def degree(self) -> int:
@@ -130,9 +139,30 @@ class ExperimentalArrangement:
         """Flat potentia vector (clipped to [0, 1])."""
         return np.clip(np.real(np.diag(self.matrix)), 0.0, 1.0)
 
+    def _ambient(self) -> np.ndarray:
+        return self.basis_matrix @ self.matrix @ dagger(self.basis_matrix)
+
     def canonical_density(self) -> DensityOperator:
         """The state in ambient canonical coordinates, basis unwound."""
-        return DensityOperator(self.basis_matrix @ self.matrix @ dagger(self.basis_matrix))
+        return DensityOperator(self._ambient())
+
+
+def _kron_left(m: np.ndarray, dims: Sequence[int], factors: dict[int, np.ndarray]) -> np.ndarray:
+    """``R @ m`` for ``R = F_0 x ... x F_n-1``, ``F_k = factors[k]`` or the identity: one
+    batched matmul per factor on the rows of ``m`` viewed as (d_0..d_k-1, d_k, rest)."""
+    for axis, w in factors.items():
+        m = np.matmul(w, m.reshape(math.prod(dims[:axis]), dims[axis], -1)).reshape(m.shape)
+    return m
+
+
+def _times(m: np.ndarray, dims: Sequence[int], factors: dict[int, np.ndarray]) -> np.ndarray:
+    """``m @ R`` as ``(R^T m^T)^T``: batched matmuls over rows run far faster than over columns."""
+    return _kron_left(m.T, dims, {k: w.T for k, w in factors.items()}).T
+
+
+def _conjugated(m: np.ndarray, dims: Sequence[int], factors: dict[int, np.ndarray]) -> np.ndarray:
+    """``R^dag @ m @ R``."""
+    return _times(_kron_left(m, dims, {k: dagger(w) for k, w in factors.items()}), dims, factors)
 
 
 def make_ea(
@@ -140,9 +170,7 @@ def make_ea(
 ) -> ExperimentalArrangement:
     """Express an ambient state in the detector coordinates of a screen layout."""
     if len(basis.screens) != factorization.screens:
-        raise ShapeError(
-            f"{len(basis.screens)} screen bases for {factorization.screens} screens"
-        )
+        raise ShapeError(f"{len(basis.screens)} screen bases for {factorization.screens} screens")
     for k, (mat, dim) in enumerate(zip(basis.screens, factorization.screen_dims)):
         if mat.shape[0] != dim:
             raise ShapeError(f"screen {k} basis is {mat.shape[0]}-dimensional, expected {dim}")
@@ -150,9 +178,10 @@ def make_ea(
         raise ShapeError(
             f"state dim {rho.dim} does not match factorization degree {factorization.degree}"
         )
-    product = basis.product_matrix()
-    represented = dagger(product) @ rho.matrix @ product
-    return ExperimentalArrangement(represented, factorization, product)
+    dims, factors = factorization.screen_dims, dict(enumerate(basis.screens))
+    matrix = _conjugated(rho.matrix, dims, factors)
+    product = _times(np.eye(rho.dim, dtype=np.complex128), dims, factors)
+    return ExperimentalArrangement._trusted(matrix, factorization, product)
 
 
 def power_intensity(ea: ExperimentalArrangement, multi_index: Sequence[int]) -> float:
@@ -177,14 +206,9 @@ def change_detectors(
     if v.shape != (dims[screen], dims[screen]):
         raise ShapeError(f"screen {screen} basis must be {dims[screen]}x{dims[screen]}, got {v.shape}")
     qlin.require_isometry(v, what="new detector basis")
-    factors = [np.eye(d, dtype=np.complex128) for d in dims]
-    factors[screen] = v
-    rotation = kron_all(factors)
-    return ExperimentalArrangement(
-        dagger(rotation) @ ea.matrix @ rotation,
-        ea.factorization,
-        ea.basis_matrix @ rotation,
-    )
+    factors = {screen: v}
+    matrix, basis = _conjugated(ea.matrix, dims, factors), _times(ea.basis_matrix, dims, factors)
+    return ExperimentalArrangement._trusted(matrix, ea.factorization, basis)
 
 
 def refactor(
@@ -199,18 +223,14 @@ def refactor(
         raise ShapeError(
             f"new factorization degree {new_factorization.degree} != arrangement degree {ea.degree}"
         )
-    return ExperimentalArrangement(ea.matrix, new_factorization, ea.basis_matrix)
+    return ExperimentalArrangement._trusted(ea.matrix, new_factorization, ea.basis_matrix)
 
 
 def ea_equivalent(
     ea1: ExperimentalArrangement, ea2: ExperimentalArrangement, tol: float = EQUIVALENCE_TOL
 ) -> bool:
     """Same degree and same ambient state once both bases are unwound."""
-    if ea1.degree != ea2.degree:
-        return False
-    return (
-        max_abs(ea1.canonical_density().matrix - ea2.canonical_density().matrix) <= tol
-    )
+    return ea1.degree == ea2.degree and max_abs(ea1._ambient() - ea2._ambient()) <= tol
 
 
 def restrict(
@@ -234,12 +254,7 @@ def restrict(
             raise IndexError(f"screen {screen} kept detectors {indices} out of range 0..{dim - 1}")
         kept.append(indices)
 
-    flat_kept = []
-    for multi in np.ndindex(*[len(k) for k in kept]):
-        original = [kept[s][i] for s, i in enumerate(multi)]
-        flat_kept.append(ea.factorization.flat_index(original))
-    flat_kept = np.array(flat_kept, dtype=np.int64)
-
+    flat_kept = np.ravel_multi_index(np.ix_(*kept), dims).ravel()
     block = ea.matrix[np.ix_(flat_kept, flat_kept)]
     overlap = float(np.real(np.trace(block)))
     if overlap <= OVERLAP_FLOOR:
@@ -247,11 +262,8 @@ def restrict(
             f"kept detectors carry total intensity {overlap:.3e}; cannot condition"
         )
     reduced = Factorization(tuple(len(k) for k in kept))
-    return ExperimentalArrangement(
-        block / overlap,
-        reduced,
-        np.eye(reduced.degree, dtype=np.complex128),
-    )
+    identity = np.eye(reduced.degree, dtype=np.complex128)
+    return ExperimentalArrangement._trusted(block / overlap, reduced, identity)
 
 
 def multiscreen_effect(
@@ -262,17 +274,12 @@ def multiscreen_effect(
     Screen k's entry is the total intensity landing on detector
     multi_index[k] of screen k, all other screens summed over.
     """
-    factorization = ea.factorization
-    factorization.flat_index(multi_index)  # validates the index
-    diag = np.real(np.diag(ea.matrix))
-    marginals = []
-    for screen, wanted in enumerate(multi_index):
-        total = 0.0
-        for flat, value in enumerate(diag):
-            if factorization.multi_index(flat)[screen] == int(wanted):
-                total += float(value)
-        marginals.append(min(max(total, 0.0), 1.0))
-    return marginals
+    ea.factorization.flat_index(multi_index)  # validates the index
+    diag = np.real(np.diag(ea.matrix)).reshape(ea.factorization.screen_dims)
+    return [
+        min(max(float(np.take(diag, int(wanted), axis=screen).sum()), 0.0), 1.0)
+        for screen, wanted in enumerate(multi_index)
+    ]
 
 
 @dataclass(frozen=True)
@@ -299,9 +306,7 @@ class ChainReport:
 
 
 def complexity_chain_check(
-    eas: Sequence[ExperimentalArrangement],
-    links: Sequence[ChainLink] = (),
-    tol: float = CHAIN_TOL,
+    eas: Sequence[ExperimentalArrangement], links: Sequence[ChainLink] = (), tol: float = CHAIN_TOL
 ) -> ChainReport:
     """Validate an ascending complexity chain of arrangements.
 
@@ -309,34 +314,27 @@ def complexity_chain_check(
     restriction deriving eas[i] from eas[i+1].  The degree sequence is the
     knowledge-quantification measure reported either way.
     """
-    degrees = tuple(ea.degree for ea in eas)
-    failures: list[ChainFailure] = []
     if len(eas) > 1 and len(links) != len(eas) - 1:
         raise ShapeError(f"{len(eas)} arrangements need {len(eas) - 1} links, got {len(links)}")
-    for i in range(len(eas) - 1):
-        if degrees[i] >= degrees[i + 1]:
-            failures.append(
-                ChainFailure(i, f"degree does not increase: {degrees[i]} -> {degrees[i + 1]}")
-            )
-            continue
-        try:
-            derived = restrict(eas[i + 1], links[i].kept_detectors)
-        except (DomainError, ShapeError, IndexError) as exc:
-            failures.append(ChainFailure(i, f"stated restriction fails: {exc}"))
-            continue
-        if derived.factorization != eas[i].factorization:
-            failures.append(
-                ChainFailure(
-                    i,
-                    "restriction yields factorization "
-                    f"{derived.factorization.screen_dims}, chain claims "
-                    f"{eas[i].factorization.screen_dims}",
-                )
-            )
-            continue
-        gap = max_abs(derived.matrix - eas[i].matrix)
-        if gap > tol:
-            failures.append(
-                ChainFailure(i, f"restricted state differs by {gap:.3e} (> {tol:g})")
-            )
-    return ChainReport(degrees, tuple(failures))
+    reasons = [_link_failure(eas[i], eas[i + 1], links[i], tol) for i in range(len(eas) - 1)]
+    failures = tuple(ChainFailure(i, reason) for i, reason in enumerate(reasons) if reason)
+    return ChainReport(tuple(ea.degree for ea in eas), failures)
+
+
+def _link_failure(
+    smaller: ExperimentalArrangement, larger: ExperimentalArrangement, link: ChainLink, tol: float
+) -> str | None:
+    """Why ``link`` does not derive ``smaller`` from ``larger``; None if it does."""
+    if smaller.degree >= larger.degree:
+        return f"degree does not increase: {smaller.degree} -> {larger.degree}"
+    try:
+        derived = restrict(larger, link.kept_detectors)
+    except (DomainError, ShapeError, IndexError) as exc:
+        return f"stated restriction fails: {exc}"
+    if derived.factorization != smaller.factorization:
+        return (
+            f"restriction yields factorization {derived.factorization.screen_dims}, "
+            f"chain claims {smaller.factorization.screen_dims}"
+        )
+    gap = max_abs(derived.matrix - smaller.matrix)
+    return f"restricted state differs by {gap:.3e} (> {tol:g})" if gap > tol else None

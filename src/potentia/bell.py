@@ -24,6 +24,8 @@ CHSH_TOL = 1e-9
 SIGN_FLOOR = 1e-12
 
 _PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
+#: s_i (x) s_j for every Pauli pair, built once rather than per call.
+_PAULI_PAIRS = np.array([[np.kron(si, sj) for sj in _PAULIS] for si in _PAULIS])
 
 
 @dataclass(frozen=True)
@@ -71,11 +73,8 @@ def _require_two_qubits(rho: DensityOperator):
 
 def correlation_matrix(rho: DensityOperator) -> CorrelationMatrix:
     _require_two_qubits(rho)
-    t = np.empty((3, 3))
-    for i, si in enumerate(_PAULIS):
-        for j, sj in enumerate(_PAULIS):
-            t[i, j] = float(np.real(np.trace(rho.matrix @ qlin.kron(si, sj))))
-    return CorrelationMatrix(t)
+    # Tr(rho P) = sum_ab rho_ab P_ba for each Pauli pair P.
+    return CorrelationMatrix(np.real(np.einsum("ab,ijba->ij", rho.matrix, _PAULI_PAIRS)))
 
 
 def chsh_value(rho: DensityOperator, setting: MeasurementSetting) -> float:

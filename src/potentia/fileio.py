@@ -18,7 +18,7 @@ import numpy as np
 
 from . import arrangements, entanglement, powers, qlin, states
 from .arrangements import DetectorBasis, Factorization
-from .errors import DomainError, ParseError, ShapeError, ValidationError
+from .errors import CapacityError, DomainError, ParseError, ShapeError, ValidationError
 from .locc import CPMap, QuantumInstrument
 from .powers import PowerNode
 from .states import DensityOperator
@@ -106,9 +106,24 @@ def _require(document: dict, key: str, kind: type, path: str):
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ParseError(f"{path}.{key}: expected a number")
         return float(value)
-    if not isinstance(value, kind):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise ParseError(f"{path}.{key}: expected {kind.__name__}")
     return value
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: ``bool`` subclasses ``int`` but ``true`` is not a dimension."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_dim(document: dict, path: str) -> int:
+    """The ``dim`` field, checked against the dimension cap before any matrix is read."""
+    dim = _require(document, "dim", int, path)
+    if dim < 1:
+        raise ParseError(f"{path}.dim: must be a positive integer")
+    if dim > qlin.DIM_CAP:
+        raise CapacityError(f"{path}.dim: {dim} exceeds the dimension cap of {qlin.DIM_CAP}")
+    return dim
 
 
 def _validated(prefix: str, make, *args):
@@ -146,9 +161,7 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
     document = _load_json(path)
     name = str(path)
     _check_schema(document, name)
-    dim = _require(document, "dim", int, name)
-    if dim < 1:
-        raise ParseError(f"{name}.dim: must be a positive integer")
+    dim = _require_dim(document, name)
     matrix = matrix_from_json(_require(document, "matrix", list, name), f"{name}.matrix")
     if matrix.shape != (dim, dim):
         raise ParseError(f"{name}.matrix: shape {matrix.shape} does not match dim {dim}")
@@ -167,7 +180,7 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
     has_factorization = "factorization" in document
     if has_factorization:
         dims = document["factorization"]
-        if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
+        if not isinstance(dims, list) or not all(_is_int(d) for d in dims):
             raise ParseError(f"{name}.factorization: expected a list of integers")
         factorization = Factorization(tuple(dims))
         if factorization.degree != dim:
@@ -232,7 +245,7 @@ def load_projectors(path: str | Path) -> list[PowerNode]:
     document = _load_json(path)
     name = str(path)
     _check_schema(document, name)
-    dim = _require(document, "dim", int, name)
+    dim = _require_dim(document, name)
     raw_nodes = _require(document, "projectors", list, name)
     if not raw_nodes:
         raise ParseError(f"{name}.projectors: expected at least one projector")
@@ -278,5 +291,11 @@ def load_instrument(path: str | Path) -> QuantumInstrument:
 
 
 def render_json(document: dict) -> str:
-    """Canonical JSON rendering: sorted keys, two-space indent, newline-terminated."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON rendering: sorted keys, two-space indent, newline-terminated.
+
+    NaN and infinities have no JSON form, so a report holding one is rejected.
+    """
+    try:
+        return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValidationError(f"report is not valid JSON: {exc}")

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import qlin
 from .errors import DomainError, ShapeError
-from .qlin import dagger, frozen, herm_eig
+from .qlin import frozen, herm_eig
 
 NORM_TOL = 1e-9
 TRACE_TOL = 1e-9
@@ -170,7 +170,7 @@ def operational_purity(rho: DensityOperator, basis: np.ndarray, tol: float = PUR
     if basis.shape != (rho.dim, rho.dim):
         raise ShapeError(f"basis is {basis.shape}, state needs {rho.dim}x{rho.dim}")
     qlin.require_isometry(basis)
-    diagonal = np.real(np.einsum("ij,jk,ki->i", dagger(basis), rho.matrix, basis))
+    diagonal = np.real(np.sum(basis.conj() * (rho.matrix @ basis), axis=0))
     return bool(np.max(diagonal) >= 1.0 - tol)
 
 

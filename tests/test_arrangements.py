@@ -1,5 +1,9 @@
+from functools import reduce
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from potentia.arrangements import (
     ChainLink,
@@ -15,7 +19,7 @@ from potentia.arrangements import (
     refactor,
     restrict,
 )
-from potentia.errors import DegenerateConditioningError, DomainError, ShapeError
+from potentia.errors import CapacityError, DegenerateConditioningError, DomainError, ShapeError
 from potentia.sampling import random_density, random_unitary
 from potentia.states import DensityOperator, PureVector, density_from_vector
 
@@ -62,6 +66,57 @@ class TestMakeEa:
     def test_non_orthonormal_basis(self):
         with pytest.raises(DomainError):
             DetectorBasis((np.ones((2, 2), dtype=complex), np.eye(2, dtype=complex)))
+
+
+class TestFactorization:
+    def test_degree_above_dimension_cap(self):
+        with pytest.raises(CapacityError):
+            Factorization((4097,))
+        with pytest.raises(CapacityError):
+            Factorization((64, 65))
+
+    def test_degree_at_dimension_cap(self):
+        assert Factorization((64, 64)).degree == 4096
+
+    def test_multi_index_inverts_flat_index(self):
+        f = Factorization((2, 3, 4))
+        for multi in np.ndindex(2, 3, 4):
+            assert f.multi_index(f.flat_index(multi)) == multi
+
+
+class TestPublicConstructor:
+    """The public constructor checks everything; derived arrangements skip
+    only what holds by construction."""
+
+    def test_rejects_non_isometric_basis(self):
+        with pytest.raises(DomainError, match="orthonormal"):
+            ExperimentalArrangement(worked_state().matrix, TWO_SCREENS, 2 * np.eye(4))
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ShapeError):
+            ExperimentalArrangement(np.eye(2) / 2, TWO_SCREENS, np.eye(4))
+        with pytest.raises(ShapeError):
+            ExperimentalArrangement(worked_state().matrix, TWO_SCREENS, np.eye(2))
+
+    def test_rejects_intensities_outside_unit_interval(self):
+        with pytest.raises(DomainError, match="outside"):
+            ExperimentalArrangement(np.diag([1.5, -0.5, 0.0, 0.0]), TWO_SCREENS, np.eye(4))
+        with pytest.raises(DomainError, match="sum"):
+            ExperimentalArrangement(np.diag([0.5, 0.0, 0.0, 0.0]), TWO_SCREENS, np.eye(4))
+
+    def test_detector_change_still_checks_new_intensities(self):
+        # Diagonal in [0, 1] but not positive: a Hadamard pushes it out.
+        ea = ExperimentalArrangement(
+            np.array([[0.5, 0.9], [0.9, 0.5]]), Factorization((2,)), np.eye(2)
+        )
+        with pytest.raises(DomainError, match="outside"):
+            change_detectors(ea, 0, HADAMARD)
+
+    def test_derived_arrangements_are_read_only(self):
+        changed = change_detectors(worked_ea(), 0, HADAMARD)
+        for arr in (changed.matrix, changed.basis_matrix):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
 
 
 class TestChangeDetectors:
@@ -281,3 +336,118 @@ class TestInvariance:
             assert ea_equivalent(ea, changed, tol=1e-10)
             assert np.max(np.abs(changed.canonical_density().matrix - rho.matrix)) <= 1e-10
             assert float(np.sum(changed.intensities())) == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------- properties
+# Dense references: every local operation against its Kronecker-product
+# definition on layouts of 1-4 screens with dims 2-4.
+
+
+@st.composite
+def layouts(draw):
+    dims = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)))
+    return dims, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+def kron_oracle(factors):
+    return reduce(np.kron, factors)
+
+
+def local_rotation(dims, screen, v):
+    return kron_oracle([v if k == screen else np.eye(d) for k, d in enumerate(dims)])
+
+
+def random_layout_ea(dims, rng):
+    f = Factorization(dims)
+    rho = random_density(f.degree, rng)
+    bases = tuple(random_unitary(d, rng) for d in dims)
+    return rho, bases, make_ea(rho, f, DetectorBasis(bases))
+
+
+def random_refactor(dims, rng):
+    """Same degree, new layout: merge random adjacent screens, then shuffle."""
+    merged = [dims[0]]
+    for d in dims[1:]:
+        if rng.random() < 0.5:
+            merged[-1] *= d
+        else:
+            merged.append(d)
+    return tuple(int(d) for d in rng.permutation(merged))
+
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+class TestLocalOperationProperties:
+    @PROPERTY_SETTINGS
+    @given(layouts())
+    def test_make_ea_matches_kron_conjugation(self, layout):
+        dims, rng = layout
+        rho, bases, ea = random_layout_ea(dims, rng)
+        product = kron_oracle(bases)
+        assert np.max(np.abs(ea.basis_matrix - product)) <= 1e-12
+        assert np.max(np.abs(ea.matrix - product.conj().T @ rho.matrix @ product)) <= 1e-12
+
+    @PROPERTY_SETTINGS
+    @given(layouts())
+    def test_change_detectors_matches_kron_oracle(self, layout):
+        dims, rng = layout
+        _, _, ea = random_layout_ea(dims, rng)
+        screen = int(rng.integers(len(dims)))
+        v = random_unitary(dims[screen], rng)
+        rotation = local_rotation(dims, screen, v)
+        changed = change_detectors(ea, screen, v)
+        oracle = rotation.conj().T @ ea.matrix @ rotation
+        assert np.max(np.abs(changed.matrix - oracle)) <= 1e-12
+        assert np.max(np.abs(changed.basis_matrix - ea.basis_matrix @ rotation)) <= 1e-12
+
+    @PROPERTY_SETTINGS
+    @given(layouts(), st.integers(1, 6))
+    def test_changes_and_refactors_stay_equivalent(self, layout, steps):
+        dims, rng = layout
+        rho, _, ea = random_layout_ea(dims, rng)
+        current = ea
+        for _ in range(steps):
+            layout_dims = current.factorization.screen_dims
+            if rng.random() < 0.3:
+                current = refactor(current, Factorization(random_refactor(layout_dims, rng)))
+            else:
+                screen = int(rng.integers(len(layout_dims)))
+                v = random_unitary(layout_dims[screen], rng)
+                current = change_detectors(current, screen, v)
+            assert ea_equivalent(ea, current)
+        assert np.max(np.abs(current.canonical_density().matrix - rho.matrix)) <= 1e-10
+
+    @PROPERTY_SETTINGS
+    @given(layouts())
+    def test_multiscreen_effect_matches_flat_sum(self, layout):
+        dims, rng = layout
+        _, _, ea = random_layout_ea(dims, rng)
+        index = tuple(int(rng.integers(d)) for d in dims)
+        diag = np.real(np.diag(ea.matrix))
+        for screen, got in enumerate(multiscreen_effect(ea, index)):
+            total = sum(
+                diag[flat]
+                for flat in range(len(diag))
+                if np.unravel_index(flat, dims)[screen] == index[screen]
+            )
+            assert got == pytest.approx(min(max(total, 0.0), 1.0), abs=1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(layouts())
+    def test_restrict_matches_ndindex_reference(self, layout):
+        dims, rng = layout
+        _, _, ea = random_layout_ea(dims, rng)
+        kept = [
+            sorted(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False).tolist())
+            for d in dims
+        ]
+        flat = [
+            ea.factorization.flat_index([kept[s][i] for s, i in enumerate(multi)])
+            for multi in np.ndindex(*[len(k) for k in kept])
+        ]
+        block = ea.matrix[np.ix_(flat, flat)]
+        restricted = restrict(ea, kept)
+        assert restricted.factorization.screen_dims == tuple(len(k) for k in kept)
+        assert np.max(np.abs(restricted.matrix - block / np.trace(block).real)) <= 1e-12
+        assert np.array_equal(restricted.basis_matrix, np.eye(len(flat)))

@@ -225,6 +225,11 @@ class TestWitness:
         code, _ = run(capsys, "witness", source)
         assert code == 3
 
+    def test_zero_samples_is_validation_error(self, capsys):
+        code, out = run(capsys, "witness", SAMPLES / "bell_phi_plus.json", "--samples", "0")
+        assert code == 3
+        assert out == ""
+
 
 class TestBell:
     def test_bell_state(self, capsys):
@@ -299,6 +304,13 @@ class TestExitCodes:
         family = tmp_path / "crowd.json"
         family.write_text(fileio.render_json(payload), encoding="utf-8")
         code, _ = run(capsys, "powers", SAMPLES / "zero_state.json", "--projectors", family)
+        assert code == 4
+
+    def test_dim_above_cap_is_capacity_error(self, capsys, tmp_path):
+        payload = {"schema_version": "1", "dim": 5000, "matrix": fileio.matrix_to_json(np.eye(1))}
+        huge = tmp_path / "huge.json"
+        huge.write_text(fileio.render_json(payload), encoding="utf-8")
+        code, _ = run(capsys, "analyze", huge)
         assert code == 4
 
     def test_tol_override_flows_through(self, capsys):

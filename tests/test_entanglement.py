@@ -215,6 +215,32 @@ class TestWitness:
         worst = check_witness_on_products(witness, (2, 2), samples=10_000, seed=0)
         assert worst >= -1e-9
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_batched_check_matches_per_sample_loop(self, dims):
+        def per_sample_loop(witness, samples, seed):
+            rng = np.random.default_rng(seed)
+            worst = np.inf
+            for _ in range(samples):
+                product = np.kron(
+                    random_pure(dims[0], rng).amplitudes, random_pure(dims[1], rng).amplitudes
+                )
+                worst = min(worst, float(np.real(np.vdot(product, witness.matrix @ product))))
+            return worst
+
+        phi = np.zeros(dims[0] * dims[1], dtype=complex)
+        phi[0] = phi[-1] = 1 / np.sqrt(2)
+        witness = witness_from_entangled(density_from_vector(PureVector(phi)), dims)
+        for seed in (0, 1, 7, 2024):
+            for samples in (1, 50, 2000):
+                batched = check_witness_on_products(witness, dims, samples=samples, seed=seed)
+                assert batched == pytest.approx(per_sample_loop(witness, samples, seed), abs=1e-12)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_check_needs_a_sample(self, samples):
+        witness = witness_from_entangled(RHO_PHI, (2, 2))
+        with pytest.raises(DomainError, match="sample"):
+            check_witness_on_products(witness, (2, 2), samples=samples)
+
     def test_ppt_state_has_no_witness(self):
         with pytest.raises(NoWitnessError):
             witness_from_entangled(werner(0.2), (2, 2))

@@ -5,7 +5,7 @@ import pytest
 
 from potentia import fileio
 from potentia.arrangements import DetectorBasis, Factorization
-from potentia.errors import ParseError, ValidationError
+from potentia.errors import CapacityError, ParseError, ValidationError
 from potentia.fileio import Tolerances, load_instrument, load_projectors, load_state
 from potentia.sampling import random_density, random_unitary
 from potentia.states import DensityOperator
@@ -100,6 +100,29 @@ class TestStateFiles:
         with pytest.raises(ValidationError, match="orthonormal"):
             load_state(path)
 
+    def test_dim_above_cap_rejected_before_matrix_is_read(self, tmp_path):
+        # The 1x1 matrix would fail the shape check; the cap must fire first.
+        path = write(tmp_path, "huge.json", state_payload(np.eye(1, dtype=complex), dim=5000))
+        with pytest.raises(CapacityError, match="5000"):
+            load_state(path)
+
+    def test_boolean_dim_rejected(self, tmp_path):
+        path = write(tmp_path, "booldim.json", state_payload(np.eye(1, dtype=complex), dim=True))
+        with pytest.raises(ParseError, match="dim"):
+            load_state(path)
+
+    def test_boolean_factorization_entry_rejected(self, tmp_path):
+        matrix = np.eye(2, dtype=complex) / 2
+        path = write(tmp_path, "boolfactor.json", state_payload(matrix, factorization=[True, 2]))
+        with pytest.raises(ParseError, match="factorization"):
+            load_state(path)
+
+    def test_factorization_above_cap_rejected(self, tmp_path):
+        matrix = np.eye(2, dtype=complex) / 2
+        path = write(tmp_path, "bigfactor.json", state_payload(matrix, factorization=[2, 4096]))
+        with pytest.raises(CapacityError):
+            load_state(path)
+
     def test_loosened_tolerance_admits_noisy_trace(self, tmp_path):
         matrix = np.diag([0.5, 0.5 + 3e-9]).astype(complex)
         path = write(tmp_path, "noisy.json", state_payload(matrix))
@@ -136,6 +159,24 @@ class TestProjectorFiles:
         path = write(tmp_path, "badproj.json", payload)
         with pytest.raises(ValidationError, match="leaky"):
             load_projectors(path)
+
+    def test_dim_above_cap_rejected_before_matrices_are_read(self, tmp_path):
+        payload = {
+            "schema_version": "1",
+            "dim": 5000,
+            "projectors": [{"matrix": fileio.matrix_to_json(np.eye(1))}],
+        }
+        with pytest.raises(CapacityError, match="5000"):
+            load_projectors(write(tmp_path, "hugeproj.json", payload))
+
+    def test_boolean_dim_rejected(self, tmp_path):
+        payload = {
+            "schema_version": "1",
+            "dim": True,
+            "projectors": [{"matrix": fileio.matrix_to_json(np.eye(1))}],
+        }
+        with pytest.raises(ParseError, match="dim"):
+            load_projectors(write(tmp_path, "boolproj.json", payload))
 
 
 class TestInstrumentFiles:
@@ -179,6 +220,11 @@ class TestRendering:
         assert a == b
         assert a.endswith("\n")
         assert json.loads(a) == {"a": [1.5, 2], "b": 1}
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_value_is_rejected(self, value):
+        with pytest.raises(ValidationError, match="JSON"):
+            fileio.render_json({"results": {"min_expectation": value}})
 
     def test_state_document_roundtrips_floats(self, rng):
         rho = random_density(3, rng)

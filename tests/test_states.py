@@ -84,6 +84,13 @@ class TestPurity:
     def test_operational_uniform_in_its_own_basis(self):
         assert operational_purity(density_from_vector(UNIFORM), HADAMARD)
 
+    def test_operational_detects_a_column_of_a_random_basis(self, rng):
+        basis = random_unitary(5, rng)
+        pure = density_from_vector(PureVector(basis[:, 3]))
+        assert operational_purity(pure, basis)
+        blurred = DensityOperator(0.99 * pure.matrix + 0.01 * np.eye(5) / 5)
+        assert not operational_purity(blurred, basis)
+
     def test_existential_reading(self):
         assert operational_purity_exists(density_from_vector(UNIFORM))
         assert not operational_purity_exists(DensityOperator.maximally_mixed(2))

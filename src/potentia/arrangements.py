@@ -17,7 +17,7 @@ import numpy as np
 
 from . import qlin
 from .errors import CapacityError, DegenerateConditioningError, DomainError, ShapeError
-from .qlin import dagger, frozen, kron_all, max_abs
+from .qlin import dagger, frozen, max_abs
 from .states import DensityOperator
 
 INTENSITY_TOL = 1e-8
@@ -83,9 +83,6 @@ class DetectorBasis:
     def computational(cls, factorization: Factorization) -> "DetectorBasis":
         return cls(tuple(np.eye(d, dtype=np.complex128) for d in factorization.screen_dims))
 
-    def product_matrix(self) -> np.ndarray:
-        return kron_all(self.screens)
-
 
 def _require_intensities(mat: np.ndarray) -> None:
     diag = np.real(np.diag(mat))
@@ -117,6 +114,7 @@ class ExperimentalArrangement:
                 raise ShapeError(f"{what} is {arr.shape}, factorization degree is {n}")
         qlin.require_isometry(basis, what="basis matrix")
         _require_intensities(mat)
+        DensityOperator(mat)  # the matrix itself must be a state
         object.__setattr__(self, "matrix", frozen(mat))
         object.__setattr__(self, "basis_matrix", frozen(basis))
 

@@ -37,6 +37,8 @@ NAMED_BASES = ("computational", "hadamard", "fourier")
 #: Refactoring needs detector bases within this of the identity, entrywise.
 IDENTITY_TOL = 1e-12
 BISECT_TOL = 1e-9
+#: Most grid points one ``werner --scan`` evaluates.
+SCAN_STEPS_CAP = 100_000
 
 
 def _digest_file(path: str) -> str:
@@ -140,11 +142,10 @@ def _verdict_payload(verdict: entanglement.SeparabilityVerdict) -> dict:
 def _analysis_results(state: fileio.StateFile, tols: Tolerances) -> dict:
     density = state.density
     ea = arrangements.make_ea(density, state.factorization, state.basis)
-    spectrum = np.sort(np.linalg.eigvalsh(density.matrix))[::-1]
     results: dict = {
         "dim": density.dim,
         "factorization": list(state.factorization.screen_dims),
-        "spectrum": _float_list(spectrum),
+        "spectrum": _float_list(density.eigenvalues[::-1]),
         "purity": {
             "abstract": states.abstract_purity(density, tols.purity),
             "operational": states.operational_purity(density, ea.basis_matrix, tols.purity),
@@ -381,7 +382,7 @@ def _werner_row(p: float) -> dict:
         "p": p,
         "min_pt_eigenvalue": entanglement.min_pt_eigenvalue(rho, (2, 2)),
         "chsh_max": bell.chsh_max(rho).value,
-        "region": entanglement.werner_classify(p).value,
+        "region": bell.classify_regions(rho).value,
         "entropy_bits": entanglement.von_neumann_entropy(rho),
     }
 
@@ -406,6 +407,8 @@ def cmd_werner(args) -> dict:
         raise DomainError(f"scan range [{lo}, {hi}] must lie inside [0, 1]")
     if steps < 2:
         raise DomainError("scan needs at least 2 steps")
+    if steps > SCAN_STEPS_CAP:
+        raise CapacityError(f"scan of {steps} steps exceeds the cap of {SCAN_STEPS_CAP}")
 
     grid = np.linspace(lo, hi, steps)
     rows = [_werner_row(float(p)) for p in grid]

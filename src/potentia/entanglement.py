@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from . import qlin
-from .errors import DomainError, NoWitnessError, ShapeError
+from .errors import CapacityError, DomainError, NoWitnessError, ShapeError
 from .qlin import frozen, herm_eig, partial_trace, partial_transpose
 from .states import DensityOperator, PureVector, abstract_purity
 
@@ -27,6 +27,9 @@ SCHMIDT_FLOOR = 1e-9
 #: Complex entries per batch of sampled product states in a witness check;
 #: small, so a check's temporaries stay near the per-sample loop's footprint.
 PRODUCT_BATCH_ENTRIES = 1 << 12
+
+#: Most product states one witness check samples.
+WITNESS_SAMPLES_CAP = 1_000_000
 
 #: Bipartite shapes where PPT is sufficient for separability.
 PPT_SUFFICIENT = {(2, 2), (2, 3), (3, 2)}
@@ -80,11 +83,25 @@ def schmidt_rank(vector: PureVector, dims: Sequence[int], floor: float = SCHMIDT
     return int(np.sum(schmidt(vector, dims) > floor))
 
 
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """-sum(p log2 p) over the spectrum, in bits; zero iff abstractly pure."""
-    values = qlin.clip_spectrum(np.linalg.eigvalsh(rho.matrix))
+def _entropy_bits(spectrum: np.ndarray) -> float:
+    """-sum(p log2 p) over a spectrum, in bits."""
+    values = qlin.clip_spectrum(spectrum)
     positive = values[values > 0]
     return float(-np.sum(positive * np.log2(positive))) + 0.0
+
+
+def von_neumann_entropy(rho: DensityOperator) -> float:
+    """-sum(p log2 p) over the spectrum, in bits; zero iff abstractly pure."""
+    return _entropy_bits(rho.eigenvalues)
+
+
+def _marginal_spectra(rho: DensityOperator, dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending spectra of both reduced states.  The partial traces of a
+    checked state are states, so they are not checked again."""
+    d_a, d_b = _bipartite(rho.dim, dims)
+    return tuple(
+        np.linalg.eigvalsh(partial_trace(rho.matrix, (d_a, d_b), keep)) for keep in ((0,), (1,))
+    )
 
 
 def entropy_additivity_check(
@@ -99,11 +116,8 @@ def entropy_criterion(
     rho: DensityOperator, dims: Sequence[int], tol: float = VERDICT_TOL
 ) -> SeparabilityVerdict:
     """Necessary criterion: a separable state is at least as entropic as its parts."""
-    d_a, d_b = _bipartite(rho.dim, dims)
     joint = von_neumann_entropy(rho)
-    part_a = von_neumann_entropy(DensityOperator(partial_trace(rho.matrix, (d_a, d_b), (0,))))
-    part_b = von_neumann_entropy(DensityOperator(partial_trace(rho.matrix, (d_a, d_b), (1,))))
-    margin = min(joint - part_a, joint - part_b)
+    margin = min(joint - _entropy_bits(part) for part in _marginal_spectra(rho, dims))
     if margin < -tol:
         return SeparabilityVerdict(Verdict.ENTANGLED, "entropy", margin)
     return SeparabilityVerdict(Verdict.INCONCLUSIVE, "entropy", margin)
@@ -121,14 +135,10 @@ def majorization_criterion(
 ) -> SeparabilityVerdict:
     """Necessary criterion: the global spectrum of a separable state is
     majorized by each reduced spectrum (zero-padded partial sums)."""
-    d_a, d_b = _bipartite(rho.dim, dims)
-    global_spec = np.sort(np.linalg.eigvalsh(rho.matrix))[::-1]
-    margins = []
-    for keep in ((0,), (1,)):
-        reduced = partial_trace(rho.matrix, (d_a, d_b), keep)
-        reduced_spec = np.sort(np.linalg.eigvalsh(reduced))[::-1]
-        margins.append(_majorization_margin(global_spec, reduced_spec))
-    margin = min(margins)
+    global_spec = rho.eigenvalues[::-1]
+    margin = min(
+        _majorization_margin(global_spec, reduced[::-1]) for reduced in _marginal_spectra(rho, dims)
+    )
     if margin < -tol:
         return SeparabilityVerdict(Verdict.ENTANGLED, "majorization", margin)
     return SeparabilityVerdict(Verdict.INCONCLUSIVE, "majorization", margin)
@@ -205,6 +215,8 @@ def check_witness_on_products(
     """
     if samples < 1:
         raise DomainError(f"the witness check needs at least one sample, got {samples}")
+    if samples > WITNESS_SAMPLES_CAP:
+        raise CapacityError(f"{samples} samples exceed the cap of {WITNESS_SAMPLES_CAP}")
     d_a, d_b = int(dims[0]), int(dims[1])
     rng = np.random.default_rng(seed)
     batch = max(1, PRODUCT_BATCH_ENTRIES // (d_a * d_b))

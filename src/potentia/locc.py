@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from . import qlin
-from .errors import DomainError, ShapeError
+from .errors import CapacityError, DomainError, ShapeError
 from .qlin import dagger, kron_all, max_abs
 from .states import DensityOperator
 
@@ -31,7 +31,7 @@ class CPMap:
         if not self.kraus:
             raise DomainError("a CP map needs at least one Kraus operator")
         if len(self.kraus) > KRAUS_RANK_CAP:
-            raise DomainError(f"Kraus rank capped at {KRAUS_RANK_CAP}, got {len(self.kraus)}")
+            raise CapacityError(f"Kraus rank capped at {KRAUS_RANK_CAP}, got {len(self.kraus)}")
         mats = []
         shape = None
         for k, raw in enumerate(self.kraus):

@@ -62,9 +62,14 @@ class PureVector:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Trace-one positive-semidefinite Hermitian matrix."""
+    """Trace-one positive-semidefinite Hermitian matrix.
+
+    ``eigenvalues`` is the spectrum the positivity check computes, ascending
+    and read-only; every spectral quantity of the state reads it.
+    """
 
     matrix: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = qlin.as_complex(self.matrix)
@@ -72,10 +77,12 @@ class DensityOperator:
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > TRACE_TOL:
             raise DomainError(f"trace is {trace:.12g}, expected 1 within {TRACE_TOL:g}")
-        min_eig = float(np.linalg.eigvalsh(mat)[0])
+        eigenvalues = np.linalg.eigvalsh(mat)
+        min_eig = float(eigenvalues[0])
         if min_eig < EIGENVALUE_FLOOR:
             raise DomainError(f"negative eigenvalue {min_eig:.3e} below floor {EIGENVALUE_FLOOR:g}")
         object.__setattr__(self, "matrix", frozen(mat))
+        object.__setattr__(self, "eigenvalues", frozen(eigenvalues))
 
     @property
     def dim(self) -> int:
@@ -86,8 +93,8 @@ class DensityOperator:
         return cls(np.eye(dim, dtype=np.complex128) / dim)
 
     def purity(self) -> float:
-        """Tr(rho^2)."""
-        return float(np.real(np.trace(self.matrix @ self.matrix)))
+        """Tr(rho^2), the sum of |rho_ij|^2 for Hermitian rho."""
+        return float(np.vdot(self.matrix, self.matrix).real)
 
 
 @dataclass(frozen=True)
@@ -179,7 +186,7 @@ def operational_purity_exists(rho: DensityOperator, tol: float = PURITY_TOL) -> 
 
     The best basis is the eigenbasis, so this is a max-eigenvalue test.
     """
-    return float(np.linalg.eigvalsh(rho.matrix)[-1]) >= 1.0 - tol
+    return float(rho.eigenvalues[-1]) >= 1.0 - tol
 
 
 @dataclass(frozen=True)
@@ -241,7 +248,7 @@ def projective_distance(p: DensityOperator, q: DensityOperator, tol: float = PUR
     if p.dim != q.dim:
         raise ShapeError(f"dimension mismatch {p.dim} vs {q.dim}")
     diff = p.matrix - q.matrix
-    return float(np.sqrt(max(0.0, float(np.real(np.trace(diff @ diff))))))
+    return float(np.sqrt(np.vdot(diff, diff).real))
 
 
 def spectral_decomposition(rho: DensityOperator) -> MixtureDecomposition:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,20 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def eigensolve_counter(monkeypatch):
+    """Counts calls of ``numpy.linalg.eigvalsh`` and ``eigh`` during one test,
+    keyed by the shape of the input matrix."""
+    counts: Counter = Counter()
+    for name in ("eigvalsh", "eigh"):
+        def counted(a, *args, _solve=getattr(np.linalg, name), **kwargs):
+            counts[np.shape(a)] += 1
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
 
 
 def projector(vec) -> np.ndarray:

@@ -104,10 +104,19 @@ class TestPublicConstructor:
         with pytest.raises(DomainError, match="sum"):
             ExperimentalArrangement(np.diag([0.5, 0.0, 0.0, 0.0]), TWO_SCREENS, np.eye(4))
 
+    def test_rejects_non_state_matrix(self):
+        # Diagonal in [0, 1] and unit trace, but eigenvalue -0.4: no state.
+        with pytest.raises(DomainError, match="eigenvalue"):
+            ExperimentalArrangement(
+                np.array([[0.5, 0.9], [0.9, 0.5]]), Factorization((2,)), np.eye(2)
+            )
+
     def test_detector_change_still_checks_new_intensities(self):
-        # Diagonal in [0, 1] but not positive: a Hadamard pushes it out.
+        # A state whose low eigenvalue -5e-8 passes EIGENVALUE_FLOOR; a
+        # Hadamard turns it into a diagonal entry below -INTENSITY_TOL.
+        off = 0.5 + 5e-8
         ea = ExperimentalArrangement(
-            np.array([[0.5, 0.9], [0.9, 0.5]]), Factorization((2,)), np.eye(2)
+            np.array([[0.5, off], [off, 0.5]]), Factorization((2,)), np.eye(2)
         )
         with pytest.raises(DomainError, match="outside"):
             change_detectors(ea, 0, HADAMARD)

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from potentia import fileio
-from potentia.cli import main
+from potentia.arrangements import Factorization
+from potentia.cli import SCAN_STEPS_CAP, main
+from potentia.entanglement import WITNESS_SAMPLES_CAP
+from potentia.sampling import random_density
 from potentia.states import DensityOperator
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -49,6 +52,27 @@ class TestAnalyze:
             [1 / np.sqrt(2)] * 2
         )
         assert report["results"]["region"] == "Nonlocal"
+
+
+class TestAnalyzeEigensolves:
+    """``analyze`` reads the spectrum its state check computed.  The full-dimension
+    eigensolves are that check and the partial transpose, plus the partial
+    transpose of the two-qubit region."""
+
+    def test_mixed_two_by_three_state(self, capsys, tmp_path, rng, eigensolve_counter):
+        source = tmp_path / "mixed.json"
+        fileio.dump_state(
+            source, fileio.state_document(random_density(6, rng), Factorization((2, 3)))
+        )
+        eigensolve_counter.clear()
+        code, _ = run(capsys, "analyze", source)
+        assert code == 0
+        assert eigensolve_counter[(6, 6)] == 2
+
+    def test_werner_sample(self, capsys, eigensolve_counter):
+        code, _ = run(capsys, "analyze", SAMPLES / "werner_05.json")
+        assert code == 0
+        assert eigensolve_counter[(4, 4)] == 3
 
 
 class TestTransform:
@@ -198,6 +222,11 @@ class TestWerner:
         code, _ = run(capsys, "werner", "--p", "1.5")
         assert code == 3
 
+    def test_scan_steps_above_cap_is_capacity_error(self, capsys):
+        code, out = run(capsys, "werner", "--scan", f"0,1,{SCAN_STEPS_CAP + 1}")
+        assert code == 4
+        assert out == ""
+
     def test_bad_scan_spec_is_parse_error(self, capsys):
         code, _ = run(capsys, "werner", "--scan", "0,1")
         assert code == 2
@@ -230,6 +259,14 @@ class TestWitness:
         assert code == 3
         assert out == ""
 
+    def test_samples_above_cap_is_capacity_error(self, capsys):
+        code, out = run(
+            capsys, "witness", SAMPLES / "bell_phi_plus.json",
+            "--samples", str(WITNESS_SAMPLES_CAP + 1),
+        )
+        assert code == 4
+        assert out == ""
+
 
 class TestBell:
     def test_bell_state(self, capsys):
@@ -253,6 +290,18 @@ class TestInstrument:
         assert results["valid"] is True
         probabilities = [branch["probability"] for branch in results["branches"]]
         assert probabilities == pytest.approx([0.5, 0.5])
+
+    def test_kraus_rank_above_cap_is_capacity_error(self, capsys, tmp_path):
+        kraus = [fileio.matrix_to_json(np.eye(4) / np.sqrt(17))] * 17
+        path = tmp_path / "crowded.json"
+        path.write_text(
+            fileio.render_json({"schema_version": "1", "branches": [{"kraus": kraus}]}),
+            encoding="utf-8",
+        )
+        code, _ = run(
+            capsys, "instrument", SAMPLES / "bell_phi_plus.json", "--instrument", path
+        )
+        assert code == 4
 
     def test_incomplete_instrument_reported(self, capsys, tmp_path):
         payload = {

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from potentia.entanglement import (
+    WITNESS_SAMPLES_CAP,
     Verdict,
     WernerRegion,
     check_witness_on_products,
@@ -17,7 +20,7 @@ from potentia.entanglement import (
     werner_classify,
     witness_from_entangled,
 )
-from potentia.errors import DomainError, NoWitnessError, ShapeError
+from potentia.errors import CapacityError, DomainError, NoWitnessError, ShapeError
 from potentia.qlin import kron, partial_transpose
 from potentia.sampling import random_density, random_pure, random_separable, random_unitary
 from potentia.states import DensityOperator, PureVector, density_from_vector
@@ -197,6 +200,15 @@ class TestPptCriterion:
             assert (not by_majorization) or by_ppt
 
 
+class TestSeparableStates:
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([(2, 2), (2, 3)]), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_no_criterion_calls_a_separable_state_entangled(self, dims, terms, seed):
+        rho = random_separable(dims, np.random.default_rng(seed), terms=terms)
+        for criterion in (ppt_criterion, majorization_criterion, entropy_criterion):
+            assert criterion(rho, dims).verdict is not Verdict.ENTANGLED
+
+
 class TestWitness:
     def test_bell_state_expectation(self):
         # Trace oracle: Tr(W rho) = <eta| rho^T_B |eta> = min PT eigenvalue = -1/2.
@@ -240,6 +252,11 @@ class TestWitness:
         witness = witness_from_entangled(RHO_PHI, (2, 2))
         with pytest.raises(DomainError, match="sample"):
             check_witness_on_products(witness, (2, 2), samples=samples)
+
+    def test_check_samples_are_capped(self):
+        witness = witness_from_entangled(RHO_PHI, (2, 2))
+        with pytest.raises(CapacityError, match="cap"):
+            check_witness_on_products(witness, (2, 2), samples=WITNESS_SAMPLES_CAP + 1)
 
     def test_ppt_state_has_no_witness(self):
         with pytest.raises(NoWitnessError):

@@ -3,8 +3,9 @@ import pytest
 
 from potentia.arrangements import DetectorBasis, Factorization, make_ea, restrict
 from potentia.entanglement import Verdict, ppt_criterion
-from potentia.errors import DomainError
+from potentia.errors import CapacityError, DomainError
 from potentia.locc import (
+    KRAUS_RANK_CAP,
     CPMap,
     QuantumInstrument,
     apply_instrument,
@@ -161,6 +162,15 @@ class TestOneWayLocal:
                     continue
                 verdict = ppt_criterion(outcome.post_state, (2, 2))
                 assert verdict.verdict is Verdict.SEPARABLE
+
+    def test_kraus_product_above_cap_is_capacity_error(self):
+        # 5 x 4 = 20 Kraus operators per branch, above the cap of 16.
+        local = QuantumInstrument((CPMap(tuple(np.eye(2) / np.sqrt(5) for _ in range(5))),))
+        paulis = (np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1]))
+        depolarizing = CPMap(tuple(np.asarray(p) / 2 for p in paulis))
+        assert 5 * 4 > KRAUS_RANK_CAP
+        with pytest.raises(CapacityError, match="Kraus rank"):
+            one_way_local(0, local, [None, depolarizing])
 
     def test_non_trace_preserving_bystander_rejected(self):
         lossy = CPMap((0.5 * np.eye(2, dtype=complex),))

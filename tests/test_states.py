@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from potentia import states
 from potentia.errors import DomainError, ShapeError
@@ -46,6 +48,23 @@ class TestDensityFromVector:
     def test_unnormalized_rejected(self):
         with pytest.raises(DomainError):
             PureVector([1.0, 1.0])
+
+
+class TestSpectrum:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_eigenvalues_are_the_ascending_read_only_spectrum(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        rho = random_density(dim, rng, rank=int(rng.integers(1, dim + 1)))
+        assert np.allclose(rho.eigenvalues, np.linalg.eigvalsh(rho.matrix), rtol=0, atol=1e-12)
+        assert np.all(np.diff(rho.eigenvalues) >= 0)
+        with pytest.raises(ValueError):
+            rho.eigenvalues[0] = 1.0
+
+    def test_purity_is_the_trace_of_the_square(self, rng):
+        for dim in (1, 3, 6):
+            rho = random_density(dim, rng)
+            assert rho.purity() == pytest.approx(np.trace(rho.matrix @ rho.matrix).real, abs=1e-14)
 
 
 class TestInputsAreCopied:

@@ -14,7 +14,7 @@ import numpy as np
 from . import qlin
 from .errors import DomainError, ShapeError
 from .states import NORM_TOL, PAULI_X, PAULI_Y, PAULI_Z, DensityOperator
-from .entanglement import Verdict, WernerRegion, ppt_criterion
+from .entanglement import SeparabilityVerdict, Verdict, WernerRegion, ppt_criterion
 
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
@@ -66,13 +66,9 @@ class MeasurementSetting:
             object.__setattr__(self, name, qlin.frozen(_unit(getattr(self, name))))
 
 
-def _require_two_qubits(rho: DensityOperator):
+def correlation_matrix(rho: DensityOperator) -> CorrelationMatrix:
     if rho.dim != 4:
         raise ShapeError(f"CHSH analysis needs a two-qubit state, got dim {rho.dim}")
-
-
-def correlation_matrix(rho: DensityOperator) -> CorrelationMatrix:
-    _require_two_qubits(rho)
     # Tr(rho P) = sum_ab rho_ab P_ba for each Pauli pair P.
     return CorrelationMatrix(np.real(np.einsum("ab,ijba->ij", rho.matrix, _PAULI_PAIRS)))
 
@@ -129,11 +125,15 @@ def chsh_max(rho: DensityOperator) -> ChshMax:
     return ChshMax(float(value), setting)
 
 
-def classify_regions(rho: DensityOperator) -> WernerRegion:
+def _region(ppt: SeparabilityVerdict, chsh: float) -> WernerRegion:
     """Three-way split: PPT-separable / entangled but CHSH-local / nonlocal."""
-    _require_two_qubits(rho)
-    if ppt_criterion(rho, (2, 2)).verdict is Verdict.SEPARABLE:
+    if ppt.verdict is Verdict.SEPARABLE:
         return WernerRegion.SEPARABLE
-    if chsh_max(rho).value > CLASSICAL_BOUND + CHSH_TOL:
+    if chsh > CLASSICAL_BOUND + CHSH_TOL:
         return WernerRegion.NONLOCAL
     return WernerRegion.ENTANGLED_LOCAL
+
+
+def classify_regions(rho: DensityOperator) -> WernerRegion:
+    """Region of a two-qubit state under the default verdict tolerance."""
+    return _region(ppt_criterion(rho, (2, 2)), chsh_max(rho).value)

@@ -142,12 +142,13 @@ def _verdict_payload(verdict: entanglement.SeparabilityVerdict) -> dict:
 def _analysis_results(state: fileio.StateFile, tols: Tolerances) -> dict:
     density = state.density
     ea = arrangements.make_ea(density, state.factorization, state.basis)
+    pure = states.abstract_purity(density, tols.purity)
     results: dict = {
         "dim": density.dim,
         "factorization": list(state.factorization.screen_dims),
         "spectrum": _float_list(density.eigenvalues[::-1]),
         "purity": {
-            "abstract": states.abstract_purity(density, tols.purity),
+            "abstract": pure,
             "operational": states.operational_purity(density, ea.basis_matrix, tols.purity),
             "operational_exists": states.operational_purity_exists(density, tols.purity),
         },
@@ -161,8 +162,9 @@ def _analysis_results(state: fileio.StateFile, tols: Tolerances) -> dict:
         results["bloch"] = {"x": point.x, "y": point.y, "z": point.z}
     if state.factorization.screens == 2:
         dims = state.factorization.screen_dims
+        ppt = entanglement.ppt_criterion(density, dims, tols.verdict)
         results["verdicts"] = {
-            "ppt": _verdict_payload(entanglement.ppt_criterion(density, dims, tols.verdict)),
+            "ppt": _verdict_payload(ppt),
             "majorization": _verdict_payload(
                 entanglement.majorization_criterion(density, dims, tols.verdict)
             ),
@@ -170,20 +172,19 @@ def _analysis_results(state: fileio.StateFile, tols: Tolerances) -> dict:
                 entanglement.entropy_criterion(density, dims, tols.verdict)
             ),
         }
-        if states.abstract_purity(density, tols.purity):
+        if pure:
             top = qlin.herm_eig(density.matrix).eigenvectors[:, 0]
             results["schmidt_coefficients"] = _float_list(
                 entanglement.schmidt(states.PureVector.normalized(top), dims)
             )
         if dims == (2, 2):
-            best = bell.chsh_max(density)
-            results["chsh_max"] = best.value
-            results["region"] = bell.classify_regions(density).value
+            chsh = bell.chsh_max(density).value
+            results["chsh_max"] = chsh
+            results["region"] = bell._region(ppt, chsh).value
     return results
 
 
-def cmd_analyze(args) -> dict:
-    tols = _tolerances(args)
+def cmd_analyze(args, tols: Tolerances) -> dict:
     state = fileio.load_state(args.state, tols)
     return _report(
         "analyze", {"state": _digest_file(args.state)}, _analysis_results(state, tols)
@@ -218,8 +219,7 @@ def _basis_arg(source: str, dim: int) -> np.ndarray:
     return matrix
 
 
-def cmd_transform(args) -> dict:
-    tols = _tolerances(args)
+def cmd_transform(args, tols: Tolerances) -> dict:
     state = fileio.load_state(args.state, tols)
     ea = arrangements.make_ea(state.density, state.factorization, state.basis)
     results: dict = {"before_intensities": _float_list(ea.intensities())}
@@ -287,8 +287,7 @@ def cmd_transform(args) -> dict:
 # ---------------------------------------------------------------- powers
 
 
-def cmd_powers(args) -> dict:
-    tols = _tolerances(args)
+def cmd_powers(args, tols: Tolerances) -> dict:
     state = fileio.load_state(args.state, tols)
     nodes = fileio.load_projectors(args.projectors)
     graph = powers.build_graph(nodes)
@@ -356,7 +355,7 @@ def cmd_powers(args) -> dict:
 # ---------------------------------------------------------------- werner
 
 
-def _bisect(func, lo: float, hi: float, tol: float = BISECT_TOL) -> float | None:
+def _bisect(func, lo: float, hi: float) -> float | None:
     f_lo, f_hi = func(lo), func(hi)
     if f_lo == 0.0:
         return lo
@@ -364,7 +363,7 @@ def _bisect(func, lo: float, hi: float, tol: float = BISECT_TOL) -> float | None
         return hi
     if f_lo * f_hi > 0:
         return None
-    while hi - lo > tol:
+    while hi - lo > BISECT_TOL:
         mid = (lo + hi) / 2.0
         f_mid = func(mid)
         if f_mid == 0.0:
@@ -376,25 +375,27 @@ def _bisect(func, lo: float, hi: float, tol: float = BISECT_TOL) -> float | None
     return (lo + hi) / 2.0
 
 
-def _werner_row(p: float) -> dict:
+def _werner_row(p: float, tols: Tolerances) -> dict:
     rho = entanglement.werner(p)
+    ppt = entanglement.ppt_criterion(rho, (2, 2), tols.verdict)
+    chsh = bell.chsh_max(rho).value
     return {
         "p": p,
-        "min_pt_eigenvalue": entanglement.min_pt_eigenvalue(rho, (2, 2)),
-        "chsh_max": bell.chsh_max(rho).value,
-        "region": bell.classify_regions(rho).value,
+        "min_pt_eigenvalue": ppt.evidence,
+        "chsh_max": chsh,
+        "region": bell._region(ppt, chsh).value,
         "entropy_bits": entanglement.von_neumann_entropy(rho),
     }
 
 
-def cmd_werner(args) -> dict:
+def cmd_werner(args, tols: Tolerances) -> dict:
     if args.p is None and not args.scan:
         raise ParseError("werner needs --p or --scan")
     if args.p is not None and args.scan:
         raise ParseError("--p and --scan are mutually exclusive")
     if args.p is not None:
         digest = _digest_text(f"werner p={args.p!r}")
-        return _report("werner", {"parameters": digest}, _werner_row(float(args.p)))
+        return _report("werner", {"parameters": digest}, _werner_row(float(args.p), tols))
 
     parts = args.scan.split(",")
     if len(parts) != 3:
@@ -411,11 +412,13 @@ def cmd_werner(args) -> dict:
         raise CapacityError(f"scan of {steps} steps exceeds the cap of {SCAN_STEPS_CAP}")
 
     grid = np.linspace(lo, hi, steps)
-    rows = [_werner_row(float(p)) for p in grid]
+    rows = [_werner_row(float(p), tols) for p in grid]
     ppt_boundary = _bisect(
         lambda p: entanglement.min_pt_eigenvalue(entanglement.werner(p), (2, 2)), lo, hi
     )
-    chsh_boundary = _bisect(lambda p: bell.chsh_max(entanglement.werner(p)).value - 2.0, lo, hi)
+    chsh_boundary = _bisect(
+        lambda p: bell.chsh_max(entanglement.werner(p)).value - bell.CLASSICAL_BOUND, lo, hi
+    )
     results = {
         "scan": {"from": lo, "to": hi, "steps": steps},
         "rows": rows,
@@ -428,8 +431,7 @@ def cmd_werner(args) -> dict:
 # ---------------------------------------------------------------- witness
 
 
-def cmd_witness(args) -> dict:
-    tols = _tolerances(args)
+def cmd_witness(args, tols: Tolerances) -> dict:
     state = fileio.load_state(args.state, tols)
     if state.factorization.screens != 2:
         raise ValidationError(
@@ -458,8 +460,7 @@ def cmd_witness(args) -> dict:
 # ---------------------------------------------------------------- bell
 
 
-def cmd_bell(args) -> dict:
-    tols = _tolerances(args)
+def cmd_bell(args, tols: Tolerances) -> dict:
     state = fileio.load_state(args.state, tols)
     if state.factorization.screen_dims != (2, 2):
         raise ValidationError(
@@ -468,6 +469,7 @@ def cmd_bell(args) -> dict:
     density = state.density
     correlations = bell.correlation_matrix(density)
     best = bell.chsh_max(density)
+    ppt = entanglement.ppt_criterion(density, (2, 2), tols.verdict)
     results = {
         "correlation_matrix": [list(map(float, row)) for row in correlations.t],
         "chsh_max": best.value,
@@ -478,7 +480,7 @@ def cmd_bell(args) -> dict:
             "b": _float_list(best.setting.b),
             "b_prime": _float_list(best.setting.b_prime),
         },
-        "region": bell.classify_regions(density).value,
+        "region": bell._region(ppt, best.value).value,
     }
     return _report("bell", {"state": _digest_file(args.state)}, results)
 
@@ -486,8 +488,7 @@ def cmd_bell(args) -> dict:
 # ---------------------------------------------------------------- instrument
 
 
-def cmd_instrument(args) -> dict:
-    tols = _tolerances(args)
+def cmd_instrument(args, tols: Tolerances) -> dict:
     state = fileio.load_state(args.state, tols)
     instrument = fileio.load_instrument(args.instrument)
     valid = locc.is_valid_instrument(instrument)
@@ -582,7 +583,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = args.func(args)
+        report = args.func(args, _tolerances(args))
         _emit(args, report)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -55,36 +55,35 @@ class Tolerances:
 
 def matrix_to_json(matrix: np.ndarray) -> list:
     """Row-major nested list of [re, im] pairs."""
-    return [
-        [[float(entry.real), float(entry.imag)] for entry in row]
-        for row in np.asarray(matrix, dtype=np.complex128)
-    ]
+    m = np.asarray(matrix, dtype=np.complex128)
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
-def _entry_from_json(entry, path: str) -> complex:
-    if (
-        not isinstance(entry, list)
-        or len(entry) != 2
-        or not all(isinstance(part, (int, float)) for part in entry)
-    ):
-        raise ParseError(f"{path}: complex entries must be [re, im] number pairs")
-    return complex(entry[0], entry[1])
-
-
-def matrix_from_json(rows, path: str) -> np.ndarray:
+def _require_pairs(rows, path: str) -> None:
+    """Raise ParseError at the first row or entry that is not a row of [re, im] number pairs."""
     if not isinstance(rows, list) or not rows:
         raise ParseError(f"{path}: expected a nonempty list of rows")
-    width = None
-    out = []
     for r, row in enumerate(rows):
         if not isinstance(row, list) or not row:
             raise ParseError(f"{path}[{r}]: expected a nonempty row")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ParseError(f"{path}[{r}]: row has {len(row)} entries, expected {width}")
-        out.append([_entry_from_json(entry, f"{path}[{r}][{c}]") for c, entry in enumerate(row)])
-    return np.array(out, dtype=np.complex128)
+        if len(row) != len(rows[0]):
+            raise ParseError(f"{path}[{r}]: row has {len(row)} entries, expected {len(rows[0])}")
+        for c, entry in enumerate(row):
+            pair = isinstance(entry, list) and len(entry) == 2
+            if not pair or not all(isinstance(part, (int, float)) for part in entry):
+                raise ParseError(f"{path}[{r}][{c}]: complex entries must be [re, im] number pairs")
+
+
+def matrix_from_json(rows, path: str) -> np.ndarray:
+    """Complex matrix from row-major [re, im] pairs; every float64 part is kept bit for bit."""
+    try:
+        pairs = np.array(rows)
+    except ValueError:  # ragged nesting
+        pairs = np.array(None)
+    if pairs.ndim != 3 or pairs.shape[2] != 2 or pairs.dtype.kind not in "biuf":
+        _require_pairs(rows, path)
+        pairs = np.array(rows, dtype=np.float64)  # well formed: integers beyond int64
+    return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
 
 
 def _load_json(path: str | Path) -> dict:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from potentia.bell import (
+    TSIRELSON_BOUND,
     MeasurementSetting,
     chsh_max,
     chsh_value,
@@ -122,6 +125,14 @@ class TestChshMax:
         for _ in range(300):
             rho = random_density(4, rng, rank=int(rng.integers(1, 5)))
             assert chsh_max(rho).value <= 2 * np.sqrt(2) + 1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_maximum_is_bounded_and_attained(self, rank, seed):
+        rho = random_density(4, np.random.default_rng(seed), rank=rank)
+        best = chsh_max(rho)
+        assert best.value <= TSIRELSON_BOUND + 1e-9
+        assert chsh_value(rho, best.setting) == pytest.approx(best.value, abs=1e-9)
 
     def test_local_unitary_invariance(self, rng):
         for _ in range(100):

@@ -56,8 +56,8 @@ class TestAnalyze:
 
 class TestAnalyzeEigensolves:
     """``analyze`` reads the spectrum its state check computed.  The full-dimension
-    eigensolves are that check and the partial transpose, plus the partial
-    transpose of the two-qubit region."""
+    eigensolves are that check and the partial transpose; the two-qubit region
+    reuses the PPT verdict and the CHSH maximum of the report."""
 
     def test_mixed_two_by_three_state(self, capsys, tmp_path, rng, eigensolve_counter):
         source = tmp_path / "mixed.json"
@@ -72,7 +72,16 @@ class TestAnalyzeEigensolves:
     def test_werner_sample(self, capsys, eigensolve_counter):
         code, _ = run(capsys, "analyze", SAMPLES / "werner_05.json")
         assert code == 0
-        assert eigensolve_counter[(4, 4)] == 3
+        assert eigensolve_counter[(4, 4)] == 2
+        # One correlation-matrix check and one decomposition, inside one chsh_max.
+        assert eigensolve_counter[("svd", (3, 3))] == 2
+
+    def test_verdict_tolerance_sets_the_region(self, capsys):
+        results = run_json(
+            capsys, "analyze", SAMPLES / "werner_05.json", "--tol", "verdict=0.2"
+        )["results"]
+        assert results["verdicts"]["ppt"]["verdict"] == "Separable"
+        assert results["region"] == "Separable"
 
 
 class TestTransform:
@@ -211,6 +220,23 @@ class TestWerner:
         assert results["region"] == "Separable"
         assert results["entropy_bits"] == pytest.approx(2.0, abs=1e-12)
 
+    def test_verdict_tolerance_sets_the_region(self, capsys, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(fileio.render_json({"tolerances": {"verdict": 0.2}}), encoding="utf-8")
+        for flags in (("--tol", "verdict=0.2"), ("--config", config)):
+            results = run_json(capsys, "werner", "--p", "0.5", *flags)["results"]
+            assert results["region"] == "Separable"
+        assert run_json(capsys, "werner", "--p", "0.5")["results"]["region"] == "EntangledLocal"
+
+    def test_scan_solves_each_point_once(self, capsys, eigensolve_counter):
+        code, _ = run(capsys, "werner", "--scan", "0,1,101")
+        assert code == 0
+        # Per row: the state check and the partial transpose.  Each boundary
+        # bisection evaluates 32 states; the PPT one also solves their transposes.
+        assert eigensolve_counter[(4, 4)] == 101 * 2 + 32 * 2 + 32
+        # Two per chsh_max: one call per row and per CHSH bisection step.
+        assert eigensolve_counter[("svd", (3, 3))] == (101 + 32) * 2
+
     def test_scan_boundaries(self, capsys):
         report = run_json(capsys, "werner", "--scan", "0,1,101")
         boundaries = report["results"]["boundaries"]
@@ -276,6 +302,12 @@ class TestBell:
         assert results["chsh_at_setting"] == pytest.approx(results["chsh_max"], abs=1e-7)
         assert results["correlation_matrix"][0][0] == pytest.approx(1.0)
         assert results["region"] == "Nonlocal"
+
+    def test_region_reuses_the_reported_chsh_max(self, capsys, eigensolve_counter):
+        code, _ = run(capsys, "bell", SAMPLES / "bell_phi_plus.json")
+        assert code == 0
+        # correlation_matrix, chsh_max (check and decomposition) and chsh_value.
+        assert eigensolve_counter[("svd", (3, 3))] == 4
 
 
 class TestInstrument:
@@ -373,6 +405,24 @@ class TestExitCodes:
             capsys, "analyze", SAMPLES / "zero_state.json", "--tol", "nope=1"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("transform", SAMPLES / "worked_ea.json"),
+            ("powers", SAMPLES / "zero_state.json", "--projectors", SAMPLES / "qubit_two_bases.json"),
+            ("werner", "--p", "0.5"),
+            ("witness", SAMPLES / "bell_phi_plus.json"),
+            ("bell", SAMPLES / "bell_phi_plus.json"),
+            ("instrument", SAMPLES / "bell_phi_plus.json",
+             "--instrument", SAMPLES / "measure_first_screen.json"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_other_subcommands_reject_unknown_tol(self, capsys, argv):
+        code, out = run(capsys, *argv, "--tol", "wobble=1")
+        assert code == 2
+        assert out == ""
 
     def test_removed_orthonormality_tol_is_parse_error(self, capsys):
         code, _ = run(

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from potentia.entanglement import (
+    VERDICT_TOL,
     WITNESS_SAMPLES_CAP,
     Verdict,
     WernerRegion,
@@ -221,6 +222,16 @@ class TestWitness:
         expected = min_pt_eigenvalue(rho, (2, 2))
         assert witness.expectation(rho) == pytest.approx(expected, abs=1e-9)
         assert witness.expectation(rho) < 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([(2, 2), (2, 3)]), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_scores_negative_on_its_own_state(self, dims, rank, seed):
+        rho = random_density(dims[0] * dims[1], np.random.default_rng(seed), rank=rank)
+        minimum = min_pt_eigenvalue(rho, dims)
+        assume(minimum < -VERDICT_TOL)
+        score = witness_from_entangled(rho, dims).expectation(rho)
+        assert score < 0
+        assert score == pytest.approx(minimum, abs=1e-9)
 
     def test_nonnegative_on_sampled_products(self):
         witness = witness_from_entangled(RHO_PHI, (2, 2))

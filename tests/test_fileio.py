@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from potentia import fileio
 from potentia.arrangements import DetectorBasis, Factorization
@@ -211,6 +214,61 @@ class TestTolerances:
         tols = Tolerances.from_config({"axioms": 1e-6})
         assert tols.axioms == 1e-6
         assert tols.trace == 1e-9
+
+
+class TestMatrixJson:
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[[1, 0], [0, 0]], [[1, 0]]], "m[1]: row has 1 entries, expected 2"),
+            ([[[1, 0], [0, 0, 0]], [[0, 0], [1, 0]]],
+             "m[0][1]: complex entries must be [re, im] number pairs"),
+            ([[[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]]],
+             "m[0][0]: complex entries must be [re, im] number pairs"),
+            ([[[1, 0], ["0", 0]]], "m[0][1]: complex entries must be [re, im] number pairs"),
+            ([[[1, 0], [0, None]]], "m[0][1]: complex entries must be [re, im] number pairs"),
+            ([[{"re": 1, "im": 0}]], "m[0][0]: complex entries must be [re, im] number pairs"),
+            ([[[1, 0]], []], "m[1]: expected a nonempty row"),
+            ([[[1, 0]], "row"], "m[1]: expected a nonempty row"),
+            ([], "m: expected a nonempty list of rows"),
+            ("matrix", "m: expected a nonempty list of rows"),
+            (None, "m: expected a nonempty list of rows"),
+            ({"rows": []}, "m: expected a nonempty list of rows"),
+            (7, "m: expected a nonempty list of rows"),
+        ],
+        ids=[
+            "ragged_row", "triple_in_one_cell", "triples_in_all_cells", "string", "null",
+            "object", "empty_row", "row_not_a_list", "no_rows", "string_rows", "null_rows",
+            "object_rows", "number_rows",
+        ],
+    )
+    def test_malformed_input_names_the_first_bad_place(self, rows, message):
+        with pytest.raises(ParseError) as excinfo:
+            fileio.matrix_from_json(rows, "m")
+        assert str(excinfo.value) == message
+
+    def test_booleans_and_wide_integers_read_as_numbers(self):
+        matrix = fileio.matrix_from_json([[[True, False], [2**70, -1]]], "m")
+        assert matrix.tolist() == [[1 + 0j, float(2**70) - 1j]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 5), st.integers(1, 5), st.just(2)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    def test_roundtrip_is_bit_exact(self, parts):
+        matrix = parts.view(np.complex128)[..., 0]
+        rows = fileio.matrix_to_json(matrix)
+        per_entry = [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+        assert json.dumps(rows) == json.dumps(per_entry)
+        back = fileio.matrix_from_json(json.loads(json.dumps(rows)), "m")
+        assert back.dtype == np.complex128
+        assert np.array_equal(back, matrix)
+        assert np.array_equal(np.signbit(back.real), np.signbit(matrix.real))
+        assert np.array_equal(np.signbit(back.imag), np.signbit(matrix.imag))
 
 
 class TestRendering:

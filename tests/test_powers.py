@@ -281,6 +281,14 @@ class TestReconstruction:
                 back = reconstruct_density(isa_from_density(rho, graph))
                 assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-7
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_roundtrip_tomographic_valuations(self, dim, rank, seed):
+        rho = random_density(dim, np.random.default_rng(seed), rank=min(rank, dim))
+        graph = build_graph(families.tomography_family(dim))
+        back = reconstruct_density(isa_from_density(rho, graph))
+        assert np.max(np.abs(back.matrix - rho.matrix)) <= 1e-9
+
     def test_underdetermined_reports_rank(self):
         graph = build_graph([ZERO])
         valuation = isa_from_density(DensityOperator.maximally_mixed(2), graph)

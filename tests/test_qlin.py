@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from potentia import qlin
 from potentia.errors import CapacityError, DomainError, ShapeError
+from potentia.sampling import random_density
 
 from conftest import projector
 
@@ -58,6 +61,15 @@ class TestPartialTrace:
         rho_b = projector(rng.standard_normal(3) + 1j * rng.standard_normal(3))
         reduced = qlin.partial_trace(np.kron(rho_a, rho_b), (2, 3), (0,))
         assert np.max(np.abs(reduced - rho_a)) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_kron_product_returns_its_factors(self, d_a, d_b, seed):
+        rng = np.random.default_rng(seed)
+        a, b = random_density(d_a, rng).matrix, random_density(d_b, rng).matrix
+        joint = np.kron(a, b)
+        assert np.max(np.abs(qlin.partial_trace(joint, (d_a, d_b), (0,)) - a)) <= 1e-12
+        assert np.max(np.abs(qlin.partial_trace(joint, (d_a, d_b), (1,)) - b)) <= 1e-12
 
     def test_bell_state_reduction(self):
         phi = projector([1, 0, 0, 1])

@@ -104,6 +104,17 @@ def _emit(args, report: dict) -> None:
         sys.stdout.write(text)
 
 
+def _assignment(flag: str, what: str, assignment: str) -> tuple[str, float]:
+    """``(name, value)`` of a ``flag`` value written ``what=value``; the name is stripped."""
+    if "=" not in assignment:
+        raise ParseError(f"{flag} expects {what}=value, got {assignment!r}")
+    name, _, raw_value = assignment.partition("=")
+    try:
+        return name.strip(), float(raw_value)
+    except ValueError:
+        raise ParseError(f"{flag} {name}: {raw_value!r} is not a number")
+
+
 def _tolerances(args) -> Tolerances:
     tols = Tolerances()
     if args.config:
@@ -113,14 +124,7 @@ def _tolerances(args) -> Tolerances:
             raise ParseError(f"{args.config}: 'tolerances' must be an object")
         tols = Tolerances.from_config(raw)
     for assignment in args.tol or ():
-        if "=" not in assignment:
-            raise ParseError(f"--tol expects name=value, got {assignment!r}")
-        name, _, raw_value = assignment.partition("=")
-        try:
-            value = float(raw_value)
-        except ValueError:
-            raise ParseError(f"--tol {name}: {raw_value!r} is not a number")
-        tols.override(name.strip(), value)
+        tols.override(*_assignment("--tol", "name", assignment))
     return tols
 
 
@@ -149,7 +153,7 @@ def _analysis_results(state: fileio.StateFile, tols: Tolerances) -> dict:
         "spectrum": _float_list(density.eigenvalues[::-1]),
         "purity": {
             "abstract": pure,
-            "operational": states.operational_purity(density, ea.basis_matrix, tols.purity),
+            "operational": bool(np.real(np.diag(ea.matrix)).max() >= 1.0 - tols.purity),
             "operational_exists": states.operational_purity_exists(density, tols.purity),
         },
         "entropy_bits": entanglement.von_neumann_entropy(density),
@@ -270,9 +274,8 @@ def cmd_transform(args, tols: Tolerances) -> dict:
 
     if args.out_state:
         emit_factorization = state.has_explicit_factorization or bool(args.refactor)
-        emit_bases = state.has_explicit_bases or args.screen is not None
-        if args.refactor:
-            emit_bases = False  # refactored layouts start from computational detectors
+        # Refactored layouts start from computational detectors.
+        emit_bases = not args.refactor and (state.has_explicit_bases or args.screen is not None)
         document = fileio.state_document(
             state.density,
             out_factorization if emit_factorization else None,
@@ -292,19 +295,12 @@ def cmd_powers(args, tols: Tolerances) -> dict:
     nodes = fileio.load_projectors(args.projectors)
     graph = powers.build_graph(nodes)
     valuation = powers.isa_from_density(state.density, graph)
+    labels = [node.label for node in graph.nodes]
 
     if args.override:
         values = np.array(valuation.potentia)
-        labels = [node.label for node in graph.nodes]
         for assignment in args.override:
-            if "=" not in assignment:
-                raise ParseError(f"--override expects label=value, got {assignment!r}")
-            key, _, raw_value = assignment.partition("=")
-            try:
-                value = float(raw_value)
-            except ValueError:
-                raise ParseError(f"--override {key}: {raw_value!r} is not a number")
-            key = key.strip()
+            key, value = _assignment("--override", "label", assignment)
             if key in labels:
                 values[labels.index(key)] = value
             else:
@@ -323,7 +319,6 @@ def cmd_powers(args, tols: Tolerances) -> dict:
     contexts = powers.maximal_contexts(graph)
     report = powers.check_isa_axioms(valuation, tols.axioms)
     actual = powers.actualization_map(valuation, tols.zero)
-    labels = [node.label for node in graph.nodes]
     results = {
         "dim": graph.dim,
         "nodes": labels,

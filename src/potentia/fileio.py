@@ -12,7 +12,7 @@ import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -82,7 +82,10 @@ def matrix_from_json(rows, path: str) -> np.ndarray:
         pairs = np.array(None)
     if pairs.ndim != 3 or pairs.shape[2] != 2 or pairs.dtype.kind not in "biuf":
         _require_pairs(rows, path)
-        pairs = np.array(rows, dtype=np.float64)  # well formed: integers beyond int64
+        try:
+            pairs = np.array(rows, dtype=np.float64)  # well formed: integers beyond int64
+        except OverflowError:
+            raise ParseError(f"{path}: an entry is too large for a float64")
     return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
 
 
@@ -101,10 +104,6 @@ def _require(document: dict, key: str, kind: type, path: str):
     if key not in document:
         raise ParseError(f"{path}: missing required field {key!r}")
     value = document[key]
-    if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ParseError(f"{path}.{key}: expected a number")
-        return float(value)
     if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise ParseError(f"{path}.{key}: expected {kind.__name__}")
     return value

@@ -41,21 +41,12 @@ class CPMap:
             elif mat.shape != shape:
                 raise ShapeError(f"Kraus operator {k} is {mat.shape}, expected {shape}")
             mats.append(qlin.frozen(mat))
-        total = self.completeness_sum_of(mats)
-        excess = float(np.linalg.eigvalsh(total - np.eye(total.shape[0]))[-1])
+        object.__setattr__(self, "kraus", tuple(mats))
+        excess = float(np.linalg.eigvalsh(self.completeness_sum() - np.eye(self.in_dim))[-1])
         if excess > COMPLETENESS_TOL:
             raise DomainError(
                 f"map increases trace: max eigenvalue of sum(K^t K) - I is {excess:.3e}"
             )
-        object.__setattr__(self, "kraus", tuple(mats))
-
-    @staticmethod
-    def completeness_sum_of(mats: Sequence[np.ndarray]) -> np.ndarray:
-        in_dim = mats[0].shape[1]
-        total = np.zeros((in_dim, in_dim), dtype=np.complex128)
-        for mat in mats:
-            total += dagger(mat) @ mat
-        return total
 
     @property
     def in_dim(self) -> int:
@@ -66,16 +57,13 @@ class CPMap:
         return self.kraus[0].shape[0]
 
     def completeness_sum(self) -> np.ndarray:
-        return self.completeness_sum_of(self.kraus)
+        return sum(dagger(mat) @ mat for mat in self.kraus)
 
     def is_trace_preserving(self, tol: float = COMPLETENESS_TOL) -> bool:
         return max_abs(self.completeness_sum() - np.eye(self.in_dim)) <= tol
 
     def apply(self, matrix: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.out_dim, self.out_dim), dtype=np.complex128)
-        for mat in self.kraus:
-            out += mat @ matrix @ dagger(mat)
-        return out
+        return sum(mat @ matrix @ dagger(mat) for mat in self.kraus)
 
     @classmethod
     def identity(cls, dim: int) -> "CPMap":
@@ -108,9 +96,7 @@ class QuantumInstrument:
 
 def is_valid_instrument(ins: QuantumInstrument, tol: float = COMPLETENESS_TOL) -> bool:
     """True iff the branch completeness sums add up to the identity."""
-    total = np.zeros((ins.in_dim, ins.in_dim), dtype=np.complex128)
-    for branch in ins.branches:
-        total += branch.completeness_sum()
+    total = sum(branch.completeness_sum() for branch in ins.branches)
     return max_abs(total - np.eye(ins.in_dim)) <= tol
 
 

@@ -5,6 +5,7 @@ the underlying density operator from a spanning valuation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -71,6 +72,11 @@ class PowersGraph:
         idx = sorted(set(indices))
         return all(self.adjacent(a, b) for k, a in enumerate(idx) for b in idx[k + 1 :])
 
+    @cached_property
+    def families(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """``orthogonal_families(self)``, enumerated on first access and kept."""
+        return tuple(orthogonal_families(self))
+
 
 @dataclass(frozen=True)
 class Context:
@@ -106,9 +112,7 @@ class ISAValuation:
         raise KeyError(label)
 
 
-def build_graph(
-    projectors: Sequence[PowerNode], tol: float = PROJECTOR_TOL
-) -> PowersGraph:
+def build_graph(projectors: Sequence[PowerNode]) -> PowersGraph:
     """Wire commutation edges over a projector family; the identity is
     auto-added when missing."""
     nodes = list(projectors)
@@ -120,7 +124,7 @@ def build_graph(
             raise ShapeError(f"power {node.label!r} has dim {node.dim}, expected {dim}")
     identity = np.eye(dim, dtype=np.complex128)
     identity_index = next(
-        (i for i, node in enumerate(nodes) if max_abs(node.projector - identity) <= tol),
+        (i for i, node in enumerate(nodes) if max_abs(node.projector - identity) <= PROJECTOR_TOL),
         None,
     )
     if identity_index is None:
@@ -129,7 +133,7 @@ def build_graph(
     edges = set()
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
-            if commutes(nodes[i].projector, nodes[j].projector, tol):
+            if commutes(nodes[i].projector, nodes[j].projector, PROJECTOR_TOL):
                 edges.add((i, j))
     return PowersGraph(tuple(nodes), frozenset(edges), dim, identity_index)
 
@@ -146,27 +150,25 @@ def isa_from_density(rho: DensityOperator, graph: PowersGraph) -> ISAValuation:
     return ISAValuation(graph, np.clip(values, 0.0, 1.0))
 
 
-def orthogonal_families(
-    graph: PowersGraph, tol: float = PROJECTOR_TOL, max_size: int = FAMILY_SIZE_CAP
-) -> list[tuple[tuple[int, ...], int]]:
-    """All orthogonal node families (size 2..max_size) whose sum is a node.
+def orthogonal_families(graph: PowersGraph) -> list[tuple[tuple[int, ...], int]]:
+    """All orthogonal node families (size 2..FAMILY_SIZE_CAP) whose sum is a node.
 
     Returns (family indices, index of the sum node) pairs.  Only families
     fully visible in the node set are recorded; subsets are capped at
-    ``max_size`` since the general problem is exponential.
+    ``FAMILY_SIZE_CAP`` since the general problem is exponential.
     """
     n = len(graph.nodes)
     mats = [node.projector for node in graph.nodes]
     orthogonal = np.zeros((n, n), dtype=bool)
     for i in range(n):
         for j in range(i + 1, n):
-            orthogonal[i, j] = orthogonal[j, i] = max_abs(mats[i] @ mats[j]) <= tol
+            orthogonal[i, j] = orthogonal[j, i] = max_abs(mats[i] @ mats[j]) <= PROJECTOR_TOL
 
     found: list[tuple[tuple[int, ...], int]] = []
 
     def match_node(total: np.ndarray) -> int | None:
         for k in range(n):
-            if max_abs(total - mats[k]) <= tol:
+            if max_abs(total - mats[k]) <= PROJECTOR_TOL:
                 return k
         return None
 
@@ -175,7 +177,7 @@ def orthogonal_families(
             target = match_node(total)
             if target is not None:
                 found.append((tuple(family), target))
-        if len(family) >= max_size:
+        if len(family) >= FAMILY_SIZE_CAP:
             return
         for nxt in range(start, n):
             if all(orthogonal[i, nxt] for i in family):
@@ -216,7 +218,7 @@ def check_isa_axioms(valuation: ISAValuation, tol: float = AXIOM_TOL) -> AxiomRe
     identity_value = float(valuation.potentia[graph.identity_index])
     identity_ok = abs(identity_value - 1.0) <= tol
     violations = []
-    for family, sum_node in orthogonal_families(graph):
+    for family, sum_node in graph.families:
         member_total = float(sum(valuation.potentia[i] for i in family))
         sum_value = float(valuation.potentia[sum_node])
         if abs(member_total - sum_value) > tol:
@@ -287,18 +289,14 @@ def reconstruct_density(
     if dim < 2:
         raise DomainError("reconstruction needs dim >= 2")
     needed = dim * dim
+    upper = np.triu_indices(dim, k=1)
 
     def real_row(mat: np.ndarray) -> np.ndarray:
-        # Hermitian rho parametrized as [diagonal, sqrt2*Re upper, sqrt2*Im upper].
-        row = np.empty(needed)
-        row[:dim] = np.real(np.diag(mat))
-        k = dim
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                row[k] = np.sqrt(2.0) * np.real(mat[a, b])
-                row[k + 1] = np.sqrt(2.0) * np.imag(mat[a, b])
-                k += 2
-        return row
+        # Hermitian rho parametrized as [diagonal, then sqrt2*Re and sqrt2*Im of
+        # each upper entry in row-major order, interleaved].
+        off = mat[upper]
+        pairs = np.stack([np.real(off), np.imag(off)], axis=-1).reshape(-1)
+        return np.concatenate([np.real(np.diag(mat)), np.sqrt(2.0) * pairs])
 
     design = np.stack([real_row(node.projector) for node in graph.nodes])
     rank = int(np.linalg.matrix_rank(design, tol=RANK_TOL))
@@ -317,19 +315,13 @@ def reconstruct_density(
         )
     rho = np.zeros((dim, dim), dtype=np.complex128)
     np.fill_diagonal(rho, solution[:dim])
-    k = dim
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for a in range(dim):
-        for b in range(a + 1, dim):
-            rho[a, b] = inv_sqrt2 * (solution[k] + 1j * solution[k + 1])
-            rho[b, a] = np.conj(rho[a, b])
-            k += 2
+    re, im = solution[dim:].reshape(-1, 2).T
+    rho[upper] = (1.0 / np.sqrt(2.0)) * (re + 1j * im)
+    rho[upper[::-1]] = np.conj(rho[upper])
     return DensityOperator(rho)
 
 
-def find_additive_binary_valuation(
-    graph: PowersGraph, tol: float = PROJECTOR_TOL
-) -> np.ndarray | None:
+def find_additive_binary_valuation(graph: PowersGraph) -> np.ndarray | None:
     """Complete backtracking search for a {0,1} valuation passing the axioms.
 
     Returns one admissible assignment aligned with the nodes, or None when
@@ -341,13 +333,12 @@ def find_additive_binary_valuation(
         raise CapacityError(
             f"binary valuation search capped at {BINARY_SEARCH_NODE_CAP} nodes, got {n}"
         )
-    constraints = orthogonal_families(graph, tol)
     # Assign the identity first so family constraints become checkable (and
     # prune) as soon as their last member gets a value.
     order = [graph.identity_index] + [i for i in range(n) if i != graph.identity_index]
     position_of = {node: pos for pos, node in enumerate(order)}
     by_last: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n)]
-    for family, sum_node in constraints:
+    for family, sum_node in graph.families:
         last = max(position_of[i] for i in (*family, sum_node))
         by_last[last].append((family, sum_node))
 

@@ -7,6 +7,7 @@ never mutate their inputs, so concurrent use is safe.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
@@ -83,27 +84,24 @@ def is_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
     return True
 
 
-def kron(a: np.ndarray, b: np.ndarray, dim_cap: int = DIM_CAP) -> np.ndarray:
-    """Kronecker product with a capacity cap on the output dimension."""
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product with a capacity cap (``DIM_CAP``) on the output dimension."""
     a = as_complex(a)
     b = as_complex(b)
     rows = a.shape[0] * b.shape[0]
     cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > dim_cap:
+    if max(rows, cols) > DIM_CAP:
         raise CapacityError(
-            f"kron output {rows}x{cols} exceeds the configured cap of {dim_cap}"
+            f"kron output {rows}x{cols} exceeds the configured cap of {DIM_CAP}"
         )
     return np.kron(a, b)
 
 
-def kron_all(factors: Sequence[np.ndarray], dim_cap: int = DIM_CAP) -> np.ndarray:
+def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
     """Left-to-right Kronecker product of a nonempty factor list."""
     if not factors:
         raise DomainError("kron_all needs at least one factor")
-    out = as_complex(factors[0])
-    for factor in factors[1:]:
-        out = kron(out, factor, dim_cap=dim_cap)
-    return out
+    return functools.reduce(kron, factors[1:], as_complex(factors[0]))
 
 
 def partial_trace(

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
 criterion (a failed criterion fails its test instead).
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import potentia
 from potentia import families, fileio
 from potentia.arrangements import (
     ChainLink,
@@ -382,3 +384,41 @@ def test_golden_outputs_match_stored_baseline(command, golden):
     expected = json.loads((ROOT / "tests" / "golden" / golden).read_text(encoding="utf-8"))
     mismatches = _golden_mismatches(expected, json.loads(proc.stdout))
     assert not mismatches, "\n".join(mismatches[:20])
+
+
+PUBLIC_NAMES = [
+    "AxiomReport", "BlochPoint", "BranchOutcome", "CPMap", "CapacityError", "ChainLink",
+    "ChainReport", "ChshMax", "Context", "CorrelationMatrix", "DegenerateConditioningError",
+    "DensityOperator", "DetectorBasis", "DomainError", "ExperimentalArrangement",
+    "Factorization", "HermitianSpectrum", "ISAValuation", "MeasurementSetting",
+    "MixtureDecomposition", "NoWitnessError", "ParseError", "PotentiaError", "PowerNode",
+    "PowersGraph", "PureVector", "PurityReport", "QuantumInstrument", "ResidualError",
+    "SeparabilityVerdict", "ShapeError", "UnderdeterminedError", "ValidationError", "Verdict",
+    "WernerRegion", "WitnessOperator", "abstract_purity", "actualization_map",
+    "alternative_decomposition", "apply_instrument", "bloch_from_density", "build_graph",
+    "change_detectors", "check_isa_axioms", "check_witness_on_products", "chsh_max",
+    "chsh_value", "classify_regions", "commutes", "complexity_chain_check",
+    "correlation_matrix", "density_from_bloch", "density_from_vector", "ea_equivalent",
+    "entropy_additivity_check", "entropy_criterion", "families",
+    "find_additive_binary_valuation", "herm_eig", "is_valid_instrument", "isa_from_density",
+    "kron", "majorization_criterion", "make_ea", "maximal_contexts", "min_pt_eigenvalue",
+    "multiscreen_effect", "one_way_local", "operational_purity", "operational_purity_exists",
+    "partial_trace", "partial_transpose", "power_intensity", "ppt_criterion",
+    "projective_distance", "projective_instrument", "purity_agreement_report",
+    "reconstruct_density", "refactor", "restrict", "sampling", "schmidt", "schmidt_rank",
+    "shadow", "spectral_decomposition", "von_neumann_entropy", "werner", "werner_classify",
+    "witness_from_entangled",
+]
+
+
+def test_package_exports_are_pinned():
+    """Every name ``potentia/__init__.py`` imports is public API; none may drop silently."""
+    tree = ast.parse(Path(potentia.__file__).read_text(encoding="utf-8"))
+    exported = sorted(
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    )
+    assert exported == PUBLIC_NAMES
+    assert all(hasattr(potentia, name) for name in exported)

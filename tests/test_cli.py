@@ -394,6 +394,49 @@ class TestExitCodes:
         code, _ = run(capsys, "analyze", huge)
         assert code == 4
 
+    def test_integer_beyond_float64_is_parse_error(self, capsys, tmp_path):
+        huge = tmp_path / "huge_entry.json"
+        huge.write_text(
+            json.dumps({"schema_version": "1", "dim": 1, "matrix": [[[10**400, 0]]]}),
+            encoding="utf-8",
+        )
+        code = main(["analyze", str(huge)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"parse error: {huge}.matrix: an entry is too large for a float64\n"
+
+    @pytest.mark.parametrize(
+        "flags, code, message",
+        [
+            (("--tol", "axioms"), 2, "parse error: --tol expects name=value, got 'axioms'"),
+            (("--tol", "axioms=tiny"), 2, "parse error: --tol axioms: 'tiny' is not a number"),
+            (("--tol", "wobble=1"), 2,
+             "parse error: unknown tolerance 'wobble'; known: hermiticity, trace, purity, "
+             "verdict, equivalence, axioms, zero"),
+            (("--override", "|0><0|"), 2,
+             "parse error: --override expects label=value, got '|0><0|'"),
+            (("--override", " |0><0| =half"), 2,
+             "parse error: --override  |0><0| : 'half' is not a number"),
+            (("--override", "|2><2|=0.5"), 3,
+             "validation error: --override: no node labelled '|2><2|'"),
+            (("--override", "5=0.5"), 3, "validation error: --override: node index 5 out of range"),
+        ],
+        ids=[
+            "tol_no_equals", "tol_not_a_number", "tol_unknown_name", "override_no_equals",
+            "override_not_a_number", "override_unknown_label", "override_index_out_of_range",
+        ],
+    )
+    def test_malformed_assignment_values(self, capsys, flags, code, message):
+        argv = [
+            "powers", str(SAMPLES / "zero_state.json"),
+            "--projectors", str(SAMPLES / "qubit_two_bases.json"), *flags,
+        ]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
     def test_tol_override_flows_through(self, capsys):
         code, _ = run(
             capsys, "analyze", SAMPLES / "zero_state.json", "--tol", "purity=1e-3"

@@ -235,11 +235,12 @@ class TestMatrixJson:
             (None, "m: expected a nonempty list of rows"),
             ({"rows": []}, "m: expected a nonempty list of rows"),
             (7, "m: expected a nonempty list of rows"),
+            ([[[1, 0], [10**400, 0]]], "m: an entry is too large for a float64"),
         ],
         ids=[
             "ragged_row", "triple_in_one_cell", "triples_in_all_cells", "string", "null",
             "object", "empty_row", "row_not_a_list", "no_rows", "string_rows", "null_rows",
-            "object_rows", "number_rows",
+            "object_rows", "number_rows", "integer_beyond_float64",
         ],
     )
     def test_malformed_input_names_the_first_bad_place(self, rows, message):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from potentia import families
+from potentia import families, powers
 from potentia.errors import CapacityError, DomainError, ResidualError, UnderdeterminedError
 from potentia.powers import (
     ISAValuation,
@@ -340,6 +340,20 @@ class TestBinaryContrast:
         for _ in range(5):
             rho = random_density(4, rng)
             assert check_isa_axioms(isa_from_density(rho, graph)).ok
+
+    def test_checks_share_one_family_enumeration(self, monkeypatch, rng):
+        calls = []
+        original = powers.orthogonal_families
+
+        def counted(graph):
+            calls.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(powers, "orthogonal_families", counted)
+        graph = build_graph(families.ks18_family())
+        assert check_isa_axioms(isa_from_density(random_density(4, rng), graph)).ok
+        assert find_additive_binary_valuation(graph) is None
+        assert calls == [graph]
 
     def test_tetrad_bookkeeping(self):
         rays = np.array(families.KS18_RAYS, dtype=float)

@@ -84,7 +84,6 @@ from .entanglement import (
     schmidt_rank,
     von_neumann_entropy,
     werner,
-    werner_classify,
     witness_from_entangled,
 )
 from .bell import (
@@ -95,6 +94,7 @@ from .bell import (
     chsh_value,
     classify_regions,
     correlation_matrix,
+    werner_classify,
 )
 from .locc import (
     BranchOutcome,

@@ -1,16 +1,16 @@
 """Experimental arrangements: a state viewed through a choice of screens
 (tensor factorization) and detectors (per-screen orthonormal bases).
 
-The arrangement keeps two coordinates systems in sync: the ambient canonical
-space, and detector coordinates in which the diagonal entries are the
-intensities of the arrangement's powers.  Multi-indices map to flat indices
-by canonical mixed radix with screen 0 most significant.
+An arrangement holds the state in detector coordinates, where the diagonal
+entries are the intensities of its powers, and the local detector changes
+that lead back to the ambient canonical space.  Multi-indices map to flat
+indices by canonical mixed radix with screen 0 most significant.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -92,22 +92,27 @@ def _require_intensities(mat: np.ndarray) -> None:
         raise DomainError(f"intensities sum to {diag.sum():.12f}, expected 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExperimentalArrangement:
     """A density operator carved into screens and detectors.
 
-    ``matrix`` is the state in detector coordinates; ``basis_matrix`` maps
-    detector coordinates back to the ambient canonical space (its columns
-    are the detector product vectors).
+    ``matrix`` is the state in detector coordinates.  ``steps`` holds the
+    detector basis as its local factors, oldest first: ``(screen_dims,
+    {screen: factor})`` pairs, each in the screen layout of its time.
     """
 
     matrix: np.ndarray
     factorization: Factorization
-    basis_matrix: np.ndarray
+    steps: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        mat = qlin.as_complex(self.matrix)
-        basis = qlin.as_complex(self.basis_matrix)
+    def __init__(self, matrix, factorization: Factorization, basis_matrix):
+        # Written out because ``basis_matrix`` is a read-only property, not a field.
+        vars(self).update(matrix=matrix, factorization=factorization)
+        self.__post_init__(basis_matrix)
+
+    def __post_init__(self, basis_matrix):
+        """Check everything; the dense basis becomes the one step ``((N,), {0: B})``."""
+        mat, basis = qlin.as_complex(self.matrix), qlin.as_complex(basis_matrix)
         n = self.factorization.degree
         for what, arr in (("matrix", mat), ("basis matrix", basis)):
             if arr.shape != (n, n):
@@ -115,30 +120,39 @@ class ExperimentalArrangement:
         qlin.require_isometry(basis, what="basis matrix")
         _require_intensities(mat)
         DensityOperator(mat)  # the matrix itself must be a state
-        object.__setattr__(self, "matrix", frozen(mat))
-        object.__setattr__(self, "basis_matrix", frozen(basis))
+        vars(self).update(matrix=frozen(mat), steps=(((n,), {0: frozen(basis)}),))
 
     @classmethod
-    def _trusted(cls, matrix, factorization, basis_matrix) -> "ExperimentalArrangement":
+    def _trusted(cls, matrix, factorization, steps) -> "ExperimentalArrangement":
         """Arrangement derived from checked values, skipping the shape and isometry
         checks that hold by construction; the O(N) intensity check still runs."""
         _require_intensities(matrix)
         ea = object.__new__(cls)
-        object.__setattr__(ea, "matrix", frozen(matrix))
-        object.__setattr__(ea, "factorization", factorization)
-        object.__setattr__(ea, "basis_matrix", frozen(basis_matrix))
+        vars(ea).update(matrix=frozen(matrix), factorization=factorization, steps=steps)
         return ea
 
     @property
     def degree(self) -> int:
         return self.factorization.degree
 
+    @property
+    def basis_matrix(self) -> np.ndarray:
+        """Columns are the detector product vectors; multiplied out of ``steps`` on each read."""
+        return frozen(self._lift(np.eye(self.degree, dtype=np.complex128)))
+
     def intensities(self) -> np.ndarray:
         """Flat potentia vector (clipped to [0, 1])."""
         return np.clip(np.real(np.diag(self.matrix)), 0.0, 1.0)
 
+    def _lift(self, m: np.ndarray) -> np.ndarray:
+        """``basis_matrix @ m``, one local step at a time, newest first."""
+        for dims, factors in reversed(self.steps):
+            m = _kron_left(m, dims, factors)
+        return m
+
     def _ambient(self) -> np.ndarray:
-        return self.basis_matrix @ self.matrix @ dagger(self.basis_matrix)
+        """``B @ matrix @ B^dag`` for ``B = basis_matrix``, without forming ``B``."""
+        return self._lift(dagger(self._lift(dagger(self.matrix))))
 
     def canonical_density(self) -> DensityOperator:
         """The state in ambient canonical coordinates, basis unwound."""
@@ -153,14 +167,11 @@ def _kron_left(m: np.ndarray, dims: Sequence[int], factors: dict[int, np.ndarray
     return m
 
 
-def _times(m: np.ndarray, dims: Sequence[int], factors: dict[int, np.ndarray]) -> np.ndarray:
-    """``m @ R`` as ``(R^T m^T)^T``: batched matmuls over rows run far faster than over columns."""
-    return _kron_left(m.T, dims, {k: w.T for k, w in factors.items()}).T
-
-
 def _conjugated(m: np.ndarray, dims: Sequence[int], factors: dict[int, np.ndarray]) -> np.ndarray:
-    """``R^dag @ m @ R``."""
-    return _times(_kron_left(m, dims, {k: dagger(w) for k, w in factors.items()}), dims, factors)
+    """``R^dag @ m @ R``, the right product as ``(R^T X^T)^T``: batched matmuls over rows
+    run far faster than over columns."""
+    left = _kron_left(m, dims, {k: dagger(w) for k, w in factors.items()})
+    return _kron_left(left.T, dims, {k: w.T for k, w in factors.items()}).T
 
 
 def make_ea(
@@ -178,8 +189,7 @@ def make_ea(
         )
     dims, factors = factorization.screen_dims, dict(enumerate(basis.screens))
     matrix = _conjugated(rho.matrix, dims, factors)
-    product = _times(np.eye(rho.dim, dtype=np.complex128), dims, factors)
-    return ExperimentalArrangement._trusted(matrix, factorization, product)
+    return ExperimentalArrangement._trusted(matrix, factorization, ((dims, factors),))
 
 
 def power_intensity(ea: ExperimentalArrangement, multi_index: Sequence[int]) -> float:
@@ -204,9 +214,9 @@ def change_detectors(
     if v.shape != (dims[screen], dims[screen]):
         raise ShapeError(f"screen {screen} basis must be {dims[screen]}x{dims[screen]}, got {v.shape}")
     qlin.require_isometry(v, what="new detector basis")
-    factors = {screen: v}
-    matrix, basis = _conjugated(ea.matrix, dims, factors), _times(ea.basis_matrix, dims, factors)
-    return ExperimentalArrangement._trusted(matrix, ea.factorization, basis)
+    factors = {screen: frozen(v)}  # a copy: ``v`` may be the caller's own array
+    matrix = _conjugated(ea.matrix, dims, factors)
+    return ExperimentalArrangement._trusted(matrix, ea.factorization, ea.steps + ((dims, factors),))
 
 
 def refactor(
@@ -221,7 +231,7 @@ def refactor(
         raise ShapeError(
             f"new factorization degree {new_factorization.degree} != arrangement degree {ea.degree}"
         )
-    return ExperimentalArrangement._trusted(ea.matrix, new_factorization, ea.basis_matrix)
+    return ExperimentalArrangement._trusted(ea.matrix, new_factorization, ea.steps)
 
 
 def ea_equivalent(
@@ -260,8 +270,7 @@ def restrict(
             f"kept detectors carry total intensity {overlap:.3e}; cannot condition"
         )
     reduced = Factorization(tuple(len(k) for k in kept))
-    identity = np.eye(reduced.degree, dtype=np.complex128)
-    return ExperimentalArrangement._trusted(block / overlap, reduced, identity)
+    return ExperimentalArrangement._trusted(block / overlap, reduced, ())
 
 
 def multiscreen_effect(

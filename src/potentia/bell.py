@@ -14,7 +14,7 @@ import numpy as np
 from . import qlin
 from .errors import DomainError, ShapeError
 from .states import NORM_TOL, PAULI_X, PAULI_Y, PAULI_Z, DensityOperator
-from .entanglement import SeparabilityVerdict, Verdict, WernerRegion, ppt_criterion
+from .entanglement import SeparabilityVerdict, Verdict, WernerRegion, ppt_criterion, werner
 
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
@@ -137,3 +137,8 @@ def _region(ppt: SeparabilityVerdict, chsh: float) -> WernerRegion:
 def classify_regions(rho: DensityOperator) -> WernerRegion:
     """Region of a two-qubit state under the default verdict tolerance."""
     return _region(ppt_criterion(rho, (2, 2)), chsh_max(rho).value)
+
+
+def werner_classify(p: float) -> WernerRegion:
+    """Region of the Werner line, computed from the criteria (not hard-coded)."""
+    return classify_regions(werner(p))

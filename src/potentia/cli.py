@@ -22,7 +22,6 @@ from .errors import (
     DomainError,
     ParseError,
     PotentiaError,
-    ShapeError,
     ValidationError,
 )
 from .fileio import Tolerances
@@ -212,7 +211,7 @@ def _named_basis(name: str, dim: int) -> np.ndarray:
 
 
 def _basis_arg(source: str, dim: int) -> np.ndarray:
-    if source in NAMED_BASES:
+    if source in NAMED_BASES or not Path(source).exists():
         return _named_basis(source, dim)
     document = fileio._load_json(source)
     matrix = fileio.matrix_from_json(
@@ -258,10 +257,7 @@ def cmd_transform(args, tols: Tolerances) -> dict:
                 f"screen {args.screen} out of range 1..{state.factorization.screens}"
             )
         new_basis = _basis_arg(args.basis, state.factorization.screen_dims[screen])
-        try:
-            transformed = arrangements.change_detectors(ea, screen, new_basis)
-        except DomainError as exc:
-            raise ValidationError(str(exc))
+        transformed = arrangements.change_detectors(ea, screen, new_basis)
         out_screens[screen] = out_screens[screen] @ new_basis
         results["transform"] = {"screen": args.screen, "basis": args.basis}
     else:
@@ -311,10 +307,7 @@ def cmd_powers(args, tols: Tolerances) -> dict:
                 if not 0 <= index < len(labels):
                     raise ValidationError(f"--override: node index {index} out of range")
                 values[index] = value
-        try:
-            valuation = powers.ISAValuation(graph, values)
-        except DomainError as exc:
-            raise ValidationError(str(exc))
+        valuation = powers.ISAValuation(graph, values)
 
     contexts = powers.maximal_contexts(graph)
     report = powers.check_isa_axioms(valuation, tols.axioms)
@@ -586,11 +579,8 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
-    except (ValidationError, DomainError, ShapeError, IndexError, KeyError) as exc:
+    except (PotentiaError, IndexError, KeyError) as exc:  # validation, domain and shape errors
         print(f"validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except PotentiaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     return EXIT_OK
 

@@ -240,10 +240,3 @@ def werner(p: float) -> DensityOperator:
     phi = np.zeros(4, dtype=np.complex128)
     phi[0] = phi[3] = 1.0 / np.sqrt(2.0)
     return DensityOperator(p * np.outer(phi, phi.conj()) + (1.0 - p) * np.eye(4) / 4.0)
-
-
-def werner_classify(p: float) -> WernerRegion:
-    """Region of the Werner line, computed from the criteria (not hard-coded)."""
-    from .bell import classify_regions  # bell imports this module
-
-    return classify_regions(werner(p))

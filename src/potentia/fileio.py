@@ -90,7 +90,10 @@ def matrix_from_json(rows, path: str) -> np.ndarray:
 
 
 def _load_json(path: str | Path) -> dict:
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8 text
+        raise ParseError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}")
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -165,7 +168,7 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
         raise ParseError(f"{name}.matrix: shape {matrix.shape} does not match dim {dim}")
 
     try:
-        qlin.require_hermitian(matrix, tols.hermiticity)
+        qlin.require_hermitian(qlin.as_complex(matrix), tols.hermiticity)  # rejects non-finite first
         trace = complex(np.trace(matrix))
         if abs(trace - 1.0) > tols.trace:
             raise DomainError(f"matrix violates unit trace (trace {trace:.12g})")

@@ -384,6 +384,33 @@ def random_refactor(dims, rng):
     return tuple(int(d) for d in rng.permutation(merged))
 
 
+def random_walk(ea, product, rng, steps):
+    """Random detector changes and refactors from ``ea``; yields each arrangement
+    with its basis by the kron oracle, ``product`` being the oracle for ``ea``."""
+    current = ea
+    for _ in range(steps):
+        layout_dims = current.factorization.screen_dims
+        if rng.random() < 0.3:
+            current = refactor(current, Factorization(random_refactor(layout_dims, rng)))
+        else:
+            screen = int(rng.integers(len(layout_dims)))
+            v = random_unitary(layout_dims[screen], rng)
+            current = change_detectors(current, screen, v)
+            product = product @ local_rotation(layout_dims, screen, v)
+        yield current, product
+
+
+def held_arrays(obj):
+    """Every array an object holds, through tuples, dicts and attributes."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, dict)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            yield from held_arrays(item)
+    elif hasattr(obj, "__dict__"):
+        yield from held_arrays(vars(obj))
+
+
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
 
 
@@ -414,18 +441,20 @@ class TestLocalOperationProperties:
     @given(layouts(), st.integers(1, 6))
     def test_changes_and_refactors_stay_equivalent(self, layout, steps):
         dims, rng = layout
-        rho, _, ea = random_layout_ea(dims, rng)
+        rho, bases, ea = random_layout_ea(dims, rng)
         current = ea
-        for _ in range(steps):
-            layout_dims = current.factorization.screen_dims
-            if rng.random() < 0.3:
-                current = refactor(current, Factorization(random_refactor(layout_dims, rng)))
-            else:
-                screen = int(rng.integers(len(layout_dims)))
-                v = random_unitary(layout_dims[screen], rng)
-                current = change_detectors(current, screen, v)
+        for current, _ in random_walk(ea, kron_oracle(bases), rng, steps):
             assert ea_equivalent(ea, current)
         assert np.max(np.abs(current.canonical_density().matrix - rho.matrix)) <= 1e-10
+
+    @PROPERTY_SETTINGS
+    @given(layouts(), st.integers(1, 6))
+    def test_basis_matrix_matches_kron_oracle_along_a_walk(self, layout, steps):
+        dims, rng = layout
+        rho, bases, ea = random_layout_ea(dims, rng)
+        for current, product in random_walk(ea, kron_oracle(bases), rng, steps):
+            assert np.max(np.abs(current.basis_matrix - product)) <= 1e-12
+            assert np.max(np.abs(current.canonical_density().matrix - rho.matrix)) <= 1e-10
 
     @PROPERTY_SETTINGS
     @given(layouts())
@@ -460,3 +489,24 @@ class TestLocalOperationProperties:
         assert restricted.factorization.screen_dims == tuple(len(k) for k in kept)
         assert np.max(np.abs(restricted.matrix - block / np.trace(block).real)) <= 1e-12
         assert np.array_equal(restricted.basis_matrix, np.eye(len(flat)))
+
+
+class TestDetectorSteps:
+    """An arrangement keeps its detector basis as local factors, not as an N x N matrix."""
+
+    def test_caller_basis_is_copied(self):
+        ea = worked_ea()
+        v = HADAMARD.copy()  # complex128 already, so no conversion copies it
+        changed = change_detectors(ea, 0, v)
+        basis = changed.basis_matrix
+        v[...] = np.eye(2)
+        assert np.array_equal(changed.basis_matrix, basis)
+        assert ea_equivalent(ea, changed)
+
+    def test_only_the_state_has_full_size_rows(self, rng):
+        _, _, ea = random_layout_ea((2, 3, 4), rng)
+        ea = change_detectors(ea, 1, random_unitary(3, rng))
+        ea = refactor(ea, Factorization((6, 4)))
+        ea = change_detectors(ea, 0, random_unitary(6, rng))
+        full = [arr for arr in held_arrays(ea) if arr.shape[0] == ea.degree]
+        assert len(full) == 1 and full[0] is ea.matrix

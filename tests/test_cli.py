@@ -421,10 +421,12 @@ class TestExitCodes:
             (("--override", "|2><2|=0.5"), 3,
              "validation error: --override: no node labelled '|2><2|'"),
             (("--override", "5=0.5"), 3, "validation error: --override: node index 5 out of range"),
+            (("--override", "|0><0|=2"), 3, "validation error: potentia must lie in [0, 1]"),
         ],
         ids=[
             "tol_no_equals", "tol_not_a_number", "tol_unknown_name", "override_no_equals",
             "override_not_a_number", "override_unknown_label", "override_index_out_of_range",
+            "override_outside_unit_interval",
         ],
     )
     def test_malformed_assignment_values(self, capsys, flags, code, message):
@@ -436,6 +438,71 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == message + "\n"
+
+    def test_non_orthonormal_basis_file_is_validation_error(self, capsys, tmp_path):
+        stretch = tmp_path / "stretch.json"
+        stretch.write_text(
+            fileio.render_json({"matrix": fileio.matrix_to_json(np.diag([2.0, 1.0]))}),
+            encoding="utf-8",
+        )
+        argv = ["transform", str(SAMPLES / "worked_ea.json"), "--screen", "1", "--basis", str(stretch)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "validation error: new detector basis columns are not orthonormal within 1e-09 "
+            "(max Gram error 3.000e+00)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (("analyze", "missing.json"), 2,
+             "parse error: missing.json: cannot read: No such file or directory"),
+            (("analyze", "folder"), 2, "parse error: folder: cannot read: Is a directory"),
+            (("analyze", "latin1.json"), 2,
+             "parse error: latin1.json: cannot read: 'utf-8' codec can't decode byte 0xe9 "
+             "in position 14: invalid continuation byte"),
+            (("analyze", SAMPLES / "zero_state.json", "--config", "missing.json"), 2,
+             "parse error: missing.json: cannot read: No such file or directory"),
+            (("powers", SAMPLES / "zero_state.json", "--projectors", "folder"), 2,
+             "parse error: folder: cannot read: Is a directory"),
+            (("instrument", SAMPLES / "zero_state.json", "--instrument", "latin1.json"), 2,
+             "parse error: latin1.json: cannot read: 'utf-8' codec can't decode byte 0xe9 "
+             "in position 14: invalid continuation byte"),
+            (("transform", SAMPLES / "worked_ea.json", "--screen", "1", "--basis", "hadamrd"), 2,
+             "parse error: unknown basis 'hadamrd'; named bases: computational, hadamard, fourier"),
+        ],
+        ids=[
+            "missing_state", "directory_state", "non_utf8_state", "missing_config",
+            "directory_projectors", "non_utf8_instrument", "misspelt_basis",
+        ],
+    )
+    def test_unreadable_input_is_parse_error(
+        self, capsys, tmp_path, monkeypatch, argv, code, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "folder").mkdir()
+        (tmp_path / "latin1.json").write_bytes('{"label": "caf\xe9"}'.encode("latin-1"))
+        assert main([str(a) for a in argv]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
+    def test_non_finite_entry_is_one_validation_line(self, tmp_path, entry):
+        rows = fileio.matrix_to_json(np.eye(2) / 2)
+        rows[entry[0]][entry[1]][0] = "HUGE"
+        state = tmp_path / "overflow.json"
+        text = json.dumps({"schema_version": "1", "dim": 2, "matrix": rows})
+        state.write_text(text.replace('"HUGE"', "1e400"), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "potentia.cli", "analyze", str(state)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == f"validation error: {state}: matrix has non-finite entries\n"
 
     def test_tol_override_flows_through(self, capsys):
         code, _ = run(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from potentia.bell import werner_classify
 from potentia.entanglement import (
     VERDICT_TOL,
     WITNESS_SAMPLES_CAP,
@@ -18,7 +19,6 @@ from potentia.entanglement import (
     schmidt_rank,
     von_neumann_entropy,
     werner,
-    werner_classify,
     witness_from_entangled,
 )
 from potentia.errors import CapacityError, DomainError, NoWitnessError, ShapeError

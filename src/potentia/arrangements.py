@@ -138,25 +138,41 @@ class ExperimentalArrangement:
     @property
     def basis_matrix(self) -> np.ndarray:
         """Columns are the detector product vectors; multiplied out of ``steps`` on each read."""
-        return frozen(self._lift(np.eye(self.degree, dtype=np.complex128)))
+        m = np.eye(self.degree, dtype=np.complex128)
+        for dims, factors in reversed(_runs(self.steps)):
+            m = _kron_left(m, dims, factors)
+        return frozen(m)
 
     def intensities(self) -> np.ndarray:
         """Flat potentia vector (clipped to [0, 1])."""
         return np.clip(np.real(np.diag(self.matrix)), 0.0, 1.0)
 
-    def _lift(self, m: np.ndarray) -> np.ndarray:
-        """``basis_matrix @ m``, one local step at a time, newest first."""
-        for dims, factors in reversed(self.steps):
-            m = _kron_left(m, dims, factors)
-        return m
-
-    def _ambient(self) -> np.ndarray:
-        """``B @ matrix @ B^dag`` for ``B = basis_matrix``, without forming ``B``."""
-        return self._lift(dagger(self._lift(dagger(self.matrix))))
-
     def canonical_density(self) -> DensityOperator:
         """The state in ambient canonical coordinates, basis unwound."""
-        return DensityOperator(self._ambient())
+        return DensityOperator(_unwound(self.matrix, self.steps))
+
+
+def _runs(steps: Sequence) -> list:
+    """``steps`` with consecutive steps in one layout merged: ``older @ newer`` per screen."""
+    runs = []
+    for dims, factors in steps:
+        older = runs.pop()[1] if runs and runs[-1][0] == dims else {}
+        runs.append((dims, older | {k: older[k] @ w if k in older else w for k, w in factors.items()}))
+    return runs
+
+
+def _unwound(m: np.ndarray, steps: Sequence) -> np.ndarray:
+    """``S @ m @ S^dag`` for ``S`` the product of ``steps``, newest first, without forming ``S``."""
+    for dims, factors in reversed(_runs(steps)):
+        m = _conjugated(m, dims, {k: dagger(w) for k, w in factors.items()})
+    return m
+
+
+def _same_step(a: tuple, b: tuple) -> bool:
+    """The same object, or one layout with equal factors on the same screens."""
+    return a is b or a[0] == b[0] and a[1].keys() == b[1].keys() and all(
+        np.array_equal(w, b[1][k]) for k, w in a[1].items()
+    )
 
 
 def _kron_left(m: np.ndarray, dims: Sequence[int], factors: dict[int, np.ndarray]) -> np.ndarray:
@@ -237,8 +253,17 @@ def refactor(
 def ea_equivalent(
     ea1: ExperimentalArrangement, ea2: ExperimentalArrangement, tol: float = EQUIVALENCE_TOL
 ) -> bool:
-    """Same degree and same ambient state once both bases are unwound."""
-    return ea1.degree == ea2.degree and max_abs(ea1._ambient() - ea2._ambient()) <= tol
+    """Same degree and ``max_abs(B1 M1 B1^dag - B2 M2 B2^dag) <= tol``.  For ``B_i = P S_i``, ``P``
+    the longest common history, only ``D = S1 M1 S1^dag - S2 M2 S2^dag`` is unwound; as ``P`` is
+    unitary, ``max_abs(D)`` answers alike unless ``||D||_F`` is in ``(tol / 2, 2 N tol]``."""
+    if ea1.degree != ea2.degree:
+        return False
+    s1, s2 = ea1.steps, ea2.steps
+    p = next((i for i, ab in enumerate(zip(s1, s2)) if not _same_step(*ab)), min(len(s1), len(s2)))
+    d = _unwound(ea1.matrix, s1[p:]) - _unwound(ea2.matrix, s2[p:])
+    if tol / 2 < np.linalg.norm(d) <= 2 * ea1.degree * tol:  # undecided: lift through ``P``
+        d = _unwound(d, s1[:p])
+    return max_abs(d) <= tol
 
 
 def restrict(

@@ -98,7 +98,7 @@ def render_text(document: dict) -> str:
 def _emit(args, report: dict) -> None:
     text = fileio.render_json(report) if args.format == "json" else render_text(report)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        fileio._write_text(args.out, text)
     else:
         sys.stdout.write(text)
 

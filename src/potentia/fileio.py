@@ -135,10 +135,13 @@ def _validated(prefix: str, make, *args):
         raise ValidationError(f"{prefix}: {exc}")
 
 
-def _check_schema(document: dict, path: str):
-    version = _require(document, "schema_version", str, path)
+def _load_document(path: str | Path) -> tuple[dict, str]:
+    """A schema-versioned file's top-level object, with its path as a message prefix."""
+    document, name = _load_json(path), str(path)
+    version = _require(document, "schema_version", str, name)
     if version != SCHEMA_VERSION:
-        raise ParseError(f"{path}.schema_version: unsupported version {version!r}")
+        raise ParseError(f"{name}.schema_version: unsupported version {version!r}")
+    return document, name
 
 
 @dataclass(frozen=True)
@@ -159,9 +162,7 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
     trace-normalized) before analysis.
     """
     tols = tolerances or Tolerances()
-    document = _load_json(path)
-    name = str(path)
-    _check_schema(document, name)
+    document, name = _load_document(path)
     dim = _require_dim(document, name)
     matrix = matrix_from_json(_require(document, "matrix", list, name), f"{name}.matrix")
     if matrix.shape != (dim, dim):
@@ -238,14 +239,19 @@ def state_document(
     return document
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:  # a missing directory, a directory, no permission
+        raise ParseError(f"{path}: cannot write: {exc.strerror or exc}")
+
+
 def dump_state(path: str | Path, document: dict) -> None:
-    Path(path).write_text(render_json(document), encoding="utf-8")
+    _write_text(path, render_json(document))
 
 
 def load_projectors(path: str | Path) -> list[PowerNode]:
-    document = _load_json(path)
-    name = str(path)
-    _check_schema(document, name)
+    document, name = _load_document(path)
     dim = _require_dim(document, name)
     raw_nodes = _require(document, "projectors", list, name)
     if not raw_nodes:
@@ -270,9 +276,7 @@ def load_projectors(path: str | Path) -> list[PowerNode]:
 
 
 def load_instrument(path: str | Path) -> QuantumInstrument:
-    document = _load_json(path)
-    name = str(path)
-    _check_schema(document, name)
+    document, name = _load_document(path)
     raw_branches = _require(document, "branches", list, name)
     if not raw_branches:
         raise ParseError(f"{name}.branches: expected at least one branch")

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from potentia import arrangements
 from potentia.arrangements import (
+    EQUIVALENCE_TOL,
     ChainLink,
     DetectorBasis,
     ExperimentalArrangement,
@@ -400,6 +402,66 @@ def random_walk(ea, product, rng, steps):
         yield current, product
 
 
+def walked(ea, product, rng, steps):
+    """The end of a ``random_walk`` of ``steps`` steps: ``(ea, product)`` for none."""
+    for ea, product in random_walk(ea, product, rng, steps):
+        pass
+    return ea, product
+
+
+PAIR_KINDS = ("diverge", "repeat", "same_basis", "unrelated", "swapped")
+#: Kinds whose two arrangements hold different states.
+DIFFERENT_STATES = ("unrelated", "swapped")
+
+
+def arrangement_pair(dims, rng, kind, shared, tails):
+    """Two ``(arrangement, basis by the kron oracle)`` pairs on one layout.
+
+    ``diverge``: a common walk of ``shared`` steps, then walks of ``tails[0]`` and
+    ``tails[1]`` steps; ``repeat``: one side changes one screen twice after the common
+    walk; ``same_basis``: two ``make_ea`` calls on one ``DetectorBasis``, then the two
+    walks; ``unrelated``: as ``same_basis``, with another state on the second side;
+    ``swapped``: as ``same_basis``, with diagonal states that differ by swapping two
+    entries, so the ambient states differ in two entries only.
+    """
+    f = Factorization(dims)
+    basis = DetectorBasis(tuple(random_unitary(d, rng) for d in dims))
+    rho, other_state = random_density(f.degree, rng), random_density(f.degree, rng)
+    if kind == "swapped":
+        p = rng.dirichlet(np.ones(f.degree))
+        swapped = np.concatenate([p[1::-1], p[2:]])
+        rho, other_state = (DensityOperator(np.diag(q).astype(complex)) for q in (p, swapped))
+    start = (make_ea(rho, f, basis), kron_oracle(basis.screens))
+    if kind in ("same_basis", *DIFFERENT_STATES):
+        other = (make_ea(rho if kind == "same_basis" else other_state, f, basis), start[1])
+    else:
+        start = other = walked(*start, rng, shared)
+    if kind == "repeat":
+        ea, product = other
+        layout = ea.factorization.screen_dims
+        screen = int(rng.integers(len(layout)))
+        for _ in range(2):
+            v = random_unitary(layout[screen], rng)
+            ea = change_detectors(ea, screen, v)
+            product = product @ local_rotation(layout, screen, v)
+        return start, (ea, product)
+    return walked(*start, rng, tails[0]), walked(*other, rng, tails[1])
+
+
+@st.composite
+def arrangement_pairs(draw, kinds=PAIR_KINDS):
+    dims, rng = draw(layouts())
+    kind = draw(st.sampled_from(kinds))
+    shared, *tails = (draw(st.integers(0, 3)) for _ in range(3))
+    return kind, arrangement_pair(dims, rng, kind, shared, tails)
+
+
+def oracle_gap(pair) -> float:
+    """``max_abs(B1 M1 B1^dag - B2 M2 B2^dag)`` with both bases multiplied out densely."""
+    (ea1, b1), (ea2, b2) = pair
+    return float(np.max(np.abs(b1 @ ea1.matrix @ b1.conj().T - b2 @ ea2.matrix @ b2.conj().T)))
+
+
 def held_arrays(obj):
     """Every array an object holds, through tuples, dicts and attributes."""
     if isinstance(obj, np.ndarray):
@@ -491,6 +553,32 @@ class TestLocalOperationProperties:
         assert np.array_equal(restricted.basis_matrix, np.eye(len(flat)))
 
 
+class TestEquivalenceOracle:
+    """``ea_equivalent`` against its rule, applied densely to the kron oracle's bases."""
+
+    @PROPERTY_SETTINGS
+    @given(arrangement_pairs())
+    def test_matches_dense_oracle(self, drawn):
+        kind, pair = drawn
+        (ea1, _), (ea2, _) = pair
+        expected = oracle_gap(pair) <= EQUIVALENCE_TOL
+        assert expected == (kind not in DIFFERENT_STATES)
+        assert ea_equivalent(ea1, ea2) == expected
+        assert ea_equivalent(ea2, ea1) == expected
+
+    @PROPERTY_SETTINGS
+    @given(arrangement_pairs(kinds=DIFFERENT_STATES))
+    def test_lift_path_matches_dense_oracle(self, drawn):
+        """With ``tol`` within 1e-6 of the gap, ``||D||_F`` is above ``tol / 2`` and at
+        most ``N * tol * (1 + 1e-6)``, so neither Frobenius bound decides.  A swapped pair
+        has ``||D||_F = sqrt(2) * gap``, inside even a bound loosened to ``2 * tol``."""
+        _, pair = drawn
+        (ea1, _), (ea2, _) = pair
+        gap = oracle_gap(pair)
+        assert ea_equivalent(ea1, ea2, tol=gap * (1 + 1e-6))
+        assert not ea_equivalent(ea1, ea2, tol=gap * (1 - 1e-6))
+
+
 class TestDetectorSteps:
     """An arrangement keeps its detector basis as local factors, not as an N x N matrix."""
 
@@ -510,3 +598,20 @@ class TestDetectorSteps:
         ea = change_detectors(ea, 0, random_unitary(6, rng))
         full = [arr for arr in held_arrays(ea) if arr.shape[0] == ea.degree]
         assert len(full) == 1 and full[0] is ea.matrix
+
+    @pytest.mark.parametrize("screen", [0, 1, 2])
+    def test_one_change_unwinds_only_its_factor(self, monkeypatch, rng, screen):
+        """``ea_equivalent(ea, change_detectors(ea, k, V))`` applies ``V`` once on each side
+        of the state and no factor of the ``make_ea`` step.  Unwinding both histories in
+        full applied 2n + 2(n + 1) factors for n screens: 14 on this (2, 3, 4) layout."""
+        _, _, ea = random_layout_ea((2, 3, 4), rng)
+        changed = change_detectors(ea, screen, random_unitary((2, 3, 4)[screen], rng))
+        applied, kron_left = [], arrangements._kron_left
+
+        def counted(m, dims, factors):
+            applied.extend((tuple(dims), axis) for axis in factors)
+            return kron_left(m, dims, factors)
+
+        monkeypatch.setattr(arrangements, "_kron_left", counted)
+        assert ea_equivalent(ea, changed)
+        assert applied == [((2, 3, 4), screen)] * 2

@@ -489,6 +489,23 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == message + "\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", SAMPLES / "zero_state.json", "--out", "missing/x.json"),
+            ("transform", SAMPLES / "worked_ea.json", "--out-state", "missing/x.json"),
+        ],
+        ids=["analyze_out", "transform_out_state"],
+    )
+    def test_unwritable_output_is_parse_error(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main([str(a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "parse error: missing/x.json: cannot write: No such file or directory\n"
+        )
+
     @pytest.mark.parametrize("entry", [(0, 0), (0, 1)], ids=["diagonal", "off_diagonal"])
     def test_non_finite_entry_is_one_validation_line(self, tmp_path, entry):
         rows = fileio.matrix_to_json(np.eye(2) / 2)

@@ -63,7 +63,7 @@ class Factorization:
         return tuple(int(k) for k in np.unravel_index(flat, self.screen_dims))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectorBasis:
     """One orthonormal basis per screen; columns are detector vectors."""
 
@@ -92,7 +92,7 @@ def _require_intensities(mat: np.ndarray) -> None:
         raise DomainError(f"intensities sum to {diag.sum():.12f}, expected 1")
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class ExperimentalArrangement:
     """A density operator carved into screens and detectors.
 
@@ -103,7 +103,7 @@ class ExperimentalArrangement:
 
     matrix: np.ndarray
     factorization: Factorization
-    steps: tuple = field(init=False, repr=False, compare=False)
+    steps: tuple = field(init=False, repr=False)
 
     def __init__(self, matrix, factorization: Factorization, basis_matrix):
         # Written out because ``basis_matrix`` is a read-only property, not a field.

@@ -28,7 +28,7 @@ _PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 _PAULI_PAIRS = np.array([[np.kron(si, sj) for sj in _PAULIS] for si in _PAULIS])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
     t: np.ndarray
 
@@ -52,7 +52,7 @@ def _unit(vector) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementSetting:
     """Bloch directions a, a' for one side and b, b' for the other."""
 

@@ -176,9 +176,10 @@ def _analysis_results(state: fileio.StateFile, tols: Tolerances) -> dict:
             ),
         }
         if pure:
-            top = qlin.herm_eig(density.matrix).eigenvectors[:, 0]
+            # One power step from the column of the largest diagonal entry gives the vector.
+            column = density.matrix[:, int(np.argmax(np.real(np.diag(density.matrix))))]
             results["schmidt_coefficients"] = _float_list(
-                entanglement.schmidt(states.PureVector.normalized(top), dims)
+                entanglement.schmidt(states.PureVector.normalized(density.matrix @ column), dims)
             )
         if dims == (2, 2):
             chsh = bell.chsh_max(density).value
@@ -229,8 +230,10 @@ def cmd_transform(args, tols: Tolerances) -> dict:
 
     out_factorization = state.factorization
     out_screens = list(state.basis.screens)
-    if args.refactor and args.screen is not None:
+    if args.refactor and (args.screen is not None or args.basis):
         raise ParseError("--refactor and --screen/--basis are mutually exclusive")
+    if (args.screen is None) != (not args.basis):
+        raise ParseError("--basis needs --screen" if args.basis else "--screen needs --basis")
     if args.refactor:
         try:
             dims = tuple(int(part) for part in args.refactor.split(","))
@@ -249,8 +252,6 @@ def cmd_transform(args, tols: Tolerances) -> dict:
         out_screens = list(DetectorBasis.computational(out_factorization).screens)
         results["transform"] = {"refactor": list(dims)}
     elif args.screen is not None:
-        if not args.basis:
-            raise ParseError("--screen needs --basis")
         screen = args.screen - 1
         if not 0 <= screen < state.factorization.screens:
             raise ValidationError(
@@ -427,7 +428,7 @@ def cmd_witness(args, tols: Tolerances) -> dict:
             f"{list(state.factorization.screen_dims)}"
         )
     dims = state.factorization.screen_dims
-    witness = entanglement.witness_from_entangled(state.density, dims)
+    witness = entanglement.witness_from_entangled(state.density, dims, tols.verdict)
     worst = entanglement.check_witness_on_products(
         witness, dims, samples=args.samples, seed=args.seed
     )
@@ -435,7 +436,7 @@ def cmd_witness(args, tols: Tolerances) -> dict:
         "dims": list(dims),
         "witness_matrix": fileio.matrix_to_json(witness.matrix),
         "expectation_on_state": witness.expectation(state.density),
-        "min_pt_eigenvalue": entanglement.min_pt_eigenvalue(state.density, dims),
+        "min_pt_eigenvalue": witness.min_pt_eigenvalue,
         "product_check": {
             "samples": args.samples,
             "seed": args.seed,
@@ -509,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--tol", action="append", metavar="NAME=VALUE",
                         help="override a named tolerance (repeatable)")
     common.add_argument("--config", help="JSON config file with a 'tolerances' object")
-    common.add_argument("--seed", type=int, default=0, help="seed for sampling commands")
     common.add_argument("--format", choices=("json", "text"), default="text",
                         help="report format (default text)")
     common.add_argument("--out", help="write the report here instead of stdout")
@@ -553,6 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", help="state file (JSON)")
     p.add_argument("--samples", type=int, default=10_000,
                    help="product states sampled for the positivity check")
+    p.add_argument("--seed", type=int, default=0, help="seed of the product-state sample")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("bell", parents=[common], help="CHSH correlation analysis")

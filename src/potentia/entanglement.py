@@ -73,10 +73,7 @@ def _bipartite(dim: int, dims: Sequence[int]) -> tuple[int, int]:
 def schmidt(vector: PureVector, dims: Sequence[int]) -> np.ndarray:
     """Schmidt coefficients (descending); exactly one above threshold means product."""
     dims = _bipartite(vector.dim, dims)
-    coefficients = np.linalg.svd(
-        vector.amplitudes.reshape(dims), compute_uv=False
-    )
-    return coefficients
+    return np.linalg.svd(vector.amplitudes.reshape(dims), compute_uv=False)
 
 
 def schmidt_rank(vector: PureVector, dims: Sequence[int], floor: float = SCHMIDT_FLOOR) -> int:
@@ -162,12 +159,14 @@ def ppt_criterion(
     return SeparabilityVerdict(Verdict.INCONCLUSIVE, "ppt", minimum)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WitnessOperator:
-    """Hermitian observable separating one entangled state from all product states."""
+    """Hermitian observable separating one entangled state from all product states;
+    ``min_pt_eigenvalue`` is the partial-transpose eigenvalue it was built from, if any."""
 
     matrix: np.ndarray
     reference_state: DensityOperator
+    min_pt_eigenvalue: float | None = None
 
     def __post_init__(self):
         mat = qlin.as_complex(self.matrix)
@@ -179,26 +178,26 @@ class WitnessOperator:
 
 
 def witness_from_entangled(
-    rho: DensityOperator, dims: Sequence[int]
+    rho: DensityOperator, dims: Sequence[int], tol: float = VERDICT_TOL
 ) -> WitnessOperator:
     """Witness from the negative eigenvector of the partial transpose.
 
     W = (|eta><eta|)^T_B with eta the most negative eigenvector of
     rho^T_B; then Tr(W rho) equals that negative eigenvalue while every
-    product state scores >= 0.
+    product state scores >= 0.  A state whose eigenvalue is not below -tol has none.
     """
     d_a, d_b = _bipartite(rho.dim, dims)
     transposed = partial_transpose(rho.matrix, (d_a, d_b), "B")
     spectrum = herm_eig(transposed)
     minimum = float(spectrum.eigenvalues[-1])
-    if minimum >= -VERDICT_TOL:
+    if minimum >= -tol:
         raise NoWitnessError(
             f"state is PPT (min partial-transpose eigenvalue {minimum:.3e}); "
             "the eigenvector construction yields no witness"
         )
     eta = spectrum.eigenvectors[:, -1]
     witness = partial_transpose(np.outer(eta, eta.conj()), (d_a, d_b), "B")
-    return WitnessOperator(witness, rho)
+    return WitnessOperator(witness, rho, minimum)
 
 
 def check_witness_on_products(

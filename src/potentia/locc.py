@@ -21,7 +21,7 @@ PROBABILITY_FLOOR = 1e-12
 KRAUS_RANK_CAP = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CPMap:
     """Completely positive, trace-non-increasing map given by Kraus operators."""
 

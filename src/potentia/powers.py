@@ -34,7 +34,7 @@ BINARY_SEARCH_NODE_CAP = 30
 FAMILY_SIZE_CAP = 6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PowerNode:
     """A projector together with a human-readable label."""
 
@@ -88,7 +88,7 @@ class Context:
         return tuple(sorted(self.node_indices))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ISAValuation:
     """Intensities in [0, 1] assigned to every node of a powers graph."""
 

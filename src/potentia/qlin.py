@@ -166,7 +166,7 @@ def partial_transpose(
     return np.ascontiguousarray(tensor.reshape(d_a * d_b, d_a * d_b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianSpectrum:
     """Eigendecomposition of a Hermitian matrix.
 

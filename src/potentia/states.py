@@ -27,7 +27,7 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureVector:
     """Normalized state vector."""
 
@@ -60,7 +60,7 @@ class PureVector:
         return cls(amps / norm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Trace-one positive-semidefinite Hermitian matrix.
 
@@ -69,7 +69,7 @@ class DensityOperator:
     """
 
     matrix: np.ndarray
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = qlin.as_complex(self.matrix)
@@ -129,7 +129,7 @@ class BlochPoint:
         return theta, phi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureDecomposition:
     """Convex mixture of pure states reproducing a density operator."""
 

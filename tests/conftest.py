@@ -11,13 +11,13 @@ def rng():
 
 @pytest.fixture
 def eigensolve_counter(monkeypatch):
-    """Counts calls of ``numpy.linalg.eigvalsh`` and ``eigh`` during one test,
-    keyed by the shape of the input matrix, and of ``numpy.linalg.svd``, keyed
-    by ``("svd", shape)``."""
+    """Counts calls of ``numpy.linalg.eigvalsh`` during one test, keyed by the
+    shape of the input matrix, and of ``numpy.linalg.eigh`` and ``svd``, keyed
+    by ``("eigh", shape)`` and ``("svd", shape)``."""
     counts: Counter = Counter()
     for name in ("eigvalsh", "eigh", "svd"):
-        def counted(a, *args, _solve=getattr(np.linalg, name), _svd=name == "svd", **kwargs):
-            counts[("svd", np.shape(a)) if _svd else np.shape(a)] += 1
+        def counted(a, *args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+            counts[np.shape(a) if _name == "eigvalsh" else (_name, np.shape(a))] += 1
             return _solve(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)

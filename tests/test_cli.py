@@ -5,13 +5,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from potentia import fileio
-from potentia.arrangements import Factorization
-from potentia.cli import SCAN_STEPS_CAP, main
-from potentia.entanglement import WITNESS_SAMPLES_CAP
-from potentia.sampling import random_density
-from potentia.states import DensityOperator
+from potentia.arrangements import DetectorBasis, Factorization
+from potentia.cli import SCAN_STEPS_CAP, _analysis_results, main
+from potentia.entanglement import WITNESS_SAMPLES_CAP, schmidt, werner
+from potentia.qlin import herm_eig
+from potentia.sampling import random_density, random_pure
+from potentia.states import (
+    PURITY_TOL,
+    DensityOperator,
+    PureVector,
+    abstract_purity,
+    density_from_vector,
+)
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -76,12 +85,57 @@ class TestAnalyzeEigensolves:
         # One correlation-matrix check and one decomposition, inside one chsh_max.
         assert eigensolve_counter[("svd", (3, 3))] == 2
 
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)], ids=str)
+    def test_pure_state_takes_its_vector_without_eigh(
+        self, capsys, tmp_path, rng, eigensolve_counter, dims
+    ):
+        dim = dims[0] * dims[1]
+        source = tmp_path / "pure.json"
+        fileio.dump_state(
+            source,
+            fileio.state_document(density_from_vector(random_pure(dim, rng)), Factorization(dims)),
+        )
+        eigensolve_counter.clear()
+        report = run_json(capsys, "analyze", source)
+        assert len(report["results"]["schmidt_coefficients"]) == min(dims)
+        # The state check and the partial transpose, both eigvalsh.
+        assert eigensolve_counter[(dim, dim)] == 2
+        assert eigensolve_counter[("eigh", (dim, dim))] == 0
+
     def test_verdict_tolerance_sets_the_region(self, capsys):
         results = run_json(
             capsys, "analyze", SAMPLES / "werner_05.json", "--tol", "verdict=0.2"
         )["results"]
         assert results["verdicts"]["ppt"]["verdict"] == "Separable"
         assert results["region"] == "Separable"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 8), (4, 4)]),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_pure_state_schmidt_path_matches_the_eigh_oracle(dims, defect, seed):
+    """Noise orthogonal to psi with weight eps gives a purity defect of nearly
+    2 eps, so ``defect`` sweeps the defect from 0 up to ``PURITY_TOL``."""
+    rng = np.random.default_rng(seed)
+    dim = dims[0] * dims[1]
+    psi = random_pure(dim, rng).amplitudes
+    complement = np.eye(dim) - np.outer(psi, psi.conj())
+    noise = complement @ random_density(dim, rng).matrix @ complement
+    eps = defect * PURITY_TOL / 2
+    rho = DensityOperator(
+        (1 - eps) * np.outer(psi, psi.conj()) + eps * noise / np.real(np.trace(noise))
+    )
+    assume(abstract_purity(rho))
+    layout = Factorization(dims)
+    state = fileio.StateFile(
+        rho, layout, DetectorBasis.computational(layout), None, True, False
+    )
+    reported = _analysis_results(state, fileio.Tolerances())["schmidt_coefficients"]
+    oracle = schmidt(PureVector.normalized(herm_eig(rho.matrix).eigenvectors[:, 0]), dims)
+    assert np.max(np.abs(np.array(reported) - oracle)) <= 1e-12
 
 
 class TestTransform:
@@ -150,6 +204,25 @@ class TestTransform:
         )
         code, _ = run(capsys, "transform", source, "--refactor", "4")
         assert code == 3
+
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--refactor", "4", "--screen", "1"),
+             "parse error: --refactor and --screen/--basis are mutually exclusive"),
+            (("--refactor", "4", "--basis", "hadamard"),
+             "parse error: --refactor and --screen/--basis are mutually exclusive"),
+            (("--screen", "1"), "parse error: --screen needs --basis"),
+            (("--basis", "hadamard"), "parse error: --basis needs --screen"),
+        ],
+        ids=["refactor_screen", "refactor_basis", "screen_alone", "basis_alone"],
+    )
+    def test_option_combinations_that_would_be_ignored(self, capsys, flags, message):
+        assert main(["transform", str(SAMPLES / "worked_ea.json"), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
 
 
 class TestPowers:
@@ -266,6 +339,28 @@ class TestWitness:
         results = report["results"]
         assert results["expectation_on_state"] == pytest.approx(-0.5, abs=1e-9)
         assert results["product_check"]["min_expectation"] >= -1e-9
+
+    def test_partial_transpose_is_solved_once(self, capsys, eigensolve_counter):
+        code, _ = run(capsys, "witness", SAMPLES / "bell_phi_plus.json", "--samples", "200")
+        assert code == 0
+        # The state check, then one eigh that gives the witness and min_pt_eigenvalue.
+        assert eigensolve_counter[(4, 4)] == 1
+        assert eigensolve_counter[("eigh", (4, 4))] == 1
+
+    def test_verdict_tolerance_decides_the_witness(self, capsys, tmp_path):
+        source = tmp_path / "werner.json"
+        fileio.dump_state(
+            source, fileio.state_document(werner(1 / 3 + 1e-7), Factorization((2, 2)))
+        )
+        code, _ = run(capsys, "witness", source, "--samples", "200")
+        assert code == 0
+        assert main(["witness", str(source), "--samples", "200", "--tol", "verdict=1e-6"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "validation error: state is PPT (min partial-transpose eigenvalue -7.500e-08); "
+            "the eigenvector construction yields no witness\n"
+        )
 
     def test_separable_state_has_no_witness(self, capsys, tmp_path):
         source = tmp_path / "sep.json"
@@ -550,6 +645,25 @@ class TestExitCodes:
         code, out = run(capsys, *argv, "--tol", "wobble=1")
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", SAMPLES / "zero_state.json"),
+            ("transform", SAMPLES / "worked_ea.json"),
+            ("powers", SAMPLES / "zero_state.json", "--projectors", SAMPLES / "qubit_two_bases.json"),
+            ("werner", "--p", "0.5"),
+            ("bell", SAMPLES / "bell_phi_plus.json"),
+            ("instrument", SAMPLES / "bell_phi_plus.json",
+             "--instrument", SAMPLES / "measure_first_screen.json"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_seed_is_a_witness_flag(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main([str(a) for a in (*argv, "--seed", "1")])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_removed_orthonormality_tol_is_parse_error(self, capsys):
         code, _ = run(

@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from potentia import states
+from potentia.arrangements import DetectorBasis, Factorization, make_ea
+from potentia.bell import CorrelationMatrix, MeasurementSetting
+from potentia.entanglement import WitnessOperator
 from potentia.errors import DomainError, ShapeError
+from potentia.families import qubit_two_bases
+from potentia.locc import CPMap
+from potentia.powers import PowerNode, build_graph, isa_from_density
+from potentia.qlin import herm_eig
 from potentia.sampling import random_density, random_pure, random_unitary
 from potentia.states import (
     BlochPoint,
@@ -318,3 +325,29 @@ class TestDecompositions:
                 np.array([0.5, 0.4]),
                 (PureVector.basis_state(2, 0), PureVector.basis_state(2, 1)),
             )
+
+
+HALF = DensityOperator.maximally_mixed(2)
+QUBIT = Factorization((2,))
+ARRAY_HOLDING_VALUES = {
+    "PureVector": lambda: PureVector.basis_state(2, 0),
+    "DensityOperator": lambda: DensityOperator.maximally_mixed(2),
+    "MixtureDecomposition": lambda: spectral_decomposition(HALF),
+    "DetectorBasis": lambda: DetectorBasis.computational(QUBIT),
+    "ExperimentalArrangement": lambda: make_ea(HALF, QUBIT, DetectorBasis.computational(QUBIT)),
+    "PowerNode": lambda: PowerNode(np.diag([1.0, 0.0]), "|0><0|"),
+    "ISAValuation": lambda: isa_from_density(HALF, build_graph(qubit_two_bases())),
+    "WitnessOperator": lambda: WitnessOperator(np.eye(2), HALF),
+    "CPMap": lambda: CPMap.identity(2),
+    "CorrelationMatrix": lambda: CorrelationMatrix(np.eye(3)),
+    "MeasurementSetting": lambda: MeasurementSetting(*np.eye(3)[[0, 1, 0, 1]]),
+    "HermitianSpectrum": lambda: herm_eig(np.eye(2)),
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_HOLDING_VALUES))
+def test_array_holding_values_compare_by_identity_and_hash(name):
+    first, second = ARRAY_HOLDING_VALUES[name](), ARRAY_HOLDING_VALUES[name]()
+    assert first == first
+    assert first != second
+    assert len({first, second, first}) == 2

@@ -338,7 +338,7 @@ class ChainReport:
 
 
 def complexity_chain_check(
-    eas: Sequence[ExperimentalArrangement], links: Sequence[ChainLink] = (), tol: float = CHAIN_TOL
+    eas: Sequence[ExperimentalArrangement], links: Sequence[ChainLink] = ()
 ) -> ChainReport:
     """Validate an ascending complexity chain of arrangements.
 
@@ -348,13 +348,13 @@ def complexity_chain_check(
     """
     if len(eas) > 1 and len(links) != len(eas) - 1:
         raise ShapeError(f"{len(eas)} arrangements need {len(eas) - 1} links, got {len(links)}")
-    reasons = [_link_failure(eas[i], eas[i + 1], links[i], tol) for i in range(len(eas) - 1)]
+    reasons = [_link_failure(eas[i], eas[i + 1], links[i]) for i in range(len(eas) - 1)]
     failures = tuple(ChainFailure(i, reason) for i, reason in enumerate(reasons) if reason)
     return ChainReport(tuple(ea.degree for ea in eas), failures)
 
 
 def _link_failure(
-    smaller: ExperimentalArrangement, larger: ExperimentalArrangement, link: ChainLink, tol: float
+    smaller: ExperimentalArrangement, larger: ExperimentalArrangement, link: ChainLink
 ) -> str | None:
     """Why ``link`` does not derive ``smaller`` from ``larger``; None if it does."""
     if smaller.degree >= larger.degree:
@@ -369,4 +369,4 @@ def _link_failure(
             f"chain claims {smaller.factorization.screen_dims}"
         )
     gap = max_abs(derived.matrix - smaller.matrix)
-    return f"restricted state differs by {gap:.3e} (> {tol:g})" if gap > tol else None
+    return f"restricted state differs by {gap:.3e} (> {CHAIN_TOL:g})" if gap > CHAIN_TOL else None

@@ -36,7 +36,7 @@ class CorrelationMatrix:
         mat = np.asarray(self.t, dtype=np.float64)
         if mat.shape != (3, 3):
             raise ShapeError(f"correlation matrix must be 3x3, got {mat.shape}")
-        if np.max(np.abs(mat)) > 1 + CORRELATION_TOL:
+        if not np.max(np.abs(mat)) <= 1 + CORRELATION_TOL:
             raise DomainError("correlation entries must lie in [-1, 1]")
         if np.max(np.linalg.svd(mat, compute_uv=False)) > 1 + CORRELATION_TOL:
             raise DomainError("correlation singular values must not exceed 1")
@@ -47,7 +47,7 @@ def _unit(vector) -> np.ndarray:
     v = np.asarray(vector, dtype=np.float64).reshape(-1)
     if v.shape != (3,):
         raise ShapeError(f"Bloch direction must be a 3-vector, got shape {v.shape}")
-    if abs(float(np.linalg.norm(v)) - 1.0) > NORM_TOL:
+    if not abs(float(np.linalg.norm(v)) - 1.0) <= NORM_TOL:
         raise DomainError(f"Bloch direction norm is {np.linalg.norm(v):.9f}, expected 1")
     return v
 

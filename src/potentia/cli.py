@@ -117,8 +117,7 @@ def _assignment(flag: str, what: str, assignment: str) -> tuple[str, float]:
 def _tolerances(args) -> Tolerances:
     tols = Tolerances()
     if args.config:
-        document = fileio._load_json(args.config)
-        raw = document.get("tolerances", {})
+        raw = fileio._load_json(args.config).get("tolerances", {})
         if not isinstance(raw, dict):
             raise ParseError(f"{args.config}: 'tolerances' must be an object")
         tols = Tolerances.from_config(raw)
@@ -166,14 +165,11 @@ def _analysis_results(state: fileio.StateFile, tols: Tolerances) -> dict:
     if state.factorization.screens == 2:
         dims = state.factorization.screen_dims
         ppt = entanglement.ppt_criterion(density, dims, tols.verdict)
+        majorization, entropy = entanglement._marginal_verdicts(density, dims, tols.verdict)
         results["verdicts"] = {
             "ppt": _verdict_payload(ppt),
-            "majorization": _verdict_payload(
-                entanglement.majorization_criterion(density, dims, tols.verdict)
-            ),
-            "entropy": _verdict_payload(
-                entanglement.entropy_criterion(density, dims, tols.verdict)
-            ),
+            "majorization": _verdict_payload(majorization),
+            "entropy": _verdict_payload(entropy),
         }
         if pure:
             # One power step from the column of the largest diagonal entry gives the vector.
@@ -224,21 +220,21 @@ def _basis_arg(source: str, dim: int) -> np.ndarray:
 
 
 def cmd_transform(args, tols: Tolerances) -> dict:
+    if args.refactor and (args.screen is not None or args.basis):
+        raise ParseError("--refactor and --screen/--basis are mutually exclusive")
+    if (args.screen is None) != (not args.basis):
+        raise ParseError("--basis needs --screen" if args.basis else "--screen needs --basis")
+    try:
+        dims = tuple(int(part) for part in args.refactor.split(",")) if args.refactor else None
+    except ValueError:
+        raise ParseError(f"--refactor expects comma-separated integers, got {args.refactor!r}")
     state = fileio.load_state(args.state, tols)
     ea = arrangements.make_ea(state.density, state.factorization, state.basis)
     results: dict = {"before_intensities": _float_list(ea.intensities())}
 
     out_factorization = state.factorization
     out_screens = list(state.basis.screens)
-    if args.refactor and (args.screen is not None or args.basis):
-        raise ParseError("--refactor and --screen/--basis are mutually exclusive")
-    if (args.screen is None) != (not args.basis):
-        raise ParseError("--basis needs --screen" if args.basis else "--screen needs --basis")
     if args.refactor:
-        try:
-            dims = tuple(int(part) for part in args.refactor.split(","))
-        except ValueError:
-            raise ParseError(f"--refactor expects comma-separated integers, got {args.refactor!r}")
         identity_like = all(
             qlin.max_abs(screen - np.eye(screen.shape[0])) < IDENTITY_TOL for screen in out_screens
         )
@@ -288,16 +284,16 @@ def cmd_transform(args, tols: Tolerances) -> dict:
 
 
 def cmd_powers(args, tols: Tolerances) -> dict:
+    overrides = [_assignment("--override", "label", pair) for pair in args.override or ()]
     state = fileio.load_state(args.state, tols)
     nodes = fileio.load_projectors(args.projectors)
     graph = powers.build_graph(nodes)
     valuation = powers.isa_from_density(state.density, graph)
     labels = [node.label for node in graph.nodes]
 
-    if args.override:
+    if overrides:
         values = np.array(valuation.potentia)
-        for assignment in args.override:
-            key, value = _assignment("--override", "label", assignment)
+        for key, value in overrides:
             if key in labels:
                 values[labels.index(key)] = value
             else:
@@ -421,6 +417,7 @@ def cmd_werner(args, tols: Tolerances) -> dict:
 
 
 def cmd_witness(args, tols: Tolerances) -> dict:
+    entanglement._require_samples(args.samples)
     state = fileio.load_state(args.state, tols)
     if state.factorization.screens != 2:
         raise ValidationError(

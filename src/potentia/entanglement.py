@@ -76,8 +76,8 @@ def schmidt(vector: PureVector, dims: Sequence[int]) -> np.ndarray:
     return np.linalg.svd(vector.amplitudes.reshape(dims), compute_uv=False)
 
 
-def schmidt_rank(vector: PureVector, dims: Sequence[int], floor: float = SCHMIDT_FLOOR) -> int:
-    return int(np.sum(schmidt(vector, dims) > floor))
+def schmidt_rank(vector: PureVector, dims: Sequence[int]) -> int:
+    return int(np.sum(schmidt(vector, dims) > SCHMIDT_FLOOR))
 
 
 def _entropy_bits(spectrum: np.ndarray) -> float:
@@ -92,32 +92,36 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return _entropy_bits(rho.eigenvalues)
 
 
-def _marginal_spectra(rho: DensityOperator, dims: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending spectra of both reduced states.  The partial traces of a
-    checked state are states, so they are not checked again."""
-    d_a, d_b = _bipartite(rho.dim, dims)
+def _marginal_verdicts(
+    rho: DensityOperator, dims: Sequence[int], tol: float
+) -> tuple[SeparabilityVerdict, SeparabilityVerdict]:
+    """Majorization and entropy verdicts from one spectrum of each reduced state.
+    The partial traces of a checked state are states, so they are not checked again."""
+    dims = _bipartite(rho.dim, dims)
+    spectra = [np.linalg.eigvalsh(partial_trace(rho.matrix, dims, (k,))) for k in (0, 1)]
+    joint = von_neumann_entropy(rho)
+    margins = {
+        "majorization": min(_majorization_margin(rho.eigenvalues[::-1], s[::-1]) for s in spectra),
+        "entropy": min(joint - _entropy_bits(s) for s in spectra),
+    }
     return tuple(
-        np.linalg.eigvalsh(partial_trace(rho.matrix, (d_a, d_b), keep)) for keep in ((0,), (1,))
+        SeparabilityVerdict(Verdict.ENTANGLED if m < -tol else Verdict.INCONCLUSIVE, name, m)
+        for name, m in margins.items()
     )
 
 
-def entropy_additivity_check(
-    a: DensityOperator, b: DensityOperator, tol: float = ENTROPY_TOL
-) -> bool:
-    """|S(a (x) b) - S(a) - S(b)| <= tol."""
+def entropy_additivity_check(a: DensityOperator, b: DensityOperator) -> bool:
+    """|S(a (x) b) - S(a) - S(b)| <= ENTROPY_TOL."""
     joint = DensityOperator(qlin.kron(a.matrix, b.matrix))
-    return abs(von_neumann_entropy(joint) - von_neumann_entropy(a) - von_neumann_entropy(b)) <= tol
+    defect = von_neumann_entropy(joint) - von_neumann_entropy(a) - von_neumann_entropy(b)
+    return abs(defect) <= ENTROPY_TOL
 
 
 def entropy_criterion(
     rho: DensityOperator, dims: Sequence[int], tol: float = VERDICT_TOL
 ) -> SeparabilityVerdict:
     """Necessary criterion: a separable state is at least as entropic as its parts."""
-    joint = von_neumann_entropy(rho)
-    margin = min(joint - _entropy_bits(part) for part in _marginal_spectra(rho, dims))
-    if margin < -tol:
-        return SeparabilityVerdict(Verdict.ENTANGLED, "entropy", margin)
-    return SeparabilityVerdict(Verdict.INCONCLUSIVE, "entropy", margin)
+    return _marginal_verdicts(rho, dims, tol)[1]
 
 
 def _majorization_margin(global_spec: np.ndarray, reduced_spec: np.ndarray) -> float:
@@ -132,13 +136,7 @@ def majorization_criterion(
 ) -> SeparabilityVerdict:
     """Necessary criterion: the global spectrum of a separable state is
     majorized by each reduced spectrum (zero-padded partial sums)."""
-    global_spec = rho.eigenvalues[::-1]
-    margin = min(
-        _majorization_margin(global_spec, reduced[::-1]) for reduced in _marginal_spectra(rho, dims)
-    )
-    if margin < -tol:
-        return SeparabilityVerdict(Verdict.ENTANGLED, "majorization", margin)
-    return SeparabilityVerdict(Verdict.INCONCLUSIVE, "majorization", margin)
+    return _marginal_verdicts(rho, dims, tol)[0]
 
 
 def min_pt_eigenvalue(rho: DensityOperator, dims: Sequence[int]) -> float:
@@ -174,7 +172,8 @@ class WitnessOperator:
         object.__setattr__(self, "matrix", frozen(mat))
 
     def expectation(self, rho: DensityOperator) -> float:
-        return float(np.real(np.trace(self.matrix @ rho.matrix)))
+        """Tr(W rho), summed entrywise: rho is Hermitian, so no product is formed."""
+        return float(np.vdot(rho.matrix, self.matrix).real)
 
 
 def witness_from_entangled(
@@ -200,6 +199,13 @@ def witness_from_entangled(
     return WitnessOperator(witness, rho, minimum)
 
 
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise DomainError(f"the witness check needs at least one sample, got {samples}")
+    if samples > WITNESS_SAMPLES_CAP:
+        raise CapacityError(f"{samples} samples exceed the cap of {WITNESS_SAMPLES_CAP}")
+
+
 def check_witness_on_products(
     witness: WitnessOperator,
     dims: Sequence[int],
@@ -212,10 +218,7 @@ def check_witness_on_products(
     the draw order of a per-sample ``random_pure(d_a)``, ``random_pure(d_b)``
     loop, so a seed picks the same samples.  Batching bounds the temporaries.
     """
-    if samples < 1:
-        raise DomainError(f"the witness check needs at least one sample, got {samples}")
-    if samples > WITNESS_SAMPLES_CAP:
-        raise CapacityError(f"{samples} samples exceed the cap of {WITNESS_SAMPLES_CAP}")
+    _require_samples(samples)
     d_a, d_b = int(dims[0]), int(dims[1])
     rng = np.random.default_rng(seed)
     batch = max(1, PRODUCT_BATCH_ENTRIES // (d_a * d_b))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -28,8 +29,8 @@ SCHEMA_VERSION = "1"
 
 @dataclass
 class Tolerances:
-    """Load- and analysis-time tolerances; every field can be overridden
-    via the CLI ``--tol name=value`` flag or a config file."""
+    """Load- and analysis-time tolerances; every field can be overridden, with a
+    finite number >= 0, via the CLI ``--tol name=value`` flag or a config file."""
 
     hermiticity: float = qlin.HERMITICITY_TOL
     trace: float = states.TRACE_TOL
@@ -43,6 +44,9 @@ class Tolerances:
         if not any(field.name == name for field in dataclasses.fields(self)):
             known = ", ".join(field.name for field in dataclasses.fields(self))
             raise ParseError(f"unknown tolerance {name!r}; known: {known}")
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and 0 <= value <= sys.float_info.max):  # NaN fails both comparisons
+            raise ParseError(f"tolerance {name!r}: {json.dumps(value)} is not a finite number >= 0")
         setattr(self, name, float(value))
 
     @classmethod

@@ -59,8 +59,8 @@ class CPMap:
     def completeness_sum(self) -> np.ndarray:
         return sum(dagger(mat) @ mat for mat in self.kraus)
 
-    def is_trace_preserving(self, tol: float = COMPLETENESS_TOL) -> bool:
-        return max_abs(self.completeness_sum() - np.eye(self.in_dim)) <= tol
+    def is_trace_preserving(self) -> bool:
+        return max_abs(self.completeness_sum() - np.eye(self.in_dim)) <= COMPLETENESS_TOL
 
     def apply(self, matrix: np.ndarray) -> np.ndarray:
         return sum(mat @ matrix @ dagger(mat) for mat in self.kraus)
@@ -94,10 +94,10 @@ class QuantumInstrument:
         return self.branches[0].in_dim
 
 
-def is_valid_instrument(ins: QuantumInstrument, tol: float = COMPLETENESS_TOL) -> bool:
-    """True iff the branch completeness sums add up to the identity."""
+def is_valid_instrument(ins: QuantumInstrument) -> bool:
+    """True iff the branch completeness sums add up to the identity within ``COMPLETENESS_TOL``."""
     total = sum(branch.completeness_sum() for branch in ins.branches)
-    return max_abs(total - np.eye(ins.in_dim)) <= tol
+    return max_abs(total - np.eye(ins.in_dim)) <= COMPLETENESS_TOL
 
 
 @dataclass(frozen=True)
@@ -106,17 +106,15 @@ class BranchOutcome:
     post_state: DensityOperator | None
 
 
-def apply_instrument(
-    ins: QuantumInstrument, rho: DensityOperator, tol: float = COMPLETENESS_TOL
-) -> list[BranchOutcome]:
+def apply_instrument(ins: QuantumInstrument, rho: DensityOperator) -> list[BranchOutcome]:
     """Branch probabilities and renormalized post-states.
 
-    Probabilities sum to 1 within ``tol``; branches that (numerically)
+    Probabilities sum to 1 within ``COMPLETENESS_TOL``; branches that (numerically)
     never fire are reported with probability 0 and no post-state.
     """
     if ins.in_dim != rho.dim:
         raise ShapeError(f"instrument acts on dim {ins.in_dim}, state has dim {rho.dim}")
-    if not is_valid_instrument(ins, tol):
+    if not is_valid_instrument(ins):
         raise DomainError("instrument branches do not sum to a trace-preserving map")
     outcomes = []
     for branch in ins.branches:

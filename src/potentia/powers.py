@@ -101,7 +101,7 @@ class ISAValuation:
             raise ShapeError(
                 f"{len(values)} potentia for {len(self.graph.nodes)} nodes"
             )
-        if np.any(values < -POTENTIA_SLACK) or np.any(values > 1 + POTENTIA_SLACK):
+        if not np.all((values >= -POTENTIA_SLACK) & (values <= 1 + POTENTIA_SLACK)):
             raise DomainError("potentia must lie in [0, 1]")
         object.__setattr__(self, "potentia", frozen(np.clip(values, 0.0, 1.0)))
 
@@ -142,9 +142,8 @@ def isa_from_density(rho: DensityOperator, graph: PowersGraph) -> ISAValuation:
     """Born-rule valuation: potentia[i] = Tr(rho P_i)."""
     if rho.dim != graph.dim:
         raise ShapeError(f"state dim {rho.dim} vs graph dim {graph.dim}")
-    values = np.array(
-        [float(np.real(np.trace(rho.matrix @ node.projector))) for node in graph.nodes]
-    )
+    # Tr(rho P) summed entrywise: both are Hermitian, so no product is formed.
+    values = np.array([np.vdot(rho.matrix, node.projector).real for node in graph.nodes])
     if np.any(values < -BORN_SLACK) or np.any(values > 1 + BORN_SLACK):
         raise DomainError("Born values strayed outside [0,1] beyond boundary noise")
     return ISAValuation(graph, np.clip(values, 0.0, 1.0))
@@ -275,9 +274,7 @@ def actualization_map(
     return (valuation.potentia > zero_threshold).astype(np.int64)
 
 
-def reconstruct_density(
-    valuation: ISAValuation, residual_tol: float = RESIDUAL_TOL
-) -> DensityOperator:
+def reconstruct_density(valuation: ISAValuation) -> DensityOperator:
     """Recover the unique density operator whose Born values match the valuation.
 
     Solves the real linear system Tr(rho P_i) = potentia[i] by least squares
@@ -308,9 +305,9 @@ def reconstruct_density(
         )
     solution, *_ = np.linalg.lstsq(design, valuation.potentia, rcond=None)
     residual = float(np.max(np.abs(design @ solution - valuation.potentia)))
-    if residual > residual_tol:
+    if residual > RESIDUAL_TOL:
         raise ResidualError(
-            f"valuation is inconsistent: residual {residual:.3e} > {residual_tol:g}",
+            f"valuation is inconsistent: residual {residual:.3e} > {RESIDUAL_TOL:g}",
             residual=residual,
         )
     rho = np.zeros((dim, dim), dtype=np.complex128)

@@ -67,12 +67,13 @@ def require_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL, what: str =
         raise DomainError(f"{what} violates Hermiticity (max asymmetry {asymmetry:.3e} > {tol:g})")
 
 
-def require_isometry(mat: np.ndarray, tol: float = ISOMETRY_TOL, what: str = "basis") -> None:
-    """Raise unless the columns of ``mat`` are orthonormal within ``tol``."""
+def require_isometry(mat: np.ndarray, what: str = "basis") -> None:
+    """Raise unless the columns of ``mat`` are orthonormal within ``ISOMETRY_TOL``."""
     gram_error = max_abs(dagger(mat) @ mat - np.eye(mat.shape[1]))
-    if gram_error > tol:
+    if gram_error > ISOMETRY_TOL:
         raise DomainError(
-            f"{what} columns are not orthonormal within {tol:g} (max Gram error {gram_error:.3e})"
+            f"{what} columns are not orthonormal within {ISOMETRY_TOL:g} "
+            f"(max Gram error {gram_error:.3e})"
         )
 
 
@@ -183,10 +184,10 @@ class HermitianSpectrum:
         return (self.eigenvectors * self.eigenvalues) @ dagger(self.eigenvectors)
 
 
-def herm_eig(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> HermitianSpectrum:
+def herm_eig(matrix: np.ndarray) -> HermitianSpectrum:
     """Descending-order eigendecomposition; rejects non-Hermitian input."""
     matrix = as_complex(matrix)
-    require_hermitian(matrix, tol)
+    require_hermitian(matrix)
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     order = np.argsort(eigenvalues)[::-1]
     return HermitianSpectrum(frozen(eigenvalues[order]), frozen(eigenvectors[:, order]))
@@ -201,8 +202,8 @@ def commutes(p: np.ndarray, q: np.ndarray, tol: float = COMMUTE_TOL) -> bool:
     return max_abs(p @ q - q @ p) <= tol
 
 
-def clip_spectrum(values: np.ndarray, clip: float = PSD_CLIP) -> np.ndarray:
-    """Zero out eigenvalues in [-clip, 0); leave anything below -clip alone."""
+def clip_spectrum(values: np.ndarray) -> np.ndarray:
+    """Zero out eigenvalues in [-PSD_CLIP, 0); leave anything below -PSD_CLIP alone."""
     out = np.array(values, dtype=np.float64)
-    out[(out < 0) & (out >= -clip)] = 0.0
+    out[(out < 0) & (out >= -PSD_CLIP)] = 0.0
     return out

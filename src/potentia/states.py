@@ -36,7 +36,7 @@ class PureVector:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise DomainError(f"vector norm is {norm:.12f}, expected 1 within {NORM_TOL:g}")
         object.__setattr__(self, "amplitudes", frozen(amps))
 
@@ -106,7 +106,7 @@ class BlochPoint:
     z: float
 
     def __post_init__(self):
-        if self.norm > 1.0 + NORM_TOL:
+        if not self.norm <= 1.0 + NORM_TOL:
             raise DomainError(f"Bloch point norm {self.norm:.12f} exceeds 1")
 
     @property
@@ -140,9 +140,9 @@ class MixtureDecomposition:
         weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         if len(weights) != len(self.components):
             raise ShapeError("weights and components differ in length")
-        if np.any(weights < -WEIGHT_FLOOR):
+        if not np.all(weights >= -WEIGHT_FLOOR):
             raise DomainError("mixture weights must be nonnegative")
-        if abs(float(weights.sum()) - 1.0) > NORM_TOL:
+        if not abs(float(weights.sum()) - 1.0) <= NORM_TOL:
             raise DomainError(f"mixture weights sum to {weights.sum():.12f}, expected 1")
         object.__setattr__(self, "weights", frozen(weights))
         object.__setattr__(self, "components", tuple(self.components))
@@ -238,12 +238,12 @@ def shadow(vector: PureVector, axis: PureVector) -> tuple[complex, np.ndarray]:
     return coefficient, coefficient * axis.amplitudes
 
 
-def projective_distance(p: DensityOperator, q: DensityOperator, tol: float = PURITY_TOL) -> float:
+def projective_distance(p: DensityOperator, q: DensityOperator) -> float:
     """Hilbert-Schmidt distance sqrt(Tr((P-Q)^2)) between rank-one projectors.
 
     Equals sqrt(2) exactly on orthogonal pairs.
     """
-    if not abstract_purity(p, tol) or not abstract_purity(q, tol):
+    if not abstract_purity(p) or not abstract_purity(q):
         raise DomainError("projective distance is defined for rank-one projectors")
     if p.dim != q.dim:
         raise ShapeError(f"dimension mismatch {p.dim} vs {q.dim}")

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -77,6 +78,9 @@ class TestAnalyzeEigensolves:
         code, _ = run(capsys, "analyze", source)
         assert code == 0
         assert eigensolve_counter[(6, 6)] == 2
+        # Each reduced state is solved once for both spectral criteria.
+        assert eigensolve_counter[(2, 2)] == 1
+        assert eigensolve_counter[(3, 3)] == 1
 
     def test_werner_sample(self, capsys, eigensolve_counter):
         code, _ = run(capsys, "analyze", SAMPLES / "werner_05.json")
@@ -136,6 +140,15 @@ def test_pure_state_schmidt_path_matches_the_eigh_oracle(dims, defect, seed):
     reported = _analysis_results(state, fileio.Tolerances())["schmidt_coefficients"]
     oracle = schmidt(PureVector.normalized(herm_eig(rho.matrix).eigenvectors[:, 0]), dims)
     assert np.max(np.abs(np.array(reported) - oracle)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats())
+def test_verdict_tolerance_must_be_finite_and_nonnegative(value):
+    """``--tol verdict=x`` is accepted exactly when x is a finite number >= 0."""
+    argv = ["analyze", str(SAMPLES / "werner_05.json"), "--tol", f"verdict={value!r}"]
+    rejected = math.isnan(value) or math.isinf(value) or value < 0
+    assert main(argv) == (2 if rejected else 0)
 
 
 class TestTransform:
@@ -215,14 +228,18 @@ class TestTransform:
              "parse error: --refactor and --screen/--basis are mutually exclusive"),
             (("--screen", "1"), "parse error: --screen needs --basis"),
             (("--basis", "hadamard"), "parse error: --basis needs --screen"),
+            (("--refactor", "2x2"),
+             "parse error: --refactor expects comma-separated integers, got '2x2'"),
         ],
-        ids=["refactor_screen", "refactor_basis", "screen_alone", "basis_alone"],
+        ids=["refactor_screen", "refactor_basis", "screen_alone", "basis_alone", "refactor_not_dims"],
     )
-    def test_option_combinations_that_would_be_ignored(self, capsys, flags, message):
-        assert main(["transform", str(SAMPLES / "worked_ea.json"), *flags]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == message + "\n"
+    def test_option_combinations_that_would_be_ignored(self, capsys, tmp_path, flags, message):
+        # Options are checked before the state file is read, so a missing file reports them too.
+        for state in (SAMPLES / "worked_ea.json", tmp_path / "missing.json"):
+            assert main(["transform", str(state), *flags]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == message + "\n"
 
 
 class TestPowers:
@@ -375,18 +392,21 @@ class TestWitness:
         code, _ = run(capsys, "witness", source)
         assert code == 3
 
-    def test_zero_samples_is_validation_error(self, capsys):
+    def test_zero_samples_is_validation_error(self, capsys, eigensolve_counter):
         code, out = run(capsys, "witness", SAMPLES / "bell_phi_plus.json", "--samples", "0")
         assert code == 3
         assert out == ""
+        # Rejected before the state check and the partial transpose are solved.
+        assert not eigensolve_counter
 
-    def test_samples_above_cap_is_capacity_error(self, capsys):
+    def test_samples_above_cap_is_capacity_error(self, capsys, eigensolve_counter):
         code, out = run(
             capsys, "witness", SAMPLES / "bell_phi_plus.json",
             "--samples", str(WITNESS_SAMPLES_CAP + 1),
         )
         assert code == 4
         assert out == ""
+        assert not eigensolve_counter
 
 
 class TestBell:
@@ -509,6 +529,12 @@ class TestExitCodes:
             (("--tol", "wobble=1"), 2,
              "parse error: unknown tolerance 'wobble'; known: hermiticity, trace, purity, "
              "verdict, equivalence, axioms, zero"),
+            (("--tol", "verdict=nan"), 2,
+             "parse error: tolerance 'verdict': NaN is not a finite number >= 0"),
+            (("--tol", "verdict=inf"), 2,
+             "parse error: tolerance 'verdict': Infinity is not a finite number >= 0"),
+            (("--tol", "verdict=-1e-9"), 2,
+             "parse error: tolerance 'verdict': -1e-09 is not a finite number >= 0"),
             (("--override", "|0><0|"), 2,
              "parse error: --override expects label=value, got '|0><0|'"),
             (("--override", " |0><0| =half"), 2,
@@ -517,11 +543,12 @@ class TestExitCodes:
              "validation error: --override: no node labelled '|2><2|'"),
             (("--override", "5=0.5"), 3, "validation error: --override: node index 5 out of range"),
             (("--override", "|0><0|=2"), 3, "validation error: potentia must lie in [0, 1]"),
+            (("--override", "I=nan"), 3, "validation error: potentia must lie in [0, 1]"),
         ],
         ids=[
-            "tol_no_equals", "tol_not_a_number", "tol_unknown_name", "override_no_equals",
-            "override_not_a_number", "override_unknown_label", "override_index_out_of_range",
-            "override_outside_unit_interval",
+            "tol_no_equals", "tol_not_a_number", "tol_unknown_name", "tol_nan", "tol_infinite",
+            "tol_negative", "override_no_equals", "override_not_a_number", "override_unknown_label",
+            "override_index_out_of_range", "override_outside_unit_interval", "override_nan",
         ],
     )
     def test_malformed_assignment_values(self, capsys, flags, code, message):
@@ -529,10 +556,53 @@ class TestExitCodes:
             "powers", str(SAMPLES / "zero_state.json"),
             "--projectors", str(SAMPLES / "qubit_two_bases.json"), *flags,
         ]
-        assert main(argv) == code
+        for report_format in ("json", "text"):
+            assert main([*argv, "--format", report_format]) == code
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == message + "\n"
+
+    def test_override_syntax_is_checked_before_files_are_read(self, capsys, tmp_path):
+        missing = tmp_path / "missing.json"
+        argv = ["powers", str(missing), "--projectors", str(missing), "--override", "|0><0|"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "parse error: --override expects label=value, got '|0><0|'\n"
+        )
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [('"abc"', '"abc"'), ("[1]", "[1]"), ("true", "true"), ("null", "null"),
+         ("-0.5", "-0.5"), ("1e400", "Infinity")],
+        ids=["string", "list", "bool", "null", "negative", "overflow"],
+    )
+    def test_config_tolerance_must_be_a_finite_number(self, capsys, tmp_path, value, shown):
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"tolerances": {{"verdict": {value}}}}}', encoding="utf-8")
+        assert main(["analyze", str(SAMPLES / "werner_05.json"), "--config", str(config)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == message + "\n"
+        assert captured.err == (
+            f"parse error: tolerance 'verdict': {shown} is not a finite number >= 0\n"
+        )
+
+    def test_nan_hermiticity_tolerance_is_parse_error(self, capsys, tmp_path):
+        skewed = tmp_path / "skewed.json"
+        matrix = np.array([[0.5, 0.3], [0.0, 0.5]])
+        skewed.write_text(
+            fileio.render_json(
+                {"schema_version": "1", "dim": 2, "matrix": fileio.matrix_to_json(matrix)}
+            ),
+            encoding="utf-8",
+        )
+        assert main(["analyze", str(skewed)]) == 3
+        assert "violates Hermiticity (max asymmetry 3.000e-01" in capsys.readouterr().err
+        assert main(["analyze", str(skewed), "--tol", "hermiticity=nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "parse error: tolerance 'hermiticity': NaN is not a finite number >= 0\n"
+        )
 
     def test_non_orthonormal_basis_file_is_validation_error(self, capsys, tmp_path):
         stretch = tmp_path / "stretch.json"

@@ -10,7 +10,7 @@ from potentia.entanglement import WitnessOperator
 from potentia.errors import DomainError, ShapeError
 from potentia.families import qubit_two_bases
 from potentia.locc import CPMap
-from potentia.powers import PowerNode, build_graph, isa_from_density
+from potentia.powers import ISAValuation, PowerNode, build_graph, isa_from_density
 from potentia.qlin import herm_eig
 from potentia.sampling import random_density, random_pure, random_unitary
 from potentia.states import (
@@ -351,3 +351,21 @@ def test_array_holding_values_compare_by_identity_and_hash(name):
     assert first == first
     assert first != second
     assert len({first, second, first}) == 2
+
+
+NAN = float("nan")
+QUBIT_GRAPH = build_graph(qubit_two_bases())
+NAN_INPUTS = {
+    "PureVector": lambda: PureVector([NAN, 0]),
+    "MixtureDecomposition": lambda: MixtureDecomposition([NAN], (PureVector.basis_state(2, 0),)),
+    "BlochPoint": lambda: BlochPoint(NAN, 0.0, 0.0),
+    "MeasurementSetting": lambda: MeasurementSetting([NAN, 0, 0], *np.eye(3)[[0, 1, 1]]),
+    "ISAValuation": lambda: ISAValuation(QUBIT_GRAPH, [NAN] * len(QUBIT_GRAPH.nodes)),
+    "CorrelationMatrix": lambda: CorrelationMatrix(np.full((3, 3), NAN)),
+}
+
+
+@pytest.mark.parametrize("name", list(NAN_INPUTS))
+def test_bound_checks_reject_nan(name):
+    with pytest.raises(DomainError):
+        NAN_INPUTS[name]()

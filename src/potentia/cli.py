@@ -40,10 +40,6 @@ BISECT_TOL = 1e-9
 SCAN_STEPS_CAP = 100_000
 
 
-def _digest_file(path: str) -> str:
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _digest_text(text: str) -> str:
     return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -117,7 +113,7 @@ def _assignment(flag: str, what: str, assignment: str) -> tuple[str, float]:
 def _tolerances(args) -> Tolerances:
     tols = Tolerances()
     if args.config:
-        raw = fileio._load_json(args.config).get("tolerances", {})
+        raw = fileio._load_json(args.config)[0].get("tolerances", {})
         if not isinstance(raw, dict):
             raise ParseError(f"{args.config}: 'tolerances' must be an object")
         tols = Tolerances.from_config(raw)
@@ -186,9 +182,7 @@ def _analysis_results(state: fileio.StateFile, tols: Tolerances) -> dict:
 
 def cmd_analyze(args, tols: Tolerances) -> dict:
     state = fileio.load_state(args.state, tols)
-    return _report(
-        "analyze", {"state": _digest_file(args.state)}, _analysis_results(state, tols)
-    )
+    return _report("analyze", {"state": state.digest}, _analysis_results(state, tols))
 
 
 # ---------------------------------------------------------------- transform
@@ -207,16 +201,17 @@ def _named_basis(name: str, dim: int) -> np.ndarray:
     raise ParseError(f"unknown basis {name!r}; named bases: {', '.join(NAMED_BASES)}")
 
 
-def _basis_arg(source: str, dim: int) -> np.ndarray:
+def _basis_arg(source: str, dim: int) -> tuple[np.ndarray, str | None]:
+    """The basis matrix, and the digest of its file when ``source`` names one."""
     if source in NAMED_BASES or not Path(source).exists():
-        return _named_basis(source, dim)
-    document = fileio._load_json(source)
+        return _named_basis(source, dim), None
+    document, digest = fileio._load_json(source)
     matrix = fileio.matrix_from_json(
         fileio._require(document, "matrix", list, source), f"{source}.matrix"
     )
     if matrix.shape != (dim, dim):
         raise ValidationError(f"{source}: basis shape {matrix.shape} does not match screen dim {dim}")
-    return matrix
+    return matrix, digest
 
 
 def cmd_transform(args, tols: Tolerances) -> dict:
@@ -229,6 +224,7 @@ def cmd_transform(args, tols: Tolerances) -> dict:
     except ValueError:
         raise ParseError(f"--refactor expects comma-separated integers, got {args.refactor!r}")
     state = fileio.load_state(args.state, tols)
+    digests = {"state": state.digest}
     ea = arrangements.make_ea(state.density, state.factorization, state.basis)
     results: dict = {"before_intensities": _float_list(ea.intensities())}
 
@@ -253,7 +249,9 @@ def cmd_transform(args, tols: Tolerances) -> dict:
             raise ValidationError(
                 f"screen {args.screen} out of range 1..{state.factorization.screens}"
             )
-        new_basis = _basis_arg(args.basis, state.factorization.screen_dims[screen])
+        new_basis, basis_digest = _basis_arg(args.basis, state.factorization.screen_dims[screen])
+        if basis_digest:
+            digests["basis"] = basis_digest
         transformed = arrangements.change_detectors(ea, screen, new_basis)
         out_screens[screen] = out_screens[screen] @ new_basis
         results["transform"] = {"screen": args.screen, "basis": args.basis}
@@ -277,7 +275,7 @@ def cmd_transform(args, tols: Tolerances) -> dict:
         )
         fileio.dump_state(args.out_state, document)
         results["state_written"] = args.out_state
-    return _report("transform", {"state": _digest_file(args.state)}, results)
+    return _report("transform", digests, results)
 
 
 # ---------------------------------------------------------------- powers
@@ -286,7 +284,7 @@ def cmd_transform(args, tols: Tolerances) -> dict:
 def cmd_powers(args, tols: Tolerances) -> dict:
     overrides = [_assignment("--override", "label", pair) for pair in args.override or ()]
     state = fileio.load_state(args.state, tols)
-    nodes = fileio.load_projectors(args.projectors)
+    nodes, projectors_digest = fileio.load_projectors(args.projectors)
     graph = powers.build_graph(nodes)
     valuation = powers.isa_from_density(state.density, graph)
     labels = [node.label for node in graph.nodes]
@@ -330,11 +328,7 @@ def cmd_powers(args, tols: Tolerances) -> dict:
         },
         "actualization": [[labels[i], int(bit)] for i, bit in enumerate(actual)],
     }
-    digests = {
-        "state": _digest_file(args.state),
-        "projectors": _digest_file(args.projectors),
-    }
-    return _report("powers", digests, results)
+    return _report("powers", {"state": state.digest, "projectors": projectors_digest}, results)
 
 
 # ---------------------------------------------------------------- werner
@@ -440,7 +434,7 @@ def cmd_witness(args, tols: Tolerances) -> dict:
             "min_expectation": worst,
         },
     }
-    return _report("witness", {"state": _digest_file(args.state)}, results)
+    return _report("witness", {"state": state.digest}, results)
 
 
 # ---------------------------------------------------------------- bell
@@ -468,7 +462,7 @@ def cmd_bell(args, tols: Tolerances) -> dict:
         },
         "region": bell._region(ppt, best.value).value,
     }
-    return _report("bell", {"state": _digest_file(args.state)}, results)
+    return _report("bell", {"state": state.digest}, results)
 
 
 # ---------------------------------------------------------------- instrument
@@ -476,7 +470,7 @@ def cmd_bell(args, tols: Tolerances) -> dict:
 
 def cmd_instrument(args, tols: Tolerances) -> dict:
     state = fileio.load_state(args.state, tols)
-    instrument = fileio.load_instrument(args.instrument)
+    instrument, instrument_digest = fileio.load_instrument(args.instrument)
     valid = locc.is_valid_instrument(instrument)
     results: dict = {"valid": valid, "branch_count": len(instrument.branches)}
     if valid:
@@ -492,11 +486,7 @@ def cmd_instrument(args, tols: Tolerances) -> dict:
             }
             for outcome in outcomes
         ]
-    digests = {
-        "state": _digest_file(args.state),
-        "instrument": _digest_file(args.instrument),
-    }
-    return _report("instrument", digests, results)
+    return _report("instrument", {"state": state.digest, "instrument": instrument_digest}, results)
 
 
 # ---------------------------------------------------------------- wiring

@@ -9,6 +9,7 @@ physical-invariant failures raise ValidationError (CLI exit 3).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import sys
 from dataclasses import dataclass
@@ -93,18 +94,22 @@ def matrix_from_json(rows, path: str) -> np.ndarray:
     return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
 
 
-def _load_json(path: str | Path) -> dict:
+def _load_json(path: str | Path) -> tuple[dict, str]:
+    """A file's top-level JSON object and the ``sha256:`` digest of the bytes it was parsed from."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")  # as read_text
     except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8 text
         raise ParseError(f"{path}: cannot read: {getattr(exc, 'strerror', None) or exc}")
+    digest = "sha256:" + hashlib.sha256(data).hexdigest()
+    del data  # the parse peaks at many times the file's size; hold the text only
     try:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
     if not isinstance(document, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
-    return document
+    return document, digest
 
 
 def _require(document: dict, key: str, kind: type, path: str):
@@ -139,13 +144,14 @@ def _validated(prefix: str, make, *args):
         raise ValidationError(f"{prefix}: {exc}")
 
 
-def _load_document(path: str | Path) -> tuple[dict, str]:
-    """A schema-versioned file's top-level object, with its path as a message prefix."""
-    document, name = _load_json(path), str(path)
+def _load_document(path: str | Path) -> tuple[dict, str, str]:
+    """A schema-versioned file's top-level object, its path as a message prefix, and its digest."""
+    document, digest = _load_json(path)
+    name = str(path)
     version = _require(document, "schema_version", str, name)
     if version != SCHEMA_VERSION:
         raise ParseError(f"{name}.schema_version: unsupported version {version!r}")
-    return document, name
+    return document, name, digest
 
 
 @dataclass(frozen=True)
@@ -156,6 +162,7 @@ class StateFile:
     label: str | None
     has_explicit_factorization: bool
     has_explicit_bases: bool
+    digest: str  # "sha256:" and the hex SHA-256 of the file's bytes
 
 
 def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateFile:
@@ -166,7 +173,7 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
     trace-normalized) before analysis.
     """
     tols = tolerances or Tolerances()
-    document, name = _load_document(path)
+    document, name, digest = _load_document(path)
     dim = _require_dim(document, name)
     matrix = matrix_from_json(_require(document, "matrix", list, name), f"{name}.matrix")
     if matrix.shape != (dim, dim):
@@ -175,7 +182,7 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
     try:
         qlin.require_hermitian(qlin.as_complex(matrix), tols.hermiticity)  # rejects non-finite first
         trace = complex(np.trace(matrix))
-        if abs(trace - 1.0) > tols.trace:
+        if abs(trace - 1.0) > tols.trace or not trace.real > 0:
             raise DomainError(f"matrix violates unit trace (trace {trace:.12g})")
         canonical = (matrix + matrix.conj().T) / 2.0
         canonical /= np.real(np.trace(canonical))
@@ -219,7 +226,7 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
     label = document.get("label")
     if label is not None and not isinstance(label, str):
         raise ParseError(f"{name}.label: expected a string")
-    return StateFile(density, factorization, basis, label, has_factorization, has_bases)
+    return StateFile(density, factorization, basis, label, has_factorization, has_bases, digest)
 
 
 def state_document(
@@ -254,8 +261,9 @@ def dump_state(path: str | Path, document: dict) -> None:
     _write_text(path, render_json(document))
 
 
-def load_projectors(path: str | Path) -> list[PowerNode]:
-    document, name = _load_document(path)
+def load_projectors(path: str | Path) -> tuple[list[PowerNode], str]:
+    """The file's projectors, in order, and the digest of its bytes."""
+    document, name, digest = _load_document(path)
     dim = _require_dim(document, name)
     raw_nodes = _require(document, "projectors", list, name)
     if not raw_nodes:
@@ -276,11 +284,12 @@ def load_projectors(path: str | Path) -> list[PowerNode]:
                 f"{name}.projectors[{k}].matrix: shape {matrix.shape} does not match dim {dim}"
             )
         nodes.append(_validated(f"{name}: projector {label!r} invalid", PowerNode, matrix, label))
-    return nodes
+    return nodes, digest
 
 
-def load_instrument(path: str | Path) -> QuantumInstrument:
-    document, name = _load_document(path)
+def load_instrument(path: str | Path) -> tuple[QuantumInstrument, str]:
+    """The file's instrument and the digest of its bytes."""
+    document, name, digest = _load_document(path)
     raw_branches = _require(document, "branches", list, name)
     if not raw_branches:
         raise ParseError(f"{name}.branches: expected at least one branch")
@@ -296,7 +305,7 @@ def load_instrument(path: str | Path) -> QuantumInstrument:
             for i, mat in enumerate(raw_kraus)
         )
         branches.append(_validated(f"{name}: branch {k} invalid", CPMap, kraus))
-    return _validated(name, QuantumInstrument, tuple(branches))
+    return _validated(name, QuantumInstrument, tuple(branches)), digest
 
 
 def render_json(document: dict) -> str:

@@ -123,8 +123,8 @@ class BlochPoint:
         )
 
     def angles(self) -> tuple[float, float]:
-        """(theta, phi) with theta in [0, pi], phi in [0, 2*pi)."""
-        theta = float(np.arccos(np.clip(self.z / self.norm if self.norm else 0.0, -1.0, 1.0)))
+        """(theta, phi) with theta in [0, pi], phi in [0, 2*pi); the centre gives (pi/2, 0)."""
+        theta = float(np.arctan2(np.hypot(self.x, self.y), self.z)) if self.norm else np.pi / 2
         phi = float(np.arctan2(self.y, self.x)) % (2 * np.pi)
         return theta, phi
 

@@ -1,7 +1,10 @@
+import hashlib
 import json
 import math
+import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,31 @@ from potentia.states import (
 )
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+#: Callables given the path of each file opened while they are registered (see ``on_open``).
+_open_listeners: list = []
+
+
+def _audit_open(event, args):
+    if event == "open" and _open_listeners and isinstance(args[0], (str, os.PathLike)):
+        for listener in _open_listeners:
+            listener(os.fspath(args[0]))
+
+
+# The "open" audit event is raised however a file is opened (builtins, io, pathlib, os).
+# An audit hook cannot be removed; outside ``on_open`` it has no listener and does nothing.
+sys.addaudithook(_audit_open)
+
+
+@pytest.fixture
+def on_open():
+    """Registers a listener for the path of every file opened during the test."""
+    yield _open_listeners.append
+    _open_listeners.clear()
+
+
+def sha256(path) -> str:
+    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -135,7 +163,7 @@ def test_pure_state_schmidt_path_matches_the_eigh_oracle(dims, defect, seed):
     assume(abstract_purity(rho))
     layout = Factorization(dims)
     state = fileio.StateFile(
-        rho, layout, DetectorBasis.computational(layout), None, True, False
+        rho, layout, DetectorBasis.computational(layout), None, True, False, "sha256:"
     )
     reported = _analysis_results(state, fileio.Tolerances())["schmidt_coefficients"]
     oracle = schmidt(PureVector.normalized(herm_eig(rho.matrix).eigenvectors[:, 0]), dims)
@@ -620,6 +648,22 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize(
+        "diagonal, trace", [((0.0, 0.0), "0+0j"), ((-0.25, -0.25), "-0.5+0j")],
+        ids=["zero_trace", "negative_trace"],
+    )
+    def test_non_positive_trace_under_loose_trace_tolerance(
+        self, capsys, tmp_path, diagonal, trace
+    ):
+        # Within --tol trace=2 of 1, but no density operator: exit 3 before any division.
+        path = tmp_path / "state.json"
+        fileio.dump_state(path, {"schema_version": "1", "dim": 2,
+                                 "matrix": fileio.matrix_to_json(np.diag(diagonal))})
+        assert main(["analyze", str(path), "--tol", "trace=2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"validation error: {path}: matrix violates unit trace (trace {trace})\n"
+
+    @pytest.mark.parametrize(
         "argv, code, message",
         [
             (("analyze", "missing.json"), 2,
@@ -758,6 +802,76 @@ class TestExitCodes:
         )
         code, _ = run(capsys, "analyze", noisy, "--config", config)
         assert code == 0
+
+
+class TestInputDigests:
+    @pytest.mark.parametrize(
+        "argv, inputs",
+        [
+            (("analyze", "S/werner_05.json"), ("S/werner_05.json",)),
+            (("analyze", "S/werner_05.json", "--config", "T/config.json"),
+             ("S/werner_05.json", "T/config.json")),
+            (("transform", "S/worked_ea.json", "--screen", "1", "--basis", "hadamard"),
+             ("S/worked_ea.json",)),
+            (("transform", "S/worked_ea.json", "--screen", "1", "--basis", "T/basis.json"),
+             ("S/worked_ea.json", "T/basis.json")),
+            (("transform", "S/worked_ea.json", "--out-state", "T/out.json"), ("S/worked_ea.json",)),
+            (("powers", "S/zero_state.json", "--projectors", "S/qubit_two_bases.json"),
+             ("S/zero_state.json", "S/qubit_two_bases.json")),
+            (("witness", "S/bell_phi_plus.json", "--samples", "100"), ("S/bell_phi_plus.json",)),
+            (("bell", "S/bell_phi_plus.json"), ("S/bell_phi_plus.json",)),
+            (("instrument", "S/bell_phi_plus.json", "--instrument", "S/measure_first_screen.json"),
+             ("S/bell_phi_plus.json", "S/measure_first_screen.json")),
+        ],
+        ids=[
+            "analyze", "analyze_config", "transform_named_basis", "transform_file_basis",
+            "transform_out_state", "powers", "witness", "bell", "instrument",
+        ],
+    )
+    def test_each_input_file_is_opened_once(self, capsys, tmp_path, on_open, argv, inputs):
+        def place(arg: str) -> str:
+            return arg.replace("S/", f"{SAMPLES}/", 1).replace("T/", f"{tmp_path}/", 1)
+
+        (tmp_path / "config.json").write_text('{"tolerances": {}}', encoding="utf-8")
+        hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        (tmp_path / "basis.json").write_text(
+            json.dumps({"matrix": fileio.matrix_to_json(hadamard)}), encoding="utf-8"
+        )
+        opens = Counter()
+        on_open(lambda path: opens.update([path]))
+        code, _ = run(capsys, *map(place, argv))
+        assert code == 0
+        paths = [place(path) for path in inputs]
+        assert {path: opens[path] for path in paths} == dict.fromkeys(paths, 1)
+
+    def test_digest_attests_the_bytes_that_were_analysed(self, capsys, tmp_path, on_open):
+        """A file replaced after its first open: the report describes and attests that open."""
+        state, later = tmp_path / "state.json", tmp_path / "later.json"
+        state.write_bytes((SAMPLES / "zero_state.json").read_bytes())
+        fileio.dump_state(later, fileio.state_document(DensityOperator(np.diag([0.0, 1.0]))))
+        digest = sha256(state)
+        seen = []
+
+        def replace_after_first_open(path):
+            if path == str(state):
+                seen.append(path)
+                if len(seen) == 2:  # any later read sees other bytes
+                    os.replace(later, state)
+
+        on_open(replace_after_first_open)
+        report = run_json(capsys, "analyze", state)
+        assert report["input_digest"] == {"state": digest}
+        assert report["results"] == run_json(capsys, "analyze", SAMPLES / "zero_state.json")["results"]
+
+    def test_basis_file_is_digested_and_named_basis_is_not(self, capsys, tmp_path):
+        basis = tmp_path / "basis.json"
+        basis.write_text(json.dumps({"matrix": fileio.matrix_to_json(np.eye(2))}), encoding="utf-8")
+        worked = SAMPLES / "worked_ea.json"
+        report = run_json(capsys, "transform", worked, "--screen", "1", "--basis", basis)
+        assert report["input_digest"] == {"state": sha256(worked), "basis": sha256(basis)}
+        for name in ("computational", "hadamard"):
+            report = run_json(capsys, "transform", worked, "--screen", "1", "--basis", name)
+            assert report["input_digest"] == {"state": sha256(worked)}
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -137,6 +138,46 @@ class TestStateFiles:
         assert abs(np.trace(loaded.density.matrix) - 1.0) <= 1e-12
 
 
+BROKEN = '{"schema_version": "1",\n  "dim": 2,\n  "matrix": ]\n}'
+VALID = json.dumps({"schema_version": "1", "dim": 1, "matrix": [[[1.0, 0.0]]]}, indent=2)
+
+
+class TestReading:
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (BROKEN.encode(), "invalid JSON at line 3, column 13: Expecting value"),
+            (BROKEN.replace("\n", "\r\n").encode(), "invalid JSON at line 3, column 13: Expecting value"),
+            # Lines end at a lone CR too, as in Path.read_text; a plain decode would say line 1.
+            (BROKEN.replace("\n", "\r").encode(), "invalid JSON at line 3, column 13: Expecting value"),
+            ('{"label": "caf\xe9"}'.encode("latin-1"),
+             "cannot read: 'utf-8' codec can't decode byte 0xe9 in position 14: "
+             "invalid continuation byte"),
+            (None, "cannot read: No such file or directory"),
+            ("directory", "cannot read: Is a directory"),
+        ],
+        ids=["lf", "crlf", "cr_only", "not_utf8", "missing", "directory"],
+    )
+    def test_parse_error_text(self, tmp_path, content, message):
+        path = tmp_path / "input.json"
+        if content == "directory":
+            path.mkdir()
+        elif content is not None:
+            path.write_bytes(content)
+        with pytest.raises(ParseError) as raised:
+            fileio._load_json(path)
+        assert str(raised.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr_only"])
+    def test_digest_is_of_the_bytes_read(self, tmp_path, newline):
+        content = VALID.replace("\n", newline).encode()
+        path = tmp_path / "state.json"
+        path.write_bytes(content)
+        digest = "sha256:" + hashlib.sha256(content).hexdigest()
+        assert fileio._load_json(path) == (json.loads(VALID), digest)
+        assert load_state(path).digest == digest
+
+
 class TestProjectorFiles:
     def test_load(self, tmp_path):
         payload = {
@@ -148,7 +189,7 @@ class TestProjectorFiles:
             ],
         }
         path = write(tmp_path, "projectors.json", payload)
-        nodes = load_projectors(path)
+        nodes, _ = load_projectors(path)
         assert [node.label for node in nodes] == ["Z0", "P1"]
 
     def test_non_projector_names_node(self, tmp_path):
@@ -192,7 +233,7 @@ class TestInstrumentFiles:
             ],
         }
         path = write(tmp_path, "instrument.json", payload)
-        instrument = load_instrument(path)
+        instrument, _ = load_instrument(path)
         assert len(instrument.branches) == 2
 
     def test_trace_increasing_branch_rejected(self, tmp_path):

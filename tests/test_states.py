@@ -191,6 +191,19 @@ class TestBloch:
         with pytest.raises(DomainError):
             BlochPoint(1.0, 1.0, 0.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(0.0, np.pi, exclude_min=True, exclude_max=True),
+        st.floats(0.0, 2 * np.pi, exclude_max=True),
+    )
+    def test_angles_roundtrip(self, theta, phi):
+        point = BlochPoint.from_angles(theta, phi)
+        back = BlochPoint.from_angles(*point.angles())
+        assert max(abs(back.x - point.x), abs(back.y - point.y), abs(back.z - point.z)) <= 1e-12
+
+    def test_center_angles(self):
+        assert BlochPoint(0.0, 0.0, 0.0).angles() == (np.pi / 2, 0.0)
+
 
 class TestShadow:
     def test_on_itself(self):

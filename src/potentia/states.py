@@ -3,6 +3,7 @@ the two rival purity predicates, shadows, and mixture decompositions."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -60,16 +61,32 @@ class PureVector:
         return cls(amps / norm)
 
 
+def _clears_half_floor(mat: np.ndarray) -> bool:
+    """True if Cholesky factors ``mat`` with ``-EIGENVALUE_FLOOR / 2`` added to
+    its diagonal.  Like ``eigvalsh`` it reads the lower triangle.  Its backward
+    error, about (N+1)·u·Tr(mat) (Higham, Thm 10.3), is far below that shift,
+    so True proves the least eigenvalue lies above ``EIGENVALUE_FLOOR``."""
+    shifted = np.array(mat)
+    shifted.flat[:: len(mat) + 1] -= EIGENVALUE_FLOOR / 2
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Trace-one positive-semidefinite Hermitian matrix.
 
-    ``eigenvalues`` is the spectrum the positivity check computes, ascending
-    and read-only; every spectral quantity of the state reads it.
+    Positivity is certified by one Cholesky factorization of the matrix
+    shifted by half the eigenvalue floor; only a matrix it cannot clear has
+    its spectrum solved, and that spectrum decides and is kept.
+    ``eigenvalues`` is the spectrum, ascending and read-only, computed once,
+    on first read; every spectral quantity of the state reads it.
     """
 
     matrix: np.ndarray
-    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = qlin.as_complex(self.matrix)
@@ -77,12 +94,17 @@ class DensityOperator:
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > TRACE_TOL:
             raise DomainError(f"trace is {trace:.12g}, expected 1 within {TRACE_TOL:g}")
-        eigenvalues = np.linalg.eigvalsh(mat)
-        min_eig = float(eigenvalues[0])
-        if min_eig < EIGENVALUE_FLOOR:
-            raise DomainError(f"negative eigenvalue {min_eig:.3e} below floor {EIGENVALUE_FLOOR:g}")
         object.__setattr__(self, "matrix", frozen(mat))
-        object.__setattr__(self, "eigenvalues", frozen(eigenvalues))
+        if not _clears_half_floor(self.matrix):
+            eigenvalues = np.linalg.eigvalsh(self.matrix)
+            min_eig = float(eigenvalues[0])
+            if min_eig < EIGENVALUE_FLOOR:
+                raise DomainError(f"negative eigenvalue {min_eig:.3e} below floor {EIGENVALUE_FLOOR:g}")
+            object.__setattr__(self, "eigenvalues", frozen(eigenvalues))
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return frozen(np.linalg.eigvalsh(self.matrix))
 
     @property
     def dim(self) -> int:

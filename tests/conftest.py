@@ -12,10 +12,11 @@ def rng():
 @pytest.fixture
 def eigensolve_counter(monkeypatch):
     """Counts calls of ``numpy.linalg.eigvalsh`` during one test, keyed by the
-    shape of the input matrix, and of ``numpy.linalg.eigh`` and ``svd``, keyed
-    by ``("eigh", shape)`` and ``("svd", shape)``."""
+    shape of the input matrix, and of ``numpy.linalg.eigh``, ``svd`` and
+    ``cholesky``, keyed by ``("eigh", shape)``, ``("svd", shape)`` and
+    ``("cholesky", shape)``."""
     counts: Counter = Counter()
-    for name in ("eigvalsh", "eigh", "svd"):
+    for name in ("eigvalsh", "eigh", "svd", "cholesky"):
         def counted(a, *args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
             counts[np.shape(a) if _name == "eigvalsh" else (_name, np.shape(a))] += 1
             return _solve(a, *args, **kwargs)

@@ -615,3 +615,29 @@ class TestDetectorSteps:
         monkeypatch.setattr(arrangements, "_kron_left", counted)
         assert ea_equivalent(ea, changed)
         assert applied == [((2, 3, 4), screen)] * 2
+
+
+class TestEigensolves:
+    """Arrangements certify their state and never read its spectrum."""
+
+    def test_public_constructor_solves_no_spectrum(self, rng, eigensolve_counter):
+        matrix = random_density(24, rng).matrix
+        basis = random_unitary(24, rng)
+        eigensolve_counter.clear()
+        ExperimentalArrangement(matrix, Factorization((2, 3, 4)), basis)
+        assert eigensolve_counter == {("cholesky", (24, 24)): 1}
+
+    def test_pipeline_solves_nothing(self, rng, eigensolve_counter):
+        """``make_ea`` takes a checked state, and detector changes and
+        ``ea_equivalent`` need no spectrum."""
+        dims = (2, 3, 4)
+        rho = random_density(24, rng)
+        bases = DetectorBasis(tuple(random_unitary(d, rng) for d in dims))
+        factors = [random_unitary(d, rng) for d in dims]
+        eigensolve_counter.clear()
+        ea = make_ea(rho, Factorization(dims), bases)
+        changed = ea
+        for screen, v in enumerate(factors):
+            changed = change_detectors(changed, screen, v)
+        assert ea_equivalent(ea, changed)
+        assert not eigensolve_counter

@@ -349,9 +349,10 @@ class TestWerner:
     def test_scan_solves_each_point_once(self, capsys, eigensolve_counter):
         code, _ = run(capsys, "werner", "--scan", "0,1,101")
         assert code == 0
-        # Per row: the state check and the partial transpose.  Each boundary
-        # bisection evaluates 32 states; the PPT one also solves their transposes.
-        assert eigensolve_counter[(4, 4)] == 101 * 2 + 32 * 2 + 32
+        # Per row: the partial transpose and the spectrum the entropy reads.
+        # The PPT bisection solves the transposes of its 32 states; building a
+        # state solves nothing.
+        assert eigensolve_counter[(4, 4)] == 101 * 2 + 32
         # Two per chsh_max: one call per row and per CHSH bisection step.
         assert eigensolve_counter[("svd", (3, 3))] == (101 + 32) * 2
 
@@ -388,8 +389,9 @@ class TestWitness:
     def test_partial_transpose_is_solved_once(self, capsys, eigensolve_counter):
         code, _ = run(capsys, "witness", SAMPLES / "bell_phi_plus.json", "--samples", "200")
         assert code == 0
-        # The state check, then one eigh that gives the witness and min_pt_eigenvalue.
-        assert eigensolve_counter[(4, 4)] == 1
+        # One eigh gives the witness and min_pt_eigenvalue; the state check
+        # and the report read no spectrum.
+        assert eigensolve_counter[(4, 4)] == 0
         assert eigensolve_counter[("eigh", (4, 4))] == 1
 
     def test_verdict_tolerance_decides_the_witness(self, capsys, tmp_path):

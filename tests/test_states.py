@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from potentia.powers import ISAValuation, PowerNode, build_graph, isa_from_densi
 from potentia.qlin import herm_eig
 from potentia.sampling import random_density, random_pure, random_unitary
 from potentia.states import (
+    EIGENVALUE_FLOOR,
     BlochPoint,
     DensityOperator,
     MixtureDecomposition,
@@ -57,6 +60,21 @@ class TestDensityFromVector:
             PureVector([1.0, 1.0])
 
 
+#: Least eigenvalues planted on and around the floor and half the floor, where
+#: eigvalsh and the Cholesky certificate decide.
+PLANTED_LEAST_EIGENVALUES = (
+    -2e-7,
+    -1e-7 * (1 - 1e-7),
+    -1e-7,
+    -1e-7 * (1 + 1e-7),
+    -5e-8 * (1 - 1e-7),
+    -5e-8,
+    -5e-8 * (1 + 1e-7),
+    -1e-9,
+    0.0,
+)
+
+
 class TestSpectrum:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 8), st.integers(0, 2**32 - 1))
@@ -67,6 +85,45 @@ class TestSpectrum:
         assert np.all(np.diff(rho.eigenvalues) >= 0)
         with pytest.raises(ValueError):
             rho.eigenvalues[0] = 1.0
+
+    def test_construction_certifies_with_one_cholesky(self, rng, eigensolve_counter):
+        matrix = random_density(12, rng).matrix
+        eigensolve_counter.clear()
+        DensityOperator(matrix)
+        assert eigensolve_counter == {("cholesky", (12, 12)): 1}
+
+    def test_spectrum_is_solved_once_on_first_read(self, rng, eigensolve_counter):
+        rho = random_density(12, rng)
+        eigensolve_counter.clear()
+        first = rho.eigenvalues
+        assert rho.eigenvalues is first
+        assert eigensolve_counter == {(12, 12): 1}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 16),
+        st.one_of(st.sampled_from(PLANTED_LEAST_EIGENVALUES), st.floats(1e-12, 1e-2)),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_positivity_decision_is_the_eigvalsh_rule(self, dim, least, seed):
+        """A state is accepted iff its eigvalsh minimum lies at or above
+        EIGENVALUE_FLOOR, and rejected with that minimum in the message."""
+        rng = np.random.default_rng(seed)
+        rest = rng.uniform(0.1, 1.0, dim - 1)
+        spectrum = np.concatenate([[least], rest * (1 - least) / rest.sum()]) if dim > 1 else [1.0]
+        u = random_unitary(dim, rng)
+        matrix = (u * spectrum) @ u.conj().T
+        oracle = np.linalg.eigvalsh(matrix)
+        if oracle[0] >= EIGENVALUE_FLOOR:
+            rho = DensityOperator(matrix)
+            assert np.array_equal(rho.eigenvalues, oracle)
+            with pytest.raises(FrozenInstanceError):
+                rho.eigenvalues = oracle
+        else:
+            with pytest.raises(DomainError) as excinfo:
+                DensityOperator(matrix)
+            expected = f"negative eigenvalue {oracle[0]:.3e} below floor {EIGENVALUE_FLOOR:g}"
+            assert str(excinfo.value) == expected
 
     def test_purity_is_the_trace_of_the_square(self, rng):
         for dim in (1, 3, 6):

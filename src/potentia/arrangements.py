@@ -20,7 +20,6 @@ from .errors import CapacityError, DegenerateConditioningError, DomainError, Sha
 from .qlin import dagger, frozen, max_abs
 from .states import DensityOperator
 
-INTENSITY_TOL = 1e-8
 #: Conditioning refuses projectors with smaller overlap.
 OVERLAP_FLOOR = 1e-12
 EQUIVALENCE_TOL = 1e-10
@@ -84,14 +83,6 @@ class DetectorBasis:
         return cls(tuple(np.eye(d, dtype=np.complex128) for d in factorization.screen_dims))
 
 
-def _require_intensities(mat: np.ndarray) -> None:
-    diag = np.real(np.diag(mat))
-    if np.any(diag < -INTENSITY_TOL) or np.any(diag > 1 + INTENSITY_TOL):
-        raise DomainError("diagonal intensities stray outside [0, 1]")
-    if abs(float(diag.sum()) - 1.0) > INTENSITY_TOL:
-        raise DomainError(f"intensities sum to {diag.sum():.12f}, expected 1")
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class ExperimentalArrangement:
     """A density operator carved into screens and detectors.
@@ -118,15 +109,15 @@ class ExperimentalArrangement:
             if arr.shape != (n, n):
                 raise ShapeError(f"{what} is {arr.shape}, factorization degree is {n}")
         qlin.require_isometry(basis, what="basis matrix")
-        _require_intensities(mat)
-        DensityOperator(mat)  # the matrix itself must be a state
-        vars(self).update(matrix=frozen(mat), steps=(((n,), {0: frozen(basis)}),))
+        rho = DensityOperator(mat)  # the one state check
+        vars(self).update(matrix=rho.matrix, steps=(((n,), {0: frozen(basis)}),))
 
     @classmethod
     def _trusted(cls, matrix, factorization, steps) -> "ExperimentalArrangement":
-        """Arrangement derived from checked values, skipping the shape and isometry
-        checks that hold by construction; the O(N) intensity check still runs."""
-        _require_intensities(matrix)
+        """Arrangement whose matrix is already an accepted state, in new detectors or
+        a new factorization, or conditioned and checked by ``restrict``; it checks
+        nothing.  An intensity bound could only reject what the floor accepts, so
+        readouts clip to [0, 1] instead."""
         ea = object.__new__(cls)
         vars(ea).update(matrix=frozen(matrix), factorization=factorization, steps=steps)
         return ea
@@ -273,7 +264,8 @@ def restrict(
 
     Projects onto the span of the kept detector vectors and renormalizes
     (P rho P / Tr(P rho P)); the result lives on the kept detectors in
-    their own coordinates.
+    their own coordinates.  It is a new state and is checked as one: the
+    renormalization scales floor-sized negativity by 1 / Tr(P rho P).
     """
     dims = ea.factorization.screen_dims
     if len(kept_detectors) != len(dims):
@@ -294,8 +286,14 @@ def restrict(
         raise DegenerateConditioningError(
             f"kept detectors carry total intensity {overlap:.3e}; cannot condition"
         )
+    try:
+        conditioned = DensityOperator(block / overlap)
+    except DomainError as exc:
+        raise DegenerateConditioningError(
+            f"kept detectors carry total intensity {overlap:.3e}; conditioned, {exc}"
+        ) from None
     reduced = Factorization(tuple(len(k) for k in kept))
-    return ExperimentalArrangement._trusted(block / overlap, reduced, ())
+    return ExperimentalArrangement._trusted(conditioned.matrix, reduced, ())
 
 
 def multiscreen_effect(

@@ -13,12 +13,11 @@ import numpy as np
 
 from . import qlin
 from .errors import DomainError, ShapeError
-from .states import NORM_TOL, PAULI_X, PAULI_Y, PAULI_Z, DensityOperator
+from .states import EIGENVALUE_FLOOR, NORM_TOL, PAULI_X, PAULI_Y, PAULI_Z, TRACE_TOL, DensityOperator
 from .entanglement import SeparabilityVerdict, Verdict, WernerRegion, ppt_criterion, werner
 
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
-CORRELATION_TOL = 1e-9
 CHSH_TOL = 1e-9
 #: Components below this magnitude are skipped when fixing a singular-vector sign.
 SIGN_FLOOR = 1e-12
@@ -30,15 +29,20 @@ _PAULI_PAIRS = np.array([[np.kron(si, sj) for sj in _PAULIS] for si in _PAULIS])
 
 @dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
+    """t[i, j] = Tr(rho s_i (x) s_j).  Entries and singular values may exceed 1
+    by as much as those of an accepted two-qubit state can."""
+
     t: np.ndarray
 
     def __post_init__(self):
         mat = np.asarray(self.t, dtype=np.float64)
         if mat.shape != (3, 3):
             raise ShapeError(f"correlation matrix must be 3x3, got {mat.shape}")
-        if not np.max(np.abs(mat)) <= 1 + CORRELATION_TOL:
+        # Each is a Tr(rho O), ||O|| = 1: at most ||rho||_1, and at most 3 eigenvalues are < 0.
+        bound = 1 + TRACE_TOL - 6 * EIGENVALUE_FLOOR
+        if not np.max(np.abs(mat)) <= bound:
             raise DomainError("correlation entries must lie in [-1, 1]")
-        if np.max(np.linalg.svd(mat, compute_uv=False)) > 1 + CORRELATION_TOL:
+        if np.max(np.linalg.svd(mat, compute_uv=False)) > bound:
             raise DomainError("correlation singular values must not exceed 1")
         object.__setattr__(self, "t", qlin.frozen(mat))
 

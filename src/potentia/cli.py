@@ -223,6 +223,8 @@ def cmd_transform(args, tols: Tolerances) -> dict:
         dims = tuple(int(part) for part in args.refactor.split(",")) if args.refactor else None
     except ValueError:
         raise ParseError(f"--refactor expects comma-separated integers, got {args.refactor!r}")
+    if dims and min(dims) < 1:
+        raise ParseError(f"--refactor expects positive screen dims, got {args.refactor!r}")
     state = fileio.load_state(args.state, tols)
     digests = {"state": state.digest}
     ea = arrangements.make_ea(state.density, state.factorization, state.basis)
@@ -231,14 +233,6 @@ def cmd_transform(args, tols: Tolerances) -> dict:
     out_factorization = state.factorization
     out_screens = list(state.basis.screens)
     if args.refactor:
-        identity_like = all(
-            qlin.max_abs(screen - np.eye(screen.shape[0])) < IDENTITY_TOL for screen in out_screens
-        )
-        if not identity_like:
-            raise ValidationError(
-                "refactor of a file with non-computational detector bases cannot be "
-                "expressed in the state-file schema; change detectors back first"
-            )
         transformed = arrangements.refactor(ea, Factorization(dims))
         out_factorization = transformed.factorization
         out_screens = list(DetectorBasis.computational(out_factorization).screens)
@@ -264,6 +258,13 @@ def cmd_transform(args, tols: Tolerances) -> dict:
     results["degree"] = transformed.degree
 
     if args.out_state:
+        if args.refactor and any(
+            qlin.max_abs(screen - np.eye(len(screen))) >= IDENTITY_TOL for screen in state.basis.screens
+        ):
+            raise ValidationError(
+                "refactor of a file with non-computational detector bases cannot be "
+                "expressed in the state-file schema; change detectors back first"
+            )
         emit_factorization = state.has_explicit_factorization or bool(args.refactor)
         # Refactored layouts start from computational detectors.
         emit_bases = not args.refactor and (state.has_explicit_bases or args.screen is not None)

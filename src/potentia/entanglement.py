@@ -81,9 +81,9 @@ def schmidt_rank(vector: PureVector, dims: Sequence[int]) -> int:
 
 
 def _entropy_bits(spectrum: np.ndarray) -> float:
-    """-sum(p log2 p) over a spectrum, in bits."""
-    values = qlin.clip_spectrum(spectrum)
-    positive = values[values > 0]
+    """-sum(p log2 p) over a spectrum clipped to [0, 1], in bits: never negative."""
+    clipped = np.clip(spectrum, 0.0, 1.0)
+    positive = clipped[clipped > 0]
     return float(-np.sum(positive * np.log2(positive))) + 0.0
 
 

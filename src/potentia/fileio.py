@@ -193,8 +193,8 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
     has_factorization = "factorization" in document
     if has_factorization:
         dims = document["factorization"]
-        if not isinstance(dims, list) or not all(_is_int(d) for d in dims):
-            raise ParseError(f"{name}.factorization: expected a list of integers")
+        if not isinstance(dims, list) or not dims or not all(_is_int(d) and d > 0 for d in dims):
+            raise ParseError(f"{name}.factorization: expected a nonempty list of positive integers")
         factorization = Factorization(tuple(dims))
         if factorization.degree != dim:
             raise ValidationError(

@@ -27,10 +27,6 @@ ISOMETRY_TOL = 1e-9
 #: Default tolerance for commutator tests.
 COMMUTE_TOL = 1e-8
 
-#: Eigenvalues in [-PSD_CLIP, 0) are treated as eigensolver noise on
-#: rank-deficient projectors and clipped to zero in PSD contexts.
-PSD_CLIP = 1e-7
-
 
 def as_complex(matrix: np.ndarray | Sequence) -> np.ndarray:
     """Return ``matrix`` as a C-contiguous complex128 2-D array."""
@@ -200,10 +196,3 @@ def commutes(p: np.ndarray, q: np.ndarray, tol: float = COMMUTE_TOL) -> bool:
     if p.shape != q.shape or p.shape[0] != p.shape[1]:
         raise ShapeError(f"commutator needs equal square shapes, got {p.shape} vs {q.shape}")
     return max_abs(p @ q - q @ p) <= tol
-
-
-def clip_spectrum(values: np.ndarray) -> np.ndarray:
-    """Zero out eigenvalues in [-PSD_CLIP, 0); leave anything below -PSD_CLIP alone."""
-    out = np.array(values, dtype=np.float64)
-    out[(out < 0) & (out >= -PSD_CLIP)] = 0.0
-    return out

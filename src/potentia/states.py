@@ -121,14 +121,16 @@ class DensityOperator:
 
 @dataclass(frozen=True)
 class BlochPoint:
-    """Point of the qubit Bloch ball in Cartesian coordinates."""
+    """Point of the qubit Bloch ball in Cartesian coordinates.  The norm may
+    exceed 1 by as much as the Bloch vector of an accepted state can."""
 
     x: float
     y: float
     z: float
 
     def __post_init__(self):
-        if not self.norm <= 1.0 + NORM_TOL:
+        # rho = (Tr(rho) I + r.sigma) / 2 has least eigenvalue (Tr(rho) - |r|) / 2.
+        if not self.norm <= 1.0 + TRACE_TOL - 2 * EIGENVALUE_FLOOR:
             raise DomainError(f"Bloch point norm {self.norm:.12f} exceeds 1")
 
     @property

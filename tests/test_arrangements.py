@@ -21,9 +21,18 @@ from potentia.arrangements import (
     refactor,
     restrict,
 )
+from potentia.bell import chsh_max, correlation_matrix
 from potentia.errors import CapacityError, DegenerateConditioningError, DomainError, ShapeError
+from potentia.powers import PowerNode, build_graph, isa_from_density
+from potentia.qlin import dagger, partial_trace
 from potentia.sampling import random_density, random_unitary
-from potentia.states import DensityOperator, PureVector, density_from_vector
+from potentia.states import (
+    EIGENVALUE_FLOOR,
+    DensityOperator,
+    PureVector,
+    bloch_from_density,
+    density_from_vector,
+)
 
 from conftest import projector
 
@@ -101,9 +110,10 @@ class TestPublicConstructor:
             ExperimentalArrangement(worked_state().matrix, TWO_SCREENS, np.eye(2))
 
     def test_rejects_intensities_outside_unit_interval(self):
-        with pytest.raises(DomainError, match="outside"):
+        # The state check rejects both: no intensity check of its own is needed.
+        with pytest.raises(DomainError, match="eigenvalue"):
             ExperimentalArrangement(np.diag([1.5, -0.5, 0.0, 0.0]), TWO_SCREENS, np.eye(4))
-        with pytest.raises(DomainError, match="sum"):
+        with pytest.raises(DomainError, match="trace"):
             ExperimentalArrangement(np.diag([0.5, 0.0, 0.0, 0.0]), TWO_SCREENS, np.eye(4))
 
     def test_rejects_non_state_matrix(self):
@@ -113,15 +123,17 @@ class TestPublicConstructor:
                 np.array([[0.5, 0.9], [0.9, 0.5]]), Factorization((2,)), np.eye(2)
             )
 
-    def test_detector_change_still_checks_new_intensities(self):
-        # A state whose low eigenvalue -5e-8 passes EIGENVALUE_FLOOR; a
-        # Hadamard turns it into a diagonal entry below -INTENSITY_TOL.
+    def test_detector_change_accepts_what_the_floor_accepts(self):
+        # A state whose low eigenvalue -5e-8 passes EIGENVALUE_FLOOR; a Hadamard
+        # puts it on the diagonal.  The same state in new detectors is accepted.
         off = 0.5 + 5e-8
         ea = ExperimentalArrangement(
             np.array([[0.5, off], [off, 0.5]]), Factorization((2,)), np.eye(2)
         )
-        with pytest.raises(DomainError, match="outside"):
-            change_detectors(ea, 0, HADAMARD)
+        changed = change_detectors(ea, 0, HADAMARD)
+        assert np.real(changed.matrix[1, 1]) < 0
+        assert np.all((changed.intensities() >= 0) & (changed.intensities() <= 1))
+        assert ea_equivalent(ea, changed)
 
     def test_derived_arrangements_are_read_only(self):
         changed = change_detectors(worked_ea(), 0, HADAMARD)
@@ -240,6 +252,13 @@ class TestRestrict:
         ea = worked_ea()
         with pytest.raises(DegenerateConditioningError):
             restrict(ea, [(0,), (1,)])  # the (1,2) detector never fires
+
+    def test_conditioned_negativity_past_the_floor_rejected(self):
+        # An accepted state; conditioning divides its -9e-8 by the kept intensity 9.1e-7.
+        rho = DensityOperator(np.diag([1 - 1e-6 + 9e-8, -9e-8, 0.0, 1e-6]))
+        ea = make_ea(rho, TWO_SCREENS, DetectorBasis.computational(TWO_SCREENS))
+        with pytest.raises(DegenerateConditioningError, match="below floor"):
+            restrict(ea, [(0, 1), (1,)])
 
     def test_sequential_matches_combined(self, rng):
         rho = random_density(8, rng)
@@ -641,3 +660,77 @@ class TestEigensolves:
             changed = change_detectors(changed, screen, v)
         assert ea_equivalent(ea, changed)
         assert not eigensolve_counter
+
+
+def in_unit_interval(values) -> bool:
+    values = np.asarray(values, dtype=float)
+    return bool(np.all((values >= 0) & (values <= 1)))
+
+
+@st.composite
+def floor_states(draw):
+    """A state U D U^dag, U a product of per-screen Haar unitaries, D diagonal with
+    one entry planted in [0.99 EIGENVALUE_FLOOR, 0]: the screen bases ``U_k`` are
+    the frame that puts that entry on the diagonal."""
+    dims = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+    n = dims[0] * dims[1]
+    low = draw(st.floats(0.99 * EIGENVALUE_FLOOR, 0.0))
+    rest = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n - 1, max_size=n - 1)))
+    rest = rest if rest.sum() > 0 else np.ones(n - 1)
+    at = draw(st.integers(0, n - 1))
+    spectrum = np.insert(rest * (1 - low) / rest.sum(), at, low)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    us = tuple(random_unitary(d, rng) for d in dims)
+    u = np.kron(*us)
+    return dims, us, at, low, DensityOperator((u * spectrum) @ dagger(u))
+
+
+class TestFloorStates:
+    """A state ``DensityOperator`` accepts is accepted in every frame, and every
+    readout of it lies in [0, 1].  Conditioning makes a new state, checked again."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(floor_states())
+    def test_accepted_in_every_frame(self, case):
+        dims, us, at, low, rho = case
+        factorization = Factorization(dims)
+        computational = make_ea(rho, factorization, DetectorBasis.computational(factorization))
+        eigenframe = make_ea(rho, factorization, DetectorBasis(us))
+        assert abs(np.real(eigenframe.matrix[at, at]) - low) <= 1e-12  # the planted eigenvalue
+        into, out_of = computational, eigenframe
+        for screen, u in enumerate(us):
+            into = change_detectors(into, screen, u)
+            out_of = change_detectors(out_of, screen, dagger(u))
+        assert ea_equivalent(computational, into)
+        assert ea_equivalent(eigenframe, into)
+        assert ea_equivalent(computational, out_of)
+
+        planted = factorization.multi_index(at)
+        top = factorization.multi_index(int(np.argmax(np.real(np.diag(eigenframe.matrix)))))
+        flat = refactor(eigenframe, Factorization((rho.dim,)))
+        for ea in (computational, eigenframe, into, out_of, flat):
+            assert in_unit_interval(ea.intensities())
+        # Keeping {planted, top} per screen divides ``low`` by the kept intensity.
+        kept = [sorted({a, b}) for a, b in zip(planted, top)]
+        rows = np.ravel_multi_index(np.ix_(*kept), dims).ravel()
+        block = eigenframe.matrix[np.ix_(rows, rows)]
+        conditioned_low = np.linalg.eigvalsh(block / np.trace(block).real)[0]
+        if conditioned_low >= EIGENVALUE_FLOOR + 1e-12:
+            assert in_unit_interval(restrict(eigenframe, kept).intensities())
+        elif conditioned_low < EIGENVALUE_FLOOR - 1e-12:
+            with pytest.raises(DegenerateConditioningError, match="below floor"):
+                restrict(eigenframe, kept)
+        assert in_unit_interval(restrict(eigenframe, [range(d) for d in dims]).intensities())
+        for ea in (computational, eigenframe, into, out_of):
+            assert in_unit_interval(multiscreen_effect(ea, planted))
+            assert in_unit_interval([power_intensity(ea, planted)])
+
+        vector = np.kron(*(u[:, k] for u, k in zip(us, planted)))
+        graph = build_graph([PowerNode(np.outer(vector, vector.conj()), "planted")])
+        assert in_unit_interval(isa_from_density(rho, graph).potentia)
+
+        for screen in (k for k, d in enumerate(dims) if d == 2):
+            bloch_from_density(DensityOperator(partial_trace(rho.matrix, dims, (screen,))))
+        if dims == (2, 2):
+            correlation_matrix(rho)
+            chsh_max(rho)

@@ -229,11 +229,11 @@ class TestTransform:
         assert results["after_intensities"] == pytest.approx(results["before_intensities"])
         assert results["equivalent"] is True
 
-    def test_refactor_with_detector_bases_rejected(self, capsys, tmp_path):
+    @staticmethod
+    def rotated_state_file(tmp_path) -> Path:
+        """worked_ea.json with Hadamard detectors on screen 1."""
         loaded = fileio.load_state(SAMPLES / "worked_ea.json")
         hadamard = np.array([[1, 1], [1, -1]]).astype(complex) / np.sqrt(2)
-        from potentia.arrangements import DetectorBasis
-
         source = tmp_path / "rotated.json"
         fileio.dump_state(
             source,
@@ -243,8 +243,20 @@ class TestTransform:
                 DetectorBasis((hadamard, np.eye(2, dtype=complex))),
             ),
         )
-        code, _ = run(capsys, "transform", source, "--refactor", "4")
+        return source
+
+    def test_refactor_with_detector_bases_rejected(self, capsys, tmp_path):
+        # Only the emitted file cannot express the refactor of such bases.
+        out_state = tmp_path / "out.json"
+        source = self.rotated_state_file(tmp_path)
+        code, _ = run(capsys, "transform", source, "--refactor", "4", "--out-state", out_state)
         assert code == 3
+        assert not out_state.exists()
+
+    def test_refactor_with_detector_bases_reports_without_out_state(self, capsys, tmp_path):
+        report = run_json(capsys, "transform", self.rotated_state_file(tmp_path), "--refactor", "4")
+        assert report["results"]["equivalent"] is True
+        assert report["results"]["transform"] == {"refactor": [4]}
 
 
     @pytest.mark.parametrize(
@@ -258,8 +270,12 @@ class TestTransform:
             (("--basis", "hadamard"), "parse error: --basis needs --screen"),
             (("--refactor", "2x2"),
              "parse error: --refactor expects comma-separated integers, got '2x2'"),
+            (("--refactor", "0,4"), "parse error: --refactor expects positive screen dims, got '0,4'"),
+            (("--refactor=-2,-2",),
+             "parse error: --refactor expects positive screen dims, got '-2,-2'"),
         ],
-        ids=["refactor_screen", "refactor_basis", "screen_alone", "basis_alone", "refactor_not_dims"],
+        ids=["refactor_screen", "refactor_basis", "screen_alone", "basis_alone", "refactor_not_dims",
+             "refactor_zero_dim", "refactor_negative_dims"],
     )
     def test_option_combinations_that_would_be_ignored(self, capsys, tmp_path, flags, message):
         # Options are checked before the state file is read, so a missing file reports them too.
@@ -649,6 +665,18 @@ class TestExitCodes:
             "(max Gram error 3.000e+00)\n"
         )
 
+    @pytest.mark.parametrize("dims", [[0, 4], [-2, -2], []], ids=["zero", "negative", "empty"])
+    def test_non_positive_factorization_is_parse_error(self, capsys, tmp_path, dims):
+        path = tmp_path / "state.json"
+        fileio.dump_state(path, {"schema_version": "1", "dim": 4, "factorization": dims,
+                                 "matrix": fileio.matrix_to_json(np.eye(4) / 4)})
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"parse error: {path}.factorization: expected a nonempty list of positive integers\n"
+        )
+
     @pytest.mark.parametrize(
         "diagonal, trace", [((0.0, 0.0), "0+0j"), ((-0.25, -0.25), "-0.5+0j")],
         ids=["zero_trace", "negative_trace"],
@@ -874,6 +902,41 @@ class TestInputDigests:
         for name in ("computational", "hadamard"):
             report = run_json(capsys, "transform", worked, "--screen", "1", "--basis", name)
             assert report["input_digest"] == {"state": sha256(worked)}
+
+
+class TestFloorState:
+    """A state within the eigenvalue floor is accepted by every command that reads it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze",),
+            ("bell",),
+            ("transform", "--screen", "1", "--basis", "hadamard"),
+            ("powers", "--projectors", "negative.json"),
+            ("witness",),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_command_accepts_it(self, capsys, tmp_path, monkeypatch, argv):
+        # (1 + d)|phi+><phi+| - (d / 3)(I - |phi+><phi+|): lambda_min = -5e-8 lies on the
+        # diagonal (|01>, |10>) and above EIGENVALUE_FLOOR; the correlations reach 1 + 2e-7.
+        d = 1.5e-7
+        phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
+        rho = (1 + d + d / 3) * np.outer(phi, phi) - d / 3 * np.eye(4)
+        monkeypatch.chdir(tmp_path)
+        state = fileio.state_document(DensityOperator(rho), Factorization((2, 2)))
+        fileio.dump_state("floor.json", state)
+        negative = {"schema_version": "1", "dim": 4, "projectors": [
+            {"label": "|01><01|", "matrix": fileio.matrix_to_json(np.diag([0.0, 1.0, 0.0, 0.0]))}
+        ]}
+        fileio.dump_state("negative.json", negative)
+        for report_format in ("json", "text"):
+            assert main([argv[0], "floor.json", *argv[1:], "--format", report_format]) == 0
+            out, err = capsys.readouterr()
+            assert err == ""
+            if argv == ("analyze",) and report_format == "json":
+                assert json.loads(out)["results"]["entropy_bits"] >= 0  # lambda_max > 1
 
 
 class TestDeterminism:

@@ -286,6 +286,7 @@ def cmd_powers(args, tols: Tolerances) -> dict:
     overrides = [_assignment("--override", "label", pair) for pair in args.override or ()]
     state = fileio.load_state(args.state, tols)
     nodes, projectors_digest = fileio.load_projectors(args.projectors)
+    powers._require_nodes(len(nodes))
     graph = powers.build_graph(nodes)
     valuation = powers.isa_from_density(state.density, graph)
     labels = [node.label for node in graph.nodes]

@@ -36,6 +36,8 @@ class CPMap:
         shape = None
         for k, raw in enumerate(self.kraus):
             mat = qlin.as_complex(raw)
+            if max(mat.shape) > qlin.DIM_CAP:
+                raise CapacityError(f"Kraus operator {k} is {mat.shape}, above the cap of {qlin.DIM_CAP}")
             if shape is None:
                 shape = mat.shape
             elif mat.shape != shape:

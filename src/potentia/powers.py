@@ -61,9 +61,7 @@ class PowersGraph:
     identity_index: int
 
     def adjacent(self, i: int, j: int) -> bool:
-        if i == j:
-            return True
-        return (min(i, j), max(i, j)) in self.edges
+        return i == j or (min(i, j), max(i, j)) in self.edges
 
     def is_context(self, indices: Iterable[int]) -> bool:
         """True iff the index set induces a complete subgraph."""
@@ -112,7 +110,8 @@ class ISAValuation:
 
 def build_graph(projectors: Sequence[PowerNode]) -> PowersGraph:
     """Wire commutation edges over a projector family; the identity is
-    auto-added when missing."""
+    auto-added when missing.  Labels name nodes in reports and overrides, so
+    a repeated label is rejected."""
     nodes = list(projectors)
     if not nodes:
         raise DomainError("a powers graph needs at least one node")
@@ -121,13 +120,14 @@ def build_graph(projectors: Sequence[PowerNode]) -> PowersGraph:
         if node.dim != dim:
             raise ShapeError(f"power {node.label!r} has dim {node.dim}, expected {dim}")
     identity = np.eye(dim, dtype=np.complex128)
-    identity_index = next(
-        (i for i, node in enumerate(nodes) if max_abs(node.projector - identity) <= PROJECTOR_TOL),
-        None,
-    )
-    if identity_index is None:
+    matches = [i for i, node in enumerate(nodes) if max_abs(node.projector - identity) <= PROJECTOR_TOL]
+    if not matches:
         nodes.append(PowerNode(identity, "I"))
-        identity_index = len(nodes) - 1
+    identity_index = matches[0] if matches else len(nodes) - 1
+    labels = [node.label for node in nodes]
+    repeated = next((label for k, label in enumerate(labels) if label in labels[:k]), None)
+    if repeated is not None:
+        raise DomainError(f"power label {repeated!r} is repeated")
     edges = set()
     for i in range(len(nodes)):
         for j in range(i + 1, len(nodes)):
@@ -150,38 +150,36 @@ def isa_from_density(rho: DensityOperator, graph: PowersGraph) -> ISAValuation:
 def orthogonal_families(graph: PowersGraph) -> list[tuple[tuple[int, ...], int]]:
     """All orthogonal node families (size 2..FAMILY_SIZE_CAP) whose sum is a node.
 
-    Returns (family indices, index of the sum node) pairs.  Only families
-    fully visible in the node set are recorded; subsets are capped at
-    ``FAMILY_SIZE_CAP`` since the general problem is exponential.
+    Returns (family indices, index of the sum node) pairs in lexicographic
+    order; the general problem is exponential, so families are capped at
+    ``FAMILY_SIZE_CAP``.  Node sets are bitmasks, as in ``maximal_contexts``.
     """
     n = len(graph.nodes)
     mats = [node.projector for node in graph.nodes]
-    orthogonal = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            orthogonal[i, j] = orthogonal[j, i] = max_abs(mats[i] @ mats[j]) <= PROJECTOR_TOL
-
+    traces = [float(np.trace(mat).real) for mat in mats]
+    # later[i]: the nodes j > i orthogonal to node i.
+    later = [
+        sum(1 << j for j in range(i + 1, n) if max_abs(mats[i] @ mats[j]) <= PROJECTOR_TOL)
+        for i in range(n)
+    ]
+    # A match within PROJECTOR_TOL entrywise moves the trace by <= dim * PROJECTOR_TOL.
+    # The factor 2 covers rounding; a family's sum is formed only when some trace is near.
+    trace_slack = 2 * graph.dim * PROJECTOR_TOL
     found: list[tuple[tuple[int, ...], int]] = []
 
-    def match_node(total: np.ndarray) -> int | None:
-        for k in range(n):
-            if max_abs(total - mats[k]) <= PROJECTOR_TOL:
-                return k
-        return None
-
-    def extend(family: list[int], total: np.ndarray, start: int):
+    def extend(family: tuple[int, ...], trace: float, candidates: int) -> None:
         if len(family) >= 2:
-            target = match_node(total)
-            if target is not None:
-                found.append((tuple(family), target))
-        if len(family) >= FAMILY_SIZE_CAP:
-            return
-        for nxt in range(start, n):
-            if all(orthogonal[i, nxt] for i in family):
-                extend(family + [nxt], total + mats[nxt], nxt + 1)
+            near = [k for k in range(n) if abs(traces[k] - trace) <= trace_slack]
+            if near:
+                total = sum(mats[i] for i in family)
+                target = next((k for k in near if max_abs(total - mats[k]) <= PROJECTOR_TOL), None)
+                if target is not None:
+                    found.append((family, target))
+        if len(family) < FAMILY_SIZE_CAP:
+            for nxt in _bits(candidates):
+                extend((*family, nxt), trace + traces[nxt], candidates & later[nxt])
 
-    for first in range(n):
-        extend([first], mats[first].copy(), first + 1)
+    extend((), 0.0, (1 << n) - 1)
     return found
 
 
@@ -229,14 +227,16 @@ def _bits(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+def _require_nodes(count: int, cap: int = CONTEXT_NODE_CAP, search: str = "clique enumeration") -> None:
+    if count > cap:
+        raise CapacityError(f"{search} capped at {cap} nodes, got {count}")
+
+
 def maximal_contexts(graph: PowersGraph) -> list[Context]:
     """All maximal cliques, deterministically ordered: Bron–Kerbosch with Tomita
     pivoting (Tomita, Tanaka & Takahashi, TCS 363 (2006)); node sets are bitmasks."""
     n = len(graph.nodes)
-    if n > CONTEXT_NODE_CAP:
-        raise CapacityError(
-            f"clique enumeration capped at {CONTEXT_NODE_CAP} nodes, got {n}"
-        )
+    _require_nodes(n)
     neighbours = [0] * n
     for i, j in graph.edges:
         neighbours[i] |= 1 << j
@@ -324,10 +324,7 @@ def find_additive_binary_valuation(graph: PowersGraph) -> np.ndarray | None:
     None is a proof of nonexistence for the recorded constraint set).
     """
     n = len(graph.nodes)
-    if n > BINARY_SEARCH_NODE_CAP:
-        raise CapacityError(
-            f"binary valuation search capped at {BINARY_SEARCH_NODE_CAP} nodes, got {n}"
-        )
+    _require_nodes(n, BINARY_SEARCH_NODE_CAP, "binary valuation search")
     # Assign the identity first so family constraints become checkable (and
     # prune) as soon as their last member gets a value.
     order = [graph.identity_index] + [i for i in range(n) if i != graph.identity_index]

@@ -422,3 +422,25 @@ def test_package_exports_are_pinned():
     )
     assert exported == PUBLIC_NAMES
     assert all(hasattr(potentia, name) for name in exported)
+
+
+def test_readme_library_example_states_true_values():
+    """Runs README's library example; each line with a comment must evaluate
+    to the value the comment states before any colon."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library example", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    checked = 0
+    for line in code.splitlines():
+        statement, _, comment = line.partition("#")
+        if not comment:
+            exec(statement, namespace)
+            continue
+        value = eval(statement, namespace)
+        stated = ast.literal_eval(comment.split(":", 1)[0].strip())
+        if isinstance(stated, list):
+            np.testing.assert_allclose(value, stated, atol=1e-12)
+        else:
+            assert value is None if stated is None else value == stated, line
+        checked += 1
+    assert checked == 4

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from potentia import fileio
+from potentia import fileio, powers
 from potentia.arrangements import DetectorBasis, Factorization
 from potentia.cli import SCAN_STEPS_CAP, _analysis_results, main
 from potentia.entanglement import WITNESS_SAMPLES_CAP, schmidt, werner
@@ -328,6 +328,44 @@ class TestPowers:
         assert violations
         assert violations[0]["member_total"] == pytest.approx(1.2)
 
+    def test_node_cap_is_checked_before_the_graph_is_built(self, capsys, tmp_path, monkeypatch):
+        payload = {
+            "schema_version": "1",
+            "dim": 2,
+            "projectors": [
+                {"label": f"P{k}", "matrix": fileio.matrix_to_json(np.diag([1.0, 0.0]))}
+                for k in range(100)
+            ],
+        }
+        family = tmp_path / "crowd.json"
+        family.write_text(fileio.render_json(payload), encoding="utf-8")
+
+        def unreachable(nodes):
+            raise AssertionError("build_graph ran on an oversized family")
+
+        monkeypatch.setattr(powers, "build_graph", unreachable)
+        code = main(["powers", str(SAMPLES / "zero_state.json"), "--projectors", str(family)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == "capacity error: clique enumeration capped at 24 nodes, got 100\n"
+
+    def test_repeated_label_is_validation_error(self, capsys, tmp_path):
+        # Without the check, `--override I=0.5` would set |0><0|, not the added identity.
+        payload = {
+            "schema_version": "1",
+            "dim": 2,
+            "projectors": [{"label": "I", "matrix": fileio.matrix_to_json(np.diag([1.0, 0.0]))}],
+        }
+        family = tmp_path / "relabelled.json"
+        family.write_text(fileio.render_json(payload), encoding="utf-8")
+        for extra in ([], ["--override", "I=0.5"]):
+            code = main(["powers", str(SAMPLES / "zero_state.json"), "--projectors", str(family), *extra])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.out == ""
+            assert "'I' is repeated" in captured.err
+
     def test_actualization_listed(self, capsys):
         report = run_json(
             capsys,
@@ -495,6 +533,20 @@ class TestInstrument:
             capsys, "instrument", SAMPLES / "bell_phi_plus.json", "--instrument", path
         )
         assert code == 4
+
+    def test_kraus_operator_above_dimension_cap_is_capacity_error(self, capsys, tmp_path):
+        tall = np.zeros((4097, 1))
+        tall[0, 0] = 1.0
+        path = tmp_path / "tall.json"
+        path.write_text(
+            fileio.render_json(
+                {"schema_version": "1", "branches": [{"kraus": [fileio.matrix_to_json(tall)]}]}
+            ),
+            encoding="utf-8",
+        )
+        code, out = run(capsys, "instrument", SAMPLES / "zero_state.json", "--instrument", path)
+        assert code == 4
+        assert out == ""
 
     def test_incomplete_instrument_reported(self, capsys, tmp_path):
         payload = {

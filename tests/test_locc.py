@@ -13,7 +13,7 @@ from potentia.locc import (
     one_way_local,
     projective_instrument,
 )
-from potentia.qlin import partial_trace
+from potentia.qlin import DIM_CAP, partial_trace
 from potentia.sampling import random_density, random_separable
 from potentia.states import DensityOperator, PureVector, density_from_vector
 
@@ -62,6 +62,16 @@ class TestValidity:
         total = sum(k.conj().T @ k for k in kraus)
         assert np.allclose(total, np.eye(2))
         assert is_valid_instrument(QuantumInstrument((CPMap(kraus),)))
+
+    def test_kraus_operator_above_dimension_cap_rejected_before_solving(self, eigensolve_counter):
+        # A (DIM_CAP + 1) x 1 isometry is trace-preserving on a 1-dim input.
+        tall = np.zeros((DIM_CAP + 1, 1))
+        tall[0, 0] = 1.0
+        with pytest.raises(CapacityError, match="Kraus operator 0"):
+            CPMap((tall,))
+        with pytest.raises(CapacityError):
+            CPMap((tall.T,))
+        assert not eigensolve_counter
 
     def test_overcomplete_cpmap_rejected(self):
         with pytest.raises(DomainError):

@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 from potentia import families, powers
 from potentia.errors import CapacityError, DomainError, ResidualError, UnderdeterminedError
 from potentia.powers import (
+    CONTEXT_NODE_CAP,
+    FAMILY_SIZE_CAP,
+    PROJECTOR_TOL,
     ISAValuation,
     PowerNode,
     PowersGraph,
@@ -20,6 +23,7 @@ from potentia.powers import (
     orthogonal_families,
     reconstruct_density,
 )
+from potentia.qlin import max_abs
 from potentia.sampling import random_density, random_projector, random_unitary
 from potentia.states import DensityOperator, PureVector, density_from_vector
 
@@ -72,6 +76,15 @@ class TestBuildGraph:
     def test_non_projector_named(self):
         with pytest.raises(DomainError, match="bogus"):
             PowerNode(np.diag([0.5, 0.0]).astype(complex), "bogus")
+
+    def test_repeated_label_rejected(self):
+        with pytest.raises(DomainError, match="'P' is repeated"):
+            build_graph([PowerNode(ZERO.projector, "P"), PowerNode(ONE.projector, "P")])
+
+    def test_label_of_the_added_identity_counts(self):
+        # |0><0| labelled "I" would share its label with the identity build_graph adds.
+        with pytest.raises(DomainError, match="'I' is repeated"):
+            build_graph([PowerNode(ZERO.projector, "I")])
 
 
 class TestBornValuation:
@@ -134,6 +147,96 @@ class TestAxioms:
             for family, target in orthogonal_families(graph)
         }
         assert (("P0", "P1"), "P0+P1") in pairs
+
+
+def families_by_exhaustion(graph):
+    """Subset-check oracle: every pairwise orthogonal node set of size
+    2..FAMILY_SIZE_CAP, in lexicographic order, with the first node that
+    equals its sum."""
+    mats = [node.projector for node in graph.nodes]
+    n = len(mats)
+    found = []
+    subsets = itertools.chain.from_iterable(
+        itertools.combinations(range(n), size) for size in range(2, FAMILY_SIZE_CAP + 1)
+    )
+    for family in sorted(subsets):
+        if all(max_abs(mats[i] @ mats[j]) <= PROJECTOR_TOL for i, j in itertools.combinations(family, 2)):
+            total = sum(mats[i] for i in family)
+            target = next((k for k in range(n) if max_abs(total - mats[k]) <= PROJECTOR_TOL), None)
+            if target is not None:
+                found.append((family, target))
+    return found
+
+
+def _nudged(mat, rng, mode, scale):
+    """``mat`` rotated by a unitary within ``scale`` of the identity (still a
+    projector), or shifted by ``scale`` times the identity (idempotent within
+    ``scale``), so that orthogonality and sums land on either side of
+    PROJECTOR_TOL."""
+    if mode == "shift":
+        return mat + scale * np.eye(len(mat))
+    noise = rng.standard_normal(mat.shape) + 1j * rng.standard_normal(mat.shape)
+    values, vectors = np.linalg.eigh((noise + noise.conj().T) / 2)
+    rotation = (vectors * np.exp(1j * scale * values / np.max(np.abs(values)))) @ vectors.conj().T
+    return rotation @ mat @ rotation.conj().T
+
+
+@st.composite
+def family_graphs(draw):
+    """Graphs of Haar bases and partial sums of them, some nodes nudged to
+    within a few PROJECTOR_TOL of their exact values."""
+    dim = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = []
+    for _ in range(draw(st.integers(1, 2))):
+        basis = random_unitary(dim, rng)
+        mats += [projector(basis[:, k]) for k in range(dim)]
+        for _ in range(draw(st.integers(0, 2))):
+            kept = basis[:, sorted(rng.choice(dim, size=int(rng.integers(2, dim + 1)), replace=False))]
+            mats.append(kept @ kept.conj().T)
+    nodes = []
+    for k, mat in enumerate(mats):
+        mode = draw(st.sampled_from(["exact", "rotate", "shift"]))
+        if mode == "rotate":
+            mat = _nudged(mat, rng, mode, draw(st.floats(0.1, 4.0)) * PROJECTOR_TOL)
+        elif mode == "shift":
+            mat = _nudged(mat, rng, mode, draw(st.floats(0.0, 0.99)) * PROJECTOR_TOL)
+        nodes.append(PowerNode(mat, f"P{k}"))
+    return build_graph(nodes)
+
+
+class TestOrthogonalFamilies:
+    @settings(max_examples=150, deadline=None)
+    @given(family_graphs())
+    def test_matches_exhaustive_search(self, graph):
+        assert orthogonal_families(graph) == families_by_exhaustion(graph)
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            families.computational_family(4),
+            families.qubit_mub_family(),
+            families.tomography_family(3),
+            families.ks18_family(),
+        ],
+        ids=["computational4", "mub", "tomography3", "ks18"],
+    )
+    def test_bundled_families_match_exhaustive_search(self, family):
+        graph = build_graph(family)
+        assert orthogonal_families(graph) == families_by_exhaustion(graph)
+
+    def test_sum_node_is_the_first_match(self):
+        # Two nodes equal P0 + P1 within PROJECTOR_TOL; the lower index is the sum node.
+        p0, p1 = ZERO.projector, ONE.projector
+        nodes = [PowerNode(p0, "P0"), PowerNode(p1, "P1"), PowerNode(np.eye(2), "I")]
+        nodes.append(PowerNode(np.eye(2) + 0.5 * PROJECTOR_TOL * np.eye(2), "I'"))
+        assert orthogonal_families(build_graph(nodes)) == [((0, 1), 2)]
+
+    def test_graph_at_the_node_cap(self):
+        graph = build_graph(families.computational_family(CONTEXT_NODE_CAP - 1))
+        assert len(graph.nodes) == CONTEXT_NODE_CAP
+        # 23 mutually orthogonal rank-one nodes: no family of at most 6 sums to a node.
+        assert orthogonal_families(graph) == []
 
 
 def cliques_by_exhaustion(graph):
@@ -354,6 +457,12 @@ class TestBinaryContrast:
         assert check_isa_axioms(isa_from_density(random_density(4, rng), graph)).ok
         assert find_additive_binary_valuation(graph) is None
         assert calls == [graph]
+
+    def test_node_cap(self):
+        n = powers.BINARY_SEARCH_NODE_CAP + 1
+        graph = PowersGraph((ZERO,) * n, frozenset(), 2, 0)
+        with pytest.raises(CapacityError, match=f"binary valuation search capped at {n - 1} nodes, got {n}"):
+            find_additive_binary_valuation(graph)
 
     def test_tetrad_bookkeeping(self):
         rays = np.array(families.KS18_RAYS, dtype=float)

@@ -19,7 +19,7 @@ from typing import Any
 import numpy as np
 
 from . import arrangements, entanglement, powers, qlin, states
-from .arrangements import DetectorBasis, Factorization
+from .arrangements import DetectorBasis, Factorization, _is_integer
 from .errors import CapacityError, DomainError, ParseError, ShapeError, ValidationError
 from .locc import CPMap, QuantumInstrument
 from .powers import PowerNode
@@ -116,14 +116,9 @@ def _require(document: dict, key: str, kind: type, path: str):
     if key not in document:
         raise ParseError(f"{path}: missing required field {key!r}")
     value = document[key]
-    if not (_is_int(value) if kind is int else isinstance(value, kind)):
+    if not (_is_integer(value) if kind is int else isinstance(value, kind)):
         raise ParseError(f"{path}.{key}: expected {kind.__name__}")
     return value
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: ``bool`` subclasses ``int`` but ``true`` is not a dimension."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _require_dim(document: dict, path: str) -> int:
@@ -193,7 +188,8 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
     has_factorization = "factorization" in document
     if has_factorization:
         dims = document["factorization"]
-        if not isinstance(dims, list) or not dims or not all(_is_int(d) and d > 0 for d in dims):
+        positive = isinstance(dims, list) and dims and all(_is_integer(d) and d > 0 for d in dims)
+        if not positive:
             raise ParseError(f"{name}.factorization: expected a nonempty list of positive integers")
         factorization = Factorization(tuple(dims))
         if factorization.degree != dim:

@@ -54,6 +54,14 @@ def frozen(arr: np.ndarray | Sequence) -> np.ndarray:
     return out
 
 
+def _frozen_in_place(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only, copied only to make it C-contiguous.  Only for an array the
+    caller just built and no one else holds: unlike ``frozen``, it may return ``arr`` itself."""
+    arr = np.ascontiguousarray(arr)
+    arr.flags.writeable = False
+    return arr
+
+
 def require_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL, what: str = "matrix") -> None:
     """Raise unless ``mat`` is square and within ``tol`` of its adjoint."""
     if mat.shape[0] != mat.shape[1]:

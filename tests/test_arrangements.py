@@ -94,6 +94,36 @@ class TestFactorization:
         for multi in np.ndindex(2, 3, 4):
             assert f.multi_index(f.flat_index(multi)) == multi
 
+    @pytest.mark.parametrize("dims", [(2.5, 2), (2.0, 2), ("3", 2), (True, 4), (2, np.float64(3))])
+    def test_non_integral_dims_rejected(self, dims):
+        with pytest.raises(DomainError):
+            Factorization(dims)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda ea: ea.factorization.flat_index((1.9, 0)),
+            lambda ea: ea.factorization.flat_index((True, 0)),
+            lambda ea: ea.factorization.flat_index(("1", 0)),
+            lambda ea: ea.factorization.multi_index(1.0),
+            lambda ea: power_intensity(ea, (0.7, 1)),
+            lambda ea: multiscreen_effect(ea, (0, np.float64(1))),
+            lambda ea: restrict(ea, [(0.5,), (0, 1)]),
+            lambda ea: change_detectors(ea, 0.0, HADAMARD),
+        ],
+        ids=["flat_index", "flat_index_bool", "flat_index_str", "multi_index", "power_intensity",
+             "multiscreen_effect", "restrict", "change_detectors_screen"],
+    )
+    def test_non_integral_indices_rejected(self, call):
+        with pytest.raises(IndexError):
+            call(worked_ea())
+
+    def test_numpy_integers_accepted(self):
+        f = Factorization((np.int64(2), np.int32(3)))
+        assert f.screen_dims == (2, 3) and all(type(d) is int for d in f.screen_dims)
+        assert f.flat_index((np.int64(1), np.uint8(2))) == 5
+        assert f.multi_index(np.int64(5)) == (1, 2)
+
 
 class TestPublicConstructor:
     """The public constructor checks everything; derived arrangements skip
@@ -191,6 +221,11 @@ class TestRefactor:
     def test_degree_mismatch(self):
         with pytest.raises(ShapeError):
             refactor(worked_ea(), Factorization((2, 3)))
+
+    def test_shares_the_read_only_matrix(self):
+        ea = worked_ea()
+        flat = refactor(ea, Factorization((4,)))
+        assert flat.matrix is ea.matrix and not flat.matrix.flags.writeable
 
     def test_roundtrip(self, rng):
         rho = random_density(6, rng)
@@ -625,15 +660,134 @@ class TestDetectorSteps:
         full applied 2n + 2(n + 1) factors for n screens: 14 on this (2, 3, 4) layout."""
         _, _, ea = random_layout_ea((2, 3, 4), rng)
         changed = change_detectors(ea, screen, random_unitary((2, 3, 4)[screen], rng))
-        applied, kron_left = [], arrangements._kron_left
-
-        def counted(m, dims, factors):
-            applied.extend((tuple(dims), axis) for axis in factors)
-            return kron_left(m, dims, factors)
-
-        monkeypatch.setattr(arrangements, "_kron_left", counted)
+        applied = count_kron_factors(monkeypatch)
         assert ea_equivalent(ea, changed)
         assert applied == [((2, 3, 4), screen)] * 2
+
+    def test_computational_basis_applies_no_factor(self, monkeypatch, rng):
+        dims = (2, 3, 4)
+        f = Factorization(dims)
+        rho = random_density(f.degree, rng)
+        haar = make_ea(rho, f, haar_basis(dims, rng))
+        other = make_ea(random_density(f.degree, rng), f, haar_basis(dims, rng))
+        applied = count_kron_factors(monkeypatch)
+        ea = make_ea(rho, f, DetectorBasis.computational(f))
+        assert applied == []
+        assert ea.matrix is rho.matrix and np.array_equal(ea.basis_matrix, np.eye(f.degree))
+        assert ea_equivalent(ea, make_ea(rho, f, DetectorBasis.computational(f)))
+        assert ea_equivalent(ea, haar) and ea_equivalent(haar, ea)
+        assert not ea_equivalent(ea, other)
+
+    def test_identity_screens_are_dropped_one_by_one(self, monkeypatch, rng):
+        dims = (2, 3, 4)
+        f = Factorization(dims)
+        rho = random_density(f.degree, rng)
+        v = random_unitary(3, rng)
+        applied = count_kron_factors(monkeypatch)
+        ea = make_ea(rho, f, DetectorBasis((np.eye(2), v, np.eye(4))))
+        assert applied == [(dims, 1)] * 2
+        product = kron_oracle([np.eye(2), v, np.eye(4)])
+        assert np.max(np.abs(ea.basis_matrix - product)) <= 1e-12
+        assert np.max(np.abs(ea.matrix - product.conj().T @ rho.matrix @ product)) <= 1e-12
+
+
+def count_kron_factors(monkeypatch) -> list:
+    """Wrap both kernels; the returned list grows by ``(dims, screen)`` per factor applied."""
+    applied = []
+    for name in ("_kron_left", "_kron_right"):
+        kernel = getattr(arrangements, name)
+
+        def counted(m, dims, factors, kernel=kernel):
+            applied.extend((tuple(dims), axis) for axis in factors)
+            return kernel(m, dims, factors)
+
+        monkeypatch.setattr(arrangements, name, counted)
+    return applied
+
+
+def haar_basis(dims, rng) -> DetectorBasis:
+    return DetectorBasis(tuple(random_unitary(d, rng) for d in dims))
+
+
+#: ``_conjugated`` inputs and the forms its right-hand product takes: a Kronecker product
+#: ending on the last screen acts on runs of columns ("block"; here with a factorless or a
+#: dim-1 screen in it, or one screen wider than the cap), and any other is a column batch
+#: ("columns"; here also a group of several screens, and a screen wider than all after it).
+KERNEL_CASES = [
+    ((2, 3, 4), (1,), {"block"}),
+    ((2, 3, 4), (0, 2), {"block"}),
+    ((1, 2, 1, 3), (0, 1, 3), {"block"}),
+    ((70, 2), (1,), {"block"}),
+    ((66,), (0,), {"block"}),
+    ((2, 70), (1,), {"block"}),
+    ((2, 40, 2), (0,), {"columns"}),
+    ((70, 2), (0,), {"columns"}),
+    ((70, 2), (0, 1), {"block", "columns"}),
+    ((2, 40, 2), (0, 1, 2), {"block", "columns"}),
+    ((2, 70), (0, 1), {"block", "columns"}),
+    ((4, 4, 6, 6), (0, 1, 3), {"block", "columns"}),
+    ((2, 1, 40, 2), (0, 1, 3), {"block", "columns"}),
+    ((2, 3, 4, 5, 6), (0, 2, 4), {"block", "columns"}),
+]
+
+
+def conjugation_case(dims, screens, rng):
+    """A random ``m``, factors on ``screens`` and ``R^dag m R`` with ``R`` multiplied out."""
+    n = int(np.prod(dims))
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    factors = {k: random_unitary(dims[k], rng) for k in screens}
+    r = kron_oracle([factors.get(k, np.eye(d)) for k, d in enumerate(dims)])
+    return m, factors, r.conj().T @ m @ r
+
+
+class MatmulSpy:
+    """``numpy`` for ``arrangements``, recording the operand ranks of each ``matmul``."""
+
+    def __init__(self):
+        self.ranks = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b):
+        self.ranks.append((a.ndim, b.ndim))
+        return np.matmul(a, b)
+
+
+class TestConjugationKernel:
+    """Every route of ``_conjugated``'s right-hand product against the dense oracle."""
+
+    @pytest.mark.parametrize("dims, screens, routes", KERNEL_CASES)
+    def test_each_route_matches_kron_oracle(self, monkeypatch, rng, dims, screens, routes):
+        m, factors, oracle = conjugation_case(dims, screens, rng)
+        left = arrangements._kron_left(m, dims, {k: dagger(w) for k, w in factors.items()})
+        spy = MatmulSpy()
+        monkeypatch.setattr(arrangements, "np", spy)
+        out = arrangements._kron_right(left, dims, factors)
+        # A block is a stack of column runs times one matrix; a column batch is one matrix
+        # times a stack.
+        taken = {"block"} if (3, 2) in spy.ranks else set()
+        if (2, 3) in spy.ranks:
+            taken.add("columns")
+        assert taken == routes and out.flags.c_contiguous
+        assert np.max(np.abs(out - oracle)) <= 1e-12
+
+    def test_cases_cover_every_route(self):
+        assert set().union(*(routes for *_, routes in KERNEL_CASES)) == {"block", "columns"}
+
+    @PROPERTY_SETTINGS
+    @given(
+        st.one_of(
+            st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple),
+            st.sampled_from([(70, 2), (2, 70), (2, 40, 2), (66,), (3, 30), (2, 33), (8, 9)]),
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_factor_subsets_match_kron_oracle(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        screens = [k for k in range(len(dims)) if rng.random() < 0.5]
+        m, factors, oracle = conjugation_case(dims, screens, rng)
+        assert np.max(np.abs(arrangements._conjugated(m, dims, factors) - oracle)) <= 1e-12
 
 
 class TestEigensolves:

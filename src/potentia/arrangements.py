@@ -294,16 +294,20 @@ def ea_equivalent(
     ea1: ExperimentalArrangement, ea2: ExperimentalArrangement, tol: float = EQUIVALENCE_TOL
 ) -> bool:
     """Same degree and ``max_abs(B1 M1 B1^dag - B2 M2 B2^dag) <= tol``.  For ``B_i = P S_i``, ``P``
-    the longest common history, only ``D = S1 M1 S1^dag - S2 M2 S2^dag`` is unwound; as ``P`` is
-    unitary, ``max_abs(D)`` answers alike unless ``||D||_F`` is in ``(tol / 2, 2 N tol]``."""
+    the longest common history, only ``D = S1 M1 S1^dag - S2 M2 S2^dag`` is unwound.  As ``P`` is
+    unitary, ``||D||_F`` decides unless it is in ``(tol / 2, 2 N tol]``: only then is ``D``
+    lifted through ``P`` and its max entry read."""
     if ea1.degree != ea2.degree:
         return False
     s1, s2 = ea1.steps, ea2.steps
     p = next((i for i, ab in enumerate(zip(s1, s2)) if not _same_step(*ab)), min(len(s1), len(s2)))
-    d = _unwound(ea1.matrix, s1[p:]) - _unwound(ea2.matrix, s2[p:])
-    if tol / 2 < np.linalg.norm(d) <= 2 * ea1.degree * tol:  # undecided: lift through ``P``
-        d = _unwound(d, s1[:p])
-    return max_abs(d) <= tol
+    a, b = _unwound(ea1.matrix, s1[p:]), _unwound(ea2.matrix, s2[p:])
+    # An arrangement's matrix is read-only, so a writeable suffix is a fresh array.
+    d = np.subtract(a, b, out=a if a.flags.writeable else b if b.flags.writeable else None)
+    norm = math.sqrt(np.vdot(d, d).real)
+    if not tol / 2 < norm <= 2 * ea1.degree * tol:
+        return norm <= tol / 2
+    return max_abs(_unwound(d, s1[:p])) <= tol
 
 
 def restrict(

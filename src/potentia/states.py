@@ -65,13 +65,16 @@ def _clears_half_floor(mat: np.ndarray) -> bool:
     """True if Cholesky factors ``mat`` with ``-EIGENVALUE_FLOOR / 2`` added to
     its diagonal.  Like ``eigvalsh`` it reads the lower triangle.  Its backward
     error, about (N+1)·u·Tr(mat) (Higham, Thm 10.3), is far below that shift,
-    so True proves the least eigenvalue lies above ``EIGENVALUE_FLOOR``."""
-    shifted = np.array(mat)
-    shifted.flat[:: len(mat) + 1] -= EIGENVALUE_FLOOR / 2
+    so True proves the least eigenvalue lies above ``EIGENVALUE_FLOOR``.  The shift
+    is made in ``mat`` and undone bit for bit; ``np.linalg.cholesky`` factors a copy."""
+    diagonal = mat.diagonal().copy()
+    mat.flat[:: len(mat) + 1] -= EIGENVALUE_FLOOR / 2
     try:
-        np.linalg.cholesky(shifted)
+        np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
         return False
+    finally:
+        mat.flat[:: len(mat) + 1] = diagonal
     return True
 
 
@@ -94,13 +97,14 @@ class DensityOperator:
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > TRACE_TOL:
             raise DomainError(f"trace is {trace:.12g}, expected 1 within {TRACE_TOL:g}")
-        object.__setattr__(self, "matrix", frozen(mat))
-        if not _clears_half_floor(self.matrix):
-            eigenvalues = np.linalg.eigvalsh(self.matrix)
+        mat = np.array(mat)  # the one copy: shifted by the Cholesky check, then frozen
+        if not _clears_half_floor(mat):
+            eigenvalues = np.linalg.eigvalsh(mat)
             min_eig = float(eigenvalues[0])
             if min_eig < EIGENVALUE_FLOOR:
                 raise DomainError(f"negative eigenvalue {min_eig:.3e} below floor {EIGENVALUE_FLOOR:g}")
             object.__setattr__(self, "eigenvalues", frozen(eigenvalues))
+        object.__setattr__(self, "matrix", qlin._frozen_in_place(mat))
 
     @functools.cached_property
     def eigenvalues(self) -> np.ndarray:

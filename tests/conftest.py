@@ -2,6 +2,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# A failing property prints the ``@reproduce_failure`` line that replays its example.
+settings.register_profile("potentia", print_blob=True)
+settings.load_profile("potentia")
 
 
 @pytest.fixture

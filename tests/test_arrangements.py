@@ -2,7 +2,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from potentia import arrangements
@@ -253,6 +253,22 @@ class TestEquivalence:
     def test_refactor_is_equivalent(self):
         ea = worked_ea()
         assert ea_equivalent(ea, refactor(ea, Factorization((4,))))
+
+    def test_matrices_are_left_bit_identical(self, rng):
+        """The difference is formed in a freshly unwound suffix, never in an arrangement's
+        matrix: the same arrangement, two empty suffixes, and a fresh suffix on either side."""
+        dims = (2, 3)
+        basis = DetectorBasis(tuple(random_unitary(d, rng) for d in dims))
+        ea = make_ea(random_density(6, rng), Factorization(dims), basis)
+        other = make_ea(random_density(6, rng), Factorization(dims), basis)
+        changed = change_detectors(ea, 1, random_unitary(3, rng))
+        cases = [(ea, ea, True), (ea, other, False), (ea, changed, True), (changed, ea, True)]
+        cases.append((changed, change_detectors(ea, 0, random_unitary(2, rng)), True))
+        for ea1, ea2, expected in cases:
+            before = ea1.matrix.tobytes(), ea2.matrix.tobytes()
+            assert ea_equivalent(ea1, ea2) is expected
+            assert (ea1.matrix.tobytes(), ea2.matrix.tobytes()) == before
+            assert not ea1.matrix.flags.writeable and not ea2.matrix.flags.writeable
 
 
 class TestRestrict:
@@ -821,22 +837,27 @@ def in_unit_interval(values) -> bool:
     return bool(np.all((values >= 0) & (values <= 1)))
 
 
-@st.composite
-def floor_states(draw):
+def floor_state(dims, low, rest, at, seed):
     """A state U D U^dag, U a product of per-screen Haar unitaries, D diagonal with
-    one entry planted in [0.99 EIGENVALUE_FLOOR, 0]: the screen bases ``U_k`` are
-    the frame that puts that entry on the diagonal."""
-    dims = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
-    n = dims[0] * dims[1]
-    low = draw(st.floats(0.99 * EIGENVALUE_FLOOR, 0.0))
-    rest = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n - 1, max_size=n - 1)))
-    rest = rest if rest.sum() > 0 else np.ones(n - 1)
-    at = draw(st.integers(0, n - 1))
-    spectrum = np.insert(rest * (1 - low) / rest.sum(), at, low)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ``low`` at ``at`` and ``rest`` scaled to weight 1 - low elsewhere: the screen
+    bases ``U_k`` are the frame that puts ``low`` on the diagonal."""
+    rest = np.array(rest) if sum(rest) > 0 else np.ones(len(rest))
+    # Normalized first: a subnormal ``rest`` times (1 - low) can round back to itself.
+    spectrum = np.insert(rest / rest.sum() * (1 - low), at, low)
+    rng = np.random.default_rng(seed)
     us = tuple(random_unitary(d, rng) for d in dims)
     u = np.kron(*us)
     return dims, us, at, low, DensityOperator((u * spectrum) @ dagger(u))
+
+
+@st.composite
+def floor_states(draw):
+    """``floor_state`` with ``low`` in [0.99 EIGENVALUE_FLOOR, 0]."""
+    dims = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+    n = dims[0] * dims[1]
+    low = draw(st.floats(0.99 * EIGENVALUE_FLOOR, 0.0))
+    rest = draw(st.lists(st.floats(0.0, 1.0), min_size=n - 1, max_size=n - 1))
+    return floor_state(dims, low, rest, draw(st.integers(0, n - 1)), draw(st.integers(0, 2**32 - 1)))
 
 
 class TestFloorStates:
@@ -845,6 +866,7 @@ class TestFloorStates:
 
     @settings(max_examples=60, deadline=None)
     @given(floor_states())
+    @example(floor_state((2, 2), 0.99 * EIGENVALUE_FLOOR, [5e-324, 0.0, 0.0], 0, 0))
     def test_accepted_in_every_frame(self, case):
         dims, us, at, low, rho = case
         factorization = Factorization(dims)

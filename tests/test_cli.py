@@ -812,6 +812,22 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr == f"validation error: {state}: matrix has non-finite entries\n"
 
+    def test_overflowing_asymmetry_is_one_validation_line(self, tmp_path):
+        """A finite entry whose asymmetry overflows a float64: no numpy warning before the line."""
+        document = json.loads((SAMPLES / "zero_state.json").read_text(encoding="utf-8"))
+        document["matrix"][0][0] = [1.0, 1e308]
+        state = tmp_path / "overflow.json"
+        state.write_text(json.dumps(document), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "potentia.cli", "analyze", str(state)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            f"validation error: {state}: matrix violates Hermiticity (max asymmetry inf > 1e-09)\n"
+        )
+
     def test_tol_override_flows_through(self, capsys):
         code, _ = run(
             capsys, "analyze", SAMPLES / "zero_state.json", "--tol", "purity=1e-3"

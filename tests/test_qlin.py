@@ -201,6 +201,59 @@ class TestHermEig:
             qlin.herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+def dense_hermiticity_message(mat: np.ndarray, tol: float) -> str | None:
+    """The check read densely, on all of ``mat - mat^dag``: its message, or None if it passes."""
+    asymmetry = qlin.max_abs(mat - qlin.dagger(mat))
+    if asymmetry > tol:
+        return f"matrix violates Hermiticity (max asymmetry {asymmetry:.3e} > {tol:g})"
+    return None
+
+
+@st.composite
+def planted_asymmetries(draw):
+    """A Hermitian matrix, asymmetric noise of a drawn scale on every entry, and one planted
+    asymmetric entry: an imaginary diagonal part, or an entry in the first tile, in the last
+    (possibly partial) tile's rows, or anywhere."""
+    n = draw(st.one_of(st.sampled_from([0, 1, 63, 64, 65, 128, 129]), st.integers(0, 200)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    mat = (a + a.conj().T) / 2  # exactly Hermitian: its diagonal is exactly real
+    noise = draw(st.sampled_from([0.0, 1e-13, 1e-10, 4e-10]))
+    mat += noise * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    if n:
+        tile = qlin._HERMITICITY_TILE
+        where = draw(st.sampled_from(["diagonal", "first_tile", "last_tile", "anywhere"]))
+        size = draw(st.one_of(st.sampled_from([4e-10, 5e-10, 1e-9, 2e-9]), st.floats(0, 1e-8)))
+        end = min(n, tile) if where == "first_tile" else n
+        row = draw(st.integers((n - 1) // tile * tile if where == "last_tile" else 0, end - 1))
+        col = draw(st.integers(0, end - 1))
+        if where == "diagonal":
+            mat[row, row] += 1j * size
+        else:
+            mat[row, col] += size * np.exp(1j * draw(st.floats(0, 2 * np.pi)))
+    return mat
+
+
+class TestRequireHermitian:
+    @settings(max_examples=300, deadline=None)
+    @given(planted_asymmetries(), st.sampled_from([qlin.HERMITICITY_TOL, 5e-10, 2e-9]))
+    def test_tiled_check_is_the_dense_check(self, mat, tol):
+        """It raises iff the dense max entry of ``mat - mat^dag`` exceeds ``tol``, and its
+        message is byte-identical to the one the dense max gives."""
+        try:
+            qlin.require_hermitian(mat, tol)
+            message = None
+        except DomainError as exc:
+            message = str(exc)
+        assert message == dense_hermiticity_message(mat, tol)
+
+    def test_overflowing_asymmetry_is_inf_and_warns_nothing(self):
+        """pytest turns a RuntimeWarning into a failure here, so this also shows none is raised."""
+        mat = np.array([[1 + 1e308j, 0], [0, 0]])
+        with pytest.raises(DomainError, match=r"max asymmetry inf > 1e-09"):
+            qlin.require_hermitian(mat)
+
+
 class TestFrozen:
     @pytest.mark.parametrize(
         "arr", [np.arange(3.0), np.eye(2, dtype=np.complex128)[:, ::-1], np.arange(4)]

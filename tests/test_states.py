@@ -138,6 +138,29 @@ class TestInputsAreCopied:
         matrix[0, 0] = 7.0
         assert rho.matrix[0, 0] == 0.5
 
+    @pytest.mark.parametrize(
+        "least, solves",
+        [(0.05, {}), (-8e-8, {(5, 5): 1}), (-2e-7, {(5, 5): 1})],
+        ids=["cholesky", "eigvalsh_fallback", "rejected"],
+    )
+    def test_density_operator_owns_one_copy(self, rng, eigensolve_counter, least, solves):
+        """The caller's array stays bit-identical and writeable on every path, and
+        ``matrix`` is a read-only, bit-identical copy of it."""
+        u = random_unitary(5, rng)
+        matrix = (u * [least, 0.3, 0.25, 0.25, 0.2 - least]) @ u.conj().T
+        before = matrix.copy()
+        eigensolve_counter.clear()
+        try:
+            rho = DensityOperator(matrix)
+        except DomainError:
+            rho = None
+        assert eigensolve_counter == {("cholesky", (5, 5)): 1, **solves}
+        assert matrix.tobytes() == before.tobytes() and matrix.flags.writeable
+        assert (rho is None) == (least < EIGENVALUE_FLOOR)
+        if rho is not None:
+            assert rho.matrix.tobytes() == before.tobytes()
+            assert not rho.matrix.flags.writeable and not np.shares_memory(rho.matrix, matrix)
+
     def test_pure_vector_ignores_later_writes(self):
         amplitudes = np.array([1.0, 0.0], dtype=np.complex128)
         vector = PureVector(amplitudes)

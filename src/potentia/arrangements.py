@@ -302,8 +302,7 @@ def ea_equivalent(
     s1, s2 = ea1.steps, ea2.steps
     p = next((i for i, ab in enumerate(zip(s1, s2)) if not _same_step(*ab)), min(len(s1), len(s2)))
     a, b = _unwound(ea1.matrix, s1[p:]), _unwound(ea2.matrix, s2[p:])
-    # An arrangement's matrix is read-only, so a writeable suffix is a fresh array.
-    d = np.subtract(a, b, out=a if a.flags.writeable else b if b.flags.writeable else None)
+    d = a - b
     norm = math.sqrt(np.vdot(d, d).real)
     if not tol / 2 < norm <= 2 * ea1.degree * tol:
         return norm <= tol / 2

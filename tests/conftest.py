@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-# A failing property prints the ``@reproduce_failure`` line that replays its example.
+# A failing property prints the ``@reproduce_failure`` line that replays its example.  Under
+# CI, Hypothesis' own ``ci`` profile already does, and this one inherits it.
 settings.register_profile("potentia", print_blob=True)
 settings.load_profile("potentia")
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from functools import reduce
 
 import numpy as np
@@ -256,10 +258,13 @@ class TestEquivalence:
 
     def test_matrices_are_left_bit_identical(self, rng):
         """The difference is formed in a freshly unwound suffix, never in an arrangement's
-        matrix: the same arrangement, two empty suffixes, and a fresh suffix on either side."""
+        matrix: the same arrangement, two empty suffixes, and a fresh suffix on either side.
+        A deep copy or an unpickled arrangement has a writeable matrix, and a suffix of
+        identity steps unwinds to the matrix itself; neither is written either."""
         dims = (2, 3)
+        rho = random_density(6, rng)
         basis = DetectorBasis(tuple(random_unitary(d, rng) for d in dims))
-        ea = make_ea(random_density(6, rng), Factorization(dims), basis)
+        ea = make_ea(rho, Factorization(dims), basis)
         other = make_ea(random_density(6, rng), Factorization(dims), basis)
         changed = change_detectors(ea, 1, random_unitary(3, rng))
         cases = [(ea, ea, True), (ea, other, False), (ea, changed, True), (changed, ea, True)]
@@ -269,6 +274,15 @@ class TestEquivalence:
             assert ea_equivalent(ea1, ea2) is expected
             assert (ea1.matrix.tobytes(), ea2.matrix.tobytes()) == before
             assert not ea1.matrix.flags.writeable and not ea2.matrix.flags.writeable
+
+        computational = make_ea(rho, Factorization(dims), DetectorBasis.computational(Factorization(dims)))
+        for copied in (copy.deepcopy(ea), pickle.loads(pickle.dumps(computational))):
+            assert copied.matrix.flags.writeable
+            fresh = change_detectors(copied, 1, random_unitary(3, rng))
+            for ea1, ea2 in [(copied, copied), (copied, fresh), (fresh, copied), (copied, ea)]:
+                before = ea1.matrix.tobytes(), ea2.matrix.tobytes()
+                assert ea_equivalent(ea1, ea2) is True
+                assert (ea1.matrix.tobytes(), ea2.matrix.tobytes()) == before
 
 
 class TestRestrict:

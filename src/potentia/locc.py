@@ -4,7 +4,9 @@ instruments (one party measures, the rest apply trace-preserving maps)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import math
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
 
@@ -12,7 +14,7 @@ import numpy as np
 
 from . import qlin
 from .errors import CapacityError, DomainError, ShapeError
-from .qlin import dagger, kron_all, max_abs
+from .qlin import dagger, max_abs
 from .states import DensityOperator
 
 COMPLETENESS_TOL = 1e-8
@@ -23,32 +25,36 @@ KRAUS_RANK_CAP = 16
 
 @dataclass(frozen=True, eq=False)
 class CPMap:
-    """Completely positive, trace-non-increasing map given by Kraus operators."""
+    """Completely positive, trace-non-increasing map: Kraus operators and their kept sum K^dag K."""
 
     kraus: tuple[np.ndarray, ...]
+    completeness: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.kraus:
             raise DomainError("a CP map needs at least one Kraus operator")
         if len(self.kraus) > KRAUS_RANK_CAP:
             raise CapacityError(f"Kraus rank capped at {KRAUS_RANK_CAP}, got {len(self.kraus)}")
-        mats = []
-        shape = None
-        for k, raw in enumerate(self.kraus):
-            mat = qlin.as_complex(raw)
+        mats = [qlin.as_complex(raw) for raw in self.kraus]
+        for k, mat in enumerate(mats):
             if max(mat.shape) > qlin.DIM_CAP:
                 raise CapacityError(f"Kraus operator {k} is {mat.shape}, above the cap of {qlin.DIM_CAP}")
-            if shape is None:
-                shape = mat.shape
-            elif mat.shape != shape:
-                raise ShapeError(f"Kraus operator {k} is {mat.shape}, expected {shape}")
-            mats.append(qlin.frozen(mat))
-        object.__setattr__(self, "kraus", tuple(mats))
-        excess = float(np.linalg.eigvalsh(self.completeness_sum() - np.eye(self.in_dim))[-1])
-        if excess > COMPLETENESS_TOL:
-            raise DomainError(
-                f"map increases trace: max eigenvalue of sum(K^t K) - I is {excess:.3e}"
-            )
+            if mat.shape != mats[0].shape:
+                raise ShapeError(f"Kraus operator {k} is {mat.shape}, expected {mats[0].shape}")
+            # |K_ij| <= ||K||_2 <= sqrt(top eigenvalue of sum K^dag K); checked before it can overflow.
+            if (largest := max_abs(mat)) > math.sqrt(1 + COMPLETENESS_TOL):
+                raise DomainError(
+                    f"Kraus operator {k} has |entry| {largest:.9e} > sqrt(1 + {COMPLETENESS_TOL:g})"
+                )
+        completeness = sum(dagger(mat) @ mat for mat in mats)
+        self._admit(tuple(map(qlin.frozen, mats)), completeness, np.linalg.eigvalsh(completeness)[-1])
+
+    def _admit(self, kraus: tuple[np.ndarray, ...], completeness: np.ndarray, top: float) -> None:
+        """Keep ``kraus`` and their completeness sum unless ``top``, its top eigenvalue, is > 1 + tol."""
+        if top - 1 > COMPLETENESS_TOL:
+            raise DomainError(f"map increases trace: max eigenvalue of sum(K^t K) - I is {top - 1:.3e}")
+        object.__setattr__(self, "kraus", kraus)
+        object.__setattr__(self, "completeness", qlin._frozen_in_place(completeness))
 
     @property
     def in_dim(self) -> int:
@@ -58,11 +64,8 @@ class CPMap:
     def out_dim(self) -> int:
         return self.kraus[0].shape[0]
 
-    def completeness_sum(self) -> np.ndarray:
-        return sum(dagger(mat) @ mat for mat in self.kraus)
-
     def is_trace_preserving(self) -> bool:
-        return max_abs(self.completeness_sum() - np.eye(self.in_dim)) <= COMPLETENESS_TOL
+        return max_abs(self.completeness - np.eye(self.in_dim)) <= COMPLETENESS_TOL
 
     def apply(self, matrix: np.ndarray) -> np.ndarray:
         return sum(mat @ matrix @ dagger(mat) for mat in self.kraus)
@@ -98,7 +101,7 @@ class QuantumInstrument:
 
 def is_valid_instrument(ins: QuantumInstrument) -> bool:
     """True iff the branch completeness sums add up to the identity within ``COMPLETENESS_TOL``."""
-    total = sum(branch.completeness_sum() for branch in ins.branches)
+    total = sum(branch.completeness for branch in ins.branches)
     return max_abs(total - np.eye(ins.in_dim)) <= COMPLETENESS_TOL
 
 
@@ -139,7 +142,8 @@ def one_way_local(
     """Instrument whose branch j acts as T_1 (x) ... (x) E_j (x) ... (x) T_n.
 
     ``bystanders`` lists one trace-preserving map per party; the entry at
-    ``party`` is ignored (that slot is taken by the measuring instrument).
+    ``party`` is ignored (that slot is taken by the measuring instrument).  A branch is
+    admitted from its checked factors: a Kronecker product's top eigenvalue is theirs multiplied.
     """
     n_parties = len(bystanders)
     if not 0 <= party < n_parties:
@@ -152,13 +156,19 @@ def one_way_local(
         if not bystander.is_trace_preserving():
             raise DomainError(f"party {k} map is not trace-preserving within {COMPLETENESS_TOL:g}")
 
+    others = [m for k, m in enumerate(bystanders) if k != party]
+    bystanders_top = math.prod(np.linalg.eigvalsh(m.completeness)[-1] for m in others)
     branches = []
     for branch in local.branches:
-        kraus_choices = [
-            branch.kraus if k == party else bystanders[k].kraus for k in range(n_parties)
-        ]
-        kraus = tuple(kron_all(combo) for combo in product(*kraus_choices))
-        branches.append(CPMap(kraus))
+        maps = [branch if k == party else bystanders[k] for k in range(n_parties)]
+        if (rank := math.prod(len(m.kraus) for m in maps)) > KRAUS_RANK_CAP:
+            raise CapacityError(f"Kraus rank capped at {KRAUS_RANK_CAP}, got {rank}")
+        completeness = functools.reduce(qlin.kron, (m.completeness for m in maps))
+        kraus = tuple(functools.reduce(qlin.kron, combo) for combo in product(*(m.kraus for m in maps)))
+        top = bystanders_top * np.linalg.eigvalsh(branch.completeness)[-1]
+        admitted = object.__new__(CPMap)
+        admitted._admit(kraus, completeness, top)
+        branches.append(admitted)
     return QuantumInstrument(tuple(branches))
 
 

@@ -42,7 +42,9 @@ class PowerNode:
     def __post_init__(self):
         mat = qlin.as_complex(self.projector)
         qlin.require_hermitian(mat, PROJECTOR_TOL, f"power {self.label!r}")
-        if max_abs(mat @ mat - mat) > PROJECTOR_TOL:
+        with np.errstate(over="ignore", invalid="ignore"):
+            idempotence_error = max_abs(mat @ mat - mat)
+        if not idempotence_error <= PROJECTOR_TOL:
             raise DomainError(f"power {self.label!r} is not idempotent within {PROJECTOR_TOL:g}")
         object.__setattr__(self, "projector", frozen(mat))
 

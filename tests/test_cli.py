@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -827,6 +829,46 @@ class TestExitCodes:
         assert proc.stderr == (
             f"validation error: {state}: matrix violates Hermiticity (max asymmetry inf > 1e-09)\n"
         )
+
+    @pytest.mark.parametrize(
+        "argv, document, entry, value, message",
+        [
+            (
+                ("instrument", SAMPLES / "bell_phi_plus.json", "--instrument"),
+                SAMPLES / "measure_first_screen.json", ("branches", 1, "kraus", 0, 0, 2), [1e308, -1],
+                "{file}: branch 1 invalid: "
+                "Kraus operator 0 has |entry| 1.000000000e+308 > sqrt(1 + 1e-08)",
+            ),
+            (
+                ("powers", SAMPLES / "zero_state.json", "--projectors"),
+                SAMPLES / "qubit_two_bases.json", ("projectors", 0, "matrix", 0, 0), [1e308, 0],
+                "{file}: projector '|0><0|' invalid: power '|0><0|' is not idempotent within 1e-08",
+            ),
+            (
+                ("transform", SAMPLES / "worked_ea.json", "--screen", "1", "--basis"),
+                {"matrix": fileio.matrix_to_json(np.eye(2))}, ("matrix", 0, 0), [1e308, 0],
+                "new detector basis columns are not orthonormal within 1e-09 (max Gram error inf)",
+            ),
+        ],
+        ids=["instrument", "powers", "transform"],
+    )
+    def test_overflowing_entry_is_one_validation_line(
+        self, tmp_path, argv, document, entry, value, message
+    ):
+        """A finite entry whose products overflow a float64: no traceback and no numpy warning."""
+        if isinstance(document, Path):
+            document = json.loads(document.read_text(encoding="utf-8"))
+        *parents, last = entry
+        functools.reduce(operator.getitem, parents, document)[last] = value
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "potentia.cli", *map(str, argv), str(path)],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == f"validation error: {message.format(file=path)}\n"
 
     def test_tol_override_flows_through(self, capsys):
         code, _ = run(

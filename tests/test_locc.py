@@ -1,11 +1,19 @@
+import functools
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from potentia import qlin
 from potentia.arrangements import DetectorBasis, Factorization, make_ea, restrict
 from potentia.entanglement import Verdict, ppt_criterion
 from potentia.errors import CapacityError, DomainError
 from potentia.locc import (
+    COMPLETENESS_TOL,
     KRAUS_RANK_CAP,
+    PROBABILITY_FLOOR,
     CPMap,
     QuantumInstrument,
     apply_instrument,
@@ -24,23 +32,37 @@ P1 = np.diag([0.0, 1.0]).astype(complex)
 RHO_PHI = density_from_vector(PureVector.normalized([1, 0, 0, 1]))
 
 
-def random_instrument(rng, dim: int) -> QuantumInstrument:
-    """Random valid instrument via global completeness normalization."""
-    n_branches = int(rng.integers(1, 4))
-    raw = []
-    for _ in range(n_branches):
-        raw.append(
-            [
-                rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-                for _ in range(int(rng.integers(1, 4)))
-            ]
-        )
+def normalized_instrument(rng, dim: int, ranks) -> QuantumInstrument:
+    """Random valid instrument, one branch of Kraus rank ``r`` per entry of ``ranks``,
+    by global completeness normalization."""
+    raw = [
+        [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(r)]
+        for r in ranks
+    ]
     total = sum(k.conj().T @ k for ks in raw for k in ks)
     values, vectors = np.linalg.eigh(total)
     inv_sqrt = vectors @ np.diag(1.0 / np.sqrt(values)) @ vectors.conj().T
     return QuantumInstrument(
         tuple(CPMap(tuple(k @ inv_sqrt for k in ks)) for ks in raw)
     )
+
+
+def random_instrument(rng, dim: int) -> QuantumInstrument:
+    # Each rank is drawn just before its branch's entries, so a seed gives the same instruments
+    # as when this function built them itself.
+    n_branches = int(rng.integers(1, 4))
+    return normalized_instrument(rng, dim, (int(rng.integers(1, 4)) for _ in range(n_branches)))
+
+
+def dense_one_way_local(party, local, bystanders):
+    """Each branch's Kraus operators and completeness sum as ``one_way_local`` once formed
+    them: every ``np.kron`` product, then the sum of K^dag K over the products."""
+    branches = []
+    for branch in local.branches:
+        maps = [branch if k == party else m for k, m in enumerate(bystanders)]
+        kraus = [functools.reduce(np.kron, combo) for combo in product(*(m.kraus for m in maps))]
+        branches.append((kraus, sum(k.conj().T @ k for k in kraus)))
+    return branches
 
 
 class TestValidity:
@@ -76,6 +98,22 @@ class TestValidity:
     def test_overcomplete_cpmap_rejected(self):
         with pytest.raises(DomainError):
             CPMap((np.eye(2, dtype=complex) * 1.1,))
+
+    def test_completeness_is_kept_read_only(self):
+        cpmap = CPMap((P0, P1))
+        np.testing.assert_array_equal(cpmap.completeness, np.eye(2))
+        assert not cpmap.completeness.flags.writeable
+        assert cpmap.is_trace_preserving()
+
+    def test_entry_above_the_completeness_bound_rejected_before_summing(self, eigensolve_counter):
+        # No Kraus operator of a trace-non-increasing map has an entry above sqrt(1 + tol);
+        # this one would overflow sum(K^dag K).
+        huge = np.zeros((4, 4), dtype=complex)
+        huge[0, 2] = 1e308 - 1j
+        message = r"Kraus operator 1 has \|entry\| 1\.000000000e\+308 > sqrt\(1 \+ 1e-08\)"
+        with pytest.raises(DomainError, match=message):
+            CPMap((np.eye(4) / 2, huge))
+        assert not eigensolve_counter
 
 
 class TestApply:
@@ -173,16 +211,81 @@ class TestOneWayLocal:
                 verdict = ppt_criterion(outcome.post_state, (2, 2))
                 assert verdict.verdict is Verdict.SEPARABLE
 
-    def test_kraus_product_above_cap_is_capacity_error(self):
-        # 5 x 4 = 20 Kraus operators per branch, above the cap of 16.
+    def test_kraus_product_above_cap_is_capacity_error(self, monkeypatch):
+        # 5 x 4 = 20 Kraus operators per branch, above the cap of 16: rejected before any product.
         local = QuantumInstrument((CPMap(tuple(np.eye(2) / np.sqrt(5) for _ in range(5))),))
         paulis = (np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1]))
         depolarizing = CPMap(tuple(np.asarray(p) / 2 for p in paulis))
         assert 5 * 4 > KRAUS_RANK_CAP
-        with pytest.raises(CapacityError, match="Kraus rank"):
+        products = []
+        monkeypatch.setattr(qlin, "kron", lambda a, b: products.append(1) or np.kron(a, b))
+        with pytest.raises(CapacityError, match="^Kraus rank capped at 16, got 20$"):
             one_way_local(0, local, [None, depolarizing])
+        assert not products
+
+    def test_party_dims_above_the_dimension_cap_are_capacity_error(self):
+        assert 65 * 64 > DIM_CAP
+        with pytest.raises(CapacityError, match="exceeds the configured cap"):
+            one_way_local(0, projective_instrument([np.eye(65)]), [None, CPMap.identity(64)])
+
+    def test_completeness_solves_only_the_factors(self, eigensolve_counter):
+        bystanders = [None] + [CPMap.identity(2) for _ in range(5)]
+        instrument = one_way_local(0, projective_instrument([P0, P1]), bystanders)
+        assert set(eigensolve_counter) == {(2, 2)}
+        np.testing.assert_array_equal(instrument.branches[0].completeness, np.kron(P0, np.eye(32)))
+
+    def test_product_of_factors_within_tolerance_can_increase_trace(self):
+        # Each factor's top completeness eigenvalue is 1 + 6e-9, within COMPLETENESS_TOL;
+        # their product's is about 1 + 1.2e-8, which the dense check of the product rejects.
+        slack = np.diag([np.sqrt(1 + 6e-9), 1.0])
+        bystander, local = CPMap((slack,)), QuantumInstrument((CPMap((slack,)),))
+        assert bystander.is_trace_preserving()
+        ((_, completeness),) = dense_one_way_local(0, local, [None, bystander])
+        assert np.linalg.eigvalsh(completeness - np.eye(4))[-1] > COMPLETENESS_TOL
+        with pytest.raises(DomainError, match="increases trace"):
+            one_way_local(0, local, [None, bystander])
 
     def test_non_trace_preserving_bystander_rejected(self):
         lossy = CPMap((0.5 * np.eye(2, dtype=complex),))
         with pytest.raises(DomainError):
             one_way_local(0, projective_instrument([P0, P1]), [None, lossy])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+    party=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+    incomplete=st.booleans(),
+)
+def test_one_way_local_matches_the_dense_construction(dims, party, seed, incomplete):
+    rng = np.random.default_rng(seed)
+    party %= len(dims)
+    local = random_instrument(rng, dims[party])
+    if incomplete and len(local.branches) > 1:
+        local = QuantumInstrument(local.branches[:-1])
+    bystanders = [
+        None if k == party else normalized_instrument(rng, d, [int(rng.integers(1, 3))]).branches[0]
+        for k, d in enumerate(dims)
+    ]
+    instrument = one_way_local(party, local, bystanders)
+    reference = dense_one_way_local(party, local, bystanders)
+    for branch, (kraus, completeness) in zip(instrument.branches, reference, strict=True):
+        assert all(np.array_equal(a, b) for a, b in zip(branch.kraus, kraus, strict=True))
+        assert np.max(np.abs(branch.completeness - completeness)) <= 1e-14
+    total = sum(completeness for _, completeness in reference)
+    valid = np.max(np.abs(total - np.eye(len(total)))) <= COMPLETENESS_TOL
+    assert is_valid_instrument(instrument) == valid
+    rho = random_density(len(total), rng)
+    if not valid:
+        with pytest.raises(DomainError):
+            apply_instrument(instrument, rho)
+        return
+    for outcome, (kraus, _) in zip(apply_instrument(instrument, rho), reference, strict=True):
+        unnormalized = sum(k @ rho.matrix @ k.conj().T for k in kraus)
+        probability = np.trace(unnormalized).real
+        assert abs(outcome.probability - max(probability, 0.0)) <= 1e-12
+        if probability <= PROBABILITY_FLOOR:
+            assert outcome.post_state is None
+        else:
+            assert np.max(np.abs(outcome.post_state.matrix - unnormalized / probability)) <= 1e-12

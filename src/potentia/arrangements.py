@@ -9,7 +9,6 @@ indices by canonical mixed radix with screen 0 most significant.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -142,7 +141,7 @@ class ExperimentalArrangement:
         """Columns are the detector product vectors; multiplied out of ``steps`` on each read."""
         m = np.eye(self.degree, dtype=np.complex128)
         for dims, factors in reversed(_runs(self.steps)):
-            m = _kron_left(m, dims, factors)
+            m = qlin._kron_left(m, dims, factors)
         return qlin._frozen_in_place(m)
 
     def intensities(self) -> np.ndarray:
@@ -166,7 +165,7 @@ def _runs(steps: Sequence) -> list:
 def _unwound(m: np.ndarray, steps: Sequence) -> np.ndarray:
     """``S @ m @ S^dag`` for ``S`` the product of ``steps``, newest first, without forming ``S``."""
     for dims, factors in reversed(_runs(steps)):
-        m = _conjugated(m, dims, {k: dagger(w) for k, w in factors.items()})
+        m = qlin._conjugated(m, dims, {k: dagger(w) for k, w in factors.items()})
     return m
 
 
@@ -175,57 +174,6 @@ def _same_step(a: tuple, b: tuple) -> bool:
     return a is b or a[0] == b[0] and a[1].keys() == b[1].keys() and all(
         np.array_equal(w, b[1][k]) for k, w in a[1].items()
     )
-
-
-def _kron_left(m: np.ndarray, dims: Sequence[int], factors: dict[int, np.ndarray]) -> np.ndarray:
-    """``R @ m`` for ``R = F_0 x ... x F_n-1``, ``F_k = factors[k]`` or the identity: one
-    batched matmul per factor on the rows of ``m`` viewed as (d_0..d_k-1, d_k, rest)."""
-    for axis, w in factors.items():
-        m = np.matmul(w, m.reshape(math.prod(dims[:axis]), dims[axis], -1)).reshape(m.shape)
-    return m
-
-
-#: Consecutive screens whose dims multiply to at most this go as one Kronecker product in
-#: ``_kron_right``: on the benchmark's layouts 16 and 32 ran slower, and 128 no faster.
-_KRON_BLOCK = 64
-
-
-def _kron_right(m: np.ndarray, dims: Sequence[int], factors: dict[int, np.ndarray]) -> np.ndarray:
-    """``m @ R`` for ``R`` as in ``_kron_left``, on the columns of ``m`` viewed as (d_0..d_n-1).
-
-    The screens are cut, from the last, into groups of consecutive screens whose dims
-    multiply to at most ``_KRON_BLOCK``; a wider screen is a group alone.  A group's factors
-    go as one Kronecker product of size D, with the identity for a screen without one, from
-    its first factor to its last, and in the trailing group on to the last screen.  A
-    product that ends on the last screen is one matmul per N runs of D columns; any other is
-    one batched matmul over (rows, D, post), post the product of the later dims: batches
-    of tiny products cost more in calls than a larger product costs in arithmetic."""
-    n, end = len(m), len(dims)
-    while end:
-        start = end - 1
-        while start and math.prod(dims[start - 1 : end]) <= _KRON_BLOCK:
-            start -= 1
-        group = [k for k in factors if start <= k < end]
-        if group:
-            last = len(dims) if end == len(dims) else max(group) + 1
-            block = functools.reduce(
-                np.kron, [factors.get(k, np.eye(dims[k])) for k in range(min(group), last)]
-            )
-            post = math.prod(dims[last:])
-            if post == 1:
-                m = np.matmul(m.reshape(-1, n, len(block)), block)
-            else:
-                m = np.matmul(block.T, m.reshape(-1, len(block), post))
-            m = m.reshape(n, n)
-        end = start
-    return m
-
-
-def _conjugated(m: np.ndarray, dims: Sequence[int], factors: dict[int, np.ndarray]) -> np.ndarray:
-    """``R^dag @ m @ R`` without forming ``R``: ``R^dag`` applied to the rows of ``m``, then
-    ``R`` to the columns of the product."""
-    left = _kron_left(m, dims, {k: dagger(w) for k, w in factors.items()})
-    return _kron_right(left, dims, factors)
 
 
 def make_ea(
@@ -244,7 +192,7 @@ def make_ea(
     # A missing factor is the identity to both kernels, so an identity basis costs no product.
     dims = factorization.screen_dims
     factors = {k: w for k, w in enumerate(basis.screens) if not np.array_equal(w, np.eye(len(w)))}
-    matrix = _conjugated(rho.matrix, dims, factors)
+    matrix = qlin._conjugated(rho.matrix, dims, factors)
     return ExperimentalArrangement._trusted(matrix, factorization, ((dims, factors),))
 
 
@@ -271,7 +219,7 @@ def change_detectors(
         raise ShapeError(f"screen {screen} basis must be {dims[screen]}x{dims[screen]}, got {v.shape}")
     qlin.require_isometry(v, what="new detector basis")
     factors = {screen: frozen(v)}  # a copy: ``v`` may be the caller's own array
-    matrix = _conjugated(ea.matrix, dims, factors)
+    matrix = qlin._conjugated(ea.matrix, dims, factors)
     return ExperimentalArrangement._trusted(matrix, ea.factorization, ea.steps + ((dims, factors),))
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import qlin
 from .errors import CapacityError, DomainError, ShapeError
-from .qlin import dagger, max_abs
+from .qlin import DIM_CAP, dagger, max_abs
 from .states import DensityOperator
 
 COMPLETENESS_TOL = 1e-8
@@ -37,8 +37,6 @@ class CPMap:
             raise CapacityError(f"Kraus rank capped at {KRAUS_RANK_CAP}, got {len(self.kraus)}")
         mats = [qlin.as_complex(raw) for raw in self.kraus]
         for k, mat in enumerate(mats):
-            if max(mat.shape) > qlin.DIM_CAP:
-                raise CapacityError(f"Kraus operator {k} is {mat.shape}, above the cap of {qlin.DIM_CAP}")
             if mat.shape != mats[0].shape:
                 raise ShapeError(f"Kraus operator {k} is {mat.shape}, expected {mats[0].shape}")
             # |K_ij| <= ||K||_2 <= sqrt(top eigenvalue of sum K^dag K); checked before it can overflow.
@@ -47,13 +45,8 @@ class CPMap:
                     f"Kraus operator {k} has |entry| {largest:.9e} > sqrt(1 + {COMPLETENESS_TOL:g})"
                 )
         completeness = sum(dagger(mat) @ mat for mat in mats)
-        self._admit(tuple(map(qlin.frozen, mats)), completeness, np.linalg.eigvalsh(completeness)[-1])
-
-    def _admit(self, kraus: tuple[np.ndarray, ...], completeness: np.ndarray, top: float) -> None:
-        """Keep ``kraus`` and their completeness sum unless ``top``, its top eigenvalue, is > 1 + tol."""
-        if top - 1 > COMPLETENESS_TOL:
-            raise DomainError(f"map increases trace: max eigenvalue of sum(K^t K) - I is {top - 1:.3e}")
-        object.__setattr__(self, "kraus", kraus)
+        _require_trace_non_increasing(np.linalg.eigvalsh(completeness)[-1])
+        object.__setattr__(self, "kraus", tuple(map(qlin.frozen, mats)))
         object.__setattr__(self, "completeness", qlin._frozen_in_place(completeness))
 
     @property
@@ -68,11 +61,45 @@ class CPMap:
         return max_abs(self.completeness - np.eye(self.in_dim)) <= COMPLETENESS_TOL
 
     def apply(self, matrix: np.ndarray) -> np.ndarray:
-        return sum(mat @ matrix @ dagger(mat) for mat in self.kraus)
+        return _kraus_sum(matrix, (self.in_dim,), {0: self.kraus})
 
     @classmethod
     def identity(cls, dim: int) -> "CPMap":
         return cls((np.eye(dim, dtype=np.complex128),))
+
+
+def _require_trace_non_increasing(top: float) -> None:
+    if top - 1 > COMPLETENESS_TOL:
+        raise DomainError(f"map increases trace: max eigenvalue of sum(K^t K) - I is {top - 1:.3e}")
+
+
+def _kraus_sum(matrix: np.ndarray, dims: Sequence[int], families: dict[int, tuple]) -> np.ndarray:
+    """Sum of K @ matrix @ K^dag over the products K of one Kraus operator per screen in
+    ``families`` (the identity on every other screen), each applied by the local-factor kernel."""
+    return sum(
+        qlin._kron_right(qlin._kron_left(matrix, dims, f), dims, {k: dagger(w) for k, w in f.items()})
+        for f in (dict(zip(families, combo)) for combo in product(*families.values()))
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class _LocalBranch:
+    """A one-way local branch, kept as the per-party maps whose Kronecker product it is."""
+
+    maps: tuple[CPMap, ...]
+    in_dim: int
+    out_dim: int
+
+    @property
+    def completeness(self) -> np.ndarray:
+        """The product's sum K^dag K: the Kronecker product of the parties' sums, formed on read."""
+        return functools.reduce(np.kron, (m.completeness for m in self.maps))
+
+    def apply(self, matrix: np.ndarray) -> np.ndarray:
+        # An identity party map is no factor, as an identity detector basis is none.
+        families = {k: m.kraus for k, m in enumerate(self.maps)
+                    if len(m.kraus) > 1 or not np.array_equal(m.kraus[0], np.eye(m.in_dim))}
+        return _kraus_sum(matrix, [m.in_dim for m in self.maps], families)
 
 
 @dataclass(frozen=True)
@@ -101,8 +128,9 @@ class QuantumInstrument:
 
 def is_valid_instrument(ins: QuantumInstrument) -> bool:
     """True iff the branch completeness sums add up to the identity within ``COMPLETENESS_TOL``."""
-    total = sum(branch.completeness for branch in ins.branches)
-    return max_abs(total - np.eye(ins.in_dim)) <= COMPLETENESS_TOL
+    total = sum(branch.completeness for branch in ins.branches)  # a new array: sum adds to 0
+    total.flat[:: len(total) + 1] -= 1
+    return max_abs(total) <= COMPLETENESS_TOL
 
 
 @dataclass(frozen=True)
@@ -142,33 +170,32 @@ def one_way_local(
     """Instrument whose branch j acts as T_1 (x) ... (x) E_j (x) ... (x) T_n.
 
     ``bystanders`` lists one trace-preserving map per party; the entry at
-    ``party`` is ignored (that slot is taken by the measuring instrument).  A branch is
-    admitted from its checked factors: a Kronecker product's top eigenvalue is theirs multiplied.
+    ``party`` is ignored (that slot is taken by the measuring instrument).  A branch keeps its
+    per-party maps; the products of their dims, ranks and top completeness eigenvalues (which
+    a Kronecker product's is) are checked before anything is formed.
     """
     n_parties = len(bystanders)
     if not 0 <= party < n_parties:
         raise ShapeError(f"party {party} out of range for {n_parties} parties")
-    for k, bystander in enumerate(bystanders):
-        if k == party:
-            continue
+    others = {k: m for k, m in enumerate(bystanders) if k != party}
+    for k, bystander in others.items():
         if bystander is None:
             raise DomainError(f"party {k} needs an explicit trace-preserving map")
         if not bystander.is_trace_preserving():
             raise DomainError(f"party {k} map is not trace-preserving within {COMPLETENESS_TOL:g}")
 
-    others = [m for k, m in enumerate(bystanders) if k != party]
-    bystanders_top = math.prod(np.linalg.eigvalsh(m.completeness)[-1] for m in others)
+    first = [local.branches[0] if k == party else m for k, m in enumerate(bystanders)]
+    rows, cols = math.prod(m.out_dim for m in first), math.prod(m.in_dim for m in first)
+    if max(rows, cols) > DIM_CAP:
+        raise CapacityError(f"one-way product {rows}x{cols} exceeds the configured cap of {DIM_CAP}")
+    bystanders_top = math.prod(np.linalg.eigvalsh(m.completeness)[-1] for m in others.values())
     branches = []
     for branch in local.branches:
-        maps = [branch if k == party else bystanders[k] for k in range(n_parties)]
+        maps = tuple(branch if k == party else m for k, m in enumerate(bystanders))
         if (rank := math.prod(len(m.kraus) for m in maps)) > KRAUS_RANK_CAP:
             raise CapacityError(f"Kraus rank capped at {KRAUS_RANK_CAP}, got {rank}")
-        completeness = functools.reduce(qlin.kron, (m.completeness for m in maps))
-        kraus = tuple(functools.reduce(qlin.kron, combo) for combo in product(*(m.kraus for m in maps)))
-        top = bystanders_top * np.linalg.eigvalsh(branch.completeness)[-1]
-        admitted = object.__new__(CPMap)
-        admitted._admit(kraus, completeness, top)
-        branches.append(admitted)
+        _require_trace_non_increasing(bystanders_top * np.linalg.eigvalsh(branch.completeness)[-1])
+        branches.append(_LocalBranch(maps, cols, rows))
     return QuantumInstrument(tuple(branches))
 
 

@@ -286,16 +286,9 @@ def reconstruct_density(valuation: ISAValuation) -> DensityOperator:
     if dim < 2:
         raise DomainError("reconstruction needs dim >= 2")
     needed = dim * dim
-    upper = np.triu_indices(dim, k=1)
-
-    def real_row(mat: np.ndarray) -> np.ndarray:
-        # Hermitian rho parametrized as [diagonal, then sqrt2*Re and sqrt2*Im of
-        # each upper entry in row-major order, interleaved].
-        off = mat[upper]
-        pairs = np.stack([np.real(off), np.imag(off)], axis=-1).reshape(-1)
-        return np.concatenate([np.real(np.diag(mat)), np.sqrt(2.0) * pairs])
-
-    design = np.stack([real_row(node.projector) for node in graph.nodes])
+    # A matrix's float64 view lists its entries' re/im pairs; on Hermitian matrices it is an
+    # isometry, as <view A, view B> = Tr(AB), so each projector's view is its design row.
+    design = np.stack([node.projector.view(np.float64).ravel() for node in graph.nodes])
     rank = int(np.linalg.matrix_rank(design, tol=RANK_TOL))
     if rank < needed:
         raise UnderdeterminedError(
@@ -310,12 +303,7 @@ def reconstruct_density(valuation: ISAValuation) -> DensityOperator:
             f"valuation is inconsistent: residual {residual:.3e} > {RESIDUAL_TOL:g}",
             residual=residual,
         )
-    rho = np.zeros((dim, dim), dtype=np.complex128)
-    np.fill_diagonal(rho, solution[:dim])
-    re, im = solution[dim:].reshape(-1, 2).T
-    rho[upper] = (1.0 / np.sqrt(2.0)) * (re + 1j * im)
-    rho[upper[::-1]] = np.conj(rho[upper])
-    return DensityOperator(rho)
+    return DensityOperator(solution.view(np.complex128).reshape(dim, dim))
 
 
 def find_additive_binary_valuation(graph: PowersGraph) -> np.ndarray | None:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from potentia import arrangements
+from potentia import qlin
 from potentia.arrangements import (
     EQUIVALENCE_TOL,
     ChainLink,
@@ -725,13 +725,13 @@ def count_kron_factors(monkeypatch) -> list:
     """Wrap both kernels; the returned list grows by ``(dims, screen)`` per factor applied."""
     applied = []
     for name in ("_kron_left", "_kron_right"):
-        kernel = getattr(arrangements, name)
+        kernel = getattr(qlin, name)
 
         def counted(m, dims, factors, kernel=kernel):
             applied.extend((tuple(dims), axis) for axis in factors)
             return kernel(m, dims, factors)
 
-        monkeypatch.setattr(arrangements, name, counted)
+        monkeypatch.setattr(qlin, name, counted)
     return applied
 
 
@@ -761,17 +761,22 @@ KERNEL_CASES = [
 ]
 
 
-def conjugation_case(dims, screens, rng):
-    """A random ``m``, factors on ``screens`` and ``R^dag m R`` with ``R`` multiplied out."""
+def conjugation_case(dims, screens, rng, widths=None):
+    """A random ``m``, factors on ``screens`` and ``R^dag m R`` with ``R`` multiplied out.  The
+    factor on screen k is unitary, or a d_k x widths[k] block of a unitary if ``widths`` has k."""
     n = int(np.prod(dims))
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    factors = {k: random_unitary(dims[k], rng) for k in screens}
+    widths = widths or {}
+    factors = {
+        k: random_unitary(max(dims[k], widths.get(k, 0)), rng)[: dims[k], : widths.get(k, dims[k])]
+        for k in screens
+    }
     r = kron_oracle([factors.get(k, np.eye(d)) for k, d in enumerate(dims)])
     return m, factors, r.conj().T @ m @ r
 
 
 class MatmulSpy:
-    """``numpy`` for ``arrangements``, recording the operand ranks of each ``matmul``."""
+    """``numpy`` for ``qlin``, recording the operand ranks of each ``matmul``."""
 
     def __init__(self):
         self.ranks = []
@@ -790,10 +795,10 @@ class TestConjugationKernel:
     @pytest.mark.parametrize("dims, screens, routes", KERNEL_CASES)
     def test_each_route_matches_kron_oracle(self, monkeypatch, rng, dims, screens, routes):
         m, factors, oracle = conjugation_case(dims, screens, rng)
-        left = arrangements._kron_left(m, dims, {k: dagger(w) for k, w in factors.items()})
+        left = qlin._kron_left(m, dims, {k: dagger(w) for k, w in factors.items()})
         spy = MatmulSpy()
-        monkeypatch.setattr(arrangements, "np", spy)
-        out = arrangements._kron_right(left, dims, factors)
+        monkeypatch.setattr(qlin, "np", spy)
+        out = qlin._kron_right(left, dims, factors)
         # A block is a stack of column runs times one matrix; a column batch is one matrix
         # times a stack.
         taken = {"block"} if (3, 2) in spy.ranks else set()
@@ -814,10 +819,13 @@ class TestConjugationKernel:
         st.integers(0, 2**32 - 1),
     )
     def test_random_factor_subsets_match_kron_oracle(self, dims, seed):
+        """Square and rectangular factors: a screen takes its factor's column count."""
         rng = np.random.default_rng(seed)
         screens = [k for k in range(len(dims)) if rng.random() < 0.5]
-        m, factors, oracle = conjugation_case(dims, screens, rng)
-        assert np.max(np.abs(arrangements._conjugated(m, dims, factors) - oracle)) <= 1e-12
+        widths = {k: max(1, dims[k] + int(rng.integers(-1, 2))) for k in screens if rng.random() < 0.5}
+        m, factors, oracle = conjugation_case(dims, screens, rng, widths)
+        out = qlin._conjugated(m, dims, factors)
+        assert out.shape == oracle.shape and np.max(np.abs(out - oracle)) <= 1e-12
 
 
 class TestEigensolves:

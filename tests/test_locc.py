@@ -32,11 +32,12 @@ P1 = np.diag([0.0, 1.0]).astype(complex)
 RHO_PHI = density_from_vector(PureVector.normalized([1, 0, 0, 1]))
 
 
-def normalized_instrument(rng, dim: int, ranks) -> QuantumInstrument:
+def normalized_instrument(rng, dim: int, ranks, out_dim: int | None = None) -> QuantumInstrument:
     """Random valid instrument, one branch of Kraus rank ``r`` per entry of ``ranks``,
-    by global completeness normalization."""
+    by global completeness normalization; its Kraus operators are ``out_dim`` x ``dim``."""
+    shape = (out_dim or dim, dim)
     raw = [
-        [rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)) for _ in range(r)]
+        [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(r)]
         for r in ranks
     ]
     total = sum(k.conj().T @ k for ks in raw for k in ks)
@@ -89,7 +90,7 @@ class TestValidity:
         # A (DIM_CAP + 1) x 1 isometry is trace-preserving on a 1-dim input.
         tall = np.zeros((DIM_CAP + 1, 1))
         tall[0, 0] = 1.0
-        with pytest.raises(CapacityError, match="Kraus operator 0"):
+        with pytest.raises(CapacityError, match=r"^matrix shape \(4097, 1\) exceeds the dimension cap of 4096$"):
             CPMap((tall,))
         with pytest.raises(CapacityError):
             CPMap((tall.T,))
@@ -218,21 +219,52 @@ class TestOneWayLocal:
         depolarizing = CPMap(tuple(np.asarray(p) / 2 for p in paulis))
         assert 5 * 4 > KRAUS_RANK_CAP
         products = []
-        monkeypatch.setattr(qlin, "kron", lambda a, b: products.append(1) or np.kron(a, b))
+        monkeypatch.setattr(np, "kron", lambda a, b, kron=np.kron: products.append(1) or kron(a, b))
         with pytest.raises(CapacityError, match="^Kraus rank capped at 16, got 20$"):
             one_way_local(0, local, [None, depolarizing])
         assert not products
 
     def test_party_dims_above_the_dimension_cap_are_capacity_error(self):
         assert 65 * 64 > DIM_CAP
-        with pytest.raises(CapacityError, match="exceeds the configured cap"):
+        with pytest.raises(CapacityError, match="^one-way product 4160x4160 exceeds the configured cap"):
             one_way_local(0, projective_instrument([np.eye(65)]), [None, CPMap.identity(64)])
 
-    def test_completeness_solves_only_the_factors(self, eigensolve_counter):
+    @pytest.mark.parametrize("party", [0, 2])
+    def test_dims_are_capped_before_anything_is_formed(self, monkeypatch, eigensolve_counter, party):
+        """8192 = 2 x 64 x 64 is refused in any party order, before a solve or a product."""
+        qubit = projective_instrument([P0, P1])
+        bystanders = [CPMap.identity(64), CPMap.identity(64)]
+        bystanders.insert(party, None)
+        products = []
+        monkeypatch.setattr(np, "kron", lambda a, b, kron=np.kron: products.append(1) or kron(a, b))
+        eigensolve_counter.clear()
+        with pytest.raises(CapacityError, match="^one-way product 8192x8192 exceeds the configured cap"):
+            one_way_local(party, qubit, bystanders)
+        assert not eigensolve_counter and not products
+
+    def test_completeness_solves_only_the_factors(self, monkeypatch, rng, eigensolve_counter):
+        """On (2,)*6 every factor applied is a 2x2 party map: no N x N Kraus product is formed."""
+        rho = random_density(64, rng)
+        factors = []
+        for name in ("_kron_left", "_kron_right"):
+            def spied(m, dims, fs, kernel=getattr(qlin, name)):
+                factors.extend(w.shape for w in fs.values())
+                return kernel(m, dims, fs)
+
+            monkeypatch.setattr(qlin, name, spied)
+        eigensolve_counter.clear()
         bystanders = [None] + [CPMap.identity(2) for _ in range(5)]
         instrument = one_way_local(0, projective_instrument([P0, P1]), bystanders)
-        assert set(eigensolve_counter) == {(2, 2)}
+        outcomes = apply_instrument(instrument, rho)
+        assert set(eigensolve_counter) == {(2, 2), ("cholesky", (64, 64))}
+        assert eigensolve_counter[("cholesky", (64, 64))] == 2
+        assert factors == [(2, 2)] * 4  # the measured qubit's P on each side; identities skipped
+        assert not hasattr(instrument.branches[0], "kraus")
         np.testing.assert_array_equal(instrument.branches[0].completeness, np.kron(P0, np.eye(32)))
+        for outcome, p in zip(outcomes, (P0, P1)):
+            dense = np.kron(p, np.eye(32))
+            unnormalized = dense @ rho.matrix @ dense
+            assert outcome.probability == pytest.approx(np.trace(unnormalized).real, abs=1e-14)
 
     def test_product_of_factors_within_tolerance_can_increase_trace(self):
         # Each factor's top completeness eigenvalue is 1 + 6e-9, within COMPLETENESS_TOL;
@@ -254,38 +286,42 @@ class TestOneWayLocal:
 @settings(max_examples=60, deadline=None)
 @given(
     dims=st.lists(st.integers(1, 3), min_size=2, max_size=3),
-    party=st.integers(0, 2),
     seed=st.integers(0, 2**32 - 1),
     incomplete=st.booleans(),
+    isometric=st.booleans(),
 )
-def test_one_way_local_matches_the_dense_construction(dims, party, seed, incomplete):
+def test_one_way_local_matches_the_dense_construction(dims, seed, incomplete, isometric):
+    """With the measuring party in every position, and sometimes one bystander an isometry
+    d -> d + 1, branches act as their dense ``np.kron`` Kraus products do."""
     rng = np.random.default_rng(seed)
-    party %= len(dims)
-    local = random_instrument(rng, dims[party])
-    if incomplete and len(local.branches) > 1:
-        local = QuantumInstrument(local.branches[:-1])
-    bystanders = [
-        None if k == party else normalized_instrument(rng, d, [int(rng.integers(1, 3))]).branches[0]
-        for k, d in enumerate(dims)
-    ]
-    instrument = one_way_local(party, local, bystanders)
-    reference = dense_one_way_local(party, local, bystanders)
-    for branch, (kraus, completeness) in zip(instrument.branches, reference, strict=True):
-        assert all(np.array_equal(a, b) for a, b in zip(branch.kraus, kraus, strict=True))
-        assert np.max(np.abs(branch.completeness - completeness)) <= 1e-14
-    total = sum(completeness for _, completeness in reference)
-    valid = np.max(np.abs(total - np.eye(len(total)))) <= COMPLETENESS_TOL
-    assert is_valid_instrument(instrument) == valid
-    rho = random_density(len(total), rng)
-    if not valid:
-        with pytest.raises(DomainError):
-            apply_instrument(instrument, rho)
-        return
-    for outcome, (kraus, _) in zip(apply_instrument(instrument, rho), reference, strict=True):
-        unnormalized = sum(k @ rho.matrix @ k.conj().T for k in kraus)
-        probability = np.trace(unnormalized).real
-        assert abs(outcome.probability - max(probability, 0.0)) <= 1e-12
-        if probability <= PROBABILITY_FLOOR:
-            assert outcome.post_state is None
-        else:
-            assert np.max(np.abs(outcome.post_state.matrix - unnormalized / probability)) <= 1e-12
+    wide = int(rng.integers(len(dims))) if isometric else None
+    for party in range(len(dims)):
+        local = random_instrument(rng, dims[party])
+        if incomplete and len(local.branches) > 1:
+            local = QuantumInstrument(local.branches[:-1])
+        bystanders = [
+            None if k == party else normalized_instrument(
+                rng, d, [int(rng.integers(1, 3))], d + 1 if k == wide else d
+            ).branches[0]
+            for k, d in enumerate(dims)
+        ]
+        instrument = one_way_local(party, local, bystanders)
+        reference = dense_one_way_local(party, local, bystanders)
+        for branch, (_, completeness) in zip(instrument.branches, reference, strict=True):
+            assert np.max(np.abs(branch.completeness - completeness)) <= 1e-14
+        total = sum(completeness for _, completeness in reference)
+        valid = np.max(np.abs(total - np.eye(len(total)))) <= COMPLETENESS_TOL
+        assert is_valid_instrument(instrument) == valid
+        rho = random_density(len(total), rng)
+        if not valid:
+            with pytest.raises(DomainError):
+                apply_instrument(instrument, rho)
+            continue
+        for outcome, (kraus, _) in zip(apply_instrument(instrument, rho), reference, strict=True):
+            unnormalized = sum(k @ rho.matrix @ k.conj().T for k in kraus)
+            probability = np.trace(unnormalized).real
+            assert abs(outcome.probability - max(probability, 0.0)) <= 1e-12
+            if probability <= PROBABILITY_FLOOR:
+                assert outcome.post_state is None
+            else:
+                assert np.max(np.abs(outcome.post_state.matrix - unnormalized / probability)) <= 1e-12

@@ -9,11 +9,11 @@ from potentia import states
 from potentia.arrangements import DetectorBasis, Factorization, make_ea
 from potentia.bell import CorrelationMatrix, MeasurementSetting
 from potentia.entanglement import WitnessOperator
-from potentia.errors import DomainError, ShapeError
+from potentia.errors import CapacityError, DomainError, ShapeError
 from potentia.families import qubit_two_bases
 from potentia.locc import CPMap
 from potentia.powers import ISAValuation, PowerNode, build_graph, isa_from_density
-from potentia.qlin import herm_eig
+from potentia.qlin import DIM_CAP, herm_eig
 from potentia.sampling import random_density, random_pure, random_unitary
 from potentia.states import (
     EIGENVALUE_FLOOR,
@@ -91,6 +91,23 @@ class TestSpectrum:
         eigensolve_counter.clear()
         DensityOperator(matrix)
         assert eigensolve_counter == {("cholesky", (12, 12)): 1}
+
+    def test_dimension_cap_is_checked_before_anything_is_solved(self, eigensolve_counter):
+        matrix = np.eye(DIM_CAP + 1, dtype=complex)
+        matrix /= DIM_CAP + 1
+        with pytest.raises(CapacityError, match=r"^matrix shape \(4097, 4097\) exceeds the dimension cap of 4096$"):
+            DensityOperator(matrix)
+        assert not eigensolve_counter
+
+    @pytest.mark.parametrize("make", [
+        lambda m: PowerNode(m, "P"),
+        lambda m: DetectorBasis((m,)),
+        lambda m: WitnessOperator(m, HALF),
+        lambda m: CPMap((m,)),
+    ])
+    def test_every_matrix_gate_checks_the_dimension_cap(self, make):
+        with pytest.raises(CapacityError, match="exceeds the dimension cap"):
+            make(np.zeros((DIM_CAP + 1, 1)))
 
     def test_spectrum_is_solved_once_on_first_read(self, rng, eigensolve_counter):
         rho = random_density(12, rng)

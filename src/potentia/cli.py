@@ -111,12 +111,7 @@ def _assignment(flag: str, what: str, assignment: str) -> tuple[str, float]:
 
 
 def _tolerances(args) -> Tolerances:
-    tols = Tolerances()
-    if args.config:
-        raw = fileio._load_json(args.config)[0].get("tolerances", {})
-        if not isinstance(raw, dict):
-            raise ParseError(f"{args.config}: 'tolerances' must be an object")
-        tols = Tolerances.from_config(raw)
+    tols = fileio.load_tolerances(args.config) if args.config else Tolerances()
     for assignment in args.tol or ():
         tols.override(*_assignment("--tol", "name", assignment))
     return tols
@@ -205,13 +200,7 @@ def _basis_arg(source: str, dim: int) -> tuple[np.ndarray, str | None]:
     """The basis matrix, and the digest of its file when ``source`` names one."""
     if source in NAMED_BASES or not Path(source).exists():
         return _named_basis(source, dim), None
-    document, digest = fileio._load_json(source)
-    matrix = fileio.matrix_from_json(
-        fileio._require(document, "matrix", list, source), f"{source}.matrix"
-    )
-    if matrix.shape != (dim, dim):
-        raise ValidationError(f"{source}: basis shape {matrix.shape} does not match screen dim {dim}")
-    return matrix, digest
+    return fileio.load_basis(source, dim)
 
 
 def cmd_transform(args, tols: Tolerances) -> dict:
@@ -230,12 +219,9 @@ def cmd_transform(args, tols: Tolerances) -> dict:
     ea = arrangements.make_ea(state.density, state.factorization, state.basis)
     results: dict = {"before_intensities": _float_list(ea.intensities())}
 
-    out_factorization = state.factorization
     out_screens = list(state.basis.screens)
     if args.refactor:
         transformed = arrangements.refactor(ea, Factorization(dims))
-        out_factorization = transformed.factorization
-        out_screens = list(DetectorBasis.computational(out_factorization).screens)
         results["transform"] = {"refactor": list(dims)}
     elif args.screen is not None:
         screen = args.screen - 1
@@ -270,7 +256,7 @@ def cmd_transform(args, tols: Tolerances) -> dict:
         emit_bases = not args.refactor and (state.has_explicit_bases or args.screen is not None)
         document = fileio.state_document(
             state.density,
-            out_factorization if emit_factorization else None,
+            transformed.factorization if emit_factorization else None,
             DetectorBasis(tuple(out_screens)) if emit_bases else None,
             state.label,
         )

@@ -1,9 +1,10 @@
-"""JSON file schemas: states, projector families, and instruments.
+"""JSON file schemas: states, projector families, instruments, bases and configs.
 
-All files are UTF-8 JSON with a mandatory ``schema_version`` ("1").
-Complex entries are two-element ``[re, im]`` arrays; matrices are row-major
-(a list of rows).  Structural problems raise ParseError (CLI exit 2),
-physical-invariant failures raise ValidationError (CLI exit 3).
+All files are UTF-8 JSON.  State, projector and instrument files carry a mandatory
+``schema_version`` ("1"); a basis file (``{"matrix": ...}``) and a config file
+(``{"tolerances": {...}}``) carry none.  Complex entries are two-element ``[re, im]``
+arrays; matrices are row-major (a list of rows).  Structural problems raise ParseError
+(CLI exit 2), physical-invariant failures raise ValidationError (CLI exit 3).
 """
 
 from __future__ import annotations
@@ -50,13 +51,6 @@ class Tolerances:
             raise ParseError(f"tolerance {name!r}: {json.dumps(value)} is not a finite number >= 0")
         setattr(self, name, float(value))
 
-    @classmethod
-    def from_config(cls, mapping: dict) -> "Tolerances":
-        tols = cls()
-        for name, value in mapping.items():
-            tols.override(name, value)
-        return tols
-
 
 def matrix_to_json(matrix: np.ndarray) -> list:
     """Row-major nested list of [re, im] pairs."""
@@ -79,8 +73,10 @@ def _require_pairs(rows, path: str) -> None:
                 raise ParseError(f"{path}[{r}][{c}]: complex entries must be [re, im] number pairs")
 
 
-def matrix_from_json(rows, path: str) -> np.ndarray:
-    """Complex matrix from row-major [re, im] pairs; every float64 part is kept bit for bit."""
+def matrix_from_json(rows, path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Complex matrix from row-major [re, im] pairs; every float64 part is kept bit for bit.
+    ``shape``, when given, is the one its document fixes (by ``dim`` or a screen dim), and a
+    matrix of another shape raises ParseError."""
     try:
         pairs = np.array(rows)
     except ValueError:  # ragged nesting
@@ -91,7 +87,10 @@ def matrix_from_json(rows, path: str) -> np.ndarray:
             pairs = np.array(rows, dtype=np.float64)  # well formed: integers beyond int64
         except OverflowError:
             raise ParseError(f"{path}: an entry is too large for a float64")
-    return np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
+    matrix = np.ascontiguousarray(pairs, dtype=np.float64).view(np.complex128)[..., 0]
+    if shape is not None and matrix.shape != shape:
+        raise ParseError(f"{path}: shape {matrix.shape}, expected {shape}")
+    return matrix
 
 
 def _load_json(path: str | Path) -> tuple[dict, str]:
@@ -170,9 +169,7 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
     tols = tolerances or Tolerances()
     document, name, digest = _load_document(path)
     dim = _require_dim(document, name)
-    matrix = matrix_from_json(_require(document, "matrix", list, name), f"{name}.matrix")
-    if matrix.shape != (dim, dim):
-        raise ParseError(f"{name}.matrix: shape {matrix.shape} does not match dim {dim}")
+    matrix = matrix_from_json(_require(document, "matrix", list, name), f"{name}.matrix", (dim, dim))
 
     try:
         qlin.require_hermitian(qlin.as_complex(matrix), tols.hermiticity)  # rejects non-finite first
@@ -206,16 +203,11 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
             raise ParseError(
                 f"{name}.bases: expected one basis per screen ({factorization.screens})"
             )
-        screens = []
-        for k, raw in enumerate(raw_bases):
-            screen = matrix_from_json(raw, f"{name}.bases[{k}]")
-            if screen.shape != (factorization.screen_dims[k],) * 2:
-                raise ParseError(
-                    f"{name}.bases[{k}]: shape {screen.shape} does not match screen dim "
-                    f"{factorization.screen_dims[k]}"
-                )
-            screens.append(screen)
-        basis = _validated(name, DetectorBasis, tuple(screens))
+        screens = tuple(
+            matrix_from_json(raw, f"{name}.bases[{k}]", (d, d))
+            for k, (raw, d) in enumerate(zip(raw_bases, factorization.screen_dims))
+        )
+        basis = _validated(name, DetectorBasis, screens)
     else:
         basis = DetectorBasis.computational(factorization)
 
@@ -266,19 +258,13 @@ def load_projectors(path: str | Path) -> tuple[list[PowerNode], str]:
         raise ParseError(f"{name}.projectors: expected at least one projector")
     nodes = []
     for k, raw in enumerate(raw_nodes):
+        where = f"{name}.projectors[{k}]"
         if not isinstance(raw, dict):
-            raise ParseError(f"{name}.projectors[{k}]: expected an object")
+            raise ParseError(f"{where}: expected an object")
         label = raw.get("label", f"P{k}")
         if not isinstance(label, str):
-            raise ParseError(f"{name}.projectors[{k}].label: expected a string")
-        matrix = matrix_from_json(
-            _require(raw, "matrix", list, f"{name}.projectors[{k}]"),
-            f"{name}.projectors[{k}].matrix",
-        )
-        if matrix.shape != (dim, dim):
-            raise ParseError(
-                f"{name}.projectors[{k}].matrix: shape {matrix.shape} does not match dim {dim}"
-            )
+            raise ParseError(f"{where}.label: expected a string")
+        matrix = matrix_from_json(_require(raw, "matrix", list, where), f"{where}.matrix", (dim, dim))
         nodes.append(_validated(f"{name}: projector {label!r} invalid", PowerNode, matrix, label))
     return nodes, digest
 
@@ -302,6 +288,27 @@ def load_instrument(path: str | Path) -> tuple[QuantumInstrument, str]:
         )
         branches.append(_validated(f"{name}: branch {k} invalid", CPMap, kraus))
     return _validated(name, QuantumInstrument, tuple(branches)), digest
+
+
+def load_basis(path: str | Path, dim: int) -> tuple[np.ndarray, str]:
+    """A basis file's matrix, for a screen of ``dim`` detector slots, and the digest of its bytes."""
+    document, digest = _load_json(path)
+    name = str(path)
+    matrix = matrix_from_json(_require(document, "matrix", list, name), f"{name}.matrix")
+    if matrix.shape != (dim, dim):  # the screen comes from another input: a validation error
+        raise ValidationError(f"{name}: basis shape {matrix.shape} does not match screen dim {dim}")
+    return matrix, digest
+
+
+def load_tolerances(path: str | Path) -> Tolerances:
+    """The defaults, overridden by each entry of a config file's optional ``tolerances`` object."""
+    raw = _load_json(path)[0].get("tolerances", {})
+    if not isinstance(raw, dict):
+        raise ParseError(f"{path}: 'tolerances' must be an object")
+    tols = Tolerances()
+    for name, value in raw.items():
+        tols.override(name, value)
+    return tols
 
 
 def render_json(document: dict) -> str:

@@ -156,9 +156,8 @@ def apply_instrument(ins: QuantumInstrument, rho: DensityOperator) -> list[Branc
         if probability <= PROBABILITY_FLOOR:
             outcomes.append(BranchOutcome(max(probability, 0.0), None))
         else:
-            outcomes.append(
-                BranchOutcome(probability, DensityOperator(unnormalized / probability))
-            )
+            unnormalized /= probability  # a new array: _kraus_sum adds its terms to 0
+            outcomes.append(BranchOutcome(probability, DensityOperator(unnormalized)))
     return outcomes
 
 

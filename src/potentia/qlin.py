@@ -97,14 +97,6 @@ def require_isometry(mat: np.ndarray, what: str = "basis") -> None:
         )
 
 
-def is_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL) -> bool:
-    try:
-        require_hermitian(as_complex(matrix), tol)
-    except (ShapeError, DomainError):
-        return False
-    return True
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with a capacity cap (``DIM_CAP``) on the output dimension."""
     a = as_complex(a)

@@ -719,6 +719,45 @@ class TestExitCodes:
             "(max Gram error 3.000e+00)\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, document, field, message",
+        [
+            (("analyze",), "zero_state.json", ("matrix",),
+             "{file}.matrix: shape (3, 3), expected (2, 2)"),
+            (("analyze",), "worked_ea.json", ("bases", 1),
+             "{file}.bases[1]: shape (3, 3), expected (2, 2)"),
+            (("powers", SAMPLES / "zero_state.json", "--projectors"), "qubit_two_bases.json",
+             ("projectors", 1, "matrix"),
+             "{file}.projectors[1].matrix: shape (3, 3), expected (2, 2)"),
+        ],
+        ids=["state_matrix", "state_basis", "projector"],
+    )
+    def test_matrix_of_another_shape_than_its_document_fixes_is_parse_error(
+        self, capsys, tmp_path, argv, document, field, message
+    ):
+        document = json.loads((SAMPLES / document).read_text(encoding="utf-8"))
+        *parents, last = field
+        functools.reduce(operator.getitem, parents, document)[last] = fileio.matrix_to_json(
+            np.eye(3)
+        )
+        path = tmp_path / "mismatch.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert main([*map(str, argv), str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: {message.format(file=path)}\n"
+
+    def test_basis_file_of_another_dim_than_its_screen_is_validation_error(self, capsys, tmp_path):
+        basis = tmp_path / "basis.json"
+        basis.write_text(json.dumps({"matrix": fileio.matrix_to_json(np.eye(3))}), encoding="utf-8")
+        argv = ["transform", str(SAMPLES / "worked_ea.json"), "--screen", "2", "--basis", basis]
+        assert main([str(a) for a in argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"validation error: {basis}: basis shape (3, 3) does not match screen dim 2\n"
+        )
+
     @pytest.mark.parametrize("dims", [[0, 4], [-2, -2], []], ids=["zero", "negative", "empty"])
     def test_non_positive_factorization_is_parse_error(self, capsys, tmp_path, dims):
         path = tmp_path / "state.json"

@@ -251,8 +251,9 @@ class TestTolerances:
         with pytest.raises(ParseError, match="unknown tolerance"):
             Tolerances().override("wobble", 1e-3)
 
-    def test_from_config(self):
-        tols = Tolerances.from_config({"axioms": 1e-6})
+    def test_from_config(self, tmp_path):
+        config = write(tmp_path, "config.json", {"tolerances": {"axioms": 1e-6}})
+        tols = fileio.load_tolerances(config)
         assert tols.axioms == 1e-6
         assert tols.trace == 1e-9
 

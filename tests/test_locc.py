@@ -277,6 +277,19 @@ class TestOneWayLocal:
         with pytest.raises(DomainError, match="increases trace"):
             one_way_local(0, local, [None, bystander])
 
+    def test_identity_branch_divides_its_own_array(self, rng):
+        """An all-identity branch's one term is ``rho.matrix`` itself; the post-state is divided
+        in an array of its own, bit for bit as ``unnormalized / p``."""
+        rho = random_density(4, rng)
+        before = rho.matrix.copy()
+        ins = one_way_local(0, QuantumInstrument((CPMap.identity(2),)), [None, CPMap.identity(2)])
+        unnormalized = ins.branches[0].apply(rho.matrix)
+        p = float(np.real(np.trace(unnormalized)))
+        (outcome,) = apply_instrument(ins, rho)
+        assert np.array_equal(rho.matrix, before)
+        assert outcome.probability == p
+        assert np.array_equal(outcome.post_state.matrix, unnormalized / p)
+
     def test_non_trace_preserving_bystander_rejected(self):
         lossy = CPMap((0.5 * np.eye(2, dtype=complex),))
         with pytest.raises(DomainError):

@@ -144,7 +144,7 @@ class TestPartialTranspose:
         once = qlin.partial_transpose(rho, (2, 2), "B")
         twice = qlin.partial_transpose(once, (2, 2), "B")
         assert np.array_equal(twice, rho)
-        assert qlin.is_hermitian(once, 1e-12)
+        qlin.require_hermitian(once, 1e-12)
         assert abs(np.trace(once) - np.trace(rho)) <= 1e-12
 
     def test_non_bipartite_dims(self):

@@ -18,10 +18,8 @@ import numpy as np
 from . import qlin
 from .errors import CapacityError, DegenerateConditioningError, DomainError, ShapeError
 from .qlin import dagger, frozen, max_abs
-from .states import DensityOperator
+from .states import DensityOperator, _conditioned
 
-#: Conditioning refuses projectors with smaller overlap.
-OVERLAP_FLOOR = 1e-12
 EQUIVALENCE_TOL = 1e-10
 CHAIN_TOL = 1e-9
 
@@ -264,8 +262,8 @@ def restrict(
 
     Projects onto the span of the kept detector vectors and renormalizes
     (P rho P / Tr(P rho P)); the result lives on the kept detectors in
-    their own coordinates.  It is a new state and is checked as one: the
-    renormalization scales floor-sized negativity by 1 / Tr(P rho P).
+    their own coordinates.  It is a new state, formed and checked by
+    ``states._conditioned`` as an instrument post-state is.
     """
     dims = ea.factorization.screen_dims
     if len(kept_detectors) != len(dims):
@@ -283,18 +281,11 @@ def restrict(
         kept.append(indices)
 
     flat_kept = np.ravel_multi_index(np.ix_(*kept), dims).ravel()
-    block = ea.matrix[np.ix_(flat_kept, flat_kept)]
-    overlap = float(np.real(np.trace(block)))
-    if overlap <= OVERLAP_FLOOR:
+    overlap, conditioned = _conditioned(ea.matrix[np.ix_(flat_kept, flat_kept)])  # a new array
+    if conditioned is None:
         raise DegenerateConditioningError(
             f"kept detectors carry total intensity {overlap:.3e}; cannot condition"
         )
-    try:
-        conditioned = DensityOperator(block / overlap)
-    except DomainError as exc:
-        raise DegenerateConditioningError(
-            f"kept detectors carry total intensity {overlap:.3e}; conditioned, {exc}"
-        ) from None
     reduced = Factorization(tuple(len(k) for k in kept))
     return ExperimentalArrangement._trusted(conditioned.matrix, reduced, ())
 

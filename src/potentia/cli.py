@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, arrangements, bell, entanglement, fileio, locc, powers, qlin, states
+from . import __version__, arrangements, bell, entanglement, fileio, locc, powers, states
 from .arrangements import DetectorBasis, Factorization
 from .errors import (
     CapacityError,
@@ -33,8 +33,6 @@ EXIT_CAPACITY = 4
 
 NAMED_BASES = ("computational", "hadamard", "fourier")
 
-#: Refactoring needs detector bases within this of the identity, entrywise.
-IDENTITY_TOL = 1e-12
 BISECT_TOL = 1e-9
 #: Most grid points one ``werner --scan`` evaluates.
 SCAN_STEPS_CAP = 100_000
@@ -93,7 +91,7 @@ def render_text(document: dict) -> str:
 
 def _emit(args, report: dict) -> None:
     text = fileio.render_json(report) if args.format == "json" else render_text(report)
-    if args.out:
+    if args.out is not None:
         fileio._write_text(args.out, text)
     else:
         sys.stdout.write(text)
@@ -111,7 +109,7 @@ def _assignment(flag: str, what: str, assignment: str) -> tuple[str, float]:
 
 
 def _tolerances(args) -> Tolerances:
-    tols = fileio.load_tolerances(args.config) if args.config else Tolerances()
+    tols = fileio.load_tolerances(args.config) if args.config is not None else Tolerances()
     for assignment in args.tol or ():
         tols.override(*_assignment("--tol", "name", assignment))
     return tols
@@ -198,18 +196,18 @@ def _named_basis(name: str, dim: int) -> np.ndarray:
 
 def _basis_arg(source: str, dim: int) -> tuple[np.ndarray, str | None]:
     """The basis matrix, and the digest of its file when ``source`` names one."""
-    if source in NAMED_BASES or not Path(source).exists():
+    if source in NAMED_BASES or not Path(source).is_file():  # Path('') is the working directory
         return _named_basis(source, dim), None
     return fileio.load_basis(source, dim)
 
 
 def cmd_transform(args, tols: Tolerances) -> dict:
-    if args.refactor and (args.screen is not None or args.basis):
+    if args.refactor is not None and (args.screen is not None or args.basis is not None):
         raise ParseError("--refactor and --screen/--basis are mutually exclusive")
-    if (args.screen is None) != (not args.basis):
-        raise ParseError("--basis needs --screen" if args.basis else "--screen needs --basis")
+    if (args.screen is None) != (args.basis is None):
+        raise ParseError("--screen needs --basis" if args.basis is None else "--basis needs --screen")
     try:
-        dims = tuple(int(part) for part in args.refactor.split(",")) if args.refactor else None
+        dims = None if args.refactor is None else tuple(int(part) for part in args.refactor.split(","))
     except ValueError:
         raise ParseError(f"--refactor expects comma-separated integers, got {args.refactor!r}")
     if dims and min(dims) < 1:
@@ -220,7 +218,7 @@ def cmd_transform(args, tols: Tolerances) -> dict:
     results: dict = {"before_intensities": _float_list(ea.intensities())}
 
     out_screens = list(state.basis.screens)
-    if args.refactor:
+    if dims is not None:
         transformed = arrangements.refactor(ea, Factorization(dims))
         results["transform"] = {"refactor": list(dims)}
     elif args.screen is not None:
@@ -243,17 +241,16 @@ def cmd_transform(args, tols: Tolerances) -> dict:
     results["equivalent"] = arrangements.ea_equivalent(ea, transformed, tols.equivalence)
     results["degree"] = transformed.degree
 
-    if args.out_state:
-        if args.refactor and any(
-            qlin.max_abs(screen - np.eye(len(screen))) >= IDENTITY_TOL for screen in state.basis.screens
-        ):
+    if args.out_state is not None:
+        # make_ea stored a factor for exactly the screens whose basis is not the identity.
+        if dims is not None and any(factors for _, factors in ea.steps):
             raise ValidationError(
                 "refactor of a file with non-computational detector bases cannot be "
                 "expressed in the state-file schema; change detectors back first"
             )
-        emit_factorization = state.has_explicit_factorization or bool(args.refactor)
+        emit_factorization = state.has_explicit_factorization or dims is not None
         # Refactored layouts start from computational detectors.
-        emit_bases = not args.refactor and (state.has_explicit_bases or args.screen is not None)
+        emit_bases = dims is None and (state.has_explicit_bases or args.screen is not None)
         document = fileio.state_document(
             state.density,
             transformed.factorization if emit_factorization else None,
@@ -356,10 +353,6 @@ def _werner_row(p: float, tols: Tolerances) -> dict:
 
 
 def cmd_werner(args, tols: Tolerances) -> dict:
-    if args.p is None and not args.scan:
-        raise ParseError("werner needs --p or --scan")
-    if args.p is not None and args.scan:
-        raise ParseError("--p and --scan are mutually exclusive")
     if args.p is not None:
         digest = _digest_text(f"werner p={args.p!r}")
         return _report("werner", {"parameters": digest}, _werner_row(float(args.p), tols))
@@ -399,7 +392,7 @@ def cmd_werner(args, tols: Tolerances) -> dict:
 
 
 def cmd_witness(args, tols: Tolerances) -> dict:
-    entanglement._require_samples(args.samples)
+    entanglement._require_samples(args.samples, args.seed)
     state = fileio.load_state(args.state, tols)
     if state.factorization.screens != 2:
         raise ValidationError(
@@ -480,6 +473,13 @@ def cmd_instrument(args, tols: Tolerances) -> dict:
 # ---------------------------------------------------------------- wiring
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ``ParseError`` where argparse would print its usage and exit, so ``main`` reports it."""
+
+    def error(self, message: str):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", action="append", metavar="NAME=VALUE",
@@ -489,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="report format (default text)")
     common.add_argument("--out", help="write the report here instead of stdout")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="potentia",
         description="Analyze quantum states as intensive valuations: purity, "
         "powers graphs, experimental arrangements, entanglement criteria.",
@@ -519,8 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_powers)
 
     p = sub.add_parser("werner", parents=[common], help="Werner-line classification")
-    p.add_argument("--p", type=float, help="single mixing parameter in [0, 1]")
-    p.add_argument("--scan", metavar="FROM,TO,STEPS", help="scan the parameter range")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--p", type=float, help="single mixing parameter in [0, 1]")
+    one.add_argument("--scan", metavar="FROM,TO,STEPS", help="scan the parameter range")
     p.set_defaults(func=cmd_werner)
 
     p = sub.add_parser("witness", parents=[common],
@@ -544,9 +545,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report = args.func(args, _tolerances(args))
         _emit(args, report)
     except ParseError as exc:

@@ -199,7 +199,9 @@ def witness_from_entangled(
     return WitnessOperator(witness, rho, minimum)
 
 
-def _require_samples(samples: int) -> None:
+def _require_samples(samples: int, seed: int) -> None:
+    if seed < 0:
+        raise DomainError(f"the product-sample seed must be >= 0, got {seed}")
     if samples < 1:
         raise DomainError(f"the witness check needs at least one sample, got {samples}")
     if samples > WITNESS_SAMPLES_CAP:
@@ -218,7 +220,7 @@ def check_witness_on_products(
     the draw order of a per-sample ``random_pure(d_a)``, ``random_pure(d_b)``
     loop, so a seed picks the same samples.  Batching bounds the temporaries.
     """
-    _require_samples(samples)
+    _require_samples(samples, seed)
     d_a, d_b = int(dims[0]), int(dims[1])
     rng = np.random.default_rng(seed)
     batch = max(1, PRODUCT_BATCH_ENTRIES // (d_a * d_b))

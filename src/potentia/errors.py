@@ -30,7 +30,7 @@ class ValidationError(PotentiaError):
 
 
 class DegenerateConditioningError(DomainError):
-    """Conditioning projector has (numerically) zero overlap with the state."""
+    """Conditioning on an event of (numerically) zero probability, or to a state that fails admission."""
 
 
 class UnderdeterminedError(DomainError):

@@ -15,11 +15,9 @@ import numpy as np
 from . import qlin
 from .errors import CapacityError, DomainError, ShapeError
 from .qlin import DIM_CAP, dagger, max_abs
-from .states import DensityOperator
+from .states import DensityOperator, _conditioned
 
 COMPLETENESS_TOL = 1e-8
-#: Branches below this probability are reported without a post-state.
-PROBABILITY_FLOOR = 1e-12
 KRAUS_RANK_CAP = 16
 
 
@@ -77,7 +75,7 @@ def _kraus_sum(matrix: np.ndarray, dims: Sequence[int], families: dict[int, tupl
     """Sum of K @ matrix @ K^dag over the products K of one Kraus operator per screen in
     ``families`` (the identity on every other screen), each applied by the local-factor kernel."""
     return sum(
-        qlin._kron_right(qlin._kron_left(matrix, dims, f), dims, {k: dagger(w) for k, w in f.items()})
+        qlin._conjugated(matrix, dims, {k: dagger(w) for k, w in f.items()})
         for f in (dict(zip(families, combo)) for combo in product(*families.values()))
     )
 
@@ -142,23 +140,16 @@ class BranchOutcome:
 def apply_instrument(ins: QuantumInstrument, rho: DensityOperator) -> list[BranchOutcome]:
     """Branch probabilities and renormalized post-states.
 
-    Probabilities sum to 1 within ``COMPLETENESS_TOL``; branches that (numerically)
-    never fire are reported with probability 0 and no post-state.
+    Probabilities sum to 1 within ``COMPLETENESS_TOL``.  Each branch is conditioned by
+    ``states._conditioned``: at or below its floor the branch has no post-state.
     """
     if ins.in_dim != rho.dim:
         raise ShapeError(f"instrument acts on dim {ins.in_dim}, state has dim {rho.dim}")
     if not is_valid_instrument(ins):
         raise DomainError("instrument branches do not sum to a trace-preserving map")
-    outcomes = []
-    for branch in ins.branches:
-        unnormalized = branch.apply(rho.matrix)
-        probability = float(np.real(np.trace(unnormalized)))
-        if probability <= PROBABILITY_FLOOR:
-            outcomes.append(BranchOutcome(max(probability, 0.0), None))
-        else:
-            unnormalized /= probability  # a new array: _kraus_sum adds its terms to 0
-            outcomes.append(BranchOutcome(probability, DensityOperator(unnormalized)))
-    return outcomes
+    # branch.apply returns a new array, as _conditioned needs: _kraus_sum adds its terms to 0.
+    conditioned = [_conditioned(branch.apply(rho.matrix)) for branch in ins.branches]
+    return [BranchOutcome(max(probability, 0.0), post_state) for probability, post_state in conditioned]
 
 
 def one_way_local(

@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from . import qlin
-from .errors import DomainError, ShapeError
+from .errors import DegenerateConditioningError, DomainError, ShapeError
 from .qlin import frozen, herm_eig
 
 NORM_TOL = 1e-9
@@ -22,6 +22,8 @@ PURITY_TOL = 1e-9
 WEIGHT_FLOOR = 1e-12
 #: Vectors shorter than this count as zero and cannot be normalized.
 ZERO_NORM = 1e-12
+#: A conditioning event at or below this probability yields no state.
+PROBABILITY_FLOOR = 1e-12
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -121,6 +123,20 @@ class DensityOperator:
     def purity(self) -> float:
         """Tr(rho^2), the sum of |rho_ij|^2 for Hermitian rho."""
         return float(np.vdot(self.matrix, self.matrix).real)
+
+
+def _conditioned(unnormalized: np.ndarray) -> tuple[float, DensityOperator | None]:
+    """An event's probability, the trace of ``unnormalized`` (a new array, divided in place),
+    and its conditioned state, None at or below ``PROBABILITY_FLOOR``.  That state is admitted
+    again: the division scales floor-sized negativity by one over the probability."""
+    probability = float(np.real(np.trace(unnormalized)))
+    if probability <= PROBABILITY_FLOOR:
+        return probability, None
+    unnormalized /= probability
+    try:
+        return probability, DensityOperator(unnormalized)
+    except DomainError as exc:
+        raise DegenerateConditioningError(f"probability {probability:.3e}; conditioned, {exc}") from None
 
 
 @dataclass(frozen=True)

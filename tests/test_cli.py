@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from potentia import fileio, powers
@@ -260,6 +260,22 @@ class TestTransform:
         assert report["results"]["equivalent"] is True
         assert report["results"]["transform"] == {"refactor": [4]}
 
+    @pytest.mark.parametrize("offset, code", [(0.0, 0), (1e-13, 3)], ids=["identity", "near_identity"])
+    def test_refactor_out_state_needs_identity_bases_exactly(self, capsys, tmp_path, offset, code):
+        # The rule is make_ea's: a basis equal to the identity stores no factor; any other
+        # basis, however close, cannot be written as computational detectors.
+        loaded = fileio.load_state(SAMPLES / "worked_ea.json")
+        near = np.eye(2, dtype=complex)
+        near[0, 1] = near[1, 0] = offset
+        source, out_state = tmp_path / "bases.json", tmp_path / "out.json"
+        fileio.dump_state(source, fileio.state_document(
+            loaded.density, loaded.factorization, DetectorBasis((near, np.eye(2, dtype=complex)))
+        ))
+        assert main(["transform", str(source), "--refactor", "4", "--out-state", str(out_state)]) == code
+        captured = capsys.readouterr()
+        assert out_state.exists() == (code == 0)
+        assert captured.err.count("\n") == (code != 0)
+
 
     @pytest.mark.parametrize(
         "flags, message",
@@ -275,9 +291,10 @@ class TestTransform:
             (("--refactor", "0,4"), "parse error: --refactor expects positive screen dims, got '0,4'"),
             (("--refactor=-2,-2",),
              "parse error: --refactor expects positive screen dims, got '-2,-2'"),
+            (("--refactor", ""), "parse error: --refactor expects comma-separated integers, got ''"),
         ],
         ids=["refactor_screen", "refactor_basis", "screen_alone", "basis_alone", "refactor_not_dims",
-             "refactor_zero_dim", "refactor_negative_dims"],
+             "refactor_zero_dim", "refactor_negative_dims", "refactor_empty"],
     )
     def test_option_combinations_that_would_be_ignored(self, capsys, tmp_path, flags, message):
         # Options are checked before the state file is read, so a missing file reports them too.
@@ -286,6 +303,16 @@ class TestTransform:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == message + "\n"
+
+    def test_empty_basis_is_no_file(self, capsys, tmp_path, monkeypatch):
+        # Path('') is the working directory; '' is an unknown basis name, not a file to read.
+        monkeypatch.chdir(tmp_path)
+        assert main(["transform", str(SAMPLES / "worked_ea.json"), "--screen", "1", "--basis", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "parse error: unknown basis ''; named bases: computational, hadamard, fourier\n"
+        )
 
 
 class TestPowers:
@@ -432,6 +459,21 @@ class TestWerner:
         code, _ = run(capsys, "werner", "--scan", "0,1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            ((), "parse error: one of the arguments --p --scan is required"),
+            (("--p", "0.5", "--scan", ""), "parse error: argument --scan: not allowed with argument --p"),
+            (("--scan", ""), "parse error: --scan expects from,to,steps, got ''"),
+        ],
+        ids=["neither", "both_scan_empty", "scan_empty"],
+    )
+    def test_needs_exactly_one_of_p_and_scan(self, capsys, flags, message):
+        assert main(["werner", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+
 
 class TestWitness:
     def test_bell_state(self, capsys):
@@ -483,6 +525,15 @@ class TestWitness:
         assert code == 3
         assert out == ""
         # Rejected before the state check and the partial transpose are solved.
+        assert not eigensolve_counter
+
+    def test_negative_seed_is_validation_error(self, capsys, tmp_path, eigensolve_counter):
+        # Checked with the --samples bounds, before the state file is read.
+        for state in (SAMPLES / "bell_phi_plus.json", tmp_path / "missing.json"):
+            assert main(["witness", str(state), "--seed", "-1"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "validation error: the product-sample seed must be >= 0, got -1\n"
         assert not eigensolve_counter
 
     def test_samples_above_cap_is_capacity_error(self, capsys, eigensolve_counter):
@@ -953,10 +1004,27 @@ class TestExitCodes:
         ids=lambda argv: argv[0],
     )
     def test_seed_is_a_witness_flag(self, capsys, argv):
-        with pytest.raises(SystemExit) as exit_info:
-            main([str(a) for a in (*argv, "--seed", "1")])
-        assert exit_info.value.code == 2
-        assert capsys.readouterr().out == ""
+        assert main([str(a) for a in (*argv, "--seed", "1")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: unrecognized arguments: --seed 1\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze", SAMPLES / "zero_state.json", "--out", ""),
+            ("analyze", SAMPLES / "zero_state.json", "--config", ""),
+            ("transform", SAMPLES / "worked_ea.json", "--out-state", ""),
+        ],
+        ids=["out", "config", "out_state"],
+    )
+    def test_empty_file_option_names_no_file(self, capsys, tmp_path, monkeypatch, argv):
+        # Path('') is the working directory, which can be neither read nor written as a file.
+        monkeypatch.chdir(tmp_path)
+        assert main([str(a) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error: : cannot ") and captured.err.count("\n") == 1
 
     def test_removed_orthonormality_tol_is_parse_error(self, capsys):
         code, _ = run(
@@ -981,6 +1049,52 @@ class TestExitCodes:
         )
         code, _ = run(capsys, "analyze", noisy, "--config", config)
         assert code == 0
+
+
+#: One documented command per report kind; ``mutated_argv`` edits one of their tokens.
+DOCUMENTED_ARGV = [
+    ("instrument", SAMPLES / "bell_phi_plus.json", "--instrument", SAMPLES / "measure_first_screen.json"),
+    ("analyze", SAMPLES / "werner_05.json"),
+    ("transform", SAMPLES / "worked_ea.json", "--screen", "1", "--basis", "hadamard"),
+    ("transform", SAMPLES / "worked_ea.json", "--refactor", "4"),
+    ("powers", SAMPLES / "zero_state.json", "--projectors", SAMPLES / "qubit_two_bases.json"),
+    ("witness", SAMPLES / "bell_phi_plus.json", "--seed", "7"),
+    ("bell", SAMPLES / "bell_phi_plus.json"),
+    ("werner", "--scan", "0,1,101"),
+    ("werner", "--p", "0.4"),
+]
+#: Replacement tokens: none of them makes a run slow (no sample count, scan length or dim grows).
+JUNK_TOKENS = ("", "-1", "0", "nan", "1e400", "abc", "2x2", "0,1,3", "--flag")
+
+
+@st.composite
+def mutated_argv(draw) -> list[str]:
+    """A documented command with ``--format``, one of its tokens replaced, dropped or repeated."""
+    argv = [str(token) for token in draw(st.sampled_from(DOCUMENTED_ARGV))]
+    argv += ["--format", draw(st.sampled_from(("json", "text")))]
+    k = draw(st.integers(0, len(argv) - 1))
+    edit = draw(st.sampled_from(("replace", "drop", "repeat")))
+    if edit == "replace":
+        argv[k] = draw(st.sampled_from(JUNK_TOKENS))
+    elif edit == "drop":
+        del argv[k]
+    else:
+        argv.insert(k, argv[k])
+    return argv
+
+
+@settings(max_examples=250, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=mutated_argv())
+def test_every_argv_meets_the_exit_code_contract(capsys, tmp_path, monkeypatch, argv):
+    # In an empty directory, so that no junk token names a file.
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3, 4)
+    assert err.count("\n") == (code != 0) and err.endswith("\n") == (code != 0)
+    if code == 0 and argv[-2:] == ["--format", "json"]:
+        json.loads(out)
 
 
 class TestInputDigests:

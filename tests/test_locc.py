@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from potentia import qlin
 from potentia.arrangements import DetectorBasis, Factorization, make_ea, restrict
 from potentia.entanglement import Verdict, ppt_criterion
-from potentia.errors import CapacityError, DomainError
+from potentia.errors import CapacityError, DegenerateConditioningError, DomainError
 from potentia.locc import (
     COMPLETENESS_TOL,
     KRAUS_RANK_CAP,
-    PROBABILITY_FLOOR,
     CPMap,
     QuantumInstrument,
     apply_instrument,
@@ -23,7 +22,7 @@ from potentia.locc import (
 )
 from potentia.qlin import DIM_CAP, partial_trace
 from potentia.sampling import random_density, random_separable
-from potentia.states import DensityOperator, PureVector, density_from_vector
+from potentia.states import PROBABILITY_FLOOR, DensityOperator, PureVector, density_from_vector
 
 from conftest import projector
 
@@ -157,6 +156,24 @@ class TestApply:
         outcomes = apply_instrument(projective_instrument([P0, P1]), rho)
         assert outcomes[1].probability == pytest.approx(0.0, abs=1e-12)
         assert outcomes[1].post_state is None
+
+    def test_post_state_past_the_floor_fails_as_restrict_does(self):
+        # An accepted state; keeping screen 2's detector 1 divides its -9e-8 by the
+        # probability 9.1e-7.  The instrument and restrict condition through one function.
+        rho = DensityOperator(np.diag([1 - 1e-6 + 9e-8, -9e-8, 0.0, 1e-6]))
+        f = Factorization((2, 2))
+        instrument = one_way_local(1, projective_instrument([P0, P1]), [CPMap.identity(2), None])
+        messages = []
+        for condition in (
+            lambda: restrict(make_ea(rho, f, DetectorBasis.computational(f)), [(0, 1), (1,)]),
+            lambda: apply_instrument(instrument, rho),
+        ):
+            with pytest.raises(DegenerateConditioningError) as error:
+                condition()
+            messages.append(str(error.value))
+        assert messages == [
+            "probability 9.100e-07; conditioned, negative eigenvalue -9.890e-02 below floor -1e-07"
+        ] * 2
 
     def test_invalid_instrument_rejected(self, rng):
         with pytest.raises(DomainError):

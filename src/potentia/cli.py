@@ -181,23 +181,17 @@ def cmd_analyze(args, tols: Tolerances) -> dict:
 # ---------------------------------------------------------------- transform
 
 
-def _named_basis(name: str, dim: int) -> np.ndarray:
-    if name == "computational":
-        return np.eye(dim, dtype=np.complex128)
-    if name == "hadamard":
+def _basis_arg(source: str, dim: int) -> tuple[np.ndarray, str | None]:
+    """The basis matrix, and the digest of its file when ``source`` is not a named basis."""
+    if source == "computational":
+        return np.eye(dim, dtype=np.complex128), None
+    if source == "hadamard":
         if dim != 2:
             raise ValidationError(f"hadamard basis is two-dimensional, screen has dim {dim}")
-        return np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
-    if name == "fourier":
+        return np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0), None
+    if source == "fourier":
         indices = np.arange(dim)
-        return np.exp(2j * np.pi * np.outer(indices, indices) / dim) / np.sqrt(dim)
-    raise ParseError(f"unknown basis {name!r}; named bases: {', '.join(NAMED_BASES)}")
-
-
-def _basis_arg(source: str, dim: int) -> tuple[np.ndarray, str | None]:
-    """The basis matrix, and the digest of its file when ``source`` names one."""
-    if source in NAMED_BASES or not Path(source).is_file():  # Path('') is the working directory
-        return _named_basis(source, dim), None
+        return np.exp(2j * np.pi * np.outer(indices, indices) / dim) / np.sqrt(dim), None
     return fileio.load_basis(source, dim)
 
 
@@ -212,6 +206,8 @@ def cmd_transform(args, tols: Tolerances) -> dict:
         raise ParseError(f"--refactor expects comma-separated integers, got {args.refactor!r}")
     if dims and min(dims) < 1:
         raise ParseError(f"--refactor expects positive screen dims, got {args.refactor!r}")
+    if args.basis not in (None, *NAMED_BASES) and not Path(args.basis).is_file():
+        raise ParseError(f"unknown basis {args.basis!r}; named bases: {', '.join(NAMED_BASES)}")
     state = fileio.load_state(args.state, tols)
     digests = {"state": state.digest}
     ea = arrangements.make_ea(state.density, state.factorization, state.basis)
@@ -480,14 +476,20 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+def _path(value: str) -> str:
+    if not value:  # Path('') is the working directory, which is no file
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", action="append", metavar="NAME=VALUE",
                         help="override a named tolerance (repeatable)")
-    common.add_argument("--config", help="JSON config file with a 'tolerances' object")
+    common.add_argument("--config", type=_path, help="JSON config file with a 'tolerances' object")
     common.add_argument("--format", choices=("json", "text"), default="text",
                         help="report format (default text)")
-    common.add_argument("--out", help="write the report here instead of stdout")
+    common.add_argument("--out", type=_path, help="write the report here instead of stdout")
 
     parser = _Parser(
         prog="potentia",
@@ -498,22 +500,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("analyze", parents=[common], help="full state analysis")
-    p.add_argument("state", help="state file (JSON)")
+    p.add_argument("state", type=_path, help="state file (JSON)")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("transform", parents=[common],
                        help="change detectors or refactor screens")
-    p.add_argument("state", help="state file (JSON)")
+    p.add_argument("state", type=_path, help="state file (JSON)")
     p.add_argument("--screen", type=int, help="1-based screen to re-detector")
     p.add_argument("--basis", help="named basis (computational|hadamard|fourier) or JSON file")
     p.add_argument("--refactor", metavar="DIMS", help="comma-separated new screen dims")
-    p.add_argument("--out-state", help="write the transformed state file here")
+    p.add_argument("--out-state", type=_path, help="write the transformed state file here")
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("powers", parents=[common],
                        help="powers-graph valuation and axiom check")
-    p.add_argument("state", help="state file (JSON)")
-    p.add_argument("--projectors", required=True, help="projector family file (JSON)")
+    p.add_argument("state", type=_path, help="state file (JSON)")
+    p.add_argument("--projectors", type=_path, required=True, help="projector family file (JSON)")
     p.add_argument("--override", action="append", metavar="LABEL=VALUE",
                    help="inject a potentia value before the axiom check (repeatable)")
     p.set_defaults(func=cmd_powers)
@@ -526,20 +528,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", parents=[common],
                        help="entanglement witness from the partial transpose")
-    p.add_argument("state", help="state file (JSON)")
+    p.add_argument("state", type=_path, help="state file (JSON)")
     p.add_argument("--samples", type=int, default=10_000,
                    help="product states sampled for the positivity check")
     p.add_argument("--seed", type=int, default=0, help="seed of the product-state sample")
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("bell", parents=[common], help="CHSH correlation analysis")
-    p.add_argument("state", help="two-qubit state file (JSON)")
+    p.add_argument("state", type=_path, help="two-qubit state file (JSON)")
     p.set_defaults(func=cmd_bell)
 
     p = sub.add_parser("instrument", parents=[common],
                        help="apply a quantum instrument to a state")
-    p.add_argument("state", help="state file (JSON)")
-    p.add_argument("--instrument", required=True, help="instrument file (JSON)")
+    p.add_argument("state", type=_path, help="state file (JSON)")
+    p.add_argument("--instrument", type=_path, required=True, help="instrument file (JSON)")
     p.set_defaults(func=cmd_instrument)
     return parser
 

@@ -1,10 +1,9 @@
-"""Minimal quantum-instrument layer: completely positive maps as Kraus
-families, completeness checks, application to states, and one-way local
-instruments (one party measures, the rest apply trace-preserving maps)."""
+"""Minimal quantum-instrument layer: completely positive maps as Kraus families, and
+instruments, plain or one-way local (one party measures, the rest apply trace-preserving
+maps), whose validity is decided once, when made, from each screen's d x d completeness sum."""
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from itertools import product
@@ -55,12 +54,6 @@ class CPMap:
     def out_dim(self) -> int:
         return self.kraus[0].shape[0]
 
-    def is_trace_preserving(self) -> bool:
-        return max_abs(self.completeness - np.eye(self.in_dim)) <= COMPLETENESS_TOL
-
-    def apply(self, matrix: np.ndarray) -> np.ndarray:
-        return _kraus_sum(matrix, (self.in_dim,), {0: self.kraus})
-
     @classmethod
     def identity(cls, dim: int) -> "CPMap":
         return cls((np.eye(dim, dtype=np.complex128),))
@@ -71,40 +64,41 @@ def _require_trace_non_increasing(top: float) -> None:
         raise DomainError(f"map increases trace: max eigenvalue of sum(K^t K) - I is {top - 1:.3e}")
 
 
-def _kraus_sum(matrix: np.ndarray, dims: Sequence[int], families: dict[int, tuple]) -> np.ndarray:
-    """Sum of K @ matrix @ K^dag over the products K of one Kraus operator per screen in
-    ``families`` (the identity on every other screen), each applied by the local-factor kernel."""
-    return sum(
-        qlin._conjugated(matrix, dims, {k: dagger(w) for k, w in f.items()})
-        for f in (dict(zip(families, combo)) for combo in product(*families.values()))
-    )
+def _kraus_sum(matrix: np.ndarray, maps: Sequence[CPMap]) -> np.ndarray:
+    """Sum of K @ matrix @ K^dag over the products K of one Kraus operator per non-identity map,
+    each applied by the local-factor kernel: a new array, even when its one term is ``matrix``."""
+    families = {k: m.kraus for k, m in enumerate(maps)
+                if len(m.kraus) > 1 or not np.array_equal(m.kraus[0], np.eye(m.in_dim))}
+    dims = [m.in_dim for m in maps]
+    terms = (qlin._conjugated(matrix, dims, {k: dagger(w) for k, w in zip(families, combo)})
+             for combo in product(*families.values()))
+    first = next(terms)
+    # + 0.0 turns a -0.0 into +0.0, as a sum started from 0 does, so report bytes keep it.
+    total = np.add(first, 0.0, out=None if first is matrix else first)
+    for term in terms:
+        total += term
+    return total
 
 
-@dataclass(frozen=True, eq=False)
-class _LocalBranch:
-    """A one-way local branch, kept as the per-party maps whose Kronecker product it is."""
-
-    maps: tuple[CPMap, ...]
-    in_dim: int
-    out_dim: int
-
-    @property
-    def completeness(self) -> np.ndarray:
-        """The product's sum K^dag K: the Kronecker product of the parties' sums, formed on read."""
-        return functools.reduce(np.kron, (m.completeness for m in self.maps))
-
-    def apply(self, matrix: np.ndarray) -> np.ndarray:
-        # An identity party map is no factor, as an identity detector basis is none.
-        families = {k: m.kraus for k, m in enumerate(self.maps)
-                    if len(m.kraus) > 1 or not np.array_equal(m.kraus[0], np.eye(m.in_dim))}
-        return _kraus_sum(matrix, [m.in_dim for m in self.maps], families)
+def _completeness_gap(factors: Sequence[np.ndarray]) -> float:
+    """max_abs(F_0 (x) ... (x) F_n-1 - I) unformed: the diagonal is the diagonals' Kronecker product;
+    off it the max is, over q, F_q's off-diagonal max times the others' max_abs (their index free)."""
+    diagonal, shares = np.ones(1), []
+    for q, f in enumerate(factors):
+        diagonal = np.multiply.outer(diagonal, np.diagonal(f)).ravel()
+        np.fill_diagonal(off_diagonal := np.abs(f), 0.0)
+        shares.append(float(off_diagonal.max()) * math.prod(map(max_abs, factors[:q] + factors[q + 1 :])))
+    return max(max_abs(diagonal - 1), *shares)
 
 
 @dataclass(frozen=True)
 class QuantumInstrument:
-    """Finite family of CP maps; valid when the branches sum to trace-preserving."""
+    """Branches: CP maps on the screen marked None in ``_bystanders``, where each other screen
+    carries a trace-preserving map.  Valid when the screens' completeness sums multiply to I."""
 
     branches: tuple[CPMap, ...]
+    _bystanders: tuple[CPMap | None, ...] = (None,)
+    _gap: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.branches:
@@ -118,17 +112,18 @@ class QuantumInstrument:
                     f"expected {in_dim}->{out_dim}"
                 )
         object.__setattr__(self, "branches", tuple(self.branches))
+        total = sum(branch.completeness for branch in self.branches)
+        factors = [total if m is None else m.completeness for m in self._bystanders]
+        object.__setattr__(self, "_gap", _completeness_gap(factors))
 
     @property
     def in_dim(self) -> int:
-        return self.branches[0].in_dim
+        return math.prod(self.branches[0].in_dim if m is None else m.in_dim for m in self._bystanders)
 
 
 def is_valid_instrument(ins: QuantumInstrument) -> bool:
-    """True iff the branch completeness sums add up to the identity within ``COMPLETENESS_TOL``."""
-    total = sum(branch.completeness for branch in ins.branches)  # a new array: sum adds to 0
-    total.flat[:: len(total) + 1] -= 1
-    return max_abs(total) <= COMPLETENESS_TOL
+    """True iff the completeness sums multiply to the identity within ``COMPLETENESS_TOL``."""
+    return ins._gap <= COMPLETENESS_TOL
 
 
 @dataclass(frozen=True)
@@ -147,8 +142,9 @@ def apply_instrument(ins: QuantumInstrument, rho: DensityOperator) -> list[Branc
         raise ShapeError(f"instrument acts on dim {ins.in_dim}, state has dim {rho.dim}")
     if not is_valid_instrument(ins):
         raise DomainError("instrument branches do not sum to a trace-preserving map")
-    # branch.apply returns a new array, as _conditioned needs: _kraus_sum adds its terms to 0.
-    conditioned = [_conditioned(branch.apply(rho.matrix)) for branch in ins.branches]
+    # _kraus_sum returns a new array, as _conditioned needs.
+    conditioned = [_conditioned(_kraus_sum(rho.matrix, [b if m is None else m for m in ins._bystanders]))
+                   for b in ins.branches]
     return [BranchOutcome(max(probability, 0.0), post_state) for probability, post_state in conditioned]
 
 
@@ -159,10 +155,10 @@ def one_way_local(
 ) -> QuantumInstrument:
     """Instrument whose branch j acts as T_1 (x) ... (x) E_j (x) ... (x) T_n.
 
-    ``bystanders`` lists one trace-preserving map per party; the entry at
-    ``party`` is ignored (that slot is taken by the measuring instrument).  A branch keeps its
-    per-party maps; the products of their dims, ranks and top completeness eigenvalues (which
-    a Kronecker product's is) are checked before anything is formed.
+    ``bystanders`` lists one trace-preserving map per party; the entry at ``party`` is ignored
+    (that slot takes the measuring instrument, with its own layout).  The instrument keeps
+    ``local``'s branches and that layout; the products of their dims, ranks and top completeness
+    eigenvalues (which a Kronecker product's is) are checked before anything is formed.
     """
     n_parties = len(bystanders)
     if not 0 <= party < n_parties:
@@ -171,22 +167,21 @@ def one_way_local(
     for k, bystander in others.items():
         if bystander is None:
             raise DomainError(f"party {k} needs an explicit trace-preserving map")
-        if not bystander.is_trace_preserving():
+        if not is_valid_instrument(QuantumInstrument((bystander,))):
             raise DomainError(f"party {k} map is not trace-preserving within {COMPLETENESS_TOL:g}")
 
-    first = [local.branches[0] if k == party else m for k, m in enumerate(bystanders)]
+    layout = (*bystanders[:party], *local._bystanders, *bystanders[party + 1 :])
+    first = [local.branches[0] if m is None else m for m in layout]
     rows, cols = math.prod(m.out_dim for m in first), math.prod(m.in_dim for m in first)
     if max(rows, cols) > DIM_CAP:
         raise CapacityError(f"one-way product {rows}x{cols} exceeds the configured cap of {DIM_CAP}")
-    bystanders_top = math.prod(np.linalg.eigvalsh(m.completeness)[-1] for m in others.values())
-    branches = []
+    bystanders_top = math.prod(np.linalg.eigvalsh(m.completeness)[-1] for m in layout if m is not None)
+    bystanders_rank = math.prod(len(m.kraus) for m in layout if m is not None)
     for branch in local.branches:
-        maps = tuple(branch if k == party else m for k, m in enumerate(bystanders))
-        if (rank := math.prod(len(m.kraus) for m in maps)) > KRAUS_RANK_CAP:
+        if (rank := len(branch.kraus) * bystanders_rank) > KRAUS_RANK_CAP:
             raise CapacityError(f"Kraus rank capped at {KRAUS_RANK_CAP}, got {rank}")
         _require_trace_non_increasing(bystanders_top * np.linalg.eigvalsh(branch.completeness)[-1])
-        branches.append(_LocalBranch(maps, cols, rows))
-    return QuantumInstrument(tuple(branches))
+    return QuantumInstrument(local.branches, layout)
 
 
 def projective_instrument(projectors: Sequence[np.ndarray]) -> QuantumInstrument:

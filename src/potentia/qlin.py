@@ -37,8 +37,10 @@ def as_complex(matrix: np.ndarray | Sequence) -> np.ndarray:
         raise CapacityError(f"matrix shape {arr.shape} exceeds the dimension cap of {DIM_CAP}")
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr.view(np.float64))):
-        raise DomainError("matrix has non-finite entries")
+    floats = arr.view(np.float64)
+    with np.errstate(invalid="ignore"):  # min and max propagate NaN, and make no N x N temporary
+        if not (np.isfinite(floats.min(initial=0.0)) and np.isfinite(floats.max(initial=0.0))):
+            raise DomainError("matrix has non-finite entries")
     return arr
 
 

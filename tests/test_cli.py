@@ -292,9 +292,11 @@ class TestTransform:
             (("--refactor=-2,-2",),
              "parse error: --refactor expects positive screen dims, got '-2,-2'"),
             (("--refactor", ""), "parse error: --refactor expects comma-separated integers, got ''"),
+            (("--screen", "1", "--basis", "hadamrd"),
+             "parse error: unknown basis 'hadamrd'; named bases: computational, hadamard, fourier"),
         ],
         ids=["refactor_screen", "refactor_basis", "screen_alone", "basis_alone", "refactor_not_dims",
-             "refactor_zero_dim", "refactor_negative_dims", "refactor_empty"],
+             "refactor_zero_dim", "refactor_negative_dims", "refactor_empty", "unknown_basis"],
     )
     def test_option_combinations_that_would_be_ignored(self, capsys, tmp_path, flags, message):
         # Options are checked before the state file is read, so a missing file reports them too.
@@ -1010,21 +1012,26 @@ class TestExitCodes:
         assert captured.err == "parse error: unrecognized arguments: --seed 1\n"
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, option",
         [
-            ("analyze", SAMPLES / "zero_state.json", "--out", ""),
-            ("analyze", SAMPLES / "zero_state.json", "--config", ""),
-            ("transform", SAMPLES / "worked_ea.json", "--out-state", ""),
+            (("analyze", "S/zero_state.json", "--out", ""), "--out"),
+            (("analyze", "S/zero_state.json", "--config", ""), "--config"),
+            (("transform", "S/worked_ea.json", "--out-state", ""), "--out-state"),
+            (("analyze", ""), "state"),
+            (("powers", "S/zero_state.json", "--projectors", ""), "--projectors"),
+            (("instrument", "S/bell_phi_plus.json", "--instrument", ""), "--instrument"),
         ],
-        ids=["out", "config", "out_state"],
+        ids=["out", "config", "out_state", "state", "projectors", "instrument"],
     )
-    def test_empty_file_option_names_no_file(self, capsys, tmp_path, monkeypatch, argv):
-        # Path('') is the working directory, which can be neither read nor written as a file.
+    def test_empty_file_option_names_no_file(self, capsys, tmp_path, monkeypatch, argv, option):
+        # Path('') is the working directory, which can be neither read nor written as a file:
+        # the option is refused before any file is read, and on a missing state file too.
         monkeypatch.chdir(tmp_path)
-        assert main([str(a) for a in argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("parse error: : cannot ") and captured.err.count("\n") == 1
+        for state in (str(SAMPLES), str(tmp_path / "missing")):
+            assert main([a.replace("S", state, 1) if a.startswith("S/") else a for a in argv]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"parse error: argument {option}: expected a file path, got ''\n"
 
     def test_removed_orthonormality_tol_is_parse_error(self, capsys):
         code, _ = run(

@@ -1,13 +1,17 @@
 import functools
+import json
+import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from potentia import qlin
+from potentia import locc, qlin
 from potentia.arrangements import DetectorBasis, Factorization, make_ea, restrict
+from potentia.cli import main
 from potentia.entanglement import Verdict, ppt_criterion
 from potentia.errors import CapacityError, DegenerateConditioningError, DomainError
 from potentia.locc import (
@@ -15,6 +19,7 @@ from potentia.locc import (
     KRAUS_RANK_CAP,
     CPMap,
     QuantumInstrument,
+    _kraus_sum,
     apply_instrument,
     is_valid_instrument,
     one_way_local,
@@ -28,6 +33,7 @@ from conftest import projector
 
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 RHO_PHI = density_from_vector(PureVector.normalized([1, 0, 0, 1]))
 
 
@@ -103,7 +109,17 @@ class TestValidity:
         cpmap = CPMap((P0, P1))
         np.testing.assert_array_equal(cpmap.completeness, np.eye(2))
         assert not cpmap.completeness.flags.writeable
-        assert cpmap.is_trace_preserving()
+        assert is_valid_instrument(QuantumInstrument((cpmap,)))
+
+    def test_instrument_command_decides_validity_once(self, monkeypatch, capsys):
+        # Made by load_instrument; is_valid_instrument and apply_instrument read the kept gap.
+        decisions = []
+        monkeypatch.setattr(locc, "_completeness_gap",
+                            lambda factors, gap=locc._completeness_gap: decisions.append(1) or gap(factors))
+        argv = ["instrument", SAMPLES / "bell_phi_plus.json", "--instrument", SAMPLES / "measure_first_screen.json"]
+        assert main([*map(str, argv), "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["valid"] is True
+        assert decisions == [1]
 
     def test_entry_above_the_completeness_bound_rejected_before_summing(self, eigensolve_counter):
         # No Kraus operator of a trace-non-increasing map has an entry above sqrt(1 + tol);
@@ -276,8 +292,8 @@ class TestOneWayLocal:
         assert set(eigensolve_counter) == {(2, 2), ("cholesky", (64, 64))}
         assert eigensolve_counter[("cholesky", (64, 64))] == 2
         assert factors == [(2, 2)] * 4  # the measured qubit's P on each side; identities skipped
-        assert not hasattr(instrument.branches[0], "kraus")
-        np.testing.assert_array_equal(instrument.branches[0].completeness, np.kron(P0, np.eye(32)))
+        assert all(isinstance(branch, CPMap) and branch.in_dim == 2 for branch in instrument.branches)
+        np.testing.assert_array_equal(instrument.branches[0].completeness, P0)
         for outcome, p in zip(outcomes, (P0, P1)):
             dense = np.kron(p, np.eye(32))
             unnormalized = dense @ rho.matrix @ dense
@@ -288,24 +304,73 @@ class TestOneWayLocal:
         # their product's is about 1 + 1.2e-8, which the dense check of the product rejects.
         slack = np.diag([np.sqrt(1 + 6e-9), 1.0])
         bystander, local = CPMap((slack,)), QuantumInstrument((CPMap((slack,)),))
-        assert bystander.is_trace_preserving()
+        assert is_valid_instrument(QuantumInstrument((bystander,)))
         ((_, completeness),) = dense_one_way_local(0, local, [None, bystander])
         assert np.linalg.eigvalsh(completeness - np.eye(4))[-1] > COMPLETENESS_TOL
         with pytest.raises(DomainError, match="increases trace"):
             one_way_local(0, local, [None, bystander])
 
     def test_identity_branch_divides_its_own_array(self, rng):
-        """An all-identity branch's one term is ``rho.matrix`` itself; the post-state is divided
-        in an array of its own, bit for bit as ``unnormalized / p``."""
+        """An all-identity branch's one term is ``rho.matrix`` itself, which is read-only; the
+        post-state is divided in an array of its own, bit for bit as ``rho.matrix / p``, on a
+        one-way layout and on a plain instrument alike."""
         rho = random_density(4, rng)
         before = rho.matrix.copy()
-        ins = one_way_local(0, QuantumInstrument((CPMap.identity(2),)), [None, CPMap.identity(2)])
-        unnormalized = ins.branches[0].apply(rho.matrix)
-        p = float(np.real(np.trace(unnormalized)))
-        (outcome,) = apply_instrument(ins, rho)
-        assert np.array_equal(rho.matrix, before)
-        assert outcome.probability == p
-        assert np.array_equal(outcome.post_state.matrix, unnormalized / p)
+        p = float(np.real(np.trace(rho.matrix)))
+        for ins in (
+            one_way_local(0, QuantumInstrument((CPMap.identity(2),)), [None, CPMap.identity(2)]),
+            QuantumInstrument((CPMap.identity(4),)),
+        ):
+            (outcome,) = apply_instrument(ins, rho)
+            assert np.array_equal(rho.matrix, before)
+            assert outcome.probability == p
+            assert np.array_equal(outcome.post_state.matrix, rho.matrix / p)
+
+    def test_sum_of_negative_zeros_is_positive_zero(self):
+        """Where every term is -0.0 the sum is +0.0, as a sum started from 0 gives, so that a
+        report prints the entry as 0, not -0; with no factor the sum is still a new array."""
+        matrix = qlin.frozen(np.full((2, 2), complex(-0.0, -0.0)))
+        for maps in ([CPMap.identity(2)], [CPMap((np.eye(2) / np.sqrt(2),) * 2)]):
+            total = _kraus_sum(matrix, maps)
+            assert total is not matrix and total.flags.writeable
+            assert not np.signbit(total.view(np.float64)).any()
+
+    def test_factors_short_of_trace_preserving_are_invalid_together(self):
+        # Each completeness sum is diag(1 - 6e-9, 1): valid alone, while their product's
+        # corner is 1 - 1.2e-8, which the dense check of the product rejects too.
+        short = np.diag([np.sqrt(1 - 6e-9), 1.0])
+        bystander, local = CPMap((short,)), QuantumInstrument((CPMap((short,)),))
+        assert is_valid_instrument(QuantumInstrument((bystander,))) and is_valid_instrument(local)
+        instrument = one_way_local(0, local, [None, bystander])
+        dense = np.kron(local.branches[0].completeness, bystander.completeness) - np.eye(4)
+        assert np.max(np.abs(dense)) > COMPLETENESS_TOL
+        assert instrument._gap == pytest.approx(np.max(np.abs(dense)), rel=1e-15, abs=0)
+        assert not is_valid_instrument(instrument)
+
+    def test_validity_forms_no_product_at_the_cap(self):
+        """On (2,)*12 the verdict is decided from twelve 2x2 sums: nothing of N x N is allocated."""
+        bystanders = [None] + [CPMap.identity(2) for _ in range(11)]
+        tracemalloc.start()
+        try:
+            instrument = one_way_local(0, projective_instrument([P0, P1]), bystanders)
+            valid = is_valid_instrument(instrument)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert valid and instrument.in_dim == DIM_CAP
+        assert peak < DIM_CAP * DIM_CAP  # bytes: under an eighth of one N x N float64 array
+
+    def test_one_way_local_of_a_one_way_local_keeps_its_layout(self, rng):
+        depolarizing = CPMap(tuple(np.asarray(p) / 2 for p in (np.eye(2), [[0, 1], [1, 0]],
+                                                            [[0, -1j], [1j, 0]], np.diag([1, -1]))))
+        inner = one_way_local(0, projective_instrument([P0, P1]), [None, depolarizing])
+        nested = one_way_local(1, inner, [CPMap.identity(2), None])
+        flat = one_way_local(1, projective_instrument([P0, P1]), [CPMap.identity(2), None, depolarizing])
+        rho = random_density(8, rng)
+        assert nested.in_dim == 8
+        for a, b in zip(apply_instrument(nested, rho), apply_instrument(flat, rho), strict=True):
+            assert a.probability == b.probability
+            assert np.array_equal(a.post_state.matrix, b.post_state.matrix)
 
     def test_non_trace_preserving_bystander_rejected(self):
         lossy = CPMap((0.5 * np.eye(2, dtype=complex),))
@@ -337,8 +402,7 @@ def test_one_way_local_matches_the_dense_construction(dims, seed, incomplete, is
         ]
         instrument = one_way_local(party, local, bystanders)
         reference = dense_one_way_local(party, local, bystanders)
-        for branch, (_, completeness) in zip(instrument.branches, reference, strict=True):
-            assert np.max(np.abs(branch.completeness - completeness)) <= 1e-14
+        assert instrument.branches == local.branches
         total = sum(completeness for _, completeness in reference)
         valid = np.max(np.abs(total - np.eye(len(total)))) <= COMPLETENESS_TOL
         assert is_valid_instrument(instrument) == valid
@@ -355,3 +419,36 @@ def test_one_way_local_matches_the_dense_construction(dims, seed, incomplete, is
                 assert outcome.post_state is None
             else:
                 assert np.max(np.abs(outcome.post_state.matrix - unnormalized / probability)) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+    incomplete=st.booleans(),
+    slacks=st.lists(st.floats(-0.9e-8, 0.9e-8), min_size=3, max_size=3),
+)
+def test_validity_from_the_factors_matches_the_dense_product(dims, seed, incomplete, slacks):
+    """The kept gap is max_abs of the dense Kronecker product of the screens' completeness
+    sums minus I, and the verdict is the dense one, with bystanders that are trace-preserving
+    only within ``COMPLETENESS_TOL`` (their sums scaled by 1 + slack)."""
+    rng = np.random.default_rng(seed)
+    party = int(rng.integers(len(dims)))
+    local = random_instrument(rng, dims[party])
+    if incomplete and len(local.branches) > 1:
+        local = QuantumInstrument(local.branches[:-1])
+    bystanders = [
+        None if k == party else CPMap(tuple(
+            np.sqrt(1 + slack) * w for w in normalized_instrument(rng, d, [int(rng.integers(1, 3))]).branches[0].kraus
+        ))
+        for k, (d, slack) in enumerate(zip(dims, slacks))
+    ]
+    try:
+        instrument = one_way_local(party, local, bystanders)
+    except DomainError as exc:  # two slacks above 0 can multiply past the trace bound
+        assert str(exc).startswith("map increases trace")
+        return
+    factors = [sum(b.completeness for b in local.branches) if m is None else m.completeness for m in bystanders]
+    dense = np.max(np.abs(functools.reduce(np.kron, factors) - np.eye(instrument.in_dim)))
+    assert abs(instrument._gap - dense) <= 1e-15 * (1 + dense)
+    assert is_valid_instrument(instrument) == (dense <= COMPLETENESS_TOL)

@@ -286,3 +286,30 @@ class TestCommutes:
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
             qlin.commutes(np.eye(2), np.eye(3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    seed=st.integers(0, 2**32 - 1),
+    planted=st.sampled_from([np.nan, np.inf, -np.inf, None]),
+    imaginary=st.booleans(),
+)
+def test_as_complex_rejects_exactly_the_non_finite(shape, seed, planted, imaginary):
+    """A NaN or infinity in either part of any entry is refused; finite entries up to
+    +-1.7e308, whose range would overflow, pass unchanged."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.choice([-1.7e308, 1.7e308, -1.0, 0.0, 2.5], size=shape) + 1j * rng.choice(
+        [-1.7e308, 1.7e308, 0.0, -3.0], size=shape
+    )
+    if planted is None:
+        np.testing.assert_array_equal(qlin.as_complex(matrix), matrix)
+        return
+    entry = tuple(int(rng.integers(n)) for n in shape)
+    matrix.view(np.float64).reshape(*shape, 2)[(*entry, int(imaginary))] = planted
+    with pytest.raises(DomainError, match="^matrix has non-finite entries$"):
+        qlin.as_complex(matrix)
+
+
+def test_as_complex_accepts_the_empty_matrix():
+    assert qlin.as_complex(np.zeros((0, 0))).shape == (0, 0)

@@ -138,8 +138,8 @@ class ExperimentalArrangement:
     def basis_matrix(self) -> np.ndarray:
         """Columns are the detector product vectors; multiplied out of ``steps`` on each read."""
         m = np.eye(self.degree, dtype=np.complex128)
-        for dims, factors in reversed(_runs(self.steps)):
-            m = qlin._kron_left(m, dims, factors)
+        for dims, factors in _runs(self.steps):
+            m = qlin._kron_right(m, dims, factors)  # in place in the identity it starts from
         return qlin._frozen_in_place(m)
 
     def intensities(self) -> np.ndarray:
@@ -148,7 +148,8 @@ class ExperimentalArrangement:
 
     def canonical_density(self) -> DensityOperator:
         """The state in ambient canonical coordinates, basis unwound."""
-        return DensityOperator(_unwound(self.matrix, self.steps))
+        m = _unwound(self.matrix, self.steps)
+        return DensityOperator(m) if m is self.matrix else DensityOperator._owning(m)
 
 
 def _runs(steps: Sequence) -> list:
@@ -248,7 +249,8 @@ def ea_equivalent(
     s1, s2 = ea1.steps, ea2.steps
     p = next((i for i, ab in enumerate(zip(s1, s2)) if not _same_step(*ab)), min(len(s1), len(s2)))
     a, b = _unwound(ea1.matrix, s1[p:]), _unwound(ea2.matrix, s2[p:])
-    d = a - b
+    # Formed in an unwound array, never in an arrangement's own matrix: a copy's is writeable.
+    d = np.subtract(a, b, out=b if b is not ea2.matrix else a if a is not ea1.matrix else None)
     norm = math.sqrt(np.vdot(d, d).real)
     if not tol / 2 < norm <= 2 * ea1.degree * tol:
         return norm <= tol / 2

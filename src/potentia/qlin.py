@@ -8,6 +8,7 @@ never mutate their inputs, so concurrent use is safe.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
@@ -112,56 +113,82 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def _kron_left(m: np.ndarray, dims: Sequence[int], factors: dict[int, np.ndarray]) -> np.ndarray:
-    """``R @ m`` for ``R = F_0 x ... x F_n-1``, ``F_k = factors[k]`` or the identity: one
-    batched matmul per factor on the rows of ``m`` viewed as (d_0..d_k-1, d_k, rest).  A
-    factor may be rectangular: the axis it acts on takes its row count."""
-    dims = list(dims)
-    for axis, w in factors.items():
-        m = np.matmul(w, m.reshape(math.prod(dims[:axis]), dims[axis], -1)).reshape(-1, m.shape[1])
-        dims[axis] = len(w)
-    return m
-
-
 #: Consecutive screens whose dims multiply to at most this go as one Kronecker product in
-#: ``_kron_right``: on the benchmark's layouts 16 and 32 ran slower, and 128 no faster.
+#: each kernel: on the benchmark's layouts 16 and 32 ran slower, and 128 no faster.
 _KRON_BLOCK = 64
 
+#: Bytes per chunk of a pass made in place; a 1 MB chunk of a 4096 x 4096 matrix is 16 rows.
+_CHUNK_BYTES = 1 << 20
 
-def _kron_right(m: np.ndarray, dims: Sequence[int], factors: dict[int, np.ndarray]) -> np.ndarray:
-    """``m @ R`` for ``R`` as in ``_kron_left``, on the columns of ``m`` viewed as (d_0..d_n-1).
 
-    The screens are cut, from the last, into groups of consecutive screens whose dims
-    multiply to at most ``_KRON_BLOCK``; a wider screen is a group alone.  A group's factors
-    go as one Kronecker product of size D, with the identity for a screen without one, from
-    its first factor to its last, and in the trailing group on to the last screen.  A
-    product that ends on the last screen is one matmul per N runs of D columns; any other is
-    one batched matmul over (rows, D, post), post the product of the later dims: batches
-    of tiny products cost more in calls than a larger product costs in arithmetic."""
-    n, end = len(m), len(dims)
+def _kron_groups(dims: Sequence[int], factors: dict[int, np.ndarray], to_end: bool):
+    """Per group (cut from the last screen) with a factor, from the last: its first factor's
+    screen and the Kronecker product of its factors, with the identity for a screen without
+    one, from that screen to its last factor, or, ``to_end`` in the trailing group, to the end."""
+    end = len(dims)
     while end:
         start = end - 1
         while start and math.prod(dims[start - 1 : end]) <= _KRON_BLOCK:
             start -= 1
-        group = [k for k in factors if start <= k < end]
-        if group:
-            last = len(dims) if end == len(dims) else max(group) + 1
-            block = functools.reduce(
-                np.kron, [factors.get(k, np.eye(dims[k])) for k in range(min(group), last)]
-            )
-            post = m.shape[1] // math.prod(dims[:last])  # later screens may have new sizes
-            if post == 1:
-                m = np.matmul(m.reshape(-1, n, len(block)), block)
-            else:
-                m = np.matmul(block.T, m.reshape(-1, len(block), post))
-            m = m.reshape(n, -1)
+        if group := [k for k in factors if start <= k < end]:
+            last = len(dims) if to_end and end == len(dims) else max(group) + 1
+            blocks = [factors.get(k, np.eye(dims[k])) for k in range(min(group), last)]
+            yield min(group), functools.reduce(np.kron, blocks)
         end = start
+
+
+def _applied(v: np.ndarray, block: np.ndarray, axis: int, owned: bool) -> np.ndarray:
+    """``v @ block`` for ``axis`` 1, else ``block @ v``.  The product is a new array unless ``v``
+    is ``owned``, larger than one chunk and ``block`` square: then ``v`` is overwritten chunk by
+    chunk, each chunk's product formed in one reused buffer (freed chunks would stay resident)
+    and copied back.  A chunk is a run of v's first axis of at most ``_CHUNK_BYTES`` or, where
+    one entry of that axis is larger, a run of ``axis`` within one entry."""
+    def product(x, out=None):
+        return np.matmul(x, block, out=out) if axis == 1 else np.matmul(block, x, out=out)
+    if not owned or v.nbytes <= _CHUNK_BYTES or block.shape[0] != block.shape[1]:
+        return product(v)
+    per, width = v[0].nbytes, v.shape[axis]
+    rows, step = max(1, _CHUNK_BYTES // per), min(width, max(1, _CHUNK_BYTES * width // per))
+    buffer = np.empty(rows * step * (v[0].size // width), v.dtype)
+    for i, j in itertools.product(range(0, len(v), rows), range(0, width, step)):
+        x = v[(slice(i, i + rows), *[slice(None)] * (axis - 1), slice(j, j + step))]
+        x[...] = product(x, out=buffer[: x.size].reshape(x.shape))
+    return v
+
+
+def _kron_left(m: np.ndarray, dims: Sequence[int], factors: dict[int, np.ndarray]) -> np.ndarray:
+    """``R @ m`` for ``R = F_0 x ... x F_n-1``, ``F_k = factors[k]`` or the identity: per group,
+    one batched matmul over the rows of ``m`` viewed as (pre, D, rest), pre the product of the
+    earlier dims; a rectangular factor's axis takes its row count.  ``m`` is never written: the
+    first pass makes a new array, and every later pass runs in place in it."""
+    out = m
+    for first, block in _kron_groups(dims, factors, to_end=False):
+        v = out.reshape(math.prod(dims[:first]), block.shape[1], -1)
+        out = _applied(v, block, 2, out is not m).reshape(-1, m.shape[1])
+    return out
+
+
+def _kron_right(m: np.ndarray, dims: Sequence[int], factors: dict[int, np.ndarray]) -> np.ndarray:
+    """``m @ R`` for ``R`` as in ``_kron_left``, on the columns of ``m`` viewed as (d_0..d_n-1), in
+    place in ``m``, which the caller must own (a rectangular product makes a new array).  A
+    group's product runs from its first factor to its last, or in the trailing group to the last
+    screen: a product of size D ending there is one matmul per N runs of D columns, and any
+    other one batched matmul over (rows, D, post), post the product of the later dims, whose
+    tiny batches cost more in calls than a larger product costs in arithmetic."""
+    n = len(m)
+    for first, block in _kron_groups(dims, factors, to_end=True):
+        post = m.shape[1] // (math.prod(dims[:first]) * len(block))  # later screens may have new sizes
+        if post == 1:
+            m = _applied(m.reshape(-1, n, len(block)), block, 1, True).reshape(n, -1)
+        else:
+            m = _applied(m.reshape(-1, len(block), post), block.T, 2, True).reshape(n, -1)
     return m
 
 
 def _conjugated(m: np.ndarray, dims: Sequence[int], factors: dict[int, np.ndarray]) -> np.ndarray:
     """``R^dag @ m @ R`` without forming ``R``: ``R^dag`` applied to the rows of ``m``, then
-    ``R`` to the columns of the product.  No other code applies a product of factors."""
+    ``R`` to the columns of the product, in the one new array the rows were written to.  No
+    other code applies a product of factors, and ``m`` is never written."""
     left = _kron_left(m, dims, {k: dagger(w) for k, w in factors.items()})
     return _kron_right(left, dims, factors)
 

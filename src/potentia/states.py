@@ -99,7 +99,8 @@ class DensityOperator:
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > TRACE_TOL:
             raise DomainError(f"trace is {trace:.12g}, expected 1 within {TRACE_TOL:g}")
-        mat = np.array(mat)  # the one copy: shifted by the Cholesky check, then frozen
+        if not vars(self).pop("_owned", False):  # an array ``_owning`` hands over is not copied
+            mat = np.array(mat)  # the one copy: shifted by the Cholesky check, then frozen
         if not _clears_half_floor(mat):
             eigenvalues = np.linalg.eigvalsh(mat)
             min_eig = float(eigenvalues[0])
@@ -107,6 +108,14 @@ class DensityOperator:
                 raise DomainError(f"negative eigenvalue {min_eig:.3e} below floor {EIGENVALUE_FLOOR:g}")
             object.__setattr__(self, "eigenvalues", frozen(eigenvalues))
         object.__setattr__(self, "matrix", qlin._frozen_in_place(mat))
+
+    @classmethod
+    def _owning(cls, mat: np.ndarray) -> "DensityOperator":
+        """The state of ``mat``, an array its caller built and hands over: checked, not copied."""
+        rho = object.__new__(cls)
+        vars(rho).update(matrix=mat, _owned=True)
+        rho.__post_init__()
+        return rho
 
     @functools.cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -127,14 +136,14 @@ class DensityOperator:
 
 def _conditioned(unnormalized: np.ndarray) -> tuple[float, DensityOperator | None]:
     """An event's probability, the trace of ``unnormalized`` (a new array, divided in place),
-    and its conditioned state, None at or below ``PROBABILITY_FLOOR``.  That state is admitted
-    again: the division scales floor-sized negativity by one over the probability."""
+    and its conditioned state in that array, None at or below ``PROBABILITY_FLOOR``.  That state
+    is admitted again: the division scales floor-sized negativity by one over the probability."""
     probability = float(np.real(np.trace(unnormalized)))
     if probability <= PROBABILITY_FLOOR:
         return probability, None
     unnormalized /= probability
     try:
-        return probability, DensityOperator(unnormalized)
+        return probability, DensityOperator._owning(unnormalized)
     except DomainError as exc:
         raise DegenerateConditioningError(f"probability {probability:.3e}; conditioned, {exc}") from None
 

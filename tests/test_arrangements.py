@@ -1,6 +1,8 @@
 import copy
 import pickle
+import tracemalloc
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from potentia.states import (
     EIGENVALUE_FLOOR,
     DensityOperator,
     PureVector,
+    _conditioned,
     bloch_from_density,
     density_from_vector,
 )
@@ -784,9 +787,9 @@ class MatmulSpy:
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def matmul(self, a, b):
+    def matmul(self, a, b, **kwargs):
         self.ranks.append((a.ndim, b.ndim))
-        return np.matmul(a, b)
+        return np.matmul(a, b, **kwargs)
 
 
 class TestConjugationKernel:
@@ -817,15 +820,69 @@ class TestConjugationKernel:
             st.sampled_from([(70, 2), (2, 70), (2, 40, 2), (66,), (3, 30), (2, 33), (8, 9)]),
         ),
         st.integers(0, 2**32 - 1),
+        st.sampled_from([256, 4096, qlin._CHUNK_BYTES]),
+        st.sampled_from([0.0, 0.5, 1.0]),
     )
-    def test_random_factor_subsets_match_kron_oracle(self, dims, seed):
-        """Square and rectangular factors: a screen takes its factor's column count."""
+    def test_random_factor_subsets_match_kron_oracle(self, dims, seed, chunk, identities):
+        """Square and rectangular factors: a screen takes its factor's column count.  With
+        chunks small enough that every pass after the first runs in place, chunk by chunk, the
+        writeable input is left bit-identical, also with no factor or only identity factors."""
         rng = np.random.default_rng(seed)
         screens = [k for k in range(len(dims)) if rng.random() < 0.5]
         widths = {k: max(1, dims[k] + int(rng.integers(-1, 2))) for k in screens if rng.random() < 0.5}
-        m, factors, oracle = conjugation_case(dims, screens, rng, widths)
-        out = qlin._conjugated(m, dims, factors)
+        m, factors, _ = conjugation_case(dims, screens, rng, widths)
+        for k in [k for k in factors if k not in widths and rng.random() < identities]:
+            factors[k] = np.eye(dims[k], dtype=complex)
+        r = kron_oracle([factors.get(k, np.eye(d)) for k, d in enumerate(dims)])
+        oracle = r.conj().T @ m @ r
+        before = m.tobytes()
+        with mock.patch.object(qlin, "_CHUNK_BYTES", chunk):
+            out = qlin._conjugated(m, dims, factors)
+        assert m.flags.writeable and m.tobytes() == before
         assert out.shape == oracle.shape and np.max(np.abs(out - oracle)) <= 1e-12
+
+
+class TestConjugationMemory:
+    """Under ``tracemalloc`` at (2,)*9, N = 512: each step allocates one N x N array beyond its
+    inputs, one chunk of a pass made in place, and its groups' products of at most 64 x 64."""
+
+    DIMS = (2,) * 9
+    N2 = 512 * 512 * 16  # bytes of one N x N complex array
+    BOUND = N2 + qlin._CHUNK_BYTES + 2 * 16 * qlin._KRON_BLOCK**2
+
+    @staticmethod
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_conjugation_on_three_screens(self, rng):
+        m, factors, _ = conjugation_case(self.DIMS, (0, 4, 8), rng)
+        assert self.N2 < self.peak(lambda: qlin._conjugated(m, self.DIMS, factors)) <= self.BOUND
+
+    def test_arrangement_pipeline(self, rng):
+        """``make_ea`` on Haar bases of all nine screens, ``change_detectors`` on one, and
+        ``ea_equivalent`` of the two, whose difference goes into the one unwound array."""
+        f = Factorization(self.DIMS)
+        rho, basis, v = random_density(f.degree, rng), haar_basis(self.DIMS, rng), random_unitary(2, rng)
+        ea = make_ea(rho, f, basis)
+        changed = change_detectors(ea, 5, v)
+        assert self.peak(lambda: make_ea(rho, f, basis)) <= self.BOUND
+        assert self.peak(lambda: change_detectors(ea, 5, v)) <= self.BOUND
+        assert self.peak(lambda: ea_equivalent(ea, changed)) <= self.BOUND
+
+    def test_conditioned_state_keeps_its_array(self, rng):
+        """The conditioned state is admitted in the array it was given; the Cholesky factor
+        of the admission check is the one N x N array allocated."""
+        unnormalized = random_density(512, rng).matrix * 0.5
+        result = []
+        peak = self.peak(lambda: result.append(_conditioned(unnormalized)))
+        (probability, state), = result
+        assert probability == pytest.approx(0.5) and np.shares_memory(state.matrix, unnormalized)
+        assert peak < 1.25 * self.N2
 
 
 class TestEigensolves:

@@ -176,9 +176,10 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
         trace = complex(np.trace(matrix))
         if abs(trace - 1.0) > tols.trace or not trace.real > 0:
             raise DomainError(f"matrix violates unit trace (trace {trace:.12g})")
-        canonical = (matrix + matrix.conj().T) / 2.0
-        canonical /= np.real(np.trace(canonical))
-        density = DensityOperator(canonical)
+        matrix += matrix.conj().T  # canonical in the parsed array, which is handed over
+        matrix /= 2.0
+        matrix /= np.real(np.trace(matrix))
+        density = DensityOperator._owning(matrix)
     except DomainError as exc:
         raise ValidationError(f"{name}: {exc}")
 

@@ -137,7 +137,8 @@ class DensityOperator:
 def _conditioned(unnormalized: np.ndarray) -> tuple[float, DensityOperator | None]:
     """An event's probability, the trace of ``unnormalized`` (a new array, divided in place),
     and its conditioned state in that array, None at or below ``PROBABILITY_FLOOR``.  That state
-    is admitted again: the division scales floor-sized negativity by one over the probability."""
+    is admitted again: the division scales floor-sized negativity by one over the probability.
+    A derived state (a projector, a mixture) is divided by its own trace here before admission."""
     probability = float(np.real(np.trace(unnormalized)))
     if probability <= PROBABILITY_FLOOR:
         return probability, None
@@ -205,13 +206,12 @@ class MixtureDecomposition:
         mat = np.zeros((dim, dim), dtype=np.complex128)
         for weight, comp in zip(self.weights, self.components):
             mat += weight * np.outer(comp.amplitudes, comp.amplitudes.conj())
-        return DensityOperator(mat)
+        return _conditioned(mat)[1]  # weights and norms are 1 within NORM_TOL only
 
 
 def density_from_vector(vector: PureVector) -> DensityOperator:
-    """Rank-one projector |v><v|."""
-    amps = vector.amplitudes
-    return DensityOperator(np.outer(amps, amps.conj()))
+    """Rank-one projector |v><v| over its trace, ``<v|v>``, which misses 1 by up to ``2 NORM_TOL``."""
+    return _conditioned(np.outer(vector.amplitudes, vector.amplitudes.conj()))[1]
 
 
 def abstract_purity(rho: DensityOperator, tol: float = PURITY_TOL) -> bool:

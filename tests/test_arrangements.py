@@ -496,20 +496,31 @@ def walked(ea, product, rng, steps):
     return ea, product
 
 
-PAIR_KINDS = ("diverge", "repeat", "same_basis", "unrelated", "swapped")
+PAIR_KINDS = (
+    "identical", "copied", "diverge", "repeat", "same_basis", "two_bases", "dense",
+    "unrelated", "swapped", "planted_in", "planted_out",
+)
 #: Kinds whose two arrangements hold different states.
 DIFFERENT_STATES = ("unrelated", "swapped")
+#: Kinds whose ambient states differ by ``EQUIVALENCE_TOL`` times this in two entries: the
+#: Frobenius norm of the difference is inside ``(tol / 2, 2 N tol]``, where only the lift decides.
+PLANTED = {"planted_in": 0.9, "planted_out": 1.1}
 
 
 def arrangement_pair(dims, rng, kind, shared, tails):
     """Two ``(arrangement, basis by the kron oracle)`` pairs on one layout.
 
     ``diverge``: a common walk of ``shared`` steps, then walks of ``tails[0]`` and
-    ``tails[1]`` steps; ``repeat``: one side changes one screen twice after the common
-    walk; ``same_basis``: two ``make_ea`` calls on one ``DetectorBasis``, then the two
-    walks; ``unrelated``: as ``same_basis``, with another state on the second side;
+    ``tails[1]`` steps; ``identical``: one walk on both sides; ``copied``: as
+    ``diverge``, with a deep copy of the common walk on the second side; ``repeat``: one
+    side changes one screen twice after the common walk; ``same_basis``: two ``make_ea``
+    calls on one ``DetectorBasis``, then the two walks; ``two_bases``: as ``same_basis``
+    in another Haar basis on the second side, so the histories share no step; ``dense``:
+    as ``two_bases``, the first side built by the public constructor from an N x N Haar
+    basis; ``unrelated``: as ``same_basis``, with another state on the second side;
     ``swapped``: as ``same_basis``, with diagonal states that differ by swapping two
-    entries, so the ambient states differ in two entries only.
+    entries, so the ambient states differ in two entries only; ``planted_in`` and
+    ``planted_out``: as ``two_bases``, with the state moved by ``PLANTED`` in two entries.
     """
     f = Factorization(dims)
     basis = DetectorBasis(tuple(random_unitary(d, rng) for d in dims))
@@ -518,11 +529,26 @@ def arrangement_pair(dims, rng, kind, shared, tails):
         p = rng.dirichlet(np.ones(f.degree))
         swapped = np.concatenate([p[1::-1], p[2:]])
         rho, other_state = (DensityOperator(np.diag(q).astype(complex)) for q in (p, swapped))
+    if kind in PLANTED:
+        moved = np.zeros((f.degree, f.degree), dtype=complex)
+        moved[0, 1] = moved[1, 0] = PLANTED[kind] * EQUIVALENCE_TOL
+        other_state = DensityOperator(rho.matrix + moved)
     start = (make_ea(rho, f, basis), kron_oracle(basis.screens))
-    if kind in ("same_basis", *DIFFERENT_STATES):
+    if kind in ("two_bases", "dense", *PLANTED):
+        other_basis = haar_basis(dims, rng)
+        state = other_state if kind in PLANTED else rho
+        other = (make_ea(state, f, other_basis), kron_oracle(other_basis.screens))
+        if kind == "dense":
+            dense = random_unitary(f.degree, rng)
+            start = (ExperimentalArrangement(dense.conj().T @ rho.matrix @ dense, f, dense), dense)
+    elif kind in ("same_basis", *DIFFERENT_STATES):
         other = (make_ea(rho if kind == "same_basis" else other_state, f, basis), start[1])
     else:
         start = other = walked(*start, rng, shared)
+    if kind == "identical":
+        return start, start
+    if kind == "copied":
+        other = (copy.deepcopy(other[0]), other[1])
     if kind == "repeat":
         ea, product = other
         layout = ea.factorization.screen_dims
@@ -643,15 +669,21 @@ class TestLocalOperationProperties:
 class TestEquivalenceOracle:
     """``ea_equivalent`` against its rule, applied densely to the kron oracle's bases."""
 
-    @PROPERTY_SETTINGS
+    @settings(max_examples=100, deadline=None)  # every kind, with near certainty
     @given(arrangement_pairs())
     def test_matches_dense_oracle(self, drawn):
+        """Each verdict, either way round, is the dense rule's, and neither matrix is written."""
         kind, pair = drawn
-        (ea1, _), (ea2, _) = pair
+        (ea1, b1), (ea2, b2) = pair
         expected = oracle_gap(pair) <= EQUIVALENCE_TOL
-        assert expected == (kind not in DIFFERENT_STATES)
+        assert expected == (kind not in (*DIFFERENT_STATES, "planted_out"))
+        if kind in PLANTED:
+            d = b1 @ ea1.matrix @ b1.conj().T - b2 @ ea2.matrix @ b2.conj().T
+            assert EQUIVALENCE_TOL / 2 < np.linalg.norm(d) <= 2 * ea1.degree * EQUIVALENCE_TOL
+        before = ea1.matrix.tobytes(), ea2.matrix.tobytes()
         assert ea_equivalent(ea1, ea2) == expected
         assert ea_equivalent(ea2, ea1) == expected
+        assert (ea1.matrix.tobytes(), ea2.matrix.tobytes()) == before
 
     @PROPERTY_SETTINGS
     @given(arrangement_pairs(kinds=DIFFERENT_STATES))
@@ -696,6 +728,29 @@ class TestDetectorSteps:
         applied = count_kron_factors(monkeypatch)
         assert ea_equivalent(ea, changed)
         assert applied == [((2, 3, 4), screen)] * 2
+
+    def test_unrelated_pair_in_one_layout_is_one_conjugation(self, monkeypatch, rng):
+        """Two ``make_ea`` of one state in different Haar bases share no step: ea1's matrix
+        moves into ea2's frame through one history whose steps, all in one layout, merge into
+        one conjugation.  Unwinding both suffixes took two.  A detector change on each side
+        adds a step to each suffix and no conjugation."""
+        dims = (2, 3, 4)
+        f = Factorization(dims)
+        rho = random_density(f.degree, rng)
+        ea1, ea2 = (make_ea(rho, f, haar_basis(dims, rng)) for _ in range(2))
+        changed1 = change_detectors(ea1, 0, random_unitary(2, rng))
+        changed2 = change_detectors(ea2, 2, random_unitary(4, rng))
+        calls, conjugated = [], qlin._conjugated
+
+        def counted(m, dims, factors):
+            calls.append(tuple(dims))
+            return conjugated(m, dims, factors)
+
+        monkeypatch.setattr(qlin, "_conjugated", counted)
+        for pair in [(ea1, ea2), (ea2, ea1), (changed1, changed2)]:
+            calls.clear()
+            assert ea_equivalent(*pair)
+            assert calls == [dims]
 
     def test_computational_basis_applies_no_factor(self, monkeypatch, rng):
         dims = (2, 3, 4)
@@ -873,6 +928,17 @@ class TestConjugationMemory:
         assert self.peak(lambda: make_ea(rho, f, basis)) <= self.BOUND
         assert self.peak(lambda: change_detectors(ea, 5, v)) <= self.BOUND
         assert self.peak(lambda: ea_equivalent(ea, changed)) <= self.BOUND
+
+    def test_unrelated_comparison(self, rng):
+        """Two ``make_ea`` of one state in Haar bases of all nine screens, compared: one
+        conjugation moves ea1's matrix into ea2's frame, and the difference is formed in the
+        array it made.  Unwinding both matrices held two N x N arrays."""
+        f = Factorization(self.DIMS)
+        rho = random_density(f.degree, rng)
+        ea1, ea2 = (make_ea(rho, f, haar_basis(self.DIMS, rng)) for _ in range(2))
+        verdicts = []
+        assert self.peak(lambda: verdicts.append(ea_equivalent(ea1, ea2))) <= self.BOUND
+        assert verdicts == [True]
 
     def test_conditioned_state_keeps_its_array(self, rng):
         """The conditioned state is admitted in the array it was given; the Cholesky factor

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,36 @@ class TestReading:
         digest = "sha256:" + hashlib.sha256(content).hexdigest()
         assert fileio._load_json(path) == (json.loads(VALID), digest)
         assert load_state(path).digest == digest
+
+    def test_canonical_matrix_is_formed_in_the_parsed_array(self, tmp_path, rng, monkeypatch):
+        """Past the parse, reading a 256-dim file holds at most one more N x N array, the
+        conjugate to symmetrize with (and then the admission's Cholesky factor).  Forming the
+        canonical matrix in a new array and copying it into the state held three.  The values
+        are those of ``(m + m^dag) / 2`` over its trace, bit for bit."""
+        n, n2 = 256, 256 * 256 * 16
+        matrix = random_density(n, rng).matrix * (1 + 1e-10)
+        matrix[0, 1] += 1e-12
+        path = write(tmp_path, "state.json", state_payload(matrix, factorization=[16, 16]))
+        parse, parsed, base = fileio.matrix_from_json, [], []
+
+        def measured(*args):
+            parsed.append(parse(*args))
+            tracemalloc.reset_peak()
+            base.append(tracemalloc.get_traced_memory()[0])
+            return parsed[-1]
+
+        monkeypatch.setattr(fileio, "matrix_from_json", measured)
+        tracemalloc.start()
+        try:
+            state = load_state(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base[0] <= 1.25 * n2
+        assert np.shares_memory(state.density.matrix, parsed[0])
+        canonical = (matrix + matrix.conj().T) / 2.0
+        canonical /= np.real(np.trace(canonical))
+        assert state.density.matrix.tobytes() == canonical.tobytes()
 
 
 class TestProjectorFiles:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from potentia import states
 from potentia.arrangements import DetectorBasis, Factorization, make_ea
 from potentia.bell import CorrelationMatrix, MeasurementSetting
-from potentia.entanglement import WitnessOperator
+from potentia.entanglement import WitnessOperator, entropy_additivity_check
 from potentia.errors import CapacityError, DomainError, ShapeError
 from potentia.families import qubit_two_bases
 from potentia.locc import CPMap
@@ -58,6 +58,44 @@ class TestDensityFromVector:
     def test_unnormalized_rejected(self):
         with pytest.raises(DomainError):
             PureVector([1.0, 1.0])
+
+
+#: Where an input sits within its admission tolerance: -1 and 1 are just inside its edges.
+EDGE = st.sampled_from([-0.999, 0.999]) | st.floats(-0.999, 0.999)
+
+
+class TestDerivedStatesAtTheEdge:
+    """A state derived from inputs that passed admission is admitted too.  ``NORM_TOL``
+    bounds |v| - 1, so <v|v> - 1 reaches 2 NORM_TOL: a derived projector or mixture is
+    divided by its own trace.  Traces multiply under (x): a (x) b is not admitted again."""
+
+    def test_reported_calls(self):
+        v = PureVector([1 + 9e-10, 0])
+        assert np.trace(density_from_vector(v).matrix) == 1.0
+        mixture = MixtureDecomposition([0.5, 0.5 + 9e-10], (v, v)).reconstruct()
+        assert np.array_equal(mixture.matrix, np.diag([1.0, 0.0]))
+        a = DensityOperator(np.diag([0.5 + 9e-10, 0.5]))
+        assert isinstance(entropy_additivity_check(a, a), bool)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1), EDGE, EDGE, EDGE)
+    def test_no_call_raises(self, dim, count, seed, norm, weight, trace):
+        rng = np.random.default_rng(seed)
+        vectors = [
+            PureVector(random_pure(dim, rng).amplitudes * (1 + norm * states.NORM_TOL))
+            for _ in range(count)
+        ]
+        rho = density_from_vector(vectors[0])
+        assert np.trace(rho.matrix).real == pytest.approx(1.0, abs=1e-15)
+        weights = rng.dirichlet(np.ones(count)) * (1 + weight * states.NORM_TOL)
+        mixture = MixtureDecomposition(weights, tuple(vectors)).reconstruct()
+        total = sum(w * np.outer(v.amplitudes, v.amplitudes.conj()) for w, v in zip(weights, vectors))
+        assert np.max(np.abs(mixture.matrix - total / np.trace(total).real)) <= 1e-15
+        a, b = (
+            DensityOperator(random_density(d, rng).matrix * (1 + trace * states.TRACE_TOL))
+            for d in (dim, 3)
+        )
+        assert isinstance(entropy_additivity_check(a, b), bool)
 
 
 #: Least eigenvalues planted on and around the floor and half the floor, where

@@ -240,16 +240,15 @@ def refactor(
 def ea_equivalent(
     ea1: ExperimentalArrangement, ea2: ExperimentalArrangement, tol: float = EQUIVALENCE_TOL
 ) -> bool:
-    """Same degree and ``max_abs(B1 M1 B1^dag - B2 M2 B2^dag) <= tol``.  For ``B_i = P S_i``, ``P``
-    the longest common history, ``M1`` moves into ea2's frame through ``U = S2^dag S1``, one
-    history: S2's steps reversed and daggered, then S1's, so two suffixes in one layout make one
-    conjugation.  As ``B2`` is unitary, ``||D||_F`` for ``D = U M1 U^dag - M2`` decides unless it
-    is in ``(tol / 2, 2 N tol]``: only then is ``D`` lifted through ``B2`` and its max entry read."""
+    """Same degree and ``max_abs(B1 M1 B1^dag - B2 M2 B2^dag) <= tol``.  With ``B_i = P S_i``, ``P``
+    shared, ``M1`` moves into ea2's frame by ``U = S2^-1 S1``: S2's steps reversed and inverted (a
+    factor is unitary only within ``ISOMETRY_TOL`` > ``tol``), then S1's, one conjugation per layout.
+    ``||D||_F``, ``D = U M1 U^dag - M2``, decides outside ``(tol/2, 2N tol]``; inside, B2 D B2^dag."""
     if ea1.degree != ea2.degree:
         return False
     s1, s2 = ea1.steps, ea2.steps
     p = next((i for i, ab in enumerate(zip(s1, s2)) if not _same_step(*ab)), min(len(s1), len(s2)))
-    inverse = tuple((dims, {k: dagger(w) for k, w in ws.items()}) for dims, ws in reversed(s2[p:]))
+    inverse = tuple((ly, {k: np.linalg.inv(w) for k, w in ws.items()}) for ly, ws in reversed(s2[p:]))
     moved = _unwound(ea1.matrix, inverse + s1[p:])
     # Formed in the moved array, never in an arrangement's own matrix: a copy's is writeable.
     d = np.subtract(moved, ea2.matrix, out=None if moved is ea1.matrix else moved)

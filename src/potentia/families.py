@@ -58,8 +58,12 @@ def ray_projector(ray, label: str) -> PowerNode:
 
 def computational_family(dim: int) -> list[PowerNode]:
     """Rank-one projectors onto the standard basis."""
-    eye = np.eye(dim, dtype=np.complex128)
-    return [PowerNode(np.diag(e), f"|{k}><{k}|") for k, e in enumerate(eye)]
+    nodes = []
+    for k in range(dim):
+        mat = np.zeros((dim, dim), dtype=np.complex128)
+        mat[k, k] = 1.0
+        nodes.append(PowerNode(mat, f"|{k}><{k}|"))
+    return nodes
 
 
 def qubit_two_bases() -> list[PowerNode]:

@@ -137,8 +137,7 @@ class DensityOperator:
 def _conditioned(unnormalized: np.ndarray) -> tuple[float, DensityOperator | None]:
     """An event's probability, the trace of ``unnormalized`` (a new array, divided in place),
     and its conditioned state in that array, None at or below ``PROBABILITY_FLOOR``.  That state
-    is admitted again: the division scales floor-sized negativity by one over the probability.
-    A derived state (a projector, a mixture) is divided by its own trace here before admission."""
+    is admitted again: the division scales floor-sized negativity by one over the probability."""
     probability = float(np.real(np.trace(unnormalized)))
     if probability <= PROBABILITY_FLOOR:
         return probability, None

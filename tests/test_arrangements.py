@@ -569,6 +569,12 @@ def arrangement_pairs(draw, kinds=PAIR_KINDS):
     return kind, arrangement_pair(dims, rng, kind, shared, tails)
 
 
+def near_unitary(d, rng):
+    """A Haar unitary with its columns scaled by up to ``1 +- 2.5e-10``: a Gram error of up to
+    5e-10, which admission accepts and which is five times ``EQUIVALENCE_TOL``."""
+    return random_unitary(d, rng) * (1 + 2.5e-10 * rng.uniform(-1, 1, d))
+
+
 def oracle_gap(pair) -> float:
     """``max_abs(B1 M1 B1^dag - B2 M2 B2^dag)`` with both bases multiplied out densely."""
     (ea1, b1), (ea2, b2) = pair
@@ -684,6 +690,44 @@ class TestEquivalenceOracle:
         assert ea_equivalent(ea1, ea2) == expected
         assert ea_equivalent(ea2, ea1) == expected
         assert (ea1.matrix.tobytes(), ea2.matrix.tobytes()) == before
+
+    @PROPERTY_SETTINGS
+    @given(layouts(), st.booleans())
+    def test_near_unitary_factors_either_way_round(self, layout, two_bases):
+        """Factors are unitary only within ``ISOMETRY_TOL``, ten times ``EQUIVALENCE_TOL``, so
+        a factor's dagger is not its inverse at the scale of ``tol``.  Either way round, the
+        verdict is the dense rule's: one detector change after a shared ``make_ea``, or two
+        ``make_ea`` calls that share no step."""
+        dims, rng = layout
+        f = Factorization(dims)
+        rho = random_density(f.degree, rng)
+        bases = [tuple(near_unitary(d, rng) for d in dims) for _ in range(2)]
+        start = (make_ea(rho, f, DetectorBasis(bases[0])), kron_oracle(bases[0]))
+        if two_bases:
+            other = (make_ea(rho, f, DetectorBasis(bases[1])), kron_oracle(bases[1]))
+        else:
+            screen = int(rng.integers(len(dims)))
+            w = near_unitary(dims[screen], rng)
+            other = (change_detectors(start[0], screen, w), start[1] @ local_rotation(dims, screen, w))
+        expected = oracle_gap((start, other)) <= EQUIVALENCE_TOL
+        assert ea_equivalent(start[0], other[0]) == expected
+        assert ea_equivalent(other[0], start[0]) == expected
+
+    def test_rounded_hadamard_either_way_round(self):
+        """A Hadamard rounded to nine digits has a Gram error of 5.3e-10 and is admitted.  The
+        Bell state moved by it differs from itself by 5.3e-10 in the dense rule: not equivalent,
+        either way round."""
+        h = 0.707106781
+        v = np.array([[h, h], [h, -h]], dtype=complex)
+        bell = np.zeros((4, 4), dtype=complex)
+        bell[np.ix_([0, 3], [0, 3])] = 0.5
+        ea = make_ea(DensityOperator(bell), Factorization((2, 2)), DetectorBasis.computational(
+            Factorization((2, 2))))
+        changed = change_detectors(ea, 0, v)
+        pair = ((ea, np.eye(4)), (changed, local_rotation((2, 2), 0, v)))
+        assert oracle_gap(pair) > EQUIVALENCE_TOL
+        assert not ea_equivalent(ea, changed)
+        assert not ea_equivalent(changed, ea)
 
     @PROPERTY_SETTINGS
     @given(arrangement_pairs(kinds=DIFFERENT_STATES))

@@ -200,6 +200,15 @@ class TestTransform:
         hadamard = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         assert np.max(np.abs(reloaded.basis.screens[0] - hadamard)) <= 1e-12
 
+    def test_near_unitary_basis_file_is_not_equivalent(self, capsys, tmp_path):
+        """A Hadamard rounded to nine digits is admitted (Gram error 5.3e-10); the Bell state it
+        moves differs by 5.3e-10 from the original in the dense rule, so ``equivalent`` is false."""
+        h = 0.707106781
+        basis = tmp_path / "rounded.json"
+        basis.write_text(json.dumps({"matrix": [[[h, 0.0], [h, 0.0]], [[h, 0.0], [-h, 0.0]]]}))
+        argv = ("transform", SAMPLES / "bell_phi_plus.json", "--screen", "1", "--basis", basis)
+        assert run_json(capsys, *argv)["results"]["equivalent"] is False
+
     def test_transformed_file_reanalyzes_equivalently(self, capsys, tmp_path):
         out_state = tmp_path / "transformed.json"
         run_json(

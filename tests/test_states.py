@@ -75,7 +75,7 @@ class TestDerivedStatesAtTheEdge:
         mixture = MixtureDecomposition([0.5, 0.5 + 9e-10], (v, v)).reconstruct()
         assert np.array_equal(mixture.matrix, np.diag([1.0, 0.0]))
         a = DensityOperator(np.diag([0.5 + 9e-10, 0.5]))
-        assert isinstance(entropy_additivity_check(a, a), bool)
+        assert entropy_additivity_check(a, a) is True
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1), EDGE, EDGE, EDGE)
@@ -95,7 +95,7 @@ class TestDerivedStatesAtTheEdge:
             DensityOperator(random_density(d, rng).matrix * (1 + trace * states.TRACE_TOL))
             for d in (dim, 3)
         )
-        assert isinstance(entropy_additivity_check(a, b), bool)
+        assert entropy_additivity_check(a, b) is True
 
 
 #: Least eigenvalues planted on and around the floor and half the floor, where

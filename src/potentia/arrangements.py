@@ -84,10 +84,6 @@ class DetectorBasis:
             mats.append(frozen(mat))
         object.__setattr__(self, "screens", tuple(mats))
 
-    @classmethod
-    def computational(cls, factorization: Factorization) -> "DetectorBasis":
-        return cls(tuple(np.eye(d, dtype=np.complex128) for d in factorization.screen_dims))
-
 
 @dataclass(frozen=True, init=False, eq=False)
 class ExperimentalArrangement:
@@ -176,21 +172,23 @@ def _same_step(a: tuple, b: tuple) -> bool:
 
 
 def make_ea(
-    rho: DensityOperator, factorization: Factorization, basis: DetectorBasis
+    rho: DensityOperator, factorization: Factorization, basis: DetectorBasis | None = None
 ) -> ExperimentalArrangement:
-    """Express an ambient state in the detector coordinates of a screen layout."""
-    if len(basis.screens) != factorization.screens:
-        raise ShapeError(f"{len(basis.screens)} screen bases for {factorization.screens} screens")
-    for k, (mat, dim) in enumerate(zip(basis.screens, factorization.screen_dims)):
+    """Express an ambient state in the detector coordinates of a screen layout; with no
+    ``basis``, in computational detectors, which take no factor and cost no product."""
+    screens = () if basis is None else basis.screens
+    if basis is not None and len(screens) != factorization.screens:
+        raise ShapeError(f"{len(screens)} screen bases for {factorization.screens} screens")
+    for k, (mat, dim) in enumerate(zip(screens, factorization.screen_dims)):
         if mat.shape[0] != dim:
             raise ShapeError(f"screen {k} basis is {mat.shape[0]}-dimensional, expected {dim}")
     if factorization.degree != rho.dim:
         raise ShapeError(
             f"state dim {rho.dim} does not match factorization degree {factorization.degree}"
         )
-    # A missing factor is the identity to both kernels, so an identity basis costs no product.
+    # A missing factor is the identity to both kernels, so an identity screen is dropped.
     dims = factorization.screen_dims
-    factors = {k: w for k, w in enumerate(basis.screens) if not np.array_equal(w, np.eye(len(w)))}
+    factors = {k: w for k, w in enumerate(screens) if not np.array_equal(w, np.eye(len(w)))}
     matrix = qlin._conjugated(rho.matrix, dims, factors)
     return ExperimentalArrangement._trusted(matrix, factorization, ((dims, factors),))
 

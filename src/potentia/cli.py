@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: analyze, transform, powers, werner, witness, bell, instrument.
-Reports are deterministic: identical inputs and seeds produce byte-identical
-output.  Exit codes: 0 success, 2 parse error, 3 validation error,
-4 capacity error.
+On one machine with one BLAS thread count, identical inputs and seeds produce
+byte-identical reports; another thread count may move their last digits.
+Exit codes: 0 success, 2 parse error, 3 validation error, 4 capacity error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, arrangements, bell, entanglement, fileio, locc, powers, states
+from . import __version__, arrangements, bell, entanglement, fileio, locc, powers, qlin, states
 from .arrangements import DetectorBasis, Factorization
 from .errors import (
     CapacityError,
@@ -213,7 +213,6 @@ def cmd_transform(args, tols: Tolerances) -> dict:
     ea = arrangements.make_ea(state.density, state.factorization, state.basis)
     results: dict = {"before_intensities": _float_list(ea.intensities())}
 
-    out_screens = list(state.basis.screens)
     if dims is not None:
         transformed = arrangements.refactor(ea, Factorization(dims))
         results["transform"] = {"refactor": list(dims)}
@@ -227,7 +226,6 @@ def cmd_transform(args, tols: Tolerances) -> dict:
         if basis_digest:
             digests["basis"] = basis_digest
         transformed = arrangements.change_detectors(ea, screen, new_basis)
-        out_screens[screen] = out_screens[screen] @ new_basis
         results["transform"] = {"screen": args.screen, "basis": args.basis}
     else:
         transformed = ea
@@ -244,15 +242,20 @@ def cmd_transform(args, tols: Tolerances) -> dict:
                 "refactor of a file with non-computational detector bases cannot be "
                 "expressed in the state-file schema; change detectors back first"
             )
-        emit_factorization = state.has_explicit_factorization or dims is not None
+        written = state.has_explicit_factorization or dims is not None
+        layout = transformed.factorization if written else None
         # Refactored layouts start from computational detectors.
-        emit_bases = dims is None and (state.has_explicit_bases or args.screen is not None)
-        document = fileio.state_document(
-            state.density,
-            transformed.factorization if emit_factorization else None,
-            DetectorBasis(tuple(out_screens)) if emit_bases else None,
-            state.label,
-        )
+        basis = state.basis if dims is None else None
+        if args.screen is not None and basis is None:  # computational: the new basis as given
+            sizes = enumerate(state.factorization.screen_dims)
+            basis = DetectorBasis(tuple(new_basis if k == screen else np.eye(d) for k, d in sizes))
+        elif args.screen is not None:  # two admitted factors, whose product may not be
+            screens = list(basis.screens)
+            screens[screen] = screens[screen] @ new_basis
+            what = f"screen {args.screen} basis to write, the file's basis times the new one:"
+            fileio._validated("--out-state", qlin.require_isometry, screens[screen], what)
+            basis = DetectorBasis(tuple(screens))
+        document = fileio.state_document(state.density, layout, basis, state.label)
         fileio.dump_state(args.out_state, document)
         results["state_written"] = args.out_state
     return _report("transform", digests, results)

@@ -152,10 +152,9 @@ def _load_document(path: str | Path) -> tuple[dict, str, str]:
 class StateFile:
     density: DensityOperator
     factorization: Factorization
-    basis: DetectorBasis
+    basis: DetectorBasis | None  # None: the file names no detectors, so they are computational
     label: str | None
     has_explicit_factorization: bool
-    has_explicit_bases: bool
     digest: str  # "sha256:" and the hex SHA-256 of the file's bytes
 
 
@@ -197,8 +196,8 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
     else:
         factorization = Factorization((dim,))
 
-    has_bases = "bases" in document
-    if has_bases:
+    basis = None
+    if "bases" in document:
         raw_bases = document["bases"]
         if not isinstance(raw_bases, list) or len(raw_bases) != factorization.screens:
             raise ParseError(
@@ -209,13 +208,11 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
             for k, (raw, d) in enumerate(zip(raw_bases, factorization.screen_dims))
         )
         basis = _validated(name, DetectorBasis, screens)
-    else:
-        basis = DetectorBasis.computational(factorization)
 
     label = document.get("label")
     if label is not None and not isinstance(label, str):
         raise ParseError(f"{name}.label: expected a string")
-    return StateFile(density, factorization, basis, label, has_factorization, has_bases, digest)
+    return StateFile(density, factorization, basis, label, has_factorization, digest)
 
 
 def state_document(

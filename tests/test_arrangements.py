@@ -51,7 +51,7 @@ def worked_state() -> DensityOperator:
 
 
 def worked_ea() -> ExperimentalArrangement:
-    return make_ea(worked_state(), TWO_SCREENS, DetectorBasis.computational(TWO_SCREENS))
+    return make_ea(worked_state(), TWO_SCREENS)
 
 
 class TestMakeEa:
@@ -59,25 +59,17 @@ class TestMakeEa:
         assert np.allclose(worked_ea().intensities(), [0.5, 0.0, 0.0, 0.5])
 
     def test_maximally_mixed(self):
-        ea = make_ea(
-            DensityOperator.maximally_mixed(4),
-            TWO_SCREENS,
-            DetectorBasis.computational(TWO_SCREENS),
-        )
+        ea = make_ea(DensityOperator.maximally_mixed(4), TWO_SCREENS)
         assert np.allclose(ea.intensities(), [0.25] * 4)
 
     def test_pure_product(self):
         rho = density_from_vector(PureVector.normalized([1, 0, 0, 0]))
-        ea = make_ea(rho, TWO_SCREENS, DetectorBasis.computational(TWO_SCREENS))
+        ea = make_ea(rho, TWO_SCREENS)
         assert power_intensity(ea, (0, 0)) == pytest.approx(1.0)
 
     def test_dim_inconsistency(self):
         with pytest.raises(ShapeError):
-            make_ea(
-                DensityOperator.maximally_mixed(4),
-                Factorization((2, 3)),
-                DetectorBasis.computational(Factorization((2, 3))),
-            )
+            make_ea(DensityOperator.maximally_mixed(4), Factorization((2, 3)))
 
     def test_non_orthonormal_basis(self):
         with pytest.raises(DomainError):
@@ -206,7 +198,7 @@ class TestRefactor:
     def test_diagonal_dim6_relabeling(self):
         rho = DensityOperator(np.diag([0.1, 0.15, 0.2, 0.25, 0.05, 0.25]).astype(complex))
         f23 = Factorization((2, 3))
-        ea = make_ea(rho, f23, DetectorBasis.computational(f23))
+        ea = make_ea(rho, f23)
         flipped = refactor(ea, Factorization((3, 2)))
         assert np.array_equal(flipped.intensities(), ea.intensities())
         # Index-map oracle: flat index is preserved, tuples reinterpreted.
@@ -248,11 +240,7 @@ class TestEquivalence:
         assert ea_equivalent(ea, change_detectors(ea, 0, HADAMARD))
 
     def test_different_states_are_not(self):
-        uniform = make_ea(
-            DensityOperator.maximally_mixed(4),
-            TWO_SCREENS,
-            DetectorBasis.computational(TWO_SCREENS),
-        )
+        uniform = make_ea(DensityOperator.maximally_mixed(4), TWO_SCREENS)
         assert not ea_equivalent(worked_ea(), uniform)
 
     def test_refactor_is_equivalent(self):
@@ -278,7 +266,7 @@ class TestEquivalence:
             assert (ea1.matrix.tobytes(), ea2.matrix.tobytes()) == before
             assert not ea1.matrix.flags.writeable and not ea2.matrix.flags.writeable
 
-        computational = make_ea(rho, Factorization(dims), DetectorBasis.computational(Factorization(dims)))
+        computational = make_ea(rho, Factorization(dims))
         for copied in (copy.deepcopy(ea), pickle.loads(pickle.dumps(computational))):
             assert copied.matrix.flags.writeable
             fresh = change_detectors(copied, 1, random_unitary(3, rng))
@@ -292,17 +280,13 @@ class TestRestrict:
     def test_product_state_conditioning(self, rng):
         rho_a = random_density(2, rng)
         rho = DensityOperator(np.kron(rho_a.matrix, np.diag([1.0, 0.0])))
-        ea = make_ea(rho, TWO_SCREENS, DetectorBasis.computational(TWO_SCREENS))
+        ea = make_ea(rho, TWO_SCREENS)
         conditioned = restrict(ea, [(0, 1), (0,)])
         assert conditioned.factorization.screen_dims == (2, 1)
         assert np.max(np.abs(conditioned.matrix - rho_a.matrix)) <= 1e-12
 
     def test_maximally_mixed_reduces_to_qubit(self):
-        ea = make_ea(
-            DensityOperator.maximally_mixed(4),
-            TWO_SCREENS,
-            DetectorBasis.computational(TWO_SCREENS),
-        )
+        ea = make_ea(DensityOperator.maximally_mixed(4), TWO_SCREENS)
         conditioned = restrict(ea, [(0, 1), (1,)])
         assert np.allclose(conditioned.matrix, np.eye(2) / 2)
 
@@ -324,7 +308,7 @@ class TestRestrict:
     def test_conditioned_negativity_past_the_floor_rejected(self):
         # An accepted state; conditioning divides its -9e-8 by the kept intensity 9.1e-7.
         rho = DensityOperator(np.diag([1 - 1e-6 + 9e-8, -9e-8, 0.0, 1e-6]))
-        ea = make_ea(rho, TWO_SCREENS, DetectorBasis.computational(TWO_SCREENS))
+        ea = make_ea(rho, TWO_SCREENS)
         with pytest.raises(DegenerateConditioningError, match="below floor"):
             restrict(ea, [(0, 1), (1,)])
 
@@ -363,15 +347,11 @@ class TestMultiscreen:
 
     def test_product_state_certainty(self):
         rho = density_from_vector(PureVector.normalized([1, 0, 0, 0]))
-        ea = make_ea(rho, TWO_SCREENS, DetectorBasis.computational(TWO_SCREENS))
+        ea = make_ea(rho, TWO_SCREENS)
         assert multiscreen_effect(ea, (0, 0)) == pytest.approx([1.0, 1.0])
 
     def test_uniform_marginals(self):
-        ea = make_ea(
-            DensityOperator.maximally_mixed(4),
-            TWO_SCREENS,
-            DetectorBasis.computational(TWO_SCREENS),
-        )
+        ea = make_ea(DensityOperator.maximally_mixed(4), TWO_SCREENS)
         assert multiscreen_effect(ea, (1, 0)) == pytest.approx([0.5, 0.5])
 
     def test_joint_vs_marginal_products(self, rng):
@@ -384,7 +364,7 @@ class TestMultiscreen:
         assert abs(joint - marginals[0] * marginals[1]) > 0.2
 
         rho = DensityOperator(np.kron(random_density(2, rng).matrix, random_density(2, rng).matrix))
-        ea = make_ea(rho, TWO_SCREENS, DetectorBasis.computational(TWO_SCREENS))
+        ea = make_ea(rho, TWO_SCREENS)
         for index in np.ndindex(2, 2):
             joint = power_intensity(ea, index)
             marginals = multiscreen_effect(ea, index)
@@ -409,11 +389,7 @@ class TestChain:
         assert report.degrees == (4,)
 
     def test_unrelated_chain_names_link(self):
-        small = make_ea(
-            DensityOperator(np.diag([0.9, 0.1]).astype(complex)),
-            Factorization((1, 2)),
-            DetectorBasis.computational(Factorization((1, 2))),
-        )
+        small = make_ea(DensityOperator(np.diag([0.9, 0.1]).astype(complex)), Factorization((1, 2)))
         report = complexity_chain_check(
             [small, worked_ea()], [ChainLink(((0,), (0, 1)))]
         )
@@ -721,8 +697,7 @@ class TestEquivalenceOracle:
         v = np.array([[h, h], [h, -h]], dtype=complex)
         bell = np.zeros((4, 4), dtype=complex)
         bell[np.ix_([0, 3], [0, 3])] = 0.5
-        ea = make_ea(DensityOperator(bell), Factorization((2, 2)), DetectorBasis.computational(
-            Factorization((2, 2))))
+        ea = make_ea(DensityOperator(bell), Factorization((2, 2)))
         changed = change_detectors(ea, 0, v)
         pair = ((ea, np.eye(4)), (changed, local_rotation((2, 2), 0, v)))
         assert oracle_gap(pair) > EQUIVALENCE_TOL
@@ -803,10 +778,12 @@ class TestDetectorSteps:
         haar = make_ea(rho, f, haar_basis(dims, rng))
         other = make_ea(random_density(f.degree, rng), f, haar_basis(dims, rng))
         applied = count_kron_factors(monkeypatch)
-        ea = make_ea(rho, f, DetectorBasis.computational(f))
+        ea = make_ea(rho, f)
         assert applied == []
         assert ea.matrix is rho.matrix and np.array_equal(ea.basis_matrix, np.eye(f.degree))
-        assert ea_equivalent(ea, make_ea(rho, f, DetectorBasis.computational(f)))
+        named = make_ea(rho, f, DetectorBasis(tuple(map(np.eye, dims))))  # no basis is this one
+        assert named.matrix.tobytes() == ea.matrix.tobytes() and named.steps == ea.steps
+        assert ea.steps == ((dims, {}),) and ea_equivalent(ea, named)
         assert ea_equivalent(ea, haar) and ea_equivalent(haar, ea)
         assert not ea_equivalent(ea, other)
 
@@ -1059,7 +1036,7 @@ class TestFloorStates:
     def test_accepted_in_every_frame(self, case):
         dims, us, at, low, rho = case
         factorization = Factorization(dims)
-        computational = make_ea(rho, factorization, DetectorBasis.computational(factorization))
+        computational = make_ea(rho, factorization)
         eigenframe = make_ea(rho, factorization, DetectorBasis(us))
         assert abs(np.real(eigenframe.matrix[at, at]) - low) <= 1e-12  # the planted eigenvalue
         into, out_of = computational, eigenframe

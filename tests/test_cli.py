@@ -164,9 +164,7 @@ def test_pure_state_schmidt_path_matches_the_eigh_oracle(dims, defect, seed):
     )
     assume(abstract_purity(rho))
     layout = Factorization(dims)
-    state = fileio.StateFile(
-        rho, layout, DetectorBasis.computational(layout), None, True, False, "sha256:"
-    )
+    state = fileio.StateFile(rho, layout, None, None, True, "sha256:")
     reported = _analysis_results(state, fileio.Tolerances())["schmidt_coefficients"]
     oracle = schmidt(PureVector.normalized(herm_eig(rho.matrix).eigenvectors[:, 0]), dims)
     assert np.max(np.abs(np.array(reported) - oracle)) <= 1e-12
@@ -208,6 +206,49 @@ class TestTransform:
         basis.write_text(json.dumps({"matrix": [[[h, 0.0], [h, 0.0]], [[h, 0.0], [-h, 0.0]]]}))
         argv = ("transform", SAMPLES / "bell_phi_plus.json", "--screen", "1", "--basis", basis)
         assert run_json(capsys, *argv)["results"]["equivalent"] is False
+
+    @pytest.mark.parametrize("source", ["hadamard", "file"])
+    def test_file_without_bases_writes_the_new_basis_as_given(self, capsys, tmp_path, source):
+        """A file that names no detectors has computational ones, so the changed screen's basis
+        is written bit for bit.  In the ``file`` case the imaginary parts are -0.0, which a
+        product with the identity would have turned into +0.0."""
+        hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+        if source == "file":
+            hadamard.imag = -0.0
+            source = tmp_path / "hadamard.json"
+            source.write_text(json.dumps({"matrix": fileio.matrix_to_json(hadamard)}))
+        out_state = tmp_path / "one_screen.json"
+        argv = ("transform", SAMPLES / "zero_state.json", "--screen", "1", "--basis", source)
+        run_json(capsys, *argv, "--out-state", out_state)
+        written = json.loads(out_state.read_text())
+        assert written["bases"] == [fileio.matrix_to_json(hadamard)]
+        assert "factorization" not in written
+        reloaded = fileio.load_state(out_state).basis.screens[0]
+        assert reloaded.tobytes() == hadamard.tobytes()
+
+    def test_out_state_refuses_a_product_that_would_not_load_back(self, capsys, tmp_path):
+        """Both factors are scaled by 1 + 4.9e-10 (Gram error 9.8e-10, admitted); their product
+        has a Gram error of 1.96e-9, so the file it would write could not be read back."""
+        scale = 1.00000000049
+        loaded = fileio.load_state(SAMPLES / "bell_phi_plus.json")
+        source, basis = tmp_path / "scaled.json", tmp_path / "v.json"
+        fileio.dump_state(source, fileio.state_document(
+            loaded.density, loaded.factorization, DetectorBasis((scale * np.eye(2), np.eye(2)))
+        ))
+        hadamard = scale * np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        basis.write_text(json.dumps({"matrix": fileio.matrix_to_json(hadamard)}))
+        argv = ["transform", str(source), "--screen", "1", "--basis", str(basis)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        out_state = tmp_path / "out.json"
+        assert main([*argv, "--out-state", str(out_state)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            "validation error: --out-state: screen 1 basis to write, the file's basis times the "
+            "new one: columns are not orthonormal within 1e-09 (max Gram error 1.96"
+        )
+        assert not out_state.exists()
 
     def test_transformed_file_reanalyzes_equivalently(self, capsys, tmp_path):
         out_state = tmp_path / "transformed.json"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from potentia import fileio
+from potentia import fileio, qlin
 from potentia.arrangements import DetectorBasis, Factorization
 from potentia.errors import CapacityError, ParseError, ValidationError
 from potentia.fileio import Tolerances, load_instrument, load_projectors, load_state
@@ -46,7 +46,6 @@ class TestStateFiles:
         assert np.max(np.abs(loaded.density.matrix - rho.matrix)) <= 1e-12
         assert loaded.factorization == f
         assert loaded.label == "roundtrip"
-        assert loaded.has_explicit_bases
         for got, want in zip(loaded.basis.screens, basis.screens):
             assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -178,15 +177,20 @@ class TestReading:
         assert fileio._load_json(path) == (json.loads(VALID), digest)
         assert load_state(path).digest == digest
 
-    def test_canonical_matrix_is_formed_in_the_parsed_array(self, tmp_path, rng, monkeypatch):
+    @pytest.mark.parametrize("layout", [None, [16, 16]], ids=["one_screen", "16x16"])
+    def test_canonical_matrix_is_formed_in_the_parsed_array(
+        self, tmp_path, rng, monkeypatch, layout
+    ):
         """Past the parse, reading a 256-dim file holds at most one more N x N array, the
         conjugate to symmetrize with (and then the admission's Cholesky factor).  Forming the
-        canonical matrix in a new array and copying it into the state held three.  The values
-        are those of ``(m + m^dag) / 2`` over its trace, bit for bit."""
+        canonical matrix in a new array and copying it into the state held three, and so did
+        an N x N identity basis for a file with neither ``factorization`` nor ``bases``.  The
+        values are those of ``(m + m^dag) / 2`` over its trace, bit for bit."""
         n, n2 = 256, 256 * 256 * 16
         matrix = random_density(n, rng).matrix * (1 + 1e-10)
         matrix[0, 1] += 1e-12
-        path = write(tmp_path, "state.json", state_payload(matrix, factorization=[16, 16]))
+        extra = {} if layout is None else {"factorization": layout}
+        path = write(tmp_path, "state.json", state_payload(matrix, **extra))
         parse, parsed, base = fileio.matrix_from_json, [], []
 
         def measured(*args):
@@ -207,6 +211,23 @@ class TestReading:
         canonical = (matrix + matrix.conj().T) / 2.0
         canonical /= np.real(np.trace(canonical))
         assert state.density.matrix.tobytes() == canonical.tobytes()
+
+    def test_detectors_are_checked_only_when_the_file_names_them(self, tmp_path, monkeypatch):
+        """A file without ``bases`` has computational detectors: no basis is built or checked."""
+        checked, require = [], qlin.require_isometry
+
+        def spy(mat, **kwargs):
+            checked.append(mat)
+            require(mat, **kwargs)
+
+        monkeypatch.setattr(qlin, "require_isometry", spy)
+        plain = state_payload(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex), factorization=[2, 2])
+        loaded = load_state(write(tmp_path, "plain.json", plain))
+        assert checked == [] and loaded.basis is None
+        bases = [fileio.matrix_to_json(np.eye(2))] * 2
+        named = load_state(write(tmp_path, "named.json", {**plain, "bases": bases}))
+        assert [m.shape for m in checked] == [(2, 2), (2, 2)]
+        assert [np.array_equal(m, np.eye(2)) for m in named.basis.screens] == [True, True]
 
 
 class TestProjectorFiles:

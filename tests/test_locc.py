@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from potentia import locc, qlin
-from potentia.arrangements import DetectorBasis, Factorization, make_ea, restrict
+from potentia.arrangements import Factorization, make_ea, restrict
 from potentia.cli import main
 from potentia.entanglement import Verdict, ppt_criterion
 from potentia.errors import CapacityError, DegenerateConditioningError, DomainError
@@ -158,7 +158,7 @@ class TestApply:
             np.diag([0.0, 0.0, 0.0, 1.0]),
         ]
         f = Factorization((2, 2))
-        ea = make_ea(rho, f, DetectorBasis.computational(f))
+        ea = make_ea(rho, f)
         for outcome, expected, kept in zip(outcomes, expected_posts, ((0,), (1,))):
             assert np.allclose(outcome.post_state.matrix, expected)
             conditioned = restrict(ea, [kept, (0, 1)])
@@ -181,7 +181,7 @@ class TestApply:
         instrument = one_way_local(1, projective_instrument([P0, P1]), [CPMap.identity(2), None])
         messages = []
         for condition in (
-            lambda: restrict(make_ea(rho, f, DetectorBasis.computational(f)), [(0, 1), (1,)]),
+            lambda: restrict(make_ea(rho, f), [(0, 1), (1,)]),
             lambda: apply_instrument(instrument, rho),
         ):
             with pytest.raises(DegenerateConditioningError) as error:

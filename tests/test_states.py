@@ -481,8 +481,8 @@ ARRAY_HOLDING_VALUES = {
     "PureVector": lambda: PureVector.basis_state(2, 0),
     "DensityOperator": lambda: DensityOperator.maximally_mixed(2),
     "MixtureDecomposition": lambda: spectral_decomposition(HALF),
-    "DetectorBasis": lambda: DetectorBasis.computational(QUBIT),
-    "ExperimentalArrangement": lambda: make_ea(HALF, QUBIT, DetectorBasis.computational(QUBIT)),
+    "DetectorBasis": lambda: DetectorBasis((np.eye(2),)),
+    "ExperimentalArrangement": lambda: make_ea(HALF, QUBIT),
     "PowerNode": lambda: PowerNode(np.diag([1.0, 0.0]), "|0><0|"),
     "ISAValuation": lambda: isa_from_density(HALF, build_graph(qubit_two_bases())),
     "WitnessOperator": lambda: WitnessOperator(np.eye(2), HALF),

@@ -105,3 +105,28 @@ from .locc import (
     one_way_local,
     projective_instrument,
 )
+
+#: The public API: every name below is pinned by the acceptance tests.
+__all__ = [
+    "AxiomReport", "BlochPoint", "BranchOutcome", "CPMap", "CapacityError", "ChainLink",
+    "ChainReport", "ChshMax", "Context", "CorrelationMatrix", "DegenerateConditioningError",
+    "DensityOperator", "DetectorBasis", "DomainError", "ExperimentalArrangement",
+    "Factorization", "HermitianSpectrum", "ISAValuation", "MeasurementSetting",
+    "MixtureDecomposition", "NoWitnessError", "ParseError", "PotentiaError", "PowerNode",
+    "PowersGraph", "PureVector", "PurityReport", "QuantumInstrument", "ResidualError",
+    "SeparabilityVerdict", "ShapeError", "UnderdeterminedError", "ValidationError", "Verdict",
+    "WernerRegion", "WitnessOperator", "abstract_purity", "actualization_map",
+    "alternative_decomposition", "apply_instrument", "bloch_from_density", "build_graph",
+    "change_detectors", "check_isa_axioms", "check_witness_on_products", "chsh_max",
+    "chsh_value", "classify_regions", "commutes", "complexity_chain_check",
+    "correlation_matrix", "density_from_bloch", "density_from_vector", "ea_equivalent",
+    "entropy_additivity_check", "entropy_criterion", "families",
+    "find_additive_binary_valuation", "herm_eig", "is_valid_instrument", "isa_from_density",
+    "kron", "majorization_criterion", "make_ea", "maximal_contexts", "min_pt_eigenvalue",
+    "multiscreen_effect", "one_way_local", "operational_purity", "operational_purity_exists",
+    "partial_trace", "partial_transpose", "power_intensity", "ppt_criterion",
+    "projective_distance", "projective_instrument", "purity_agreement_report",
+    "reconstruct_density", "refactor", "restrict", "sampling", "schmidt", "schmidt_rank",
+    "shadow", "spectral_decomposition", "von_neumann_entropy", "werner", "werner_classify",
+    "witness_from_entangled",
+]

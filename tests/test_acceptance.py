@@ -5,6 +5,8 @@ criterion (a failed criterion fails its test instead).
 """
 
 import ast
+import importlib
+import inspect
 import json
 import subprocess
 import sys
@@ -411,17 +413,26 @@ PUBLIC_NAMES = [
 ]
 
 
+#: Submodules reachable as attributes of the package after a bare ``import potentia``.
+SUBMODULES = (
+    "arrangements", "bell", "entanglement", "errors", "families", "locc", "powers", "qlin",
+    "sampling", "states",
+)
+
+
 def test_package_exports_are_pinned():
-    """Every name ``potentia/__init__.py`` imports is public API; none may drop silently."""
-    tree = ast.parse(Path(potentia.__file__).read_text(encoding="utf-8"))
-    exported = sorted(
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    )
-    assert exported == PUBLIC_NAMES
-    assert all(hasattr(potentia, name) for name in exported)
+    """The export table, ``potentia.__all__``, is public API: no name may drop silently.
+    Each name is the very object its defining module holds, and each submodule resolves."""
+    assert sorted(potentia.__all__) == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        value = getattr(potentia, name)
+        if inspect.ismodule(value):
+            assert value is importlib.import_module(f"potentia.{name}"), name
+        else:
+            assert value.__module__.startswith("potentia."), name
+            assert value is getattr(importlib.import_module(value.__module__), name), name
+    for name in SUBMODULES:
+        assert getattr(potentia, name) is importlib.import_module(f"potentia.{name}"), name
 
 
 def test_readme_library_example_states_true_values():

@@ -4,129 +4,72 @@ States are trace-one positive Hermitian matrices; powers are projectors
 carrying intensities in [0, 1]; experimental arrangements carve a state
 into screens and detectors.  On top of that substrate the package offers
 the standard battery of purity, separability, and CHSH analyses.
+
+``import potentia`` loads no submodule: each public name is imported from
+its defining module on first use (PEP 562), then kept in the package.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from . import families, sampling
-from .errors import (
-    CapacityError,
-    DegenerateConditioningError,
-    DomainError,
-    NoWitnessError,
-    ParseError,
-    PotentiaError,
-    ResidualError,
-    ShapeError,
-    UnderdeterminedError,
-    ValidationError,
-)
-from .qlin import HermitianSpectrum, commutes, herm_eig, kron, partial_trace, partial_transpose
-from .states import (
-    BlochPoint,
-    DensityOperator,
-    MixtureDecomposition,
-    PureVector,
-    PurityReport,
-    abstract_purity,
-    alternative_decomposition,
-    bloch_from_density,
-    density_from_bloch,
-    density_from_vector,
-    operational_purity,
-    operational_purity_exists,
-    projective_distance,
-    purity_agreement_report,
-    shadow,
-    spectral_decomposition,
-)
-from .powers import (
-    AxiomReport,
-    Context,
-    ISAValuation,
-    PowerNode,
-    PowersGraph,
-    actualization_map,
-    build_graph,
-    check_isa_axioms,
-    find_additive_binary_valuation,
-    isa_from_density,
-    maximal_contexts,
-    reconstruct_density,
-)
-from .arrangements import (
-    ChainLink,
-    ChainReport,
-    DetectorBasis,
-    ExperimentalArrangement,
-    Factorization,
-    change_detectors,
-    complexity_chain_check,
-    ea_equivalent,
-    make_ea,
-    multiscreen_effect,
-    power_intensity,
-    refactor,
-    restrict,
-)
-from .entanglement import (
-    SeparabilityVerdict,
-    Verdict,
-    WernerRegion,
-    WitnessOperator,
-    check_witness_on_products,
-    entropy_additivity_check,
-    entropy_criterion,
-    majorization_criterion,
-    min_pt_eigenvalue,
-    ppt_criterion,
-    schmidt,
-    schmidt_rank,
-    von_neumann_entropy,
-    werner,
-    witness_from_entangled,
-)
-from .bell import (
-    ChshMax,
-    CorrelationMatrix,
-    MeasurementSetting,
-    chsh_max,
-    chsh_value,
-    classify_regions,
-    correlation_matrix,
-    werner_classify,
-)
-from .locc import (
-    BranchOutcome,
-    CPMap,
-    QuantumInstrument,
-    apply_instrument,
-    is_valid_instrument,
-    one_way_local,
-    projective_instrument,
-)
+#: Defining module -> the public names it exports through the package.
+_EXPORTS = {
+    "errors": (
+        "CapacityError", "DegenerateConditioningError", "DomainError", "NoWitnessError",
+        "ParseError", "PotentiaError", "ResidualError", "ShapeError", "UnderdeterminedError",
+        "ValidationError",
+    ),
+    "qlin": ("HermitianSpectrum", "commutes", "herm_eig", "kron", "partial_trace", "partial_transpose"),
+    "states": (
+        "BlochPoint", "DensityOperator", "MixtureDecomposition", "PureVector", "PurityReport",
+        "abstract_purity", "alternative_decomposition", "bloch_from_density",
+        "density_from_bloch", "density_from_vector", "operational_purity",
+        "operational_purity_exists", "projective_distance", "purity_agreement_report", "shadow",
+        "spectral_decomposition",
+    ),
+    "powers": (
+        "AxiomReport", "Context", "ISAValuation", "PowerNode", "PowersGraph", "actualization_map",
+        "build_graph", "check_isa_axioms", "find_additive_binary_valuation", "isa_from_density",
+        "maximal_contexts", "reconstruct_density",
+    ),
+    "arrangements": (
+        "ChainLink", "ChainReport", "DetectorBasis", "ExperimentalArrangement", "Factorization",
+        "change_detectors", "complexity_chain_check", "ea_equivalent", "make_ea",
+        "multiscreen_effect", "power_intensity", "refactor", "restrict",
+    ),
+    "entanglement": (
+        "SeparabilityVerdict", "Verdict", "WernerRegion", "WitnessOperator",
+        "check_witness_on_products", "entropy_additivity_check", "entropy_criterion",
+        "majorization_criterion", "min_pt_eigenvalue", "ppt_criterion", "schmidt",
+        "schmidt_rank", "von_neumann_entropy", "werner", "witness_from_entangled",
+    ),
+    "bell": (
+        "ChshMax", "CorrelationMatrix", "MeasurementSetting", "chsh_max", "chsh_value",
+        "classify_regions", "correlation_matrix", "werner_classify",
+    ),
+    "locc": (
+        "BranchOutcome", "CPMap", "QuantumInstrument", "apply_instrument", "is_valid_instrument",
+        "one_way_local", "projective_instrument",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+#: Submodules that resolve as attributes of the package.
+_SUBMODULES = (*_EXPORTS, "families", "sampling")
 
-#: The public API: every name below is pinned by the acceptance tests.
-__all__ = [
-    "AxiomReport", "BlochPoint", "BranchOutcome", "CPMap", "CapacityError", "ChainLink",
-    "ChainReport", "ChshMax", "Context", "CorrelationMatrix", "DegenerateConditioningError",
-    "DensityOperator", "DetectorBasis", "DomainError", "ExperimentalArrangement",
-    "Factorization", "HermitianSpectrum", "ISAValuation", "MeasurementSetting",
-    "MixtureDecomposition", "NoWitnessError", "ParseError", "PotentiaError", "PowerNode",
-    "PowersGraph", "PureVector", "PurityReport", "QuantumInstrument", "ResidualError",
-    "SeparabilityVerdict", "ShapeError", "UnderdeterminedError", "ValidationError", "Verdict",
-    "WernerRegion", "WitnessOperator", "abstract_purity", "actualization_map",
-    "alternative_decomposition", "apply_instrument", "bloch_from_density", "build_graph",
-    "change_detectors", "check_isa_axioms", "check_witness_on_products", "chsh_max",
-    "chsh_value", "classify_regions", "commutes", "complexity_chain_check",
-    "correlation_matrix", "density_from_bloch", "density_from_vector", "ea_equivalent",
-    "entropy_additivity_check", "entropy_criterion", "families",
-    "find_additive_binary_valuation", "herm_eig", "is_valid_instrument", "isa_from_density",
-    "kron", "majorization_criterion", "make_ea", "maximal_contexts", "min_pt_eigenvalue",
-    "multiscreen_effect", "one_way_local", "operational_purity", "operational_purity_exists",
-    "partial_trace", "partial_transpose", "power_intensity", "ppt_criterion",
-    "projective_distance", "projective_instrument", "purity_agreement_report",
-    "reconstruct_density", "refactor", "restrict", "sampling", "schmidt", "schmidt_rank",
-    "shadow", "spectral_decomposition", "von_neumann_entropy", "werner", "werner_classify",
-    "witness_from_entangled",
-]
+__all__ = sorted([*_HOME, "families", "sampling"])
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    elif name in _SUBMODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

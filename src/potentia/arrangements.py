@@ -19,8 +19,8 @@ from . import qlin
 from .errors import CapacityError, DegenerateConditioningError, DomainError, ShapeError
 from .qlin import dagger, frozen, max_abs
 from .states import DensityOperator, _conditioned
+from .tolerances import EQUIVALENCE_TOL
 
-EQUIVALENCE_TOL = 1e-10
 CHAIN_TOL = 1e-9
 
 

@@ -12,11 +12,11 @@ import argparse
 import hashlib
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, arrangements, bell, entanglement, fileio, locc, powers, qlin, states
-from .arrangements import DetectorBasis, Factorization
+from . import __version__, fileio
 from .errors import (
     CapacityError,
     DomainError,
@@ -24,7 +24,10 @@ from .errors import (
     PotentiaError,
     ValidationError,
 )
-from .fileio import Tolerances
+from .tolerances import Tolerances
+
+if TYPE_CHECKING:
+    from .entanglement import SeparabilityVerdict
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -119,7 +122,7 @@ def _float_list(values) -> list[float]:
     return [float(v) for v in np.asarray(values).reshape(-1)]
 
 
-def _verdict_payload(verdict: entanglement.SeparabilityVerdict) -> dict:
+def _verdict_payload(verdict: SeparabilityVerdict) -> dict:
     return {
         "verdict": verdict.verdict.value,
         "criterion": verdict.criterion,
@@ -131,6 +134,8 @@ def _verdict_payload(verdict: entanglement.SeparabilityVerdict) -> dict:
 
 
 def _analysis_results(state: fileio.StateFile, tols: Tolerances) -> dict:
+    from . import arrangements, entanglement, states
+
     density = state.density
     ea = arrangements.make_ea(density, state.factorization, state.basis)
     pure = states.abstract_purity(density, tols.purity)
@@ -167,6 +172,8 @@ def _analysis_results(state: fileio.StateFile, tols: Tolerances) -> dict:
                 entanglement.schmidt(states.PureVector.normalized(density.matrix @ column), dims)
             )
         if dims == (2, 2):
+            from . import bell
+
             chsh = bell.chsh_max(density).value
             results["chsh_max"] = chsh
             results["region"] = bell._region(ppt, chsh).value
@@ -196,6 +203,8 @@ def _basis_arg(source: str, dim: int) -> tuple[np.ndarray, str | None]:
 
 
 def cmd_transform(args, tols: Tolerances) -> dict:
+    from . import arrangements, qlin
+
     if args.refactor is not None and (args.screen is not None or args.basis is not None):
         raise ParseError("--refactor and --screen/--basis are mutually exclusive")
     if (args.screen is None) != (args.basis is None):
@@ -214,7 +223,7 @@ def cmd_transform(args, tols: Tolerances) -> dict:
     results: dict = {"before_intensities": _float_list(ea.intensities())}
 
     if dims is not None:
-        transformed = arrangements.refactor(ea, Factorization(dims))
+        transformed = arrangements.refactor(ea, arrangements.Factorization(dims))
         results["transform"] = {"refactor": list(dims)}
     elif args.screen is not None:
         screen = args.screen - 1
@@ -248,13 +257,15 @@ def cmd_transform(args, tols: Tolerances) -> dict:
         basis = state.basis if dims is None else None
         if args.screen is not None and basis is None:  # computational: the new basis as given
             sizes = enumerate(state.factorization.screen_dims)
-            basis = DetectorBasis(tuple(new_basis if k == screen else np.eye(d) for k, d in sizes))
+            basis = arrangements.DetectorBasis(
+                tuple(new_basis if k == screen else np.eye(d) for k, d in sizes)
+            )
         elif args.screen is not None:  # two admitted factors, whose product may not be
             screens = list(basis.screens)
             screens[screen] = screens[screen] @ new_basis
             what = f"screen {args.screen} basis to write, the file's basis times the new one:"
             fileio._validated("--out-state", qlin.require_isometry, screens[screen], what)
-            basis = DetectorBasis(tuple(screens))
+            basis = arrangements.DetectorBasis(tuple(screens))
         document = fileio.state_document(state.density, layout, basis, state.label)
         fileio.dump_state(args.out_state, document)
         results["state_written"] = args.out_state
@@ -265,6 +276,8 @@ def cmd_transform(args, tols: Tolerances) -> dict:
 
 
 def cmd_powers(args, tols: Tolerances) -> dict:
+    from . import powers
+
     overrides = [_assignment("--override", "label", pair) for pair in args.override or ()]
     state = fileio.load_state(args.state, tols)
     nodes, projectors_digest = fileio.load_projectors(args.projectors)
@@ -339,6 +352,8 @@ def _bisect(func, lo: float, hi: float) -> float | None:
 
 
 def _werner_row(p: float, tols: Tolerances) -> dict:
+    from . import bell, entanglement
+
     rho = entanglement.werner(p)
     ppt = entanglement.ppt_criterion(rho, (2, 2), tols.verdict)
     chsh = bell.chsh_max(rho).value
@@ -352,6 +367,8 @@ def _werner_row(p: float, tols: Tolerances) -> dict:
 
 
 def cmd_werner(args, tols: Tolerances) -> dict:
+    from . import bell, entanglement
+
     if args.p is not None:
         digest = _digest_text(f"werner p={args.p!r}")
         return _report("werner", {"parameters": digest}, _werner_row(float(args.p), tols))
@@ -391,6 +408,8 @@ def cmd_werner(args, tols: Tolerances) -> dict:
 
 
 def cmd_witness(args, tols: Tolerances) -> dict:
+    from . import entanglement
+
     entanglement._require_samples(args.samples, args.seed)
     state = fileio.load_state(args.state, tols)
     if state.factorization.screens != 2:
@@ -421,6 +440,8 @@ def cmd_witness(args, tols: Tolerances) -> dict:
 
 
 def cmd_bell(args, tols: Tolerances) -> dict:
+    from . import bell, entanglement
+
     state = fileio.load_state(args.state, tols)
     if state.factorization.screen_dims != (2, 2):
         raise ValidationError(
@@ -449,6 +470,8 @@ def cmd_bell(args, tols: Tolerances) -> dict:
 
 
 def cmd_instrument(args, tols: Tolerances) -> dict:
+    from . import locc
+
     state = fileio.load_state(args.state, tols)
     instrument, instrument_digest = fileio.load_instrument(args.instrument)
     valid = locc.is_valid_instrument(instrument)

@@ -18,8 +18,8 @@ from . import qlin
 from .errors import CapacityError, DomainError, NoWitnessError, ShapeError
 from .qlin import frozen, herm_eig, partial_trace, partial_transpose
 from .states import DensityOperator, PureVector, abstract_purity
+from .tolerances import VERDICT_TOL
 
-VERDICT_TOL = 1e-9
 ENTROPY_TOL = 1e-9
 #: Schmidt coefficients below this count as zero when ranking.
 SCHMIDT_FLOOR = 1e-9

@@ -9,47 +9,25 @@ arrays; matrices are row-major (a list of rows).  Structural problems raise Pars
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
-import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from . import arrangements, entanglement, powers, qlin, states
+from . import qlin
 from .arrangements import DetectorBasis, Factorization, _is_integer
 from .errors import CapacityError, DomainError, ParseError, ShapeError, ValidationError
-from .locc import CPMap, QuantumInstrument
-from .powers import PowerNode
 from .states import DensityOperator
+from .tolerances import Tolerances
+
+if TYPE_CHECKING:
+    from .locc import QuantumInstrument
+    from .powers import PowerNode
 
 SCHEMA_VERSION = "1"
-
-
-@dataclass
-class Tolerances:
-    """Load- and analysis-time tolerances; every field can be overridden, with a
-    finite number >= 0, via the CLI ``--tol name=value`` flag or a config file."""
-
-    hermiticity: float = qlin.HERMITICITY_TOL
-    trace: float = states.TRACE_TOL
-    purity: float = states.PURITY_TOL
-    verdict: float = entanglement.VERDICT_TOL
-    equivalence: float = arrangements.EQUIVALENCE_TOL
-    axioms: float = powers.AXIOM_TOL
-    zero: float = powers.ZERO_THRESHOLD
-
-    def override(self, name: str, value: float) -> None:
-        if not any(field.name == name for field in dataclasses.fields(self)):
-            known = ", ".join(field.name for field in dataclasses.fields(self))
-            raise ParseError(f"unknown tolerance {name!r}; known: {known}")
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and 0 <= value <= sys.float_info.max):  # NaN fails both comparisons
-            raise ParseError(f"tolerance {name!r}: {json.dumps(value)} is not a finite number >= 0")
-        setattr(self, name, float(value))
 
 
 def matrix_to_json(matrix: np.ndarray) -> list:
@@ -249,6 +227,8 @@ def dump_state(path: str | Path, document: dict) -> None:
 
 def load_projectors(path: str | Path) -> tuple[list[PowerNode], str]:
     """The file's projectors, in order, and the digest of its bytes."""
+    from .powers import PowerNode
+
     document, name, digest = _load_document(path)
     dim = _require_dim(document, name)
     raw_nodes = _require(document, "projectors", list, name)
@@ -269,6 +249,8 @@ def load_projectors(path: str | Path) -> tuple[list[PowerNode], str]:
 
 def load_instrument(path: str | Path) -> tuple[QuantumInstrument, str]:
     """The file's instrument and the digest of its bytes."""
+    from .locc import CPMap, QuantumInstrument
+
     document, name, digest = _load_document(path)
     raw_branches = _require(document, "branches", list, name)
     if not raw_branches:

@@ -14,13 +14,11 @@ from . import qlin
 from .errors import CapacityError, DomainError, ResidualError, ShapeError, UnderdeterminedError
 from .qlin import commutes, frozen, max_abs
 from .states import DensityOperator
+from .tolerances import AXIOM_TOL, ZERO_THRESHOLD
 
 PROJECTOR_TOL = 1e-8
-#: Potentia at or below this count as zero for actualization.
-ZERO_THRESHOLD = 1e-10
 #: Potentia may stray this far outside [0, 1] before a valuation rejects them.
 POTENTIA_SLACK = 1e-12
-AXIOM_TOL = 1e-8
 RESIDUAL_TOL = 1e-7
 #: Singular values of the reconstruction design below this do not count to its rank.
 RANK_TOL = 1e-10

@@ -16,12 +16,10 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import CapacityError, DomainError, ShapeError
+from .tolerances import HERMITICITY_TOL
 
-#: Total matrix dimension cap (rows); six qubits or mixed factors fit well below.
+#: Total matrix dimension cap (rows): twelve qubit screens, 2**12.
 DIM_CAP = 4096
-
-#: Absolute tolerance on the max entry of M - M† for "Hermitian".
-HERMITICITY_TOL = 1e-9
 
 #: Absolute tolerance on the max entry of V†V - I for "orthonormal columns".
 ISOMETRY_TOL = 1e-9

@@ -12,11 +12,10 @@ import numpy as np
 from . import qlin
 from .errors import DegenerateConditioningError, DomainError, ShapeError
 from .qlin import frozen, herm_eig
+from .tolerances import PURITY_TOL, TRACE_TOL
 
 NORM_TOL = 1e-9
-TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-7
-PURITY_TOL = 1e-9
 #: Mixture components below this weight are dropped, and weights below
 #: -WEIGHT_FLOOR are rejected as negative.
 WEIGHT_FLOOR = 1e-12

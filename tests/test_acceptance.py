@@ -5,9 +5,11 @@ criterion (a failed criterion fails its test instead).
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import json
+import re
 import subprocess
 import sys
 import time
@@ -433,6 +435,65 @@ def test_package_exports_are_pinned():
             assert value is getattr(importlib.import_module(value.__module__), name), name
     for name in SUBMODULES:
         assert getattr(potentia, name) is importlib.import_module(f"potentia.{name}"), name
+
+
+def _fresh(probe: str):
+    """The JSON that ``probe`` prints last, run in a fresh interpreter: the test process has
+    long imported every module, which would mask what a bare import or one command loads."""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_bare_import_loads_no_submodule_and_no_numpy():
+    loaded = _fresh("import json, sys, potentia; print(json.dumps(sorted(sys.modules)))")
+    assert "potentia" in loaded
+    assert [m for m in loaded if m.startswith("potentia.") or m.split(".")[0] == "numpy"] == []
+
+
+def test_star_import_and_dir_expose_every_public_name_and_submodule():
+    listed, star, kinds = _fresh(
+        "import json, types, potentia\n"
+        "listed = dir(potentia)\n"
+        f"kinds = [isinstance(getattr(potentia, m), types.ModuleType) for m in {SUBMODULES!r}]\n"
+        "from potentia import *\n"
+        "print(json.dumps([listed, sorted(globals()), kinds]))"
+    )
+    assert set(PUBLIC_NAMES) <= set(listed) and set(SUBMODULES) <= set(listed)
+    assert set(PUBLIC_NAMES) <= set(star)
+    assert all(kinds)
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["werner", "--p", "0.5"], {"powers", "locc", "families", "sampling"}),
+        ([
+            "transform", str(ROOT / "samples" / "worked_ea.json"), "--screen", "1",
+            "--basis", "hadamard",
+        ], {"powers", "locc", "bell", "entanglement"}),
+    ],
+)
+def test_a_command_loads_only_the_modules_it_calls(argv, unloaded):
+    code, loaded = _fresh(
+        "import json, sys\n"
+        "from potentia.cli import main\n"
+        f"code = main({argv!r})\n"
+        "print(json.dumps([code, sorted(sys.modules)]))"
+    )
+    assert code == 0
+    assert {f"potentia.{name}" for name in unloaded}.isdisjoint(loaded)
+    assert "potentia.fileio" in loaded
+
+
+def test_readme_lists_every_tolerance_with_its_default():
+    """README's table of ``--tol`` names is ``Tolerances``' fields, with their defaults."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([0-9.e+-]+) \|", section, flags=re.MULTILINE)
+    listed = {name: float(default) for name, default in rows}
+    assert listed == {field.name: field.default for field in dataclasses.fields(fileio.Tolerances)}
+    assert len(rows) == len(listed)
 
 
 def test_readme_library_example_states_true_values():

@@ -16,10 +16,10 @@ from typing import Sequence
 import numpy as np
 
 from . import qlin
-from .errors import CapacityError, DegenerateConditioningError, DomainError, ShapeError
+from .errors import DegenerateConditioningError, DomainError, ShapeError
 from .qlin import dagger, frozen, max_abs
 from .states import DensityOperator, _conditioned
-from .tolerances import EQUIVALENCE_TOL
+from .tolerances import DIM_CAP, EQUIVALENCE_TOL, require_within
 
 CHAIN_TOL = 1e-9
 
@@ -42,8 +42,7 @@ class Factorization:
         dims = tuple(int(d) for d in dims)
         if not dims or any(d < 1 for d in dims):
             raise DomainError(f"screen dims must be positive, got {dims}")
-        if math.prod(dims) > qlin.DIM_CAP:
-            raise CapacityError(f"screen dims {dims} exceed the dimension cap of {qlin.DIM_CAP}")
+        require_within("screen layout degree", math.prod(dims), DIM_CAP)
         object.__setattr__(self, "screen_dims", dims)
 
     @property

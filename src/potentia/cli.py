@@ -24,7 +24,7 @@ from .errors import (
     PotentiaError,
     ValidationError,
 )
-from .tolerances import Tolerances
+from .tolerances import CONTEXT_NODE_CAP, SCAN_STEPS_CAP, WITNESS_SAMPLES, Tolerances, require_within
 
 if TYPE_CHECKING:
     from .entanglement import SeparabilityVerdict
@@ -37,8 +37,6 @@ EXIT_CAPACITY = 4
 NAMED_BASES = ("computational", "hadamard", "fourier")
 
 BISECT_TOL = 1e-9
-#: Most grid points one ``werner --scan`` evaluates.
-SCAN_STEPS_CAP = 100_000
 
 
 def _digest_text(text: str) -> str:
@@ -245,27 +243,23 @@ def cmd_transform(args, tols: Tolerances) -> dict:
     results["degree"] = transformed.degree
 
     if args.out_state is not None:
-        # make_ea stored a factor for exactly the screens whose basis is not the identity.
-        if dims is not None and any(factors for _, factors in ea.steps):
+        # One merged factor per screen whose detectors are not computational: make_ea
+        # stored none for an identity screen, and change_detectors one for its screen.
+        (_, factors), = arrangements._runs(transformed.steps)
+        if dims is not None and factors:
             raise ValidationError(
                 "refactor of a file with non-computational detector bases cannot be "
                 "expressed in the state-file schema; change detectors back first"
             )
+        if args.screen is not None and screen in ea.steps[0][1]:  # a product of two admitted factors
+            what = f"screen {args.screen} basis to write, the file's basis times the new one:"
+            fileio._validated("--out-state", qlin.require_isometry, factors[screen], what)
         written = state.has_explicit_factorization or dims is not None
         layout = transformed.factorization if written else None
-        # Refactored layouts start from computational detectors.
-        basis = state.basis if dims is None else None
-        if args.screen is not None and basis is None:  # computational: the new basis as given
-            sizes = enumerate(state.factorization.screen_dims)
-            basis = arrangements.DetectorBasis(
-                tuple(new_basis if k == screen else np.eye(d) for k, d in sizes)
-            )
-        elif args.screen is not None:  # two admitted factors, whose product may not be
-            screens = list(basis.screens)
-            screens[screen] = screens[screen] @ new_basis
-            what = f"screen {args.screen} basis to write, the file's basis times the new one:"
-            fileio._validated("--out-state", qlin.require_isometry, screens[screen], what)
-            basis = arrangements.DetectorBasis(tuple(screens))
+        basis = None  # refactored layouts start from computational detectors
+        if dims is None and (factors or state.basis is not None):
+            sizes = enumerate(transformed.factorization.screen_dims)
+            basis = arrangements.DetectorBasis(tuple(factors.get(k, np.eye(d)) for k, d in sizes))
         document = fileio.state_document(state.density, layout, basis, state.label)
         fileio.dump_state(args.out_state, document)
         results["state_written"] = args.out_state
@@ -281,7 +275,7 @@ def cmd_powers(args, tols: Tolerances) -> dict:
     overrides = [_assignment("--override", "label", pair) for pair in args.override or ()]
     state = fileio.load_state(args.state, tols)
     nodes, projectors_digest = fileio.load_projectors(args.projectors)
-    powers._require_nodes(len(nodes))
+    require_within("clique enumeration node count", len(nodes), CONTEXT_NODE_CAP)
     graph = powers.build_graph(nodes)
     valuation = powers.isa_from_density(state.density, graph)
     labels = [node.label for node in graph.nodes]
@@ -384,8 +378,7 @@ def cmd_werner(args, tols: Tolerances) -> dict:
         raise DomainError(f"scan range [{lo}, {hi}] must lie inside [0, 1]")
     if steps < 2:
         raise DomainError("scan needs at least 2 steps")
-    if steps > SCAN_STEPS_CAP:
-        raise CapacityError(f"scan of {steps} steps exceeds the cap of {SCAN_STEPS_CAP}")
+    require_within("scan step count", steps, SCAN_STEPS_CAP)
 
     grid = np.linspace(lo, hi, steps)
     rows = [_werner_row(float(p), tols) for p in grid]
@@ -555,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("witness", parents=[common],
                        help="entanglement witness from the partial transpose")
     p.add_argument("state", type=_path, help="state file (JSON)")
-    p.add_argument("--samples", type=int, default=10_000,
+    p.add_argument("--samples", type=int, default=WITNESS_SAMPLES,
                    help="product states sampled for the positivity check")
     p.add_argument("--seed", type=int, default=0, help="seed of the product-state sample")
     p.set_defaults(func=cmd_witness)

@@ -15,10 +15,10 @@ from typing import Sequence
 import numpy as np
 
 from . import qlin
-from .errors import CapacityError, DomainError, NoWitnessError, ShapeError
+from .errors import DomainError, NoWitnessError, ShapeError
 from .qlin import frozen, herm_eig, partial_trace, partial_transpose
 from .states import DensityOperator, PureVector, abstract_purity
-from .tolerances import VERDICT_TOL
+from .tolerances import VERDICT_TOL, WITNESS_SAMPLES, WITNESS_SAMPLES_CAP, require_within
 
 ENTROPY_TOL = 1e-9
 #: Schmidt coefficients below this count as zero when ranking.
@@ -27,9 +27,6 @@ SCHMIDT_FLOOR = 1e-9
 #: Complex entries per batch of sampled product states in a witness check;
 #: small, so a check's temporaries stay near the per-sample loop's footprint.
 PRODUCT_BATCH_ENTRIES = 1 << 12
-
-#: Most product states one witness check samples.
-WITNESS_SAMPLES_CAP = 1_000_000
 
 #: Bipartite shapes where PPT is sufficient for separability.
 PPT_SUFFICIENT = {(2, 2), (2, 3), (3, 2)}
@@ -204,14 +201,13 @@ def _require_samples(samples: int, seed: int) -> None:
         raise DomainError(f"the product-sample seed must be >= 0, got {seed}")
     if samples < 1:
         raise DomainError(f"the witness check needs at least one sample, got {samples}")
-    if samples > WITNESS_SAMPLES_CAP:
-        raise CapacityError(f"{samples} samples exceed the cap of {WITNESS_SAMPLES_CAP}")
+    require_within("sample count", samples, WITNESS_SAMPLES_CAP)
 
 
 def check_witness_on_products(
     witness: WitnessOperator,
     dims: Sequence[int],
-    samples: int = 10_000,
+    samples: int = WITNESS_SAMPLES,
     seed: int = 0,
 ) -> float:
     """Minimum witness expectation over sampled pure product states.

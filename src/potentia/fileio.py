@@ -19,9 +19,9 @@ import numpy as np
 
 from . import qlin
 from .arrangements import DetectorBasis, Factorization, _is_integer
-from .errors import CapacityError, DomainError, ParseError, ShapeError, ValidationError
+from .errors import DomainError, ParseError, ShapeError, ValidationError
 from .states import DensityOperator
-from .tolerances import Tolerances
+from .tolerances import DIM_CAP, Tolerances, require_within
 
 if TYPE_CHECKING:
     from .locc import QuantumInstrument
@@ -103,8 +103,7 @@ def _require_dim(document: dict, path: str) -> int:
     dim = _require(document, "dim", int, path)
     if dim < 1:
         raise ParseError(f"{path}.dim: must be a positive integer")
-    if dim > qlin.DIM_CAP:
-        raise CapacityError(f"{path}.dim: {dim} exceeds the dimension cap of {qlin.DIM_CAP}")
+    require_within(f"{path}: dim", dim, DIM_CAP)
     return dim
 
 

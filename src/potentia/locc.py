@@ -12,12 +12,12 @@ from typing import Sequence
 import numpy as np
 
 from . import qlin
-from .errors import CapacityError, DomainError, ShapeError
-from .qlin import DIM_CAP, dagger, max_abs
+from .errors import DomainError, ShapeError
+from .qlin import dagger, max_abs
 from .states import DensityOperator, _conditioned
+from .tolerances import DIM_CAP, KRAUS_RANK_CAP, require_within
 
 COMPLETENESS_TOL = 1e-8
-KRAUS_RANK_CAP = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,8 +30,7 @@ class CPMap:
     def __post_init__(self):
         if not self.kraus:
             raise DomainError("a CP map needs at least one Kraus operator")
-        if len(self.kraus) > KRAUS_RANK_CAP:
-            raise CapacityError(f"Kraus rank capped at {KRAUS_RANK_CAP}, got {len(self.kraus)}")
+        require_within("Kraus rank", len(self.kraus), KRAUS_RANK_CAP)
         mats = [qlin.as_complex(raw) for raw in self.kraus]
         for k, mat in enumerate(mats):
             if mat.shape != mats[0].shape:
@@ -173,13 +172,11 @@ def one_way_local(
     layout = (*bystanders[:party], *local._bystanders, *bystanders[party + 1 :])
     first = [local.branches[0] if m is None else m for m in layout]
     rows, cols = math.prod(m.out_dim for m in first), math.prod(m.in_dim for m in first)
-    if max(rows, cols) > DIM_CAP:
-        raise CapacityError(f"one-way product {rows}x{cols} exceeds the configured cap of {DIM_CAP}")
+    require_within("one-way product dimension", max(rows, cols), DIM_CAP)
     bystanders_top = math.prod(np.linalg.eigvalsh(m.completeness)[-1] for m in layout if m is not None)
     bystanders_rank = math.prod(len(m.kraus) for m in layout if m is not None)
     for branch in local.branches:
-        if (rank := len(branch.kraus) * bystanders_rank) > KRAUS_RANK_CAP:
-            raise CapacityError(f"Kraus rank capped at {KRAUS_RANK_CAP}, got {rank}")
+        require_within("Kraus rank", len(branch.kraus) * bystanders_rank, KRAUS_RANK_CAP)
         _require_trace_non_increasing(bystanders_top * np.linalg.eigvalsh(branch.completeness)[-1])
     return QuantumInstrument(local.branches, layout)
 

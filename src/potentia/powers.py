@@ -11,10 +11,12 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import qlin
-from .errors import CapacityError, DomainError, ResidualError, ShapeError, UnderdeterminedError
+from .errors import DomainError, ResidualError, ShapeError, UnderdeterminedError
 from .qlin import commutes, frozen, max_abs
 from .states import DensityOperator
-from .tolerances import AXIOM_TOL, ZERO_THRESHOLD
+from .tolerances import (
+    AXIOM_TOL, BINARY_SEARCH_NODE_CAP, CONTEXT_NODE_CAP, FAMILY_SIZE_CAP, ZERO_THRESHOLD, require_within,
+)
 
 PROJECTOR_TOL = 1e-8
 #: Potentia may stray this far outside [0, 1] before a valuation rejects them.
@@ -22,12 +24,6 @@ POTENTIA_SLACK = 1e-12
 RESIDUAL_TOL = 1e-7
 #: Singular values of the reconstruction design below this do not count to its rank.
 RANK_TOL = 1e-10
-#: Clique enumeration refuses larger graphs (worst case 3^(n/3) cliques).
-CONTEXT_NODE_CAP = 24
-#: Exhaustive binary-valuation search refuses larger graphs.
-BINARY_SEARCH_NODE_CAP = 30
-#: Orthogonal families are enumerated up to this size.
-FAMILY_SIZE_CAP = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,16 +223,11 @@ def _bits(mask: int) -> list[int]:
     return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
-def _require_nodes(count: int, cap: int = CONTEXT_NODE_CAP, search: str = "clique enumeration") -> None:
-    if count > cap:
-        raise CapacityError(f"{search} capped at {cap} nodes, got {count}")
-
-
 def maximal_contexts(graph: PowersGraph) -> list[Context]:
     """All maximal cliques, deterministically ordered: Bron–Kerbosch with Tomita
     pivoting (Tomita, Tanaka & Takahashi, TCS 363 (2006)); node sets are bitmasks."""
     n = len(graph.nodes)
-    _require_nodes(n)
+    require_within("clique enumeration node count", n, CONTEXT_NODE_CAP)
     neighbours = [0] * n
     for i, j in graph.edges:
         neighbours[i] |= 1 << j
@@ -312,7 +303,7 @@ def find_additive_binary_valuation(graph: PowersGraph) -> np.ndarray | None:
     None is a proof of nonexistence for the recorded constraint set).
     """
     n = len(graph.nodes)
-    _require_nodes(n, BINARY_SEARCH_NODE_CAP, "binary valuation search")
+    require_within("binary valuation search node count", n, BINARY_SEARCH_NODE_CAP)
     # Assign the identity first so family constraints become checkable (and
     # prune) as soon as their last member gets a value.
     order = [graph.identity_index] + [i for i in range(n) if i != graph.identity_index]

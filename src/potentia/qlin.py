@@ -15,11 +15,8 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, ShapeError
-from .tolerances import HERMITICITY_TOL
-
-#: Total matrix dimension cap (rows): twelve qubit screens, 2**12.
-DIM_CAP = 4096
+from .errors import DomainError, ShapeError
+from .tolerances import DIM_CAP, HERMITICITY_TOL, require_within
 
 #: Absolute tolerance on the max entry of V†V - I for "orthonormal columns".
 ISOMETRY_TOL = 1e-9
@@ -32,8 +29,7 @@ def as_complex(matrix: np.ndarray | Sequence) -> np.ndarray:
     """Return ``matrix`` as a C-contiguous complex128 2-D array.  This is the one gate every
     matrix passes, so it checks the dimension cap first."""
     arr = np.ascontiguousarray(matrix, dtype=np.complex128)
-    if max(arr.shape, default=0) > DIM_CAP:
-        raise CapacityError(f"matrix shape {arr.shape} exceeds the dimension cap of {DIM_CAP}")
+    require_within("matrix dimension", max(arr.shape, default=0), DIM_CAP)
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     floats = arr.view(np.float64)
@@ -102,12 +98,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with a capacity cap (``DIM_CAP``) on the output dimension."""
     a = as_complex(a)
     b = as_complex(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > DIM_CAP:
-        raise CapacityError(
-            f"kron output {rows}x{cols} exceeds the configured cap of {DIM_CAP}"
-        )
+    rows, cols = a.shape[0] * b.shape[0], a.shape[1] * b.shape[1]
+    require_within("kron output dimension", max(rows, cols), DIM_CAP)
     return np.kron(a, b)
 
 

@@ -1,4 +1,5 @@
-"""Default tolerances, one source for the modules that apply them and the CLI's ``--tol``.
+"""Default tolerances, one source for the modules that apply them and the CLI's ``--tol``;
+and the size caps, with ``require_within``, the one refusal of a size above its cap.
 
 A leaf module: it imports no numpy and no other potentia module but ``errors``.
 """
@@ -10,7 +11,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .errors import ParseError
+from .errors import CapacityError, ParseError
 
 #: Absolute tolerance on the max entry of M - M† for "Hermitian".
 HERMITICITY_TOL = 1e-9
@@ -21,6 +22,29 @@ EQUIVALENCE_TOL = 1e-10
 AXIOM_TOL = 1e-8
 #: Potentia at or below this count as zero for actualization.
 ZERO_THRESHOLD = 1e-10
+
+#: Total matrix dimension cap (rows): twelve qubit screens, 2**12.
+DIM_CAP = 4096
+#: Most grid points one ``werner --scan`` evaluates.
+SCAN_STEPS_CAP = 100_000
+#: Product states one witness check samples by default, and at most.
+WITNESS_SAMPLES = 10_000
+WITNESS_SAMPLES_CAP = 1_000_000
+#: Most Kraus operators in one CP map, a one-way product's included.
+KRAUS_RANK_CAP = 16
+#: Clique enumeration refuses larger graphs (worst case 3^(n/3) cliques).
+CONTEXT_NODE_CAP = 24
+#: Exhaustive binary-valuation search refuses larger graphs.
+BINARY_SEARCH_NODE_CAP = 30
+#: Orthogonal families are enumerated up to this size.
+FAMILY_SIZE_CAP = 6
+
+
+def require_within(what: str, size: int, cap: int) -> None:
+    """Raise ``CapacityError`` (CLI exit 4) if ``size`` exceeds ``cap``; callers check
+    before anything is formed or solved."""
+    if size > cap:
+        raise CapacityError(f"{what} {size} exceeds the cap of {cap}")
 
 
 @dataclass

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 import potentia
-from potentia import families, fileio
+from potentia import families, fileio, tolerances
 from potentia.arrangements import (
     ChainLink,
     DetectorBasis,
@@ -493,6 +493,18 @@ def test_readme_lists_every_tolerance_with_its_default():
     rows = re.findall(r"^\| `(\w+)` \| ([0-9.e+-]+) \|", section, flags=re.MULTILINE)
     listed = {name: float(default) for name, default in rows}
     assert listed == {field.name: field.default for field in dataclasses.fields(fileio.Tolerances)}
+    assert len(rows) == len(listed)
+
+
+def test_readme_lists_every_capacity_cap_with_its_value():
+    """README's capacity list is the table of caps in ``tolerances``, with their values; the
+    one cap it leaves out, ``FAMILY_SIZE_CAP``, bounds an enumeration and refuses nothing."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("Capacity errors (exit `4`)", 1)[1].split("\n\n", 2)[1]
+    rows = re.findall(r"^- `tolerances\.(\w+)` = ([0-9 ]+):", section, flags=re.MULTILINE)
+    listed = {name: int(value.replace(" ", "")) for name, value in rows}
+    caps = {name for name in vars(tolerances) if name.endswith("_CAP")} - {"FAMILY_SIZE_CAP"}
+    assert listed == {name: getattr(tolerances, name) for name in caps}
     assert len(rows) == len(listed)
 
 

@@ -429,7 +429,7 @@ class TestPowers:
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
-        assert captured.err == "capacity error: clique enumeration capped at 24 nodes, got 100\n"
+        assert captured.err == "capacity error: clique enumeration node count 100 exceeds the cap of 24\n"
 
     def test_repeated_label_is_validation_error(self, capsys, tmp_path):
         # Without the check, `--override I=0.5` would set |0><0|, not the added identity.

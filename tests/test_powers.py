@@ -461,7 +461,7 @@ class TestBinaryContrast:
     def test_node_cap(self):
         n = powers.BINARY_SEARCH_NODE_CAP + 1
         graph = PowersGraph((ZERO,) * n, frozenset(), 2, 0)
-        with pytest.raises(CapacityError, match=f"binary valuation search capped at {n - 1} nodes, got {n}"):
+        with pytest.raises(CapacityError, match=f"^binary valuation search node count {n} exceeds the cap of {n - 1}$"):
             find_additive_binary_valuation(graph)
 
     def test_tetrad_bookkeeping(self):

@@ -133,7 +133,7 @@ class TestSpectrum:
     def test_dimension_cap_is_checked_before_anything_is_solved(self, eigensolve_counter):
         matrix = np.eye(DIM_CAP + 1, dtype=complex)
         matrix /= DIM_CAP + 1
-        with pytest.raises(CapacityError, match=r"^matrix shape \(4097, 4097\) exceeds the dimension cap of 4096$"):
+        with pytest.raises(CapacityError, match="^matrix dimension 4097 exceeds the cap of 4096$"):
             DensityOperator(matrix)
         assert not eigensolve_counter
 
@@ -144,7 +144,7 @@ class TestSpectrum:
         lambda m: CPMap((m,)),
     ])
     def test_every_matrix_gate_checks_the_dimension_cap(self, make):
-        with pytest.raises(CapacityError, match="exceeds the dimension cap"):
+        with pytest.raises(CapacityError, match="^matrix dimension 4097 exceeds the cap of 4096$"):
             make(np.zeros((DIM_CAP + 1, 1)))
 
     def test_spectrum_is_solved_once_on_first_read(self, rng, eigensolve_counter):

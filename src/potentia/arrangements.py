@@ -11,17 +11,55 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import qlin
 from .errors import DegenerateConditioningError, DomainError, ShapeError
 from .qlin import dagger, frozen, max_abs
-from .states import DensityOperator, _conditioned
-from .tolerances import DIM_CAP, EQUIVALENCE_TOL, require_within
+from .states import EIGENVALUE_FLOOR, DensityOperator, _conditioned
+from .tolerances import DIM_CAP, EQUIVALENCE_TOL, HERMITICITY_TOL, TRACE_TOL, require_within
 
 CHAIN_TOL = 1e-9
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = nu / (1 - nu), u the unit roundoff: the relative error of n roundings."""
+    return n * 2.0**-53 / (1 - n * 2.0**-53)
+
+
+class Provenance(NamedTuple):
+    """``origin``, a token shared by what detector changes and refactors derive from one admitted
+    state A = B_0 M_0 B_0^dag, and bounds: ``drift`` >= ||B M B^dag - A||_2, and ``scale`` >= ||B||_2^2
+    and >= ||M||_F over the bound on ||M_0||_F.  No matrix is held."""
+
+    origin: object
+    drift: float = 0.0
+    scale: float = 1.0
+
+
+def _growth(dim: int, gram_error: float) -> float:
+    """1 + g >= ||w w^dag||_2 for a square factor whose Gram error ``require_isometry`` computed:
+    the true error's entries are within sqrt(2) gamma_{d+2} of it (a complex dot product, Higham
+    §3.6), and ||w w^dag - I||_2 = ||w^dag w - I||_2 <= d times its largest entry."""
+    return 1 + dim * (1 + _gamma(2)) * (gram_error + 2 * _gamma(dim + 2))
+
+
+def _stepped(p: Provenance, dims: Sequence[int], gram_errors: dict[int, float]) -> Provenance:
+    """``p`` after ``qlin._conjugated`` takes M to R^dag M R and B to B R, R = the Kronecker product
+    of factors on ``gram_errors``'s screens.  With r^2 = prod(1 + g_k) >= ||R||_2^2, g = r^2 - 1 >=
+    ||G||_2, G = R R^dag - I, A moves by B (GM + MG + GMG + R E R^dag) B^dag, E the kernel's rounding:
+    at most two passes per factor, each by a Kronecker block K of size D <= max(_KRON_BLOCK, dims),
+    rounding its entries by sqrt(2) gamma_{D+2} and K's own (Higham §3.5-3.6), || |K| || <= sqrt(D)
+    ||K||.  An admitted M_0's Hermitian part has trace <= 1 + TRACE_TOL and no eigenvalue below the
+    floor, so its ||.||_F <= sum |lambda|; the rest is <= N HERMITICITY_TOL."""
+    passes, d = 2 * len(gram_errors), max(qlin._KRON_BLOCK, *dims)
+    r2 = math.prod(_growth(dims[k], e) for k, e in gram_errors.items())
+    x = math.expm1(passes * math.sqrt(2 * d) * _gamma(d + passes + 3))  # E over r^2 ||M||_F
+    norm = p.scale * (1 + TRACE_TOL + math.prod(dims) * (2 * abs(EIGENVALUE_FLOOR) + HERMITICITY_TOL))
+    drift = p.drift + p.scale * norm * ((r2 - 1) * (r2 + 1) + r2 * r2 * x)
+    return Provenance(p.origin, drift, p.scale * r2 * (1 + x))
 
 
 def _is_integer(value) -> bool:
@@ -72,16 +110,17 @@ class DetectorBasis:
     """One orthonormal basis per screen; columns are detector vectors."""
 
     screens: tuple[np.ndarray, ...]
+    gram_errors: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        mats = []
+        mats, errors = [], []
         for k, raw in enumerate(self.screens):
             mat = qlin.as_complex(raw)
             if mat.shape[0] != mat.shape[1]:
                 raise ShapeError(f"screen {k} basis is not square: {mat.shape}")
-            qlin.require_isometry(mat, what=f"screen {k} basis")
+            errors.append(qlin.require_isometry(mat, what=f"screen {k} basis"))
             mats.append(frozen(mat))
-        object.__setattr__(self, "screens", tuple(mats))
+        vars(self).update(screens=tuple(mats), gram_errors=tuple(errors))
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -90,12 +129,14 @@ class ExperimentalArrangement:
 
     ``matrix`` is the state in detector coordinates.  ``steps`` holds the
     detector basis as its local factors, oldest first: ``(screen_dims,
-    {screen: factor})`` pairs, each in the screen layout of its time.
+    {screen: factor})`` pairs, each in the screen layout of its time.  ``provenance`` bounds
+    how far rounding has moved the state from the one it was derived from.
     """
 
     matrix: np.ndarray
     factorization: Factorization
     steps: tuple = field(init=False, repr=False)
+    provenance: Provenance = field(init=False, repr=False)
 
     def __init__(self, matrix, factorization: Factorization, basis_matrix):
         # Written out because ``basis_matrix`` is a read-only property, not a field.
@@ -109,12 +150,13 @@ class ExperimentalArrangement:
         for what, arr in (("matrix", mat), ("basis matrix", basis)):
             if arr.shape != (n, n):
                 raise ShapeError(f"{what} is {arr.shape}, factorization degree is {n}")
-        qlin.require_isometry(basis, what="basis matrix")
+        gram_error = qlin.require_isometry(basis, what="basis matrix")
         rho = DensityOperator(mat)  # the one state check
-        vars(self).update(matrix=rho.matrix, steps=(((n,), {0: frozen(basis)}),))
+        provenance = Provenance(object(), scale=_growth(n, gram_error))
+        vars(self).update(matrix=rho.matrix, steps=(((n,), {0: frozen(basis)}),), provenance=provenance)
 
     @classmethod
-    def _trusted(cls, matrix, factorization, steps) -> "ExperimentalArrangement":
+    def _trusted(cls, matrix, factorization, steps, provenance) -> "ExperimentalArrangement":
         """Arrangement whose matrix is already an accepted state, in new detectors or
         a new factorization, or conditioned and checked by ``restrict``; it checks
         nothing.  An intensity bound could only reject what the floor accepts, so
@@ -122,7 +164,7 @@ class ExperimentalArrangement:
         an array this module built or one that is read-only already."""
         ea = object.__new__(cls)
         matrix = qlin._frozen_in_place(matrix)
-        vars(ea).update(matrix=matrix, factorization=factorization, steps=steps)
+        vars(ea).update(matrix=matrix, factorization=factorization, steps=steps, provenance=provenance)
         return ea
 
     @property
@@ -189,7 +231,9 @@ def make_ea(
     dims = factorization.screen_dims
     factors = {k: w for k, w in enumerate(screens) if not np.array_equal(w, np.eye(len(w)))}
     matrix = qlin._conjugated(rho.matrix, dims, factors)
-    return ExperimentalArrangement._trusted(matrix, factorization, ((dims, factors),))
+    origin = Provenance(vars(rho).setdefault("_origin", object()))
+    provenance = _stepped(origin, dims, {k: basis.gram_errors[k] for k in factors})
+    return ExperimentalArrangement._trusted(matrix, factorization, ((dims, factors),), provenance)
 
 
 def power_intensity(ea: ExperimentalArrangement, multi_index: Sequence[int]) -> float:
@@ -213,10 +257,12 @@ def change_detectors(
     v = qlin.as_complex(new_basis)
     if v.shape != (dims[screen], dims[screen]):
         raise ShapeError(f"screen {screen} basis must be {dims[screen]}x{dims[screen]}, got {v.shape}")
-    qlin.require_isometry(v, what="new detector basis")
+    gram_error = qlin.require_isometry(v, what="new detector basis")
     factors = {screen: frozen(v)}  # a copy: ``v`` may be the caller's own array
     matrix = qlin._conjugated(ea.matrix, dims, factors)
-    return ExperimentalArrangement._trusted(matrix, ea.factorization, ea.steps + ((dims, factors),))
+    provenance = _stepped(ea.provenance, dims, {screen: gram_error})
+    steps = ea.steps + ((dims, factors),)
+    return ExperimentalArrangement._trusted(matrix, ea.factorization, steps, provenance)
 
 
 def refactor(
@@ -231,18 +277,25 @@ def refactor(
         raise ShapeError(
             f"new factorization degree {new_factorization.degree} != arrangement degree {ea.degree}"
         )
-    return ExperimentalArrangement._trusted(ea.matrix, new_factorization, ea.steps)
+    return ExperimentalArrangement._trusted(ea.matrix, new_factorization, ea.steps, ea.provenance)
 
 
 def ea_equivalent(
     ea1: ExperimentalArrangement, ea2: ExperimentalArrangement, tol: float = EQUIVALENCE_TOL
 ) -> bool:
-    """Same degree and ``max_abs(B1 M1 B1^dag - B2 M2 B2^dag) <= tol``.  With ``B_i = P S_i``, ``P``
-    shared, ``M1`` moves into ea2's frame by ``U = S2^-1 S1``: S2's steps reversed and inverted (a
-    factor is unitary only within ``ISOMETRY_TOL`` > ``tol``), then S1's, one conjugation per layout.
-    ``||D||_F``, ``D = U M1 U^dag - M2``, decides outside ``(tol/2, 2N tol]``; inside, B2 D B2^dag."""
+    """Same degree and ``max_abs(B1 M1 B1^dag - B2 M2 B2^dag) <= tol``.  Arrangements of one origin
+    (``make_ea`` shares its state's; the public constructor and ``restrict`` start one) whose drifts
+    sum to at most ``tol/2`` are that close in 2-norm: True, with nothing formed.  A near-unitary
+    factor, or a screen of some 200 detectors (its Gram error is known to about 2 d^2 u), bounds too
+    loosely.  Otherwise, with ``B_i = P S_i``, ``P`` shared, ``M1`` moves into ea2's frame by ``U =
+    S2^-1 S1``: S2's steps reversed and inverted (a factor is unitary only within ``ISOMETRY_TOL`` >
+    ``tol``), then S1's, one conjugation per layout.  ``||D||_F``, ``D = U M1 U^dag - M2``, decides
+    outside ``(tol/2, 2N tol]``; inside, B2 D B2^dag."""
     if ea1.degree != ea2.degree:
         return False
+    p1, p2 = ea1.provenance, ea2.provenance
+    if p1.origin is p2.origin and p1.drift + p2.drift <= tol / 2:
+        return True
     s1, s2 = ea1.steps, ea2.steps
     p = next((i for i, ab in enumerate(zip(s1, s2)) if not _same_step(*ab)), min(len(s1), len(s2)))
     inverse = tuple((ly, {k: np.linalg.inv(w) for k, w in ws.items()}) for ly, ws in reversed(s2[p:]))
@@ -287,7 +340,7 @@ def restrict(
             f"kept detectors carry total intensity {overlap:.3e}; cannot condition"
         )
     reduced = Factorization(tuple(len(k) for k in kept))
-    return ExperimentalArrangement._trusted(conditioned.matrix, reduced, ())
+    return ExperimentalArrangement._trusted(conditioned.matrix, reduced, (), Provenance(object()))
 
 
 def multiscreen_effect(

@@ -17,7 +17,7 @@ import numpy as np
 from . import qlin
 from .errors import DomainError, NoWitnessError, ShapeError
 from .qlin import frozen, herm_eig, partial_trace, partial_transpose
-from .states import DensityOperator, PureVector, abstract_purity
+from .states import DensityOperator, PureVector
 from .tolerances import VERDICT_TOL, WITNESS_SAMPLES, WITNESS_SAMPLES_CAP, require_within
 
 ENTROPY_TOL = 1e-9

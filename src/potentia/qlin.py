@@ -83,8 +83,9 @@ def require_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL, what: str =
         raise DomainError(f"{what} violates Hermiticity (max asymmetry {asymmetry:.3e} > {tol:g})")
 
 
-def require_isometry(mat: np.ndarray, what: str = "basis") -> None:
-    """Raise unless the columns of ``mat`` are orthonormal within ``ISOMETRY_TOL`` (overflow fails)."""
+def require_isometry(mat: np.ndarray, what: str = "basis") -> float:
+    """Raise unless the columns of ``mat`` are orthonormal within ``ISOMETRY_TOL`` (overflow fails);
+    return the max Gram error, the max entry of the computed ``V^dag V - I``."""
     with np.errstate(over="ignore", invalid="ignore"):
         gram_error = max_abs(dagger(mat) @ mat - np.eye(mat.shape[1]))
     if not gram_error <= ISOMETRY_TOL:
@@ -92,6 +93,7 @@ def require_isometry(mat: np.ndarray, what: str = "basis") -> None:
             f"{what} columns are not orthonormal within {ISOMETRY_TOL:g} "
             f"(max Gram error {gram_error:.3e})"
         )
+    return gram_error
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -449,9 +449,9 @@ def random_refactor(dims, rng):
     return tuple(int(d) for d in rng.permutation(merged))
 
 
-def random_walk(ea, product, rng, steps):
-    """Random detector changes and refactors from ``ea``; yields each arrangement
-    with its basis by the kron oracle, ``product`` being the oracle for ``ea``."""
+def random_walk(ea, product, rng, steps, factor=random_unitary):
+    """Random detector changes, each by ``factor(d, rng)``, and refactors from ``ea``; yields
+    each arrangement with its basis by the kron oracle, ``product`` being the oracle for ``ea``."""
     current = ea
     for _ in range(steps):
         layout_dims = current.factorization.screen_dims
@@ -459,15 +459,15 @@ def random_walk(ea, product, rng, steps):
             current = refactor(current, Factorization(random_refactor(layout_dims, rng)))
         else:
             screen = int(rng.integers(len(layout_dims)))
-            v = random_unitary(layout_dims[screen], rng)
+            v = factor(layout_dims[screen], rng)
             current = change_detectors(current, screen, v)
             product = product @ local_rotation(layout_dims, screen, v)
         yield current, product
 
 
-def walked(ea, product, rng, steps):
+def walked(ea, product, rng, steps, factor=random_unitary):
     """The end of a ``random_walk`` of ``steps`` steps: ``(ea, product)`` for none."""
-    for ea, product in random_walk(ea, product, rng, steps):
+    for ea, product in random_walk(ea, product, rng, steps, factor):
         pass
     return ea, product
 
@@ -555,6 +555,18 @@ def oracle_gap(pair) -> float:
     """``max_abs(B1 M1 B1^dag - B2 M2 B2^dag)`` with both bases multiplied out densely."""
     (ea1, b1), (ea2, b2) = pair
     return float(np.max(np.abs(b1 @ ea1.matrix @ b1.conj().T - b2 @ ea2.matrix @ b2.conj().T)))
+
+
+def fresh_origin(ea):
+    """``ea`` with a new origin of its own: no certificate joins it to another arrangement, so
+    ``ea_equivalent`` computes its verdict."""
+    provenance = ea.provenance._replace(origin=object())
+    return ExperimentalArrangement._trusted(ea.matrix, ea.factorization, ea.steps, provenance)
+
+
+def certified(ea1, ea2, tol=EQUIVALENCE_TOL) -> bool:
+    p1, p2 = ea1.provenance, ea2.provenance
+    return p1.origin is p2.origin and p1.drift + p2.drift <= tol / 2
 
 
 def held_arrays(obj):
@@ -654,7 +666,8 @@ class TestEquivalenceOracle:
     @settings(max_examples=100, deadline=None)  # every kind, with near certainty
     @given(arrangement_pairs())
     def test_matches_dense_oracle(self, drawn):
-        """Each verdict, either way round, is the dense rule's, and neither matrix is written."""
+        """Each verdict, either way round, is the dense rule's, and neither matrix is written;
+        also with ea2 given a new origin, so that no certificate decides."""
         kind, pair = drawn
         (ea1, b1), (ea2, b2) = pair
         expected = oracle_gap(pair) <= EQUIVALENCE_TOL
@@ -663,8 +676,9 @@ class TestEquivalenceOracle:
             d = b1 @ ea1.matrix @ b1.conj().T - b2 @ ea2.matrix @ b2.conj().T
             assert EQUIVALENCE_TOL / 2 < np.linalg.norm(d) <= 2 * ea1.degree * EQUIVALENCE_TOL
         before = ea1.matrix.tobytes(), ea2.matrix.tobytes()
-        assert ea_equivalent(ea1, ea2) == expected
-        assert ea_equivalent(ea2, ea1) == expected
+        for other in (ea2, fresh_origin(ea2)):
+            assert ea_equivalent(ea1, other) == expected
+            assert ea_equivalent(other, ea1) == expected
         assert (ea1.matrix.tobytes(), ea2.matrix.tobytes()) == before
 
     @PROPERTY_SETTINGS
@@ -717,6 +731,73 @@ class TestEquivalenceOracle:
         assert not ea_equivalent(ea1, ea2, tol=gap * (1 - 1e-6))
 
 
+class TestCertificate:
+    """Arrangements of one origin within ``tol / 2`` of each other in drift are equivalent by
+    the bound; wherever it decides, the dense rule and the computed path agree."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(layouts(), st.sampled_from([0.0, 0.2, 1.0]), st.booleans(), *[st.integers(0, 4)] * 2)
+    def test_bound_is_sound(self, layout, near, two_bases, steps1, steps2):
+        """Chains of ``make_ea``, ``change_detectors`` and ``refactor`` from one state, each
+        factor Haar or, with probability ``near``, near unitary: where the certificate fires,
+        the dense gap is within the drifts, the computed path says True, and so does either order."""
+        dims, rng = layout
+        f = Factorization(dims)
+        rho = random_density(f.degree, rng)
+
+        def factor(d, rng):
+            return near_unitary(d, rng) if rng.random() < near else random_unitary(d, rng)
+
+        def start():
+            bases = tuple(factor(d, rng) for d in dims)
+            return make_ea(rho, f, DetectorBasis(bases)), kron_oracle(bases)
+
+        first = start()
+        second = start() if two_bases else first
+        pair = walked(*first, rng, steps1, factor), walked(*second, rng, steps2, factor)
+        (ea1, _), (ea2, _) = pair
+        if near == 0.0:
+            assert certified(ea1, ea2)
+        if certified(ea1, ea2):
+            assert oracle_gap(pair) <= ea1.provenance.drift + ea2.provenance.drift
+            assert ea_equivalent(ea1, ea2) and ea_equivalent(ea2, ea1)
+            assert ea_equivalent(ea1, fresh_origin(ea2)) and ea_equivalent(fresh_origin(ea2), ea1)
+
+    def test_origins(self, rng):
+        """``make_ea`` shares its state's origin, and so do changes and refactors of it; a second
+        ``DensityOperator`` of one matrix, the public constructor and ``restrict`` start a new one."""
+        rho, bases, ea = random_layout_ea((2, 3), rng)
+        origin = ea.provenance.origin
+        derived = [make_ea(rho, ea.factorization), change_detectors(ea, 1, random_unitary(3, rng))]
+        derived.append(refactor(derived[-1], Factorization((6,))))
+        assert all(other.provenance.origin is origin for other in derived)
+        fresh = [
+            make_ea(DensityOperator(rho.matrix), ea.factorization, DetectorBasis(bases)),
+            ExperimentalArrangement(ea.matrix, ea.factorization, ea.basis_matrix),
+            restrict(ea, [[0, 1], [0, 1, 2]]),
+        ]
+        assert len({id(origin), *(id(other.provenance.origin) for other in fresh)}) == 4
+        assert all(ea_equivalent(ea, other) for other in fresh[:2])
+        assert list(held_arrays(ea.provenance)) == []
+
+    def test_loose_factors_are_computed(self, monkeypatch, rng):
+        """A near-unitary factor, or a screen of 256 detectors, whose Gram error is known only to
+        about 2 d^2 u, bounds too loosely to certify: each pair is computed, the same either way
+        round, and the Haar pair on the wide screen is equivalent."""
+        _, _, ea = random_layout_ea((2, 3), rng)
+        wide = make_ea(random_density(256, rng), Factorization((256,)), haar_basis((256,), rng))
+        near = (ea, change_detectors(ea, 0, near_unitary(2, rng)))
+        haar = (wide, change_detectors(wide, 0, random_unitary(256, rng)))
+        calls, conjugated = [], qlin._conjugated
+        monkeypatch.setattr(qlin, "_conjugated", lambda *args: calls.append(1) or conjugated(*args))
+        for pair in (near, haar):
+            calls.clear()
+            assert not certified(*pair)
+            assert ea_equivalent(*pair) == ea_equivalent(*pair[::-1])
+            assert calls
+        assert ea_equivalent(*haar)
+
+
 class TestDetectorSteps:
     """An arrangement keeps its detector basis as local factors, not as an N x N matrix."""
 
@@ -739,24 +820,26 @@ class TestDetectorSteps:
 
     @pytest.mark.parametrize("screen", [0, 1, 2])
     def test_one_change_unwinds_only_its_factor(self, monkeypatch, rng, screen):
-        """``ea_equivalent(ea, change_detectors(ea, k, V))`` applies ``V`` once on each side
-        of the state and no factor of the ``make_ea`` step.  Unwinding both histories in
-        full applied 2n + 2(n + 1) factors for n screens: 14 on this (2, 3, 4) layout."""
-        _, _, ea = random_layout_ea((2, 3, 4), rng)
-        changed = change_detectors(ea, screen, random_unitary((2, 3, 4)[screen], rng))
+        """``ea_equivalent(ea, change_detectors(twin, k, V))``, ``twin`` made in ea's detectors
+        from a second ``DensityOperator`` of ea's state, so that the two share no origin, applies
+        ``V`` once on each side of the state and no factor of the ``make_ea`` step.  Unwinding
+        both histories in full applied 2n + 2(n + 1) factors for n screens: 14 on (2, 3, 4)."""
+        rho, bases, ea = random_layout_ea((2, 3, 4), rng)
+        twin = make_ea(DensityOperator(rho.matrix), ea.factorization, DetectorBasis(bases))
+        changed = change_detectors(twin, screen, random_unitary((2, 3, 4)[screen], rng))
         applied = count_kron_factors(monkeypatch)
         assert ea_equivalent(ea, changed)
         assert applied == [((2, 3, 4), screen)] * 2
 
     def test_unrelated_pair_in_one_layout_is_one_conjugation(self, monkeypatch, rng):
-        """Two ``make_ea`` of one state in different Haar bases share no step: ea1's matrix
-        moves into ea2's frame through one history whose steps, all in one layout, merge into
-        one conjugation.  Unwinding both suffixes took two.  A detector change on each side
-        adds a step to each suffix and no conjugation."""
+        """Two ``make_ea``, in different Haar bases, of two ``DensityOperator``s of one matrix
+        share no step and no origin: ea1's matrix moves into ea2's frame through one history
+        whose steps, all in one layout, merge into one conjugation.  Unwinding both suffixes
+        took two.  A detector change on each side adds a step to each suffix and no conjugation."""
         dims = (2, 3, 4)
         f = Factorization(dims)
-        rho = random_density(f.degree, rng)
-        ea1, ea2 = (make_ea(rho, f, haar_basis(dims, rng)) for _ in range(2))
+        matrix = random_density(f.degree, rng).matrix
+        ea1, ea2 = (make_ea(DensityOperator(matrix), f, haar_basis(dims, rng)) for _ in range(2))
         changed1 = change_detectors(ea1, 0, random_unitary(2, rng))
         changed2 = change_detectors(ea2, 2, random_unitary(4, rng))
         calls, conjugated = [], qlin._conjugated
@@ -941,25 +1024,44 @@ class TestConjugationMemory:
 
     def test_arrangement_pipeline(self, rng):
         """``make_ea`` on Haar bases of all nine screens, ``change_detectors`` on one, and
-        ``ea_equivalent`` of the two, whose difference goes into the one unwound array."""
+        ``ea_equivalent`` of the two, whose difference goes into the one unwound array.  The
+        change is made to a twin of a second ``DensityOperator`` of the state: no shared origin."""
         f = Factorization(self.DIMS)
         rho, basis, v = random_density(f.degree, rng), haar_basis(self.DIMS, rng), random_unitary(2, rng)
         ea = make_ea(rho, f, basis)
-        changed = change_detectors(ea, 5, v)
+        changed = change_detectors(make_ea(DensityOperator(rho.matrix), f, basis), 5, v)
         assert self.peak(lambda: make_ea(rho, f, basis)) <= self.BOUND
         assert self.peak(lambda: change_detectors(ea, 5, v)) <= self.BOUND
         assert self.peak(lambda: ea_equivalent(ea, changed)) <= self.BOUND
 
     def test_unrelated_comparison(self, rng):
-        """Two ``make_ea`` of one state in Haar bases of all nine screens, compared: one
-        conjugation moves ea1's matrix into ea2's frame, and the difference is formed in the
-        array it made.  Unwinding both matrices held two N x N arrays."""
+        """Two ``make_ea``, in Haar bases of all nine screens, of two ``DensityOperator``s of one
+        matrix, compared: one conjugation moves ea1's matrix into ea2's frame, and the difference
+        is formed in the array it made.  Unwinding both matrices held two N x N arrays."""
         f = Factorization(self.DIMS)
-        rho = random_density(f.degree, rng)
-        ea1, ea2 = (make_ea(rho, f, haar_basis(self.DIMS, rng)) for _ in range(2))
+        matrix = random_density(f.degree, rng).matrix
+        ea1, ea2 = (make_ea(DensityOperator(matrix), f, haar_basis(self.DIMS, rng)) for _ in range(2))
         verdicts = []
         assert self.peak(lambda: verdicts.append(ea_equivalent(ea1, ea2))) <= self.BOUND
         assert verdicts == [True]
+
+    def test_certified_pairs_form_nothing(self, monkeypatch, rng):
+        """A detector change, a refactor and a second ``make_ea`` in other detectors all share
+        the state's origin, within a drift far below ``tol / 2``: each comparison with the
+        arrangement they came from is True by the bound, with no conjugation and under 1 MB."""
+        f = Factorization(self.DIMS)
+        rho = random_density(f.degree, rng)
+        ea = make_ea(rho, f, haar_basis(self.DIMS, rng))
+        changed = change_detectors(ea, 5, random_unitary(2, rng))
+        others = [changed, refactor(changed, Factorization((8, 64)))]
+        others.append(make_ea(rho, f, haar_basis(self.DIMS, rng)))
+        conjugations = []
+        monkeypatch.setattr(qlin, "_conjugated", lambda *args: conjugations.append(args))
+        for other in others:
+            verdicts = []
+            both = lambda: verdicts.extend([ea_equivalent(ea, other), ea_equivalent(other, ea)])
+            assert self.peak(both) < 1 << 20
+            assert verdicts == [True, True] and conjugations == []
 
     def test_conditioned_state_keeps_its_array(self, rng):
         """The conditioned state is admitted in the array it was given; the Cholesky factor

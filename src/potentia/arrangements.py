@@ -62,6 +62,16 @@ def _stepped(p: Provenance, dims: Sequence[int], gram_errors: dict[int, float]) 
     return Provenance(p.origin, drift, p.scale * r2 * (1 + x))
 
 
+class _Pending(NamedTuple):
+    """A matrix before its first read: ``source``, its nearest formed ancestor's, and the ``runs``
+    since, distinct screens of one layout each; ``base`` and ``gram_errors`` are the last run's."""
+
+    source: np.ndarray
+    runs: tuple
+    base: Provenance
+    gram_errors: dict
+
+
 def _is_integer(value) -> bool:
     """A Python or numpy integer; ``bool`` subclasses ``int`` but ``True`` is not a dim or index."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -133,14 +143,13 @@ class ExperimentalArrangement:
     how far rounding has moved the state from the one it was derived from.
     """
 
-    matrix: np.ndarray
     factorization: Factorization
     steps: tuple = field(init=False, repr=False)
     provenance: Provenance = field(init=False, repr=False)
 
     def __init__(self, matrix, factorization: Factorization, basis_matrix):
-        # Written out because ``basis_matrix`` is a read-only property, not a field.
-        vars(self).update(matrix=matrix, factorization=factorization)
+        # Written out because ``matrix`` and ``basis_matrix`` are read-only properties, not fields.
+        vars(self).update(_matrix=matrix, factorization=factorization)
         self.__post_init__(basis_matrix)
 
     def __post_init__(self, basis_matrix):
@@ -153,7 +162,8 @@ class ExperimentalArrangement:
         gram_error = qlin.require_isometry(basis, what="basis matrix")
         rho = DensityOperator(mat)  # the one state check
         provenance = Provenance(object(), scale=_growth(n, gram_error))
-        vars(self).update(matrix=rho.matrix, steps=(((n,), {0: frozen(basis)}),), provenance=provenance)
+        steps = (((n,), {0: frozen(basis)}),)
+        vars(self).update(_matrix=rho.matrix, steps=steps, provenance=provenance)
 
     @classmethod
     def _trusted(cls, matrix, factorization, steps, provenance) -> "ExperimentalArrangement":
@@ -161,11 +171,24 @@ class ExperimentalArrangement:
         a new factorization, or conditioned and checked by ``restrict``; it checks
         nothing.  An intensity bound could only reject what the floor accepts, so
         readouts clip to [0, 1] instead.  ``matrix`` is frozen in place, so it must be
-        an array this module built or one that is read-only already."""
-        ea = object.__new__(cls)
-        matrix = qlin._frozen_in_place(matrix)
-        vars(ea).update(matrix=matrix, factorization=factorization, steps=steps, provenance=provenance)
+        an array this module built or one that is read-only already; or a ``_Pending``."""
+        ea, pending = object.__new__(cls), isinstance(matrix, _Pending)
+        held = {"_pending": matrix} if pending else {"_matrix": qlin._frozen_in_place(matrix)}
+        vars(ea).update(held, factorization=factorization, steps=steps, provenance=provenance)
         return ea
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The state in detector coordinates; formed on first read from a ``_Pending``, which is
+        then dropped.  Concurrent first reads may each form it, and all return the one kept."""
+        held = vars(self)
+        if (pending := held.get("_pending")) is not None:
+            m = pending.source
+            for dims, factors in pending.runs:
+                m = qlin._conjugated(m, dims, factors)
+            held.setdefault("_matrix", qlin._frozen_in_place(m))
+            held.pop("_pending", None)
+        return held["_matrix"]
 
     @property
     def degree(self) -> int:
@@ -249,7 +272,8 @@ def change_detectors(
 
     ``new_basis`` columns are the new detector vectors written in the
     screen's current detector coordinates.  The ambient state is untouched;
-    only its representation moves.
+    only its representation moves.  The step is applied on first read, a run
+    of changes of distinct screens in one layout as one conjugation.
     """
     dims = ea.factorization.screen_dims
     if not (_is_integer(screen) and 0 <= screen < len(dims)):
@@ -258,11 +282,16 @@ def change_detectors(
     if v.shape != (dims[screen], dims[screen]):
         raise ShapeError(f"screen {screen} basis must be {dims[screen]}x{dims[screen]}, got {v.shape}")
     gram_error = qlin.require_isometry(v, what="new detector basis")
-    factors = {screen: frozen(v)}  # a copy: ``v`` may be the caller's own array
-    matrix = qlin._conjugated(ea.matrix, dims, factors)
-    provenance = _stepped(ea.provenance, dims, {screen: gram_error})
-    steps = ea.steps + ((dims, factors),)
-    return ExperimentalArrangement._trusted(matrix, ea.factorization, steps, provenance)
+    # A copy: ``v`` may be the caller's own array.  The identity is no factor, as in make_ea.
+    step = {} if np.array_equal(v, np.eye(len(v))) else {screen: frozen(v)}
+    pending = vars(ea).get("_pending") or _Pending(ea.matrix, (), ea.provenance, {})
+    runs, base, factors, errors = pending.runs, ea.provenance, {}, {}
+    if runs and runs[-1][0] == dims and screen not in runs[-1][1]:  # no factor product to round
+        runs, (_, factors), base, errors = runs[:-1], runs[-1], pending.base, pending.gram_errors
+    factors, errors = factors | step, errors | {k: gram_error for k in step}
+    held = _Pending(pending.source, runs + ((dims, factors),), base, errors)
+    steps, provenance = ea.steps + ((dims, step),), _stepped(base, dims, errors)
+    return ExperimentalArrangement._trusted(held, ea.factorization, steps, provenance)
 
 
 def refactor(
@@ -277,7 +306,8 @@ def refactor(
         raise ShapeError(
             f"new factorization degree {new_factorization.degree} != arrangement degree {ea.degree}"
         )
-    return ExperimentalArrangement._trusted(ea.matrix, new_factorization, ea.steps, ea.provenance)
+    held = vars(ea).get("_pending") or ea.matrix  # a pending arrangement stays pending
+    return ExperimentalArrangement._trusted(held, new_factorization, ea.steps, ea.provenance)
 
 
 def ea_equivalent(

@@ -243,8 +243,8 @@ def cmd_transform(args, tols: Tolerances) -> dict:
     results["degree"] = transformed.degree
 
     if args.out_state is not None:
-        # One merged factor per screen whose detectors are not computational: make_ea
-        # stored none for an identity screen, and change_detectors one for its screen.
+        # One merged factor per screen whose detectors are not computational: make_ea and
+        # change_detectors store none for an identity basis.
         (_, factors), = arrangements._runs(transformed.steps)
         if dims is not None and factors:
             raise ValidationError(
@@ -257,7 +257,7 @@ def cmd_transform(args, tols: Tolerances) -> dict:
         written = state.has_explicit_factorization or dims is not None
         layout = transformed.factorization if written else None
         basis = None  # refactored layouts start from computational detectors
-        if dims is None and (factors or state.basis is not None):
+        if dims is None and (factors or state.basis is not None or args.screen is not None):
             sizes = enumerate(transformed.factorization.screen_dims)
             basis = arrangements.DetectorBasis(tuple(factors.get(k, np.eye(d)) for k, d in sizes))
         document = fileio.state_document(state.density, layout, basis, state.label)

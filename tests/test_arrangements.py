@@ -1,6 +1,11 @@
 import copy
+import gc
+import math
 import pickle
+import sys
+import threading
 import tracemalloc
+import weakref
 from functools import reduce
 from unittest import mock
 
@@ -187,10 +192,14 @@ class TestChangeDetectors:
         assert oracle[1, 3] == pytest.approx(-0.25)
         assert oracle[3, 1] == pytest.approx(-0.25)
 
-    def test_identity_change_is_noop(self):
+    def test_identity_change_is_noop(self, monkeypatch):
+        """As in ``make_ea``, an exactly-identity basis is a step with no factor: forming the
+        change applies none, and the drift does not move."""
         ea = worked_ea()
+        applied = count_kron_factors(monkeypatch)
         same = change_detectors(ea, 1, np.eye(2, dtype=complex))
-        assert np.array_equal(same.matrix, ea.matrix)
+        assert same.steps == ea.steps + (((2, 2), {}),) and same.provenance == ea.provenance
+        assert np.array_equal(same.matrix, ea.matrix) and applied == []
         assert np.array_equal(same.basis_matrix, ea.basis_matrix)
 
 
@@ -811,12 +820,18 @@ class TestDetectorSteps:
         assert ea_equivalent(ea, changed)
 
     def test_only_the_state_has_full_size_rows(self, rng):
-        _, _, ea = random_layout_ea((2, 3, 4), rng)
-        ea = change_detectors(ea, 1, random_unitary(3, rng))
+        """Before its first read a derived arrangement holds exactly its source, the matrix of
+        its nearest formed ancestor; after it, exactly its own matrix, and no source."""
+        _, _, start = random_layout_ea((2, 3, 4), rng)
+        ea = change_detectors(start, 1, random_unitary(3, rng))
         ea = refactor(ea, Factorization((6, 4)))
         ea = change_detectors(ea, 0, random_unitary(6, rng))
         full = [arr for arr in held_arrays(ea) if arr.shape[0] == ea.degree]
-        assert len(full) == 1 and full[0] is ea.matrix
+        assert len(full) == 1 and full[0] is start.matrix
+        matrix = ea.matrix
+        full = [arr for arr in held_arrays(ea) if arr.shape[0] == ea.degree]
+        assert len(full) == 1 and full[0] is matrix and matrix is not start.matrix
+        assert "_pending" not in vars(ea)
 
     @pytest.mark.parametrize("screen", [0, 1, 2])
     def test_one_change_unwinds_only_its_factor(self, monkeypatch, rng, screen):
@@ -827,6 +842,7 @@ class TestDetectorSteps:
         rho, bases, ea = random_layout_ea((2, 3, 4), rng)
         twin = make_ea(DensityOperator(rho.matrix), ea.factorization, DetectorBasis(bases))
         changed = change_detectors(twin, screen, random_unitary((2, 3, 4)[screen], rng))
+        changed.matrix  # formed here, so that only the comparison is counted
         applied = count_kron_factors(monkeypatch)
         assert ea_equivalent(ea, changed)
         assert applied == [((2, 3, 4), screen)] * 2
@@ -842,6 +858,7 @@ class TestDetectorSteps:
         ea1, ea2 = (make_ea(DensityOperator(matrix), f, haar_basis(dims, rng)) for _ in range(2))
         changed1 = change_detectors(ea1, 0, random_unitary(2, rng))
         changed2 = change_detectors(ea2, 2, random_unitary(4, rng))
+        changed1.matrix, changed2.matrix  # formed here, so that only the comparisons are counted
         calls, conjugated = [], qlin._conjugated
 
         def counted(m, dims, factors):
@@ -1025,14 +1042,34 @@ class TestConjugationMemory:
     def test_arrangement_pipeline(self, rng):
         """``make_ea`` on Haar bases of all nine screens, ``change_detectors`` on one, and
         ``ea_equivalent`` of the two, whose difference goes into the one unwound array.  The
-        change is made to a twin of a second ``DensityOperator`` of the state: no shared origin."""
+        change is made to a twin of a second ``DensityOperator`` of the state: no shared origin.
+        A change forms its matrix on first read, so the change is measured with that read, and
+        the comparison after it."""
         f = Factorization(self.DIMS)
         rho, basis, v = random_density(f.degree, rng), haar_basis(self.DIMS, rng), random_unitary(2, rng)
         ea = make_ea(rho, f, basis)
         changed = change_detectors(make_ea(DensityOperator(rho.matrix), f, basis), 5, v)
+        changed.matrix
         assert self.peak(lambda: make_ea(rho, f, basis)) <= self.BOUND
-        assert self.peak(lambda: change_detectors(ea, 5, v)) <= self.BOUND
+        assert self.peak(lambda: change_detectors(ea, 5, v).matrix) <= self.BOUND
         assert self.peak(lambda: ea_equivalent(ea, changed)) <= self.BOUND
+
+    def test_three_changes_and_a_restriction(self, rng):
+        """``make_ea``, three detector changes and ``restrict`` of the last, with the first
+        arrangement kept, as a caller comparing the two would: above make_ea's matrix, which the
+        changes hold as their source, one N x N array, one chunk and the blocks.  Forming each
+        change at once held three N x N arrays."""
+        f = Factorization(self.DIMS)
+        rho, basis = random_density(f.degree, rng), haar_basis(self.DIMS, rng)
+        changes = {screen: random_unitary(2, rng) for screen in (0, 4, 8)}
+
+        def pipeline():
+            ea = changed = make_ea(rho, f, basis)
+            for screen, v in changes.items():
+                changed = change_detectors(changed, screen, v)
+            return ea, restrict(changed, [[0, 1]] * 3 + [[0]] * 6)
+
+        assert self.peak(pipeline) <= self.N2 + self.BOUND
 
     def test_unrelated_comparison(self, rng):
         """Two ``make_ea``, in Haar bases of all nine screens, of two ``DensityOperator``s of one
@@ -1072,6 +1109,144 @@ class TestConjugationMemory:
         (probability, state), = result
         assert probability == pytest.approx(0.5) and np.shares_memory(state.matrix, unnormalized)
         assert peak < 1.25 * self.N2
+
+
+@st.composite
+def deferred_chains(draw):
+    """A layout of degree at most 64 and a chain of operations on it: ``("change", screen,
+    factor)``, screen taken modulo the layout's screens so that screens repeat, ``("refactor",)``
+    and ``("read",)``, which forms the matrix mid-chain."""
+    dims = draw(st.lists(st.integers(2, 4), min_size=1, max_size=4).filter(lambda d: math.prod(d) <= 64))
+    factor = st.sampled_from(["haar", "near", "identity"])
+    change = st.tuples(st.just("change"), st.integers(0, 3), factor)
+    ops = st.one_of(change, change, st.just(("refactor",)), st.just(("read",)))
+    return tuple(dims), draw(st.lists(ops, min_size=1, max_size=8)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestDeferredChanges:
+    """``change_detectors`` and ``refactor`` record steps; the matrix is formed on first read from
+    the nearest formed ancestor's, one conjugation per run of changes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(deferred_chains())
+    def test_formed_matches_eager_composition(self, chain):
+        """The chain's matrix is the eager step-by-step conjugation within 1e-12; the verdict
+        against the start is the dense rule's either way round, and a certified one forms
+        nothing; the drift bounds the densely measured ||B M B^dag - A||_2."""
+        dims, ops, seed = chain
+        rng = np.random.default_rng(seed)
+        rho, bases, start = random_layout_ea(dims, rng)
+        current, eager, product = start, start.matrix, kron_oracle(bases)
+        factors = {"haar": random_unitary, "near": near_unitary, "identity": lambda d, _: np.eye(d)}
+        for op, *args in ops:
+            layout = current.factorization.screen_dims
+            if op == "refactor":
+                current = refactor(current, Factorization(random_refactor(layout, rng)))
+            elif op == "read":
+                current.matrix
+            else:
+                screen = args[0] % len(layout)
+                v = factors[args[1]](layout[screen], rng)
+                current = change_detectors(current, screen, v)
+                eager = qlin._conjugated(eager, layout, {screen: v})
+                product = product @ local_rotation(layout, screen, v)
+        pending = "_pending" in vars(current)
+        verdicts = ea_equivalent(start, current), ea_equivalent(current, start)
+        if certified(start, current):
+            assert ("_pending" in vars(current)) == pending
+        expected = oracle_gap(((start, kron_oracle(bases)), (current, product))) <= EQUIVALENCE_TOL
+        assert verdicts == (expected, expected)
+        assert np.max(np.abs(current.matrix - eager)) <= 1e-12
+        moved = product @ current.matrix @ product.conj().T - rho.matrix
+        assert np.linalg.norm(moved, 2) <= current.provenance.drift
+
+    def test_three_changes_are_one_conjugation(self, monkeypatch, rng):
+        """Changes of distinct screens in one layout, a refactor, and a change in the new layout:
+        two conjugations on the first read, none after it; a screen changed twice takes one more."""
+        _, _, ea = random_layout_ea((2, 3, 4), rng)
+        calls, conjugated = [], qlin._conjugated
+
+        def counted(m, dims, factors):
+            calls.append((dims, sorted(factors)))
+            return conjugated(m, dims, factors)
+
+        monkeypatch.setattr(qlin, "_conjugated", counted)
+        changed = ea
+        for screen in (0, 2, 1):
+            changed = change_detectors(changed, screen, random_unitary((2, 3, 4)[screen], rng))
+        flat = change_detectors(refactor(changed, Factorization((24,))), 0, random_unitary(24, rng))
+        again = change_detectors(changed, 2, random_unitary(4, rng))
+        assert calls == []
+        flat.matrix, flat.matrix
+        assert calls == [((2, 3, 4), [0, 1, 2]), ((24,), [0])]
+        calls.clear()
+        again.matrix
+        assert calls == [((2, 3, 4), [0, 1, 2]), ((2, 3, 4), [2])]
+
+    @pytest.mark.parametrize("readers", [2, 6])
+    def test_concurrent_first_reads(self, monkeypatch, rng, readers):
+        """Threads, six being more than cores, read one pending matrix, all inside its formation
+        at once and switching often: none raises, and all get the one matrix kept."""
+        _, _, ea = random_layout_ea((2, 3, 4), rng)
+        v = random_unitary(3, rng)
+        pending, oracle = change_detectors(ea, 1, v), qlin._conjugated(ea.matrix, (2, 3, 4), {1: v})
+        barrier, conjugated = threading.Barrier(readers, timeout=30), qlin._conjugated
+        monkeypatch.setattr(qlin, "_conjugated", lambda *args: (barrier.wait(), conjugated(*args))[1])
+        got, errors = [], []
+
+        def read():
+            try:
+                got.append(pending.matrix)
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=read) for _ in range(readers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(got) == readers and all(m is got[0] for m in got)
+        assert np.max(np.abs(got[0] - oracle)) <= 1e-12 and "_pending" not in vars(pending)
+
+    def test_repr_forms_nothing(self, monkeypatch, rng):
+        _, _, ea = random_layout_ea((2, 3), rng)
+        pending = change_detectors(ea, 0, random_unitary(2, rng))
+        calls = []
+        monkeypatch.setattr(qlin, "_conjugated", lambda *args: calls.append(args))
+        expected = "ExperimentalArrangement(factorization=Factorization(screen_dims=(2, 3)))"
+        assert repr(pending) == expected
+        assert calls == [] and "_pending" in vars(pending)
+
+    def test_copies_of_a_pending_arrangement_form(self, rng):
+        """A deep copy or an unpickled pending arrangement is pending, starts a new origin, forms
+        the same matrix, and takes further changes in its own origin."""
+        _, _, ea = random_layout_ea((2, 3), rng)
+        pending = change_detectors(ea, 0, random_unitary(2, rng))
+        pending = change_detectors(pending, 1, random_unitary(3, rng))
+        for copied in (copy.deepcopy(pending), pickle.loads(pickle.dumps(pending))):
+            assert "_pending" in vars(copied)
+            assert copied.provenance.origin is not pending.provenance.origin
+            further = change_detectors(copied, 0, random_unitary(2, rng))
+            assert further.provenance.origin is copied.provenance.origin
+            assert np.max(np.abs(copied.matrix - pending.matrix)) <= 1e-15
+            assert ea_equivalent(copied, ea) and ea_equivalent(pending, copied)
+
+    def test_dropped_ancestor(self, rng):
+        """The source is held by the pending arrangement, not reached through its ancestor."""
+        _, _, ea = random_layout_ea((2, 3, 4), rng)
+        v = random_unitary(4, rng)
+        pending, oracle = change_detectors(ea, 2, v), qlin._conjugated(ea.matrix, (2, 3, 4), {2: v})
+        ancestor = weakref.ref(ea)
+        del ea
+        gc.collect()
+        assert ancestor() is None
+        assert np.max(np.abs(pending.matrix - oracle)) <= 1e-12
 
 
 class TestEigensolves:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from potentia import fileio, powers
+from potentia import fileio, powers, qlin
 from potentia.arrangements import DetectorBasis, Factorization
 from potentia.cli import SCAN_STEPS_CAP, _analysis_results, main
 from potentia.entanglement import WITNESS_SAMPLES_CAP, schmidt, werner
@@ -271,6 +271,34 @@ class TestTransform:
         code, _ = run(capsys, "transform", SAMPLES / "worked_ea.json", "--out-state", out_state)
         assert code == 0
         assert out_state.read_bytes() == (SAMPLES / "worked_ea.json").read_bytes()
+
+    def test_computational_basis_applies_no_factor(self, capsys, monkeypatch):
+        """An identity basis is a step with no factor: no kernel applies a factor, and the report
+        is the one that applying the identity gave, byte for byte."""
+        applied = []
+        for name in ("_kron_left", "_kron_right"):
+            kernel = getattr(qlin, name)
+            monkeypatch.setattr(qlin, name, lambda m, d, f, k=kernel: applied.extend(f) or k(m, d, f))
+        argv = ("transform", SAMPLES / "worked_ea.json", "--screen", "1", "--basis", "computational")
+        code, out = run(capsys, *argv, "--format", "text")
+        assert code == 0 and applied == []
+        assert out == (
+            "command: transform\n"
+            "input_digest:\n"
+            "  state: sha256:0f89d83b865dfbcc48c9a9d4651c93cba70484ec39756ad340daf9522605a37a\n"
+            "results:\n"
+            "  after_intensities:\n"
+            "    [0.5, 0, 0, 0.5]\n"
+            "  before_intensities:\n"
+            "    [0.5, 0, 0, 0.5]\n"
+            "  degree: 4\n"
+            "  equivalent: true\n"
+            "  transform:\n"
+            "    basis: computational\n"
+            "    screen: 1\n"
+            "tool: potentia\n"
+            "version: 0.1.0\n"
+        )
 
     def test_refactor_relabels(self, capsys, tmp_path):
         rho = DensityOperator(np.diag([0.1, 0.15, 0.2, 0.25, 0.05, 0.25]).astype(complex))

@@ -18,10 +18,10 @@ import numpy as np
 from . import qlin
 from .errors import DegenerateConditioningError, DomainError, ShapeError
 from .qlin import dagger, frozen, max_abs
-from .states import EIGENVALUE_FLOOR, DensityOperator, _conditioned
-from .tolerances import DIM_CAP, EQUIVALENCE_TOL, HERMITICITY_TOL, TRACE_TOL, require_within
-
-CHAIN_TOL = 1e-9
+from .states import DensityOperator, _conditioned
+from .tolerances import (
+    CHAIN_TOL, DIM_CAP, EIGENVALUE_FLOOR, EQUIVALENCE_TOL, HERMITICITY_TOL, TRACE_TOL, require_within,
+)
 
 
 def _gamma(n: int) -> float:
@@ -149,7 +149,7 @@ class ExperimentalArrangement:
 
     def __init__(self, matrix, factorization: Factorization, basis_matrix):
         # Written out because ``matrix`` and ``basis_matrix`` are read-only properties, not fields.
-        vars(self).update(_matrix=matrix, factorization=factorization)
+        vars(self).update(_cell={"matrix": matrix}, factorization=factorization)
         self.__post_init__(basis_matrix)
 
     def __post_init__(self, basis_matrix):
@@ -163,7 +163,7 @@ class ExperimentalArrangement:
         rho = DensityOperator(mat)  # the one state check
         provenance = Provenance(object(), scale=_growth(n, gram_error))
         steps = (((n,), {0: frozen(basis)}),)
-        vars(self).update(_matrix=rho.matrix, steps=steps, provenance=provenance)
+        vars(self).update(_cell={"matrix": rho.matrix}, steps=steps, provenance=provenance)
 
     @classmethod
     def _trusted(cls, matrix, factorization, steps, provenance) -> "ExperimentalArrangement":
@@ -171,24 +171,24 @@ class ExperimentalArrangement:
         a new factorization, or conditioned and checked by ``restrict``; it checks
         nothing.  An intensity bound could only reject what the floor accepts, so
         readouts clip to [0, 1] instead.  ``matrix`` is frozen in place, so it must be
-        an array this module built or one that is read-only already; or a ``_Pending``."""
-        ea, pending = object.__new__(cls), isinstance(matrix, _Pending)
-        held = {"_pending": matrix} if pending else {"_matrix": qlin._frozen_in_place(matrix)}
-        vars(ea).update(held, factorization=factorization, steps=steps, provenance=provenance)
+        an array this module built or one that is read-only already; or a cell to share."""
+        ea = object.__new__(cls)
+        cell = matrix if isinstance(matrix, dict) else {"matrix": qlin._frozen_in_place(matrix)}
+        vars(ea).update(_cell=cell, factorization=factorization, steps=steps, provenance=provenance)
         return ea
 
     @property
     def matrix(self) -> np.ndarray:
-        """The state in detector coordinates; formed on first read from a ``_Pending``, which is
-        then dropped.  Concurrent first reads may each form it, and all return the one kept."""
-        held = vars(self)
-        if (pending := held.get("_pending")) is not None:
+        """The state in detector coordinates, in a cell refactors share, formed from a ``_Pending`` on
+        first read; concurrent first reads may each form it, and all return the one kept."""
+        cell = vars(self)["_cell"]
+        if (pending := cell.get("pending")) is not None:
             m = pending.source
             for dims, factors in pending.runs:
                 m = qlin._conjugated(m, dims, factors)
-            held.setdefault("_matrix", qlin._frozen_in_place(m))
-            held.pop("_pending", None)
-        return held["_matrix"]
+            cell.setdefault("matrix", qlin._frozen_in_place(m))
+            cell.pop("pending", None)
+        return cell["matrix"]
 
     @property
     def degree(self) -> int:
@@ -284,12 +284,12 @@ def change_detectors(
     gram_error = qlin.require_isometry(v, what="new detector basis")
     # A copy: ``v`` may be the caller's own array.  The identity is no factor, as in make_ea.
     step = {} if np.array_equal(v, np.eye(len(v))) else {screen: frozen(v)}
-    pending = vars(ea).get("_pending") or _Pending(ea.matrix, (), ea.provenance, {})
+    pending = vars(ea)["_cell"].get("pending") or _Pending(ea.matrix, (), ea.provenance, {})
     runs, base, factors, errors = pending.runs, ea.provenance, {}, {}
     if runs and runs[-1][0] == dims and screen not in runs[-1][1]:  # no factor product to round
         runs, (_, factors), base, errors = runs[:-1], runs[-1], pending.base, pending.gram_errors
     factors, errors = factors | step, errors | {k: gram_error for k in step}
-    held = _Pending(pending.source, runs + ((dims, factors),), base, errors)
+    held = {"pending": _Pending(pending.source, runs + ((dims, factors),), base, errors)}
     steps, provenance = ea.steps + ((dims, step),), _stepped(base, dims, errors)
     return ExperimentalArrangement._trusted(held, ea.factorization, steps, provenance)
 
@@ -306,8 +306,7 @@ def refactor(
         raise ShapeError(
             f"new factorization degree {new_factorization.degree} != arrangement degree {ea.degree}"
         )
-    held = vars(ea).get("_pending") or ea.matrix  # a pending arrangement stays pending
-    return ExperimentalArrangement._trusted(held, new_factorization, ea.steps, ea.provenance)
+    return ExperimentalArrangement._trusted(vars(ea)["_cell"], new_factorization, ea.steps, ea.provenance)
 
 
 def ea_equivalent(

@@ -12,15 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qlin
-from .errors import DomainError, ShapeError
-from .states import EIGENVALUE_FLOOR, NORM_TOL, PAULI_X, PAULI_Y, PAULI_Z, TRACE_TOL, DensityOperator
+from .errors import ShapeError
+from .states import PAULI_X, PAULI_Y, PAULI_Z, DensityOperator
 from .entanglement import SeparabilityVerdict, Verdict, WernerRegion, ppt_criterion, werner
+from .tolerances import CHSH_TOL, EIGENVALUE_FLOOR, NORM_TOL, SIGN_FLOOR, TRACE_TOL, require_at_most
 
 CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
-CHSH_TOL = 1e-9
-#: Components below this magnitude are skipped when fixing a singular-vector sign.
-SIGN_FLOOR = 1e-12
 
 _PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 #: s_i (x) s_j for every Pauli pair, built once rather than per call.
@@ -40,10 +38,8 @@ class CorrelationMatrix:
             raise ShapeError(f"correlation matrix must be 3x3, got {mat.shape}")
         # Each is a Tr(rho O), ||O|| = 1: at most ||rho||_1, and at most 3 eigenvalues are < 0.
         bound = 1 + TRACE_TOL - 6 * EIGENVALUE_FLOOR
-        if not np.max(np.abs(mat)) <= bound:
-            raise DomainError("correlation entries must lie in [-1, 1]")
-        if np.max(np.linalg.svd(mat, compute_uv=False)) > bound:
-            raise DomainError("correlation singular values must not exceed 1")
+        require_at_most("correlation max |entry|", np.max(np.abs(mat)), bound)
+        require_at_most("correlation top singular value", np.linalg.svd(mat, compute_uv=False)[0], bound)
         object.__setattr__(self, "t", qlin.frozen(mat))
 
 
@@ -51,8 +47,7 @@ def _unit(vector) -> np.ndarray:
     v = np.asarray(vector, dtype=np.float64).reshape(-1)
     if v.shape != (3,):
         raise ShapeError(f"Bloch direction must be a 3-vector, got shape {v.shape}")
-    if not abs(float(np.linalg.norm(v)) - 1.0) <= NORM_TOL:
-        raise DomainError(f"Bloch direction norm is {np.linalg.norm(v):.9f}, expected 1")
+    require_at_most("Bloch direction |norm - 1|", abs(float(np.linalg.norm(v)) - 1.0), NORM_TOL)
     return v
 
 

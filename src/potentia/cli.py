@@ -24,7 +24,9 @@ from .errors import (
     PotentiaError,
     ValidationError,
 )
-from .tolerances import CONTEXT_NODE_CAP, SCAN_STEPS_CAP, WITNESS_SAMPLES, Tolerances, require_within
+from .tolerances import (
+    BISECT_TOL, CONTEXT_NODE_CAP, SCAN_STEPS_CAP, WITNESS_SAMPLES, Tolerances, require_within,
+)
 
 if TYPE_CHECKING:
     from .entanglement import SeparabilityVerdict
@@ -35,8 +37,6 @@ EXIT_VALIDATION = 3
 EXIT_CAPACITY = 4
 
 NAMED_BASES = ("computational", "hadamard", "fourier")
-
-BISECT_TOL = 1e-9
 
 
 def _digest_text(text: str) -> str:

@@ -18,11 +18,9 @@ from . import qlin
 from .errors import DomainError, NoWitnessError, ShapeError
 from .qlin import frozen, herm_eig, partial_trace, partial_transpose
 from .states import DensityOperator, PureVector
-from .tolerances import VERDICT_TOL, WITNESS_SAMPLES, WITNESS_SAMPLES_CAP, require_within
-
-ENTROPY_TOL = 1e-9
-#: Schmidt coefficients below this count as zero when ranking.
-SCHMIDT_FLOOR = 1e-9
+from .tolerances import (
+    ENTROPY_TOL, SCHMIDT_FLOOR, VERDICT_TOL, WITNESS_SAMPLES, WITNESS_SAMPLES_CAP, require_within,
+)
 
 #: Complex entries per batch of sampled product states in a witness check;
 #: small, so a check's temporaries stay near the per-sample loop's footprint.

@@ -21,7 +21,7 @@ from . import qlin
 from .arrangements import DetectorBasis, Factorization, _is_integer
 from .errors import DomainError, ParseError, ShapeError, ValidationError
 from .states import DensityOperator
-from .tolerances import DIM_CAP, Tolerances, require_within
+from .tolerances import DIM_CAP, Tolerances, require_at_most, require_within
 
 if TYPE_CHECKING:
     from .locc import QuantumInstrument
@@ -150,7 +150,8 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
     try:
         qlin.require_hermitian(qlin.as_complex(matrix), tols.hermiticity)  # rejects non-finite first
         trace = complex(np.trace(matrix))
-        if abs(trace - 1.0) > tols.trace or not trace.real > 0:
+        require_at_most("matrix |trace - 1|", abs(trace - 1.0), tols.trace)
+        if not trace.real > 0:
             raise DomainError(f"matrix violates unit trace (trace {trace:.12g})")
         matrix += matrix.conj().T  # canonical in the parsed array, which is handed over
         matrix /= 2.0

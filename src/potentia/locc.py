@@ -15,9 +15,7 @@ from . import qlin
 from .errors import DomainError, ShapeError
 from .qlin import dagger, max_abs
 from .states import DensityOperator, _conditioned
-from .tolerances import DIM_CAP, KRAUS_RANK_CAP, require_within
-
-COMPLETENESS_TOL = 1e-8
+from .tolerances import COMPLETENESS_TOL, DIM_CAP, KRAUS_RANK_CAP, require_at_most, require_within
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,12 +34,9 @@ class CPMap:
             if mat.shape != mats[0].shape:
                 raise ShapeError(f"Kraus operator {k} is {mat.shape}, expected {mats[0].shape}")
             # |K_ij| <= ||K||_2 <= sqrt(top eigenvalue of sum K^dag K); checked before it can overflow.
-            if (largest := max_abs(mat)) > math.sqrt(1 + COMPLETENESS_TOL):
-                raise DomainError(
-                    f"Kraus operator {k} has |entry| {largest:.9e} > sqrt(1 + {COMPLETENESS_TOL:g})"
-                )
+            require_at_most(f"Kraus operator {k} |entry|", max_abs(mat), math.sqrt(1 + COMPLETENESS_TOL))
         completeness = sum(dagger(mat) @ mat for mat in mats)
-        _require_trace_non_increasing(np.linalg.eigvalsh(completeness)[-1])
+        require_at_most("map trace gain", np.linalg.eigvalsh(completeness)[-1] - 1, COMPLETENESS_TOL)
         object.__setattr__(self, "kraus", tuple(map(qlin.frozen, mats)))
         object.__setattr__(self, "completeness", qlin._frozen_in_place(completeness))
 
@@ -56,11 +51,6 @@ class CPMap:
     @classmethod
     def identity(cls, dim: int) -> "CPMap":
         return cls((np.eye(dim, dtype=np.complex128),))
-
-
-def _require_trace_non_increasing(top: float) -> None:
-    if top - 1 > COMPLETENESS_TOL:
-        raise DomainError(f"map increases trace: max eigenvalue of sum(K^t K) - I is {top - 1:.3e}")
 
 
 def _kraus_sum(matrix: np.ndarray, maps: Sequence[CPMap]) -> np.ndarray:
@@ -139,8 +129,7 @@ def apply_instrument(ins: QuantumInstrument, rho: DensityOperator) -> list[Branc
     """
     if ins.in_dim != rho.dim:
         raise ShapeError(f"instrument acts on dim {ins.in_dim}, state has dim {rho.dim}")
-    if not is_valid_instrument(ins):
-        raise DomainError("instrument branches do not sum to a trace-preserving map")
+    require_at_most("instrument completeness gap", ins._gap, COMPLETENESS_TOL)
     # _kraus_sum returns a new array, as _conditioned needs.
     conditioned = [_conditioned(_kraus_sum(rho.matrix, [b if m is None else m for m in ins._bystanders]))
                    for b in ins.branches]
@@ -166,8 +155,8 @@ def one_way_local(
     for k, bystander in others.items():
         if bystander is None:
             raise DomainError(f"party {k} needs an explicit trace-preserving map")
-        if not is_valid_instrument(QuantumInstrument((bystander,))):
-            raise DomainError(f"party {k} map is not trace-preserving within {COMPLETENESS_TOL:g}")
+        gap = QuantumInstrument((bystander,))._gap
+        require_at_most(f"party {k} map completeness gap", gap, COMPLETENESS_TOL)
 
     layout = (*bystanders[:party], *local._bystanders, *bystanders[party + 1 :])
     first = [local.branches[0] if m is None else m for m in layout]
@@ -177,7 +166,8 @@ def one_way_local(
     bystanders_rank = math.prod(len(m.kraus) for m in layout if m is not None)
     for branch in local.branches:
         require_within("Kraus rank", len(branch.kraus) * bystanders_rank, KRAUS_RANK_CAP)
-        _require_trace_non_increasing(bystanders_top * np.linalg.eigvalsh(branch.completeness)[-1])
+        top = bystanders_top * np.linalg.eigvalsh(branch.completeness)[-1]
+        require_at_most("map trace gain", top - 1, COMPLETENESS_TOL)
     return QuantumInstrument(local.branches, layout)
 
 

@@ -15,15 +15,9 @@ from .errors import DomainError, ResidualError, ShapeError, UnderdeterminedError
 from .qlin import commutes, frozen, max_abs
 from .states import DensityOperator
 from .tolerances import (
-    AXIOM_TOL, BINARY_SEARCH_NODE_CAP, CONTEXT_NODE_CAP, FAMILY_SIZE_CAP, ZERO_THRESHOLD, require_within,
+    AXIOM_TOL, BINARY_SEARCH_NODE_CAP, CONTEXT_NODE_CAP, FAMILY_SIZE_CAP, POTENTIA_SLACK, PROJECTOR_TOL,
+    RANK_TOL, RESIDUAL_TOL, ZERO_THRESHOLD, require_at_most, require_within,
 )
-
-PROJECTOR_TOL = 1e-8
-#: Potentia may stray this far outside [0, 1] before a valuation rejects them.
-POTENTIA_SLACK = 1e-12
-RESIDUAL_TOL = 1e-7
-#: Singular values of the reconstruction design below this do not count to its rank.
-RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,8 +32,7 @@ class PowerNode:
         qlin.require_hermitian(mat, PROJECTOR_TOL, f"power {self.label!r}")
         with np.errstate(over="ignore", invalid="ignore"):
             idempotence_error = max_abs(mat @ mat - mat)
-        if not idempotence_error <= PROJECTOR_TOL:
-            raise DomainError(f"power {self.label!r} is not idempotent within {PROJECTOR_TOL:g}")
+        require_at_most(f"power {self.label!r} idempotence error", idempotence_error, PROJECTOR_TOL)
         object.__setattr__(self, "projector", frozen(mat))
 
     @property
@@ -93,8 +86,8 @@ class ISAValuation:
             raise ShapeError(
                 f"{len(values)} potentia for {len(self.graph.nodes)} nodes"
             )
-        if not np.all((values >= -POTENTIA_SLACK) & (values <= 1 + POTENTIA_SLACK)):
-            raise DomainError("potentia must lie in [0, 1]")
+        require_at_most("negated least potentia", -np.min(values, initial=0.0), POTENTIA_SLACK)
+        require_at_most("greatest potentia", np.max(values, initial=0.0), 1 + POTENTIA_SLACK)
         object.__setattr__(self, "potentia", frozen(np.clip(values, 0.0, 1.0)))
 
     def value(self, label: str) -> float:

@@ -16,13 +16,9 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .tolerances import DIM_CAP, HERMITICITY_TOL, require_within
-
-#: Absolute tolerance on the max entry of V†V - I for "orthonormal columns".
-ISOMETRY_TOL = 1e-9
-
-#: Default tolerance for commutator tests.
-COMMUTE_TOL = 1e-8
+from .tolerances import (
+    COMMUTE_TOL, DIM_CAP, HERMITICITY_TOL, ISOMETRY_TOL, require_at_most, require_within,
+)
 
 
 def as_complex(matrix: np.ndarray | Sequence) -> np.ndarray:
@@ -79,8 +75,7 @@ def require_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL, what: str =
             (max_abs(mat[i : i + t, i:] - dagger(mat[i:, i : i + t])) for i in range(0, len(mat), t)),
             default=0.0,
         )
-    if asymmetry > tol:
-        raise DomainError(f"{what} violates Hermiticity (max asymmetry {asymmetry:.3e} > {tol:g})")
+    require_at_most(f"{what} max asymmetry", asymmetry, tol)
 
 
 def require_isometry(mat: np.ndarray, what: str = "basis") -> float:
@@ -88,11 +83,7 @@ def require_isometry(mat: np.ndarray, what: str = "basis") -> float:
     return the max Gram error, the max entry of the computed ``V^dag V - I``."""
     with np.errstate(over="ignore", invalid="ignore"):
         gram_error = max_abs(dagger(mat) @ mat - np.eye(mat.shape[1]))
-    if not gram_error <= ISOMETRY_TOL:
-        raise DomainError(
-            f"{what} columns are not orthonormal within {ISOMETRY_TOL:g} "
-            f"(max Gram error {gram_error:.3e})"
-        )
+    require_at_most(f"{what} max Gram error", gram_error, ISOMETRY_TOL)
     return gram_error
 
 

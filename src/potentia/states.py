@@ -12,17 +12,10 @@ import numpy as np
 from . import qlin
 from .errors import DegenerateConditioningError, DomainError, ShapeError
 from .qlin import frozen, herm_eig
-from .tolerances import PURITY_TOL, TRACE_TOL
-
-NORM_TOL = 1e-9
-EIGENVALUE_FLOOR = -1e-7
-#: Mixture components below this weight are dropped, and weights below
-#: -WEIGHT_FLOOR are rejected as negative.
-WEIGHT_FLOOR = 1e-12
-#: Vectors shorter than this count as zero and cannot be normalized.
-ZERO_NORM = 1e-12
-#: A conditioning event at or below this probability yields no state.
-PROBABILITY_FLOOR = 1e-12
+from .tolerances import (
+    EIGENVALUE_FLOOR, NORM_TOL, PROBABILITY_FLOOR, PURITY_TOL, TRACE_TOL, WEIGHT_FLOOR, ZERO_NORM,
+    require_at_most,
+)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -37,9 +30,7 @@ class PureVector:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
-        norm = float(np.linalg.norm(amps))
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise DomainError(f"vector norm is {norm:.12f}, expected 1 within {NORM_TOL:g}")
+        require_at_most("vector |norm - 1|", abs(float(np.linalg.norm(amps)) - 1.0), NORM_TOL)
         object.__setattr__(self, "amplitudes", frozen(amps))
 
     @property
@@ -95,16 +86,13 @@ class DensityOperator:
     def __post_init__(self):
         mat = qlin.as_complex(self.matrix)
         qlin.require_hermitian(mat, what="density operator")
-        trace = complex(np.trace(mat))
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise DomainError(f"trace is {trace:.12g}, expected 1 within {TRACE_TOL:g}")
+        require_at_most("density operator |trace - 1|", abs(complex(np.trace(mat)) - 1.0), TRACE_TOL)
         if not vars(self).pop("_owned", False):  # an array ``_owning`` hands over is not copied
             mat = np.array(mat)  # the one copy: shifted by the Cholesky check, then frozen
         if not _clears_half_floor(mat):
             eigenvalues = np.linalg.eigvalsh(mat)
-            min_eig = float(eigenvalues[0])
-            if min_eig < EIGENVALUE_FLOOR:
-                raise DomainError(f"negative eigenvalue {min_eig:.3e} below floor {EIGENVALUE_FLOOR:g}")
+            require_at_most("density operator negated least eigenvalue", -eigenvalues[0],
+                            -EIGENVALUE_FLOOR)
             object.__setattr__(self, "eigenvalues", frozen(eigenvalues))
         object.__setattr__(self, "matrix", qlin._frozen_in_place(mat))
 
@@ -158,8 +146,7 @@ class BlochPoint:
 
     def __post_init__(self):
         # rho = (Tr(rho) I + r.sigma) / 2 has least eigenvalue (Tr(rho) - |r|) / 2.
-        if not self.norm <= 1.0 + TRACE_TOL - 2 * EIGENVALUE_FLOOR:
-            raise DomainError(f"Bloch point norm {self.norm:.12f} exceeds 1")
+        require_at_most("Bloch point norm", self.norm, 1.0 + TRACE_TOL - 2 * EIGENVALUE_FLOOR)
 
     @property
     def norm(self) -> float:
@@ -192,10 +179,8 @@ class MixtureDecomposition:
         weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         if len(weights) != len(self.components):
             raise ShapeError("weights and components differ in length")
-        if not np.all(weights >= -WEIGHT_FLOOR):
-            raise DomainError("mixture weights must be nonnegative")
-        if not abs(float(weights.sum()) - 1.0) <= NORM_TOL:
-            raise DomainError(f"mixture weights sum to {weights.sum():.12f}, expected 1")
+        require_at_most("mixture negated least weight", -np.min(weights, initial=0.0), WEIGHT_FLOOR)
+        require_at_most("mixture |weight sum - 1|", abs(float(weights.sum()) - 1.0), NORM_TOL)
         object.__setattr__(self, "weights", frozen(weights))
         object.__setattr__(self, "components", tuple(self.components))
 

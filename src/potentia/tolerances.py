@@ -1,5 +1,7 @@
-"""Default tolerances, one source for the modules that apply them and the CLI's ``--tol``;
-and the size caps, with ``require_within``, the one refusal of a size above its cap.
+"""Every threshold potentia decides by: the ``--tol`` defaults, the fixed tolerances and floors
+(each importable from the module that applies it, too) and the size caps; and both gates,
+``require_within``, the one refusal of a size above its cap, and ``require_at_most``, the one
+refusal of a value beyond its tolerance.
 
 A leaf module: it imports no numpy and no other potentia module but ``errors``.
 """
@@ -8,10 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 
-from .errors import CapacityError, ParseError
+from .errors import CapacityError, DomainError, ParseError
 
 #: Absolute tolerance on the max entry of M - M† for "Hermitian".
 HERMITICITY_TOL = 1e-9
@@ -22,6 +25,33 @@ EQUIVALENCE_TOL = 1e-10
 AXIOM_TOL = 1e-8
 #: Potentia at or below this count as zero for actualization.
 ZERO_THRESHOLD = 1e-10
+
+NORM_TOL = 1e-9
+EIGENVALUE_FLOOR = -1e-7
+#: Mixture components below this weight are dropped, and weights below -WEIGHT_FLOOR rejected.
+WEIGHT_FLOOR = 1e-12
+#: Vectors shorter than this count as zero and cannot be normalized.
+ZERO_NORM = 1e-12
+#: A conditioning event at or below this probability yields no state.
+PROBABILITY_FLOOR = 1e-12
+#: Absolute tolerance on the max entry of V†V - I for "orthonormal columns".
+ISOMETRY_TOL = 1e-9
+COMMUTE_TOL = 1e-8
+PROJECTOR_TOL = 1e-8
+#: Potentia may stray this far outside [0, 1] before a valuation rejects them.
+POTENTIA_SLACK = 1e-12
+RESIDUAL_TOL = 1e-7
+#: Singular values of the reconstruction design below this do not count to its rank.
+RANK_TOL = 1e-10
+COMPLETENESS_TOL = 1e-8
+ENTROPY_TOL = 1e-9
+#: Schmidt coefficients below this count as zero when ranking.
+SCHMIDT_FLOOR = 1e-9
+CHSH_TOL = 1e-9
+#: Components below this magnitude are skipped when fixing a singular-vector sign.
+SIGN_FLOOR = 1e-12
+CHAIN_TOL = 1e-9
+BISECT_TOL = 1e-9
 
 #: Total matrix dimension cap (rows): twelve qubit screens, 2**12.
 DIM_CAP = 4096
@@ -45,6 +75,14 @@ def require_within(what: str, size: int, cap: int) -> None:
     before anything is formed or solved."""
     if size > cap:
         raise CapacityError(f"{what} {size} exceeds the cap of {cap}")
+
+
+def require_at_most(what: str, value: float, bound: float) -> None:
+    """Raise ``DomainError`` (CLI exit 3) unless ``-inf < value <= bound``: NaN and both infinities
+    fail.  Both numbers print as the shortest float that reads back exactly, so a refused value
+    never reads as its bound."""
+    if not -math.inf < value <= bound:
+        raise DomainError(f"{what} {float(value)!r} exceeds {float(bound)!r}")
 
 
 @dataclass

@@ -132,7 +132,7 @@ class TestPublicConstructor:
     only what holds by construction."""
 
     def test_rejects_non_isometric_basis(self):
-        with pytest.raises(DomainError, match="orthonormal"):
+        with pytest.raises(DomainError, match=r"^basis matrix max Gram error 3\.0 exceeds 1e-09$"):
             ExperimentalArrangement(worked_state().matrix, TWO_SCREENS, 2 * np.eye(4))
 
     def test_rejects_bad_shapes(self):
@@ -143,14 +143,16 @@ class TestPublicConstructor:
 
     def test_rejects_intensities_outside_unit_interval(self):
         # The state check rejects both: no intensity check of its own is needed.
-        with pytest.raises(DomainError, match="eigenvalue"):
+        floor = r"^density operator negated least eigenvalue 0\.5 exceeds 1e-07$"
+        with pytest.raises(DomainError, match=floor):
             ExperimentalArrangement(np.diag([1.5, -0.5, 0.0, 0.0]), TWO_SCREENS, np.eye(4))
-        with pytest.raises(DomainError, match="trace"):
+        with pytest.raises(DomainError, match=r"^density operator \|trace - 1\| 0\.5 exceeds 1e-09$"):
             ExperimentalArrangement(np.diag([0.5, 0.0, 0.0, 0.0]), TWO_SCREENS, np.eye(4))
 
     def test_rejects_non_state_matrix(self):
         # Diagonal in [0, 1] and unit trace, but eigenvalue -0.4: no state.
-        with pytest.raises(DomainError, match="eigenvalue"):
+        floor = r"^density operator negated least eigenvalue 0\.4\d* exceeds 1e-07$"
+        with pytest.raises(DomainError, match=floor):
             ExperimentalArrangement(
                 np.array([[0.5, 0.9], [0.9, 0.5]]), Factorization((2,)), np.eye(2)
             )
@@ -318,7 +320,11 @@ class TestRestrict:
         # An accepted state; conditioning divides its -9e-8 by the kept intensity 9.1e-7.
         rho = DensityOperator(np.diag([1 - 1e-6 + 9e-8, -9e-8, 0.0, 1e-6]))
         ea = make_ea(rho, TWO_SCREENS)
-        with pytest.raises(DegenerateConditioningError, match="below floor"):
+        expected = (
+            r"^probability 9\.100e-07; conditioned, "
+            r"density operator negated least eigenvalue 0\.0989\d* exceeds 1e-07$"
+        )
+        with pytest.raises(DegenerateConditioningError, match=expected):
             restrict(ea, [(0, 1), (1,)])
 
     def test_sequential_matches_combined(self, rng):
@@ -831,7 +837,7 @@ class TestDetectorSteps:
         matrix = ea.matrix
         full = [arr for arr in held_arrays(ea) if arr.shape[0] == ea.degree]
         assert len(full) == 1 and full[0] is matrix and matrix is not start.matrix
-        assert "_pending" not in vars(ea)
+        assert "pending" not in vars(ea)["_cell"]
 
     @pytest.mark.parametrize("screen", [0, 1, 2])
     def test_one_change_unwinds_only_its_factor(self, monkeypatch, rng, screen):
@@ -1150,10 +1156,10 @@ class TestDeferredChanges:
                 current = change_detectors(current, screen, v)
                 eager = qlin._conjugated(eager, layout, {screen: v})
                 product = product @ local_rotation(layout, screen, v)
-        pending = "_pending" in vars(current)
+        pending = "pending" in vars(current)["_cell"]
         verdicts = ea_equivalent(start, current), ea_equivalent(current, start)
         if certified(start, current):
-            assert ("_pending" in vars(current)) == pending
+            assert ("pending" in vars(current)["_cell"]) == pending
         expected = oracle_gap(((start, kron_oracle(bases)), (current, product))) <= EQUIVALENCE_TOL
         assert verdicts == (expected, expected)
         assert np.max(np.abs(current.matrix - eager)) <= 1e-12
@@ -1183,24 +1189,40 @@ class TestDeferredChanges:
         again.matrix
         assert calls == [((2, 3, 4), [0, 1, 2]), ((2, 3, 4), [2])]
 
+    @pytest.mark.parametrize("first", [0, 1], ids=["source_first", "refactor_first"])
+    def test_a_refactor_shares_the_pending_matrix(self, monkeypatch, rng, first):
+        """A pending arrangement and its refactor read one cell: after three changes, reading
+        both matrices, in either order, is one conjugation, and both hold the one array."""
+        _, _, changed = random_layout_ea((2, 3, 4), rng)
+        for screen in (0, 2, 1):
+            changed = change_detectors(changed, screen, random_unitary((2, 3, 4)[screen], rng))
+        pair = [changed, refactor(changed, Factorization((6, 4)))]
+        calls, conjugated = [], qlin._conjugated
+        monkeypatch.setattr(qlin, "_conjugated", lambda *args: (calls.append(args[1]), conjugated(*args))[1])
+        read = pair[first].matrix
+        assert pair[1 - first].matrix is read and calls == [(2, 3, 4)]
+        assert not any("pending" in vars(ea)["_cell"] for ea in pair)
+
     @pytest.mark.parametrize("readers", [2, 6])
     def test_concurrent_first_reads(self, monkeypatch, rng, readers):
-        """Threads, six being more than cores, read one pending matrix, all inside its formation
-        at once and switching often: none raises, and all get the one matrix kept."""
+        """Threads, six being more than cores, read one pending matrix, half of them through a
+        refactor that shares it, all inside its formation at once and switching often: none
+        raises, and all get the one matrix kept."""
         _, _, ea = random_layout_ea((2, 3, 4), rng)
         v = random_unitary(3, rng)
         pending, oracle = change_detectors(ea, 1, v), qlin._conjugated(ea.matrix, (2, 3, 4), {1: v})
+        sharers = (pending, refactor(pending, Factorization((24,))))
         barrier, conjugated = threading.Barrier(readers, timeout=30), qlin._conjugated
         monkeypatch.setattr(qlin, "_conjugated", lambda *args: (barrier.wait(), conjugated(*args))[1])
         got, errors = [], []
 
-        def read():
+        def read(ea):
             try:
-                got.append(pending.matrix)
+                got.append(ea.matrix)
             except Exception as exc:  # reported below
                 errors.append(exc)
 
-        threads = [threading.Thread(target=read) for _ in range(readers)]
+        threads = [threading.Thread(target=read, args=(sharers[k % 2],)) for k in range(readers)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -1212,7 +1234,8 @@ class TestDeferredChanges:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == [] and len(got) == readers and all(m is got[0] for m in got)
-        assert np.max(np.abs(got[0] - oracle)) <= 1e-12 and "_pending" not in vars(pending)
+        assert np.max(np.abs(got[0] - oracle)) <= 1e-12
+        assert not any("pending" in vars(ea)["_cell"] for ea in sharers)
 
     def test_repr_forms_nothing(self, monkeypatch, rng):
         _, _, ea = random_layout_ea((2, 3), rng)
@@ -1221,7 +1244,7 @@ class TestDeferredChanges:
         monkeypatch.setattr(qlin, "_conjugated", lambda *args: calls.append(args))
         expected = "ExperimentalArrangement(factorization=Factorization(screen_dims=(2, 3)))"
         assert repr(pending) == expected
-        assert calls == [] and "_pending" in vars(pending)
+        assert calls == [] and "pending" in vars(pending)["_cell"]
 
     def test_copies_of_a_pending_arrangement_form(self, rng):
         """A deep copy or an unpickled pending arrangement is pending, starts a new origin, forms
@@ -1230,7 +1253,7 @@ class TestDeferredChanges:
         pending = change_detectors(ea, 0, random_unitary(2, rng))
         pending = change_detectors(pending, 1, random_unitary(3, rng))
         for copied in (copy.deepcopy(pending), pickle.loads(pickle.dumps(pending))):
-            assert "_pending" in vars(copied)
+            assert "pending" in vars(copied)["_cell"]
             assert copied.provenance.origin is not pending.provenance.origin
             further = change_detectors(copied, 0, random_unitary(2, rng))
             assert further.provenance.origin is copied.provenance.origin
@@ -1337,7 +1360,8 @@ class TestFloorStates:
         if conditioned_low >= EIGENVALUE_FLOOR + 1e-12:
             assert in_unit_interval(restrict(eigenframe, kept).intensities())
         elif conditioned_low < EIGENVALUE_FLOOR - 1e-12:
-            with pytest.raises(DegenerateConditioningError, match="below floor"):
+            expected = r"; conditioned, density operator negated least eigenvalue \S+ exceeds 1e-07$"
+            with pytest.raises(DegenerateConditioningError, match=expected):
                 restrict(eigenframe, kept)
         assert in_unit_interval(restrict(eigenframe, [range(d) for d in dims]).intensities())
         for ea in (computational, eigenframe, into, out_of):

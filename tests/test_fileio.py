@@ -73,18 +73,19 @@ class TestStateFiles:
     def test_non_hermitian_rejected(self, tmp_path):
         matrix = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=complex)
         path = write(tmp_path, "nonherm.json", state_payload(matrix))
-        with pytest.raises(ValidationError, match="Hermiticity"):
+        with pytest.raises(ValidationError, match=r": matrix max asymmetry 0\.5 exceeds 1e-09$"):
             load_state(path)
 
     def test_wrong_trace_rejected(self, tmp_path):
         path = write(tmp_path, "trace.json", state_payload(np.eye(2, dtype=complex)))
-        with pytest.raises(ValidationError, match="trace"):
+        with pytest.raises(ValidationError, match=r": matrix \|trace - 1\| 1\.0 exceeds 1e-09$"):
             load_state(path)
 
     def test_negative_eigenvalue_rejected(self, tmp_path):
         matrix = np.diag([1.5, -0.5]).astype(complex)
         path = write(tmp_path, "negeig.json", state_payload(matrix))
-        with pytest.raises(ValidationError, match="eigenvalue"):
+        floor = r": density operator negated least eigenvalue 0\.5 exceeds 1e-07$"
+        with pytest.raises(ValidationError, match=floor):
             load_state(path)
 
     def test_bad_factorization_product(self, tmp_path):
@@ -101,7 +102,7 @@ class TestStateFiles:
             bases=[fileio.matrix_to_json(np.ones((2, 2)))],
         )
         path = write(tmp_path, "bases.json", payload)
-        with pytest.raises(ValidationError, match="orthonormal"):
+        with pytest.raises(ValidationError, match=r": screen 0 basis max Gram error 2\.0 exceeds 1e-09$"):
             load_state(path)
 
     def test_dim_above_cap_rejected_before_matrix_is_read(self, tmp_path):

@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 import tracemalloc
 from itertools import product
 from pathlib import Path
@@ -126,7 +127,7 @@ class TestValidity:
         # this one would overflow sum(K^dag K).
         huge = np.zeros((4, 4), dtype=complex)
         huge[0, 2] = 1e308 - 1j
-        message = r"Kraus operator 1 has \|entry\| 1\.000000000e\+308 > sqrt\(1 \+ 1e-08\)"
+        message = r"^Kraus operator 1 \|entry\| 1e\+308 exceeds 1\.000000005$"
         with pytest.raises(DomainError, match=message):
             CPMap((np.eye(4) / 2, huge))
         assert not eigensolve_counter
@@ -187,9 +188,12 @@ class TestApply:
             with pytest.raises(DegenerateConditioningError) as error:
                 condition()
             messages.append(str(error.value))
-        assert messages == [
-            "probability 9.100e-07; conditioned, negative eigenvalue -9.890e-02 below floor -1e-07"
-        ] * 2
+        assert messages[0] == messages[1]
+        assert re.fullmatch(
+            r"probability 9\.100e-07; conditioned, "
+            r"density operator negated least eigenvalue 0\.0989\d* exceeds 1e-07",
+            messages[0],
+        )
 
     def test_invalid_instrument_rejected(self, rng):
         with pytest.raises(DomainError):
@@ -307,7 +311,7 @@ class TestOneWayLocal:
         assert is_valid_instrument(QuantumInstrument((bystander,)))
         ((_, completeness),) = dense_one_way_local(0, local, [None, bystander])
         assert np.linalg.eigvalsh(completeness - np.eye(4))[-1] > COMPLETENESS_TOL
-        with pytest.raises(DomainError, match="increases trace"):
+        with pytest.raises(DomainError, match=r"^map trace gain 1\.2\d*e-08 exceeds 1e-08$"):
             one_way_local(0, local, [None, bystander])
 
     def test_identity_branch_divides_its_own_array(self, rng):
@@ -446,7 +450,7 @@ def test_validity_from_the_factors_matches_the_dense_product(dims, seed, incompl
     try:
         instrument = one_way_local(party, local, bystanders)
     except DomainError as exc:  # two slacks above 0 can multiply past the trace bound
-        assert str(exc).startswith("map increases trace")
+        assert re.fullmatch(r"map trace gain \S+ exceeds 1e-08", str(exc))
         return
     factors = [sum(b.completeness for b in local.branches) if m is None else m.completeness for m in bystanders]
     dense = np.max(np.abs(functools.reduce(np.kron, factors) - np.eye(instrument.in_dim)))

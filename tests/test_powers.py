@@ -465,9 +465,17 @@ class TestBinaryContrast:
             find_additive_binary_valuation(graph)
 
     def test_tetrad_bookkeeping(self):
+        """The parity argument of ``KS18_TETRADS``: each of the nine tetrads is four mutually
+        orthogonal rays of ``ks18_family()`` whose projectors sum to I, and every ray lies in
+        exactly two tetrads, so no binary valuation marks exactly one ray per tetrad."""
         rays = np.array(families.KS18_RAYS, dtype=float)
+        projectors = [node.projector for node in families.ks18_family()]
+        assert len(families.KS18_TETRADS) == 9 and len(projectors) == len(rays) == 18
         for tetrad in families.KS18_TETRADS:
+            assert len(set(tetrad)) == 4
             for a, b in itertools.combinations(tetrad, 2):
                 assert abs(np.dot(rays[a], rays[b])) == 0
+                assert np.max(np.abs(projectors[a] @ projectors[b])) <= 1e-14
+            assert np.max(np.abs(sum(projectors[k] for k in tetrad) - np.eye(4))) <= 1e-14
         counts = np.bincount(np.ravel(families.KS18_TETRADS), minlength=18)
         assert counts.tolist() == [2] * 18

@@ -162,7 +162,7 @@ class TestSpectrum:
     )
     def test_positivity_decision_is_the_eigvalsh_rule(self, dim, least, seed):
         """A state is accepted iff its eigvalsh minimum lies at or above
-        EIGENVALUE_FLOOR, and rejected with that minimum in the message."""
+        EIGENVALUE_FLOOR, and rejected with that minimum, negated, in the message."""
         rng = np.random.default_rng(seed)
         rest = rng.uniform(0.1, 1.0, dim - 1)
         spectrum = np.concatenate([[least], rest * (1 - least) / rest.sum()]) if dim > 1 else [1.0]
@@ -177,7 +177,7 @@ class TestSpectrum:
         else:
             with pytest.raises(DomainError) as excinfo:
                 DensityOperator(matrix)
-            expected = f"negative eigenvalue {oracle[0]:.3e} below floor {EIGENVALUE_FLOOR:g}"
+            expected = f"density operator negated least eigenvalue {float(-oracle[0])!r} exceeds 1e-07"
             assert str(excinfo.value) == expected
 
     def test_purity_is_the_trace_of_the_square(self, rng):

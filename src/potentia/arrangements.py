@@ -17,11 +17,9 @@ import numpy as np
 
 from . import qlin
 from .errors import DegenerateConditioningError, DomainError, ShapeError
-from .qlin import dagger, frozen, max_abs
+from .qlin import _is_integer, dagger, frozen, max_abs
 from .states import DensityOperator, _conditioned
-from .tolerances import (
-    CHAIN_TOL, DIM_CAP, EIGENVALUE_FLOOR, EQUIVALENCE_TOL, HERMITICITY_TOL, TRACE_TOL, require_within,
-)
+from .tolerances import CHAIN_TOL, EIGENVALUE_FLOOR, EQUIVALENCE_TOL, HERMITICITY_TOL, TRACE_TOL
 
 
 def _gamma(n: int) -> float:
@@ -72,11 +70,6 @@ class _Pending(NamedTuple):
     gram_errors: dict
 
 
-def _is_integer(value) -> bool:
-    """A Python or numpy integer; ``bool`` subclasses ``int`` but ``True`` is not a dim or index."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class Factorization:
     """Screen layout: screen k offers screen_dims[k] detector slots."""
@@ -84,14 +77,7 @@ class Factorization:
     screen_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(self.screen_dims)
-        if not all(_is_integer(d) for d in dims):
-            raise DomainError(f"screen dims must be integers, got {dims}")
-        dims = tuple(int(d) for d in dims)
-        if not dims or any(d < 1 for d in dims):
-            raise DomainError(f"screen dims must be positive, got {dims}")
-        require_within("screen layout degree", math.prod(dims), DIM_CAP)
-        object.__setattr__(self, "screen_dims", dims)
+        object.__setattr__(self, "screen_dims", qlin._screen_dims(self.screen_dims))
 
     @property
     def degree(self) -> int:

@@ -209,9 +209,10 @@ def cmd_transform(args, tols: Tolerances) -> dict:
         raise ParseError("--screen needs --basis" if args.basis is None else "--basis needs --screen")
     try:
         dims = None if args.refactor is None else tuple(int(part) for part in args.refactor.split(","))
+        new_layout = None if dims is None else arrangements.Factorization(dims)
     except ValueError:
         raise ParseError(f"--refactor expects comma-separated integers, got {args.refactor!r}")
-    if dims and min(dims) < 1:
+    except DomainError:
         raise ParseError(f"--refactor expects positive screen dims, got {args.refactor!r}")
     if args.basis not in (None, *NAMED_BASES) and not Path(args.basis).is_file():
         raise ParseError(f"unknown basis {args.basis!r}; named bases: {', '.join(NAMED_BASES)}")
@@ -221,7 +222,7 @@ def cmd_transform(args, tols: Tolerances) -> dict:
     results: dict = {"before_intensities": _float_list(ea.intensities())}
 
     if dims is not None:
-        transformed = arrangements.refactor(ea, arrangements.Factorization(dims))
+        transformed = arrangements.refactor(ea, new_layout)
         results["transform"] = {"refactor": list(dims)}
     elif args.screen is not None:
         screen = args.screen - 1
@@ -405,11 +406,6 @@ def cmd_witness(args, tols: Tolerances) -> dict:
 
     entanglement._require_samples(args.samples, args.seed)
     state = fileio.load_state(args.state, tols)
-    if state.factorization.screens != 2:
-        raise ValidationError(
-            f"witness construction needs a bipartite factorization, got "
-            f"{list(state.factorization.screen_dims)}"
-        )
     dims = state.factorization.screen_dims
     witness = entanglement.witness_from_entangled(state.density, dims, tols.verdict)
     worst = entanglement.check_witness_on_products(

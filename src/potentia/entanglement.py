@@ -16,7 +16,7 @@ import numpy as np
 
 from . import qlin
 from .errors import DomainError, NoWitnessError, ShapeError
-from .qlin import frozen, herm_eig, partial_trace, partial_transpose
+from .qlin import _bipartite, frozen, herm_eig, partial_trace, partial_transpose
 from .states import DensityOperator, PureVector
 from .tolerances import (
     ENTROPY_TOL, SCHMIDT_FLOOR, VERDICT_TOL, WITNESS_SAMPLES, WITNESS_SAMPLES_CAP, require_within,
@@ -56,18 +56,9 @@ class SeparabilityVerdict:
             )
 
 
-def _bipartite(dim: int, dims: Sequence[int]) -> tuple[int, int]:
-    dims = tuple(int(d) for d in dims)
-    if len(dims) != 2:
-        raise ShapeError(f"expected two factors, got dims {dims}")
-    if dims[0] * dims[1] != dim:
-        raise ShapeError(f"dims {dims} multiply to {dims[0] * dims[1]}, state dim is {dim}")
-    return dims
-
-
 def schmidt(vector: PureVector, dims: Sequence[int]) -> np.ndarray:
     """Schmidt coefficients (descending); exactly one above threshold means product."""
-    dims = _bipartite(vector.dim, dims)
+    dims = _bipartite(dims, *vector.amplitudes.shape)
     return np.linalg.svd(vector.amplitudes.reshape(dims), compute_uv=False)
 
 
@@ -92,7 +83,7 @@ def _marginal_verdicts(
 ) -> tuple[SeparabilityVerdict, SeparabilityVerdict]:
     """Majorization and entropy verdicts from one spectrum of each reduced state.
     The partial traces of a checked state are states, so they are not checked again."""
-    dims = _bipartite(rho.dim, dims)
+    dims = _bipartite(dims, *rho.matrix.shape)
     spectra = [np.linalg.eigvalsh(partial_trace(rho.matrix, dims, (k,))) for k in (0, 1)]
     joint = von_neumann_entropy(rho)
     margins = {
@@ -135,19 +126,18 @@ def majorization_criterion(
 
 
 def min_pt_eigenvalue(rho: DensityOperator, dims: Sequence[int]) -> float:
-    d_a, d_b = _bipartite(rho.dim, dims)
-    return float(np.linalg.eigvalsh(partial_transpose(rho.matrix, (d_a, d_b), "B"))[0])
+    return float(np.linalg.eigvalsh(partial_transpose(rho.matrix, dims, "B"))[0])
 
 
 def ppt_criterion(
     rho: DensityOperator, dims: Sequence[int], tol: float = VERDICT_TOL
 ) -> SeparabilityVerdict:
     """Partial-transpose test; an exact oracle at 2x2 and 2x3."""
-    d_a, d_b = _bipartite(rho.dim, dims)
+    dims = _bipartite(dims, *rho.matrix.shape)
     minimum = min_pt_eigenvalue(rho, dims)
     if minimum < -tol:
         return SeparabilityVerdict(Verdict.ENTANGLED, "ppt", minimum)
-    if (d_a, d_b) in PPT_SUFFICIENT:
+    if dims in PPT_SUFFICIENT:
         return SeparabilityVerdict(Verdict.SEPARABLE, "ppt", minimum)
     return SeparabilityVerdict(Verdict.INCONCLUSIVE, "ppt", minimum)
 
@@ -164,10 +154,14 @@ class WitnessOperator:
     def __post_init__(self):
         mat = qlin.as_complex(self.matrix)
         qlin.require_hermitian(mat, what="witness")
+        if (dim := self.reference_state.dim) != len(mat):
+            raise ShapeError(f"witness is {len(mat)}-dimensional, its reference state {dim}-dimensional")
         object.__setattr__(self, "matrix", frozen(mat))
 
     def expectation(self, rho: DensityOperator) -> float:
         """Tr(W rho), summed entrywise: rho is Hermitian, so no product is formed."""
+        if rho.dim != len(self.matrix):
+            raise ShapeError(f"witness is {len(self.matrix)}-dimensional, the state {rho.dim}-dimensional")
         return float(np.vdot(rho.matrix, self.matrix).real)
 
 
@@ -180,8 +174,7 @@ def witness_from_entangled(
     rho^T_B; then Tr(W rho) equals that negative eigenvalue while every
     product state scores >= 0.  A state whose eigenvalue is not below -tol has none.
     """
-    d_a, d_b = _bipartite(rho.dim, dims)
-    transposed = partial_transpose(rho.matrix, (d_a, d_b), "B")
+    transposed = partial_transpose(rho.matrix, dims, "B")
     spectrum = herm_eig(transposed)
     minimum = float(spectrum.eigenvalues[-1])
     if minimum >= -tol:
@@ -190,7 +183,7 @@ def witness_from_entangled(
             "the eigenvector construction yields no witness"
         )
     eta = spectrum.eigenvectors[:, -1]
-    witness = partial_transpose(np.outer(eta, eta.conj()), (d_a, d_b), "B")
+    witness = partial_transpose(np.outer(eta, eta.conj()), dims, "B")
     return WitnessOperator(witness, rho, minimum)
 
 
@@ -215,7 +208,7 @@ def check_witness_on_products(
     loop, so a seed picks the same samples.  Batching bounds the temporaries.
     """
     _require_samples(samples, seed)
-    d_a, d_b = int(dims[0]), int(dims[1])
+    d_a, d_b = _bipartite(dims, *witness.matrix.shape)
     rng = np.random.default_rng(seed)
     batch = max(1, PRODUCT_BATCH_ENTRIES // (d_a * d_b))
     worst = np.inf

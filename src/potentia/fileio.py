@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from . import qlin
-from .arrangements import DetectorBasis, Factorization, _is_integer
+from .arrangements import DetectorBasis, Factorization
 from .errors import DomainError, ParseError, ShapeError, ValidationError
 from .states import DensityOperator
 from .tolerances import DIM_CAP, Tolerances, require_at_most, require_within
@@ -93,7 +93,7 @@ def _require(document: dict, key: str, kind: type, path: str):
     if key not in document:
         raise ParseError(f"{path}: missing required field {key!r}")
     value = document[key]
-    if not (_is_integer(value) if kind is int else isinstance(value, kind)):
+    if not (qlin._is_integer(value) if kind is int else isinstance(value, kind)):
         raise ParseError(f"{path}.{key}: expected {kind.__name__}")
     return value
 
@@ -163,10 +163,10 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
     has_factorization = "factorization" in document
     if has_factorization:
         dims = document["factorization"]
-        positive = isinstance(dims, list) and dims and all(_is_integer(d) and d > 0 for d in dims)
-        if not positive:
+        try:
+            factorization = Factorization(tuple(dims) if isinstance(dims, list) else ())
+        except DomainError:
             raise ParseError(f"{name}.factorization: expected a nonempty list of positive integers")
-        factorization = Factorization(tuple(dims))
         if factorization.degree != dim:
             raise ValidationError(
                 f"{name}: factorization {dims} multiplies to {factorization.degree}, dim is {dim}"

@@ -1,8 +1,6 @@
-"""Dense complex linear-algebra substrate.
-
-Everything here works on plain ``numpy`` arrays (complex128, row-major).
-Matrices are immutable by convention: operations return fresh arrays and
-never mutate their inputs, so concurrent use is safe.
+"""Dense complex linear-algebra substrate, on plain C-contiguous complex128 ``numpy`` arrays
+that no operation mutates, so concurrent use is safe.  It holds two gates: ``as_complex``, which
+every matrix passes, and ``_screen_dims``, the one rule every screen layout is judged by.
 """
 
 from __future__ import annotations
@@ -33,6 +31,32 @@ def as_complex(matrix: np.ndarray | Sequence) -> np.ndarray:
         if not (np.isfinite(floats.min(initial=0.0)) and np.isfinite(floats.max(initial=0.0))):
             raise DomainError("matrix has non-finite entries")
     return arr
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; ``bool`` subclasses ``int`` but ``True`` is not a dim or index."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _screen_dims(dims: Sequence[int], *sides: int) -> tuple[int, ...]:
+    """``dims`` as Python ints, if it is nonempty and each entry is a positive integer (else
+    ``DomainError``), their product is within ``DIM_CAP`` (``CapacityError``) and equals each of
+    ``sides``, the operand's sizes (``ShapeError``)."""
+    dims = tuple(dims)
+    if not (dims and all(_is_integer(d) and d > 0 for d in dims)):
+        raise DomainError(f"screen dims must be a nonempty list of positive integers, got {dims}")
+    dims = tuple(int(d) for d in dims)
+    require_within("screen layout degree", total := math.prod(dims), DIM_CAP)
+    if any(side != total for side in sides):
+        raise ShapeError(f"screen dims {dims} multiply to {total}, but the operand's shape is {sides}")
+    return dims
+
+
+def _bipartite(dims: Sequence[int], *sides: int) -> tuple[int, int]:
+    """``_screen_dims`` for a layout of exactly two screens (``ShapeError`` otherwise)."""
+    if len(dims := _screen_dims(dims, *sides)) != 2:
+        raise ShapeError(f"a bipartite layout needs two screens, got dims {dims}")
+    return dims
 
 
 def dagger(matrix: np.ndarray) -> np.ndarray:
@@ -186,18 +210,11 @@ def partial_trace(
     factors returns the 1x1 matrix ``[[Tr rho]]``.
     """
     rho = as_complex(rho)
-    dims = [int(d) for d in dims]
-    if any(d <= 0 for d in dims):
-        raise ShapeError(f"factor dimensions must be positive, got {dims}")
-    total = int(np.prod(dims))
-    if rho.shape != (total, total):
-        raise ShapeError(
-            f"matrix is {rho.shape[0]}x{rho.shape[1]} but dims {dims} multiply to {total}"
-        )
-    n = len(dims)
+    dims = _screen_dims(dims, *rho.shape)
+    n, keep = len(dims), tuple(keep)
+    if not all(_is_integer(k) and 0 <= k < n for k in keep):
+        raise ShapeError(f"keep indices {keep} are not screen indices 0..{n - 1}")
     keep = sorted(set(int(k) for k in keep))
-    if any(k < 0 or k >= n for k in keep):
-        raise ShapeError(f"keep indices {keep} out of range for {n} factors")
 
     if not keep:
         return np.array([[np.trace(rho)]], dtype=np.complex128)
@@ -211,7 +228,7 @@ def partial_trace(
         remaining = n - traced
         tensor = np.trace(tensor, axis1=factor, axis2=factor + remaining)
         traced += 1
-    kept_dim = int(np.prod([dims[k] for k in keep]))
+    kept_dim = math.prod(dims[k] for k in keep)
     return np.ascontiguousarray(tensor.reshape(kept_dim, kept_dim))
 
 
@@ -220,14 +237,7 @@ def partial_transpose(
 ) -> np.ndarray:
     """Transpose one factor of a bipartite operator."""
     rho = as_complex(rho)
-    dims = [int(d) for d in dims]
-    if len(dims) != 2:
-        raise ShapeError(f"partial transpose expects two factors, got dims {dims}")
-    d_a, d_b = dims
-    if rho.shape != (d_a * d_b, d_a * d_b):
-        raise ShapeError(
-            f"matrix is {rho.shape[0]}x{rho.shape[1]} but dims {dims} multiply to {d_a * d_b}"
-        )
+    d_a, d_b = _bipartite(dims, *rho.shape)
     if party not in ("A", "B"):
         raise DomainError(f"party must be 'A' or 'B', got {party!r}")
     tensor = rho.reshape(d_a, d_b, d_a, d_b)

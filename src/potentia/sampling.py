@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
+from .qlin import _screen_dims
 from .states import DensityOperator, PureVector
 
 
@@ -40,7 +41,7 @@ def random_density(
 
 def random_product_pure(dims: tuple[int, ...], rng: np.random.Generator) -> PureVector:
     amps = np.array([1.0], dtype=np.complex128)
-    for dim in dims:
+    for dim in _screen_dims(dims):
         amps = np.kron(amps, random_pure(dim, rng).amplitudes)
     return PureVector(amps)
 
@@ -49,8 +50,9 @@ def random_separable(
     dims: tuple[int, ...], rng: np.random.Generator, terms: int = 4
 ) -> DensityOperator:
     """Random convex mixture of pure product states."""
+    dims = _screen_dims(dims)
     weights = rng.dirichlet(np.ones(terms))
-    total = np.zeros((int(np.prod(dims)),) * 2, dtype=np.complex128)
+    total = np.zeros((np.prod(dims),) * 2, dtype=np.complex128)
     for weight in weights:
         amps = random_product_pure(dims, rng).amplitudes
         total += weight * np.outer(amps, amps.conj())

@@ -30,7 +30,7 @@ class PureVector:
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
-        require_at_most("vector |norm - 1|", abs(float(np.linalg.norm(amps)) - 1.0), NORM_TOL)
+        require_at_most("vector |norm - 1|", abs(_norm(amps) - 1.0), NORM_TOL)
         object.__setattr__(self, "amplitudes", frozen(amps))
 
     @property
@@ -45,12 +45,18 @@ class PureVector:
 
     @classmethod
     def normalized(cls, amplitudes: Sequence) -> "PureVector":
-        """Normalize and wrap; rejects the zero vector."""
+        """Normalize and wrap; rejects a norm below ``ZERO_NORM`` or not finite."""
         amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-        norm = float(np.linalg.norm(amps))
-        if norm < ZERO_NORM:
-            raise DomainError("cannot normalize the zero vector")
+        norm = _norm(amps)
+        if not ZERO_NORM <= norm < np.inf:  # NaN fails both
+            raise DomainError(f"cannot normalize a vector of norm {norm!r}")
         return cls(amps / norm)
+
+
+def _norm(amps: np.ndarray) -> float:
+    """The 2-norm of ``amps``: inf where it overflows and NaN for a NaN entry, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.linalg.norm(amps))
 
 
 def _clears_half_floor(mat: np.ndarray) -> bool:
@@ -179,6 +185,8 @@ class MixtureDecomposition:
         weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
         if len(weights) != len(self.components):
             raise ShapeError("weights and components differ in length")
+        if len(dims := sorted({c.dim for c in self.components})) > 1:
+            raise ShapeError(f"mixture components differ in dimension: {dims}")
         require_at_most("mixture negated least weight", -np.min(weights, initial=0.0), WEIGHT_FLOOR)
         require_at_most("mixture |weight sum - 1|", abs(float(weights.sum()) - 1.0), NORM_TOL)
         object.__setattr__(self, "weights", frozen(weights))

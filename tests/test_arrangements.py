@@ -21,6 +21,8 @@ from potentia.arrangements import (
     DetectorBasis,
     ExperimentalArrangement,
     Factorization,
+    Provenance,
+    _stepped,
     change_detectors,
     complexity_chain_check,
     ea_equivalent,
@@ -811,6 +813,30 @@ class TestCertificate:
             assert ea_equivalent(*pair) == ea_equivalent(*pair[::-1])
             assert calls
         assert ea_equivalent(*haar)
+
+
+class TestSteppedBound:
+    @pytest.mark.parametrize("gram_error", [0.0, 1e-12])
+    def test_one_factor_by_hand(self, gram_error):
+        """``_stepped`` for one 3x3 factor on screen 1 of (2, 3), from a base of drift 1e-13 and
+        scale 1.5, written out from its formula with u = 2^-53.  Both kernel passes round by a
+        block of D = 64 (``_KRON_BLOCK``), so the kernel term is x = expm1(2 sqrt(2 D) gamma_69)
+        ~ 1.7e-13; the factor's growth is r^2 = 1 + 3 (1 + gamma_2) (g + 2 gamma_5).  With g = 0 the
+        kernel term is nearly all of the drift, and with g = 1e-12 the growth is."""
+        u = 2.0**-53
+
+        def gamma(n):
+            return n * u / (1 - n * u)
+
+        r2 = 1 + 3 * (1 + gamma(2)) * (gram_error + 2 * gamma(5))
+        x = math.expm1(2 * math.sqrt(128) * gamma(69))
+        norm = 1.5 * (1 + 1e-9 + 6 * (2 * 1e-7 + 1e-9))  # TRACE_TOL, EIGENVALUE_FLOOR, HERMITICITY_TOL
+        drift = 1e-13 + 1.5 * norm * ((r2 - 1) * (r2 + 1) + r2 * r2 * x)
+        origin = object()
+        stepped = _stepped(Provenance(origin, 1e-13, 1.5), (2, 3), {1: gram_error})
+        assert stepped.origin is origin
+        assert stepped.drift == pytest.approx(drift, rel=1e-12, abs=0)
+        assert stepped.scale / (1.5 * r2) - 1 == pytest.approx(x, rel=1e-3, abs=0)
 
 
 class TestDetectorSteps:

@@ -599,8 +599,10 @@ class TestWitness:
             ),
         )
         # No factorization at all: bipartite structure missing.
-        code, _ = run(capsys, "witness", source)
-        assert code == 3
+        assert main(["witness", str(source)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "validation error: a bipartite layout needs two screens, got dims (4,)\n"
 
     def test_zero_samples_is_validation_error(self, capsys, eigensolve_counter):
         code, out = run(capsys, "witness", SAMPLES / "bell_phi_plus.json", "--samples", "0")

@@ -20,6 +20,7 @@ from potentia.entanglement import (
     von_neumann_entropy,
     werner,
     witness_from_entangled,
+    WitnessOperator,
 )
 from potentia.errors import CapacityError, DomainError, NoWitnessError, ShapeError
 from potentia.qlin import kron, partial_transpose
@@ -277,6 +278,26 @@ class TestWitness:
     def test_ppt_state_has_no_witness(self):
         with pytest.raises(NoWitnessError):
             witness_from_entangled(werner(0.2), (2, 2))
+
+    def test_reference_state_of_another_dimension_rejected(self):
+        with pytest.raises(ShapeError, match="^witness is 4-dimensional, its reference state 2-dimensional$"):
+            WitnessOperator(np.eye(4), DensityOperator.maximally_mixed(2))
+
+    def test_expectation_on_a_state_of_another_dimension_rejected(self):
+        witness = witness_from_entangled(RHO_PHI, (2, 2))
+        with pytest.raises(ShapeError, match="^witness is 4-dimensional, the state 2-dimensional$"):
+            witness.expectation(DensityOperator.maximally_mixed(2))
+
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (4,), (1, 4)])
+    def test_product_check_judges_its_layout_by_the_witness(self, dims):
+        """(1, 4) is a valid layout of the 4-dim witness, whose "products" are all its states; the
+        others are refused, and none is read as (2, 2)."""
+        witness = witness_from_entangled(RHO_PHI, (2, 2))
+        if dims == (1, 4):
+            assert -1 <= check_witness_on_products(witness, dims, samples=5) < 0
+            return
+        with pytest.raises(ShapeError):
+            check_witness_on_products(witness, dims, samples=5)
 
     def test_linearity(self, rng):
         witness = witness_from_entangled(RHO_PHI, (2, 2))

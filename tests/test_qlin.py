@@ -1,11 +1,28 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from potentia import qlin
-from potentia.errors import CapacityError, DomainError, ShapeError
-from potentia.sampling import random_density
+from potentia.arrangements import Factorization
+from potentia.entanglement import (
+    WitnessOperator,
+    check_witness_on_products,
+    entropy_criterion,
+    majorization_criterion,
+    min_pt_eigenvalue,
+    ppt_criterion,
+    schmidt,
+    witness_from_entangled,
+)
+from potentia.errors import (
+    CapacityError, DomainError, NoWitnessError, PotentiaError, ShapeError,
+)
+from potentia.sampling import random_density, random_product_pure, random_separable
+from potentia.states import DensityOperator, PureVector, density_from_vector
+from potentia.tolerances import DIM_CAP
 
 from conftest import projector
 
@@ -313,3 +330,123 @@ def test_as_complex_rejects_exactly_the_non_finite(shape, seed, planted, imagina
 
 def test_as_complex_accepts_the_empty_matrix():
     assert qlin.as_complex(np.zeros((0, 0))).shape == (0, 0)
+
+
+def rule_error(dims):
+    """The class the screen-layout rule raises for ``dims`` from its definition, or None:
+    DomainError unless there is an entry and each is a non-bool integer > 0, CapacityError for a
+    product over the cap."""
+    if not dims or not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d > 0
+                           for d in dims):
+        return DomainError
+    return CapacityError if math.prod(int(d) for d in dims) > DIM_CAP else None
+
+
+def layout_error(dims, size, screens):
+    """``rule_error``, else ShapeError for a product other than ``size`` (None: no operand) or a
+    screen count other than ``screens`` (None: any count)."""
+    if (error := rule_error(dims)) or size is None:
+        return error
+    mismatch = math.prod(int(d) for d in dims) != size or screens is not None and len(dims) != screens
+    return ShapeError if mismatch else None
+
+
+def witness_of(n: int) -> WitnessOperator:
+    return WitnessOperator(np.eye(n), DensityOperator.maximally_mixed(n))
+
+
+def entangled(n: int) -> DensityOperator:
+    """|0 0> + |d_a - 1, d_b - 1> over its norm: not PPT in any layout with two screens of 2 or more."""
+    return density_from_vector(PureVector.normalized(np.eye(n)[0] + np.eye(n)[-1]))
+
+
+#: Every function that takes screen dims, on an operand of size ``n``, and the screen count it
+#: needs; ``None`` for any count.  ``random_product_pure`` has no operand: it takes the product.
+LAYOUT_CALLS = {
+    "partial_trace": (lambda n, dims: qlin.partial_trace(np.eye(n) / n, dims, (0,)), None),
+    "partial_transpose": (lambda n, dims: qlin.partial_transpose(np.eye(n) / n, dims), 2),
+    "schmidt": (lambda n, dims: schmidt(PureVector.basis_state(n, 0), dims), 2),
+    "ppt_criterion": (lambda n, dims: ppt_criterion(entangled(n), dims), 2),
+    "min_pt_eigenvalue": (lambda n, dims: min_pt_eigenvalue(entangled(n), dims), 2),
+    "majorization_criterion": (
+        lambda n, dims: majorization_criterion(entangled(n), dims), 2),
+    "entropy_criterion": (lambda n, dims: entropy_criterion(entangled(n), dims), 2),
+    "witness_from_entangled": (
+        lambda n, dims: witness_from_entangled(entangled(n), dims), 2),
+    "check_witness_on_products": (
+        lambda n, dims: check_witness_on_products(witness_of(n), dims, samples=3), 2),
+    "random_product_pure": (lambda n, dims: random_product_pure(dims, np.random.default_rng(0)), None),
+    "Factorization": (lambda n, dims: Factorization(dims), None),
+}
+SIZE_FREE = {"random_product_pure", "Factorization"}
+
+DIM_ENTRIES = st.one_of(
+    st.integers(-2, 8), st.integers(9, 70), st.integers(4097, 10**30), st.booleans(),
+    st.integers(-2, 70).map(np.int64), st.integers(0, 9).map(np.uint8),
+    st.floats(allow_nan=True, allow_infinity=True), st.sampled_from([2.0, 2.5, 2.7, 0.7, -2.0]),
+    st.text(max_size=2),
+)
+
+
+class TestScreenLayoutRule:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(dims=st.one_of(st.lists(st.integers(1, 8), min_size=1, max_size=4),
+                          st.lists(DIM_ENTRIES, min_size=1, max_size=4)).map(tuple),
+           fits=st.booleans(),
+           other=st.integers(1, 64))
+    def test_every_dims_taking_function_applies_the_rule(self, dims, fits, other):
+        """On an operand of the layout's own size (``fits``, where the layout is valid and small)
+        or of another, each call succeeds or raises exactly the rule's class: the one
+        ``Factorization`` raises, or ShapeError for a count or product mismatch; never a numpy
+        or Python error, and never a dim truncated to fit."""
+        total = None if rule_error(dims) else math.prod(int(d) for d in dims)
+        size = total if total and fits and total <= 64 else other
+        for name, (call, screens) in LAYOUT_CALLS.items():
+            expected = layout_error(dims, None if name in SIZE_FREE else size, screens)
+            try:
+                result = call(size, dims)
+            except PotentiaError as exc:
+                if expected is None and isinstance(exc, NoWitnessError):
+                    continue  # a layout with a screen of 1: the state is PPT, so it has no witness
+                assert type(exc) is expected, (name, dims, size, exc)
+                continue
+            assert expected is None, (name, dims, size, result)
+            if name == "partial_trace":
+                assert result.shape == (int(dims[0]),) * 2
+            if name == "random_product_pure":
+                assert result.dim == total
+            if name == "Factorization":
+                assert result.screen_dims == tuple(int(d) for d in dims)
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda: qlin.partial_trace(np.eye(4) / 4, (2.7, 2), (0,)), DomainError),
+        (lambda: qlin.partial_trace(np.eye(4) / 4, (2, 2), (0.7,)), ShapeError),
+        (lambda: ppt_criterion(DensityOperator.maximally_mixed(4), (True, 4)), DomainError),
+        (lambda: ppt_criterion(DensityOperator.maximally_mixed(4), (2.5, 1.6)), DomainError),
+        (lambda: ppt_criterion(DensityOperator.maximally_mixed(4), (-2, -2)), DomainError),
+        (lambda: schmidt(PureVector.basis_state(4, 0), (-2, -2)), DomainError),
+        (lambda: random_product_pure((-2,), np.random.default_rng(0)), DomainError),
+        (lambda: random_separable((2.5, 2), np.random.default_rng(0)), DomainError),
+        (lambda: check_witness_on_products(witness_of(4), (2, 3), samples=3), ShapeError),
+        (lambda: check_witness_on_products(witness_of(4), (2, 2, 2), samples=3), ShapeError),
+        (lambda: qlin.partial_trace(np.eye(4) / 4, (4097, 1), (0,)), CapacityError),
+        (lambda: qlin.partial_trace(np.eye(4) / 4, (0, 2), (0,)), DomainError),
+    ], ids=["trace_float_dim", "trace_float_keep", "ppt_bool", "ppt_floats", "ppt_negative",
+            "schmidt_negative", "product_negative", "separable_float", "witness_product",
+            "witness_three_screens", "trace_over_cap", "trace_zero"])
+    def test_each_former_leak_is_refused(self, call, error):
+        with pytest.raises(error):
+            call()
+
+    def test_messages(self):
+        with pytest.raises(DomainError, match=r"^screen dims must be a nonempty list of positive "
+                                              r"integers, got \(2\.5, 2\)$"):
+            qlin._screen_dims((2.5, 2))
+        with pytest.raises(CapacityError, match="^screen layout degree 4100 exceeds the cap of 4096$"):
+            qlin._screen_dims((2, 2050))
+        with pytest.raises(ShapeError, match=r"^screen dims \(2, 3\) multiply to 6, but the "
+                                             r"operand's shape is \(4, 4\)$"):
+            qlin._screen_dims((2, 3), 4, 4)
+        with pytest.raises(ShapeError, match=r"^a bipartite layout needs two screens, got dims \(4,\)$"):
+            qlin._bipartite((4,), 4)
+        assert qlin._bipartite((np.int64(2), np.uint8(3)), 6) == (2, 3)

@@ -59,6 +59,21 @@ class TestDensityFromVector:
         with pytest.raises(DomainError):
             PureVector([1.0, 1.0])
 
+    @pytest.mark.parametrize("amplitudes, norm", [
+        ([np.nan, 1.0], "nan"), ([np.inf, 1.0], "inf"), ([1e308, 1e308], "inf"), ([0.0, 0.0], "0.0"),
+        ([1e-13, 0.0], "1e-13"),
+    ])
+    def test_normalized_refuses_a_norm_that_is_not_finite_and_clear_of_zero(self, amplitudes, norm):
+        """One DomainError and no RuntimeWarning (pytest turns one into a failure): the norm is
+        judged before anything is divided by it."""
+        with pytest.raises(DomainError, match=f"^cannot normalize a vector of norm {norm}$"):
+            PureVector.normalized(amplitudes)
+
+    @pytest.mark.parametrize("amplitudes", [[1e308, 1e308], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_overflowing_or_non_finite_vector_rejected_without_warning(self, amplitudes):
+        with pytest.raises(DomainError, match=r"^vector \|norm - 1\| (inf|nan) exceeds 1e-09$"):
+            PureVector(amplitudes)
+
 
 #: Where an input sits within its admission tolerance: -1 and 1 are just inside its edges.
 EDGE = st.sampled_from([-0.999, 0.999]) | st.floats(-0.999, 0.999)
@@ -473,6 +488,12 @@ class TestDecompositions:
                 np.array([0.5, 0.4]),
                 (PureVector.basis_state(2, 0), PureVector.basis_state(2, 1)),
             )
+
+    def test_components_of_different_dimensions_rejected(self):
+        """Refused at construction, before ``reconstruct`` or a mixer could broadcast them."""
+        components = (PureVector.basis_state(2, 0), PureVector.basis_state(3, 0))
+        with pytest.raises(ShapeError, match=r"^mixture components differ in dimension: \[2, 3\]$"):
+            MixtureDecomposition([0.5, 0.5], components)
 
 
 HALF = DensityOperator.maximally_mixed(2)

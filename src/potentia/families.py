@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .powers import PowerNode
+from .states import PureVector
 
 # 18 rays in C^4 arranged in 9 complete orthogonal tetrads, each ray shared
 # by exactly two tetrads; a binary valuation must mark exactly one ray per
@@ -51,8 +52,7 @@ KS18_TETRADS: tuple[tuple[int, int, int, int], ...] = (
 
 
 def ray_projector(ray, label: str) -> PowerNode:
-    vec = np.asarray(ray, dtype=np.complex128).reshape(-1)
-    vec = vec / np.linalg.norm(vec)
+    vec = PureVector.normalized(ray).amplitudes
     return PowerNode(np.outer(vec, vec.conj()), label)
 
 

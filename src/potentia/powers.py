@@ -97,6 +97,13 @@ class ISAValuation:
         raise KeyError(label)
 
 
+def _identity_index(nodes: Sequence[PowerNode]) -> int | None:
+    """The index of the first node within ``PROJECTOR_TOL`` of the identity, None if there is
+    none; ``build_graph`` then appends an identity node, so the graph has one node more."""
+    identity = np.eye(nodes[0].dim, dtype=np.complex128)
+    return next((i for i, node in enumerate(nodes) if max_abs(node.projector - identity) <= PROJECTOR_TOL), None)
+
+
 def build_graph(projectors: Sequence[PowerNode]) -> PowersGraph:
     """Wire commutation edges over a projector family; the identity is
     auto-added when missing.  Labels name nodes in reports and overrides, so
@@ -108,11 +115,9 @@ def build_graph(projectors: Sequence[PowerNode]) -> PowersGraph:
     for node in nodes:
         if node.dim != dim:
             raise ShapeError(f"power {node.label!r} has dim {node.dim}, expected {dim}")
-    identity = np.eye(dim, dtype=np.complex128)
-    matches = [i for i, node in enumerate(nodes) if max_abs(node.projector - identity) <= PROJECTOR_TOL]
-    if not matches:
-        nodes.append(PowerNode(identity, "I"))
-    identity_index = matches[0] if matches else len(nodes) - 1
+    if (identity_index := _identity_index(nodes)) is None:
+        identity_index = len(nodes)
+        nodes.append(PowerNode(np.eye(dim, dtype=np.complex128), "I"))
     labels = [node.label for node in nodes]
     repeated = next((label for k, label in enumerate(labels) if label in labels[:k]), None)
     if repeated is not None:

@@ -1,7 +1,7 @@
 """Seeded random generators for states, unitaries, and projector families.
 
 Every function takes an explicit ``numpy.random.Generator`` so sampling is
-reproducible end to end.
+reproducible end to end, and judges its sizes before it draws anything.
 """
 
 from __future__ import annotations
@@ -9,12 +9,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .qlin import _screen_dims
-from .states import DensityOperator, PureVector
+from .qlin import _is_integer, _screen_dims
+from .states import DensityOperator, MixtureDecomposition, PureVector, _conditioned
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR with phase correction."""
+    _screen_dims((dim,))
     ginibre = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(ginibre)
     phases = np.diag(r).copy()
@@ -23,6 +24,7 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_pure(dim: int, rng: np.random.Generator) -> PureVector:
+    _screen_dims((dim,))
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return PureVector.normalized(amps)
 
@@ -31,12 +33,12 @@ def random_density(
     dim: int, rng: np.random.Generator, rank: int | None = None
 ) -> DensityOperator:
     """Wishart-style mixed state of the requested rank (full rank by default)."""
+    _screen_dims((dim,))
     rank = dim if rank is None else int(rank)
     if not 1 <= rank <= dim:
         raise DomainError(f"rank must lie in 1..{dim}, got {rank}")
     ginibre = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    mat = ginibre @ ginibre.conj().T
-    return DensityOperator(mat / np.real(np.trace(mat)))
+    return _conditioned(ginibre @ ginibre.conj().T)[1]
 
 
 def random_product_pure(dims: tuple[int, ...], rng: np.random.Generator) -> PureVector:
@@ -51,16 +53,16 @@ def random_separable(
 ) -> DensityOperator:
     """Random convex mixture of pure product states."""
     dims = _screen_dims(dims)
+    if not (_is_integer(terms) and terms >= 1):
+        raise DomainError(f"terms must be a positive integer, got {terms!r}")
     weights = rng.dirichlet(np.ones(terms))
-    total = np.zeros((np.prod(dims),) * 2, dtype=np.complex128)
-    for weight in weights:
-        amps = random_product_pure(dims, rng).amplitudes
-        total += weight * np.outer(amps, amps.conj())
-    return DensityOperator(total)
+    products = tuple(random_product_pure(dims, rng) for _ in range(terms))
+    return MixtureDecomposition(weights, products).reconstruct()
 
 
 def random_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """Projector onto a Haar-random subspace of the given rank."""
+    _screen_dims((dim,))
     if not 1 <= rank <= dim:
         raise DomainError(f"rank must lie in 1..{dim}, got {rank}")
     columns = random_unitary(dim, rng)[:, :rank]

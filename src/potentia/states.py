@@ -45,9 +45,13 @@ class PureVector:
 
     @classmethod
     def normalized(cls, amplitudes: Sequence) -> "PureVector":
-        """Normalize and wrap; rejects a norm below ``ZERO_NORM`` or not finite."""
+        """Normalize and wrap; rejects a norm below ``ZERO_NORM`` or not finite.  A finite vector
+        whose norm overflows (an entry above about 1.3e154) is first divided by its largest part."""
         amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
         norm = _norm(amps)
+        if norm == np.inf and np.isfinite(amps).all():
+            amps = amps / max(np.abs(amps.real).max(), np.abs(amps.imag).max())
+            norm = _norm(amps)
         if not ZERO_NORM <= norm < np.inf:  # NaN fails both
             raise DomainError(f"cannot normalize a vector of norm {norm!r}")
         return cls(amps / norm)
@@ -192,12 +196,15 @@ class MixtureDecomposition:
         object.__setattr__(self, "weights", frozen(weights))
         object.__setattr__(self, "components", tuple(self.components))
 
+    @property
+    def _rows(self) -> np.ndarray:
+        """The k x dim rows sqrt(w_i) v_i; a weight in [-WEIGHT_FLOOR, 0) is read as 0."""
+        amplitudes = np.stack([comp.amplitudes for comp in self.components])
+        return np.sqrt(np.maximum(self.weights, 0.0))[:, None] * amplitudes
+
     def reconstruct(self) -> DensityOperator:
-        dim = self.components[0].dim
-        mat = np.zeros((dim, dim), dtype=np.complex128)
-        for weight, comp in zip(self.weights, self.components):
-            mat += weight * np.outer(comp.amplitudes, comp.amplitudes.conj())
-        return _conditioned(mat)[1]  # weights and norms are 1 within NORM_TOL only
+        rows = self._rows  # weights and norms are 1 within NORM_TOL only: divide by the trace
+        return _conditioned(rows.T @ rows.conj())[1]
 
 
 def density_from_vector(vector: PureVector) -> DensityOperator:
@@ -298,16 +305,8 @@ def projective_distance(p: DensityOperator, q: DensityOperator) -> float:
 def spectral_decomposition(rho: DensityOperator) -> MixtureDecomposition:
     """Eigenvalue mixture; zero-weight components dropped."""
     spectrum = herm_eig(rho.matrix)
-    weights = []
-    components = []
-    for value, column in zip(spectrum.eigenvalues, spectrum.eigenvectors.T):
-        if value < WEIGHT_FLOOR:
-            continue
-        weights.append(float(value))
-        components.append(PureVector.normalized(column))
-    total = sum(weights)
-    weights = [w / total for w in weights]
-    return MixtureDecomposition(np.array(weights), tuple(components))
+    scales = np.sqrt(np.maximum(spectrum.eigenvalues, 0.0))
+    return _mixture(scales[:, None] * spectrum.eigenvectors.T)
 
 
 def alternative_decomposition(
@@ -322,26 +321,17 @@ def alternative_decomposition(
     """
     mixer = qlin.as_complex(mixer)
     k = len(decomposition.components)
-    if mixer.ndim != 2 or mixer.shape[1] != k:
+    if mixer.shape[1] != k:
         raise ShapeError(f"mixer must have {k} columns, got shape {mixer.shape}")
-    if mixer.shape[0] < k:
-        raise DomainError("mixer must have at least as many rows as columns")
+    # With fewer than k rows, V^dag V has an eigenvalue 0, so its Gram error is at least 1/k.
     qlin.require_isometry(mixer, what="mixer")
+    return _mixture(mixer @ decomposition._rows)
 
-    dim = decomposition.components[0].dim
-    scaled = np.stack(
-        [
-            np.sqrt(w) * comp.amplitudes
-            for w, comp in zip(decomposition.weights, decomposition.components)
-        ]
-    )  # k x dim
-    mixed = mixer @ scaled  # m x dim
-    weights = []
-    components = []
-    for row in mixed:
-        weight = float(np.real(np.vdot(row, row)))
-        if weight < WEIGHT_FLOOR:
-            continue
-        weights.append(weight)
-        components.append(PureVector.normalized(row))
-    return MixtureDecomposition(np.array(weights), tuple(components))
+
+def _mixture(rows: np.ndarray) -> MixtureDecomposition:
+    """The mixture whose rows sqrt(w_i) v_i are ``rows``: each weight is its row's norm squared,
+    rows below ``WEIGHT_FLOOR`` are dropped, and the kept weights are divided by their sum."""
+    weights = np.einsum("ij,ij->i", rows.conj(), rows).real
+    kept = weights >= WEIGHT_FLOOR
+    components = tuple(PureVector.normalized(row) for row in rows[kept])
+    return MixtureDecomposition(weights[kept] / weights[kept].sum(), components)

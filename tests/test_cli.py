@@ -459,7 +459,32 @@ class TestPowers:
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
-        assert captured.err == "capacity error: clique enumeration node count 100 exceeds the cap of 24\n"
+        # 100 projectors and the identity that build_graph would add.
+        assert captured.err == "capacity error: clique enumeration node count 101 exceeds the cap of 24\n"
+
+    def test_node_cap_counts_the_identity_before_any_product(self, capsys, tmp_path, monkeypatch):
+        """24 projectors without the identity make 25 nodes: refused before one pair is compared."""
+        payload = {
+            "schema_version": "1",
+            "dim": 2,
+            "projectors": [
+                {"label": f"P{k}", "matrix": fileio.matrix_to_json(np.diag([1.0, 0.0]))}
+                for k in range(24)
+            ],
+        }
+        family = tmp_path / "crowd.json"
+        family.write_text(fileio.render_json(payload), encoding="utf-8")
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return qlin.commutes(*args)
+
+        monkeypatch.setattr(powers, "commutes", counting)
+        code = main(["powers", str(SAMPLES / "zero_state.json"), "--projectors", str(family)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, len(calls)) == (4, "", 0)
+        assert captured.err == "capacity error: clique enumeration node count 25 exceeds the cap of 24\n"
 
     def test_repeated_label_is_validation_error(self, capsys, tmp_path):
         # Without the check, `--override I=0.5` would set |0><0|, not the added identity.

@@ -425,6 +425,14 @@ class TestBundledFamilies:
         graph = build_graph(families.qubit_mub_family())
         assert find_additive_binary_valuation(graph) is not None
 
+    @pytest.mark.parametrize("ray", [*families.KS18_RAYS, (1, 1j), (1, -1j), (0, 1, 1j)])
+    def test_ray_projector_is_the_outer_product_of_the_normalized_ray(self, ray):
+        assert np.array_equal(families.ray_projector(ray, "r").projector, projector(ray))
+
+    def test_zero_ray_is_refused_without_warning(self):
+        with pytest.raises(DomainError, match=r"^cannot normalize a vector of norm 0\.0$"):
+            families.ray_projector((0, 0), "z")
+
 
 class TestBinaryContrast:
     def test_uncolorable_family_has_no_binary_valuation(self):

@@ -60,14 +60,26 @@ class TestDensityFromVector:
             PureVector([1.0, 1.0])
 
     @pytest.mark.parametrize("amplitudes, norm", [
-        ([np.nan, 1.0], "nan"), ([np.inf, 1.0], "inf"), ([1e308, 1e308], "inf"), ([0.0, 0.0], "0.0"),
-        ([1e-13, 0.0], "1e-13"),
+        ([np.nan, 1.0], "nan"), ([np.inf, 1.0], "inf"), ([0.0, 0.0], "0.0"), ([1e-13, 0.0], "1e-13"),
     ])
     def test_normalized_refuses_a_norm_that_is_not_finite_and_clear_of_zero(self, amplitudes, norm):
         """One DomainError and no RuntimeWarning (pytest turns one into a failure): the norm is
         judged before anything is divided by it."""
         with pytest.raises(DomainError, match=f"^cannot normalize a vector of norm {norm}$"):
             PureVector.normalized(amplitudes)
+
+    @pytest.mark.parametrize("amplitudes, expected", [
+        ([1e200, 0.0], [1.0, 0.0]),
+        ([1e308, 1e308], [2**-0.5, 2**-0.5]),
+        ([1e308j, -1e308 - 1e308j], [3**-0.5 * 1j, -(3**-0.5) * (1 + 1j)]),
+    ])
+    def test_normalized_scales_a_vector_whose_norm_overflows(self, amplitudes, expected):
+        assert np.max(np.abs(PureVector.normalized(amplitudes).amplitudes - expected)) <= 1e-15
+
+    def test_normalized_keeps_the_bits_of_a_vector_whose_norm_is_finite(self, rng):
+        for amps in ([3.0, 4.0], [1e150, 1e150j], rng.standard_normal(5) + 1j * rng.standard_normal(5)):
+            amps = np.asarray(amps, dtype=complex)
+            assert np.array_equal(PureVector.normalized(amps).amplitudes, amps / np.linalg.norm(amps))
 
     @pytest.mark.parametrize("amplitudes", [[1e308, 1e308], [np.nan, 1.0], [np.inf, 0.0]])
     def test_overflowing_or_non_finite_vector_rejected_without_warning(self, amplitudes):
@@ -476,6 +488,33 @@ class TestDecompositions:
             mixer = random_unitary(len(decomposition.components), rng)
             alternative = alternative_decomposition(decomposition, mixer)
             assert np.max(np.abs(alternative.reconstruct().matrix - rho.matrix)) <= 1e-8
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(2, 6), st.data())
+    def test_mixtures_reconstruct_their_state(self, dim, data):
+        """Spectral and Haar-mixed ensembles: unit components, weights >= 0 summing to 1, the
+        spectral weights the state's eigenvalues, and the mixed ensemble the same state."""
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        rho = random_density(dim, rng, rank=data.draw(st.integers(1, dim)))
+        spectral = spectral_decomposition(rho)
+        k = len(spectral.components)
+        mixer = random_unitary(data.draw(st.integers(k, k + 3)), rng)[:, :k]
+        alternative = alternative_decomposition(spectral, mixer)
+        assert np.max(np.abs(alternative.reconstruct().matrix - rho.matrix)) <= 1e-12
+        for mixture in (spectral, alternative):
+            count = len(mixture.components)
+            assert np.min(mixture.weights) >= 0 and abs(mixture.weights.sum() - 1) <= 1e-15 * count
+            norms = np.array([np.linalg.norm(c.amplitudes) for c in mixture.components])
+            assert np.max(np.abs(norms - 1)) <= 1e-15
+        eigenvalues = rho.eigenvalues[::-1]  # descending, as the spectral components
+        assert np.max(np.abs(spectral.weights - eigenvalues[eigenvalues >= states.WEIGHT_FLOOR])) <= 1e-15
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_mixer_with_fewer_rows_than_columns_fails_the_isometry_check(self, rows):
+        """V^dag V of an m x k matrix with m < k has an eigenvalue 0: its Gram error is >= 1/k."""
+        decomposition = spectral_decomposition(DensityOperator.maximally_mixed(3))
+        with pytest.raises(DomainError, match=r"^mixer max Gram error .* exceeds 1e-09$"):
+            alternative_decomposition(decomposition, np.eye(3)[:rows])
 
     def test_non_isometric_mixer_rejected(self):
         decomposition = spectral_decomposition(DensityOperator.maximally_mixed(2))

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import qlin
 from .errors import DegenerateConditioningError, DomainError, ShapeError
-from .qlin import _is_integer, dagger, frozen, max_abs
+from .qlin import _index, dagger, frozen, max_abs
 from .states import DensityOperator, _conditioned
 from .tolerances import CHAIN_TOL, EIGENVALUE_FLOOR, EQUIVALENCE_TOL, HERMITICITY_TOL, TRACE_TOL
 
@@ -90,14 +90,12 @@ class Factorization:
     def flat_index(self, multi_index: Sequence[int]) -> int:
         if len(multi_index) != self.screens:
             raise ShapeError(f"multi-index has {len(multi_index)} entries for {self.screens} screens")
-        for k, dim in zip(multi_index, self.screen_dims):
-            if not (_is_integer(k) and 0 <= k < dim):
-                raise IndexError(f"detector index {k} out of range for screen of size {dim}")
-        return int(np.ravel_multi_index(tuple(int(k) for k in multi_index), self.screen_dims))
+        multi_index = tuple(_index(k, dim, f"screen {s} detector index")
+                            for s, (k, dim) in enumerate(zip(multi_index, self.screen_dims)))
+        return int(np.ravel_multi_index(multi_index, self.screen_dims))
 
     def multi_index(self, flat: int) -> tuple[int, ...]:
-        if not (_is_integer(flat) and 0 <= flat < self.degree):
-            raise IndexError(f"flat index {flat} out of range for degree {self.degree}")
+        flat = _index(flat, self.degree, "flat index")
         return tuple(int(k) for k in np.unravel_index(flat, self.screen_dims))
 
 
@@ -238,7 +236,7 @@ def make_ea(
         )
     # A missing factor is the identity to both kernels, so an identity screen is dropped.
     dims = factorization.screen_dims
-    factors = {k: w for k, w in enumerate(screens) if not np.array_equal(w, np.eye(len(w)))}
+    factors = {k: w for k, w in enumerate(screens) if not qlin._is_identity(w)}
     matrix = qlin._conjugated(rho.matrix, dims, factors)
     origin = Provenance(vars(rho).setdefault("_origin", object()))
     provenance = _stepped(origin, dims, {k: basis.gram_errors[k] for k in factors})
@@ -262,14 +260,13 @@ def change_detectors(
     of changes of distinct screens in one layout as one conjugation.
     """
     dims = ea.factorization.screen_dims
-    if not (_is_integer(screen) and 0 <= screen < len(dims)):
-        raise IndexError(f"screen {screen} out of range for {len(dims)} screens")
+    screen = _index(screen, len(dims), "screen")
     v = qlin.as_complex(new_basis)
     if v.shape != (dims[screen], dims[screen]):
         raise ShapeError(f"screen {screen} basis must be {dims[screen]}x{dims[screen]}, got {v.shape}")
     gram_error = qlin.require_isometry(v, what="new detector basis")
     # A copy: ``v`` may be the caller's own array.  The identity is no factor, as in make_ea.
-    step = {} if np.array_equal(v, np.eye(len(v))) else {screen: frozen(v)}
+    step = {} if qlin._is_identity(v) else {screen: frozen(v)}
     pending = vars(ea)["_cell"].get("pending") or _Pending(ea.matrix, (), ea.provenance, {})
     runs, base, factors, errors = pending.runs, ea.provenance, {}, {}
     if runs and runs[-1][0] == dims and screen not in runs[-1][1]:  # no factor product to round
@@ -338,14 +335,9 @@ def restrict(
         raise ShapeError(f"{len(kept_detectors)} kept sets for {len(dims)} screens")
     kept: list[tuple[int, ...]] = []
     for screen, (subset, dim) in enumerate(zip(kept_detectors, dims)):
-        subset = tuple(subset)
-        if not all(_is_integer(i) for i in subset):
-            raise IndexError(f"screen {screen} kept detectors {subset} are not all integers")
-        indices = tuple(sorted(set(int(i) for i in subset)))
+        indices = tuple(sorted(set(_index(i, dim, f"screen {screen} kept detector") for i in subset)))
         if not indices:
             raise DomainError(f"screen {screen} keeps no detectors")
-        if indices[0] < 0 or indices[-1] >= dim:
-            raise IndexError(f"screen {screen} kept detectors {indices} out of range 0..{dim - 1}")
         kept.append(indices)
 
     flat_kept = np.ravel_multi_index(np.ix_(*kept), dims).ravel()

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import qlin
 from .errors import DomainError, NoWitnessError, ShapeError
-from .qlin import _bipartite, frozen, herm_eig, partial_trace, partial_transpose
+from .qlin import _bipartite, _count, frozen, herm_eig, partial_trace, partial_transpose
 from .states import DensityOperator, PureVector
 from .tolerances import (
     ENTROPY_TOL, SCHMIDT_FLOOR, VERDICT_TOL, WITNESS_SAMPLES, WITNESS_SAMPLES_CAP, require_within,
@@ -188,11 +188,8 @@ def witness_from_entangled(
 
 
 def _require_samples(samples: int, seed: int) -> None:
-    if seed < 0:
-        raise DomainError(f"the product-sample seed must be >= 0, got {seed}")
-    if samples < 1:
-        raise DomainError(f"the witness check needs at least one sample, got {samples}")
-    require_within("sample count", samples, WITNESS_SAMPLES_CAP)
+    _count(seed, 0, "the product-sample seed")
+    require_within("sample count", _count(samples, 1, "the product-sample count"), WITNESS_SAMPLES_CAP)
 
 
 def check_witness_on_products(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .powers import PowerNode
+from .qlin import _screen_dims
 from .states import PureVector
 
 # 18 rays in C^4 arranged in 9 complete orthogonal tetrads, each ray shared
@@ -58,12 +59,8 @@ def ray_projector(ray, label: str) -> PowerNode:
 
 def computational_family(dim: int) -> list[PowerNode]:
     """Rank-one projectors onto the standard basis."""
-    nodes = []
-    for k in range(dim):
-        mat = np.zeros((dim, dim), dtype=np.complex128)
-        mat[k, k] = 1.0
-        nodes.append(PowerNode(mat, f"|{k}><{k}|"))
-    return nodes
+    eye = np.eye(*_screen_dims((dim,)), dtype=np.complex128)
+    return [PowerNode(np.outer(e, e), f"|{k}><{k}|") for k, e in enumerate(eye)]
 
 
 def qubit_two_bases() -> list[PowerNode]:

@@ -50,14 +50,14 @@ class CPMap:
 
     @classmethod
     def identity(cls, dim: int) -> "CPMap":
-        return cls((np.eye(dim, dtype=np.complex128),))
+        return cls((np.eye(*qlin._screen_dims((dim,)), dtype=np.complex128),))
 
 
 def _kraus_sum(matrix: np.ndarray, maps: Sequence[CPMap]) -> np.ndarray:
     """Sum of K @ matrix @ K^dag over the products K of one Kraus operator per non-identity map,
     each applied by the local-factor kernel: a new array, even when its one term is ``matrix``."""
     families = {k: m.kraus for k, m in enumerate(maps)
-                if len(m.kraus) > 1 or not np.array_equal(m.kraus[0], np.eye(m.in_dim))}
+                if len(m.kraus) > 1 or not qlin._is_identity(m.kraus[0])}
     dims = [m.in_dim for m in maps]
     terms = (qlin._conjugated(matrix, dims, {k: dagger(w) for k, w in zip(families, combo)})
              for combo in product(*families.values()))
@@ -148,9 +148,7 @@ def one_way_local(
     ``local``'s branches and that layout; the products of their dims, ranks and top completeness
     eigenvalues (which a Kronecker product's is) are checked before anything is formed.
     """
-    n_parties = len(bystanders)
-    if not 0 <= party < n_parties:
-        raise ShapeError(f"party {party} out of range for {n_parties} parties")
+    party = qlin._index(party, len(bystanders), "party")
     others = {k: m for k, m in enumerate(bystanders) if k != party}
     for k, bystander in others.items():
         if bystander is None:

@@ -1,7 +1,7 @@
 """Dense complex linear-algebra substrate, on plain C-contiguous complex128 ``numpy`` arrays
-that no operation mutates, so concurrent use is safe.  It holds two gates: ``as_complex``, which
-every matrix passes, and ``_screen_dims``, the one rule every screen layout is judged by.
-"""
+that no operation mutates, so concurrent use is safe.  Its gates judge what callers pass:
+``as_complex`` every matrix, ``_screen_dims`` every screen layout or single size, and ``_index``
+and ``_count`` every index and count, each before anything is formed."""
 
 from __future__ import annotations
 
@@ -36,6 +36,27 @@ def as_complex(matrix: np.ndarray | Sequence) -> np.ndarray:
 def _is_integer(value) -> bool:
     """A Python or numpy integer; ``bool`` subclasses ``int`` but ``True`` is not a dim or index."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _count(value, least: int, what: str, most: float = math.inf) -> int:
+    """``value`` as a Python int, if it is an integer in ``least..most`` (else ``DomainError``)."""
+    if not (_is_integer(value) and least <= value <= most):
+        bound = f">= {least}" if most == math.inf else f"in {least}..{most}"
+        raise DomainError(f"{what} must be an integer {bound}, got {value!r}")
+    return int(value)
+
+
+def _index(value, size: int, what: str) -> int:
+    """``value`` as a Python int, if it is an integer in ``0..size - 1`` (else ``IndexError``)."""
+    try:
+        return _count(value, 0, what, size - 1)
+    except DomainError as exc:
+        raise IndexError(str(exc)) from None
+
+
+def _is_identity(m: np.ndarray) -> bool:
+    """``np.array_equal(m, np.eye(len(m)))`` (-0.0 is 0), with no identity formed."""
+    return m.shape == (len(m),) * 2 and bool((m.diagonal() == 1).all()) and np.count_nonzero(m) == len(m)
 
 
 def _screen_dims(dims: Sequence[int], *sides: int) -> tuple[int, ...]:
@@ -211,10 +232,8 @@ def partial_trace(
     """
     rho = as_complex(rho)
     dims = _screen_dims(dims, *rho.shape)
-    n, keep = len(dims), tuple(keep)
-    if not all(_is_integer(k) and 0 <= k < n for k in keep):
-        raise ShapeError(f"keep indices {keep} are not screen indices 0..{n - 1}")
-    keep = sorted(set(int(k) for k in keep))
+    n = len(dims)
+    keep = sorted(set(_index(k, n, "kept screen") for k in keep))
 
     if not keep:
         return np.array([[np.trace(rho)]], dtype=np.complex128)

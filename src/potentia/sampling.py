@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
-from .qlin import _is_integer, _screen_dims
+from .qlin import _count, _screen_dims
 from .states import DensityOperator, MixtureDecomposition, PureVector, _conditioned
 
 
@@ -33,10 +32,8 @@ def random_density(
     dim: int, rng: np.random.Generator, rank: int | None = None
 ) -> DensityOperator:
     """Wishart-style mixed state of the requested rank (full rank by default)."""
-    _screen_dims((dim,))
-    rank = dim if rank is None else int(rank)
-    if not 1 <= rank <= dim:
-        raise DomainError(f"rank must lie in 1..{dim}, got {rank}")
+    (dim,) = _screen_dims((dim,))
+    rank = dim if rank is None else _count(rank, 1, "rank", dim)
     ginibre = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     return _conditioned(ginibre @ ginibre.conj().T)[1]
 
@@ -53,8 +50,7 @@ def random_separable(
 ) -> DensityOperator:
     """Random convex mixture of pure product states."""
     dims = _screen_dims(dims)
-    if not (_is_integer(terms) and terms >= 1):
-        raise DomainError(f"terms must be a positive integer, got {terms!r}")
+    terms = _count(terms, 1, "terms")
     weights = rng.dirichlet(np.ones(terms))
     products = tuple(random_product_pure(dims, rng) for _ in range(terms))
     return MixtureDecomposition(weights, products).reconstruct()
@@ -62,8 +58,6 @@ def random_separable(
 
 def random_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:
     """Projector onto a Haar-random subspace of the given rank."""
-    _screen_dims((dim,))
-    if not 1 <= rank <= dim:
-        raise DomainError(f"rank must lie in 1..{dim}, got {rank}")
+    rank = _count(rank, 1, "rank", *_screen_dims((dim,)))
     columns = random_unitary(dim, rng)[:, :rank]
     return columns @ columns.conj().T

@@ -39,6 +39,7 @@ class PureVector:
 
     @classmethod
     def basis_state(cls, dim: int, index: int) -> "PureVector":
+        index = qlin._index(index, *qlin._screen_dims((dim,)), "basis index")
         amps = np.zeros(dim, dtype=np.complex128)
         amps[index] = 1.0
         return cls(amps)
@@ -124,7 +125,7 @@ class DensityOperator:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
-        return cls(np.eye(dim, dtype=np.complex128) / dim)
+        return cls(np.eye(*qlin._screen_dims((dim,)), dtype=np.complex128) / dim)
 
     def purity(self) -> float:
         """Tr(rho^2), the sum of |rho_ij|^2 for Hermitian rho."""

@@ -642,7 +642,7 @@ class TestWitness:
             assert main(["witness", str(state), "--seed", "-1"]) == 3
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == "validation error: the product-sample seed must be >= 0, got -1\n"
+            assert captured.err == "validation error: the product-sample seed must be an integer >= 0, got -1\n"
         assert not eigensolve_counter
 
     def test_samples_above_cap_is_capacity_error(self, capsys, eigensolve_counter):

@@ -267,7 +267,7 @@ class TestWitness:
 
     def test_check_seed_must_be_nonnegative(self):
         witness = witness_from_entangled(RHO_PHI, (2, 2))
-        with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+        with pytest.raises(DomainError, match="^the product-sample seed must be an integer >= 0, got -1$"):
             check_witness_on_products(witness, (2, 2), samples=10, seed=-1)
 
     def test_check_samples_are_capped(self):

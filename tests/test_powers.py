@@ -73,6 +73,15 @@ class TestBuildGraph:
         assert len(graph.nodes) == 2
         assert graph.nodes[graph.identity_index].label == "I"
 
+    @pytest.mark.parametrize("n", [2, 3, 64])
+    def test_the_identity_pays_no_idempotence_product(self, monkeypatch, n):
+        """The exact identity is idempotent: its admission makes no I @ I; any other power does."""
+        calls = []
+        monkeypatch.setattr(powers, "max_abs", lambda m: calls.append(m.shape) or max_abs(m))
+        assert PowerNode(np.eye(n), "I").dim == n and calls == []
+        PowerNode(np.diag([1.0] + [0.0] * (n - 1)), "P")
+        assert calls == [(n, n)]
+
     def test_non_projector_named(self):
         with pytest.raises(DomainError, match="bogus"):
             PowerNode(np.diag([0.5, 0.0]).astype(complex), "bogus")

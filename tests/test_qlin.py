@@ -1,12 +1,13 @@
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from potentia import qlin
-from potentia.arrangements import Factorization
+from potentia import families, locc, qlin
+from potentia.arrangements import Factorization, change_detectors, make_ea, restrict
 from potentia.entanglement import (
     WitnessOperator,
     check_witness_on_products,
@@ -20,7 +21,7 @@ from potentia.entanglement import (
 from potentia.errors import (
     CapacityError, DomainError, NoWitnessError, PotentiaError, ShapeError,
 )
-from potentia.sampling import random_density, random_product_pure, random_separable
+from potentia.sampling import random_density, random_product_pure, random_projector, random_separable
 from potentia.states import DensityOperator, PureVector, density_from_vector
 from potentia.tolerances import DIM_CAP
 
@@ -420,7 +421,7 @@ class TestScreenLayoutRule:
 
     @pytest.mark.parametrize("call, error", [
         (lambda: qlin.partial_trace(np.eye(4) / 4, (2.7, 2), (0,)), DomainError),
-        (lambda: qlin.partial_trace(np.eye(4) / 4, (2, 2), (0.7,)), ShapeError),
+        (lambda: qlin.partial_trace(np.eye(4) / 4, (2, 2), (0.7,)), IndexError),
         (lambda: ppt_criterion(DensityOperator.maximally_mixed(4), (True, 4)), DomainError),
         (lambda: ppt_criterion(DensityOperator.maximally_mixed(4), (2.5, 1.6)), DomainError),
         (lambda: ppt_criterion(DensityOperator.maximally_mixed(4), (-2, -2)), DomainError),
@@ -450,3 +451,152 @@ class TestScreenLayoutRule:
         with pytest.raises(ShapeError, match=r"^a bipartite layout needs two screens, got dims \(4,\)$"):
             qlin._bipartite((4,), 4)
         assert qlin._bipartite((np.int64(2), np.uint8(3)), 6) == (2, 3)
+
+
+def is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def index_error(value, size):
+    """IndexError unless ``value`` is a non-bool integer in 0..size-1."""
+    return None if is_int(value) and 0 <= value < size else IndexError
+
+
+def count_error(value, least, most=math.inf):
+    """DomainError unless ``value`` is a non-bool integer in least..most."""
+    return None if is_int(value) and least <= value <= most else DomainError
+
+
+def size_error(value):
+    """DomainError unless ``value`` is a non-bool integer > 0, CapacityError above the cap."""
+    if not (is_int(value) and value > 0):
+        return DomainError
+    return CapacityError if value > DIM_CAP else None
+
+
+HADAMARD = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+QUBIT_MEASUREMENT = locc.projective_instrument([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])])
+
+
+class Refusal(NamedTuple):
+    error: Exception
+    drew_nothing: bool
+
+
+def drawn(call):
+    """``call`` on a fresh generator: its result, or a refusal that says whether it drew."""
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    try:
+        return call(rng)
+    except Exception as exc:  # noqa: BLE001 - the class is what the property judges
+        return Refusal(exc, rng.bit_generator.state == before)
+
+
+#: Every function that takes an index or a count: the call on a value ``v``, the class the rule
+#: gives for ``v`` (None: success), and what a success must satisfy.
+INDEX_CALLS = {
+    "flat_index": (lambda v: Factorization((2, 3)).flat_index((1, v)), lambda v: index_error(v, 3),
+                   lambda v, r: Factorization((2, 3)).multi_index(r) == (1, v)),
+    "multi_index": (lambda v: Factorization((2, 3)).multi_index(v), lambda v: index_error(v, 6),
+                    lambda v, r: Factorization((2, 3)).flat_index(r) == v),
+    "change_detectors": (
+        lambda v: change_detectors(make_ea(DensityOperator.maximally_mixed(4), Factorization((2, 2))),
+                                   v, HADAMARD),
+        lambda v: index_error(v, 2), lambda v, r: r.degree == 4),
+    "restrict": (
+        lambda v: restrict(make_ea(DensityOperator.maximally_mixed(6), Factorization((2, 3))), [[v], [0, 2]]),
+        lambda v: index_error(v, 2), lambda v, r: r.factorization.screen_dims == (1, 2)),
+    "partial_trace": (lambda v: qlin.partial_trace(np.eye(6) / 6, (2, 3), (v,)), lambda v: index_error(v, 2),
+                      lambda v, r: r.shape == ((2, 3)[v],) * 2),
+    "one_way_local": (lambda v: locc.one_way_local(v, QUBIT_MEASUREMENT, [locc.CPMap.identity(2)] * 2),
+                      lambda v: index_error(v, 2), lambda v, r: r.in_dim == 4),
+    "basis_state_index": (lambda v: PureVector.basis_state(2, v), lambda v: index_error(v, 2),
+                          lambda v, r: r.amplitudes[v] == 1),
+    "random_density_rank": (lambda v: drawn(lambda rng: random_density(3, rng, rank=v)),
+                            lambda v: None if v is None else count_error(v, 1, 3),  # None: full rank
+                            lambda v, r: np.linalg.matrix_rank(r.matrix) == (3 if v is None else v)),
+    "random_projector_rank": (lambda v: drawn(lambda rng: random_projector(3, v, rng)),
+                              lambda v: count_error(v, 1, 3),
+                              lambda v, r: round(np.trace(r).real) == v),
+    "random_separable_terms": (lambda v: drawn(lambda rng: random_separable((2, 2), rng, terms=v)),
+                               lambda v: count_error(v, 1), lambda v, r: r.dim == 4),
+    "samples": (lambda v: check_witness_on_products(witness_of(4), (2, 2), samples=v),
+                lambda v: count_error(v, 1), lambda v, r: abs(r - 1) < 1e-12),
+    "seed": (lambda v: check_witness_on_products(witness_of(4), (2, 2), samples=2, seed=v),
+             lambda v: count_error(v, 0), lambda v, r: abs(r - 1) < 1e-12),
+}
+#: Every function that takes one size ``n``, judged by ``size_error``, and what a success must satisfy.
+SIZE_CALLS = {
+    "basis_state": (lambda n: PureVector.basis_state(n, 0), lambda n, r: r.dim == n and r.amplitudes[0] == 1),
+    "maximally_mixed": (DensityOperator.maximally_mixed, lambda n, r: r.dim == n),
+    "CPMap.identity": (locc.CPMap.identity, lambda n, r: r.in_dim == r.out_dim == n),
+    "computational_family": (families.computational_family, lambda n, r: len(r) == n),
+    "tomography_family": (families.tomography_family, lambda n, r: len(r) == n * n),
+}
+
+INTEGER_LIKE = st.one_of(
+    st.integers(-3, 12), st.booleans(), st.sampled_from([2.0, 2.5, math.nan, math.inf, -math.inf]),
+    st.floats(), st.integers(-3, 12).map(np.int64), st.integers(0, 12).map(np.uint8),
+    st.text(max_size=2), st.none(),
+)
+#: Valid sizes stay at most 6 (a family of size n forms n matrices of n x n); over the cap is
+#: drawn only as DIM_CAP + 1.
+SIZES = st.one_of(
+    st.integers(-3, 6), st.just(DIM_CAP + 1), st.booleans(),
+    st.sampled_from([2.0, 2.5, math.nan, math.inf]), st.floats(), st.integers(-3, 6).map(np.int64),
+    st.integers(0, 6).map(np.uint8), st.text(max_size=2), st.none(),
+)
+
+
+class TestIndexAndCountRule:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(value=INTEGER_LIKE, size=SIZES)
+    @example(value=-1, size=2)
+    @example(value=True, size=True)
+    def test_every_integer_taking_function_applies_the_rule(self, value, size):
+        """Each index, count and single size a caller passes is judged by ``qlin._index``,
+        ``_count`` or ``_screen_dims``: a call succeeds and keeps the value, or raises exactly the
+        rule's class (a refused draw leaves the generator as it was); never a Python or numpy
+        error, and never a value truncated or wrapped to fit."""
+        calls = [(name, lambda call=call: call(value), expected(value), lambda r, ok=ok: ok(value, r))
+                 for name, (call, expected, ok) in INDEX_CALLS.items()]
+        calls += [(name, lambda call=call: call(size), size_error(size), lambda r, ok=ok: ok(size, r))
+                  for name, (call, ok) in SIZE_CALLS.items()]
+        wrong = []
+        for name, call, expected, ok in calls:
+            try:
+                result = call()
+            except Exception as exc:  # noqa: BLE001 - the class is what the property judges
+                result = Refusal(exc, True)
+            if isinstance(result, Refusal):
+                if not (type(result.error) is expected and result.drew_nothing):
+                    wrong.append((name, expected, result))
+            elif not (expected is None and ok(result)):
+                wrong.append((name, expected, result))
+        assert not wrong, (value, size, wrong)
+
+    def test_messages(self):
+        with pytest.raises(DomainError, match="^terms must be an integer >= 1, got 0$"):
+            qlin._count(0, 1, "terms")
+        with pytest.raises(DomainError, match="^rank must be an integer in 1..3, got True$"):
+            qlin._count(True, 1, "rank", 3)
+        with pytest.raises(IndexError, match="^screen must be an integer in 0..1, got 2$"):
+            qlin._index(2, 2, "screen")
+        with pytest.raises(IndexError, match="^kept screen must be an integer in 0..1, got 0.7$"):
+            qlin.partial_trace(np.eye(4) / 4, (2, 2), (0.7,))
+        assert type(qlin._index(np.uint8(1), 2, "i")) is int and qlin._count(np.int64(5), 1, "n") == 5
+
+
+MATRIX_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1j, 1 - 0j, complex(-0.0, -0.0), math.nan])
+
+
+class TestIsIdentity:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(rows=st.integers(0, 4), cols=st.integers(0, 4), data=st.data(), planted=st.booleans())
+    def test_same_verdict_as_comparing_with_the_identity(self, rows, cols, data, planted):
+        m = np.eye(rows, cols, dtype=complex) if planted else np.zeros((rows, cols), dtype=complex)
+        for i, j in data.draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=3)):
+            if i < rows and j < cols:
+                m[i, j] = data.draw(MATRIX_ENTRIES)
+        assert qlin._is_identity(m) == np.array_equal(m, np.eye(len(m))), m

@@ -23,17 +23,25 @@ class TestSizesAreJudgedBeforeAnyDraw:
         pytest.param(lambda rng: sampling.random_density(5000, rng), CapacityError,
                      "degree 5000 exceeds the cap of 4096$", id="density-over-cap"),
         pytest.param(lambda rng: sampling.random_density(3, rng, rank=4), DomainError,
-                     "^rank must lie in 1..3, got 4$", id="density-rank"),
+                     "^rank must be an integer in 1..3, got 4$", id="density-rank"),
+        pytest.param(lambda rng: sampling.random_density(3, rng, rank=2.5), DomainError,
+                     r"^rank must be an integer in 1..3, got 2\.5$", id="density-float-rank"),
+        pytest.param(lambda rng: sampling.random_density(3, rng, rank=True), DomainError,
+                     "^rank must be an integer in 1..3, got True$", id="density-bool-rank"),
         pytest.param(lambda rng: sampling.random_projector(-1, 1, rng), DomainError, r"got \(-1,\)$",
                      id="projector-negative"),
         pytest.param(lambda rng: sampling.random_projector(3, 0, rng), DomainError,
-                     "^rank must lie in 1..3, got 0$", id="projector-rank"),
+                     "^rank must be an integer in 1..3, got 0$", id="projector-rank"),
+        pytest.param(lambda rng: sampling.random_projector(3, 2.5, rng), DomainError,
+                     r"^rank must be an integer in 1..3, got 2\.5$", id="projector-float-rank"),
+        pytest.param(lambda rng: sampling.random_projector(3, True, rng), DomainError,
+                     "^rank must be an integer in 1..3, got True$", id="projector-bool-rank"),
         pytest.param(lambda rng: sampling.random_product_pure((2, 0), rng), DomainError,
                      r"got \(2, 0\)$", id="product-zero"),
         pytest.param(lambda rng: sampling.random_separable((2, 2), rng, terms=0), DomainError,
-                     "^terms must be a positive integer, got 0$", id="separable-no-terms"),
+                     "^terms must be an integer >= 1, got 0$", id="separable-no-terms"),
         pytest.param(lambda rng: sampling.random_separable((2, 2), rng, terms=2.0), DomainError,
-                     "^terms must be a positive integer, got 2.0$", id="separable-float-terms"),
+                     r"^terms must be an integer >= 1, got 2\.0$", id="separable-float-terms"),
     ])
     def test_refusal_draws_nothing(self, call, error, message):
         rng = np.random.default_rng(5)

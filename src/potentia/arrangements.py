@@ -17,7 +17,7 @@ import numpy as np
 
 from . import qlin
 from .errors import DegenerateConditioningError, DomainError, ShapeError
-from .qlin import _index, dagger, frozen, max_abs
+from .qlin import _index, _sequence, dagger, frozen, max_abs
 from .states import DensityOperator, _conditioned
 from .tolerances import CHAIN_TOL, EIGENVALUE_FLOOR, EQUIVALENCE_TOL, HERMITICITY_TOL, TRACE_TOL
 
@@ -88,7 +88,7 @@ class Factorization:
         return len(self.screen_dims)
 
     def flat_index(self, multi_index: Sequence[int]) -> int:
-        if len(multi_index) != self.screens:
+        if len(multi_index := _sequence(multi_index, "multi-index")) != self.screens:
             raise ShapeError(f"multi-index has {len(multi_index)} entries for {self.screens} screens")
         multi_index = tuple(_index(k, dim, f"screen {s} detector index")
                             for s, (k, dim) in enumerate(zip(multi_index, self.screen_dims)))
@@ -183,7 +183,7 @@ class ExperimentalArrangement:
         """Columns are the detector product vectors; multiplied out of ``steps`` on each read."""
         m = np.eye(self.degree, dtype=np.complex128)
         for dims, factors in _runs(self.steps):
-            m = qlin._kron_right(m, dims, factors)  # in place in the identity it starts from
+            m = qlin._mode_product(m, dims, factors, len(m), owned=True)  # in place in the identity
         return qlin._frozen_in_place(m)
 
     def intensities(self) -> np.ndarray:
@@ -234,7 +234,7 @@ def make_ea(
         raise ShapeError(
             f"state dim {rho.dim} does not match factorization degree {factorization.degree}"
         )
-    # A missing factor is the identity to both kernels, so an identity screen is dropped.
+    # A missing factor is the identity to the kernel, so an identity screen is dropped.
     dims = factorization.screen_dims
     factors = {k: w for k, w in enumerate(screens) if not qlin._is_identity(w)}
     matrix = qlin._conjugated(rho.matrix, dims, factors)
@@ -331,10 +331,11 @@ def restrict(
     ``states._conditioned`` as an instrument post-state is.
     """
     dims = ea.factorization.screen_dims
-    if len(kept_detectors) != len(dims):
+    if len(kept_detectors := _sequence(kept_detectors, "kept detector sets")) != len(dims):
         raise ShapeError(f"{len(kept_detectors)} kept sets for {len(dims)} screens")
     kept: list[tuple[int, ...]] = []
     for screen, (subset, dim) in enumerate(zip(kept_detectors, dims)):
+        subset = _sequence(subset, f"screen {screen} kept set")
         indices = tuple(sorted(set(_index(i, dim, f"screen {screen} kept detector") for i in subset)))
         if not indices:
             raise DomainError(f"screen {screen} keeps no detectors")

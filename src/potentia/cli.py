@@ -276,9 +276,9 @@ def cmd_powers(args, tols: Tolerances) -> dict:
     overrides = [_assignment("--override", "label", pair) for pair in args.override or ()]
     state = fileio.load_state(args.state, tols)
     nodes, projectors_digest = fileio.load_projectors(args.projectors)
-    count = len(nodes) + (powers._identity_index(nodes) is None)  # and the identity build_graph adds
-    require_within("clique enumeration node count", count, CONTEXT_NODE_CAP)
-    graph = powers.build_graph(nodes)
+    identity = powers._identity_index(nodes)  # len(nodes) if build_graph is to add the identity
+    require_within("clique enumeration node count", len(nodes) + (identity == len(nodes)), CONTEXT_NODE_CAP)
+    graph = powers.build_graph(nodes, identity)
     valuation = powers.isa_from_density(state.density, graph)
     labels = [node.label for node in graph.nodes]
 

@@ -97,17 +97,19 @@ class ISAValuation:
         raise KeyError(label)
 
 
-def _identity_index(nodes: Sequence[PowerNode]) -> int | None:
-    """The index of the first node within ``PROJECTOR_TOL`` of the identity, None if there is
-    none; ``build_graph`` then appends an identity node, so the graph has one node more."""
+def _identity_index(nodes: Sequence[PowerNode]) -> int:
+    """The identity's index in the graph of ``nodes``: the first node within ``PROJECTOR_TOL`` of
+    it, else ``len(nodes)``, where ``build_graph`` appends an identity node."""
     identity = np.eye(nodes[0].dim, dtype=np.complex128)
-    return next((i for i, node in enumerate(nodes) if max_abs(node.projector - identity) <= PROJECTOR_TOL), None)
+    return next((i for i, node in enumerate(nodes) if max_abs(node.projector - identity) <= PROJECTOR_TOL),
+                len(nodes))
 
 
-def build_graph(projectors: Sequence[PowerNode]) -> PowersGraph:
+def build_graph(projectors: Sequence[PowerNode], identity_index: int | None = None) -> PowersGraph:
     """Wire commutation edges over a projector family; the identity is
     auto-added when missing.  Labels name nodes in reports and overrides, so
-    a repeated label is rejected."""
+    a repeated label is rejected.  A caller that has ``_identity_index`` of the
+    family passes it as ``identity_index``, and it is not sought again."""
     nodes = list(projectors)
     if not nodes:
         raise DomainError("a powers graph needs at least one node")
@@ -115,8 +117,9 @@ def build_graph(projectors: Sequence[PowerNode]) -> PowersGraph:
     for node in nodes:
         if node.dim != dim:
             raise ShapeError(f"power {node.label!r} has dim {node.dim}, expected {dim}")
-    if (identity_index := _identity_index(nodes)) is None:
-        identity_index = len(nodes)
+    if identity_index is None:
+        identity_index = _identity_index(nodes)
+    if identity_index == len(nodes):
         nodes.append(PowerNode(np.eye(dim, dtype=np.complex128), "I"))
     labels = [node.label for node in nodes]
     repeated = next((label for k, label in enumerate(labels) if label in labels[:k]), None)

@@ -1,7 +1,9 @@
 """Dense complex linear-algebra substrate, on plain C-contiguous complex128 ``numpy`` arrays
 that no operation mutates, so concurrent use is safe.  Its gates judge what callers pass:
-``as_complex`` every matrix, ``_screen_dims`` every screen layout or single size, and ``_index``
-and ``_count`` every index and count, each before anything is formed."""
+``as_complex`` every matrix, ``_screen_dims`` every screen layout or single size, ``_index``
+and ``_count`` every index and count, and ``_sequence`` every list of them, each before anything
+is formed.  One local-factor kernel, ``_mode_product``, applies per-screen factors to the rows
+or the columns of a matrix alike; ``_conjugated`` calls it once for each to form R^dag M R."""
 
 from __future__ import annotations
 
@@ -54,6 +56,15 @@ def _index(value, size: int, what: str) -> int:
         raise IndexError(str(exc)) from None
 
 
+def _sequence(value, what: str) -> tuple:
+    """``value``'s entries, if it is sized and iterable, as a list is (else ``ShapeError``)."""
+    try:
+        len(value)  # a generator is refused too: callers read a multi-index twice
+        return tuple(value)
+    except TypeError:
+        raise ShapeError(f"{what} must be a sequence, got {value!r}") from None
+
+
 def _is_identity(m: np.ndarray) -> bool:
     """``np.array_equal(m, np.eye(len(m)))`` (-0.0 is 0), with no identity formed."""
     return m.shape == (len(m),) * 2 and bool((m.diagonal() == 1).all()) and np.count_nonzero(m) == len(m)
@@ -63,7 +74,7 @@ def _screen_dims(dims: Sequence[int], *sides: int) -> tuple[int, ...]:
     """``dims`` as Python ints, if it is nonempty and each entry is a positive integer (else
     ``DomainError``), their product is within ``DIM_CAP`` (``CapacityError``) and equals each of
     ``sides``, the operand's sizes (``ShapeError``)."""
-    dims = tuple(dims)
+    dims = _sequence(dims, "screen dims")
     if not (dims and all(_is_integer(d) and d > 0 for d in dims)):
         raise DomainError(f"screen dims must be a nonempty list of positive integers, got {dims}")
     dims = tuple(int(d) for d in dims)
@@ -141,8 +152,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-#: Consecutive screens whose dims multiply to at most this go as one Kronecker product in
-#: each kernel: on the benchmark's layouts 16 and 32 ran slower, and 128 no faster.
+#: Consecutive screens whose dims multiply to at most this go as one Kronecker product in each
+#: pass of ``_mode_product``: on the benchmark's layouts 16 and 32 ran slower, and 128 no faster.
 _KRON_BLOCK = 64
 
 #: Bytes per chunk of a pass made in place; a 1 MB chunk of a 4096 x 4096 matrix is 16 rows.
@@ -184,69 +195,50 @@ def _applied(v: np.ndarray, block: np.ndarray, axis: int, owned: bool) -> np.nda
     return v
 
 
-def _kron_left(m: np.ndarray, dims: Sequence[int], factors: dict[int, np.ndarray]) -> np.ndarray:
-    """``R @ m`` for ``R = F_0 x ... x F_n-1``, ``F_k = factors[k]`` or the identity: per group,
-    one batched matmul over the rows of ``m`` viewed as (pre, D, rest), pre the product of the
-    earlier dims; a rectangular factor's axis takes its row count.  ``m`` is never written: the
-    first pass makes a new array, and every later pass runs in place in it."""
-    out = m
-    for first, block in _kron_groups(dims, factors, to_end=False):
-        v = out.reshape(math.prod(dims[:first]), block.shape[1], -1)
-        out = _applied(v, block, 2, out is not m).reshape(-1, m.shape[1])
-    return out
-
-
-def _kron_right(m: np.ndarray, dims: Sequence[int], factors: dict[int, np.ndarray]) -> np.ndarray:
-    """``m @ R`` for ``R`` as in ``_kron_left``, on the columns of ``m`` viewed as (d_0..d_n-1), in
-    place in ``m``, which the caller must own (a rectangular product makes a new array).  A
-    group's product runs from its first factor to its last, or in the trailing group to the last
-    screen: a product of size D ending there is one matmul per N runs of D columns, and any
-    other one batched matmul over (rows, D, post), post the product of the later dims, whose
-    tiny batches cost more in calls than a larger product costs in arithmetic."""
-    n = len(m)
-    for first, block in _kron_groups(dims, factors, to_end=True):
-        post = m.shape[1] // (math.prod(dims[:first]) * len(block))  # later screens may have new sizes
-        if post == 1:
-            m = _applied(m.reshape(-1, n, len(block)), block, 1, True).reshape(n, -1)
+def _mode_product(m: np.ndarray, dims: Sequence[int], factors: dict[int, np.ndarray],
+                  lead: int = 1, owned: bool = False) -> np.ndarray:
+    """``m`` viewed as (lead, d_0..d_n-1, rest), each run x along screen k's axis made ``x @ F_k``,
+    ``F_k = factors[k]`` (a d x w factor makes the axis w long).  Per group, one batched matmul
+    over (pre, D, post); where nothing follows the screens (rest 1), the trailing group runs to the
+    last screen, since a group with post 1 is one matmul per ``lead`` runs of D entries, and tiny
+    batches cost more in calls than a larger product costs in arithmetic.  ``m`` is written only
+    if ``owned``: else the first pass makes a new array, and later ones run in place in it.  The
+    result is ``m`` with no factor; else it keeps m's column count if the screens span m's rows
+    (``lead`` 1), and has ``lead`` rows if not."""
+    out, total = m, math.prod(dims)
+    shape = (-1, m.shape[1]) if lead == 1 and len(m) == total else (lead, -1)
+    for first, block in _kron_groups(dims, factors, to_end=m.size == lead * total):
+        pre = lead * math.prod(dims[:first])
+        owned = owned or out is not m
+        if (post := out.size // (pre * len(block))) == 1:
+            out = _applied(out.reshape(-1, lead, len(block)), block, 1, owned).reshape(shape)
         else:
-            m = _applied(m.reshape(-1, len(block), post), block.T, 2, True).reshape(n, -1)
-    return m
+            out = _applied(out.reshape(pre, len(block), post), block.T, 2, owned).reshape(shape)
+    return out
 
 
 def _conjugated(m: np.ndarray, dims: Sequence[int], factors: dict[int, np.ndarray]) -> np.ndarray:
     """``R^dag @ m @ R`` without forming ``R``: ``R^dag`` applied to the rows of ``m``, then
     ``R`` to the columns of the product, in the one new array the rows were written to.  No
     other code applies a product of factors, and ``m`` is never written."""
-    left = _kron_left(m, dims, {k: dagger(w) for k, w in factors.items()})
-    return _kron_right(left, dims, factors)
+    left = _mode_product(m, dims, {k: w.conj() for k, w in factors.items()})
+    return _mode_product(left, dims, factors, len(left), owned=left is not m)
 
 
-def partial_trace(
-    rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]
-) -> np.ndarray:
-    """Trace out every tensor factor not listed in ``keep``.
-
-    ``dims`` are the factor dimensions in tensor order (factor 0 most
-    significant); ``keep`` holds 0-based factor indices.  Tracing all
-    factors returns the 1x1 matrix ``[[Tr rho]]``.
-    """
+def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
+    """Trace out every screen not in ``keep`` (0-based, screen 0 most significant); tracing
+    all of them returns the 1x1 matrix ``[[Tr rho]]``."""
     rho = as_complex(rho)
     dims = _screen_dims(dims, *rho.shape)
     n = len(dims)
-    keep = sorted(set(_index(k, n, "kept screen") for k in keep))
+    keep = sorted(set(_index(k, n, "kept screen") for k in _sequence(keep, "kept screens")))
 
     if not keep:
         return np.array([[np.trace(rho)]], dtype=np.complex128)
 
     tensor = rho.reshape(dims + dims)
-    # Trace the discarded factors innermost-first so earlier axis numbers stay valid.
-    traced = 0
-    for factor in range(n - 1, -1, -1):
-        if factor in keep:
-            continue
-        remaining = n - traced
-        tensor = np.trace(tensor, axis1=factor, axis2=factor + remaining)
-        traced += 1
+    for screen in reversed([k for k in range(n) if k not in keep]):  # the last first: axes stay put
+        tensor = np.trace(tensor, axis1=screen, axis2=screen + tensor.ndim // 2)
     kept_dim = math.prod(dims[k] for k in keep)
     return np.ascontiguousarray(tensor.reshape(kept_dim, kept_dim))
 

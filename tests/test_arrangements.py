@@ -933,16 +933,14 @@ class TestDetectorSteps:
 
 
 def count_kron_factors(monkeypatch) -> list:
-    """Wrap both kernels; the returned list grows by ``(dims, screen)`` per factor applied."""
-    applied = []
-    for name in ("_kron_left", "_kron_right"):
-        kernel = getattr(qlin, name)
+    """Wrap the kernel; the returned list grows by ``(dims, screen)`` per factor applied."""
+    applied, kernel = [], qlin._mode_product
 
-        def counted(m, dims, factors, kernel=kernel):
-            applied.extend((tuple(dims), axis) for axis in factors)
-            return kernel(m, dims, factors)
+    def counted(m, dims, factors, *args, **kwargs):
+        applied.extend((tuple(dims), axis) for axis in factors)
+        return kernel(m, dims, factors, *args, **kwargs)
 
-        monkeypatch.setattr(qlin, name, counted)
+    monkeypatch.setattr(qlin, "_mode_product", counted)
     return applied
 
 
@@ -1006,10 +1004,10 @@ class TestConjugationKernel:
     @pytest.mark.parametrize("dims, screens, routes", KERNEL_CASES)
     def test_each_route_matches_kron_oracle(self, monkeypatch, rng, dims, screens, routes):
         m, factors, oracle = conjugation_case(dims, screens, rng)
-        left = qlin._kron_left(m, dims, {k: dagger(w) for k, w in factors.items()})
+        left = qlin._mode_product(m, dims, {k: w.conj() for k, w in factors.items()})
         spy = MatmulSpy()
         monkeypatch.setattr(qlin, "np", spy)
-        out = qlin._kron_right(left, dims, factors)
+        out = qlin._mode_product(left, dims, factors, len(left), owned=True)
         # A block is a stack of column runs times one matrix; a column batch is one matrix
         # times a stack.
         taken = {"block"} if (3, 2) in spy.ranks else set()
@@ -1017,6 +1015,36 @@ class TestConjugationKernel:
             taken.add("columns")
         assert taken == routes and out.flags.c_contiguous
         assert np.max(np.abs(out - oracle)) <= 1e-12
+
+    @PROPERTY_SETTINGS
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=4).map(tuple), st.integers(0, 2**32 - 1))
+    @example(dims=(1,), seed=2)  # a 1 x 2 factor on the one screen of a 1 x 1 operand
+    def test_one_kernel_takes_either_side(self, dims, seed):
+        """``_mode_product`` against the dense oracle, square unitary and d x w factors on random
+        screens: on the rows (lead 1) of a square or thin operand, on the columns (lead = rows) of
+        a wide one, and in ``_conjugated``; with 256-byte chunks, so that passes run in place,
+        neither input is written, and no factor is no product.  A 1 x 1 operand of lead 1 reads
+        as rows, so the wide one has two rows or more there."""
+        rng = np.random.default_rng(seed)
+        screens = [k for k in range(len(dims)) if rng.random() < 0.5]
+        widths = {k: int(rng.integers(1, 5)) for k in screens if rng.random() < 0.5}
+        m, factors, oracle = conjugation_case(dims, screens, rng, widths)
+        r = kron_oracle([factors.get(k, np.eye(d)) for k, d in enumerate(dims)])
+        thin = np.ascontiguousarray(m[:, : int(rng.integers(1, len(m) + 1))])
+        wide = rng.normal(size=(int(rng.integers(1 if len(m) > 1 else 2, 4)), len(m))) + 0j
+        before = m.tobytes(), wide.tobytes()
+        conjugate = {k: w.conj() for k, w in factors.items()}
+        with mock.patch.object(qlin, "_CHUNK_BYTES", 256):
+            outs = [
+                (qlin._mode_product(m, dims, conjugate), r.conj().T @ m),
+                (qlin._mode_product(thin, dims, conjugate), r.conj().T @ thin),
+                (qlin._mode_product(wide, dims, factors, len(wide)), wide @ r),
+                (qlin._conjugated(m, dims, factors), oracle),
+            ]
+        for out, dense in outs:
+            assert out.shape == dense.shape and np.max(np.abs(out - dense), initial=0.0) <= 1e-12
+        assert (m.tobytes(), wide.tobytes()) == before
+        assert qlin._conjugated(m, dims, {}) is m and qlin._mode_product(wide, dims, {}, len(wide)) is wide
 
     def test_cases_cover_every_route(self):
         assert set().union(*(routes for *_, routes in KERNEL_CASES)) == {"block", "columns"}

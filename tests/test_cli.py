@@ -277,10 +277,13 @@ class TestTransform:
     def test_computational_basis_applies_no_factor(self, capsys, monkeypatch):
         """An identity basis is a step with no factor: no kernel applies a factor, and the report
         is the one that applying the identity gave, byte for byte."""
-        applied = []
-        for name in ("_kron_left", "_kron_right"):
-            kernel = getattr(qlin, name)
-            monkeypatch.setattr(qlin, name, lambda m, d, f, k=kernel: applied.extend(f) or k(m, d, f))
+        applied, kernel = [], qlin._mode_product
+
+        def counted(m, dims, factors, *args, **kwargs):
+            applied.extend(factors)
+            return kernel(m, dims, factors, *args, **kwargs)
+
+        monkeypatch.setattr(qlin, "_mode_product", counted)
         argv = ("transform", SAMPLES / "worked_ea.json", "--screen", "1", "--basis", "computational")
         code, out = run(capsys, *argv, "--format", "text")
         assert code == 0 and applied == []
@@ -438,6 +441,14 @@ class TestPowers:
         violations = report["results"]["axioms"]["additivity_violations"]
         assert violations
         assert violations[0]["member_total"] == pytest.approx(1.2)
+
+    def test_identity_is_sought_once(self, capsys, monkeypatch):
+        """The node count and the graph share one comparison of each projector with the identity."""
+        calls, sought = [], powers._identity_index
+        monkeypatch.setattr(powers, "_identity_index", lambda nodes: calls.append(1) or sought(nodes))
+        report = run_json(capsys, "powers", SAMPLES / "zero_state.json",
+                          "--projectors", SAMPLES / "qubit_two_bases.json")
+        assert len(calls) == 1 and [label for label, _ in report["results"]["potentia"]][-1] == "I"
 
     def test_node_cap_is_checked_before_the_graph_is_built(self, capsys, tmp_path, monkeypatch):
         payload = {

@@ -282,13 +282,13 @@ class TestOneWayLocal:
     def test_completeness_solves_only_the_factors(self, monkeypatch, rng, eigensolve_counter):
         """On (2,)*6 every factor applied is a 2x2 party map: no N x N Kraus product is formed."""
         rho = random_density(64, rng)
-        factors = []
-        for name in ("_kron_left", "_kron_right"):
-            def spied(m, dims, fs, kernel=getattr(qlin, name)):
-                factors.extend(w.shape for w in fs.values())
-                return kernel(m, dims, fs)
+        factors, kernel = [], qlin._mode_product
 
-            monkeypatch.setattr(qlin, name, spied)
+        def spied(m, dims, fs, *args, **kwargs):
+            factors.extend(w.shape for w in fs.values())
+            return kernel(m, dims, fs, *args, **kwargs)
+
+        monkeypatch.setattr(qlin, "_mode_product", spied)
         eigensolve_counter.clear()
         bystanders = [None] + [CPMap.identity(2) for _ in range(5)]
         instrument = one_way_local(0, projective_instrument([P0, P1]), bystanders)

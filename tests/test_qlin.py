@@ -1,4 +1,5 @@
 import math
+from collections.abc import Sized
 from typing import NamedTuple
 
 import numpy as np
@@ -467,6 +468,11 @@ def count_error(value, least, most=math.inf):
     return None if is_int(value) and least <= value <= most else DomainError
 
 
+def sequence_error(value, entries_error):
+    """ShapeError unless ``value`` is sized and iterable; else what ``entries_error`` gives for it."""
+    return entries_error(value) if isinstance(value, Sized) else ShapeError
+
+
 def size_error(value):
     """DomainError unless ``value`` is a non-bool integer > 0, CapacityError above the cap."""
     if not (is_int(value) and value > 0):
@@ -509,6 +515,21 @@ INDEX_CALLS = {
         lambda v: index_error(v, 2), lambda v, r: r.factorization.screen_dims == (1, 2)),
     "partial_trace": (lambda v: qlin.partial_trace(np.eye(6) / 6, (2, 3), (v,)), lambda v: index_error(v, 2),
                       lambda v, r: r.shape == ((2, 3)[v],) * 2),
+    # A container of indices is judged as one before its entries: v in place of the whole.
+    "flat_index_multi_index": (lambda v: Factorization((2, 3)).flat_index(v),
+                               lambda v: sequence_error(v, lambda s: ShapeError if len(s) != 2 else IndexError),
+                               lambda v, r: Factorization((2, 3)).multi_index(r) == tuple(v)),
+    "restrict_kept_sets": (
+        lambda v: restrict(make_ea(DensityOperator.maximally_mixed(6), Factorization((2, 3))), v),
+        lambda v: sequence_error(v, lambda s: ShapeError if len(s) != 2 else IndexError),
+        lambda v, r: r.degree >= 1),
+    "restrict_kept_set": (
+        lambda v: restrict(make_ea(DensityOperator.maximally_mixed(6), Factorization((2, 3))), [v, [0, 2]]),
+        lambda v: sequence_error(v, lambda s: IndexError if s else DomainError), lambda v, r: r.degree >= 2),
+    "partial_trace_kept": (lambda v: qlin.partial_trace(np.eye(6) / 6, (2, 3), v),
+                           lambda v: sequence_error(v, lambda s: IndexError if s else None),
+                           lambda v, r: r.shape == (1, 1) and abs(r[0, 0] - 1) < 1e-12),
+    "screen_dims": (Factorization, lambda v: sequence_error(v, lambda s: DomainError), lambda v, r: False),
     "one_way_local": (lambda v: locc.one_way_local(v, QUBIT_MEASUREMENT, [locc.CPMap.identity(2)] * 2),
                       lambda v: index_error(v, 2), lambda v, r: r.in_dim == 4),
     "basis_state_index": (lambda v: PureVector.basis_state(2, v), lambda v: index_error(v, 2),
@@ -554,11 +575,12 @@ class TestIndexAndCountRule:
     @given(value=INTEGER_LIKE, size=SIZES)
     @example(value=-1, size=2)
     @example(value=True, size=True)
+    @example(value=5, size=2)
     def test_every_integer_taking_function_applies_the_rule(self, value, size):
-        """Each index, count and single size a caller passes is judged by ``qlin._index``,
-        ``_count`` or ``_screen_dims``: a call succeeds and keeps the value, or raises exactly the
-        rule's class (a refused draw leaves the generator as it was); never a Python or numpy
-        error, and never a value truncated or wrapped to fit."""
+        """Each index, count, single size and list of indices a caller passes is judged by
+        ``qlin._index``, ``_count``, ``_screen_dims`` or ``_sequence``: a call succeeds and keeps
+        the value, or raises exactly the rule's class (a refused draw leaves the generator as it
+        was); never a Python or numpy error, and never a value truncated or wrapped to fit."""
         calls = [(name, lambda call=call: call(value), expected(value), lambda r, ok=ok: ok(value, r))
                  for name, (call, expected, ok) in INDEX_CALLS.items()]
         calls += [(name, lambda call=call: call(size), size_error(size), lambda r, ok=ok: ok(size, r))
@@ -586,6 +608,12 @@ class TestIndexAndCountRule:
         with pytest.raises(IndexError, match="^kept screen must be an integer in 0..1, got 0.7$"):
             qlin.partial_trace(np.eye(4) / 4, (2, 2), (0.7,))
         assert type(qlin._index(np.uint8(1), 2, "i")) is int and qlin._count(np.int64(5), 1, "n") == 5
+        with pytest.raises(ShapeError, match="^multi-index must be a sequence, got 5$"):
+            Factorization((2, 3)).flat_index(5)
+        with pytest.raises(ShapeError, match="^screen 0 kept set must be a sequence, got 0$"):
+            restrict(make_ea(DensityOperator.maximally_mixed(6), Factorization((2, 3))), [0, [1]])
+        with pytest.raises(ShapeError, match="^multi-index must be a sequence, got <generator"):
+            Factorization((2, 3)).flat_index(k for k in (1, 2))
 
 
 MATRIX_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1j, 1 - 0j, complex(-0.0, -0.0), math.nan])

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import __version__, fileio
+from . import __version__, fileio, qlin
 from .errors import (
     CapacityError,
     DomainError,
@@ -60,6 +61,8 @@ def _fmt(value) -> str:
         return f"{value:.12g}"
     if value is None:
         return "null"
+    if isinstance(value, str) and not value.isprintable():  # a line break would forge a line
+        return json.dumps(value)
     return str(value)
 
 
@@ -201,7 +204,7 @@ def _basis_arg(source: str, dim: int) -> tuple[np.ndarray, str | None]:
 
 
 def cmd_transform(args, tols: Tolerances) -> dict:
-    from . import arrangements, qlin
+    from . import arrangements
 
     if args.refactor is not None and (args.screen is not None or args.basis is not None):
         raise ParseError("--refactor and --screen/--basis are mutually exclusive")
@@ -225,11 +228,7 @@ def cmd_transform(args, tols: Tolerances) -> dict:
         transformed = arrangements.refactor(ea, new_layout)
         results["transform"] = {"refactor": list(dims)}
     elif args.screen is not None:
-        screen = args.screen - 1
-        if not 0 <= screen < state.factorization.screens:
-            raise ValidationError(
-                f"screen {args.screen} out of range 1..{state.factorization.screens}"
-            )
+        screen = qlin._count(args.screen, 1, "--screen", state.factorization.screens) - 1
         new_basis, basis_digest = _basis_arg(args.basis, state.factorization.screen_dims[screen])
         if basis_digest:
             digests["basis"] = basis_digest
@@ -292,9 +291,7 @@ def cmd_powers(args, tols: Tolerances) -> dict:
                     index = int(key)
                 except ValueError:
                     raise ValidationError(f"--override: no node labelled {key!r}")
-                if not 0 <= index < len(labels):
-                    raise ValidationError(f"--override: node index {index} out of range")
-                values[index] = value
+                values[qlin._index(index, len(labels), "--override node index")] = value
         valuation = powers.ISAValuation(graph, values)
 
     contexts = powers.maximal_contexts(graph)
@@ -378,9 +375,7 @@ def cmd_werner(args, tols: Tolerances) -> dict:
         raise ParseError(f"--scan expects numbers, got {args.scan!r}")
     if not (0.0 <= lo < hi <= 1.0):
         raise DomainError(f"scan range [{lo}, {hi}] must lie inside [0, 1]")
-    if steps < 2:
-        raise DomainError("scan needs at least 2 steps")
-    require_within("scan step count", steps, SCAN_STEPS_CAP)
+    require_within("scan step count", qlin._count(steps, 2, "--scan step count"), SCAN_STEPS_CAP)
 
     grid = np.linspace(lo, hi, steps)
     rows = [_werner_row(float(p), tols) for p in grid]

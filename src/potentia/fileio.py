@@ -89,12 +89,18 @@ def _load_json(path: str | Path) -> tuple[dict, str]:
     return document, digest
 
 
-def _require(document: dict, key: str, kind: type, path: str):
-    if key not in document:
+_REQUIRED = object()
+
+
+def _require(document: dict, key: str, kind: type, path: str, default=_REQUIRED):
+    """The one field gate: ``document[key]`` if it is a ``kind`` (a nonempty one, for ``list``).
+    An absent optional field reads as its ``default``, and so does a null one whose default is None."""
+    value = document.get(key, default)
+    if value is _REQUIRED:
         raise ParseError(f"{path}: missing required field {key!r}")
-    value = document[key]
-    if not (qlin._is_integer(value) if kind is int else isinstance(value, kind)):
-        raise ParseError(f"{path}.{key}: expected {kind.__name__}")
+    fits = qlin._is_integer(value) if kind is int else isinstance(value, kind) and (value or kind is not list)
+    if not (fits or value is default):
+        raise ParseError(f"{path}.{key}: expected {'a nonempty list' if kind is list else kind.__name__}")
     return value
 
 
@@ -187,9 +193,7 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
         )
         basis = _validated(name, DetectorBasis, screens)
 
-    label = document.get("label")
-    if label is not None and not isinstance(label, str):
-        raise ParseError(f"{name}.label: expected a string")
+    label = _require(document, "label", str, name, None)
     return StateFile(density, factorization, basis, label, has_factorization, digest)
 
 
@@ -232,16 +236,12 @@ def load_projectors(path: str | Path) -> tuple[list[PowerNode], str]:
     document, name, digest = _load_document(path)
     dim = _require_dim(document, name)
     raw_nodes = _require(document, "projectors", list, name)
-    if not raw_nodes:
-        raise ParseError(f"{name}.projectors: expected at least one projector")
     nodes = []
     for k, raw in enumerate(raw_nodes):
         where = f"{name}.projectors[{k}]"
         if not isinstance(raw, dict):
             raise ParseError(f"{where}: expected an object")
-        label = raw.get("label", f"P{k}")
-        if not isinstance(label, str):
-            raise ParseError(f"{where}.label: expected a string")
+        label = _require(raw, "label", str, where, f"P{k}")
         matrix = matrix_from_json(_require(raw, "matrix", list, where), f"{where}.matrix", (dim, dim))
         nodes.append(_validated(f"{name}: projector {label!r} invalid", PowerNode, matrix, label))
     return nodes, digest
@@ -253,15 +253,11 @@ def load_instrument(path: str | Path) -> tuple[QuantumInstrument, str]:
 
     document, name, digest = _load_document(path)
     raw_branches = _require(document, "branches", list, name)
-    if not raw_branches:
-        raise ParseError(f"{name}.branches: expected at least one branch")
     branches = []
     for k, raw in enumerate(raw_branches):
         if not isinstance(raw, dict):
             raise ParseError(f"{name}.branches[{k}]: expected an object")
         raw_kraus = _require(raw, "kraus", list, f"{name}.branches[{k}]")
-        if not raw_kraus:
-            raise ParseError(f"{name}.branches[{k}].kraus: expected at least one operator")
         kraus = tuple(
             matrix_from_json(mat, f"{name}.branches[{k}].kraus[{i}]")
             for i, mat in enumerate(raw_kraus)
@@ -282,9 +278,7 @@ def load_basis(path: str | Path, dim: int) -> tuple[np.ndarray, str]:
 
 def load_tolerances(path: str | Path) -> Tolerances:
     """The defaults, overridden by each entry of a config file's optional ``tolerances`` object."""
-    raw = _load_json(path)[0].get("tolerances", {})
-    if not isinstance(raw, dict):
-        raise ParseError(f"{path}: 'tolerances' must be an object")
+    raw = _require(_load_json(path)[0], "tolerances", dict, str(path), {})
     tols = Tolerances()
     for name, value in raw.items():
         tols.override(name, value)

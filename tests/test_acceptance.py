@@ -326,6 +326,8 @@ GOLDEN_COMMANDS = (
         "--format", "json",
     ),
     ("werner", "--scan", "0,1,101", "--format", "json"),
+    ("analyze", "samples/paper/spectrum_product_frame.json", "--format", "json"),
+    ("analyze", "samples/paper/spectrum_bell_frame.json", "--format", "json"),
 )
 
 #: Stored output of each golden command, aligned with GOLDEN_COMMANDS.
@@ -334,6 +336,8 @@ GOLDEN_FILES = (
     "transform_worked_ea.json",
     "powers_zero_state.json",
     "werner_scan.json",
+    "analyze_spectrum_product_frame.json",
+    "analyze_spectrum_bell_frame.json",
 )
 GOLDEN_FLOAT_TOL = 1e-12
 
@@ -484,6 +488,24 @@ def test_a_command_loads_only_the_modules_it_calls(argv, unloaded):
     assert code == 0
     assert {f"potentia.{name}" for name in unloaded}.isdisjoint(loaded)
     assert "potentia.fileio" in loaded
+
+
+def test_readme_maps_every_paper_sample_to_its_claim():
+    """Each file in ``samples/paper/`` has a row in README's "The paper's claims, computed",
+    whose command is a golden command and whose golden report is the one stored for it."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## The paper's claims, computed", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| ") and "samples/paper/" in line]
+    goldens = dict(zip(GOLDEN_FILES, GOLDEN_COMMANDS))
+    samples = sorted((ROOT / "samples" / "paper").glob("*.json"))
+    assert samples
+    for sample in samples:
+        name = f"samples/paper/{sample.name}"
+        row = [line for line in rows if f"`{name}`" in line]
+        assert len(row) == 1, f"{name} has {len(row)} rows in README's paper section"
+        golden = re.search(r"`tests/golden/([\w.]+)`", row[0]).group(1)
+        assert name in goldens[golden], f"{golden} is not the golden report of {name}"
+        assert f"`potentia {' '.join(goldens[golden])}`" in row[0]
 
 
 def test_readme_lists_every_tolerance_with_its_default():

@@ -812,7 +812,8 @@ class TestExitCodes:
              "parse error: --override  |0><0| : 'half' is not a number"),
             (("--override", "|2><2|=0.5"), 3,
              "validation error: --override: no node labelled '|2><2|'"),
-            (("--override", "5=0.5"), 3, "validation error: --override: node index 5 out of range"),
+            (("--override", "5=0.5"), 3,
+             "validation error: --override node index must be an integer in 0..4, got 5"),
             (("--override", "|0><0|=2"), 3,
              "validation error: greatest potentia 2.0 exceeds 1.000000000001"),
             (("--override", "I=nan"), 3, "validation error: negated least potentia nan exceeds 1e-12"),
@@ -1175,6 +1176,131 @@ class TestExitCodes:
         code, _ = run(capsys, "analyze", noisy, "--config", config)
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv, edit, code, message",
+        [
+            (("powers", "S/zero_state.json", "--projectors"), ("qubit_two_bases.json", ("projectors",), []),
+             2, "parse error: {file}.projectors: expected a nonempty list"),
+            (("instrument", "S/bell_phi_plus.json", "--instrument"),
+             ("measure_first_screen.json", ("branches",), []),
+             2, "parse error: {file}.branches: expected a nonempty list"),
+            (("instrument", "S/bell_phi_plus.json", "--instrument"),
+             ("measure_first_screen.json", ("branches", 0, "kraus"), []),
+             2, "parse error: {file}.branches[0].kraus: expected a nonempty list"),
+            (("analyze",), ("zero_state.json", ("label",), 0), 2, "parse error: {file}.label: expected str"),
+            (("powers", "S/zero_state.json", "--projectors"),
+             ("qubit_two_bases.json", ("projectors", 0, "label"), None),
+             2, "parse error: {file}.projectors[0].label: expected str"),
+            (("analyze", "S/zero_state.json", "--config"), ({"tolerances": {}}, ("tolerances",), []),
+             2, "parse error: {file}.tolerances: expected dict"),
+            (("analyze",), ("zero_state.json", ("label",), None), 0, ""),
+            (("transform", "S/worked_ea.json", "--screen", "0", "--basis", "hadamard"), None,
+             3, "validation error: --screen must be an integer in 1..2, got 0"),
+            (("transform", "S/worked_ea.json", "--screen", "3", "--basis", "hadamard"), None,
+             3, "validation error: --screen must be an integer in 1..2, got 3"),
+            (("powers", "S/zero_state.json", "--projectors", "S/qubit_two_bases.json",
+              "--override=5=0.5"), None,
+             3, "validation error: --override node index must be an integer in 0..4, got 5"),
+            (("powers", "S/zero_state.json", "--projectors", "S/qubit_two_bases.json",
+              "--override=-1=0.5"), None,
+             3, "validation error: --override node index must be an integer in 0..4, got -1"),
+            (("werner", "--scan", "0,1,1"), None,
+             3, "validation error: --scan step count must be an integer >= 2, got 1"),
+        ],
+        ids=[
+            "empty_projectors", "empty_branches", "empty_kraus", "state_label_number",
+            "projector_label_null", "tolerances_list", "state_label_null", "screen_0", "screen_3",
+            "override_index_5", "override_index_negative", "scan_one_step",
+        ],
+    )
+    def test_field_and_integer_gates(self, capsys, tmp_path, argv, edit, code, message):
+        """Each input once refused by a hand-written check: the same exit code, and one line from
+        the field gate ``fileio._require`` or the count and index gates ``qlin._count``/``_index``.
+        ``edit`` is (a sample or a document, a field path, its new value), and the file written
+        from it ends the command line."""
+        argv = [str(SAMPLES) + a[1:] if a.startswith("S/") else a for a in argv]
+        path = tmp_path / "edited.json"
+        if edit is not None:
+            document, field, value = edit
+            if isinstance(document, str):
+                document = json.loads((SAMPLES / document).read_text(encoding="utf-8"))
+            *parents, last = field
+            functools.reduce(operator.getitem, parents, document)[last] = value
+            path.write_text(json.dumps(document), encoding="utf-8")
+            argv.append(str(path))
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err == (message.format(file=path) + "\n" if message else "")
+
+
+@settings(max_examples=60, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=st.one_of(
+    st.tuples(st.just("screen"), st.integers(-3, 6)),
+    st.tuples(st.just("override"), st.integers(-3, 8)),
+    st.tuples(st.just("scan"), st.sampled_from([*range(-2, 5), SCAN_STEPS_CAP + 1])),
+))
+def test_cli_integers_pass_the_library_gates(capsys, case):
+    """``transform --screen``, ``powers --override``'s node index and ``werner --scan``'s step
+    count: in range they run, out of range they exit with one line from ``qlin._count`` or
+    ``qlin._index`` (a scan above its cap from ``require_within``)."""
+    what, n = case
+    if what == "screen":  # worked_ea.json has two screens
+        argv = ["transform", SAMPLES / "worked_ea.json", f"--screen={n}", "--basis", "hadamard"]
+        refused = (3, f"validation error: --screen must be an integer in 1..2, got {n}")
+        expected = (0, "") if 1 <= n <= 2 else refused
+    elif what == "override":  # four projectors and the identity: nodes 0..4
+        argv = ["powers", SAMPLES / "zero_state.json", "--projectors", SAMPLES / "qubit_two_bases.json",
+                f"--override={n}=0.5"]
+        refused = (3, f"validation error: --override node index must be an integer in 0..4, got {n}")
+        expected = (0, "") if 0 <= n <= 4 else refused
+    else:
+        argv = ["werner", "--scan", f"0,1,{n}"]
+        expected = (
+            (3, f"validation error: --scan step count must be an integer >= 2, got {n}") if n < 2
+            else (4, f"capacity error: scan step count {n} exceeds the cap of {SCAN_STEPS_CAP}")
+            if n > SCAN_STEPS_CAP else (0, "")
+        )
+    code = main([str(a) for a in argv])
+    err = capsys.readouterr().err
+    assert (code, err.removesuffix("\n")) == expected
+    assert err.count("\n") == (code != 0)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(label=st.text(min_size=1))
+def test_a_label_is_one_line_of_a_text_report(capsys, tmp_path, label):
+    """A label holding a line break, or another unprintable character, prints as its JSON
+    literal, so no label adds a line to a text report or forges one."""
+    def report(label: str) -> list[str]:
+        document = json.loads((SAMPLES / "zero_state.json").read_text(encoding="utf-8"))
+        document["label"] = label
+        path = tmp_path / "labelled.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code, out = run(capsys, "analyze", path)
+        assert code == 0
+        return out.splitlines()
+
+    lines = report(label)
+    assert len(lines) == len(report("x"))
+    shown = next(line for line in lines if line.startswith("  label: "))[len("  label: "):]
+    assert shown == (label if label.isprintable() else json.dumps(label))
+
+
+def test_a_projector_label_is_one_line_of_a_text_report(capsys, tmp_path):
+    lines = []
+    for label in ("x", "a\nb: c"):
+        document = json.loads((SAMPLES / "qubit_two_bases.json").read_text(encoding="utf-8"))
+        document["projectors"][0]["label"] = label
+        path = tmp_path / "labelled.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code, out = run(capsys, "powers", SAMPLES / "zero_state.json", "--projectors", path)
+        assert code == 0
+        lines.append(out.splitlines())
+    assert len(lines[0]) == len(lines[1])
+    assert "  nodes:" in lines[1] and '    ["a\\nb: c", |1><1|, |+><+|, |-><-|, I]' in lines[1]
+
 
 #: One documented command per report kind; ``mutated_argv`` edits one of their tokens.
 DOCUMENTED_ARGV = [
@@ -1219,6 +1345,58 @@ def test_every_argv_meets_the_exit_code_contract(capsys, tmp_path, monkeypatch, 
     assert code in (0, 2, 3, 4)
     assert err.count("\n") == (code != 0) and err.endswith("\n") == (code != 0)
     if code == 0 and argv[-2:] == ["--format", "json"]:
+        json.loads(out)
+
+
+_HADAMARD = fileio.matrix_to_json(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+
+#: Each file kind a command reads: the command, with ``None`` where the file goes; the document it
+#: starts from (a sample's name, or the document itself); and the fields its loader reads, each
+#: a path of keys and indices.
+DOCUMENT_KINDS = (
+    (("analyze", None), "worked_ea.json",
+     (("schema_version",), ("dim",), ("matrix",), ("matrix", 0), ("matrix", 0, 0), ("matrix", 0, 0, 0),
+      ("factorization",), ("factorization", 0), ("bases",), ("bases", 1), ("bases", 1, 0, 0),
+      ("label",))),
+    (("powers", SAMPLES / "zero_state.json", "--projectors", None), "qubit_two_bases.json",
+     (("schema_version",), ("dim",), ("projectors",), ("projectors", 0), ("projectors", 0, "label"),
+      ("projectors", 0, "matrix"), ("projectors", 0, "matrix", 1, 1))),
+    (("instrument", SAMPLES / "bell_phi_plus.json", "--instrument", None), "measure_first_screen.json",
+     (("schema_version",), ("branches",), ("branches", 0), ("branches", 0, "kraus"),
+      ("branches", 0, "kraus", 0), ("branches", 1, "kraus", 0, 0, 0))),
+    (("transform", SAMPLES / "worked_ea.json", "--screen", "2", "--basis", None), {"matrix": _HADAMARD},
+     (("matrix",), ("matrix", 0), ("matrix", 0, 0))),
+    (("analyze", SAMPLES / "werner_05.json", "--config", None), {"tolerances": {"verdict": 1e-6}},
+     (("tolerances",), ("tolerances", "verdict"))),
+)
+#: A value of each JSON kind.
+JSON_JUNK = (0, 2.5, "x", True, None, [], [1], {})
+
+
+@st.composite
+def mutated_document(draw) -> tuple[list, dict]:
+    """A command that reads a file, and that file's document with one field replaced by junk."""
+    argv, document, fields = draw(st.sampled_from(DOCUMENT_KINDS))
+    if isinstance(document, str):
+        document = json.loads((SAMPLES / document).read_text(encoding="utf-8"))
+    document = json.loads(json.dumps(document))  # a copy to edit
+    *parents, last = draw(st.sampled_from(fields))
+    functools.reduce(operator.getitem, parents, document)[last] = draw(st.sampled_from(JSON_JUNK))
+    return [*argv, "--format", draw(st.sampled_from(("json", "text")))], document
+
+
+@settings(max_examples=500, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=mutated_document())
+def test_every_document_meets_the_exit_code_contract(capsys, tmp_path, case):
+    argv, document = case
+    path = tmp_path / "document.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code = main([str(path if a is None else a) for a in argv])
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3, 4)
+    assert err.count("\n") == (code != 0) and err.endswith("\n") == (code != 0)
+    if code == 0 and argv[-1] == "json":
         json.loads(out)
 
 

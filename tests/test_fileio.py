@@ -299,6 +299,33 @@ class TestInstrumentFiles:
             load_instrument(path)
 
 
+class TestFieldGate:
+    @pytest.mark.parametrize(
+        "document, kind, message",
+        [
+            ({}, list, "f: missing required field 'k'"),
+            ({"k": []}, list, "f.k: expected a nonempty list"),
+            ({"k": {}}, list, "f.k: expected a nonempty list"),
+            ({"k": None}, str, "f.k: expected str"),
+            ({"k": True}, int, "f.k: expected int"),
+            ({"k": []}, dict, "f.k: expected dict"),
+        ],
+        ids=["missing", "empty_list", "object_for_list", "null_for_string", "bool_for_int", "list_for_object"],
+    )
+    def test_refusal(self, document, kind, message):
+        with pytest.raises(ParseError) as refused:
+            fileio._require(document, "k", kind, "f")
+        assert str(refused.value) == message
+
+    def test_optional_field(self):
+        assert fileio._require({}, "k", str, "f", "P0") == "P0"
+        assert fileio._require({"k": None}, "k", str, "f", None) is None  # a null state label
+        assert fileio._require({"k": {}}, "k", dict, "f", {}) == {}
+        assert fileio._require({"k": ""}, "k", str, "f", None) == ""
+        with pytest.raises(ParseError, match=r"^f\.k: expected str$"):
+            fileio._require({"k": None}, "k", str, "f", "P0")  # a null projector label
+
+
 class TestTolerances:
     def test_unknown_name(self):
         with pytest.raises(ParseError, match="unknown tolerance"):

@@ -164,12 +164,12 @@ class ExperimentalArrangement:
     @property
     def matrix(self) -> np.ndarray:
         """The state in detector coordinates, in a cell refactors share, formed from a ``_Pending`` on
-        first read; concurrent first reads may each form it, and all return the one kept."""
+        first read, an N x N conjugation per run; concurrent first reads may each form it, and all
+        return the one kept.  ``intensities``, ``power_intensity``, ``multiscreen_effect`` and
+        ``restrict`` of an arrangement in its last run's layout read only the entries they need."""
         cell = vars(self)["_cell"]
-        if (pending := cell.get("pending")) is not None:
-            m = pending.source
-            for dims, factors in pending.runs:
-                m = qlin._conjugated(m, dims, factors)
+        if (pending := _collapsed(cell)) is not None:
+            m = qlin._conjugated(pending.source, *pending.runs[0])
             cell.setdefault("matrix", qlin._frozen_in_place(m))
             cell.pop("pending", None)
         return cell["matrix"]
@@ -187,13 +187,72 @@ class ExperimentalArrangement:
         return qlin._frozen_in_place(m)
 
     def intensities(self) -> np.ndarray:
-        """Flat potentia vector (clipped to [0, 1])."""
-        return np.clip(np.real(np.diag(self.matrix)), 0.0, 1.0)
+        """Flat potentia vector (clipped to [0, 1]): the diagonal, which ``_diagonal`` reads from a
+        pending matrix at O(Du Dc^2 Sum d) and leaves it pending."""
+        return np.clip(_diagonal(self), 0.0, 1.0)
 
     def canonical_density(self) -> DensityOperator:
         """The state in ambient canonical coordinates, basis unwound."""
         m = _unwound(self.matrix, self.steps)
         return DensityOperator(m) if m is self.matrix else DensityOperator._owning(m)
+
+
+def _collapsed(cell: dict) -> _Pending | None:
+    """The cell's ``_Pending`` with every run but the last formed into its source and kept in the
+    cell, so that no read forms an earlier run twice; None once the matrix is formed."""
+    if (pending := cell.get("pending")) is not None and len(pending.runs) > 1:
+        source = pending.source
+        for dims, factors in pending.runs[:-1]:
+            source = qlin._conjugated(source, dims, factors)
+        collapsed = pending._replace(source=qlin._frozen_in_place(source), runs=pending.runs[-1:])
+        if cell.get("pending") is pending:
+            cell["pending"] = collapsed
+        return collapsed
+    return pending
+
+
+def _last_run(ea: ExperimentalArrangement) -> tuple:
+    """``(source, (dims, factors))``, ``ea.matrix`` = R^dag source R, R the factors' product: of a
+    pending matrix when ``ea`` is in its last run's layout, else the formed matrix with no factor."""
+    pending, dims = _collapsed(vars(ea)["_cell"]), ea.factorization.screen_dims
+    if pending is None or pending.runs[0][0] != dims:
+        return ea.matrix, (dims, {})
+    return pending.source, pending.runs[0]
+
+
+def _diagonal(ea: ExperimentalArrangement) -> np.ndarray:
+    """The real diagonal of ``ea.matrix``, from ``_last_run``: per detector of the factor-free screens
+    (Du of them), the source's Dc x Dc block over the factored screens, a view, conjugated by the
+    factors; Du Dc^2 entries, no more than the N^2 that forming the matrix costs."""
+    source, (dims, factors) = _last_run(ea)
+    fixed, free = sorted(factors), [k for k in range(len(dims)) if k not in factors]
+    du, dc = math.prod(dims[k] for k in free), math.prod(dims[k] for k in fixed)
+    # The view's axes are the screens of more than one detector, at most log2(DIM_CAP) of them.
+    big = [k for k in range(len(dims)) if dims[k] > 1]
+    axis = {k: i for i, k in enumerate(big)}
+    cols = [len(big) + axis[k] if k in factors else axis[k] for k in big]
+    out = [axis[k] for k in free + fixed if k in axis] + [len(big) + axis[k] for k in fixed if k in axis]
+    blocks = np.einsum(source.reshape([dims[k] for k in big] * 2), [*range(len(big)), *cols], out)
+    blocks = np.ascontiguousarray(blocks).reshape(du * dc, dc)
+    sub = tuple(dims[k] for k in fixed)
+    left = qlin._mode_product(blocks, sub, {i: factors[k].conj() for i, k in enumerate(fixed)}, du)
+    both = qlin._mode_product(left, sub, {i: factors[k] for i, k in enumerate(fixed)}, du * dc,
+                              owned=left is not blocks)
+    diag = np.real(both.reshape(du, dc, dc).diagonal(axis1=1, axis2=2))
+    return diag.reshape([dims[k] for k in free + fixed]).transpose(np.argsort(free + fixed)).ravel()
+
+
+def _block(ea: ExperimentalArrangement, kept: Sequence[Sequence[int]]) -> np.ndarray:
+    """``ea.matrix`` on the kept detectors, one sorted index tuple per screen, in a new array, from
+    ``_last_run``: the source on the kept detectors of the factor-free screens, conjugated by each
+    factor cut to its kept columns."""
+    source, (dims, factors) = _last_run(ea)
+    rows = [range(d) if k in factors else kept[k] for k, d in enumerate(dims)]
+    flat = np.ravel_multi_index(np.ix_(*rows), dims).ravel()
+    cut = {k: np.ascontiguousarray(w[:, kept[k]]) for k, w in factors.items()}
+    # A slice of every row is no copy: the factors' product is a new array.
+    whole = factors and len(flat) == len(source)
+    return qlin._conjugated(source if whole else source[np.ix_(flat, flat)], tuple(map(len, rows)), cut)
 
 
 def _runs(steps: Sequence) -> list:
@@ -244,9 +303,11 @@ def make_ea(
 
 
 def power_intensity(ea: ExperimentalArrangement, multi_index: Sequence[int]) -> float:
-    """The potentia of one power: the diagonal entry at the multi-index."""
-    flat = ea.factorization.flat_index(multi_index)
-    return float(np.clip(np.real(ea.matrix[flat, flat]), 0.0, 1.0))
+    """The potentia of one power: the diagonal entry at the multi-index, read from a pending matrix
+    as ``restrict``'s block of one detector per screen, at O(N^2) at most, leaving it pending."""
+    f = ea.factorization
+    entry = _block(ea, [(i,) for i in f.multi_index(f.flat_index(multi_index))])[0, 0]
+    return float(np.clip(np.real(entry), 0.0, 1.0))
 
 
 def change_detectors(
@@ -256,8 +317,11 @@ def change_detectors(
 
     ``new_basis`` columns are the new detector vectors written in the
     screen's current detector coordinates.  The ambient state is untouched;
-    only its representation moves.  The step is applied on first read, a run
-    of changes of distinct screens in one layout as one conjugation.
+    only its representation moves.  The step is applied when ``matrix`` is
+    first read, a run of changes of distinct screens in one layout as one
+    conjugation.  ``intensities``, ``power_intensity``, ``multiscreen_effect``
+    and ``restrict`` read only the entries they need, and form no N x N
+    product of the last run.
     """
     dims = ea.factorization.screen_dims
     screen = _index(screen, len(dims), "screen")
@@ -328,7 +392,9 @@ def restrict(
     Projects onto the span of the kept detector vectors and renormalizes
     (P rho P / Tr(P rho P)); the result lives on the kept detectors in
     their own coordinates.  It is a new state, formed and checked by
-    ``states._conditioned`` as an instrument post-state is.
+    ``states._conditioned`` as an instrument post-state is.  The kept block of
+    a pending matrix is formed alone (``_block``), at O(N^2) for the slice and
+    far less than N^2 Sum d for its conjugation, and the matrix stays pending.
     """
     dims = ea.factorization.screen_dims
     if len(kept_detectors := _sequence(kept_detectors, "kept detector sets")) != len(dims):
@@ -341,8 +407,7 @@ def restrict(
             raise DomainError(f"screen {screen} keeps no detectors")
         kept.append(indices)
 
-    flat_kept = np.ravel_multi_index(np.ix_(*kept), dims).ravel()
-    overlap, conditioned = _conditioned(ea.matrix[np.ix_(flat_kept, flat_kept)])  # a new array
+    overlap, conditioned = _conditioned(_block(ea, kept))  # a new array
     if conditioned is None:
         raise DegenerateConditioningError(
             f"kept detectors carry total intensity {overlap:.3e}; cannot condition"
@@ -357,10 +422,11 @@ def multiscreen_effect(
     """Per-screen marginal intensity of one power.
 
     Screen k's entry is the total intensity landing on detector
-    multi_index[k] of screen k, all other screens summed over.
+    multi_index[k] of screen k, all other screens summed over: sums of the
+    diagonal, which a pending matrix gives as ``intensities`` does.
     """
     ea.factorization.flat_index(multi_index)  # validates the index
-    diag = np.real(np.diag(ea.matrix)).reshape(ea.factorization.screen_dims)
+    diag = _diagonal(ea).reshape(ea.factorization.screen_dims)
     return [
         min(max(float(np.take(diag, int(wanted), axis=screen).sum()), 0.0), 1.0)
         for screen, wanted in enumerate(multi_index)

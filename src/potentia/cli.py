@@ -152,7 +152,7 @@ def _analysis_results(state: fileio.StateFile, tols: Tolerances) -> dict:
         "entropy_bits": entanglement.von_neumann_entropy(density),
         "intensities": _float_list(ea.intensities()),
     }
-    if state.label:
+    if state.label is not None:
         results["label"] = state.label
     if density.dim == 2:
         point = states.bloch_from_density(density)

@@ -166,35 +166,27 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
     except DomainError as exc:
         raise ValidationError(f"{name}: {exc}")
 
-    has_factorization = "factorization" in document
-    if has_factorization:
-        dims = document["factorization"]
-        try:
-            factorization = Factorization(tuple(dims) if isinstance(dims, list) else ())
-        except DomainError:
-            raise ParseError(f"{name}.factorization: expected a nonempty list of positive integers")
-        if factorization.degree != dim:
-            raise ValidationError(
-                f"{name}: factorization {dims} multiplies to {factorization.degree}, dim is {dim}"
-            )
-    else:
-        factorization = Factorization((dim,))
-
-    basis = None
-    if "bases" in document:
-        raw_bases = document["bases"]
-        if not isinstance(raw_bases, list) or len(raw_bases) != factorization.screens:
-            raise ParseError(
-                f"{name}.bases: expected one basis per screen ({factorization.screens})"
-            )
-        screens = tuple(
-            matrix_from_json(raw, f"{name}.bases[{k}]", (d, d))
-            for k, (raw, d) in enumerate(zip(raw_bases, factorization.screen_dims))
+    dims = _require(document, "factorization", list, name, [dim])  # absent: one screen
+    try:
+        factorization = Factorization(tuple(dims))
+    except DomainError:
+        raise ParseError(f"{name}.factorization: expected a nonempty list of positive integers")
+    if factorization.degree != dim:
+        raise ValidationError(
+            f"{name}: factorization {dims} multiplies to {factorization.degree}, dim is {dim}"
         )
-        basis = _validated(name, DetectorBasis, screens)
+
+    raw_bases = _require(document, "bases", list, name, ())  # absent: computational detectors
+    if raw_bases and len(raw_bases) != factorization.screens:
+        raise ParseError(f"{name}.bases: expected one basis per screen ({factorization.screens})")
+    screens = tuple(
+        matrix_from_json(raw, f"{name}.bases[{k}]", (d, d))
+        for k, (raw, d) in enumerate(zip(raw_bases, factorization.screen_dims))
+    )
+    basis = _validated(name, DetectorBasis, screens) if raw_bases else None
 
     label = _require(document, "label", str, name, None)
-    return StateFile(density, factorization, basis, label, has_factorization, digest)
+    return StateFile(density, factorization, basis, label, "factorization" in document, digest)
 
 
 def state_document(

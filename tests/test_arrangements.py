@@ -1131,6 +1131,18 @@ class TestConjugationMemory:
 
         assert self.peak(pipeline) <= self.N2 + self.BOUND
 
+    def test_partial_reads_of_three_changes(self, rng):
+        """The four reads of three pending changes copy the source's blocks on the changed screens,
+        64 x 8 x 8 entries, and conjugate them, in two arrays of that size: under a sixteenth of
+        one N x N array, with the matrix still pending."""
+        f = Factorization(self.DIMS)
+        changed = make_ea(random_density(f.degree, rng), f, haar_basis(self.DIMS, rng))
+        for screen in (0, 4, 8):
+            changed = change_detectors(changed, screen, random_unitary(2, rng))
+        index, kept = (1,) * 9, [[0, 1]] * 3 + [[0]] * 6
+        assert self.peak(lambda: four_reads(changed, index, kept)) < self.N2 // 16
+        assert "pending" in vars(changed)["_cell"]
+
     def test_unrelated_comparison(self, rng):
         """Two ``make_ea``, in Haar bases of all nine screens, of two ``DensityOperator``s of one
         matrix, compared: one conjugation moves ea1's matrix into ea2's frame, and the difference
@@ -1324,6 +1336,161 @@ class TestDeferredChanges:
         gc.collect()
         assert ancestor() is None
         assert np.max(np.abs(pending.matrix - oracle)) <= 1e-12
+
+
+@st.composite
+def pending_reads(draw):
+    """A layout of 1-4 screens of dims 1-4 and a seed; whether a refactor follows the first run of
+    changes, and whether a second run follows it (in the refactored layout, if there is one)."""
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    return dims, draw(st.booleans()), draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+def four_reads(ea, index, kept):
+    """``intensities``, ``power_intensity``, ``multiscreen_effect`` and ``restrict``'s matrix and
+    layout, or the class of what it raised."""
+    try:
+        restricted = restrict(ea, kept)
+        conditioned = restricted.matrix, restricted.factorization
+    except DegenerateConditioningError as exc:
+        conditioned = type(exc)
+    return ea.intensities(), power_intensity(ea, index), multiscreen_effect(ea, index), conditioned
+
+
+class TestPartialReads:
+    """The four reads of a pending arrangement in its last run's layout take only the entries they
+    need from its source, and leave the matrix pending."""
+
+    @staticmethod
+    def run_of_changes(ea, rng):
+        """Haar changes of a random subset of screens, one of them perhaps the identity."""
+        dims = ea.factorization.screen_dims
+        for screen in np.flatnonzero(rng.random(len(dims)) < 0.6):
+            v = np.eye(dims[screen]) if rng.random() < 0.2 else random_unitary(dims[screen], rng)
+            ea = change_detectors(ea, int(screen), v)
+        return ea
+
+    @staticmethod
+    def kept_sets(dims, diagonal, rng):
+        """Random nonempty kept sets whose intensity is at least 0.01; every detector if ten
+        draws find none."""
+        for _ in range(10):
+            kept = [sorted(set(rng.integers(0, d, size=rng.integers(1, d + 1)).tolist())) for d in dims]
+            if diagonal[np.ix_(*kept)].sum() >= 0.01:
+                return kept
+        return [list(range(d)) for d in dims]
+
+    @settings(max_examples=150, deadline=None)
+    @given(pending_reads())
+    @example(((1, 3, 1, 2), True, True, 0))
+    @example(((4,), False, False, 1))
+    def test_reads_match_the_formed_matrix(self, case):
+        """Before ``.matrix`` is read, each read equals the one taken after within 1e-12, and a
+        pending arrangement in its last run's layout is still pending after them."""
+        dims, refactored, second_run, seed = case
+        rng = np.random.default_rng(seed)
+        _, _, ea = random_layout_ea(dims, rng)
+        ea = self.run_of_changes(ea, rng)
+        if refactored:
+            ea = refactor(ea, Factorization(random_refactor(dims, rng)))
+        if second_run:
+            ea = self.run_of_changes(ea, rng)
+        layout = ea.factorization.screen_dims
+        cell = vars(ea)["_cell"]
+        partial = "pending" in cell and cell["pending"].runs[-1][0] == layout
+        oracle = copy.deepcopy(ea).matrix  # the same matrix, formed in a copy
+        index = tuple(int(rng.integers(d)) for d in layout)
+        kept = self.kept_sets(layout, np.real(np.diag(oracle)).reshape(layout), rng)
+        before = four_reads(ea, index, kept)
+        assert ("pending" in cell) == partial
+        if partial:
+            assert len(cell["pending"].runs) == 1
+        ea.matrix
+        after = four_reads(ea, index, kept)
+        for got, formed in zip(before[:3], after[:3]):
+            assert np.max(np.abs(np.subtract(got, formed))) <= 1e-12
+        if isinstance(after[3], tuple):
+            assert before[3][1] == after[3][1]
+            assert np.max(np.abs(before[3][0] - after[3][0])) <= 1e-12
+        else:
+            assert before[3] is after[3]
+
+    @staticmethod
+    def spied(monkeypatch, name) -> list:
+        """The shapes of the arrays passed to ``qlin.<name>``, which still runs."""
+        shapes, kernel = [], getattr(qlin, name)
+        def spy(m, *args, **kwargs):
+            shapes.append(m.shape)
+            return kernel(m, *args, **kwargs)
+
+        monkeypatch.setattr(qlin, name, spy)
+        return shapes
+
+    def test_one_run_forms_no_matrix(self, monkeypatch, rng):
+        """On (2, 3, 4) with screens 0 and 2 changed, the four reads pass no 24 x 24 array to
+        ``_conjugated`` or ``_mode_product``, and the matrix stays pending."""
+        _, _, ea = random_layout_ea((2, 3, 4), rng)
+        pending = change_detectors(ea, 0, random_unitary(2, rng))
+        pending = change_detectors(pending, 2, random_unitary(4, rng))
+        conjugated = self.spied(monkeypatch, "_conjugated")
+        products = self.spied(monkeypatch, "_mode_product")
+        for _ in range(2):
+            four_reads(pending, (1, 2, 3), [[0], [0, 2], [1, 2, 3]])
+        assert conjugated and products and (24, 24) not in conjugated + products
+        assert "pending" in vars(pending)["_cell"]
+
+    def test_earlier_runs_are_formed_once(self, monkeypatch, rng):
+        """Screen 0 changed twice makes two runs: repeated reads, of the arrangement and of a
+        refactor sharing its matrix, form the first once, and ``.matrix`` then forms the last."""
+        _, _, ea = random_layout_ea((2, 3, 4), rng)
+        changed = ea
+        for screen in (0, 0, 1):
+            changed = change_detectors(changed, screen, random_unitary((2, 3, 4)[screen], rng))
+        conjugated = self.spied(monkeypatch, "_conjugated")
+        flat = refactor(changed, Factorization((24,)))
+        for _ in range(3):
+            four_reads(changed, (1, 2, 3), [[0], [0, 2], [1, 2, 3]])
+        assert conjugated.count((24, 24)) == 1 and "pending" in vars(changed)["_cell"]
+        flat.intensities()  # another layout: the matrix is formed
+        assert conjugated.count((24, 24)) == 2 and "pending" not in vars(changed)["_cell"]
+        changed.intensities()
+        assert conjugated.count((24, 24)) == 2
+
+    @pytest.mark.parametrize("readers", [2, 6])
+    def test_concurrent_reads_of_two_runs(self, rng, readers):
+        """Threads, six being more than cores, read one pending matrix of two runs at once, half
+        ``intensities`` and half ``.matrix``, switching often: none raises, each read equals the
+        formed matrix's within 1e-12, every ``.matrix`` is the one kept, and a last read of it
+        leaves nothing pending."""
+        _, _, changed = random_layout_ea((2, 3, 4), rng)
+        for screen in (0, 0, 2):
+            changed = change_detectors(changed, screen, random_unitary((2, 3, 4)[screen], rng))
+        oracle = copy.deepcopy(changed).matrix
+        barrier, got, errors = threading.Barrier(readers, timeout=30), [], []
+
+        def read(k):
+            try:
+                barrier.wait()
+                got.append((k % 2, changed.matrix if k % 2 else changed.intensities()))
+            except Exception as exc:  # reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(readers)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == [] and len(got) == readers
+        kept = changed.matrix
+        for whole, value in got:
+            assert value is kept if whole else np.max(np.abs(value - np.real(np.diag(oracle)))) <= 1e-12
+        assert np.max(np.abs(kept - oracle)) <= 1e-12 and "pending" not in vars(changed)["_cell"]
 
 
 class TestEigensolves:

@@ -931,17 +931,43 @@ class TestExitCodes:
             f"validation error: {basis}: basis shape (3, 3) does not match screen dim 2\n"
         )
 
-    @pytest.mark.parametrize("dims", [[0, 4], [-2, -2], []], ids=["zero", "negative", "empty"])
-    def test_non_positive_factorization_is_parse_error(self, capsys, tmp_path, dims):
+    @pytest.mark.parametrize(
+        "dims, expected",
+        [([0, 4], "a nonempty list of positive integers"),
+         ([-2, -2], "a nonempty list of positive integers"),
+         ([], "a nonempty list")],
+        ids=["zero", "negative", "empty"],
+    )
+    def test_non_positive_factorization_is_parse_error(self, capsys, tmp_path, dims, expected):
         path = tmp_path / "state.json"
         fileio.dump_state(path, {"schema_version": "1", "dim": 4, "factorization": dims,
                                  "matrix": fileio.matrix_to_json(np.eye(4) / 4)})
         assert main(["analyze", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"parse error: {path}.factorization: expected a nonempty list of positive integers\n"
-        )
+        assert captured.err == f"parse error: {path}.factorization: expected {expected}\n"
+
+    @pytest.mark.parametrize("key", ["factorization", "bases"])
+    @pytest.mark.parametrize("value", [4, "x", True, None, {}, []], ids=repr)
+    def test_layout_fields_pass_the_field_gate(self, capsys, tmp_path, key, value):
+        """A ``factorization`` or ``bases`` that is not a nonempty list, ``null`` included, is
+        refused by the field gate: exit 2 and its one line."""
+        document = json.loads((SAMPLES / "worked_ea.json").read_text(encoding="utf-8"))
+        document[key] = value
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["analyze", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"parse error: {path}.{key}: expected a nonempty list\n"
+
+    def test_bases_of_another_screen_count(self, capsys, tmp_path):
+        document = json.loads((SAMPLES / "worked_ea.json").read_text(encoding="utf-8"))
+        document["bases"] = document["bases"][:1]
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["analyze", str(path)]) == 2
+        assert capsys.readouterr().err == f"parse error: {path}.bases: expected one basis per screen (2)\n"
 
     @pytest.mark.parametrize(
         "diagonal, trace", [((0.0, 0.0), "0+0j"), ((-0.25, -0.25), "-0.5+0j")],
@@ -1269,7 +1295,7 @@ def test_cli_integers_pass_the_library_gates(capsys, case):
 
 @settings(max_examples=100, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(label=st.text(min_size=1))
+@given(label=st.text())
 def test_a_label_is_one_line_of_a_text_report(capsys, tmp_path, label):
     """A label holding a line break, or another unprintable character, prints as its JSON
     literal, so no label adds a line to a text report or forges one."""
@@ -1286,6 +1312,19 @@ def test_a_label_is_one_line_of_a_text_report(capsys, tmp_path, label):
     assert len(lines) == len(report("x"))
     shown = next(line for line in lines if line.startswith("  label: "))[len("  label: "):]
     assert shown == (label if label.isprintable() else json.dumps(label))
+
+
+@pytest.mark.parametrize("label", ["", "x"])
+def test_a_state_label_is_reported_even_when_empty(capsys, tmp_path, label):
+    """A label that loads is reported, the empty one too: as ``label`` in JSON, and in text as
+    a line of its own."""
+    document = json.loads((SAMPLES / "zero_state.json").read_text(encoding="utf-8"))
+    document["label"] = label
+    path = tmp_path / "labelled.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    assert run_json(capsys, "analyze", path)["results"]["label"] == label
+    code, out = run(capsys, "analyze", path, "--format", "text")
+    assert code == 0 and f"  label: {label}" in out.splitlines()
 
 
 def test_a_projector_label_is_one_line_of_a_text_report(capsys, tmp_path):

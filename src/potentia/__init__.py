@@ -20,7 +20,10 @@ _EXPORTS = {
         "ParseError", "PotentiaError", "ResidualError", "ShapeError", "UnderdeterminedError",
         "ValidationError",
     ),
-    "qlin": ("HermitianSpectrum", "commutes", "herm_eig", "kron", "partial_trace", "partial_transpose"),
+    "qlin": (
+        "DetectorBasis", "Factorization", "HermitianSpectrum", "commutes", "herm_eig", "kron",
+        "partial_trace", "partial_transpose",
+    ),
     "states": (
         "BlochPoint", "DensityOperator", "MixtureDecomposition", "PureVector", "PurityReport",
         "abstract_purity", "alternative_decomposition", "bloch_from_density",
@@ -34,9 +37,9 @@ _EXPORTS = {
         "maximal_contexts", "reconstruct_density",
     ),
     "arrangements": (
-        "ChainLink", "ChainReport", "DetectorBasis", "ExperimentalArrangement", "Factorization",
-        "change_detectors", "complexity_chain_check", "ea_equivalent", "make_ea",
-        "multiscreen_effect", "power_intensity", "refactor", "restrict",
+        "ChainLink", "ChainReport", "ExperimentalArrangement", "change_detectors",
+        "complexity_chain_check", "ea_equivalent", "make_ea", "multiscreen_effect",
+        "power_intensity", "refactor", "restrict",
     ),
     "entanglement": (
         "SeparabilityVerdict", "Verdict", "WernerRegion", "WitnessOperator",

@@ -1,5 +1,5 @@
-"""Experimental arrangements: a state viewed through a choice of screens
-(tensor factorization) and detectors (per-screen orthonormal bases).
+"""Experimental arrangements: a state viewed through a choice of screens (a
+``qlin.Factorization``) and detectors (a ``qlin.DetectorBasis``: per-screen orthonormal bases).
 
 An arrangement holds the state in detector coordinates, where the diagonal
 entries are the intensities of its powers, and the local detector changes
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import qlin
 from .errors import DegenerateConditioningError, DomainError, ShapeError
-from .qlin import _index, _sequence, dagger, frozen, max_abs
+from .qlin import DetectorBasis, Factorization, _index, _sequence, dagger, frozen, max_abs
 from .states import DensityOperator, _conditioned
 from .tolerances import CHAIN_TOL, EIGENVALUE_FLOOR, EQUIVALENCE_TOL, HERMITICITY_TOL, TRACE_TOL
 
@@ -70,53 +70,6 @@ class _Pending(NamedTuple):
     gram_errors: dict
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Screen layout: screen k offers screen_dims[k] detector slots."""
-
-    screen_dims: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "screen_dims", qlin._screen_dims(self.screen_dims))
-
-    @property
-    def degree(self) -> int:
-        return math.prod(self.screen_dims)
-
-    @property
-    def screens(self) -> int:
-        return len(self.screen_dims)
-
-    def flat_index(self, multi_index: Sequence[int]) -> int:
-        if len(multi_index := _sequence(multi_index, "multi-index")) != self.screens:
-            raise ShapeError(f"multi-index has {len(multi_index)} entries for {self.screens} screens")
-        multi_index = tuple(_index(k, dim, f"screen {s} detector index")
-                            for s, (k, dim) in enumerate(zip(multi_index, self.screen_dims)))
-        return int(np.ravel_multi_index(multi_index, self.screen_dims))
-
-    def multi_index(self, flat: int) -> tuple[int, ...]:
-        flat = _index(flat, self.degree, "flat index")
-        return tuple(int(k) for k in np.unravel_index(flat, self.screen_dims))
-
-
-@dataclass(frozen=True, eq=False)
-class DetectorBasis:
-    """One orthonormal basis per screen; columns are detector vectors."""
-
-    screens: tuple[np.ndarray, ...]
-    gram_errors: tuple[float, ...] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        mats, errors = [], []
-        for k, raw in enumerate(self.screens):
-            mat = qlin.as_complex(raw)
-            if mat.shape[0] != mat.shape[1]:
-                raise ShapeError(f"screen {k} basis is not square: {mat.shape}")
-            errors.append(qlin.require_isometry(mat, what=f"screen {k} basis"))
-            mats.append(frozen(mat))
-        vars(self).update(screens=tuple(mats), gram_errors=tuple(errors))
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class ExperimentalArrangement:
     """A density operator carved into screens and detectors.
@@ -133,12 +86,12 @@ class ExperimentalArrangement:
 
     def __init__(self, matrix, factorization: Factorization, basis_matrix):
         # Written out because ``matrix`` and ``basis_matrix`` are read-only properties, not fields.
-        vars(self).update(_cell={"matrix": matrix}, factorization=factorization)
-        self.__post_init__(basis_matrix)
+        vars(self)["factorization"] = factorization
+        self.__post_init__(matrix, basis_matrix)
 
-    def __post_init__(self, basis_matrix):
+    def __post_init__(self, matrix, basis_matrix):
         """Check everything; the dense basis becomes the one step ``((N,), {0: B})``."""
-        mat, basis = qlin.as_complex(self.matrix), qlin.as_complex(basis_matrix)
+        mat, basis = qlin.as_complex(matrix), qlin.as_complex(basis_matrix)
         n = self.factorization.degree
         for what, arr in (("matrix", mat), ("basis matrix", basis)):
             if arr.shape != (n, n):

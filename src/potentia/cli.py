@@ -18,13 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__, fileio, qlin
-from .errors import (
-    CapacityError,
-    DomainError,
-    ParseError,
-    PotentiaError,
-    ValidationError,
-)
+from .errors import CapacityError, DomainError, ParseError, PotentiaError, ValidationError
 from .tolerances import (
     BISECT_TOL, CONTEXT_NODE_CAP, SCAN_STEPS_CAP, WITNESS_SAMPLES, Tolerances, require_within,
 )
@@ -138,7 +132,7 @@ def _analysis_results(state: fileio.StateFile, tols: Tolerances) -> dict:
     from . import arrangements, entanglement, states
 
     density = state.density
-    ea = arrangements.make_ea(density, state.factorization, state.basis)
+    intensities = arrangements.make_ea(density, state.factorization, state.basis).intensities()
     pure = states.abstract_purity(density, tols.purity)
     results: dict = {
         "dim": density.dim,
@@ -146,11 +140,11 @@ def _analysis_results(state: fileio.StateFile, tols: Tolerances) -> dict:
         "spectrum": _float_list(density.eigenvalues[::-1]),
         "purity": {
             "abstract": pure,
-            "operational": bool(np.real(np.diag(ea.matrix)).max() >= 1.0 - tols.purity),
+            "operational": bool(intensities.max() >= 1.0 - tols.purity),
             "operational_exists": states.operational_purity_exists(density, tols.purity),
         },
         "entropy_bits": entanglement.von_neumann_entropy(density),
-        "intensities": _float_list(ea.intensities()),
+        "intensities": _float_list(intensities),
     }
     if state.label is not None:
         results["label"] = state.label
@@ -212,7 +206,7 @@ def cmd_transform(args, tols: Tolerances) -> dict:
         raise ParseError("--screen needs --basis" if args.basis is None else "--basis needs --screen")
     try:
         dims = None if args.refactor is None else tuple(int(part) for part in args.refactor.split(","))
-        new_layout = None if dims is None else arrangements.Factorization(dims)
+        new_layout = None if dims is None else qlin.Factorization(dims)
     except ValueError:
         raise ParseError(f"--refactor expects comma-separated integers, got {args.refactor!r}")
     except DomainError:
@@ -259,7 +253,7 @@ def cmd_transform(args, tols: Tolerances) -> dict:
         basis = None  # refactored layouts start from computational detectors
         if dims is None and (factors or state.basis is not None or args.screen is not None):
             sizes = enumerate(transformed.factorization.screen_dims)
-            basis = arrangements.DetectorBasis(tuple(factors.get(k, np.eye(d)) for k, d in sizes))
+            basis = qlin.DetectorBasis(tuple(factors.get(k, np.eye(d)) for k, d in sizes))
         document = fileio.state_document(state.density, layout, basis, state.label)
         fileio.dump_state(args.out_state, document)
         results["state_written"] = args.out_state

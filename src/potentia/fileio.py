@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from . import qlin
-from .arrangements import DetectorBasis, Factorization
 from .errors import DomainError, ParseError, ShapeError, ValidationError
+from .qlin import DetectorBasis, Factorization
 from .states import DensityOperator
 from .tolerances import DIM_CAP, Tolerances, require_at_most, require_within
 

@@ -2,15 +2,16 @@
 that no operation mutates, so concurrent use is safe.  Its gates judge what callers pass:
 ``as_complex`` every matrix, ``_screen_dims`` every screen layout or single size, ``_index``
 and ``_count`` every index and count, and ``_sequence`` every list of them, each before anything
-is formed.  One local-factor kernel, ``_mode_product``, applies per-screen factors to the rows
-or the columns of a matrix alike; ``_conjugated`` calls it once for each to form R^dag M R."""
+is formed; ``Factorization`` (a screen layout) and ``DetectorBasis`` (a basis per screen) are the
+values they admit.  One local-factor kernel, ``_mode_product``, applies per-screen factors to the
+rows or the columns of a matrix alike; ``_conjugated`` calls it once for each to form R^dag M R."""
 
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
@@ -141,6 +142,53 @@ def require_isometry(mat: np.ndarray, what: str = "basis") -> float:
         gram_error = max_abs(dagger(mat) @ mat - np.eye(mat.shape[1]))
     require_at_most(f"{what} max Gram error", gram_error, ISOMETRY_TOL)
     return gram_error
+
+
+@dataclass(frozen=True)
+class Factorization:
+    """Screen layout: screen k offers screen_dims[k] detector slots."""
+
+    screen_dims: tuple[int, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "screen_dims", _screen_dims(self.screen_dims))
+
+    @property
+    def degree(self) -> int:
+        return math.prod(self.screen_dims)
+
+    @property
+    def screens(self) -> int:
+        return len(self.screen_dims)
+
+    def flat_index(self, multi_index: Sequence[int]) -> int:
+        if len(multi_index := _sequence(multi_index, "multi-index")) != self.screens:
+            raise ShapeError(f"multi-index has {len(multi_index)} entries for {self.screens} screens")
+        multi_index = tuple(_index(k, dim, f"screen {s} detector index")
+                            for s, (k, dim) in enumerate(zip(multi_index, self.screen_dims)))
+        return int(np.ravel_multi_index(multi_index, self.screen_dims))
+
+    def multi_index(self, flat: int) -> tuple[int, ...]:
+        flat = _index(flat, self.degree, "flat index")
+        return tuple(int(k) for k in np.unravel_index(flat, self.screen_dims))
+
+
+@dataclass(frozen=True, eq=False)
+class DetectorBasis:
+    """One orthonormal basis per screen; columns are detector vectors."""
+
+    screens: tuple[np.ndarray, ...]
+    gram_errors: tuple[float, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        mats, errors = [], []
+        for k, raw in enumerate(self.screens):
+            mat = as_complex(raw)
+            if mat.shape[0] != mat.shape[1]:
+                raise ShapeError(f"screen {k} basis is not square: {mat.shape}")
+            errors.append(require_isometry(mat, what=f"screen {k} basis"))
+            mats.append(frozen(mat))
+        vars(self).update(screens=tuple(mats), gram_errors=tuple(errors))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

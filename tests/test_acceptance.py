@@ -468,17 +468,35 @@ def test_star_import_and_dir_expose_every_public_name_and_submodule():
     assert all(kinds)
 
 
+#: What every command loads: the CLI, its errors and tolerances, and the state-file reader.
+_COMMAND_BASE = {"cli", "errors", "tolerances", "qlin", "states", "fileio"}
+
+
 @pytest.mark.parametrize(
-    "argv, unloaded",
+    "argv, extra",
     [
-        (["werner", "--p", "0.5"], {"powers", "locc", "families", "sampling"}),
+        (["werner", "--p", "0.5"], {"entanglement", "bell"}),
         ([
             "transform", str(ROOT / "samples" / "worked_ea.json"), "--screen", "1",
             "--basis", "hadamard",
-        ], {"powers", "locc", "bell", "entanglement"}),
+        ], {"arrangements"}),
+        (["bell", str(ROOT / "samples" / "bell_phi_plus.json")], {"entanglement", "bell"}),
+        (["witness", str(ROOT / "samples" / "bell_phi_plus.json")], {"entanglement"}),
+        ([
+            "powers", str(ROOT / "samples" / "zero_state.json"),
+            "--projectors", str(ROOT / "samples" / "qubit_two_bases.json"),
+        ], {"powers"}),
+        ([
+            "instrument", str(ROOT / "samples" / "bell_phi_plus.json"),
+            "--instrument", str(ROOT / "samples" / "measure_first_screen.json"),
+        ], {"locc"}),
+        (["analyze", str(ROOT / "samples" / "werner_05.json")], {"arrangements", "entanglement", "bell"}),
     ],
+    ids=lambda value: value[0] if isinstance(value, list) else "+".join(sorted(value)),
 )
-def test_a_command_loads_only_the_modules_it_calls(argv, unloaded):
+def test_a_command_loads_only_the_modules_it_calls(argv, extra):
+    """The exact ``potentia.*`` modules each subcommand loads: a state file is read with ``qlin``
+    and ``states`` alone, and ``arrangements`` is loaded only by the commands that call it."""
     code, loaded = _fresh(
         "import json, sys\n"
         "from potentia.cli import main\n"
@@ -486,8 +504,7 @@ def test_a_command_loads_only_the_modules_it_calls(argv, unloaded):
         "print(json.dumps([code, sorted(sys.modules)]))"
     )
     assert code == 0
-    assert {f"potentia.{name}" for name in unloaded}.isdisjoint(loaded)
-    assert "potentia.fileio" in loaded
+    assert {m.removeprefix("potentia.") for m in loaded if m.startswith("potentia.")} == _COMMAND_BASE | extra
 
 
 def test_readme_maps_every_paper_sample_to_its_claim():

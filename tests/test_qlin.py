@@ -1,4 +1,5 @@
 import math
+import pickle
 from collections.abc import Sized
 from typing import NamedTuple
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from potentia import families, locc, qlin
+import potentia
+from potentia import arrangements, families, locc, qlin
 from potentia.arrangements import Factorization, change_detectors, make_ea, restrict
 from potentia.entanglement import (
     WitnessOperator,
@@ -628,3 +630,22 @@ class TestIsIdentity:
             if i < rows and j < cols:
                 m[i, j] = data.draw(MATRIX_ENTRIES)
         assert qlin._is_identity(m) == np.array_equal(m, np.eye(len(m))), m
+
+
+def test_layout_and_basis_are_qlin_values_under_every_name():
+    """``Factorization`` and ``DetectorBasis`` are defined in ``qlin``, beside the gates they call,
+    and are the very classes the package and ``arrangements`` bind; a pickle that names them under
+    ``arrangements``, as one written before they moved to ``qlin`` does, loads as the same values."""
+    for name in ("Factorization", "DetectorBasis"):
+        cls = getattr(qlin, name)
+        assert cls.__module__ == "potentia.qlin"
+        assert getattr(potentia, name) is getattr(arrangements, name) is cls
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    for value in (qlin.Factorization((2, 3)), qlin.DetectorBasis((h, np.eye(3)))):
+        old = pickle.dumps(value, protocol=0).replace(b"potentia.qlin\n", b"potentia.arrangements\n")
+        assert b"potentia.arrangements" in old and b"potentia.qlin" not in old
+        loaded = pickle.loads(old)
+        assert type(loaded) is type(value)
+        assert vars(loaded).keys() == vars(value).keys()
+        for key, field in vars(value).items():
+            assert all(np.array_equal(a, b) for a, b in zip(vars(loaded)[key], field, strict=True))

@@ -145,9 +145,9 @@ class ExperimentalArrangement:
         return np.clip(_diagonal(self), 0.0, 1.0)
 
     def canonical_density(self) -> DensityOperator:
-        """The state in ambient canonical coordinates, basis unwound."""
-        m = _unwound(self.matrix, self.steps)
-        return DensityOperator(m) if m is self.matrix else DensityOperator._owning(m)
+        """The state in ambient canonical coordinates, basis unwound: the admitted state in another
+        frame, so it is not admitted again."""
+        return DensityOperator._trusted(_unwound(self.matrix, self.steps))
 
 
 def _collapsed(cell: dict) -> _Pending | None:

@@ -7,7 +7,7 @@ m1, m2 the two largest eigenvalues of t^T t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,10 +27,11 @@ _PAULI_PAIRS = np.array([[np.kron(si, sj) for sj in _PAULIS] for si in _PAULIS])
 
 @dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
-    """t[i, j] = Tr(rho s_i (x) s_j).  Entries and singular values may exceed 1
-    by as much as those of an accepted two-qubit state can."""
+    """t[i, j] = Tr(rho s_i (x) s_j), and ``svd``, its ``(left, singulars, right_t)``, solved once.
+    Entries and singular values may exceed 1 by as much as those of an accepted two-qubit state can."""
 
     t: np.ndarray
+    svd: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = np.asarray(self.t, dtype=np.float64)
@@ -39,8 +40,9 @@ class CorrelationMatrix:
         # Each is a Tr(rho O), ||O|| = 1: at most ||rho||_1, and at most 3 eigenvalues are < 0.
         bound = 1 + TRACE_TOL - 6 * EIGENVALUE_FLOOR
         require_at_most("correlation max |entry|", np.max(np.abs(mat)), bound)
-        require_at_most("correlation top singular value", np.linalg.svd(mat, compute_uv=False)[0], bound)
-        object.__setattr__(self, "t", qlin.frozen(mat))
+        svd = tuple(qlin._frozen_in_place(part) for part in np.linalg.svd(mat))
+        require_at_most("correlation top singular value", svd[1][0], bound)
+        vars(self).update(t=qlin.frozen(mat), svd=svd)
 
 
 def _unit(vector) -> np.ndarray:
@@ -68,8 +70,12 @@ class MeasurementSetting:
 def correlation_matrix(rho: DensityOperator) -> CorrelationMatrix:
     if rho.dim != 4:
         raise ShapeError(f"CHSH analysis needs a two-qubit state, got dim {rho.dim}")
-    # Tr(rho P) = sum_ab rho_ab P_ba for each Pauli pair P.
-    return CorrelationMatrix(np.real(np.einsum("ab,ijba->ij", rho.matrix, _PAULI_PAIRS)))
+    return CorrelationMatrix(_correlations(rho.matrix))
+
+
+def _correlations(matrix: np.ndarray) -> np.ndarray:
+    """Tr(rho P) = sum_ab rho_ab P_ba for each Pauli pair P: one state's, summed in its own order."""
+    return np.real(np.einsum("ab,ijba->ij", matrix, _PAULI_PAIRS))
 
 
 def chsh_value(rho: DensityOperator, setting: MeasurementSetting) -> float:
@@ -111,17 +117,21 @@ def chsh_max(rho: DensityOperator) -> ChshMax:
     correlation matrix; ``chsh_value`` at that setting reproduces the
     maximum.
     """
-    t = correlation_matrix(rho).t
-    left, singulars, right_t = np.linalg.svd(t)
+    left, singulars, right_t = correlation_matrix(rho).svd
     u1, v1 = _sign_fix(left[:, 0], right_t[0])
     u2, v2 = _sign_fix(left[:, 1], right_t[1])
-    s1, s2 = float(singulars[0]), float(singulars[1])
-    value = 2.0 * np.sqrt(s1 * s1 + s2 * s2)
-    angle = np.arctan2(s2, s1)
+    value = _chsh_bound(singulars)
+    angle = np.arctan2(singulars[1], singulars[0])
     b = np.cos(angle) * v1 + np.sin(angle) * v2
     b_prime = np.cos(angle) * v1 - np.sin(angle) * v2
     setting = MeasurementSetting(u1, u2, b, b_prime)
     return ChshMax(float(value), setting)
+
+
+def _chsh_bound(s: np.ndarray) -> np.ndarray:
+    """2*sqrt(m1 + m2) from the singular values of a correlation matrix, or of each of a stack, as
+    an SVD with vectors gives them: without, they may differ in the last bit."""
+    return 2.0 * np.sqrt(s[..., 0] * s[..., 0] + s[..., 1] * s[..., 1])
 
 
 def _region(ppt: SeparabilityVerdict, chsh: float) -> WernerRegion:

@@ -13,7 +13,6 @@ import hashlib
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -22,9 +21,6 @@ from .errors import CapacityError, DomainError, ParseError, PotentiaError, Valid
 from .tolerances import (
     BISECT_TOL, CONTEXT_NODE_CAP, SCAN_STEPS_CAP, WITNESS_SAMPLES, Tolerances, require_within,
 )
-
-if TYPE_CHECKING:
-    from .entanglement import SeparabilityVerdict
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -117,14 +113,6 @@ def _float_list(values) -> list[float]:
     return [float(v) for v in np.asarray(values).reshape(-1)]
 
 
-def _verdict_payload(verdict: SeparabilityVerdict) -> dict:
-    return {
-        "verdict": verdict.verdict.value,
-        "criterion": verdict.criterion,
-        "evidence": float(verdict.evidence),
-    }
-
-
 # ---------------------------------------------------------------- analyze
 
 
@@ -156,9 +144,8 @@ def _analysis_results(state: fileio.StateFile, tols: Tolerances) -> dict:
         ppt = entanglement.ppt_criterion(density, dims, tols.verdict)
         majorization, entropy = entanglement._marginal_verdicts(density, dims, tols.verdict)
         results["verdicts"] = {
-            "ppt": _verdict_payload(ppt),
-            "majorization": _verdict_payload(majorization),
-            "entropy": _verdict_payload(entropy),
+            v.criterion: {"verdict": v.verdict.value, "criterion": v.criterion, "evidence": float(v.evidence)}
+            for v in (ppt, majorization, entropy)
         }
         if pure:
             # One power step from the column of the largest diagonal entry gives the vector.
@@ -338,41 +325,38 @@ def _bisect(func, lo: float, hi: float) -> float | None:
     return (lo + hi) / 2.0
 
 
-def _werner_row(p: float, tols: Tolerances) -> dict:
-    from . import bell, entanglement
-
-    rho = entanglement.werner(p)
-    ppt = entanglement.ppt_criterion(rho, (2, 2), tols.verdict)
-    chsh = bell.chsh_max(rho).value
-    return {
-        "p": p,
-        "min_pt_eigenvalue": ppt.evidence,
-        "chsh_max": chsh,
-        "region": bell._region(ppt, chsh).value,
-        "entropy_bits": entanglement.von_neumann_entropy(rho),
-    }
-
-
 def cmd_werner(args, tols: Tolerances) -> dict:
+    """Rows from one stack of Werner matrices of checked p, trusted as states; ``--p`` is one point."""
     from . import bell, entanglement
 
     if args.p is not None:
-        digest = _digest_text(f"werner p={args.p!r}")
-        return _report("werner", {"parameters": digest}, _werner_row(float(args.p), tols))
+        grid, parameters = np.array([args.p]), f"werner p={args.p!r}"
+    else:
+        parts = args.scan.split(",")
+        if len(parts) != 3:
+            raise ParseError(f"--scan expects from,to,steps, got {args.scan!r}")
+        try:
+            lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+        except ValueError:
+            raise ParseError(f"--scan expects numbers, got {args.scan!r}")
+        if not (0.0 <= lo < hi <= 1.0):
+            raise DomainError(f"scan range [{lo}, {hi}] must lie inside [0, 1]")
+        require_within("scan step count", qlin._count(steps, 2, "--scan step count"), SCAN_STEPS_CAP)
+        grid, parameters = np.linspace(lo, hi, steps), f"werner scan={lo!r},{hi!r},{steps}"
 
-    parts = args.scan.split(",")
-    if len(parts) != 3:
-        raise ParseError(f"--scan expects from,to,steps, got {args.scan!r}")
-    try:
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise ParseError(f"--scan expects numbers, got {args.scan!r}")
-    if not (0.0 <= lo < hi <= 1.0):
-        raise DomainError(f"scan range [{lo}, {hi}] must lie inside [0, 1]")
-    require_within("scan step count", qlin._count(steps, 2, "--scan step count"), SCAN_STEPS_CAP)
-
-    grid = np.linspace(lo, hi, steps)
-    rows = [_werner_row(float(p), tols) for p in grid]
+    stack = entanglement._werner_matrices(grid)
+    correlations = np.array([bell._correlations(m) for m in stack])  # a batched einsum may sum apart
+    columns = (grid, np.linalg.eigvalsh(qlin.partial_transpose(stack, (2, 2)))[:, 0],
+               bell._chsh_bound(np.linalg.svd(correlations)[1]),
+               entanglement._entropy_bits(np.linalg.eigvalsh(stack)))
+    rows = [
+        {"p": p, "min_pt_eigenvalue": minimum, "chsh_max": chsh, "entropy_bits": entropy,
+         "region": bell._region(entanglement._ppt_verdict(minimum, (2, 2), tols.verdict), chsh).value}
+        for p, minimum, chsh, entropy in zip(*(column.tolist() for column in columns))
+    ]
+    digests = {"parameters": _digest_text(parameters)}
+    if args.p is not None:
+        return _report("werner", digests, rows[0])
     ppt_boundary = _bisect(
         lambda p: entanglement.min_pt_eigenvalue(entanglement.werner(p), (2, 2)), lo, hi
     )
@@ -384,8 +368,7 @@ def cmd_werner(args, tols: Tolerances) -> dict:
         "rows": rows,
         "boundaries": {"ppt": ppt_boundary, "chsh": chsh_boundary},
     }
-    digest = _digest_text(f"werner scan={lo!r},{hi!r},{steps}")
-    return _report("werner", {"parameters": digest}, results)
+    return _report("werner", digests, results)
 
 
 # ---------------------------------------------------------------- witness
@@ -434,12 +417,7 @@ def cmd_bell(args, tols: Tolerances) -> dict:
         "correlation_matrix": [list(map(float, row)) for row in correlations.t],
         "chsh_max": best.value,
         "chsh_at_setting": bell.chsh_value(density, best.setting),
-        "setting": {
-            "a": _float_list(best.setting.a),
-            "a_prime": _float_list(best.setting.a_prime),
-            "b": _float_list(best.setting.b),
-            "b_prime": _float_list(best.setting.b_prime),
-        },
+        "setting": {k: _float_list(getattr(best.setting, k)) for k in ("a", "a_prime", "b", "b_prime")},
         "region": bell._region(ppt, best.value).value,
     }
     return _report("bell", {"state": state.digest}, results)

@@ -66,16 +66,18 @@ def schmidt_rank(vector: PureVector, dims: Sequence[int]) -> int:
     return int(np.sum(schmidt(vector, dims) > SCHMIDT_FLOOR))
 
 
-def _entropy_bits(spectrum: np.ndarray) -> float:
-    """-sum(p log2 p) over a spectrum clipped to [0, 1], in bits: never negative."""
-    clipped = np.clip(spectrum, 0.0, 1.0)
-    positive = clipped[clipped > 0]
-    return float(-np.sum(positive * np.log2(positive))) + 0.0
+def _entropy_bits(spectra: np.ndarray) -> np.ndarray:
+    """-sum(p log2 p) over the last axis, each spectrum clipped to [0, 1], in bits: never negative.
+    The positive entries of an ascending spectrum are one run, summed from zero as if alone."""
+    clipped = np.clip(spectra, 0.0, 1.0)
+    positive = clipped > 0
+    terms = clipped * np.log2(np.where(positive, clipped, 1.0))
+    return -np.sum(terms, axis=-1, where=positive) + 0.0
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """-sum(p log2 p) over the spectrum, in bits; zero iff abstractly pure."""
-    return _entropy_bits(rho.eigenvalues)
+    return float(_entropy_bits(rho.eigenvalues))
 
 
 def _marginal_verdicts(
@@ -88,7 +90,7 @@ def _marginal_verdicts(
     joint = von_neumann_entropy(rho)
     margins = {
         "majorization": min(_majorization_margin(rho.eigenvalues[::-1], s[::-1]) for s in spectra),
-        "entropy": min(joint - _entropy_bits(s) for s in spectra),
+        "entropy": min(joint - float(_entropy_bits(s)) for s in spectra),
     }
     return tuple(
         SeparabilityVerdict(Verdict.ENTANGLED if m < -tol else Verdict.INCONCLUSIVE, name, m)
@@ -99,7 +101,7 @@ def _marginal_verdicts(
 def entropy_additivity_check(a: DensityOperator, b: DensityOperator) -> bool:
     """|S(a (x) b) - S(a) - S(b)| <= ENTROPY_TOL, spectra over their sums: traces multiply."""
     spectra = (np.linalg.eigvalsh(qlin.kron(a.matrix, b.matrix)), a.eigenvalues, b.eigenvalues)
-    joint, s_a, s_b = (_entropy_bits(s / s.sum()) for s in spectra)
+    joint, s_a, s_b = (float(_entropy_bits(s / s.sum())) for s in spectra)
     return abs(joint - s_a - s_b) <= ENTROPY_TOL
 
 
@@ -134,12 +136,13 @@ def ppt_criterion(
 ) -> SeparabilityVerdict:
     """Partial-transpose test; an exact oracle at 2x2 and 2x3."""
     dims = _bipartite(dims, *rho.matrix.shape)
-    minimum = min_pt_eigenvalue(rho, dims)
-    if minimum < -tol:
-        return SeparabilityVerdict(Verdict.ENTANGLED, "ppt", minimum)
-    if dims in PPT_SUFFICIENT:
-        return SeparabilityVerdict(Verdict.SEPARABLE, "ppt", minimum)
-    return SeparabilityVerdict(Verdict.INCONCLUSIVE, "ppt", minimum)
+    return _ppt_verdict(min_pt_eigenvalue(rho, dims), dims, tol)
+
+
+def _ppt_verdict(minimum: float, dims: tuple[int, int], tol: float) -> SeparabilityVerdict:
+    """The PPT verdict on ``minimum``, the least partial-transpose eigenvalue of a ``dims`` state."""
+    sufficient = Verdict.SEPARABLE if dims in PPT_SUFFICIENT else Verdict.INCONCLUSIVE
+    return SeparabilityVerdict(Verdict.ENTANGLED if minimum < -tol else sufficient, "ppt", minimum)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,10 +224,14 @@ def check_witness_on_products(
     return worst
 
 
+def _werner_matrices(p: np.ndarray) -> np.ndarray:
+    """``werner``'s matrix for each entry of ``p``, each checked to lie in [0, 1], stacked."""
+    if (outside := p[~((p >= 0.0) & (p <= 1.0))]).size:
+        raise DomainError(f"Werner parameter must lie in [0, 1], got {outside[0]}")
+    phi, p = np.array([1, 0, 0, 1]) / np.sqrt(2.0) + 0j, p[..., None, None]
+    return p * np.outer(phi, phi) + (1.0 - p) * np.eye(4) / 4.0
+
+
 def werner(p: float) -> DensityOperator:
     """p |phi+><phi+| + (1 - p) I/4 on two qubits."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"Werner parameter must lie in [0, 1], got {p}")
-    phi = np.zeros(4, dtype=np.complex128)
-    phi[0] = phi[3] = 1.0 / np.sqrt(2.0)
-    return DensityOperator(p * np.outer(phi, phi.conj()) + (1.0 - p) * np.eye(4) / 4.0)
+    return DensityOperator._owning(_werner_matrices(np.asarray(p, dtype=np.float64)))

@@ -294,17 +294,15 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> 
 def partial_transpose(
     rho: np.ndarray, dims: Sequence[int], party: Literal["A", "B"] = "B"
 ) -> np.ndarray:
-    """Transpose one factor of a bipartite operator."""
-    rho = as_complex(rho)
-    d_a, d_b = _bipartite(dims, *rho.shape)
+    """Transpose one factor of a bipartite operator, or of each of a stack of them; a stack
+    passes no gate, so only one its caller built may be given."""
+    rho = as_complex(rho) if np.ndim(rho) < 3 else rho
+    d_a, d_b = _bipartite(dims, *rho.shape[-2:])
     if party not in ("A", "B"):
         raise DomainError(f"party must be 'A' or 'B', got {party!r}")
-    tensor = rho.reshape(d_a, d_b, d_a, d_b)
-    if party == "B":
-        tensor = tensor.transpose(0, 3, 2, 1)
-    else:
-        tensor = tensor.transpose(2, 1, 0, 3)
-    return np.ascontiguousarray(tensor.reshape(d_a * d_b, d_a * d_b))
+    tensor = rho.reshape(*rho.shape[:-2], d_a, d_b, d_a, d_b)
+    tensor = tensor.swapaxes(-3, -1) if party == "B" else tensor.swapaxes(-4, -2)
+    return np.ascontiguousarray(tensor.reshape(rho.shape))
 
 
 @dataclass(frozen=True, eq=False)

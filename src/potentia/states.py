@@ -115,6 +115,12 @@ class DensityOperator:
         rho.__post_init__()
         return rho
 
+    @classmethod
+    def _trusted(cls, mat: np.ndarray) -> "DensityOperator":
+        """An admitted state in another frame, built by the caller or read-only: checked by nothing."""
+        vars(rho := object.__new__(cls))["matrix"] = qlin._frozen_in_place(mat)
+        return rho
+
     @functools.cached_property
     def eigenvalues(self) -> np.ndarray:
         return frozen(np.linalg.eigvalsh(self.matrix))

@@ -428,6 +428,28 @@ class TestInvariance:
             assert np.max(np.abs(changed.canonical_density().matrix - rho.matrix)) <= 1e-10
             assert float(np.sum(changed.intensities())) == pytest.approx(1.0, abs=1e-9)
 
+    def test_canonical_density_takes_every_state_admitted_at_the_floor(self):
+        # A least eigenvalue just above the floor, in Haar detectors on three qubits: the unwound
+        # matrix rounds it across the floor for 3 of the 195 states, which a second admission
+        # refused.  It is the admitted state in another frame, so every one comes back.
+        admitted = 0
+        for seed in range(199):
+            rng = np.random.default_rng(seed)
+            us = tuple(random_unitary(2, rng) for _ in range(3))
+            u = reduce(np.kron, us)
+            weights, k = rng.random(8), int(rng.integers(8))
+            weights[k] = 0.0
+            weights *= (1 - EIGENVALUE_FLOOR * (1 - 1e-9)) / weights.sum()
+            weights[k] = EIGENVALUE_FLOOR * (1 - 1e-9)
+            try:
+                rho = DensityOperator((u * weights) @ u.conj().T)
+            except DomainError:
+                continue
+            admitted += 1
+            ea = make_ea(rho, Factorization((2, 2, 2)), DetectorBasis(us))
+            assert np.max(np.abs(ea.canonical_density().matrix - rho.matrix)) <= 1e-12
+        assert admitted == 195
+
 
 # ---------------------------------------------------------------- properties
 # Dense references: every local operation against its Kronecker-product

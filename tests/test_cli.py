@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from potentia import fileio, powers, qlin
@@ -28,6 +28,7 @@ from potentia.states import (
     abstract_purity,
     density_from_vector,
 )
+from potentia.tolerances import VERDICT_TOL
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -117,8 +118,8 @@ class TestAnalyzeEigensolves:
         code, _ = run(capsys, "analyze", SAMPLES / "werner_05.json")
         assert code == 0
         assert eigensolve_counter[(4, 4)] == 2
-        # One correlation-matrix check and one decomposition, inside one chsh_max.
-        assert eigensolve_counter[("svd", (3, 3))] == 2
+        # One decomposition inside one chsh_max; the correlation-matrix check reads its values.
+        assert eigensolve_counter[("svd", (3, 3))] == 1
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)], ids=str)
     def test_pure_state_takes_its_vector_without_eigh(
@@ -550,12 +551,16 @@ class TestWerner:
     def test_scan_solves_each_point_once(self, capsys, eigensolve_counter):
         code, _ = run(capsys, "werner", "--scan", "0,1,101")
         assert code == 0
-        # Per row: the partial transpose and the spectrum the entropy reads.
-        # The PPT bisection solves the transposes of its 32 states; building a
-        # state solves nothing.
-        assert eigensolve_counter[(4, 4)] == 101 * 2 + 32
-        # Two per chsh_max: one call per row and per CHSH bisection step.
-        assert eigensolve_counter[("svd", (3, 3))] == (101 + 32) * 2
+        # The rows: one stacked solve each for the partial transposes, the
+        # spectra the entropy reads and the correlation matrices.
+        assert eigensolve_counter[(101, 4, 4)] == 2
+        assert eigensolve_counter[("svd", (101, 3, 3))] == 1
+        # Each bisection checks its 32 states, one Cholesky each, and solves
+        # one partial transpose or one correlation matrix per state.
+        assert eigensolve_counter[(4, 4)] == 32
+        assert eigensolve_counter[("svd", (3, 3))] == 32
+        assert eigensolve_counter[("cholesky", (4, 4))] == 2 * 32
+        assert sum(eigensolve_counter.values()) == 2 + 1 + 4 * 32
 
     def test_scan_boundaries(self, capsys):
         report = run_json(capsys, "werner", "--scan", "0,1,101")
@@ -591,6 +596,45 @@ class TestWerner:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == message + "\n"
+
+
+@settings(max_examples=40, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    ends=st.lists(
+        st.sampled_from([0.0, 1 / 3, 1 / math.sqrt(2), 1.0]) | st.floats(0.0, 1.0), min_size=2, max_size=2,
+        unique=True,
+    ).map(sorted),
+    steps=st.integers(2, 300),
+    verdict=st.sampled_from([None, 0.0, 1e-9, 0.05, 0.2, 0.5]),
+    pick=st.integers(0, 299),
+)
+@example(ends=[1 / 3, 1 / math.sqrt(2)], steps=2, verdict=None, pick=1)
+@example(ends=[0.0, 1.0], steps=4, verdict=0.0, pick=1)
+def test_scan_rows_are_the_per_state_values(capsys, ends, steps, verdict, pick):
+    """Every stacked row, bit for bit, is what the per-state calls give at its p; and
+    ``werner --p`` reports the scan's row at that p."""
+    from potentia import bell, entanglement
+
+    lo, hi = ends
+    tol = [] if verdict is None else ["--tol", f"verdict={verdict!r}"]
+    rows = run_json(capsys, "werner", "--scan", f"{lo!r},{hi!r},{steps}", *tol)["results"]["rows"]
+    expected = []
+    for p in np.linspace(lo, hi, steps).tolist():
+        rho = werner(p)
+        ppt = entanglement.ppt_criterion(rho, (2, 2), VERDICT_TOL if verdict is None else verdict)
+        chsh = bell.chsh_max(rho).value
+        expected.append({
+            "p": p,
+            "min_pt_eigenvalue": ppt.evidence,
+            "chsh_max": chsh,
+            "region": bell._region(ppt, chsh).value,
+            "entropy_bits": entanglement.von_neumann_entropy(rho),
+        })
+    assert fileio.render_json(rows) == fileio.render_json(expected)
+    row = rows[pick % steps]
+    point = run_json(capsys, "werner", "--p", repr(row["p"]), *tol)["results"]
+    assert fileio.render_json(point) == fileio.render_json(row)
 
 
 class TestWitness:
@@ -678,8 +722,8 @@ class TestBell:
     def test_region_reuses_the_reported_chsh_max(self, capsys, eigensolve_counter):
         code, _ = run(capsys, "bell", SAMPLES / "bell_phi_plus.json")
         assert code == 0
-        # correlation_matrix, chsh_max (check and decomposition) and chsh_value.
-        assert eigensolve_counter[("svd", (3, 3))] == 4
+        # One decomposition each in correlation_matrix, chsh_max and chsh_value.
+        assert eigensolve_counter[("svd", (3, 3))] == 3
 
 
 class TestInstrument:

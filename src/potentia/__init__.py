@@ -25,11 +25,10 @@ _EXPORTS = {
         "partial_trace", "partial_transpose",
     ),
     "states": (
-        "BlochPoint", "DensityOperator", "MixtureDecomposition", "PureVector", "PurityReport",
-        "abstract_purity", "alternative_decomposition", "bloch_from_density",
-        "density_from_bloch", "density_from_vector", "operational_purity",
-        "operational_purity_exists", "projective_distance", "purity_agreement_report", "shadow",
-        "spectral_decomposition",
+        "BlochPoint", "DensityOperator", "MixtureDecomposition", "PureVector", "abstract_purity",
+        "alternative_decomposition", "bloch_from_density", "density_from_bloch",
+        "density_from_vector", "operational_purity", "operational_purity_exists",
+        "projective_distance", "shadow", "spectral_decomposition",
     ),
     "powers": (
         "AxiomReport", "Context", "ISAValuation", "PowerNode", "PowersGraph", "actualization_map",
@@ -49,7 +48,7 @@ _EXPORTS = {
     ),
     "bell": (
         "ChshMax", "CorrelationMatrix", "MeasurementSetting", "chsh_max", "chsh_value",
-        "classify_regions", "correlation_matrix", "werner_classify",
+        "correlation_matrix", "region",
     ),
     "locc": (
         "BranchOutcome", "CPMap", "QuantumInstrument", "apply_instrument", "is_valid_instrument",

@@ -2,7 +2,8 @@
 
 Correlations live in the 3x3 matrix t[i, j] = Tr(rho s_i (x) s_j); the
 best CHSH score over all measurement directions is 2*sqrt(m1 + m2) with
-m1, m2 the two largest eigenvalues of t^T t.
+m1, m2 the two largest eigenvalues of t^T t.  ``region`` reads a state's
+region from its PPT verdict and that maximum.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from . import qlin
 from .errors import ShapeError
 from .states import PAULI_X, PAULI_Y, PAULI_Z, DensityOperator
-from .entanglement import SeparabilityVerdict, Verdict, WernerRegion, ppt_criterion, werner
+from .entanglement import SeparabilityVerdict, Verdict, WernerRegion
 from .tolerances import CHSH_TOL, EIGENVALUE_FLOOR, NORM_TOL, SIGN_FLOOR, TRACE_TOL, require_at_most
 
 CLASSICAL_BOUND = 2.0
@@ -134,20 +135,11 @@ def _chsh_bound(s: np.ndarray) -> np.ndarray:
     return 2.0 * np.sqrt(s[..., 0] * s[..., 0] + s[..., 1] * s[..., 1])
 
 
-def _region(ppt: SeparabilityVerdict, chsh: float) -> WernerRegion:
-    """Three-way split: PPT-separable / entangled but CHSH-local / nonlocal."""
+def region(ppt: SeparabilityVerdict, chsh: float) -> WernerRegion:
+    """The region rule of a two-qubit state, from its PPT verdict and its CHSH maximum: PPT-separable,
+    entangled but CHSH-local, or nonlocal."""
     if ppt.verdict is Verdict.SEPARABLE:
         return WernerRegion.SEPARABLE
     if chsh > CLASSICAL_BOUND + CHSH_TOL:
         return WernerRegion.NONLOCAL
     return WernerRegion.ENTANGLED_LOCAL
-
-
-def classify_regions(rho: DensityOperator) -> WernerRegion:
-    """Region of a two-qubit state under the default verdict tolerance."""
-    return _region(ppt_criterion(rho, (2, 2)), chsh_max(rho).value)
-
-
-def werner_classify(p: float) -> WernerRegion:
-    """Region of the Werner line, computed from the criteria (not hard-coded)."""
-    return classify_regions(werner(p))

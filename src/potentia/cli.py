@@ -120,7 +120,7 @@ def _analysis_results(state: fileio.StateFile, tols: Tolerances) -> dict:
     from . import arrangements, entanglement, states
 
     density = state.density
-    intensities = arrangements.make_ea(density, state.factorization, state.basis).intensities()
+    ea = arrangements.make_ea(density, state.factorization, state.basis)
     pure = states.abstract_purity(density, tols.purity)
     results: dict = {
         "dim": density.dim,
@@ -128,11 +128,11 @@ def _analysis_results(state: fileio.StateFile, tols: Tolerances) -> dict:
         "spectrum": _float_list(density.eigenvalues[::-1]),
         "purity": {
             "abstract": pure,
-            "operational": bool(intensities.max() >= 1.0 - tols.purity),
+            "operational": states.operational_purity(ea, tols.purity),
             "operational_exists": states.operational_purity_exists(density, tols.purity),
         },
         "entropy_bits": entanglement.von_neumann_entropy(density),
-        "intensities": _float_list(intensities),
+        "intensities": _float_list(ea.intensities()),
     }
     if state.label is not None:
         results["label"] = state.label
@@ -158,7 +158,7 @@ def _analysis_results(state: fileio.StateFile, tols: Tolerances) -> dict:
 
             chsh = bell.chsh_max(density).value
             results["chsh_max"] = chsh
-            results["region"] = bell._region(ppt, chsh).value
+            results["region"] = bell.region(ppt, chsh).value
     return results
 
 
@@ -326,7 +326,8 @@ def _bisect(func, lo: float, hi: float) -> float | None:
 
 
 def cmd_werner(args, tols: Tolerances) -> dict:
-    """Rows from one stack of Werner matrices of checked p, trusted as states; ``--p`` is one point."""
+    """Rows from one stack of Werner matrices of checked p, trusted as states; ``--p`` is one point.
+    The bisections read the rows' columns on stacks of one point."""
     from . import bell, entanglement
 
     if args.p is not None:
@@ -344,30 +345,29 @@ def cmd_werner(args, tols: Tolerances) -> dict:
         require_within("scan step count", qlin._count(steps, 2, "--scan step count"), SCAN_STEPS_CAP)
         grid, parameters = np.linspace(lo, hi, steps), f"werner scan={lo!r},{hi!r},{steps}"
 
+    def min_pt(stack):
+        return np.linalg.eigvalsh(qlin.partial_transpose(stack, (2, 2)))[:, 0]
+
+    def chsh(stack):  # one einsum per state: a batched einsum may sum apart
+        return bell._chsh_bound(np.linalg.svd(np.array([bell._correlations(m) for m in stack]))[1])
+
     stack = entanglement._werner_matrices(grid)
-    correlations = np.array([bell._correlations(m) for m in stack])  # a batched einsum may sum apart
-    columns = (grid, np.linalg.eigvalsh(qlin.partial_transpose(stack, (2, 2)))[:, 0],
-               bell._chsh_bound(np.linalg.svd(correlations)[1]),
-               entanglement._entropy_bits(np.linalg.eigvalsh(stack)))
+    columns = (grid, min_pt(stack), chsh(stack), entanglement._entropy_bits(np.linalg.eigvalsh(stack)))
     rows = [
-        {"p": p, "min_pt_eigenvalue": minimum, "chsh_max": chsh, "entropy_bits": entropy,
-         "region": bell._region(entanglement._ppt_verdict(minimum, (2, 2), tols.verdict), chsh).value}
-        for p, minimum, chsh, entropy in zip(*(column.tolist() for column in columns))
+        {"p": p, "min_pt_eigenvalue": minimum, "chsh_max": value, "entropy_bits": entropy,
+         "region": bell.region(entanglement._ppt_verdict(minimum, (2, 2), tols.verdict), value).value}
+        for p, minimum, value, entropy in zip(*(column.tolist() for column in columns))
     ]
     digests = {"parameters": _digest_text(parameters)}
     if args.p is not None:
         return _report("werner", digests, rows[0])
-    ppt_boundary = _bisect(
-        lambda p: entanglement.min_pt_eigenvalue(entanglement.werner(p), (2, 2)), lo, hi
-    )
-    chsh_boundary = _bisect(
-        lambda p: bell.chsh_max(entanglement.werner(p)).value - bell.CLASSICAL_BOUND, lo, hi
-    )
-    results = {
-        "scan": {"from": lo, "to": hi, "steps": steps},
-        "rows": rows,
-        "boundaries": {"ppt": ppt_boundary, "chsh": chsh_boundary},
-    }
+
+    def at(column, p: float) -> float:
+        return column(entanglement._werner_matrices(np.array([p])))[0]
+
+    boundaries = {"ppt": _bisect(lambda p: at(min_pt, p), lo, hi),
+                  "chsh": _bisect(lambda p: at(chsh, p) - bell.CLASSICAL_BOUND, lo, hi)}
+    results = {"scan": {"from": lo, "to": hi, "steps": steps}, "rows": rows, "boundaries": boundaries}
     return _report("werner", digests, results)
 
 
@@ -418,7 +418,7 @@ def cmd_bell(args, tols: Tolerances) -> dict:
         "chsh_max": best.value,
         "chsh_at_setting": bell.chsh_value(density, best.setting),
         "setting": {k: _float_list(getattr(best.setting, k)) for k in ("a", "a_prime", "b", "b_prime")},
-        "region": bell._region(ppt, best.value).value,
+        "region": bell.region(ppt, best.value).value,
     }
     return _report("bell", {"state": state.digest}, results)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -16,6 +16,9 @@ from .tolerances import (
     EIGENVALUE_FLOOR, NORM_TOL, PROBABILITY_FLOOR, PURITY_TOL, TRACE_TOL, WEIGHT_FLOOR, ZERO_NORM,
     require_at_most,
 )
+
+if TYPE_CHECKING:
+    from .arrangements import ExperimentalArrangement
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -224,19 +227,13 @@ def abstract_purity(rho: DensityOperator, tol: float = PURITY_TOL) -> bool:
     return rho.purity() >= 1.0 - tol
 
 
-def operational_purity(rho: DensityOperator, basis: np.ndarray, tol: float = PURITY_TOL) -> bool:
-    """Basis-dependent purity: some detector fires with certainty.
+def operational_purity(ea: ExperimentalArrangement, tol: float = PURITY_TOL) -> bool:
+    """Basis-dependent purity: some detector of the arrangement fires with certainty.
 
-    ``basis`` holds the detector vectors as orthonormal columns.  True iff
-    some column b has <b|rho|b> >= 1 - tol; for a trace-one PSD operator that
-    pins rho to that projector within tol.
+    True iff its largest intensity <b|rho|b>, b a detector vector, is >= 1 - tol;
+    for a trace-one PSD operator that pins rho to that projector within tol.
     """
-    basis = qlin.as_complex(basis)
-    if basis.shape != (rho.dim, rho.dim):
-        raise ShapeError(f"basis is {basis.shape}, state needs {rho.dim}x{rho.dim}")
-    qlin.require_isometry(basis)
-    diagonal = np.real(np.sum(basis.conj() * (rho.matrix @ basis), axis=0))
-    return bool(np.max(diagonal) >= 1.0 - tol)
+    return bool(ea.intensities().max() >= 1.0 - tol)
 
 
 def operational_purity_exists(rho: DensityOperator, tol: float = PURITY_TOL) -> bool:
@@ -245,22 +242,6 @@ def operational_purity_exists(rho: DensityOperator, tol: float = PURITY_TOL) -> 
     The best basis is the eigenbasis, so this is a max-eigenvalue test.
     """
     return float(rho.eigenvalues[-1]) >= 1.0 - tol
-
-
-@dataclass(frozen=True)
-class PurityReport:
-    abstract: bool
-    operational: bool
-
-
-def purity_agreement_report(
-    rho: DensityOperator, basis: np.ndarray, tol: float = PURITY_TOL
-) -> PurityReport:
-    """Both purity predicates side by side; they are not equivalent."""
-    return PurityReport(
-        abstract=abstract_purity(rho, tol),
-        operational=operational_purity(rho, basis, tol),
-    )
 
 
 def density_from_bloch(point: BlochPoint) -> DensityOperator:

@@ -5,9 +5,11 @@ criterion (a failed criterion fails its test instead).
 """
 
 import ast
+import contextlib
 import dataclasses
 import importlib
 import inspect
+import io
 import json
 import re
 import subprocess
@@ -127,7 +129,7 @@ def test_criterion_02_werner_boundaries():
 def test_criterion_03_purity_schism():
     rho = density_from_vector(PureVector.normalized([1, 1]))
     assert abstract_purity(rho)
-    assert not operational_purity(rho, np.eye(2))
+    assert not operational_purity(make_ea(rho, Factorization((2,))))
     entropy = von_neumann_entropy(rho)
     assert abs(entropy) <= 1e-12
     announce(3, f"abstract pure, operationally impure, entropy {entropy:.2e} bits")
@@ -394,29 +396,103 @@ def test_golden_outputs_match_stored_baseline(command, golden):
     assert not mismatches, "\n".join(mismatches[:20])
 
 
-PUBLIC_NAMES = [
-    "AxiomReport", "BlochPoint", "BranchOutcome", "CPMap", "CapacityError", "ChainLink",
-    "ChainReport", "ChshMax", "Context", "CorrelationMatrix", "DegenerateConditioningError",
-    "DensityOperator", "DetectorBasis", "DomainError", "ExperimentalArrangement",
-    "Factorization", "HermitianSpectrum", "ISAValuation", "MeasurementSetting",
-    "MixtureDecomposition", "NoWitnessError", "ParseError", "PotentiaError", "PowerNode",
-    "PowersGraph", "PureVector", "PurityReport", "QuantumInstrument", "ResidualError",
-    "SeparabilityVerdict", "ShapeError", "UnderdeterminedError", "ValidationError", "Verdict",
-    "WernerRegion", "WitnessOperator", "abstract_purity", "actualization_map",
-    "alternative_decomposition", "apply_instrument", "bloch_from_density", "build_graph",
-    "change_detectors", "check_isa_axioms", "check_witness_on_products", "chsh_max",
-    "chsh_value", "classify_regions", "commutes", "complexity_chain_check",
-    "correlation_matrix", "density_from_bloch", "density_from_vector", "ea_equivalent",
-    "entropy_additivity_check", "entropy_criterion", "families",
-    "find_additive_binary_valuation", "herm_eig", "is_valid_instrument", "isa_from_density",
-    "kron", "majorization_criterion", "make_ea", "maximal_contexts", "min_pt_eigenvalue",
-    "multiscreen_effect", "one_way_local", "operational_purity", "operational_purity_exists",
-    "partial_trace", "partial_transpose", "power_intensity", "ppt_criterion",
-    "projective_distance", "projective_instrument", "purity_agreement_report",
-    "reconstruct_density", "refactor", "restrict", "sampling", "schmidt", "schmidt_rank",
-    "shadow", "spectral_decomposition", "von_neumann_entropy", "werner", "werner_classify",
-    "witness_from_entangled",
-]
+#: Every export of ``potentia`` and its one use.  ``("command", c)``: running command ``c`` over the
+#: samples enters its code.  ``("paper", f)``: ``analyze`` of the ``samples/paper/`` file ``f`` enters it,
+#: and it computes a quantity of that claim's row in README.  ``("returned", c)``: an enum whose values
+#: ``c``'s reports print.  ``("raised", c)``: an error class some run of ``c`` exits by.
+#: ``("library", t)``: no command enters it, and test ``t`` pins it.
+REACH = {
+    "AxiomReport": ("command", "powers"),
+    "BlochPoint": ("command", "analyze"),
+    "BranchOutcome": ("command", "instrument"),
+    "CPMap": ("command", "instrument"),
+    "CapacityError": ("raised", "werner"),
+    "ChainLink": ("library", "test_arrangements.py::TestChain::test_worked_chain"),
+    "ChainReport": ("library", "test_arrangements.py::TestChain::test_worked_chain"),
+    "ChshMax": ("command", "bell"),
+    "Context": ("command", "powers"),
+    "CorrelationMatrix": ("command", "bell"),
+    "DegenerateConditioningError": (
+        "library", "test_arrangements.py::TestRestrict::test_zero_overlap_rejected"),
+    "DensityOperator": ("command", "analyze"),
+    "DetectorBasis": ("command", "transform"),
+    "DomainError": ("raised", "werner"),
+    "ExperimentalArrangement": ("command", "transform"),
+    "Factorization": ("command", "transform"),
+    "HermitianSpectrum": ("command", "witness"),
+    "ISAValuation": ("command", "powers"),
+    "MeasurementSetting": ("command", "bell"),
+    "MixtureDecomposition": ("library", "test_states.py::TestDecompositions::test_weights_must_sum_to_one"),
+    "NoWitnessError": ("raised", "witness"),
+    "ParseError": ("raised", "werner"),
+    "PotentiaError": ("raised", "werner"),
+    "PowerNode": ("command", "powers"),
+    "PowersGraph": ("command", "powers"),
+    "PureVector": ("command", "analyze"),
+    "QuantumInstrument": ("command", "instrument"),
+    "ResidualError": ("library", "test_powers.py::TestReconstruction::test_inconsistent_valuation_rejected"),
+    "SeparabilityVerdict": ("command", "analyze"),
+    "ShapeError": ("raised", "instrument"),
+    "UnderdeterminedError": (
+        "library", "test_powers.py::TestReconstruction::test_underdetermined_reports_rank"),
+    "ValidationError": ("raised", "bell"),
+    "Verdict": ("returned", "analyze"),
+    "WernerRegion": ("returned", "werner"),
+    "WitnessOperator": ("command", "witness"),
+    "abstract_purity": ("command", "analyze"),
+    "actualization_map": ("command", "powers"),
+    "alternative_decomposition": ("library", "test_acceptance.py::test_criterion_06_mixture_non_uniqueness"),
+    "apply_instrument": ("command", "instrument"),
+    "bloch_from_density": ("command", "analyze"),
+    "build_graph": ("command", "powers"),
+    "change_detectors": ("command", "transform"),
+    "check_isa_axioms": ("command", "powers"),
+    "check_witness_on_products": ("command", "witness"),
+    "chsh_max": ("paper", "spectrum_bell_frame.json"),
+    "chsh_value": ("command", "bell"),
+    "commutes": ("command", "powers"),
+    "complexity_chain_check": ("library", "test_arrangements.py::TestChain::test_worked_chain"),
+    "correlation_matrix": ("command", "bell"),
+    "density_from_bloch": ("library", "test_states.py::TestBloch::test_north_pole"),
+    "density_from_vector": ("library", "test_acceptance.py::test_criterion_03_purity_schism"),
+    "ea_equivalent": ("command", "transform"),
+    "entropy_additivity_check": ("library", "test_entanglement.py::TestEntropy::test_additivity_pure"),
+    "entropy_criterion": ("library", "test_acceptance.py::test_criterion_07_criteria_ordering"),
+    "families": ("library", "test_acceptance.py::test_criterion_05_isa_axioms_and_reconstruction"),
+    "find_additive_binary_valuation": (
+        "library", "test_acceptance.py::test_criterion_05_isa_axioms_and_reconstruction"),
+    "herm_eig": ("command", "witness"),
+    "is_valid_instrument": ("command", "instrument"),
+    "isa_from_density": ("command", "powers"),
+    "kron": ("library", "test_entanglement.py::TestEntropy::test_additivity_value_by_eigenvalue_products"),
+    "majorization_criterion": ("library", "test_acceptance.py::test_criterion_07_criteria_ordering"),
+    "make_ea": ("command", "analyze"),
+    "maximal_contexts": ("command", "powers"),
+    "min_pt_eigenvalue": ("command", "bell"),
+    "multiscreen_effect": ("library", "test_arrangements.py::TestMultiscreen::test_worked_state_marginals"),
+    "one_way_local": ("library", "test_acceptance.py::test_criterion_09_instrument_layer"),
+    "operational_purity": ("command", "analyze"),
+    "operational_purity_exists": ("command", "analyze"),
+    "partial_trace": ("command", "analyze"),
+    "partial_transpose": ("command", "werner"),
+    "power_intensity": ("library", "test_arrangements.py::TestMakeEa::test_pure_product"),
+    "ppt_criterion": ("paper", "spectrum_product_frame.json"),
+    "projective_distance": ("library", "test_states.py::TestProjectiveDistance::test_orthogonal_pair"),
+    "projective_instrument": ("library", "test_acceptance.py::test_criterion_09_instrument_layer"),
+    "reconstruct_density": ("library", "test_acceptance.py::test_criterion_05_isa_axioms_and_reconstruction"),
+    "refactor": ("command", "transform"),
+    "region": ("paper", "spectrum_bell_frame.json"),
+    "restrict": ("library", "test_acceptance.py::test_criterion_08_invariance_suite"),
+    "sampling": ("library", "test_sampling.py::TestSeededDraws::test_pure_and_unitary"),
+    "schmidt": ("command", "analyze"),
+    "schmidt_rank": ("library", "test_entanglement.py::TestSchmidt::test_factoring_superposition"),
+    "shadow": ("library", "test_states.py::TestShadow::test_on_itself"),
+    "spectral_decomposition": ("library", "test_acceptance.py::test_criterion_06_mixture_non_uniqueness"),
+    "von_neumann_entropy": ("command", "analyze"),
+    "werner": ("library", "test_acceptance.py::test_criterion_02_werner_boundaries"),
+    "witness_from_entangled": ("command", "witness"),
+}
+PUBLIC_NAMES = sorted(REACH)
 
 
 #: Submodules reachable as attributes of the package after a bare ``import potentia``.
@@ -440,6 +516,110 @@ def test_package_exports_are_pinned():
     for name in SUBMODULES:
         assert getattr(potentia, name) is importlib.import_module(f"potentia.{name}"), name
 
+
+
+def _reach_runs(out_state: Path) -> list[list[str]]:
+    """The documented commands, each over every sample it reads, and three refusals, one per exit code."""
+    runs = [["werner", "--p", "0.5"], ["werner", "--scan", "0,1,101"], ["werner", "--p", "1.5"],
+            ["werner", "--scan", "0,1,100001"], ["werner", "--scan", "0,1"]]
+    for path in sorted(SAMPLES.rglob("*.json")):
+        document, state = json.loads(path.read_text(encoding="utf-8")), str(path)
+        if "matrix" in document:  # a state file; the projector and instrument files are read below
+            runs += [
+                ["analyze", state], ["transform", state],
+                ["transform", state, "--refactor", str(document["dim"])],
+                ["transform", state, "--screen", "1", "--basis", "hadamard", "--out-state", str(out_state)],
+                ["witness", state], ["bell", state],
+                ["powers", state, "--projectors", str(SAMPLES / "qubit_two_bases.json")],
+                ["instrument", state, "--instrument", str(SAMPLES / "measure_first_screen.json")],
+            ]
+    return runs
+
+
+def _entered(obj) -> set | None:
+    """The code objects a run enters when it uses ``obj``: a function's own, or those of the
+    functions a class defines (dataclass-made ones too, not those of enum or exception machinery);
+    None for a module, which is entered by any of its functions."""
+    if inspect.ismodule(obj):
+        return None
+    if inspect.isfunction(obj):
+        return {obj.__code__}
+    found = set()
+    for value in vars(obj).values():
+        func = getattr(value, "__func__", None) or getattr(value, "fget", None)
+        func = func or getattr(value, "func", value)  # a method, property or cached property
+        if inspect.isfunction(func) and func.__qualname__.startswith(obj.__qualname__ + "."):
+            found.add(func.__code__)
+    return found
+
+
+@pytest.fixture(scope="module")
+def reach(tmp_path_factory):
+    """Each run in json and in text under ``sys.setprofile``: per run, the code objects entered, and
+    per command, the reports printed and the error classes ``cli.main`` exits by."""
+    from potentia import cli
+
+    entered, printed, raised = {}, {}, {}
+    for argv in _reach_runs(tmp_path_factory.mktemp("reach") / "state.json"):
+        key = tuple(argv[:2])
+        codes, errors = entered.setdefault(key, set()), raised.setdefault(argv[0], set())
+
+        def profile(frame, event, arg):
+            if event == "call":
+                codes.add(frame.f_code)
+            elif event == "c_call" and frame.f_code is cli.main.__code__ and "exc" in frame.f_locals:
+                errors.add(type(frame.f_locals["exc"]))  # main prints the error it caught
+
+        for form in ("json", "text"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                sys.setprofile(profile)
+                try:
+                    cli.main([*argv, "--format", form])
+                finally:
+                    sys.setprofile(None)
+            printed[argv[0]] = printed.get(argv[0], "") + out.getvalue()
+    return entered, printed, raised
+
+
+def test_reach_table_rows_hold(reach):
+    """Each row of ``REACH`` holds: a command row's command enters the export, a paper row's sample
+    does under ``analyze``, and no command enters a library row's export, which its test names."""
+    entered, printed, raised = reach
+    by_command = {}
+    for (command, _), codes in entered.items():
+        by_command.setdefault(command, set()).update(codes)
+    everything = set().union(*by_command.values())
+    wrong = []
+    for name, (use, where) in REACH.items():
+        obj = getattr(potentia, name)
+        own = _entered(obj)
+
+        def enters(codes):
+            if own is None:
+                return any(c.co_filename == obj.__file__ and c.co_name != "<module>" for c in codes)
+            return bool(own & codes)
+
+        if use == "command":
+            held = enters(by_command[where])
+        elif use == "paper":
+            held = enters(entered["analyze", str(SAMPLES / "paper" / where)])
+        elif use == "returned":
+            held = any(member.value in printed[where] for member in obj)
+        elif use == "raised":
+            held = any(issubclass(error, obj) for error in raised[where])
+        else:
+            path, *test = where.split("::")
+            tree = ast.parse(source := (ROOT / "tests" / path).read_text(encoding="utf-8"))
+            for part in test:
+                tree = next((n for n in tree.body if getattr(n, "name", None) == part), None)
+                if tree is None:
+                    break
+            named = tree is not None and name in ast.get_source_segment(source, tree)
+            held = named and not enters(everything)
+        if not held:
+            wrong.append(f"{name}: {use} {where}")
+    assert not wrong, "reach rows that do not hold:\n" + "\n".join(wrong)
 
 def _fresh(probe: str):
     """The JSON that ``probe`` prints last, run in a fresh interpreter: the test process has

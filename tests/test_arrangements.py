@@ -18,6 +18,7 @@ from potentia import qlin
 from potentia.arrangements import (
     EQUIVALENCE_TOL,
     ChainLink,
+    ChainReport,
     DetectorBasis,
     ExperimentalArrangement,
     Factorization,
@@ -397,7 +398,7 @@ class TestChain:
             [ea1, ea2, ea4],
             [ChainLink(((0,), (0,))), ChainLink(((0,), (0, 1)))],
         )
-        assert report.valid
+        assert isinstance(report, ChainReport) and report.valid
         assert report.degrees == (1, 2, 4)
 
     def test_single_arrangement(self):

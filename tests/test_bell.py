@@ -8,10 +8,10 @@ from potentia.bell import (
     MeasurementSetting,
     chsh_max,
     chsh_value,
-    classify_regions,
     correlation_matrix,
+    region,
 )
-from potentia.entanglement import WernerRegion, werner
+from potentia.entanglement import WernerRegion, ppt_criterion, werner
 from potentia.errors import ShapeError
 from potentia.qlin import kron
 from potentia.sampling import random_density, random_pure, random_separable, random_unitary
@@ -151,6 +151,7 @@ class TestChshMax:
 
 class TestRegions:
     def test_werner_line(self):
-        assert classify_regions(werner(0.2)) is WernerRegion.SEPARABLE
-        assert classify_regions(werner(0.5)) is WernerRegion.ENTANGLED_LOCAL
-        assert classify_regions(werner(0.9)) is WernerRegion.NONLOCAL
+        for p, expected in ((0.2, WernerRegion.SEPARABLE), (0.5, WernerRegion.ENTANGLED_LOCAL),
+                            (0.9, WernerRegion.NONLOCAL)):
+            rho = werner(p)
+            assert region(ppt_criterion(rho, (2, 2)), chsh_max(rho).value) is expected

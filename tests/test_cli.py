@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from potentia import fileio, powers, qlin
 from potentia.arrangements import DetectorBasis, Factorization
-from potentia.cli import SCAN_STEPS_CAP, _analysis_results, main
+from potentia.cli import SCAN_STEPS_CAP, _analysis_results, _bisect, main
 from potentia.entanglement import WITNESS_SAMPLES_CAP, schmidt, werner
 from potentia.qlin import herm_eig
 from potentia.sampling import random_density, random_pure
@@ -555,12 +555,11 @@ class TestWerner:
         # spectra the entropy reads and the correlation matrices.
         assert eigensolve_counter[(101, 4, 4)] == 2
         assert eigensolve_counter[("svd", (101, 3, 3))] == 1
-        # Each bisection checks its 32 states, one Cholesky each, and solves
-        # one partial transpose or one correlation matrix per state.
-        assert eigensolve_counter[(4, 4)] == 32
-        assert eigensolve_counter[("svd", (3, 3))] == 32
-        assert eigensolve_counter[("cholesky", (4, 4))] == 2 * 32
-        assert sum(eigensolve_counter.values()) == 2 + 1 + 4 * 32
+        # Each bisection reads its 32 points as the rows read theirs, one stack
+        # of one point each, and admits no state: no Cholesky.
+        assert eigensolve_counter[(1, 4, 4)] == 32
+        assert eigensolve_counter[("svd", (1, 3, 3))] == 32
+        assert sum(eigensolve_counter.values()) == 2 + 1 + 2 * 32
 
     def test_scan_boundaries(self, capsys):
         report = run_json(capsys, "werner", "--scan", "0,1,101")
@@ -612,13 +611,18 @@ class TestWerner:
 @example(ends=[1 / 3, 1 / math.sqrt(2)], steps=2, verdict=None, pick=1)
 @example(ends=[0.0, 1.0], steps=4, verdict=0.0, pick=1)
 def test_scan_rows_are_the_per_state_values(capsys, ends, steps, verdict, pick):
-    """Every stacked row, bit for bit, is what the per-state calls give at its p; and
-    ``werner --p`` reports the scan's row at that p."""
+    """Every stacked row, bit for bit, is what the per-state calls give at its p, and so is each
+    boundary, bisected on admitted states; and ``werner --p`` reports the scan's row at that p."""
     from potentia import bell, entanglement
 
     lo, hi = ends
     tol = [] if verdict is None else ["--tol", f"verdict={verdict!r}"]
-    rows = run_json(capsys, "werner", "--scan", f"{lo!r},{hi!r},{steps}", *tol)["results"]["rows"]
+    results = run_json(capsys, "werner", "--scan", f"{lo!r},{hi!r},{steps}", *tol)["results"]
+    rows = results["rows"]
+    assert results["boundaries"] == {
+        "ppt": _bisect(lambda p: entanglement.min_pt_eigenvalue(werner(p), (2, 2)), lo, hi),
+        "chsh": _bisect(lambda p: bell.chsh_max(werner(p)).value - bell.CLASSICAL_BOUND, lo, hi),
+    }
     expected = []
     for p in np.linspace(lo, hi, steps).tolist():
         rho = werner(p)
@@ -628,7 +632,7 @@ def test_scan_rows_are_the_per_state_values(capsys, ends, steps, verdict, pick):
             "p": p,
             "min_pt_eigenvalue": ppt.evidence,
             "chsh_max": chsh,
-            "region": bell._region(ppt, chsh).value,
+            "region": bell.region(ppt, chsh).value,
             "entropy_bits": entanglement.von_neumann_entropy(rho),
         })
     assert fileio.render_json(rows) == fileio.render_json(expected)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from potentia.bell import werner_classify
+from potentia.bell import chsh_max, region
 from potentia.entanglement import (
     VERDICT_TOL,
     WITNESS_SAMPLES_CAP,
@@ -316,13 +316,13 @@ class TestWerner:
         assert min_pt_eigenvalue(werner(1 / 3), (2, 2)) == pytest.approx(0.0, abs=1e-12)
 
     def test_half_is_entangled_but_local(self):
-        assert werner_classify(0.5) is WernerRegion.ENTANGLED_LOCAL
+        rho = werner(0.5)
+        assert region(ppt_criterion(rho, (2, 2)), chsh_max(rho).value) is WernerRegion.ENTANGLED_LOCAL
 
     def test_pure_is_nonlocal(self):
-        from potentia.bell import chsh_max
-
-        assert werner_classify(1.0) is WernerRegion.NONLOCAL
-        assert chsh_max(werner(1.0)).value == pytest.approx(2 * np.sqrt(2), abs=1e-9)
+        rho = werner(1.0)
+        assert region(ppt_criterion(rho, (2, 2)), chsh_max(rho).value) is WernerRegion.NONLOCAL
+        assert chsh_max(rho).value == pytest.approx(2 * np.sqrt(2), abs=1e-9)
 
     def test_pt_eigenvalue_is_affine_with_root_one_third(self):
         # Affinity: the midpoint value is the average of the endpoints.

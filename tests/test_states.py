@@ -1,3 +1,4 @@
+import functools
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from potentia import states
-from potentia.arrangements import DetectorBasis, Factorization, make_ea
+from potentia.arrangements import DetectorBasis, Factorization, change_detectors, make_ea
 from potentia.bell import CorrelationMatrix, MeasurementSetting
 from potentia.entanglement import WitnessOperator, entropy_additivity_check
 from potentia.errors import CapacityError, DomainError, ShapeError
@@ -29,7 +30,6 @@ from potentia.states import (
     operational_purity,
     operational_purity_exists,
     projective_distance,
-    purity_agreement_report,
     shadow,
     spectral_decomposition,
 )
@@ -38,6 +38,7 @@ from conftest import projector
 
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 UNIFORM = PureVector.normalized([1, 1])
+QUBIT = Factorization((2,))
 
 
 class TestDensityFromVector:
@@ -264,20 +265,21 @@ class TestPurity:
 
     def test_operational_ground_state(self):
         rho = density_from_vector(PureVector.basis_state(2, 0))
-        assert operational_purity(rho, np.eye(2))
+        assert operational_purity(make_ea(rho, QUBIT))
 
     def test_operational_uniform_in_computational(self):
-        assert not operational_purity(density_from_vector(UNIFORM), np.eye(2))
+        assert not operational_purity(make_ea(density_from_vector(UNIFORM), QUBIT))
 
     def test_operational_uniform_in_its_own_basis(self):
-        assert operational_purity(density_from_vector(UNIFORM), HADAMARD)
+        assert operational_purity(make_ea(density_from_vector(UNIFORM), QUBIT, DetectorBasis((HADAMARD,))))
 
     def test_operational_detects_a_column_of_a_random_basis(self, rng):
         basis = random_unitary(5, rng)
+        detectors = Factorization((5,)), DetectorBasis((basis,))
         pure = density_from_vector(PureVector(basis[:, 3]))
-        assert operational_purity(pure, basis)
+        assert operational_purity(make_ea(pure, *detectors))
         blurred = DensityOperator(0.99 * pure.matrix + 0.01 * np.eye(5) / 5)
-        assert not operational_purity(blurred, basis)
+        assert not operational_purity(make_ea(blurred, *detectors))
 
     def test_existential_reading(self):
         assert operational_purity_exists(density_from_vector(UNIFORM))
@@ -285,26 +287,66 @@ class TestPurity:
 
     def test_basis_dim_mismatch(self):
         with pytest.raises(ShapeError):
-            operational_purity(density_from_vector(UNIFORM), np.eye(3))
+            make_ea(density_from_vector(UNIFORM), QUBIT, DetectorBasis((np.eye(3),)))
 
     def test_non_orthonormal_basis(self):
         with pytest.raises(DomainError):
-            operational_purity(density_from_vector(UNIFORM), np.ones((2, 2)))
+            DetectorBasis((np.ones((2, 2)),))
 
     def test_agreement_report(self):
+        """The two predicates side by side, in computational detectors: they are not equivalent."""
         ground = density_from_vector(PureVector.basis_state(2, 0))
-        assert purity_agreement_report(ground, np.eye(2)) == states.PurityReport(True, True)
         uniform = density_from_vector(UNIFORM)
-        assert purity_agreement_report(uniform, np.eye(2)) == states.PurityReport(True, False)
         mixed = DensityOperator.maximally_mixed(2)
-        assert purity_agreement_report(mixed, np.eye(2)) == states.PurityReport(False, False)
+        for rho, expected in ((ground, (True, True)), (uniform, (True, False)), (mixed, (False, False))):
+            assert (abstract_purity(rho), operational_purity(make_ea(rho, QUBIT))) == expected
 
     def test_operational_implies_abstract(self, rng):
         for _ in range(200):
             rho = random_density(2, rng, rank=int(rng.integers(1, 3)))
-            basis = random_unitary(2, rng)
-            if operational_purity(rho, basis):
+            basis = DetectorBasis((random_unitary(2, rng),))
+            if operational_purity(make_ea(rho, QUBIT, basis)):
                 assert abstract_purity(rho)
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dims=st.sampled_from([(2,), (5,), (2, 2), (2, 3), (3, 2, 2)]),
+        frame=st.sampled_from(["computational", "haar", "dense", "pending"]),
+        near=st.sampled_from([None, "detector", "random"]),
+        blur=st.floats(0.0, 4.0),
+        tol=st.sampled_from([1e-9, 1e-6, 1e-3, 0.1]),
+    )
+    def test_operational_purity_is_the_dense_reading(self, seed, dims, frame, near, blur, tol):
+        """``operational_purity(ea)`` is max over the columns b of ``ea.basis_matrix`` of <b|rho|b>
+        >= 1 - tol, on random states (``near`` None) and on states ``blur * tol`` from the pure state
+        of one detector or of a random vector, in computational, Haar product, dense one-screen and
+        pending (one detector change not yet formed) frames."""
+        rng = np.random.default_rng(seed)
+        n = int(np.prod(dims))
+        if frame == "dense":
+            dims = (n,)
+        screens = [np.eye(d) if frame == "computational" else random_unitary(d, rng) for d in dims]
+        change = None
+        if frame == "pending":
+            k = int(rng.integers(len(dims)))
+            change = (k, random_unitary(dims[k], rng))
+        final = [u @ change[1] if change and j == change[0] else u for j, u in enumerate(screens)]
+        if near is None:
+            rho = random_density(n, rng, rank=int(rng.integers(1, n + 1)))
+        else:
+            columns = functools.reduce(np.kron, final)
+            v = columns[:, rng.integers(n)] if near == "detector" else random_pure(n, rng).amplitudes
+            mixing = min(blur * tol, 1.0)
+            rho = DensityOperator((1 - mixing) * np.outer(v, v.conj()) + mixing * np.eye(n) / n)
+        ea = make_ea(rho, Factorization(dims), DetectorBasis(tuple(screens)))
+        if change is not None:
+            ea = change_detectors(ea, *change)
+            assert "pending" in vars(ea)["_cell"]
+        b = ea.basis_matrix
+        top = float(np.max(np.real(np.sum(b.conj() * (rho.matrix @ b), axis=0))))
+        if abs(top - (1.0 - tol)) > 1e-12:  # nearer, the two sums may round either way
+            assert operational_purity(ea, tol) is (top >= 1.0 - tol)
 
     def test_abstract_iff_max_eigenvalue(self, rng):
         for _ in range(200):

@@ -19,12 +19,7 @@ from . import qlin
 from .errors import DegenerateConditioningError, DomainError, ShapeError
 from .qlin import DetectorBasis, Factorization, _index, _sequence, dagger, frozen, max_abs
 from .states import DensityOperator, _conditioned
-from .tolerances import CHAIN_TOL, EIGENVALUE_FLOOR, EQUIVALENCE_TOL, HERMITICITY_TOL, TRACE_TOL
-
-
-def _gamma(n: int) -> float:
-    """Higham's gamma_n = nu / (1 - nu), u the unit roundoff: the relative error of n roundings."""
-    return n * 2.0**-53 / (1 - n * 2.0**-53)
+from .tolerances import CHAIN_TOL, EIGENVALUE_FLOOR, EQUIVALENCE_TOL, HERMITICITY_TOL, TRACE_TOL, _gamma
 
 
 class Provenance(NamedTuple):
@@ -360,7 +355,7 @@ def restrict(
             raise DomainError(f"screen {screen} keeps no detectors")
         kept.append(indices)
 
-    overlap, conditioned = _conditioned(_block(ea, kept))  # a new array
+    overlap, conditioned = _conditioned(_block(ea, kept), ea.degree, ea.provenance.drift)  # a new array
     if conditioned is None:
         raise DegenerateConditioningError(
             f"kept detectors carry total intensity {overlap:.3e}; cannot condition"

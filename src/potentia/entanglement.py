@@ -233,5 +233,5 @@ def _werner_matrices(p: np.ndarray) -> np.ndarray:
 
 
 def werner(p: float) -> DensityOperator:
-    """p |phi+><phi+| + (1 - p) I/4 on two qubits."""
-    return DensityOperator._owning(_werner_matrices(np.asarray(p, dtype=np.float64)))
+    """p |phi+><phi+| + (1 - p) I/4 on two qubits: a state by construction, so not solved."""
+    return DensityOperator._trusted(_werner_matrices(np.asarray(p, dtype=np.float64)))

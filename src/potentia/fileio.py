@@ -144,9 +144,9 @@ class StateFile:
 def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateFile:
     """Parse and validate a state file.
 
-    The matrix must satisfy the density-operator invariants within the
-    configured tolerances; it is then canonicalized (symmetrized and
-    trace-normalized) before analysis.
+    The matrix must be Hermitian and of unit trace within the configured
+    tolerances; it is then canonicalized (symmetrized and trace-normalized),
+    checked finite, and held to the one positivity rule, ``DensityOperator._admit``.
     """
     tols = tolerances or Tolerances()
     document, name, digest = _load_document(path)
@@ -155,14 +155,15 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
 
     try:
         qlin.require_hermitian(qlin.as_complex(matrix), tols.hermiticity)  # rejects non-finite first
-        trace = complex(np.trace(matrix))
-        require_at_most("matrix |trace - 1|", abs(trace - 1.0), tols.trace)
-        if not trace.real > 0:
-            raise DomainError(f"matrix violates unit trace (trace {trace:.12g})")
-        matrix += matrix.conj().T  # canonical in the parsed array, which is handed over
-        matrix /= 2.0
-        matrix /= np.real(np.trace(matrix))
-        density = DensityOperator._owning(matrix)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as non-finite
+            trace = complex(np.trace(matrix))
+            require_at_most("matrix |trace - 1|", abs(trace - 1.0), tols.trace)
+            if not trace.real > 0:
+                raise DomainError(f"matrix violates unit trace (trace {trace:.12g})")
+            matrix += matrix.conj().T  # canonical in the parsed array, which is admitted in place
+            matrix /= 2.0
+            matrix /= np.real(np.trace(matrix))
+        density = object.__new__(DensityOperator)._admit(qlin.as_complex(matrix))
     except DomainError as exc:
         raise ValidationError(f"{name}: {exc}")
 

@@ -131,8 +131,8 @@ def apply_instrument(ins: QuantumInstrument, rho: DensityOperator) -> list[Branc
         raise ShapeError(f"instrument acts on dim {ins.in_dim}, state has dim {rho.dim}")
     require_at_most("instrument completeness gap", ins._gap, COMPLETENESS_TOL)
     # _kraus_sum returns a new array, as _conditioned needs.
-    conditioned = [_conditioned(_kraus_sum(rho.matrix, [b if m is None else m for m in ins._bystanders]))
-                   for b in ins.branches]
+    conditioned = [_conditioned(_kraus_sum(rho.matrix, [b if m is None else m for m in ins._bystanders]),
+                                rho.dim) for b in ins.branches]
     return [BranchOutcome(max(probability, 0.0), post_state) for probability, post_state in conditioned]
 
 

@@ -14,7 +14,7 @@ from .errors import DegenerateConditioningError, DomainError, ShapeError
 from .qlin import frozen, herm_eig
 from .tolerances import (
     EIGENVALUE_FLOOR, NORM_TOL, PROBABILITY_FLOOR, PURITY_TOL, TRACE_TOL, WEIGHT_FLOOR, ZERO_NORM,
-    require_at_most,
+    _gamma, require_at_most,
 )
 
 if TYPE_CHECKING:
@@ -67,33 +67,11 @@ def _norm(amps: np.ndarray) -> float:
         return float(np.linalg.norm(amps))
 
 
-def _clears_half_floor(mat: np.ndarray) -> bool:
-    """True if Cholesky factors ``mat`` with ``-EIGENVALUE_FLOOR / 2`` added to
-    its diagonal.  Like ``eigvalsh`` it reads the lower triangle.  Its backward
-    error, about (N+1)·u·Tr(mat) (Higham, Thm 10.3), is far below that shift,
-    so True proves the least eigenvalue lies above ``EIGENVALUE_FLOOR``.  The shift
-    is made in ``mat`` and undone bit for bit; ``np.linalg.cholesky`` factors a copy."""
-    diagonal = mat.diagonal().copy()
-    mat.flat[:: len(mat) + 1] -= EIGENVALUE_FLOOR / 2
-    try:
-        np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError:
-        return False
-    finally:
-        mat.flat[:: len(mat) + 1] = diagonal
-    return True
-
-
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """Trace-one positive-semidefinite Hermitian matrix.
-
-    Positivity is certified by one Cholesky factorization of the matrix
-    shifted by half the eigenvalue floor; only a matrix it cannot clear has
-    its spectrum solved, and that spectrum decides and is kept.
-    ``eigenvalues`` is the spectrum, ascending and read-only, computed once,
-    on first read; every spectral quantity of the state reads it.
-    """
+    """Trace-one positive-semidefinite Hermitian matrix, admitted by ``_admit``.  ``eigenvalues``
+    is the spectrum, ascending and read-only, computed once, on first read; every spectral quantity
+    of the state reads it."""
 
     matrix: np.ndarray
 
@@ -101,26 +79,35 @@ class DensityOperator:
         mat = qlin.as_complex(self.matrix)
         qlin.require_hermitian(mat, what="density operator")
         require_at_most("density operator |trace - 1|", abs(complex(np.trace(mat)) - 1.0), TRACE_TOL)
-        if not vars(self).pop("_owned", False):  # an array ``_owning`` hands over is not copied
-            mat = np.array(mat)  # the one copy: shifted by the Cholesky check, then frozen
-        if not _clears_half_floor(mat):
-            eigenvalues = np.linalg.eigvalsh(mat)
-            require_at_most("density operator negated least eigenvalue", -eigenvalues[0],
-                            -EIGENVALUE_FLOOR)
-            object.__setattr__(self, "eigenvalues", frozen(eigenvalues))
-        object.__setattr__(self, "matrix", qlin._frozen_in_place(mat))
+        self._admit(np.array(mat))  # the one copy: shifted by the Cholesky check, then frozen
 
-    @classmethod
-    def _owning(cls, mat: np.ndarray) -> "DensityOperator":
-        """The state of ``mat``, an array its caller built and hands over: checked, not copied."""
-        rho = object.__new__(cls)
-        vars(rho).update(matrix=mat, _owned=True)
-        rho.__post_init__()
-        return rho
+    def _admit(self, mat: np.ndarray, slack: float = 0.0) -> "DensityOperator":
+        """The one positivity rule, on ``mat``, a finite Hermitian trace-one array no one else holds,
+        kept in place as the read-only matrix.  Cholesky factors it with ``-EIGENVALUE_FLOOR / 2``
+        added to its diagonal, reading the lower triangle as ``eigvalsh`` does; its backward error,
+        about (N+1)·u·Tr(mat) (Higham, Thm 10.3), is far below that shift, so success proves the least
+        eigenvalue lies above the floor.  The shift is undone bit for bit; ``np.linalg.cholesky``
+        factors a copy.  Else the spectrum is solved and kept, and decides: ``mat`` is refused, naming
+        its least eigenvalue, below the floor by more than ``slack``, the rounding of its making."""
+        diagonal = mat.diagonal().copy()
+        mat.flat[:: len(mat) + 1] -= EIGENVALUE_FLOOR / 2
+        try:
+            np.linalg.cholesky(mat)
+        except np.linalg.LinAlgError:
+            mat.flat[:: len(mat) + 1] = diagonal
+            eigenvalues = np.linalg.eigvalsh(mat)
+            if not -eigenvalues[0] <= slack - EIGENVALUE_FLOOR:  # NaN is refused too
+                require_at_most("density operator negated least eigenvalue", -eigenvalues[0],
+                                -EIGENVALUE_FLOOR)
+            vars(self)["eigenvalues"] = frozen(eigenvalues)
+        else:
+            mat.flat[:: len(mat) + 1] = diagonal
+        vars(self)["matrix"] = qlin._frozen_in_place(mat)
+        return self
 
     @classmethod
     def _trusted(cls, mat: np.ndarray) -> "DensityOperator":
-        """An admitted state in another frame, built by the caller or read-only: checked by nothing."""
+        """A state by construction or in another frame, built by the caller or read-only: unchecked."""
         vars(rho := object.__new__(cls))["matrix"] = qlin._frozen_in_place(mat)
         return rho
 
@@ -141,16 +128,27 @@ class DensityOperator:
         return float(np.vdot(self.matrix, self.matrix).real)
 
 
-def _conditioned(unnormalized: np.ndarray) -> tuple[float, DensityOperator | None]:
-    """An event's probability, the trace of ``unnormalized`` (a new array, divided in place),
-    and its conditioned state in that array, None at or below ``PROBABILITY_FLOOR``.  That state
-    is admitted again: the division scales floor-sized negativity by one over the probability."""
+def _conditioned(
+    unnormalized: np.ndarray, parent: int | None = None, drift: float = 0.0
+) -> tuple[float, DensityOperator | None]:
+    """An event's probability, the trace of ``unnormalized`` (a new array, divided in place), and
+    its conditioned state in that array, None at or below ``PROBABILITY_FLOOR``.  With no ``parent``
+    it is a Gram product, a state by construction, and is not solved.  Else it is a block or Kraus
+    branch of an admitted ``parent``-dim state, whose arrangement has moved it by ``drift``, and is
+    admitted again: the division scales floor-sized negativity, and the rounding of its making."""
     probability = float(np.real(np.trace(unnormalized)))
     if probability <= PROBABILITY_FLOOR:
         return probability, None
     unnormalized /= probability
+    if parent is None:
+        return probability, DensityOperator._trusted(unnormalized)
+    # The eigensolve errors of the parent and the child, m gamma_{m+2} of a norm at most 1 + TRACE_TOL
+    # + parent |floor| for an m x m solve, and the drift; doubled for forming the branch, and for the
+    # squared norm (at most 2) of a Kraus operator or an arrangement's inverse basis.
+    n, norm = len(unnormalized), 1 + TRACE_TOL + parent * abs(EIGENVALUE_FLOOR)
+    slack = 2 * ((parent * _gamma(parent + 2) + n * _gamma(n + 2)) * norm + drift) / probability
     try:
-        return probability, DensityOperator._owning(unnormalized)
+        return probability, object.__new__(DensityOperator)._admit(unnormalized, slack)
     except DomainError as exc:
         raise DegenerateConditioningError(f"probability {probability:.3e}; conditioned, {exc}") from None
 

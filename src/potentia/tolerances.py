@@ -1,7 +1,7 @@
 """Every threshold potentia decides by: the ``--tol`` defaults, the fixed tolerances and floors
 (each importable from the module that applies it, too) and the size caps; and both gates,
 ``require_within``, the one refusal of a size above its cap, and ``require_at_most``, the one
-refusal of a value beyond its tolerance.
+refusal of a value beyond its tolerance; and ``_gamma``, the unit of every rounding bound.
 
 A leaf module: it imports no numpy and no other potentia module but ``errors``.
 """
@@ -68,6 +68,11 @@ CONTEXT_NODE_CAP = 24
 BINARY_SEARCH_NODE_CAP = 30
 #: Orthogonal families are enumerated up to this size.
 FAMILY_SIZE_CAP = 6
+
+
+def _gamma(n: int) -> float:
+    """Higham's gamma_n = nu / (1 - nu), u the unit roundoff: the relative error of n roundings."""
+    return n * 2.0**-53 / (1 - n * 2.0**-53)
 
 
 def require_within(what: str, size: int, cap: int) -> None:

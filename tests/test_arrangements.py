@@ -35,6 +35,7 @@ from potentia.arrangements import (
 )
 from potentia.bell import chsh_max, correlation_matrix
 from potentia.errors import CapacityError, DegenerateConditioningError, DomainError, ShapeError
+from potentia.locc import CPMap, QuantumInstrument, apply_instrument
 from potentia.powers import PowerNode, build_graph, isa_from_density
 from potentia.qlin import dagger, partial_trace
 from potentia.sampling import random_density, random_unitary
@@ -434,22 +435,47 @@ class TestInvariance:
         # matrix rounds it across the floor for 3 of the 195 states, which a second admission
         # refused.  It is the admitted state in another frame, so every one comes back.
         admitted = 0
-        for seed in range(199):
-            rng = np.random.default_rng(seed)
-            us = tuple(random_unitary(2, rng) for _ in range(3))
-            u = reduce(np.kron, us)
-            weights, k = rng.random(8), int(rng.integers(8))
-            weights[k] = 0.0
-            weights *= (1 - EIGENVALUE_FLOOR * (1 - 1e-9)) / weights.sum()
-            weights[k] = EIGENVALUE_FLOOR * (1 - 1e-9)
-            try:
-                rho = DensityOperator((u * weights) @ u.conj().T)
-            except DomainError:
-                continue
+        for rho, us in states_admitted_at_the_floor():
             admitted += 1
             ea = make_ea(rho, Factorization((2, 2, 2)), DetectorBasis(us))
             assert np.max(np.abs(ea.canonical_density().matrix - rho.matrix)) <= 1e-12
         assert admitted == 195
+
+    def test_conditioning_at_probability_one_takes_every_state_admitted_at_the_floor(self):
+        # The same 195 states, conditioned on an event of probability 1: restrict keeping every
+        # detector, in computational and in Haar eigenframe detectors, and an instrument of one
+        # identity Kraus operator.  Each forms the state again and solves its spectrum; admitted
+        # again with no slack, they refused 1, 2 and 1 of them.
+        f, identity = Factorization((2, 2, 2)), QuantumInstrument((CPMap.identity(8),))
+        admitted = 0
+        for rho, us in states_admitted_at_the_floor():
+            admitted += 1
+            for basis in (None, DetectorBasis(us)):
+                ea = make_ea(rho, f, basis)
+                assert np.max(np.abs(restrict(ea, [range(2)] * 3).matrix - ea.matrix)) <= 1e-12
+            (outcome,) = apply_instrument(identity, rho)
+            assert outcome.probability == pytest.approx(1.0, abs=1e-12)
+            assert np.max(np.abs(outcome.post_state.matrix - rho.matrix)) <= 1e-12
+        assert admitted == 195
+
+
+def states_admitted_at_the_floor():
+    """``(rho, us)`` for each of seeds 0-198 whose state ``DensityOperator`` admits (195 of them):
+    eight Haar product eigenvectors on three qubits, ``us`` their screen factors, with one
+    eigenvalue planted at ``EIGENVALUE_FLOOR`` (1 - 1e-9), just above the floor."""
+    for seed in range(199):
+        rng = np.random.default_rng(seed)
+        us = tuple(random_unitary(2, rng) for _ in range(3))
+        u = reduce(np.kron, us)
+        weights, k = rng.random(8), int(rng.integers(8))
+        weights[k] = 0.0
+        weights *= (1 - EIGENVALUE_FLOOR * (1 - 1e-9)) / weights.sum()
+        weights[k] = EIGENVALUE_FLOOR * (1 - 1e-9)
+        try:
+            rho = DensityOperator((u * weights) @ u.conj().T)
+        except DomainError:
+            continue
+        yield rho, us
 
 
 # ---------------------------------------------------------------- properties

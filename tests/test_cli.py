@@ -1100,6 +1100,38 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr == f"validation error: {state}: matrix has non-finite entries\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("analyze",),
+            ("transform", "--screen", "1", "--basis", "hadamard"),
+            ("witness",),
+            ("bell",),
+            ("powers", "--projectors", SAMPLES / "qubit_two_bases.json"),
+            ("instrument", "--instrument", SAMPLES / "measure_first_screen.json"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    @pytest.mark.parametrize(
+        "diagonal, off_diagonal, tol",
+        [(0.5, 1e308, ()), (1e-300, 1e10, ("--tol", "trace=1"))],
+        ids=["sum_overflows", "division_overflows"],
+    )
+    def test_overflowing_canonical_form_is_one_validation_line(
+        self, capsys, tmp_path, argv, diagonal, off_diagonal, tol
+    ):
+        """A Hermitian file within its trace tolerance whose canonical form, (M + M^dag) / 2 over
+        its trace, overflows: refused as non-finite, with no numpy warning (an error here)."""
+        entry = lambda x: [x, 0]  # noqa: E731
+        state = tmp_path / "overflow.json"
+        state.write_text(json.dumps({"schema_version": "1", "dim": 2, "matrix": [
+            [entry(diagonal), entry(off_diagonal)], [entry(off_diagonal), entry(diagonal)]
+        ]}), encoding="utf-8")
+        assert main([argv[0], str(state), *map(str, argv[1:]), *tol]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"validation error: {state}: matrix has non-finite entries\n"
+
     def test_overflowing_asymmetry_is_one_validation_line(self, tmp_path):
         """A finite entry whose asymmetry overflows a float64: no numpy warning before the line."""
         document = json.loads((SAMPLES / "zero_state.json").read_text(encoding="utf-8"))
@@ -1456,8 +1488,9 @@ DOCUMENT_KINDS = (
     (("analyze", SAMPLES / "werner_05.json", "--config", None), {"tolerances": {"verdict": 1e-6}},
      (("tolerances",), ("tolerances", "verdict"))),
 )
-#: A value of each JSON kind.
-JSON_JUNK = (0, 2.5, "x", True, None, [], [1], {})
+#: A value of each JSON kind, and numbers at float64's edges: the largest, its negation, a tiny
+#: normal and the least subnormal.
+JSON_JUNK = (0, 2.5, 1e308, -1e308, 1e-300, 5e-324, "x", True, None, [], [1], {})
 
 
 @st.composite

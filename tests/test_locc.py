@@ -29,6 +29,7 @@ from potentia.locc import (
 from potentia.qlin import DIM_CAP, partial_trace
 from potentia.sampling import random_density, random_separable
 from potentia.states import PROBABILITY_FLOOR, DensityOperator, PureVector, density_from_vector
+from potentia.tolerances import EIGENVALUE_FLOOR, TRACE_TOL
 
 from conftest import projector
 
@@ -194,6 +195,60 @@ class TestApply:
             r"density operator negated least eigenvalue 0\.0989\d* exceeds 1e-07",
             messages[0],
         )
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        st.sampled_from([(2, 2), (3, 2), (2, 3), (2, 2, 2)]),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.01, 0.9),
+        st.sampled_from([-10.0, -0.5, 10.0]),
+        st.booleans(),
+    )
+    def test_conditioned_state_is_refused_only_past_its_slack(self, dims, seed, p, side, instrument):
+        """A planted diagonal state conditioned on an event of probability p: restrict keeping
+        some detectors, or the projective instrument onto them.  Its exact least eigenvalue is the
+        planted parent's over p, set at EIGENVALUE_FLOOR + side x the slack; README's slack is
+        2 ((N g(N+2) + n g(n+2)) (1 + TRACE_TOL + N |floor|) + drift) / p, g Higham's gamma and n
+        the child's dim (N for an instrument branch).  10x below is refused, with the message that
+        names the computed eigenvalue and the floor; half of it below, and 10x above, is accepted."""
+        rng = np.random.default_rng(seed)
+        n_total = int(np.prod(dims))
+        # Screen 0 keeps a proper subset and the last screen keeps all: 2 <= kept < N.
+        kept = [sorted(rng.choice(dims[0], int(rng.integers(1, dims[0])), replace=False).tolist())]
+        kept += [sorted(rng.choice(d, int(rng.integers(1, d + 1)), replace=False).tolist()) for d in dims[1:-1]]
+        kept += [list(range(dims[-1]))]
+        flat = np.ravel_multi_index(np.ix_(*kept), dims).ravel()
+        n = n_total if instrument else len(flat)
+        gamma = [k * 2.0**-53 / (1 - k * 2.0**-53) for k in (n_total + 2, n + 2)]
+        norm = 1 + TRACE_TOL + n_total * abs(EIGENVALUE_FLOOR)
+        slack = 2 * (n_total * gamma[0] + n * gamma[1]) * norm / p
+        target = EIGENVALUE_FLOOR + side * slack
+        diagonal = np.zeros(n_total)
+        others = np.setdiff1d(np.arange(n_total), flat)
+        diagonal[others] = (1 - p) * rng.dirichlet(np.ones(len(others)))
+        planted = flat[int(rng.integers(len(flat)))]
+        rest = np.setdiff1d(flat, [planted])
+        diagonal[rest] = (p - p * target) * rng.dirichlet(np.ones(len(rest)))
+        diagonal[planted] = p * target
+        rho = DensityOperator(np.diag(diagonal).astype(complex))
+        if instrument:
+            indicator = np.isin(np.arange(n_total), flat).astype(complex)
+            branches = projective_instrument([np.diag(indicator), np.diag(1 - indicator)])
+            condition = lambda: apply_instrument(branches, rho)[0].post_state.matrix  # noqa: E731
+        else:
+            condition = lambda: restrict(make_ea(rho, Factorization(dims)), kept).matrix  # noqa: E731
+        if side < -1:
+            with pytest.raises(DegenerateConditioningError) as error:
+                condition()
+            found = re.fullmatch(
+                r"probability (\S+); conditioned, density operator negated least eigenvalue (\S+) "
+                r"exceeds 1e-07",
+                str(error.value),
+            )
+            assert found and float(found[1]) == pytest.approx(p, rel=1e-3)
+            assert float(found[2]) == pytest.approx(-target, rel=1e-9)
+        else:
+            assert np.min(np.diag(condition()).real) == pytest.approx(target, rel=1e-9)
 
     def test_invalid_instrument_rejected(self, rng):
         with pytest.raises(DomainError):

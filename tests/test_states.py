@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from potentia import states
+from potentia import fileio, states
 from potentia.arrangements import DetectorBasis, Factorization, change_detectors, make_ea
 from potentia.bell import CorrelationMatrix, MeasurementSetting
-from potentia.entanglement import WitnessOperator, entropy_additivity_check
+from potentia.entanglement import WitnessOperator, entropy_additivity_check, werner
 from potentia.errors import CapacityError, DomainError, ShapeError
 from potentia.families import qubit_two_bases
 from potentia.locc import CPMap
@@ -157,6 +157,26 @@ class TestSpectrum:
         eigensolve_counter.clear()
         DensityOperator(matrix)
         assert eigensolve_counter == {("cholesky", (12, 12)): 1}
+
+    def test_states_by_construction_are_not_solved(self, rng, eigensolve_counter):
+        # Gram products and Werner states are PSD by construction: admitted on their trace alone.
+        vectors = tuple(random_pure(6, rng) for _ in range(3))
+        eigensolve_counter.clear()
+        density_from_vector(vectors[0])
+        MixtureDecomposition([0.2, 0.3, 0.5], vectors).reconstruct()
+        random_density(6, rng, rank=2)
+        werner(0.3)
+        assert not eigensolve_counter
+
+    def test_a_callers_matrix_and_a_files_are_certified_by_one_cholesky_each(
+        self, rng, tmp_path, eigensolve_counter
+    ):
+        matrix = random_density(6, rng).matrix
+        fileio.dump_state(tmp_path / "state.json", fileio.state_document(DensityOperator(matrix)))
+        for admit in (lambda: DensityOperator(matrix), lambda: fileio.load_state(tmp_path / "state.json")):
+            eigensolve_counter.clear()
+            admit()
+            assert eigensolve_counter == {("cholesky", (6, 6)): 1}
 
     def test_dimension_cap_is_checked_before_anything_is_solved(self, eigensolve_counter):
         matrix = np.eye(DIM_CAP + 1, dtype=complex)

@@ -21,8 +21,7 @@ _EXPORTS = {
         "ValidationError",
     ),
     "qlin": (
-        "DetectorBasis", "Factorization", "HermitianSpectrum", "commutes", "herm_eig", "kron",
-        "partial_trace", "partial_transpose",
+        "DetectorBasis", "Factorization", "commutes", "kron", "partial_trace", "partial_transpose",
     ),
     "states": (
         "BlochPoint", "DensityOperator", "MixtureDecomposition", "PureVector", "abstract_purity",
@@ -42,9 +41,9 @@ _EXPORTS = {
     ),
     "entanglement": (
         "SeparabilityVerdict", "Verdict", "WernerRegion", "WitnessOperator",
-        "check_witness_on_products", "entropy_additivity_check", "entropy_criterion",
-        "majorization_criterion", "min_pt_eigenvalue", "ppt_criterion", "schmidt",
-        "schmidt_rank", "von_neumann_entropy", "werner", "witness_from_entangled",
+        "check_witness_on_products", "entropy_additivity_check", "marginal_verdicts",
+        "min_pt_eigenvalue", "ppt_criterion", "schmidt", "schmidt_rank", "von_neumann_entropy",
+        "werner", "witness_from_entangled",
     ),
     "bell": (
         "ChshMax", "CorrelationMatrix", "MeasurementSetting", "chsh_max", "chsh_value",

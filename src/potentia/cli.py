@@ -142,7 +142,7 @@ def _analysis_results(state: fileio.StateFile, tols: Tolerances) -> dict:
     if state.factorization.screens == 2:
         dims = state.factorization.screen_dims
         ppt = entanglement.ppt_criterion(density, dims, tols.verdict)
-        majorization, entropy = entanglement._marginal_verdicts(density, dims, tols.verdict)
+        majorization, entropy = entanglement.marginal_verdicts(density, dims, tols.verdict)
         results["verdicts"] = {
             v.criterion: {"verdict": v.verdict.value, "criterion": v.criterion, "evidence": float(v.evidence)}
             for v in (ppt, majorization, entropy)
@@ -346,7 +346,7 @@ def cmd_werner(args, tols: Tolerances) -> dict:
         grid, parameters = np.linspace(lo, hi, steps), f"werner scan={lo!r},{hi!r},{steps}"
 
     def min_pt(stack):
-        return np.linalg.eigvalsh(qlin.partial_transpose(stack, (2, 2)))[:, 0]
+        return np.linalg.eigvalsh(qlin._partial_transpose(stack, (2, 2)))[:, 0]
 
     def chsh(stack):  # one einsum per state: a batched einsum may sum apart
         return bell._chsh_bound(np.linalg.svd(np.array([bell._correlations(m) for m in stack]))[1])

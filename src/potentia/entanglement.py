@@ -16,7 +16,7 @@ import numpy as np
 
 from . import qlin
 from .errors import DomainError, NoWitnessError, ShapeError
-from .qlin import _bipartite, _count, frozen, herm_eig, partial_trace, partial_transpose
+from .qlin import _bipartite, _count, frozen, partial_trace, partial_transpose
 from .states import DensityOperator, PureVector
 from .tolerances import (
     ENTROPY_TOL, SCHMIDT_FLOOR, VERDICT_TOL, WITNESS_SAMPLES, WITNESS_SAMPLES_CAP, require_within,
@@ -80,11 +80,14 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return float(_entropy_bits(rho.eigenvalues))
 
 
-def _marginal_verdicts(
-    rho: DensityOperator, dims: Sequence[int], tol: float
+def marginal_verdicts(
+    rho: DensityOperator, dims: Sequence[int], tol: float = VERDICT_TOL
 ) -> tuple[SeparabilityVerdict, SeparabilityVerdict]:
-    """Majorization and entropy verdicts from one spectrum of each reduced state.
-    The partial traces of a checked state are states, so they are not checked again."""
+    """The majorization and entropy verdicts, from one spectrum of each reduced state.  Both
+    criteria are necessary for separability: the global spectrum of a separable state is
+    majorized by each reduced spectrum (zero-padded partial sums), and a separable state is
+    at least as entropic as its parts.  The partial traces of a checked state are states, so
+    they are not checked again."""
     dims = _bipartite(dims, *rho.matrix.shape)
     spectra = [np.linalg.eigvalsh(partial_trace(rho.matrix, dims, (k,))) for k in (0, 1)]
     joint = von_neumann_entropy(rho)
@@ -105,26 +108,11 @@ def entropy_additivity_check(a: DensityOperator, b: DensityOperator) -> bool:
     return abs(joint - s_a - s_b) <= ENTROPY_TOL
 
 
-def entropy_criterion(
-    rho: DensityOperator, dims: Sequence[int], tol: float = VERDICT_TOL
-) -> SeparabilityVerdict:
-    """Necessary criterion: a separable state is at least as entropic as its parts."""
-    return _marginal_verdicts(rho, dims, tol)[1]
-
-
 def _majorization_margin(global_spec: np.ndarray, reduced_spec: np.ndarray) -> float:
     """Most negative slack of the reduced partial sums over the global ones."""
     padded = np.zeros_like(global_spec)
     padded[: len(reduced_spec)] = reduced_spec
     return float(np.min(np.cumsum(padded) - np.cumsum(global_spec)))
-
-
-def majorization_criterion(
-    rho: DensityOperator, dims: Sequence[int], tol: float = VERDICT_TOL
-) -> SeparabilityVerdict:
-    """Necessary criterion: the global spectrum of a separable state is
-    majorized by each reduced spectrum (zero-padded partial sums)."""
-    return _marginal_verdicts(rho, dims, tol)[0]
 
 
 def min_pt_eigenvalue(rho: DensityOperator, dims: Sequence[int]) -> float:
@@ -177,15 +165,14 @@ def witness_from_entangled(
     rho^T_B; then Tr(W rho) equals that negative eigenvalue while every
     product state scores >= 0.  A state whose eigenvalue is not below -tol has none.
     """
-    transposed = partial_transpose(rho.matrix, dims, "B")
-    spectrum = herm_eig(transposed)
-    minimum = float(spectrum.eigenvalues[-1])
+    eigenvalues, eigenvectors = np.linalg.eigh(partial_transpose(rho.matrix, dims, "B"))
+    minimum = float(eigenvalues[0])
     if minimum >= -tol:
         raise NoWitnessError(
             f"state is PPT (min partial-transpose eigenvalue {minimum:.3e}); "
             "the eigenvector construction yields no witness"
         )
-    eta = spectrum.eigenvectors[:, -1]
+    eta = eigenvectors[:, 0]
     witness = partial_transpose(np.outer(eta, eta.conj()), dims, "B")
     return WitnessOperator(witness, rho, minimum)
 

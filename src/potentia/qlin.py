@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError
 from .tolerances import (
-    COMMUTE_TOL, DIM_CAP, HERMITICITY_TOL, ISOMETRY_TOL, require_at_most, require_within,
+    DIM_CAP, HERMITICITY_TOL, ISOMETRY_TOL, PROJECTOR_TOL, require_at_most, require_within,
 )
 
 
@@ -294,9 +294,15 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> 
 def partial_transpose(
     rho: np.ndarray, dims: Sequence[int], party: Literal["A", "B"] = "B"
 ) -> np.ndarray:
-    """Transpose one factor of a bipartite operator, or of each of a stack of them; a stack
-    passes no gate, so only one its caller built may be given."""
-    rho = as_complex(rho) if np.ndim(rho) < 3 else rho
+    """Transpose one factor of a bipartite operator."""
+    return _partial_transpose(as_complex(rho), dims, party)
+
+
+def _partial_transpose(
+    rho: np.ndarray, dims: Sequence[int], party: Literal["A", "B"] = "B"
+) -> np.ndarray:
+    """``partial_transpose`` of a matrix or of each of a stack of them, with no gate on the
+    entries: only for an array its caller built."""
     d_a, d_b = _bipartite(dims, *rho.shape[-2:])
     if party not in ("A", "B"):
         raise DomainError(f"party must be 'A' or 'B', got {party!r}")
@@ -305,33 +311,7 @@ def partial_transpose(
     return np.ascontiguousarray(tensor.reshape(rho.shape))
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianSpectrum:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and sorted descending; ``eigenvectors`` holds the
-    matching orthonormal eigenvectors as columns.  For degenerate eigenvalues
-    the basis of the eigenspace is solver-dependent; callers must not rely on
-    a particular choice.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ dagger(self.eigenvectors)
-
-
-def herm_eig(matrix: np.ndarray) -> HermitianSpectrum:
-    """Descending-order eigendecomposition; rejects non-Hermitian input."""
-    matrix = as_complex(matrix)
-    require_hermitian(matrix)
-    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-    order = np.argsort(eigenvalues)[::-1]
-    return HermitianSpectrum(frozen(eigenvalues[order]), frozen(eigenvectors[:, order]))
-
-
-def commutes(p: np.ndarray, q: np.ndarray, tol: float = COMMUTE_TOL) -> bool:
+def commutes(p: np.ndarray, q: np.ndarray, tol: float = PROJECTOR_TOL) -> bool:
     """True iff the max-entry magnitude of PQ - QP is at most ``tol``."""
     p = as_complex(p)
     q = as_complex(q)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import qlin
 from .errors import DegenerateConditioningError, DomainError, ShapeError
-from .qlin import frozen, herm_eig
+from .qlin import frozen
 from .tolerances import (
     EIGENVALUE_FLOOR, NORM_TOL, PROBABILITY_FLOOR, PURITY_TOL, TRACE_TOL, WEIGHT_FLOOR, ZERO_NORM,
     _gamma, require_at_most,
@@ -289,10 +289,10 @@ def projective_distance(p: DensityOperator, q: DensityOperator) -> float:
 
 
 def spectral_decomposition(rho: DensityOperator) -> MixtureDecomposition:
-    """Eigenvalue mixture; zero-weight components dropped."""
-    spectrum = herm_eig(rho.matrix)
-    scales = np.sqrt(np.maximum(spectrum.eigenvalues, 0.0))
-    return _mixture(scales[:, None] * spectrum.eigenvectors.T)
+    """Eigenvalue mixture, weights descending; zero-weight components dropped."""
+    eigenvalues, eigenvectors = np.linalg.eigh(rho.matrix)
+    scales = np.sqrt(np.maximum(eigenvalues[::-1], 0.0))
+    return _mixture(scales[:, None] * eigenvectors[:, ::-1].T)
 
 
 def alternative_decomposition(

@@ -36,7 +36,7 @@ ZERO_NORM = 1e-12
 PROBABILITY_FLOOR = 1e-12
 #: Absolute tolerance on the max entry of V†V - I for "orthonormal columns".
 ISOMETRY_TOL = 1e-9
-COMMUTE_TOL = 1e-8
+#: Absolute tolerance on the max entry of P² - P, of PQ - QP and of a powers graph's matches.
 PROJECTOR_TOL = 1e-8
 #: Potentia may stray this far outside [0, 1] before a valuation rejects them.
 POTENTIA_SLACK = 1e-12

@@ -37,8 +37,7 @@ from potentia.arrangements import (
 from potentia.cli import _bisect
 from potentia.entanglement import (
     Verdict,
-    entropy_criterion,
-    majorization_criterion,
+    marginal_verdicts,
     min_pt_eigenvalue,
     ppt_criterion,
     schmidt_rank,
@@ -223,8 +222,7 @@ def test_criterion_07_criteria_ordering():
     counts = {"entropy": 0, "majorization": 0, "ppt": 0}
     for _ in range(10_000):
         rho = random_density(4, rng, rank=int(rng.integers(1, 5)))
-        by_entropy = entropy_criterion(rho, (2, 2)).verdict is Verdict.ENTANGLED
-        by_major = majorization_criterion(rho, (2, 2)).verdict is Verdict.ENTANGLED
+        by_major, by_entropy = (v.verdict is Verdict.ENTANGLED for v in marginal_verdicts(rho, (2, 2)))
         by_ppt = ppt_criterion(rho, (2, 2)).verdict is Verdict.ENTANGLED
         counts["entropy"] += by_entropy
         counts["majorization"] += by_major
@@ -330,6 +328,7 @@ GOLDEN_COMMANDS = (
     ("werner", "--scan", "0,1,101", "--format", "json"),
     ("analyze", "samples/paper/spectrum_product_frame.json", "--format", "json"),
     ("analyze", "samples/paper/spectrum_bell_frame.json", "--format", "json"),
+    ("witness", "samples/bell_phi_plus.json", "--format", "json"),
 )
 
 #: Stored output of each golden command, aligned with GOLDEN_COMMANDS.
@@ -340,6 +339,7 @@ GOLDEN_FILES = (
     "werner_scan.json",
     "analyze_spectrum_product_frame.json",
     "analyze_spectrum_bell_frame.json",
+    "witness_bell_phi_plus.json",
 )
 GOLDEN_FLOAT_TOL = 1e-12
 
@@ -419,7 +419,6 @@ REACH = {
     "DomainError": ("raised", "werner"),
     "ExperimentalArrangement": ("command", "transform"),
     "Factorization": ("command", "transform"),
-    "HermitianSpectrum": ("command", "witness"),
     "ISAValuation": ("command", "powers"),
     "MeasurementSetting": ("command", "bell"),
     "MixtureDecomposition": ("library", "test_states.py::TestDecompositions::test_weights_must_sum_to_one"),
@@ -457,16 +456,14 @@ REACH = {
     "density_from_vector": ("library", "test_acceptance.py::test_criterion_03_purity_schism"),
     "ea_equivalent": ("command", "transform"),
     "entropy_additivity_check": ("library", "test_entanglement.py::TestEntropy::test_additivity_pure"),
-    "entropy_criterion": ("library", "test_acceptance.py::test_criterion_07_criteria_ordering"),
     "families": ("library", "test_acceptance.py::test_criterion_05_isa_axioms_and_reconstruction"),
     "find_additive_binary_valuation": (
         "library", "test_acceptance.py::test_criterion_05_isa_axioms_and_reconstruction"),
-    "herm_eig": ("command", "witness"),
     "is_valid_instrument": ("command", "instrument"),
     "isa_from_density": ("command", "powers"),
     "kron": ("library", "test_entanglement.py::TestEntropy::test_additivity_value_by_eigenvalue_products"),
-    "majorization_criterion": ("library", "test_acceptance.py::test_criterion_07_criteria_ordering"),
     "make_ea": ("command", "analyze"),
+    "marginal_verdicts": ("command", "analyze"),
     "maximal_contexts": ("command", "powers"),
     "min_pt_eigenvalue": ("command", "bell"),
     "multiscreen_effect": ("library", "test_arrangements.py::TestMultiscreen::test_worked_state_marginals"),
@@ -474,7 +471,7 @@ REACH = {
     "operational_purity": ("command", "analyze"),
     "operational_purity_exists": ("command", "analyze"),
     "partial_trace": ("command", "analyze"),
-    "partial_transpose": ("command", "werner"),
+    "partial_transpose": ("command", "analyze"),
     "power_intensity": ("library", "test_arrangements.py::TestMakeEa::test_pure_product"),
     "ppt_criterion": ("paper", "spectrum_product_frame.json"),
     "projective_distance": ("library", "test_states.py::TestProjectiveDistance::test_orthogonal_pair"),

@@ -19,7 +19,6 @@ from potentia import fileio, powers, qlin
 from potentia.arrangements import DetectorBasis, Factorization
 from potentia.cli import SCAN_STEPS_CAP, _analysis_results, _bisect, main
 from potentia.entanglement import WITNESS_SAMPLES_CAP, schmidt, werner
-from potentia.qlin import herm_eig
 from potentia.sampling import random_density, random_pure
 from potentia.states import (
     PURITY_TOL,
@@ -168,7 +167,7 @@ def test_pure_state_schmidt_path_matches_the_eigh_oracle(dims, defect, seed):
     layout = Factorization(dims)
     state = fileio.StateFile(rho, layout, None, None, True, "sha256:")
     reported = _analysis_results(state, fileio.Tolerances())["schmidt_coefficients"]
-    oracle = schmidt(PureVector.normalized(herm_eig(rho.matrix).eigenvectors[:, 0]), dims)
+    oracle = schmidt(PureVector.normalized(np.linalg.eigh(rho.matrix)[1][:, -1]), dims)
     assert np.max(np.abs(np.array(reported) - oracle)) <= 1e-12
 
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from potentia import states
 from potentia.bell import chsh_max, region
 from potentia.entanglement import (
     VERDICT_TOL,
@@ -11,8 +12,7 @@ from potentia.entanglement import (
     WernerRegion,
     check_witness_on_products,
     entropy_additivity_check,
-    entropy_criterion,
-    majorization_criterion,
+    marginal_verdicts,
     min_pt_eigenvalue,
     ppt_criterion,
     schmidt,
@@ -25,7 +25,8 @@ from potentia.entanglement import (
 from potentia.errors import CapacityError, DomainError, NoWitnessError, ShapeError
 from potentia.qlin import kron, partial_transpose
 from potentia.sampling import random_density, random_pure, random_separable, random_unitary
-from potentia.states import DensityOperator, PureVector, density_from_vector
+from potentia.states import DensityOperator, PureVector, density_from_vector, spectral_decomposition
+from potentia.tolerances import WEIGHT_FLOOR
 
 from conftest import projector
 
@@ -115,7 +116,7 @@ class TestEntropy:
 
 class TestEntropyCriterion:
     def test_bell_state_detected(self):
-        verdict = entropy_criterion(RHO_PHI, (2, 2))
+        verdict = marginal_verdicts(RHO_PHI, (2, 2))[1]
         assert verdict.verdict is Verdict.ENTANGLED
         # Oracle: S(rho) = 0 while S(rho_A) = 1, margin -1.
         assert verdict.evidence == pytest.approx(-1.0, abs=1e-9)
@@ -124,11 +125,11 @@ class TestEntropyCriterion:
         rho = DensityOperator(
             kron(random_density(2, rng).matrix, random_density(2, rng).matrix)
         )
-        assert entropy_criterion(rho, (2, 2)).verdict is Verdict.INCONCLUSIVE
+        assert marginal_verdicts(rho, (2, 2))[1].verdict is Verdict.INCONCLUSIVE
 
     def test_maximally_mixed_inconclusive(self):
         assert (
-            entropy_criterion(DensityOperator.maximally_mixed(4), (2, 2)).verdict
+            marginal_verdicts(DensityOperator.maximally_mixed(4), (2, 2))[1].verdict
             is Verdict.INCONCLUSIVE
         )
 
@@ -141,7 +142,7 @@ class TestMajorizationCriterion:
         reduced = np.array([0.5, 0.5, 0.0, 0.0])
         worst = np.min(np.cumsum(reduced) - np.cumsum(global_spec))
         assert worst == pytest.approx(-0.5)
-        verdict = majorization_criterion(RHO_PHI, (2, 2))
+        verdict = marginal_verdicts(RHO_PHI, (2, 2))[0]
         assert verdict.verdict is Verdict.ENTANGLED
         assert verdict.evidence == pytest.approx(worst, abs=1e-9)
 
@@ -152,12 +153,12 @@ class TestMajorizationCriterion:
             a = random_density(2, rng)
             b = random_density(3, rng)
             rho = DensityOperator(kron(a.matrix, b.matrix))
-            verdict = majorization_criterion(rho, (2, 3))
+            verdict = marginal_verdicts(rho, (2, 3))[0]
             assert verdict.verdict is Verdict.INCONCLUSIVE
 
     def test_maximally_mixed_inconclusive(self):
         assert (
-            majorization_criterion(DensityOperator.maximally_mixed(4), (2, 2)).verdict
+            marginal_verdicts(DensityOperator.maximally_mixed(4), (2, 2))[0].verdict
             is Verdict.INCONCLUSIVE
         )
 
@@ -195,8 +196,9 @@ class TestPptCriterion:
     def test_criterion_strength_ordering(self, rng):
         for _ in range(400):
             rho = random_density(4, rng, rank=int(rng.integers(1, 5)))
-            by_entropy = entropy_criterion(rho, (2, 2)).verdict is Verdict.ENTANGLED
-            by_majorization = majorization_criterion(rho, (2, 2)).verdict is Verdict.ENTANGLED
+            by_majorization, by_entropy = (
+                v.verdict is Verdict.ENTANGLED for v in marginal_verdicts(rho, (2, 2))
+            )
             by_ppt = ppt_criterion(rho, (2, 2)).verdict is Verdict.ENTANGLED
             assert (not by_entropy) or by_majorization
             assert (not by_majorization) or by_ppt
@@ -207,8 +209,8 @@ class TestSeparableStates:
     @given(st.sampled_from([(2, 2), (2, 3)]), st.integers(1, 6), st.integers(0, 2**32 - 1))
     def test_no_criterion_calls_a_separable_state_entangled(self, dims, terms, seed):
         rho = random_separable(dims, np.random.default_rng(seed), terms=terms)
-        for criterion in (ppt_criterion, majorization_criterion, entropy_criterion):
-            assert criterion(rho, dims).verdict is not Verdict.ENTANGLED
+        for verdict in (ppt_criterion(rho, dims), *marginal_verdicts(rho, dims)):
+            assert verdict.verdict is not Verdict.ENTANGLED
 
 
 class TestWitness:
@@ -309,6 +311,96 @@ class TestWitness:
             alpha * witness.expectation(sigma1) + (1 - alpha) * witness.expectation(sigma2),
             abs=1e-12,
         )
+
+
+def sorted_eig_oracle(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The descending eigendecomposition the package once sorted with ``argsort``: eigh's
+    output permuted by its eigenvalues' argsort, reversed, each part copied C-contiguous.
+
+    The sort is stable. Where no two eigenvalues tie, every sort kind gives this permutation,
+    so this is the removed sort exactly. Within a tie the default kind may reorder indices on
+    some numpy builds, so there the oracle only pins eigh's own order, reversed."""
+    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+    order = np.argsort(eigenvalues, kind="stable")[::-1]
+    return np.array(eigenvalues[order], order="C"), np.array(eigenvectors[:, order], order="C")
+
+
+#: Bipartite layouts up to 5 x 5 and 4 x 8: past 16 entries numpy's argsort is no insertion sort.
+REFERENCE_LAYOUTS = [(2, 2), (2, 3), (3, 3), (2, 8), (3, 6), (5, 5), (4, 8)]
+
+
+def reference_state(kind: str, dims: tuple[int, int], seed: int, k: int) -> DensityOperator:
+    """A state of ``dims``: Wishart of rank 1 + k mod n, or one of three with exactly degenerate
+    spectra: I/m on m = 1 + k mod n basis states; the Werner state of p = (k mod 9)/8, with
+    |phi> maximally entangled on min(dims) levels; or a pure state of d_a x f beside I/g, where
+    f g = d_b, random for odd k and a basis state for even k."""
+    rng = np.random.default_rng(seed)
+    (d_a, d_b), n = dims, dims[0] * dims[1]
+    if kind == "wishart":
+        return random_density(n, rng, rank=1 + k % n)
+    if kind == "mixed_block":
+        diagonal = np.zeros(n)
+        diagonal[rng.permutation(n)[: 1 + k % n]] = 1.0
+        return DensityOperator(np.diag(diagonal / diagonal.sum()))
+    if kind == "werner":
+        m, p = min(dims), (k % 9) / 8
+        phi = np.zeros(n)
+        phi[[i * d_b + i for i in range(m)]] = 1 / np.sqrt(m)
+        return DensityOperator(p * np.outer(phi, phi) + (1 - p) * np.eye(n) / n)
+    divisors = [g for g in range(1, d_b + 1) if d_b % g == 0]
+    g = divisors[k // 2 % len(divisors)]
+    f = d_b // g
+    vector = random_pure(d_a * f, rng) if k % 2 else PureVector.basis_state(d_a * f, k % (d_a * f))
+    return DensityOperator(kron(density_from_vector(vector).matrix, np.eye(g) / g))
+
+
+REFERENCE_CASES = dict(
+    kind=st.sampled_from(["wishart", "mixed_block", "werner", "product_mixed"]),
+    dims=st.sampled_from(REFERENCE_LAYOUTS), seed=st.integers(0, 2**32 - 1), k=st.integers(0, 63),
+)
+
+
+class TestSortedEigReference:
+    """Each eigensolve keeps what the argsort-sorted reference selects, bit for bit, signed
+    zeros included. On spectra with exact ties the choice within an eigenspace is eigh's, so
+    each test also checks what holds for any eigenbasis: the witness scores the state at the
+    least eigenvalue, and the decomposition's weights are the spectrum and rebuild the state."""
+
+    @settings(max_examples=240, deadline=None, derandomize=True)
+    @given(**REFERENCE_CASES)
+    def test_witness_keeps_eighs_first_eigenpair(self, kind, dims, seed, k):
+        rho = reference_state(kind, dims, seed, k)
+        values, vectors = sorted_eig_oracle(partial_transpose(rho.matrix, dims, "B"))
+        if values[-1] >= -VERDICT_TOL:
+            with pytest.raises(NoWitnessError):
+                witness_from_entangled(rho, dims)
+            return
+        witness = witness_from_entangled(rho, dims)
+        eta = vectors[:, -1]
+        expected = partial_transpose(np.outer(eta, eta.conj()), dims, "B")
+        assert np.float64(witness.min_pt_eigenvalue).tobytes() == values[-1].tobytes()
+        assert witness.matrix.tobytes() == expected.tobytes()
+        assert witness.expectation(rho) == pytest.approx(values[-1], abs=1e-12)
+
+    @settings(max_examples=240, deadline=None, derandomize=True)
+    @given(**REFERENCE_CASES)
+    def test_spectral_decomposition_reverses_eighs_order(self, kind, dims, seed, k):
+        rho = reference_state(kind, dims, seed, k)
+        values, vectors = sorted_eig_oracle(rho.matrix)
+        expected = states._mixture(np.sqrt(np.maximum(values, 0.0))[:, None] * vectors.T)
+        decomposition = spectral_decomposition(rho)
+        assert decomposition.weights.tobytes() == expected.weights.tobytes()
+        assert len(decomposition.components) == len(expected.components)
+        for got, want in zip(decomposition.components, expected.components):
+            assert got.amplitudes.tobytes() == want.amplitudes.tobytes()
+        kept, dropped = np.split(values, [len(decomposition.weights)])
+        assert decomposition.weights == pytest.approx(kept / kept.sum(), abs=1e-12)
+        assert np.all(dropped < WEIGHT_FLOOR)
+        rebuilt = sum(
+            w * np.outer(c.amplitudes, c.amplitudes.conj())
+            for w, c in zip(decomposition.weights, decomposition.components)
+        )
+        np.testing.assert_allclose(rebuilt, rho.matrix, atol=1e-12)
 
 
 class TestWerner:

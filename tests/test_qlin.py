@@ -14,8 +14,7 @@ from potentia.arrangements import Factorization, change_detectors, make_ea, rest
 from potentia.entanglement import (
     WitnessOperator,
     check_witness_on_products,
-    entropy_criterion,
-    majorization_criterion,
+    marginal_verdicts,
     min_pt_eigenvalue,
     ppt_criterion,
     schmidt,
@@ -26,7 +25,7 @@ from potentia.errors import (
 )
 from potentia.sampling import random_density, random_product_pure, random_projector, random_separable
 from potentia.states import DensityOperator, PureVector, density_from_vector
-from potentia.tolerances import DIM_CAP
+from potentia.tolerances import DIM_CAP, PROJECTOR_TOL
 
 from conftest import projector
 
@@ -172,54 +171,21 @@ class TestPartialTranspose:
         with pytest.raises(ShapeError):
             qlin.partial_transpose(np.eye(8), (2, 2, 2), "B")
 
+    def test_every_input_passes_the_matrix_gate(self):
+        """NaN entries and stacks, NaN or integer, are refused; an integer matrix is read as complex."""
+        with pytest.raises(DomainError, match="^matrix has non-finite entries$"):
+            qlin.partial_transpose(np.full((4, 4), np.nan), (2, 2))
+        for stack, dims in ((np.full((1, 2, 2), np.nan), (1, 2)), (np.ones((3, 4, 4), dtype=int), (2, 2))):
+            with pytest.raises(ShapeError, match="^expected a 2-D matrix, got ndim=3$"):
+                qlin.partial_transpose(stack, dims)
+        assert qlin.partial_transpose(np.eye(4, dtype=int), (2, 2)).dtype == np.complex128
 
-def eig2_oracle(mat: np.ndarray) -> tuple[float, float]:
-    """Characteristic-polynomial eigenvalues of a 2x2 Hermitian matrix."""
-    tr = float(np.real(np.trace(mat)))
-    det = float(np.real(np.linalg.det(mat)))
-    root = np.sqrt(tr * tr - 4 * det)
-    return (tr + root) / 2, (tr - root) / 2
-
-
-class TestHermEig:
-    def test_already_diagonal(self):
-        spectrum = qlin.herm_eig(np.diag([0.7, 0.3]).astype(complex))
-        assert np.allclose(spectrum.eigenvalues, [0.7, 0.3])
-
-    def test_pauli_x(self):
-        hi, lo = eig2_oracle(SX)
-        assert (hi, lo) == (1.0, -1.0)
-        spectrum = qlin.herm_eig(SX)
-        assert np.allclose(spectrum.eigenvalues, [hi, lo], atol=1e-12)
-
-    def test_rank_one_projector(self):
-        spectrum = qlin.herm_eig(projector([1, 0, 0, 1]))
-        assert np.allclose(spectrum.eigenvalues, [1, 0, 0, 0], atol=1e-12)
-
-    def test_invariants(self, rng):
-        for dim in (2, 5, 8):
-            mat = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-            h = (mat + mat.conj().T) / 2
-            spectrum = qlin.herm_eig(h)
-            assert np.all(np.diff(spectrum.eigenvalues) <= 1e-12)
-            assert abs(spectrum.eigenvalues.sum() - np.real(np.trace(h))) <= 1e-9
-            gram = spectrum.eigenvectors.conj().T @ spectrum.eigenvectors
-            assert np.max(np.abs(gram - np.eye(dim))) <= 1e-9
-            assert np.max(np.abs(spectrum.reconstruct() - h)) <= 1e-8
-
-    def test_degenerate_eigenspace_is_usable(self):
-        # Any orthonormal basis of a degenerate eigenspace must do: the
-        # reconstruction and all spectral functions stay basis-independent.
-        rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-        spectrum = qlin.herm_eig(rho)
-        assert np.allclose(spectrum.eigenvalues, [0.5, 0.5, 0.0, 0.0])
-        assert np.max(np.abs(spectrum.reconstruct() - rho)) <= 1e-12
-        gram = spectrum.eigenvectors.conj().T @ spectrum.eigenvectors
-        assert np.max(np.abs(gram - np.eye(4))) <= 1e-9
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(DomainError):
-            qlin.herm_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+    def test_a_stack_is_transposed_member_by_member(self, rng):
+        stack = rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
+        for party in ("A", "B"):
+            transposed = qlin._partial_transpose(stack, (2, 3), party)
+            for member, expected in zip(transposed, stack):
+                assert np.array_equal(member, qlin.partial_transpose(expected, (2, 3), party))
 
 
 def dense_hermiticity_message(mat: np.ndarray, tol: float) -> str | None:
@@ -308,6 +274,12 @@ class TestCommutes:
         with pytest.raises(ShapeError):
             qlin.commutes(np.eye(2), np.eye(3))
 
+    def test_default_tolerance_is_the_projector_tolerance(self):
+        """PQ - QP = [[0, t], [-t, 0]] exactly: it commutes at t = PROJECTOR_TOL, not one float above."""
+        p = np.diag([1.0, 0.0])
+        for t, expected in ((PROJECTOR_TOL, True), (math.nextafter(PROJECTOR_TOL, math.inf), False)):
+            assert qlin.commutes(p, np.array([[0.0, t], [t, 0.0]])) is expected
+
 
 @settings(max_examples=100, deadline=None)
 @given(
@@ -372,9 +344,7 @@ LAYOUT_CALLS = {
     "schmidt": (lambda n, dims: schmidt(PureVector.basis_state(n, 0), dims), 2),
     "ppt_criterion": (lambda n, dims: ppt_criterion(entangled(n), dims), 2),
     "min_pt_eigenvalue": (lambda n, dims: min_pt_eigenvalue(entangled(n), dims), 2),
-    "majorization_criterion": (
-        lambda n, dims: majorization_criterion(entangled(n), dims), 2),
-    "entropy_criterion": (lambda n, dims: entropy_criterion(entangled(n), dims), 2),
+    "marginal_verdicts": (lambda n, dims: marginal_verdicts(entangled(n), dims), 2),
     "witness_from_entangled": (
         lambda n, dims: witness_from_entangled(entangled(n), dims), 2),
     "check_witness_on_products": (

@@ -14,7 +14,7 @@ from potentia.errors import CapacityError, DomainError, ShapeError
 from potentia.families import qubit_two_bases
 from potentia.locc import CPMap
 from potentia.powers import ISAValuation, PowerNode, build_graph, isa_from_density
-from potentia.qlin import DIM_CAP, herm_eig
+from potentia.qlin import DIM_CAP
 from potentia.sampling import random_density, random_pure, random_unitary
 from potentia.states import (
     EIGENVALUE_FLOOR,
@@ -507,6 +507,22 @@ class TestDecompositions:
         assert abs(decomposition.components[0].amplitudes[0]) == pytest.approx(1.0)
         assert abs(decomposition.components[1].amplitudes[1]) == pytest.approx(1.0)
 
+    def test_spectral_weights_descend_and_rebuild_the_state(self, rng):
+        for dim in (2, 5, 8):
+            rho = random_density(dim, rng)
+            decomposition = spectral_decomposition(rho)
+            assert np.all(np.diff(decomposition.weights) <= 1e-12)
+            amplitudes = np.stack([c.amplitudes for c in decomposition.components])
+            assert np.max(np.abs(amplitudes.conj() @ amplitudes.T - np.eye(dim))) <= 1e-9
+            assert np.max(np.abs(decomposition.reconstruct().matrix - rho.matrix)) <= 1e-8
+
+    def test_spectral_of_a_degenerate_state_rebuilds_it(self):
+        # Any orthonormal basis of a degenerate eigenspace must do.
+        rho = DensityOperator(np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex))
+        decomposition = spectral_decomposition(rho)
+        assert np.allclose(decomposition.weights, [0.5, 0.5])
+        assert np.max(np.abs(decomposition.reconstruct().matrix - rho.matrix)) <= 1e-12
+
     def test_spectral_of_pure(self):
         decomposition = spectral_decomposition(density_from_vector(UNIFORM))
         assert len(decomposition.components) == 1
@@ -611,7 +627,6 @@ ARRAY_HOLDING_VALUES = {
     "CPMap": lambda: CPMap.identity(2),
     "CorrelationMatrix": lambda: CorrelationMatrix(np.eye(3)),
     "MeasurementSetting": lambda: MeasurementSetting(*np.eye(3)[[0, 1, 0, 1]]),
-    "HermitianSpectrum": lambda: herm_eig(np.eye(2)),
 }
 
 

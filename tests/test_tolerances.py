@@ -31,7 +31,6 @@ FIXED = {
     "RESIDUAL_TOL": "powers",
     "RANK_TOL": "powers",
     "ISOMETRY_TOL": "qlin",
-    "COMMUTE_TOL": "qlin",
     "NORM_TOL": "states",
     "EIGENVALUE_FLOOR": "states",
     "WEIGHT_FLOOR": "states",

@@ -56,11 +56,11 @@ def _stepped(p: Provenance, dims: Sequence[int], gram_errors: dict[int, float]) 
 
 
 class _Pending(NamedTuple):
-    """A matrix before its first read: ``source``, its nearest formed ancestor's, and the ``runs``
-    since, distinct screens of one layout each; ``base`` and ``gram_errors`` are the last run's."""
+    """A matrix before its first read: ``source``, its nearest formed ancestor's, and the one ``run``
+    since, ``(dims, factors)`` of distinct screens in one layout, with its ``base`` and ``gram_errors``."""
 
     source: np.ndarray
-    runs: tuple
+    run: tuple
     base: Provenance
     gram_errors: dict
 
@@ -112,12 +112,12 @@ class ExperimentalArrangement:
     @property
     def matrix(self) -> np.ndarray:
         """The state in detector coordinates, in a cell refactors share, formed from a ``_Pending`` on
-        first read, an N x N conjugation per run; concurrent first reads may each form it, and all
-        return the one kept.  ``intensities``, ``power_intensity``, ``multiscreen_effect`` and
-        ``restrict`` of an arrangement in its last run's layout read only the entries they need."""
+        first read, one N x N conjugation; concurrent first reads may each form it, and all return
+        the one kept.  ``intensities``, ``power_intensity``, ``multiscreen_effect`` and ``restrict``
+        of an arrangement in its run's layout read only the entries they need."""
         cell = vars(self)["_cell"]
-        if (pending := _collapsed(cell)) is not None:
-            m = qlin._conjugated(pending.source, *pending.runs[0])
+        if (pending := cell.get("pending")) is not None:
+            m = qlin._conjugated(pending.source, *pending.run)
             cell.setdefault("matrix", qlin._frozen_in_place(m))
             cell.pop("pending", None)
         return cell["matrix"]
@@ -145,27 +145,13 @@ class ExperimentalArrangement:
         return DensityOperator._trusted(_unwound(self.matrix, self.steps))
 
 
-def _collapsed(cell: dict) -> _Pending | None:
-    """The cell's ``_Pending`` with every run but the last formed into its source and kept in the
-    cell, so that no read forms an earlier run twice; None once the matrix is formed."""
-    if (pending := cell.get("pending")) is not None and len(pending.runs) > 1:
-        source = pending.source
-        for dims, factors in pending.runs[:-1]:
-            source = qlin._conjugated(source, dims, factors)
-        collapsed = pending._replace(source=qlin._frozen_in_place(source), runs=pending.runs[-1:])
-        if cell.get("pending") is pending:
-            cell["pending"] = collapsed
-        return collapsed
-    return pending
-
-
 def _last_run(ea: ExperimentalArrangement) -> tuple:
     """``(source, (dims, factors))``, ``ea.matrix`` = R^dag source R, R the factors' product: of a
-    pending matrix when ``ea`` is in its last run's layout, else the formed matrix with no factor."""
-    pending, dims = _collapsed(vars(ea)["_cell"]), ea.factorization.screen_dims
-    if pending is None or pending.runs[0][0] != dims:
+    pending matrix when ``ea`` is in its run's layout, else the formed matrix with no factor."""
+    pending, dims = vars(ea)["_cell"].get("pending"), ea.factorization.screen_dims
+    if pending is None or pending.run[0] != dims:
         return ea.matrix, (dims, {})
-    return pending.source, pending.runs[0]
+    return pending.source, pending.run
 
 
 def _diagonal(ea: ExperimentalArrangement) -> np.ndarray:
@@ -265,11 +251,15 @@ def change_detectors(
 
     ``new_basis`` columns are the new detector vectors written in the
     screen's current detector coordinates.  The ambient state is untouched;
-    only its representation moves.  The step is applied when ``matrix`` is
-    first read, a run of changes of distinct screens in one layout as one
-    conjugation.  ``intensities``, ``power_intensity``, ``multiscreen_effect``
-    and ``restrict`` read only the entries they need, and form no N x N
-    product of the last run.
+    only its representation moves.  The step joins the arrangement's pending
+    run, applied as one conjugation when ``matrix`` is first read, if the
+    arrangement is in the run's layout and the screen is not in the run;
+    otherwise it starts a run from ``ea.matrix``, which forms the pending run
+    now, once, in the cell that its refactors share.  An exactly-identity
+    basis adds no factor; where it would join, it shares the cell too.
+    ``intensities``, ``power_intensity``, ``multiscreen_effect`` and
+    ``restrict`` read only the entries they need, and form no N x N product
+    of the run.
     """
     dims = ea.factorization.screen_dims
     screen = _index(screen, len(dims), "screen")
@@ -279,13 +269,15 @@ def change_detectors(
     gram_error = qlin.require_isometry(v, what="new detector basis")
     # A copy: ``v`` may be the caller's own array.  The identity is no factor, as in make_ea.
     step = {} if qlin._is_identity(v) else {screen: frozen(v)}
-    pending = vars(ea)["_cell"].get("pending") or _Pending(ea.matrix, (), ea.provenance, {})
-    runs, base, factors, errors = pending.runs, ea.provenance, {}, {}
-    if runs and runs[-1][0] == dims and screen not in runs[-1][1]:  # no factor product to round
-        runs, (_, factors), base, errors = runs[:-1], runs[-1], pending.base, pending.gram_errors
-    factors, errors = factors | step, errors | {k: gram_error for k in step}
-    held = {"pending": _Pending(pending.source, runs + ((dims, factors),), base, errors)}
-    steps, provenance = ea.steps + ((dims, step),), _stepped(base, dims, errors)
+    steps, cell = ea.steps + ((dims, step),), vars(ea)["_cell"]
+    pending = cell.get("pending")
+    if pending is None or pending.run[0] != dims or screen in pending.run[1]:  # else no product to round
+        pending = _Pending(ea.matrix, (dims, {}), ea.provenance, {})
+    elif not step:  # the run as it is, and its bound: its cell, as a refactor shares it
+        return ExperimentalArrangement._trusted(cell, ea.factorization, steps, ea.provenance)
+    errors = pending.gram_errors | {k: gram_error for k in step}
+    held = {"pending": pending._replace(run=(dims, pending.run[1] | step), gram_errors=errors)}
+    provenance = _stepped(pending.base, dims, errors)
     return ExperimentalArrangement._trusted(held, ea.factorization, steps, provenance)
 
 

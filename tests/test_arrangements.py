@@ -902,16 +902,19 @@ class TestDetectorSteps:
 
     def test_only_the_state_has_full_size_rows(self, rng):
         """Before its first read a derived arrangement holds exactly its source, the matrix of
-        its nearest formed ancestor; after it, exactly its own matrix, and no source."""
+        its nearest formed ancestor; after it, exactly its own matrix, and no source.  A change
+        in a refactored layout cannot join the pending run: it forms that run, in the cell the
+        refactor shares, and holds it as its source."""
         _, _, start = random_layout_ea((2, 3, 4), rng)
         ea = change_detectors(start, 1, random_unitary(3, rng))
-        ea = refactor(ea, Factorization((6, 4)))
-        ea = change_detectors(ea, 0, random_unitary(6, rng))
+        ancestor = refactor(ea, Factorization((6, 4)))
+        ea = change_detectors(ancestor, 0, random_unitary(6, rng))
+        assert "pending" not in vars(ancestor)["_cell"]
         full = [arr for arr in held_arrays(ea) if arr.shape[0] == ea.degree]
-        assert len(full) == 1 and full[0] is start.matrix
+        assert len(full) == 1 and full[0] is ancestor.matrix and full[0] is not start.matrix
         matrix = ea.matrix
         full = [arr for arr in held_arrays(ea) if arr.shape[0] == ea.degree]
-        assert len(full) == 1 and full[0] is matrix and matrix is not start.matrix
+        assert len(full) == 1 and full[0] is matrix and matrix is not ancestor.matrix
         assert "pending" not in vars(ea)["_cell"]
 
     @pytest.mark.parametrize("screen", [0, 1, 2])
@@ -1283,7 +1286,8 @@ class TestDeferredChanges:
 
     def test_three_changes_are_one_conjugation(self, monkeypatch, rng):
         """Changes of distinct screens in one layout, a refactor, and a change in the new layout:
-        two conjugations on the first read, none after it; a screen changed twice takes one more."""
+        that change forms the run of three, once, and the first read forms its own; a screen
+        changed twice starts from the formed run and takes one more conjugation, on its read."""
         _, _, ea = random_layout_ea((2, 3, 4), rng)
         calls, conjugated = [], qlin._conjugated
 
@@ -1295,14 +1299,79 @@ class TestDeferredChanges:
         changed = ea
         for screen in (0, 2, 1):
             changed = change_detectors(changed, screen, random_unitary((2, 3, 4)[screen], rng))
+        assert calls == []
         flat = change_detectors(refactor(changed, Factorization((24,))), 0, random_unitary(24, rng))
         again = change_detectors(changed, 2, random_unitary(4, rng))
-        assert calls == []
+        assert calls == [((2, 3, 4), [0, 1, 2])]
         flat.matrix, flat.matrix
         assert calls == [((2, 3, 4), [0, 1, 2]), ((24,), [0])]
         calls.clear()
-        again.matrix
-        assert calls == [((2, 3, 4), [0, 1, 2]), ((2, 3, 4), [2])]
+        again.matrix, changed.matrix
+        assert calls == [((2, 3, 4), [2])]
+
+    @staticmethod
+    def run_keys(calls: list):
+        """A ``qlin._conjugated`` that appends to ``calls`` the factor arrays of each call that has
+        any: a run's factors are arrays its changes made, so a repeated run repeats its arrays.
+        The arrays are held, so that no identity is reused."""
+        conjugated = qlin._conjugated
+
+        def spy(m, dims, factors):
+            if factors:
+                calls.append(tuple(factors.values()))
+            return conjugated(m, dims, factors)
+
+        return spy
+
+    @staticmethod
+    def repeats(calls: list) -> int:
+        return len(calls) - len({tuple(map(id, key)) for key in calls})
+
+    @settings(max_examples=150, deadline=None)
+    @given(deferred_chains())
+    @example(((2, 2), [("change", 0, "haar"), ("change", 1, "identity")], 0))
+    def test_no_run_is_formed_twice(self, chain):
+        """Reading ``.matrix`` of every arrangement a chain made, and of a refactor of each, forms
+        no run of changes twice: a change that cannot join its arrangement's run forms that run
+        in the arrangement's cell, where every later reader finds it, and an identity change that
+        joins a run shares its cell."""
+        dims, ops, seed = chain
+        rng = np.random.default_rng(seed)
+        _, _, current = random_layout_ea(dims, rng)
+        factors = {"haar": random_unitary, "near": near_unitary, "identity": lambda d, _: np.eye(d)}
+        made, calls = [current], []
+        with mock.patch.object(qlin, "_conjugated", self.run_keys(calls)):
+            for op, *args in ops:
+                layout = current.factorization.screen_dims
+                if op == "refactor":
+                    current = refactor(current, Factorization(random_refactor(layout, rng)))
+                elif op == "read":
+                    current.matrix
+                else:
+                    screen = args[0] % len(layout)
+                    current = change_detectors(current, screen, factors[args[1]](layout[screen], rng))
+                made.append(current)
+            for ea in made:
+                sharer = refactor(ea, Factorization(random_refactor(ea.factorization.screen_dims, rng)))
+                ea.matrix, sharer.matrix
+        assert self.repeats(calls) == 0
+
+    @pytest.mark.parametrize("later, expected", [(1, 2), (2, 3)], ids=["three", "four"])
+    def test_a_refactored_chain_forms_each_run_once(self, later, expected, rng):
+        """A change, a refactor from (2, 3, 4) to (6, 4), and ``later`` changes of screen 1 in the
+        new layout, read from the last arrangement back to the first: one conjugation per run (a
+        screen changed twice starts a run); forming each earlier run once per reader would take 3
+        and 6."""
+        _, _, ea = random_layout_ea((2, 3, 4), rng)
+        calls = []
+        with mock.patch.object(qlin, "_conjugated", self.run_keys(calls)):
+            made = [change_detectors(ea, 1, random_unitary(3, rng))]
+            made.append(refactor(made[0], Factorization((6, 4))))
+            for _ in range(later):
+                made.append(change_detectors(made[-1], 1, random_unitary(4, rng)))
+            for arrangement in reversed(made):
+                arrangement.matrix
+        assert len(calls) == expected and self.repeats(calls) == 0
 
     @pytest.mark.parametrize("first", [0, 1], ids=["source_first", "refactor_first"])
     def test_a_refactor_shares_the_pending_matrix(self, monkeypatch, rng, first):
@@ -1390,7 +1459,8 @@ class TestDeferredChanges:
 @st.composite
 def pending_reads(draw):
     """A layout of 1-4 screens of dims 1-4 and a seed; whether a refactor follows the first run of
-    changes, and whether a second run follows it (in the refactored layout, if there is one)."""
+    changes, and whether more changes follow it (in the refactored layout, if there is one), which
+    join that run or form it and start their own."""
     dims = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
     return dims, draw(st.booleans()), draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
 
@@ -1407,7 +1477,7 @@ def four_reads(ea, index, kept):
 
 
 class TestPartialReads:
-    """The four reads of a pending arrangement in its last run's layout take only the entries they
+    """The four reads of a pending arrangement in its run's layout take only the entries they
     need from its source, and leave the matrix pending."""
 
     @staticmethod
@@ -1435,7 +1505,7 @@ class TestPartialReads:
     @example(((4,), False, False, 1))
     def test_reads_match_the_formed_matrix(self, case):
         """Before ``.matrix`` is read, each read equals the one taken after within 1e-12, and a
-        pending arrangement in its last run's layout is still pending after them."""
+        pending arrangement in its run's layout is still pending after them."""
         dims, refactored, second_run, seed = case
         rng = np.random.default_rng(seed)
         _, _, ea = random_layout_ea(dims, rng)
@@ -1446,14 +1516,12 @@ class TestPartialReads:
             ea = self.run_of_changes(ea, rng)
         layout = ea.factorization.screen_dims
         cell = vars(ea)["_cell"]
-        partial = "pending" in cell and cell["pending"].runs[-1][0] == layout
+        partial = "pending" in cell and cell["pending"].run[0] == layout
         oracle = copy.deepcopy(ea).matrix  # the same matrix, formed in a copy
         index = tuple(int(rng.integers(d)) for d in layout)
         kept = self.kept_sets(layout, np.real(np.diag(oracle)).reshape(layout), rng)
         before = four_reads(ea, index, kept)
         assert ("pending" in cell) == partial
-        if partial:
-            assert len(cell["pending"].runs) == 1
         ea.matrix
         after = four_reads(ea, index, kept)
         for got, formed in zip(before[:3], after[:3]):
@@ -1489,57 +1557,74 @@ class TestPartialReads:
         assert "pending" in vars(pending)["_cell"]
 
     def test_earlier_runs_are_formed_once(self, monkeypatch, rng):
-        """Screen 0 changed twice makes two runs: repeated reads, of the arrangement and of a
-        refactor sharing its matrix, form the first once, and ``.matrix`` then forms the last."""
+        """Screen 0 changed twice makes two runs: the second change forms the first, once, and
+        repeated reads of the last run's arrangement form nothing more; a refactor sharing its
+        matrix, in another layout, then forms the last."""
         _, _, ea = random_layout_ea((2, 3, 4), rng)
-        changed = ea
-        for screen in (0, 0, 1):
-            changed = change_detectors(changed, screen, random_unitary((2, 3, 4)[screen], rng))
         conjugated = self.spied(monkeypatch, "_conjugated")
+        first = change_detectors(ea, 0, random_unitary(2, rng))
+        changed = change_detectors(first, 0, random_unitary(2, rng))
+        changed = change_detectors(changed, 1, random_unitary(3, rng))
+        assert conjugated.count((24, 24)) == 1 and "pending" not in vars(first)["_cell"]
         flat = refactor(changed, Factorization((24,)))
         for _ in range(3):
             four_reads(changed, (1, 2, 3), [[0], [0, 2], [1, 2, 3]])
+        first.matrix
         assert conjugated.count((24, 24)) == 1 and "pending" in vars(changed)["_cell"]
         flat.intensities()  # another layout: the matrix is formed
         assert conjugated.count((24, 24)) == 2 and "pending" not in vars(changed)["_cell"]
         changed.intensities()
         assert conjugated.count((24, 24)) == 2
 
-    @pytest.mark.parametrize("readers", [2, 6])
-    def test_concurrent_reads_of_two_runs(self, rng, readers):
-        """Threads, six being more than cores, read one pending matrix of two runs at once, half
-        ``intensities`` and half ``.matrix``, switching often: none raises, each read equals the
-        formed matrix's within 1e-12, every ``.matrix`` is the one kept, and a last read of it
-        leaves nothing pending."""
+    @pytest.mark.parametrize("threads", [4, 8])
+    def test_concurrent_reads_and_changes_that_cannot_join(self, monkeypatch, rng, threads):
+        """Threads, more than cores, race ``.matrix`` of a pending arrangement and of its refactor
+        against changes that cannot join its run (screen 0 again; a screen of the refactor), all
+        inside the run's formation at once and switching often: none raises, every thread gets
+        the one matrix kept, as its read or as its change's source, and every result equals the
+        one formed serially in a copy within 1e-12."""
         _, _, changed = random_layout_ea((2, 3, 4), rng)
-        for screen in (0, 0, 2):
+        for screen in (0, 2):
             changed = change_detectors(changed, screen, random_unitary((2, 3, 4)[screen], rng))
-        oracle = copy.deepcopy(changed).matrix
-        barrier, got, errors = threading.Barrier(readers, timeout=30), [], []
+        flat = refactor(changed, Factorization((24,)))
+        v, w = random_unitary(2, rng), random_unitary(24, rng)
+        work = (lambda: changed.matrix, lambda: flat.matrix,
+                lambda: change_detectors(changed, 0, v), lambda: change_detectors(flat, 0, w))
+        twin = copy.deepcopy(changed)
+        serial = [twin.matrix, twin.matrix, change_detectors(twin, 0, v).matrix,
+                  change_detectors(refactor(twin, Factorization((24,))), 0, w).matrix]
+        barrier, conjugated = threading.Barrier(threads, timeout=30), qlin._conjugated
+        monkeypatch.setattr(qlin, "_conjugated", lambda *args: (barrier.wait(), conjugated(*args))[1])
+        got, errors = [], []
 
-        def read(k):
+        def run(k):
             try:
-                barrier.wait()
-                got.append((k % 2, changed.matrix if k % 2 else changed.intensities()))
+                got.append((k % 4, work[k % 4]()))
             except Exception as exc:  # reported below
                 errors.append(exc)
 
-        threads = [threading.Thread(target=read, args=(k,)) for k in range(readers)]
+        workers = [threading.Thread(target=run, args=(k,)) for k in range(threads)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(60)
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(60)
         finally:
             sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == [] and len(got) == readers
+        monkeypatch.setattr(qlin, "_conjugated", conjugated)  # the reads below run alone
+        assert not any(worker.is_alive() for worker in workers)
+        assert errors == [] and len(got) == threads
         kept = changed.matrix
-        for whole, value in got:
-            assert value is kept if whole else np.max(np.abs(value - np.real(np.diag(oracle)))) <= 1e-12
-        assert np.max(np.abs(kept - oracle)) <= 1e-12 and "pending" not in vars(changed)["_cell"]
+        assert flat.matrix is kept and "pending" not in vars(changed)["_cell"]
+        for k, result in got:
+            if k < 2:
+                assert result is kept
+            else:
+                assert vars(result)["_cell"]["pending"].source is kept
+                result = result.matrix
+            assert np.max(np.abs(result - serial[k])) <= 1e-12
 
 
 class TestEigensolves:

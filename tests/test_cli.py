@@ -1468,14 +1468,20 @@ def test_every_argv_meets_the_exit_code_contract(capsys, tmp_path, monkeypatch, 
 
 _HADAMARD = fileio.matrix_to_json(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
 
+#: The fields of a state file that ``fileio.load_state`` reads, each a path of keys and indices;
+#: ``bases`` is optional, so a file without it gains it.  ``BASES_FIELDS`` reach into a file's own.
+STATE_FIELDS = (("schema_version",), ("dim",), ("matrix",), ("matrix", 0), ("matrix", 0, 0),
+                ("matrix", 0, 0, 0), ("factorization",), ("factorization", 0), ("bases",), ("label",))
+BASES_FIELDS = (("bases", 1), ("bases", 1, 0, 0))
+
 #: Each file kind a command reads: the command, with ``None`` where the file goes; the document it
 #: starts from (a sample's name, or the document itself); and the fields its loader reads, each
-#: a path of keys and indices.
+#: a path of keys and indices.  Every subcommand that reads a state has a row.
 DOCUMENT_KINDS = (
-    (("analyze", None), "worked_ea.json",
-     (("schema_version",), ("dim",), ("matrix",), ("matrix", 0), ("matrix", 0, 0), ("matrix", 0, 0, 0),
-      ("factorization",), ("factorization", 0), ("bases",), ("bases", 1), ("bases", 1, 0, 0),
-      ("label",))),
+    (("analyze", None), "worked_ea.json", STATE_FIELDS + BASES_FIELDS),
+    (("transform", None, "--refactor", "4"), "worked_ea.json", STATE_FIELDS + BASES_FIELDS),
+    (("witness", None, "--seed", "7"), "bell_phi_plus.json", STATE_FIELDS),
+    (("bell", None), "bell_phi_plus.json", STATE_FIELDS),
     (("powers", SAMPLES / "zero_state.json", "--projectors", None), "qubit_two_bases.json",
      (("schema_version",), ("dim",), ("projectors",), ("projectors", 0), ("projectors", 0, "label"),
       ("projectors", 0, "matrix"), ("projectors", 0, "matrix", 1, 1))),
@@ -1490,6 +1496,9 @@ DOCUMENT_KINDS = (
 #: A value of each JSON kind, and numbers at float64's edges: the largest, its negation, a tiny
 #: normal and the least subnormal.
 JSON_JUNK = (0, 2.5, 1e308, -1e308, 1e-300, 5e-324, "x", True, None, [], [1], {})
+#: Every case ``mutated_document`` can draw: a field of a kind, a junk value and a format.
+#: Hypothesis draws a case it has not drawn while one is left, so a run this long draws each.
+DOCUMENT_CASES = sum(len(fields) for *_, fields in DOCUMENT_KINDS) * len(JSON_JUNK) * 2
 
 
 @st.composite
@@ -1504,7 +1513,7 @@ def mutated_document(draw) -> tuple[list, dict]:
     return [*argv, "--format", draw(st.sampled_from(("json", "text")))], document
 
 
-@settings(max_examples=500, derandomize=True, deadline=None,
+@settings(max_examples=DOCUMENT_CASES, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=mutated_document())
 def test_every_document_meets_the_exit_code_contract(capsys, tmp_path, case):

@@ -72,7 +72,8 @@ class ExperimentalArrangement:
     ``matrix`` is the state in detector coordinates.  ``steps`` holds the
     detector basis as its local factors, oldest first: ``(screen_dims,
     {screen: factor})`` pairs, each in the screen layout of its time.  ``provenance`` bounds
-    how far rounding has moved the state from the one it was derived from.
+    how far rounding has moved the state from the one it was derived from.  The functions below make
+    theirs by ``qlin._made``: an intensity bound could only refuse what the floor accepts, so readouts clip.
     """
 
     factorization: Factorization
@@ -96,18 +97,6 @@ class ExperimentalArrangement:
         provenance = Provenance(object(), scale=_growth(n, gram_error))
         steps = (((n,), {0: frozen(basis)}),)
         vars(self).update(_cell={"matrix": rho.matrix}, steps=steps, provenance=provenance)
-
-    @classmethod
-    def _trusted(cls, matrix, factorization, steps, provenance) -> "ExperimentalArrangement":
-        """Arrangement whose matrix is already an accepted state, in new detectors or
-        a new factorization, or conditioned and checked by ``restrict``; it checks
-        nothing.  An intensity bound could only reject what the floor accepts, so
-        readouts clip to [0, 1] instead.  ``matrix`` is frozen in place, so it must be
-        an array this module built or one that is read-only already; or a cell to share."""
-        ea = object.__new__(cls)
-        cell = matrix if isinstance(matrix, dict) else {"matrix": qlin._frozen_in_place(matrix)}
-        vars(ea).update(_cell=cell, factorization=factorization, steps=steps, provenance=provenance)
-        return ea
 
     @property
     def matrix(self) -> np.ndarray:
@@ -142,7 +131,7 @@ class ExperimentalArrangement:
     def canonical_density(self) -> DensityOperator:
         """The state in ambient canonical coordinates, basis unwound: the admitted state in another
         frame, so it is not admitted again."""
-        return DensityOperator._trusted(_unwound(self.matrix, self.steps))
+        return qlin._made(DensityOperator, matrix=_unwound(self.matrix, self.steps))
 
 
 def _last_run(ea: ExperimentalArrangement) -> tuple:
@@ -233,7 +222,8 @@ def make_ea(
     matrix = qlin._conjugated(rho.matrix, dims, factors)
     origin = Provenance(vars(rho).setdefault("_origin", object()))
     provenance = _stepped(origin, dims, {k: basis.gram_errors[k] for k in factors})
-    return ExperimentalArrangement._trusted(matrix, factorization, ((dims, factors),), provenance)
+    return qlin._made(ExperimentalArrangement, _cell={"matrix": qlin._frozen_in_place(matrix)},
+                      factorization=factorization, steps=((dims, factors),), provenance=provenance)
 
 
 def power_intensity(ea: ExperimentalArrangement, multi_index: Sequence[int]) -> float:
@@ -274,11 +264,11 @@ def change_detectors(
     if pending is None or pending.run[0] != dims or screen in pending.run[1]:  # else no product to round
         pending = _Pending(ea.matrix, (dims, {}), ea.provenance, {})
     elif not step:  # the run as it is, and its bound: its cell, as a refactor shares it
-        return ExperimentalArrangement._trusted(cell, ea.factorization, steps, ea.provenance)
+        return qlin._made(ExperimentalArrangement, **vars(ea) | {"steps": steps})
     errors = pending.gram_errors | {k: gram_error for k in step}
     held = {"pending": pending._replace(run=(dims, pending.run[1] | step), gram_errors=errors)}
-    provenance = _stepped(pending.base, dims, errors)
-    return ExperimentalArrangement._trusted(held, ea.factorization, steps, provenance)
+    return qlin._made(ExperimentalArrangement, _cell=held, factorization=ea.factorization, steps=steps,
+                      provenance=_stepped(pending.base, dims, errors))
 
 
 def refactor(
@@ -293,7 +283,7 @@ def refactor(
         raise ShapeError(
             f"new factorization degree {new_factorization.degree} != arrangement degree {ea.degree}"
         )
-    return ExperimentalArrangement._trusted(vars(ea)["_cell"], new_factorization, ea.steps, ea.provenance)
+    return qlin._made(ExperimentalArrangement, **vars(ea) | {"factorization": new_factorization})
 
 
 def ea_equivalent(
@@ -353,7 +343,8 @@ def restrict(
             f"kept detectors carry total intensity {overlap:.3e}; cannot condition"
         )
     reduced = Factorization(tuple(len(k) for k in kept))
-    return ExperimentalArrangement._trusted(conditioned.matrix, reduced, (), Provenance(object()))
+    return qlin._made(ExperimentalArrangement, _cell={"matrix": conditioned.matrix}, factorization=reduced,
+                      steps=(), provenance=Provenance(object()))
 
 
 def multiscreen_effect(
@@ -405,6 +396,7 @@ def complexity_chain_check(
     restriction deriving eas[i] from eas[i+1].  The degree sequence is the
     knowledge-quantification measure reported either way.
     """
+    eas, links = _sequence(eas, "chain arrangements"), _sequence(links, "chain links")
     if len(eas) > 1 and len(links) != len(eas) - 1:
         raise ShapeError(f"{len(eas)} arrangements need {len(eas) - 1} links, got {len(links)}")
     reasons = [_link_failure(eas[i], eas[i + 1], links[i]) for i in range(len(eas) - 1)]

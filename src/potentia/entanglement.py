@@ -172,9 +172,9 @@ def witness_from_entangled(
             f"state is PPT (min partial-transpose eigenvalue {minimum:.3e}); "
             "the eigenvector construction yields no witness"
         )
-    eta = eigenvectors[:, 0]
-    witness = partial_transpose(np.outer(eta, eta.conj()), dims, "B")
-    return WitnessOperator(witness, rho, minimum)
+    eta = eigenvectors[:, 0]  # the partial transpose of |eta><eta| is Hermitian exactly: no gate
+    witness = qlin._partial_transpose(np.outer(eta, eta.conj()), dims, "B")
+    return qlin._made(WitnessOperator, matrix=witness, reference_state=rho, min_pt_eigenvalue=minimum)
 
 
 def _require_samples(samples: int, seed: int) -> None:
@@ -221,4 +221,4 @@ def _werner_matrices(p: np.ndarray) -> np.ndarray:
 
 def werner(p: float) -> DensityOperator:
     """p |phi+><phi+| + (1 - p) I/4 on two qubits: a state by construction, so not solved."""
-    return DensityOperator._trusted(_werner_matrices(np.asarray(p, dtype=np.float64)))
+    return qlin._made(DensityOperator, matrix=_werner_matrices(np.asarray(p, dtype=np.float64)))

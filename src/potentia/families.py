@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .powers import PowerNode
-from .qlin import _screen_dims
+from .qlin import _made, _screen_dims
 from .states import PureVector
 
 # 18 rays in C^4 arranged in 9 complete orthogonal tetrads, each ray shared
@@ -54,13 +54,14 @@ KS18_TETRADS: tuple[tuple[int, int, int, int], ...] = (
 
 def ray_projector(ray, label: str) -> PowerNode:
     vec = PureVector.normalized(ray).amplitudes
-    return PowerNode(np.outer(vec, vec.conj()), label)
+    _screen_dims((len(vec),))  # |v><v| is a projector by construction: only its size is judged
+    return _made(PowerNode, projector=np.outer(vec, vec.conj()), label=label)
 
 
 def computational_family(dim: int) -> list[PowerNode]:
     """Rank-one projectors onto the standard basis."""
     eye = np.eye(*_screen_dims((dim,)), dtype=np.complex128)
-    return [PowerNode(np.outer(e, e), f"|{k}><{k}|") for k, e in enumerate(eye)]
+    return [_made(PowerNode, projector=np.outer(e, e), label=f"|{k}><{k}|") for k, e in enumerate(eye)]
 
 
 def qubit_two_bases() -> list[PowerNode]:

@@ -163,7 +163,7 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
             matrix += matrix.conj().T  # canonical in the parsed array, which is admitted in place
             matrix /= 2.0
             matrix /= np.real(np.trace(matrix))
-        density = object.__new__(DensityOperator)._admit(qlin.as_complex(matrix))
+        density = qlin._made(DensityOperator)._admit(qlin.as_complex(matrix))
     except DomainError as exc:
         raise ValidationError(f"{name}: {exc}")
 

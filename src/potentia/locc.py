@@ -26,19 +26,18 @@ class CPMap:
     completeness: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.kraus:
+        if not (kraus := qlin._sequence(self.kraus, "Kraus operators")):
             raise DomainError("a CP map needs at least one Kraus operator")
-        require_within("Kraus rank", len(self.kraus), KRAUS_RANK_CAP)
-        mats = [qlin.as_complex(raw) for raw in self.kraus]
+        require_within("Kraus rank", len(kraus), KRAUS_RANK_CAP)
+        mats = [qlin.as_complex(raw) for raw in kraus]
         for k, mat in enumerate(mats):
             if mat.shape != mats[0].shape:
                 raise ShapeError(f"Kraus operator {k} is {mat.shape}, expected {mats[0].shape}")
             # |K_ij| <= ||K||_2 <= sqrt(top eigenvalue of sum K^dag K); checked before it can overflow.
             require_at_most(f"Kraus operator {k} |entry|", max_abs(mat), math.sqrt(1 + COMPLETENESS_TOL))
-        completeness = sum(dagger(mat) @ mat for mat in mats)
+        completeness = qlin._frozen_in_place(sum(dagger(mat) @ mat for mat in mats))
         require_at_most("map trace gain", np.linalg.eigvalsh(completeness)[-1] - 1, COMPLETENESS_TOL)
-        object.__setattr__(self, "kraus", tuple(map(qlin.frozen, mats)))
-        object.__setattr__(self, "completeness", qlin._frozen_in_place(completeness))
+        vars(self).update(kraus=tuple(map(qlin.frozen, mats)), completeness=completeness)
 
     @property
     def in_dim(self) -> int:
@@ -50,7 +49,8 @@ class CPMap:
 
     @classmethod
     def identity(cls, dim: int) -> "CPMap":
-        return cls((np.eye(*qlin._screen_dims((dim,)), dtype=np.complex128),))
+        eye = np.eye(*qlin._screen_dims((dim,)), dtype=np.complex128)
+        return qlin._made(cls, kraus=(eye,), completeness=eye)  # I^dag I = I: one read-only array
 
 
 def _kraus_sum(matrix: np.ndarray, maps: Sequence[CPMap]) -> np.ndarray:
@@ -90,20 +90,19 @@ class QuantumInstrument:
     _gap: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.branches:
+        if not (branches := qlin._sequence(self.branches, "instrument branches")):
             raise DomainError("an instrument needs at least one branch")
-        in_dim = self.branches[0].in_dim
-        out_dim = self.branches[0].out_dim
-        for k, branch in enumerate(self.branches):
+        in_dim = branches[0].in_dim
+        out_dim = branches[0].out_dim
+        for k, branch in enumerate(branches):
             if branch.in_dim != in_dim or branch.out_dim != out_dim:
                 raise ShapeError(
                     f"branch {k} maps {branch.in_dim}->{branch.out_dim}, "
                     f"expected {in_dim}->{out_dim}"
                 )
-        object.__setattr__(self, "branches", tuple(self.branches))
-        total = sum(branch.completeness for branch in self.branches)
+        total = sum(branch.completeness for branch in branches)
         factors = [total if m is None else m.completeness for m in self._bystanders]
-        object.__setattr__(self, "_gap", _completeness_gap(factors))
+        vars(self).update(branches=branches, _gap=_completeness_gap(factors))
 
     @property
     def in_dim(self) -> int:
@@ -148,12 +147,13 @@ def one_way_local(
     ``local``'s branches and that layout; the products of their dims, ranks and top completeness
     eigenvalues (which a Kronecker product's is) are checked before anything is formed.
     """
+    bystanders = qlin._sequence(bystanders, "bystanders")
     party = qlin._index(party, len(bystanders), "party")
     others = {k: m for k, m in enumerate(bystanders) if k != party}
     for k, bystander in others.items():
         if bystander is None:
             raise DomainError(f"party {k} needs an explicit trace-preserving map")
-        gap = QuantumInstrument((bystander,))._gap
+        gap = _completeness_gap([bystander.completeness])
         require_at_most(f"party {k} map completeness gap", gap, COMPLETENESS_TOL)
 
     layout = (*bystanders[:party], *local._bystanders, *bystanders[party + 1 :])

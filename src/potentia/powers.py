@@ -120,7 +120,7 @@ def build_graph(projectors: Sequence[PowerNode], identity_index: int | None = No
     if identity_index is None:
         identity_index = _identity_index(nodes)
     if identity_index == len(nodes):
-        nodes.append(PowerNode(np.eye(dim, dtype=np.complex128), "I"))
+        nodes.append(qlin._made(PowerNode, projector=np.eye(dim, dtype=np.complex128), label="I"))
     labels = [node.label for node in nodes]
     repeated = next((label for k, label in enumerate(labels) if label in labels[:k]), None)
     if repeated is not None:

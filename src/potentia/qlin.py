@@ -3,8 +3,9 @@ that no operation mutates, so concurrent use is safe.  Its gates judge what call
 ``as_complex`` every matrix, ``_screen_dims`` every screen layout or single size, ``_index``
 and ``_count`` every index and count, and ``_sequence`` every list of them, each before anything
 is formed; ``Factorization`` (a screen layout) and ``DetectorBasis`` (a basis per screen) are the
-values they admit.  One local-factor kernel, ``_mode_product``, applies per-screen factors to the
-rows or the columns of a matrix alike; ``_conjugated`` calls it once for each to form R^dag M R."""
+values they admit; a value built from admitted inputs, which no gate could refuse, is made by
+``_made``.  One local-factor kernel, ``_mode_product``, applies per-screen factors to the rows or
+the columns of a matrix alike; ``_conjugated`` calls it once for each to form R^dag M R."""
 
 from __future__ import annotations
 
@@ -114,6 +115,16 @@ def _frozen_in_place(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
+
+
+def _made(cls, **fields):
+    """A ``cls`` holding ``fields``, with no ``__post_init__`` run: for a value its gate could not
+    refuse.  Each array field is made read-only in place: one no one else holds, or read-only already."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            fields[name] = _frozen_in_place(value)
+    vars(made := object.__new__(cls)).update(fields)
+    return made
 
 
 #: Rows per tile of ``require_hermitian``'s upper-triangle read.

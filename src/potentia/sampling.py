@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qlin import _count, _screen_dims
+from .qlin import _count, _made, _screen_dims
 from .states import DensityOperator, MixtureDecomposition, PureVector, _conditioned
 
 
@@ -42,7 +42,7 @@ def random_product_pure(dims: tuple[int, ...], rng: np.random.Generator) -> Pure
     amps = np.array([1.0], dtype=np.complex128)
     for dim in _screen_dims(dims):
         amps = np.kron(amps, random_pure(dim, rng).amplitudes)
-    return PureVector(amps)
+    return _made(PureVector, amplitudes=amps)
 
 
 def random_separable(
@@ -53,7 +53,7 @@ def random_separable(
     terms = _count(terms, 1, "terms")
     weights = rng.dirichlet(np.ones(terms))
     products = tuple(random_product_pure(dims, rng) for _ in range(terms))
-    return MixtureDecomposition(weights, products).reconstruct()
+    return _made(MixtureDecomposition, weights=weights, components=products).reconstruct()
 
 
 def random_projector(dim: int, rank: int, rng: np.random.Generator) -> np.ndarray:

@@ -45,7 +45,7 @@ class PureVector:
         index = qlin._index(index, *qlin._screen_dims((dim,)), "basis index")
         amps = np.zeros(dim, dtype=np.complex128)
         amps[index] = 1.0
-        return cls(amps)
+        return qlin._made(cls, amplitudes=amps)
 
     @classmethod
     def normalized(cls, amplitudes: Sequence) -> "PureVector":
@@ -58,7 +58,7 @@ class PureVector:
             norm = _norm(amps)
         if not ZERO_NORM <= norm < np.inf:  # NaN fails both
             raise DomainError(f"cannot normalize a vector of norm {norm!r}")
-        return cls(amps / norm)
+        return qlin._made(cls, amplitudes=amps / norm)
 
 
 def _norm(amps: np.ndarray) -> float:
@@ -105,12 +105,6 @@ class DensityOperator:
         vars(self)["matrix"] = qlin._frozen_in_place(mat)
         return self
 
-    @classmethod
-    def _trusted(cls, mat: np.ndarray) -> "DensityOperator":
-        """A state by construction or in another frame, built by the caller or read-only: unchecked."""
-        vars(rho := object.__new__(cls))["matrix"] = qlin._frozen_in_place(mat)
-        return rho
-
     @functools.cached_property
     def eigenvalues(self) -> np.ndarray:
         return frozen(np.linalg.eigvalsh(self.matrix))
@@ -121,7 +115,7 @@ class DensityOperator:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
-        return cls(np.eye(*qlin._screen_dims((dim,)), dtype=np.complex128) / dim)
+        return qlin._made(cls, matrix=np.eye(*qlin._screen_dims((dim,)), dtype=np.complex128) / dim)
 
     def purity(self) -> float:
         """Tr(rho^2), the sum of |rho_ij|^2 for Hermitian rho."""
@@ -141,14 +135,14 @@ def _conditioned(
         return probability, None
     unnormalized /= probability
     if parent is None:
-        return probability, DensityOperator._trusted(unnormalized)
+        return probability, qlin._made(DensityOperator, matrix=unnormalized)
     # The eigensolve errors of the parent and the child, m gamma_{m+2} of a norm at most 1 + TRACE_TOL
     # + parent |floor| for an m x m solve, and the drift; doubled for forming the branch, and for the
     # squared norm (at most 2) of a Kraus operator or an arrangement's inverse basis.
     n, norm = len(unnormalized), 1 + TRACE_TOL + parent * abs(EIGENVALUE_FLOOR)
     slack = 2 * ((parent * _gamma(parent + 2) + n * _gamma(n + 2)) * norm + drift) / probability
     try:
-        return probability, object.__new__(DensityOperator)._admit(unnormalized, slack)
+        return probability, qlin._made(DensityOperator)._admit(unnormalized, slack)
     except DomainError as exc:
         raise DegenerateConditioningError(f"probability {probability:.3e}; conditioned, {exc}") from None
 
@@ -195,14 +189,13 @@ class MixtureDecomposition:
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        if len(weights) != len(self.components):
+        if len(weights) != len(components := qlin._sequence(self.components, "mixture components")):
             raise ShapeError("weights and components differ in length")
-        if len(dims := sorted({c.dim for c in self.components})) > 1:
+        if len(dims := sorted({c.dim for c in components})) > 1:
             raise ShapeError(f"mixture components differ in dimension: {dims}")
         require_at_most("mixture negated least weight", -np.min(weights, initial=0.0), WEIGHT_FLOOR)
         require_at_most("mixture |weight sum - 1|", abs(float(weights.sum()) - 1.0), NORM_TOL)
-        object.__setattr__(self, "weights", frozen(weights))
-        object.__setattr__(self, "components", tuple(self.components))
+        vars(self).update(weights=frozen(weights), components=components)
 
     @property
     def _rows(self) -> np.ndarray:
@@ -243,14 +236,15 @@ def operational_purity_exists(rho: DensityOperator, tol: float = PURITY_TOL) -> 
 
 
 def density_from_bloch(point: BlochPoint) -> DensityOperator:
-    """rho = (I + x*sx + y*sy + z*sz) / 2 on the qubit."""
+    """rho = (I + x*sx + y*sy + z*sz) / 2 on the qubit, admitted with a slack of ``TRACE_TOL`` / 2, as far
+    below the floor as a ``BlochPoint`` puts it, and a 2 x 2 solve's rounding (2 gamma_4, norm < 2)."""
     mat = (
         np.eye(2, dtype=np.complex128)
         + point.x * PAULI_X
         + point.y * PAULI_Y
         + point.z * PAULI_Z
     ) / 2.0
-    return DensityOperator(mat)
+    return qlin._made(DensityOperator)._admit(mat, TRACE_TOL / 2 + 4 * _gamma(4))
 
 
 def bloch_from_density(rho: DensityOperator) -> BlochPoint:
@@ -320,4 +314,5 @@ def _mixture(rows: np.ndarray) -> MixtureDecomposition:
     weights = np.einsum("ij,ij->i", rows.conj(), rows).real
     kept = weights >= WEIGHT_FLOOR
     components = tuple(PureVector.normalized(row) for row in rows[kept])
-    return MixtureDecomposition(weights[kept] / weights[kept].sum(), components)
+    weights = weights[kept] / weights[kept].sum()
+    return qlin._made(MixtureDecomposition, weights=weights, components=components)

@@ -627,7 +627,8 @@ def fresh_origin(ea):
     """``ea`` with a new origin of its own: no certificate joins it to another arrangement, so
     ``ea_equivalent`` computes its verdict."""
     provenance = ea.provenance._replace(origin=object())
-    return ExperimentalArrangement._trusted(ea.matrix, ea.factorization, ea.steps, provenance)
+    return qlin._made(ExperimentalArrangement, _cell={"matrix": ea.matrix}, factorization=ea.factorization,
+                      steps=ea.steps, provenance=provenance)
 
 
 def certified(ea1, ea2, tol=EQUIVALENCE_TOL) -> bool:

@@ -1,5 +1,9 @@
+import dataclasses
+import importlib
 import math
 import pickle
+import pkgutil
+from collections import Counter
 from collections.abc import Sized
 from typing import NamedTuple
 
@@ -10,9 +14,10 @@ from hypothesis import strategies as st
 
 import potentia
 from potentia import arrangements, families, locc, qlin
-from potentia.arrangements import Factorization, change_detectors, make_ea, restrict
+from potentia.arrangements import DetectorBasis, Factorization, change_detectors, make_ea, restrict
 from potentia.entanglement import (
     WitnessOperator,
+    werner,
     check_witness_on_products,
     marginal_verdicts,
     min_pt_eigenvalue,
@@ -23,8 +28,13 @@ from potentia.entanglement import (
 from potentia.errors import (
     CapacityError, DomainError, NoWitnessError, PotentiaError, ShapeError,
 )
-from potentia.sampling import random_density, random_product_pure, random_projector, random_separable
-from potentia.states import DensityOperator, PureVector, density_from_vector
+from potentia.powers import PowerNode, build_graph
+from potentia.sampling import (
+    random_density, random_product_pure, random_projector, random_pure, random_separable, random_unitary,
+)
+from potentia.states import (
+    DensityOperator, MixtureDecomposition, PureVector, density_from_vector, spectral_decomposition,
+)
 from potentia.tolerances import DIM_CAP, PROJECTOR_TOL
 
 from conftest import projector
@@ -405,9 +415,10 @@ class TestScreenLayoutRule:
         (lambda: check_witness_on_products(witness_of(4), (2, 2, 2), samples=3), ShapeError),
         (lambda: qlin.partial_trace(np.eye(4) / 4, (4097, 1), (0,)), CapacityError),
         (lambda: qlin.partial_trace(np.eye(4) / 4, (0, 2), (0,)), DomainError),
+        (lambda: families.ray_projector(np.ones(DIM_CAP + 1), "r"), CapacityError),
     ], ids=["trace_float_dim", "trace_float_keep", "ppt_bool", "ppt_floats", "ppt_negative",
             "schmidt_negative", "product_negative", "separable_float", "witness_product",
-            "witness_three_screens", "trace_over_cap", "trace_zero"])
+            "witness_three_screens", "trace_over_cap", "trace_zero", "ray_over_cap"])
     def test_each_former_leak_is_refused(self, call, error):
         with pytest.raises(error):
             call()
@@ -519,6 +530,40 @@ INDEX_CALLS = {
     "seed": (lambda v: check_witness_on_products(witness_of(4), (2, 2), samples=2, seed=v),
              lambda v: count_error(v, 0), lambda v, r: abs(r - 1) < 1e-12),
 }
+#: Ways to hand in a collection: a sized one is taken as a list is, and the rest are refused by
+#: ``qlin._sequence`` with ``ShapeError``.
+COLLECTIONS = {
+    "list": list,
+    "tuple": tuple,
+    "array": lambda items: np.stack(items) if isinstance(items[0], np.ndarray) else np.array(items, object),
+    "generator": lambda items: (item for item in items),
+    "iterator": iter,
+    "count": len,
+}
+SIZED = {"list", "tuple", "array"}
+CHAIN_LARGE = make_ea(DensityOperator.maximally_mixed(4), Factorization((2, 2)))
+CHAIN_SMALL = restrict(CHAIN_LARGE, [[0], [0, 1]])
+CHAIN_LINK = arrangements.ChainLink(((0,), (0, 1)))
+#: Every argument that takes a collection of values: the call on a collection of valid entries in
+#: a given form, and what a success must satisfy.
+SEQUENCE_CALLS = {
+    "CPMap_kraus": (lambda form: locc.CPMap(form([np.eye(2)])),
+                    lambda r: np.array_equal(r.kraus[0], np.eye(2))),
+    "QuantumInstrument_branches": (lambda form: locc.QuantumInstrument(form([locc.CPMap.identity(2)])),
+                                   locc.is_valid_instrument),
+    "MixtureDecomposition_components": (
+        lambda form: MixtureDecomposition([0.5, 0.5], form([PureVector.basis_state(2, k) for k in (0, 1)])),
+        lambda r: np.array_equal(r.reconstruct().matrix, np.eye(2) / 2)),
+    "one_way_local_bystanders": (
+        lambda form: locc.one_way_local(0, QUBIT_MEASUREMENT, form([None, locc.CPMap.identity(2)])),
+        lambda r: r.in_dim == 4 and locc.is_valid_instrument(r)),
+    "complexity_chain_eas": (lambda form: arrangements.complexity_chain_check(form([CHAIN_SMALL, CHAIN_LARGE]),
+                                                                             [CHAIN_LINK]),
+                             lambda r: r.valid and r.degrees == (2, 4)),
+    "complexity_chain_links": (lambda form: arrangements.complexity_chain_check([CHAIN_SMALL, CHAIN_LARGE],
+                                                                               form([CHAIN_LINK])),
+                               lambda r: r.valid and r.degrees == (2, 4)),
+}
 #: Every function that takes one size ``n``, judged by ``size_error``, and what a success must satisfy.
 SIZE_CALLS = {
     "basis_state": (lambda n: PureVector.basis_state(n, 0), lambda n, r: r.dim == n and r.amplitudes[0] == 1),
@@ -544,19 +589,21 @@ SIZES = st.one_of(
 
 class TestIndexAndCountRule:
     @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(value=INTEGER_LIKE, size=SIZES)
-    @example(value=-1, size=2)
-    @example(value=True, size=True)
-    @example(value=5, size=2)
-    def test_every_integer_taking_function_applies_the_rule(self, value, size):
-        """Each index, count, single size and list of indices a caller passes is judged by
-        ``qlin._index``, ``_count``, ``_screen_dims`` or ``_sequence``: a call succeeds and keeps
-        the value, or raises exactly the rule's class (a refused draw leaves the generator as it
-        was); never a Python or numpy error, and never a value truncated or wrapped to fit."""
+    @given(value=INTEGER_LIKE, size=SIZES, form=st.sampled_from(sorted(COLLECTIONS)))
+    @example(value=-1, size=2, form="array")
+    @example(value=True, size=True, form="generator")
+    @example(value=5, size=2, form="count")
+    def test_every_integer_taking_function_applies_the_rule(self, value, size, form):
+        """Each index, count, single size and list a caller passes is judged by ``qlin._index``,
+        ``_count``, ``_screen_dims`` or ``_sequence``: a call succeeds and keeps the value, or raises
+        exactly the rule's class (a refused draw leaves the generator as it was); never a Python or
+        numpy error, and never a value truncated or wrapped to fit."""
         calls = [(name, lambda call=call: call(value), expected(value), lambda r, ok=ok: ok(value, r))
                  for name, (call, expected, ok) in INDEX_CALLS.items()]
         calls += [(name, lambda call=call: call(size), size_error(size), lambda r, ok=ok: ok(size, r))
                   for name, (call, ok) in SIZE_CALLS.items()]
+        calls += [(name, lambda call=call: call(COLLECTIONS[form]), None if form in SIZED else ShapeError,
+                   lambda r, ok=ok: ok(r)) for name, (call, ok) in SEQUENCE_CALLS.items()]
         wrong = []
         for name, call, expected, ok in calls:
             try:
@@ -586,6 +633,8 @@ class TestIndexAndCountRule:
             restrict(make_ea(DensityOperator.maximally_mixed(6), Factorization((2, 3))), [0, [1]])
         with pytest.raises(ShapeError, match="^multi-index must be a sequence, got <generator"):
             Factorization((2, 3)).flat_index(k for k in (1, 2))
+        with pytest.raises(ShapeError, match="^Kraus operators must be a sequence, got <generator"):
+            locc.CPMap(k for k in [np.eye(2)])
 
 
 MATRIX_ENTRIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1j, 1 - 0j, complex(-0.0, -0.0), math.nan])
@@ -619,3 +668,150 @@ def test_layout_and_basis_are_qlin_values_under_every_name():
         assert vars(loaded).keys() == vars(value).keys()
         for key, field in vars(value).items():
             assert all(np.array_equal(a, b) for a, b in zip(vars(loaded)[key], field, strict=True))
+
+
+def _value_classes() -> list[type]:
+    """Every class of the package with a gate of its own, a ``__post_init__``."""
+    modules = [importlib.import_module(f"potentia.{m.name}") for m in pkgutil.iter_modules(potentia.__path__)]
+    return [cls for module in modules for cls in vars(module).values()
+            if isinstance(cls, type) and cls.__module__ == module.__name__ and "__post_init__" in vars(cls)]
+
+
+HALF_HADAMARD = DetectorBasis((HADAMARD, np.eye(2)))
+LAYOUT, ONE_SCREEN = Factorization((2, 2)), Factorization((4,))
+STATE = random_density(4, np.random.default_rng(5))
+ARRANGEMENT = make_ea(STATE, LAYOUT, HALF_HADAMARD)
+BELL = density_from_vector(PureVector.normalized([1, 0, 0, 1]))
+MIXTURE = MixtureDecomposition([0.25, 0.75], (PureVector.basis_state(2, 0), PureVector.normalized([1, 1j])))
+NOT_THE_IDENTITY = PowerNode(np.diag([1.0, 0.0]), "P0")
+#: Every site that makes a value with ``qlin._made``, on inputs made beforehand.
+MAKER_SITES = {
+    "witness_from_entangled": lambda: witness_from_entangled(BELL, (2, 2)),
+    "build_graph_identity": lambda: build_graph([NOT_THE_IDENTITY]).nodes[-1],
+    "maximally_mixed": lambda: DensityOperator.maximally_mixed(4),
+    "CPMap.identity": lambda: locc.CPMap.identity(3),
+    "PureVector.normalized": lambda: PureVector.normalized([1, 1j, 2]),
+    "PureVector.basis_state": lambda: PureVector.basis_state(3, 1),
+    "spectral_decomposition": lambda: spectral_decomposition(STATE),
+    "ray_projector": lambda: families.ray_projector((1, 1j), "|+i><+i|"),
+    "computational_family": lambda: families.computational_family(3),
+    "random_product_pure": lambda: random_product_pure((2, 3), np.random.default_rng(0)),
+    "werner": lambda: werner(0.7),
+    "canonical_density": ARRANGEMENT.canonical_density,
+    "density_from_vector": lambda: density_from_vector(PureVector.normalized([1, 2j])),
+    "MixtureDecomposition.reconstruct": MIXTURE.reconstruct,
+    "random_density": lambda: random_density(3, np.random.default_rng(0)),
+    "random_separable": lambda: random_separable((2, 2), np.random.default_rng(0)),
+    "make_ea": lambda: make_ea(STATE, LAYOUT, HALF_HADAMARD),
+    "change_detectors": lambda: change_detectors(ARRANGEMENT, 1, HADAMARD),
+    "refactor": lambda: arrangements.refactor(ARRANGEMENT, ONE_SCREEN),
+}
+
+
+@pytest.fixture
+def gate_calls(monkeypatch):
+    """Counts calls, during one test, of every value class's ``__post_init__``, of
+    ``qlin.require_hermitian`` and of ``numpy.linalg.cholesky`` and ``eigvalsh``."""
+    calls: Counter = Counter()
+
+    def spied(name, run):
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return run(*args, **kwargs)
+        return spy
+
+    for cls in _value_classes():
+        monkeypatch.setattr(cls, "__post_init__", spied(f"{cls.__name__}.__post_init__", cls.__post_init__))
+    monkeypatch.setattr(qlin, "require_hermitian", spied("require_hermitian", qlin.require_hermitian))
+    for name in ("cholesky", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, spied(name, getattr(np.linalg, name)))
+    return calls
+
+
+def held_arrays(value) -> list:
+    """Every array a value holds, through tuples, lists, dicts and the package's values."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, dict):
+        value = list(value.values())
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        value = list(vars(value).values())
+    elif not isinstance(value, (tuple, list)):
+        return []
+    return [arr for entry in value for arr in held_arrays(entry)]
+
+
+def assert_same_value(made, public) -> None:
+    """Field by field: arrays byte-equal, as ``tobytes`` reads them (signed zeros count), the
+    package's values the same way, and any other field equal."""
+    if isinstance(made, np.ndarray):
+        assert (made.dtype, made.shape, made.tobytes()) == (public.dtype, public.shape, public.tobytes())
+    elif isinstance(made, (tuple, list)):
+        assert len(made) == len(public)
+        for a, b in zip(made, public):
+            assert_same_value(a, b)
+    elif dataclasses.is_dataclass(made) and made is not public:
+        assert type(made) is type(public)
+        for f in dataclasses.fields(made):
+            assert_same_value(getattr(made, f.name), getattr(public, f.name))
+    else:
+        assert made is public or made == public
+
+
+def public_twin(made):
+    """``made`` remade by its class's public constructor, from its own fields; an arrangement from
+    its matrix, layout and basis matrix."""
+    if isinstance(made, arrangements.ExperimentalArrangement):
+        return arrangements.ExperimentalArrangement(made.matrix, made.factorization, made.basis_matrix)
+    return type(made)(**{f.name: getattr(made, f.name) for f in dataclasses.fields(made) if f.init})
+
+
+class TestMadeValues:
+    @pytest.mark.parametrize("site", sorted(MAKER_SITES))
+    def test_no_gate_runs_on_a_made_value(self, site, gate_calls, monkeypatch):
+        """A value the package builds from admitted inputs runs no gate: no ``__post_init__``, no
+        Hermiticity pass and no positivity solve.  The witness keeps the very array its partial
+        transpose returned."""
+        returned = []
+
+        def transpose(*args, _run=qlin._partial_transpose):
+            returned.append(_run(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(qlin, "_partial_transpose", transpose)
+        made = MAKER_SITES[site]()
+        assert not gate_calls, (site, dict(gate_calls))
+        assert all(not arr.flags.writeable for arr in held_arrays(made)), site
+        if site == "witness_from_entangled":
+            assert made.matrix is returned[-1] and np.shares_memory(made.matrix, returned[-1])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1), p=st.floats(0.0, 1.0),
+           entries=st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-3]), min_size=32, max_size=32))
+    def test_each_made_value_is_what_its_constructor_makes(self, n, seed, p, entries):
+        """Each value a maker site makes at dim ``n`` (``2 * (n // 2)`` for a bipartite one) is
+        accepted by its class's public constructor from its own fields; the two hold byte-equal
+        arrays, and every array the made value holds is read-only."""
+        rng = np.random.default_rng(seed)
+        ray = np.array(entries[:n]) + 1j * np.array(entries[16 : 16 + n])
+        ray[0] = 1.0 if ray[0] == 0 else ray[0]
+        rho = random_density(n, rng)
+        m = max(2, n // 2)  # the layout (2, m) is entangled by a generic pure state
+        ea = make_ea(rho, Factorization((n,)), DetectorBasis((random_unitary(n, rng),)))
+        made = [
+            DensityOperator.maximally_mixed(n), locc.CPMap.identity(n), PureVector.normalized(ray),
+            PureVector.basis_state(n, n - 1), random_product_pure((n, 1), rng), spectral_decomposition(rho),
+            families.ray_projector(ray, "ray"), *families.computational_family(n),
+            build_graph([families.ray_projector(ray, "ray")]).nodes[-1], werner(p), ea.canonical_density(),
+            density_from_vector(PureVector.normalized(ray)), rho,
+            witness_from_entangled(density_from_vector(random_pure(2 * m, rng)), (2, m)),
+            random_separable((n,), rng, terms=2), ea, change_detectors(ea, 0, random_unitary(n, rng)),
+            arrangements.refactor(ea, Factorization((n,))),
+        ]
+        for value in made:
+            assert all(not arr.flags.writeable for arr in held_arrays(value)), value
+            twin = public_twin(value)
+            if isinstance(value, arrangements.ExperimentalArrangement):
+                assert_same_value(value.matrix, twin.matrix)
+            else:
+                assert_same_value(value, twin)

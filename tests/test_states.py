@@ -3,10 +3,10 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from potentia import fileio, states
+from potentia import fileio, qlin, states
 from potentia.arrangements import DetectorBasis, Factorization, change_detectors, make_ea
 from potentia.bell import CorrelationMatrix, MeasurementSetting
 from potentia.entanglement import WitnessOperator, entropy_additivity_check, werner
@@ -414,6 +414,45 @@ class TestBloch:
     def test_outside_ball_rejected(self):
         with pytest.raises(DomainError):
             BlochPoint(1.0, 1.0, 0.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        least=st.sampled_from(PLANTED_LEAST_EIGENVALUES[1:]) | st.floats(EIGENVALUE_FLOOR, 0.0),
+        excess=st.sampled_from([-1.0, -(1 - 1e-7), 0.0, 1 - 1e-7, 1.0]) | st.floats(-1.0, 1.0),
+        theta=st.sampled_from([0.0, np.pi / 2, np.pi]) | st.floats(0.0, np.pi),
+        phi=st.floats(0.0, 2 * np.pi),
+    )
+    @example(least=-0.999e-7, excess=0.999, theta=0.0, phi=0.0)  # diag(1 + 0.999e-9 + 0.999e-7, -0.999e-7)
+    def test_every_admitted_state_round_trips(self, least, excess, theta, phi):
+        """A qubit state with its least eigenvalue planted at or above the floor and its trace at or
+        within ``TRACE_TOL`` of one: if ``DensityOperator`` admits it, its Bloch point does too, and
+        ``density_from_bloch`` makes from that point the state with its trace moved to one along I.
+        A point past ``BlochPoint``'s bound, in the same direction, is refused."""
+        c, s = np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)
+        u = np.array([[c, -s.conjugate()], [s, c]])
+        matrix = u @ np.diag([1 + excess * states.TRACE_TOL - least, least]) @ u.conj().T
+        try:
+            rho = DensityOperator(matrix)
+        except DomainError:
+            assume(False)
+        point = bloch_from_density(rho)
+        back = density_from_bloch(point)
+        moved = rho.matrix + (1 - np.trace(rho.matrix).real) * np.eye(2) / 2
+        assert np.max(np.abs(back.matrix - moved)) <= 1e-15
+        bound = 1 + states.TRACE_TOL - 2 * EIGENVALUE_FLOOR
+        if point.norm:
+            with pytest.raises(DomainError, match="^Bloch point norm"):
+                BlochPoint(*(np.array([point.x, point.y, point.z]) * (bound * (1 + 1e-12) / point.norm)))
+
+    def test_the_slack_is_the_trace_tolerance_and_rounding(self):
+        """A point on ``BlochPoint``'s bound makes a state ``TRACE_TOL`` / 2 below the floor, which is
+        admitted; a point beyond it by more than the slack, made without its gate, is refused."""
+        bound = 1 + states.TRACE_TOL - 2 * EIGENVALUE_FLOOR
+        on = density_from_bloch(BlochPoint(0.0, 0.0, -bound))
+        assert on.eigenvalues[0] == pytest.approx(EIGENVALUE_FLOOR - states.TRACE_TOL / 2, abs=1e-16)
+        beyond = qlin._made(BlochPoint, x=0.0, y=bound + states.TRACE_TOL, z=0.0)
+        with pytest.raises(DomainError, match="^density operator negated least eigenvalue"):
+            density_from_bloch(beyond)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -10,7 +10,6 @@ indices by canonical mixed radix with screen 0 most significant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -65,8 +64,7 @@ class _Pending(NamedTuple):
     gram_errors: dict
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class ExperimentalArrangement:
+class ExperimentalArrangement(qlin._Value):
     """A density operator carved into screens and detectors.
 
     ``matrix`` is the state in detector coordinates.  ``steps`` holds the
@@ -77,8 +75,6 @@ class ExperimentalArrangement:
     """
 
     factorization: Factorization
-    steps: tuple = field(init=False, repr=False)
-    provenance: Provenance = field(init=False, repr=False)
 
     def __init__(self, matrix, factorization: Factorization, basis_matrix):
         # Written out because ``matrix`` and ``basis_matrix`` are read-only properties, not fields.
@@ -364,21 +360,18 @@ def multiscreen_effect(
     ]
 
 
-@dataclass(frozen=True)
-class ChainLink:
+class ChainLink(qlin._Value, eq=True):
     """States how one arrangement is carved from the next-larger one."""
 
     kept_detectors: tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class ChainFailure:
+class ChainFailure(qlin._Value, eq=True):
     link: int
     reason: str
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(qlin._Value, eq=True):
     degrees: tuple[int, ...]
     failures: tuple[ChainFailure, ...]
 

@@ -8,8 +8,6 @@ region from its PPT verdict and that maximum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import qlin
@@ -26,16 +24,14 @@ _PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
 _PAULI_PAIRS = np.array([[np.kron(si, sj) for sj in _PAULIS] for si in _PAULIS])
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelationMatrix:
+class CorrelationMatrix(qlin._Value):
     """t[i, j] = Tr(rho s_i (x) s_j), and ``svd``, its ``(left, singulars, right_t)``, solved once.
     Entries and singular values may exceed 1 by as much as those of an accepted two-qubit state can."""
 
     t: np.ndarray
-    svd: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        mat = np.asarray(self.t, dtype=np.float64)
+        mat = qlin._numbers(self.t, "correlation matrix", real=True)
         if mat.shape != (3, 3):
             raise ShapeError(f"correlation matrix must be 3x3, got {mat.shape}")
         # Each is a Tr(rho O), ||O|| = 1: at most ||rho||_1, and at most 3 eigenvalues are < 0.
@@ -47,15 +43,14 @@ class CorrelationMatrix:
 
 
 def _unit(vector) -> np.ndarray:
-    v = np.asarray(vector, dtype=np.float64).reshape(-1)
+    v = qlin._numbers(vector, "Bloch direction", real=True).reshape(-1)
     if v.shape != (3,):
         raise ShapeError(f"Bloch direction must be a 3-vector, got shape {v.shape}")
     require_at_most("Bloch direction |norm - 1|", abs(float(np.linalg.norm(v)) - 1.0), NORM_TOL)
     return v
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementSetting:
+class MeasurementSetting(qlin._Value):
     """Bloch directions a, a' for one side and b, b' for the other."""
 
     a: np.ndarray
@@ -64,8 +59,8 @@ class MeasurementSetting:
     b_prime: np.ndarray
 
     def __post_init__(self):
-        for name in ("a", "a_prime", "b", "b_prime"):
-            object.__setattr__(self, name, qlin.frozen(_unit(getattr(self, name))))
+        for name in self._fields:
+            vars(self)[name] = qlin.frozen(_unit(getattr(self, name)))
 
 
 def correlation_matrix(rho: DensityOperator) -> CorrelationMatrix:
@@ -94,8 +89,7 @@ def chsh_value(rho: DensityOperator, setting: MeasurementSetting) -> float:
     )
 
 
-@dataclass(frozen=True)
-class ChshMax:
+class ChshMax(qlin._Value, eq=True):
     value: float
     setting: MeasurementSetting
 

@@ -540,6 +540,9 @@ def main(argv: list[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except MemoryError:  # a size no cap foresees, such as what a large file's text costs to parse
+        print("capacity error: out of memory; the input is too large for this machine", file=sys.stderr)
+        return EXIT_CAPACITY
     except (PotentiaError, IndexError, KeyError) as exc:  # validation, domain and shape errors
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

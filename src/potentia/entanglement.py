@@ -9,7 +9,6 @@ transpose is sufficient (2x2 and 2x3).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -42,8 +41,7 @@ class WernerRegion(enum.Enum):
     NONLOCAL = "Nonlocal"
 
 
-@dataclass(frozen=True)
-class SeparabilityVerdict:
+class SeparabilityVerdict(qlin._Value, eq=True):
     verdict: Verdict
     criterion: str
     evidence: float
@@ -133,8 +131,7 @@ def _ppt_verdict(minimum: float, dims: tuple[int, int], tol: float) -> Separabil
     return SeparabilityVerdict(Verdict.ENTANGLED if minimum < -tol else sufficient, "ppt", minimum)
 
 
-@dataclass(frozen=True, eq=False)
-class WitnessOperator:
+class WitnessOperator(qlin._Value):
     """Hermitian observable separating one entangled state from all product states;
     ``min_pt_eigenvalue`` is the partial-transpose eigenvalue it was built from, if any."""
 
@@ -147,7 +144,7 @@ class WitnessOperator:
         qlin.require_hermitian(mat, what="witness")
         if (dim := self.reference_state.dim) != len(mat):
             raise ShapeError(f"witness is {len(mat)}-dimensional, its reference state {dim}-dimensional")
-        object.__setattr__(self, "matrix", frozen(mat))
+        vars(self)["matrix"] = frozen(mat)
 
     def expectation(self, rho: DensityOperator) -> float:
         """Tr(W rho), summed entrywise: rho is Hermitian, so no product is formed."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -131,8 +130,7 @@ def _load_document(path: str | Path) -> tuple[dict, str, str]:
     return document, name, digest
 
 
-@dataclass(frozen=True)
-class StateFile:
+class StateFile(qlin._Value, eq=True):
     density: DensityOperator
     factorization: Factorization
     basis: DetectorBasis | None  # None: the file names no detectors, so they are computational

@@ -5,7 +5,6 @@ maps), whose validity is decided once, when made, from each screen's d x d compl
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import product
 from typing import Sequence
 
@@ -18,12 +17,10 @@ from .states import DensityOperator, _conditioned
 from .tolerances import COMPLETENESS_TOL, DIM_CAP, KRAUS_RANK_CAP, require_at_most, require_within
 
 
-@dataclass(frozen=True, eq=False)
-class CPMap:
+class CPMap(qlin._Value):
     """Completely positive, trace-non-increasing map: Kraus operators and their kept sum K^dag K."""
 
     kraus: tuple[np.ndarray, ...]
-    completeness: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (kraus := qlin._sequence(self.kraus, "Kraus operators")):
@@ -80,14 +77,12 @@ def _completeness_gap(factors: Sequence[np.ndarray]) -> float:
     return max(max_abs(diagonal - 1), *shares)
 
 
-@dataclass(frozen=True)
-class QuantumInstrument:
+class QuantumInstrument(qlin._Value, eq=True):
     """Branches: CP maps on the screen marked None in ``_bystanders``, where each other screen
     carries a trace-preserving map.  Valid when the screens' completeness sums multiply to I."""
 
     branches: tuple[CPMap, ...]
     _bystanders: tuple[CPMap | None, ...] = (None,)
-    _gap: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (branches := qlin._sequence(self.branches, "instrument branches")):
@@ -101,8 +96,9 @@ class QuantumInstrument:
                     f"expected {in_dim}->{out_dim}"
                 )
         total = sum(branch.completeness for branch in branches)
-        factors = [total if m is None else m.completeness for m in self._bystanders]
-        vars(self).update(branches=branches, _gap=_completeness_gap(factors))
+        bystanders = qlin._sequence(self._bystanders, "instrument bystanders")
+        factors = [total if m is None else m.completeness for m in bystanders]
+        vars(self).update(branches=branches, _bystanders=bystanders, _gap=_completeness_gap(factors))
 
     @property
     def in_dim(self) -> int:
@@ -114,8 +110,7 @@ def is_valid_instrument(ins: QuantumInstrument) -> bool:
     return ins._gap <= COMPLETENESS_TOL
 
 
-@dataclass(frozen=True)
-class BranchOutcome:
+class BranchOutcome(qlin._Value, eq=True):
     probability: float
     post_state: DensityOperator | None
 

@@ -4,7 +4,6 @@ the underlying density operator from a spanning valuation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -20,8 +19,7 @@ from .tolerances import (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class PowerNode:
+class PowerNode(qlin._Value):
     """A projector together with a human-readable label."""
 
     projector: np.ndarray
@@ -33,15 +31,14 @@ class PowerNode:
         with np.errstate(over="ignore", invalid="ignore"):  # I @ I = I exactly: no GEMM for it
             idempotence_error = 0.0 if qlin._is_identity(mat) else max_abs(mat @ mat - mat)
         require_at_most(f"power {self.label!r} idempotence error", idempotence_error, PROJECTOR_TOL)
-        object.__setattr__(self, "projector", frozen(mat))
+        vars(self)["projector"] = frozen(mat)
 
     @property
     def dim(self) -> int:
         return self.projector.shape[0]
 
 
-@dataclass(frozen=True)
-class PowersGraph:
+class PowersGraph(qlin._Value, eq=True):
     """Projector nodes with an edge wherever two nodes commute."""
 
     nodes: tuple[PowerNode, ...]
@@ -63,8 +60,7 @@ class PowersGraph:
         return tuple(orthogonal_families(self))
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(qlin._Value, eq=True):
     """Complete subgraph of a powers graph (mutually commuting powers)."""
 
     node_indices: frozenset[int]
@@ -73,22 +69,21 @@ class Context:
         return tuple(sorted(self.node_indices))
 
 
-@dataclass(frozen=True, eq=False)
-class ISAValuation:
+class ISAValuation(qlin._Value):
     """Intensities in [0, 1] assigned to every node of a powers graph."""
 
     graph: PowersGraph
     potentia: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.potentia, dtype=np.float64).reshape(-1)
+        values = qlin._numbers(self.potentia, "potentia", real=True).reshape(-1)
         if len(values) != len(self.graph.nodes):
             raise ShapeError(
                 f"{len(values)} potentia for {len(self.graph.nodes)} nodes"
             )
         require_at_most("negated least potentia", -np.min(values, initial=0.0), POTENTIA_SLACK)
         require_at_most("greatest potentia", np.max(values, initial=0.0), 1 + POTENTIA_SLACK)
-        object.__setattr__(self, "potentia", frozen(np.clip(values, 0.0, 1.0)))
+        vars(self)["potentia"] = frozen(np.clip(values, 0.0, 1.0))
 
     def value(self, label: str) -> float:
         for node, pot in zip(self.graph.nodes, self.potentia):
@@ -110,7 +105,7 @@ def build_graph(projectors: Sequence[PowerNode], identity_index: int | None = No
     auto-added when missing.  Labels name nodes in reports and overrides, so
     a repeated label is rejected.  A caller that has ``_identity_index`` of the
     family passes it as ``identity_index``, and it is not sought again."""
-    nodes = list(projectors)
+    nodes = list(qlin._sequence(projectors, "powers"))
     if not nodes:
         raise DomainError("a powers graph needs at least one node")
     dim = nodes[0].dim
@@ -180,16 +175,14 @@ def orthogonal_families(graph: PowersGraph) -> list[tuple[tuple[int, ...], int]]
     return found
 
 
-@dataclass(frozen=True)
-class AdditivityViolation:
+class AdditivityViolation(qlin._Value, eq=True):
     family: tuple[int, ...]
     sum_node: int
     member_total: float
     sum_value: float
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(qlin._Value, eq=True):
     identity_ok: bool
     identity_value: float
     additivity_violations: tuple[AdditivityViolation, ...]

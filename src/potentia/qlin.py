@@ -1,18 +1,19 @@
 """Dense complex linear-algebra substrate, on plain C-contiguous complex128 ``numpy`` arrays
 that no operation mutates, so concurrent use is safe.  Its gates judge what callers pass:
-``as_complex`` every matrix, ``_screen_dims`` every screen layout or single size, ``_index``
-and ``_count`` every index and count, and ``_sequence`` every list of them, each before anything
-is formed; ``Factorization`` (a screen layout) and ``DetectorBasis`` (a basis per screen) are the
-values they admit; a value built from admitted inputs, which no gate could refuse, is made by
-``_made``.  One local-factor kernel, ``_mode_product``, applies per-screen factors to the rows or
-the columns of a matrix alike; ``_conjugated`` calls it once for each to form R^dag M R."""
+``as_complex`` every matrix, ``_numbers`` every vector, ``_screen_dims`` every screen layout or
+single size, ``_index`` and ``_count`` every index and count, and ``_sequence`` every list of them,
+each before anything is formed.  Every value class derives from ``_Value``, whose constructor runs
+the class's gate; a value built from admitted inputs, which no gate could refuse, is made by
+``_made``.  ``Factorization`` (a screen layout) and ``DetectorBasis`` (a basis per screen) are the
+values the gates here admit.  One local-factor kernel, ``_mode_product``, applies per-screen
+factors to the rows or the columns of a matrix alike; ``_conjugated`` forms R^dag M R with it."""
 
 from __future__ import annotations
 
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError
 from typing import Literal, Sequence
 
 import numpy as np
@@ -25,8 +26,8 @@ from .tolerances import (
 
 def as_complex(matrix: np.ndarray | Sequence) -> np.ndarray:
     """Return ``matrix`` as a C-contiguous complex128 2-D array.  This is the one gate every
-    matrix passes, so it checks the dimension cap first."""
-    arr = np.ascontiguousarray(matrix, dtype=np.complex128)
+    matrix passes, so it checks the entries' kind, then the dimension cap, before anything else."""
+    arr = _numbers(matrix, "matrix")
     require_within("matrix dimension", max(arr.shape, default=0), DIM_CAP)
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
@@ -65,6 +66,19 @@ def _sequence(value, what: str) -> tuple:
         return tuple(value)
     except TypeError:
         raise ShapeError(f"{what} must be a sequence, got {value!r}") from None
+
+
+def _numbers(value, what: str, real: bool = False) -> np.ndarray:
+    """``value`` as a C-contiguous complex128, or ``real`` float64, array, not copied if it is one.  No
+    length or ragged nesting raises ``ShapeError``; an entry of no number kind, ``DomainError``."""
+    try:
+        len(value)  # a lone number is refused too, as every collection argument refuses one
+        arr = np.asarray(value)
+    except (TypeError, ValueError):  # no length, or ragged nesting
+        raise ShapeError(f"{what} must be an array or a regular sequence, got {value!r}") from None
+    if arr.dtype.kind not in ("biuf" if real else "biufc"):
+        raise DomainError(f"{what} entries must be {'real ' * real}numbers, got dtype {arr.dtype}")
+    return np.ascontiguousarray(arr, dtype=np.float64 if real else np.complex128)
 
 
 def _is_identity(m: np.ndarray) -> bool:
@@ -117,6 +131,46 @@ def _frozen_in_place(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+class _Value:
+    """A frozen value whose fields are its class's annotations, after its bases'; a class attribute of
+    a field's name is its default.  ``__init__`` binds its arguments as a call does, then runs the class's
+    gate, ``__post_init__``, which writes what it admits, and any computed field, through ``vars(self)``.
+    It compares and hashes by identity or, declared ``eq=True``, by its fields in order."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, eq: bool = False):
+        cls._fields = (*cls._fields, *vars(cls).get("__annotations__", ()))
+        if eq:
+            cls.__eq__, cls.__hash__ = _Value._equal, lambda self: hash(self._values())
+
+    def __init__(self, *args, **kwargs):
+        cls, fields = type(self), self._fields
+        if kwargs or len(args) != len(fields):  # bound as a call binds; all by position needs no binding
+            rest = fields[len(args):]
+            named = {f: getattr(cls, f) for f in rest if hasattr(cls, f)} | kwargs
+            if len(args) > len(fields) or named.keys() != {*rest}:
+                raise TypeError(f"{cls.__name__} takes {fields}, got {len(args)} positional and {[*kwargs]}")
+            args += tuple(named[f] for f in rest)
+        vars(self).update(zip(fields, args))
+        if hasattr(cls, "__post_init__"):
+            self.__post_init__()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self._fields)
+
+    def _equal(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def __setattr__(self, name, *value):  # with no value, as __delattr__
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
+
 def _made(cls, **fields):
     """A ``cls`` holding ``fields``, with no ``__post_init__`` run: for a value its gate could not
     refuse.  Each array field is made read-only in place: one no one else holds, or read-only already."""
@@ -155,14 +209,13 @@ def require_isometry(mat: np.ndarray, what: str = "basis") -> float:
     return gram_error
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(_Value, eq=True):
     """Screen layout: screen k offers screen_dims[k] detector slots."""
 
     screen_dims: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "screen_dims", _screen_dims(self.screen_dims))
+        vars(self)["screen_dims"] = _screen_dims(self.screen_dims)
 
     @property
     def degree(self) -> int:
@@ -184,16 +237,15 @@ class Factorization:
         return tuple(int(k) for k in np.unravel_index(flat, self.screen_dims))
 
 
-@dataclass(frozen=True, eq=False)
-class DetectorBasis:
-    """One orthonormal basis per screen; columns are detector vectors."""
+class DetectorBasis(_Value):
+    """One orthonormal basis per screen; columns are detector vectors.  Its gate keeps each basis's
+    max Gram error in ``gram_errors``."""
 
     screens: tuple[np.ndarray, ...]
-    gram_errors: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         mats, errors = [], []
-        for k, raw in enumerate(self.screens):
+        for k, raw in enumerate(_sequence(self.screens, "screen bases")):
             mat = as_complex(raw)
             if mat.shape[0] != mat.shape[1]:
                 raise ShapeError(f"screen {k} basis is not square: {mat.shape}")

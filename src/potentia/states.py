@@ -4,7 +4,6 @@ the two rival purity predicates, shadows, and mixture decompositions."""
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -25,16 +24,15 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 
 
-@dataclass(frozen=True, eq=False)
-class PureVector:
+class PureVector(qlin._Value):
     """Normalized state vector."""
 
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
+        amps = qlin._numbers(self.amplitudes, "amplitudes").reshape(-1)
         require_at_most("vector |norm - 1|", abs(_norm(amps) - 1.0), NORM_TOL)
-        object.__setattr__(self, "amplitudes", frozen(amps))
+        vars(self)["amplitudes"] = frozen(amps)
 
     @property
     def dim(self) -> int:
@@ -51,7 +49,7 @@ class PureVector:
     def normalized(cls, amplitudes: Sequence) -> "PureVector":
         """Normalize and wrap; rejects a norm below ``ZERO_NORM`` or not finite.  A finite vector
         whose norm overflows (an entry above about 1.3e154) is first divided by its largest part."""
-        amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
+        amps = qlin._numbers(amplitudes, "amplitudes").reshape(-1)
         norm = _norm(amps)
         if norm == np.inf and np.isfinite(amps).all():
             amps = amps / max(np.abs(amps.real).max(), np.abs(amps.imag).max())
@@ -67,8 +65,7 @@ def _norm(amps: np.ndarray) -> float:
         return float(np.linalg.norm(amps))
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
+class DensityOperator(qlin._Value):
     """Trace-one positive-semidefinite Hermitian matrix, admitted by ``_admit``.  ``eigenvalues``
     is the spectrum, ascending and read-only, computed once, on first read; every spectral quantity
     of the state reads it."""
@@ -147,8 +144,7 @@ def _conditioned(
         raise DegenerateConditioningError(f"probability {probability:.3e}; conditioned, {exc}") from None
 
 
-@dataclass(frozen=True)
-class BlochPoint:
+class BlochPoint(qlin._Value, eq=True):
     """Point of the qubit Bloch ball in Cartesian coordinates.  The norm may
     exceed 1 by as much as the Bloch vector of an accepted state can."""
 
@@ -180,15 +176,17 @@ class BlochPoint:
         return theta, phi
 
 
-@dataclass(frozen=True, eq=False)
-class MixtureDecomposition:
+class MixtureDecomposition(qlin._Value):
     """Convex mixture of pure states reproducing a density operator."""
 
     weights: np.ndarray
-    components: tuple[PureVector, ...] = field(repr=False)
+    components: tuple[PureVector, ...]
+
+    def __repr__(self) -> str:  # without the components, each of which is a state's worth of entries
+        return f"MixtureDecomposition(weights={self.weights!r})"
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
+        weights = qlin._numbers(self.weights, "mixture weights", real=True).reshape(-1)
         if len(weights) != len(components := qlin._sequence(self.components, "mixture components")):
             raise ShapeError("weights and components differ in length")
         if len(dims := sorted({c.dim for c in components})) > 1:

@@ -8,11 +8,9 @@ A leaf module: it imports no numpy and no other potentia module but ``errors``.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import CapacityError, DomainError, ParseError
 
@@ -90,10 +88,9 @@ def require_at_most(what: str, value: float, bound: float) -> None:
         raise DomainError(f"{what} {float(value)!r} exceeds {float(bound)!r}")
 
 
-@dataclass
 class Tolerances:
-    """Load- and analysis-time tolerances; every field can be overridden, with a
-    finite number >= 0, via the CLI ``--tol name=value`` flag or a config file."""
+    """Load- and analysis-time tolerances: each annotated name, read from the class until it is
+    overridden, with a finite number >= 0, via the CLI ``--tol name=value`` flag or a config file."""
 
     hermiticity: float = HERMITICITY_TOL
     trace: float = TRACE_TOL
@@ -104,8 +101,8 @@ class Tolerances:
     zero: float = ZERO_THRESHOLD
 
     def override(self, name: str, value: float) -> None:
-        if not any(field.name == name for field in dataclasses.fields(self)):
-            known = ", ".join(field.name for field in dataclasses.fields(self))
+        if name not in Tolerances.__annotations__:
+            known = ", ".join(Tolerances.__annotations__)
             raise ParseError(f"unknown tolerance {name!r}; known: {known}")
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         if not (number and 0 <= value <= sys.float_info.max):  # NaN fails both comparisons

@@ -6,7 +6,6 @@ criterion (a failed criterion fails its test instead).
 
 import ast
 import contextlib
-import dataclasses
 import importlib
 import inspect
 import io
@@ -21,7 +20,7 @@ import numpy as np
 import pytest
 
 import potentia
-from potentia import families, fileio, tolerances
+from potentia import families, fileio, qlin, tolerances
 from potentia.arrangements import (
     ChainLink,
     DetectorBasis,
@@ -533,15 +532,19 @@ def _reach_runs(out_state: Path) -> list[list[str]]:
     return runs
 
 
+#: The code of the value base's methods, each entered for the class of the value it runs on.
+_VALUE_CODES = {func.__code__ for func in vars(qlin._Value).values() if inspect.isfunction(func)}
+
+
 def _entered(obj) -> set | None:
-    """The code objects a run enters when it uses ``obj``: a function's own, or those of the
-    functions a class defines (dataclass-made ones too, not those of enum or exception machinery);
-    None for a module, which is entered by any of its functions."""
+    """What a run enters when it uses ``obj``: a function's code, or a class itself, which a method of
+    the value base enters on its values, and the code of the functions it defines (not those of enum
+    or exception machinery); None for a module, which is entered by any of its functions."""
     if inspect.ismodule(obj):
         return None
     if inspect.isfunction(obj):
         return {obj.__code__}
-    found = set()
+    found = {obj}
     for value in vars(obj).values():
         func = getattr(value, "__func__", None) or getattr(value, "fget", None)
         func = func or getattr(value, "func", value)  # a method, property or cached property
@@ -564,6 +567,8 @@ def reach(tmp_path_factory):
         def profile(frame, event, arg):
             if event == "call":
                 codes.add(frame.f_code)
+                if frame.f_code in _VALUE_CODES:
+                    codes.add(type(frame.f_locals["self"]))
             elif event == "c_call" and frame.f_code is cli.main.__code__ and "exc" in frame.f_locals:
                 errors.add(type(frame.f_locals["exc"]))  # main prints the error it caught
 
@@ -594,7 +599,8 @@ def test_reach_table_rows_hold(reach):
 
         def enters(codes):
             if own is None:
-                return any(c.co_filename == obj.__file__ and c.co_name != "<module>" for c in codes)
+                return any(getattr(c, "co_filename", None) == obj.__file__ and c.co_name != "<module>"
+                           for c in codes)
             return bool(own & codes)
 
         if use == "command":
@@ -703,12 +709,12 @@ def test_readme_maps_every_paper_sample_to_its_claim():
 
 
 def test_readme_lists_every_tolerance_with_its_default():
-    """README's table of ``--tol`` names is ``Tolerances``' fields, with their defaults."""
+    """README's table of ``--tol`` names is ``Tolerances``' annotated names, with their class defaults."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `(\w+)` \| ([0-9.e+-]+) \|", section, flags=re.MULTILINE)
     listed = {name: float(default) for name, default in rows}
-    assert listed == {field.name: field.default for field in dataclasses.fields(fileio.Tolerances)}
+    assert listed == {name: getattr(fileio.Tolerances, name) for name in fileio.Tolerances.__annotations__}
     assert len(rows) == len(listed)
 
 

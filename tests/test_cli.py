@@ -827,6 +827,17 @@ class TestExitCodes:
         code, _ = run(capsys, "analyze", huge)
         assert code == 4
 
+    def test_running_out_of_memory_is_a_capacity_error(self, capsys, monkeypatch):
+        """A ``MemoryError``, here from the state loader, exits 4 with one stderr line and no report."""
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(fileio, "load_state", exhausted)
+        code = main(["analyze", str(SAMPLES / "werner_05.json")])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (4, "")
+        assert captured.err == "capacity error: out of memory; the input is too large for this machine\n"
+
     def test_integer_beyond_float64_is_parse_error(self, capsys, tmp_path):
         huge = tmp_path / "huge_entry.json"
         huge.write_text(

@@ -337,6 +337,18 @@ class TestTolerances:
         assert tols.axioms == 1e-6
         assert tols.trace == 1e-9
 
+    def test_an_override_changes_only_its_instance(self):
+        """``Tolerances()`` takes no arguments and reads every default from the class; an override
+        changes only its own instance."""
+        tols = Tolerances()
+        tols.override("trace", 0.5)
+        assert (tols.trace, Tolerances().trace, Tolerances.trace) == (0.5, 1e-9, 1e-9)
+        with pytest.raises(TypeError):
+            Tolerances(trace=0.5)
+        with pytest.raises(ParseError, match="^unknown tolerance 'wobble'; known: hermiticity, trace, purity, "
+                                             "verdict, equivalence, axioms, zero$"):
+            tols.override("wobble", 1e-3)
+
 
 class TestMatrixJson:
     @pytest.mark.parametrize(

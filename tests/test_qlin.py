@@ -1,10 +1,16 @@
-import dataclasses
 import importlib
+import json
 import math
 import pickle
 import pkgutil
+import re
+import subprocess
+import sys
 from collections import Counter
 from collections.abc import Sized
+from dataclasses import FrozenInstanceError
+from decimal import Decimal
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -13,9 +19,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import potentia
-from potentia import arrangements, families, locc, qlin
+from potentia import arrangements, bell, families, fileio, locc, powers, qlin
 from potentia.arrangements import DetectorBasis, Factorization, change_detectors, make_ea, restrict
 from potentia.entanglement import (
+    SeparabilityVerdict,
+    Verdict,
     WitnessOperator,
     werner,
     check_witness_on_products,
@@ -33,7 +41,7 @@ from potentia.sampling import (
     random_density, random_product_pure, random_projector, random_pure, random_separable, random_unitary,
 )
 from potentia.states import (
-    DensityOperator, MixtureDecomposition, PureVector, density_from_vector, spectral_decomposition,
+    BlochPoint, DensityOperator, MixtureDecomposition, PureVector, density_from_vector, spectral_decomposition,
 )
 from potentia.tolerances import DIM_CAP, PROJECTOR_TOL
 
@@ -318,6 +326,46 @@ def test_as_complex_accepts_the_empty_matrix():
     assert qlin.as_complex(np.zeros((0, 0))).shape == (0, 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: DensityOperator("a"), lambda: DensityOperator([["a"]]), lambda: locc.CPMap(["x"]),
+    lambda: qlin.as_complex(np.array([[b"1"]])), lambda: qlin.as_complex(np.array([[1, None]])),
+    lambda: qlin.as_complex(np.zeros((1, 1), dtype="i4,i4")), lambda: PureVector(["1", "0"]),
+    lambda: MixtureDecomposition([1j], (PureVector.basis_state(2, 0),)),
+    lambda: PureVector([Fraction(1)]), lambda: PureVector.normalized([Decimal(1)]),
+    lambda: DensityOperator([[2**70]]),
+], ids=["state_text", "state_entry", "kraus_text", "bytes", "object", "void", "amplitudes", "complex_weight",
+        "fraction", "decimal", "beyond_int64"])
+def test_an_entry_that_is_no_number_is_a_domain_error(call):
+    """A text, bytes, object or record entry, or a complex one where a real is meant, is refused by
+    its kind before numpy converts it, so numpy's ``ValueError`` or ``TypeError`` never escapes.  Only
+    numpy's number kinds count: a ``Fraction``, a ``Decimal`` or an int beyond int64 makes an object
+    array, and is refused too."""
+    with pytest.raises(DomainError, match="entries must be (real )?numbers, got dtype"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: PureVector(1.0), lambda: PureVector.normalized(2),
+    lambda: MixtureDecomposition(1.0, (PureVector.basis_state(1, 0),)),
+    lambda: powers.ISAValuation(build_graph([PowerNode(np.eye(1), "I")]), 1.0),
+    lambda: DensityOperator(np.float64(1)),
+], ids=["amplitudes", "normalized", "weights", "potentia", "matrix"])
+def test_a_lone_number_is_no_sequence(call):
+    """A vector or matrix argument is a sequence, as every collection argument is: a lone number, which
+    ``np.asarray(...).reshape(-1)`` once read as a one-entry vector, is refused as a count is."""
+    with pytest.raises(ShapeError, match="must be an array or a regular sequence, got "):
+        call()
+
+
+def test_as_complex_keeps_a_complex_array_and_refuses_ragged_rows():
+    matrix = np.eye(3, dtype=np.complex128)
+    assert qlin.as_complex(matrix) is matrix
+    with pytest.raises(ShapeError, match=r"^matrix must be an array or a regular sequence, got \[\[1, 0\], \[0\]\]$"):
+        DensityOperator([[1, 0], [0]])
+    with pytest.raises(DomainError, match="^matrix entries must be numbers, got dtype <U1$"):
+        DensityOperator("a")
+
+
 def rule_error(dims):
     """The class the screen-layout rule raises for ``dims`` from its definition, or None:
     DomainError unless there is an entry and each is a non-bool integer > 0, CapacityError for a
@@ -535,7 +583,8 @@ INDEX_CALLS = {
 COLLECTIONS = {
     "list": list,
     "tuple": tuple,
-    "array": lambda items: np.stack(items) if isinstance(items[0], np.ndarray) else np.array(items, object),
+    "array": lambda items: (np.stack(items) if isinstance(items[0], np.ndarray)
+                            else np.array(items, None if isinstance(items[0], (float, list)) else object)),
     "generator": lambda items: (item for item in items),
     "iterator": iter,
     "count": len,
@@ -544,6 +593,7 @@ SIZED = {"list", "tuple", "array"}
 CHAIN_LARGE = make_ea(DensityOperator.maximally_mixed(4), Factorization((2, 2)))
 CHAIN_SMALL = restrict(CHAIN_LARGE, [[0], [0, 1]])
 CHAIN_LINK = arrangements.ChainLink(((0,), (0, 1)))
+IDENTITY_GRAPH = build_graph([PowerNode(np.eye(2), "I")])
 #: Every argument that takes a collection of values: the call on a collection of valid entries in
 #: a given form, and what a success must satisfy.
 SEQUENCE_CALLS = {
@@ -563,6 +613,26 @@ SEQUENCE_CALLS = {
     "complexity_chain_links": (lambda form: arrangements.complexity_chain_check([CHAIN_SMALL, CHAIN_LARGE],
                                                                                form([CHAIN_LINK])),
                                lambda r: r.valid and r.degrees == (2, 4)),
+    "QuantumInstrument_bystanders": (
+        lambda form: locc.QuantumInstrument((locc.CPMap.identity(2),), form([None, locc.CPMap.identity(3)])),
+        lambda r: r.in_dim == 6 and r._bystanders[0] is None and locc.is_valid_instrument(r)),
+    "PureVector_amplitudes": (lambda form: PureVector(form([0.0, 1.0])),
+                              lambda r: np.array_equal(r.amplitudes, [0, 1])),
+    "PureVector_normalized": (lambda form: PureVector.normalized(form([0.0, 2.0])),
+                              lambda r: np.array_equal(r.amplitudes, [0, 1])),
+    "MixtureDecomposition_weights": (
+        lambda form: MixtureDecomposition(form([0.5, 0.5]), [PureVector.basis_state(2, k) for k in (0, 1)]),
+        lambda r: np.array_equal(r.reconstruct().matrix, np.eye(2) / 2)),
+    "ISAValuation_potentia": (lambda form: powers.ISAValuation(IDENTITY_GRAPH, form([1.0])),
+                              lambda r: np.array_equal(r.potentia, [1])),
+    "MeasurementSetting_direction": (lambda form: bell.MeasurementSetting(form([0.0, 1.0, 0.0]), *np.eye(3)[:3]),
+                                     lambda r: np.array_equal(r.a, [0, 1, 0])),
+    "CorrelationMatrix_rows": (lambda form: bell.CorrelationMatrix(form(np.eye(3).tolist())),
+                               lambda r: np.array_equal(r.t, np.eye(3))),
+    "DetectorBasis_screens": (lambda form: DetectorBasis(form([np.eye(2), HADAMARD])),
+                              lambda r: np.array_equal(r.screens[1], HADAMARD) and len(r.screens) == 2),
+    "build_graph_projectors": (lambda form: build_graph(form([PowerNode(np.eye(2), "I")])),
+                               lambda r: len(r.nodes) == 1 and r.identity_index == 0),
 }
 #: Every function that takes one size ``n``, judged by ``size_error``, and what a success must satisfy.
 SIZE_CALLS = {
@@ -734,26 +804,32 @@ def held_arrays(value) -> list:
         return [value]
     if isinstance(value, dict):
         value = list(value.values())
-    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+    elif isinstance(value, qlin._Value):
         value = list(vars(value).values())
     elif not isinstance(value, (tuple, list)):
         return []
     return [arr for entry in value for arr in held_arrays(entry)]
 
 
+#: Cached properties: a value holds one once it is read, so a made value and its twin may differ in them.
+LAZY = {"eigenvalues", "families"}
+
+
 def assert_same_value(made, public) -> None:
-    """Field by field: arrays byte-equal, as ``tobytes`` reads them (signed zeros count), the
-    package's values the same way, and any other field equal."""
+    """Field by field, over every field and computed field the public twin's gate writes, each of
+    which the made value must hold too: arrays byte-equal, as ``tobytes`` reads them (signed zeros
+    count), the package's values the same way, and any other field equal."""
     if isinstance(made, np.ndarray):
         assert (made.dtype, made.shape, made.tobytes()) == (public.dtype, public.shape, public.tobytes())
     elif isinstance(made, (tuple, list)):
         assert len(made) == len(public)
         for a, b in zip(made, public):
             assert_same_value(a, b)
-    elif dataclasses.is_dataclass(made) and made is not public:
+    elif isinstance(made, qlin._Value) and made is not public:
         assert type(made) is type(public)
-        for f in dataclasses.fields(made):
-            assert_same_value(getattr(made, f.name), getattr(public, f.name))
+        assert vars(public).keys() - LAZY <= vars(made).keys(), type(made)
+        for name in sorted(vars(public).keys() - LAZY):
+            assert_same_value(vars(made)[name], vars(public)[name])
     else:
         assert made is public or made == public
 
@@ -763,7 +839,7 @@ def public_twin(made):
     its matrix, layout and basis matrix."""
     if isinstance(made, arrangements.ExperimentalArrangement):
         return arrangements.ExperimentalArrangement(made.matrix, made.factorization, made.basis_matrix)
-    return type(made)(**{f.name: getattr(made, f.name) for f in dataclasses.fields(made) if f.init})
+    return type(made)(**{name: getattr(made, name) for name in made._fields})
 
 
 class TestMadeValues:
@@ -815,3 +891,115 @@ class TestMadeValues:
                 assert_same_value(value.matrix, twin.matrix)
             else:
                 assert_same_value(value, twin)
+
+
+I2_REPR = "array([[1.+0.j, 0.+0.j],\n       [0.+0.j, 1.+0.j]])"
+HALF_REPR = "DensityOperator(matrix=array([[0.5+0.j, 0. +0.j],\n       [0. +0.j, 0.5+0.j]]))"
+SETTING_REPR = ("MeasurementSetting(a=array([1., 0., 0.]), a_prime=array([0., 1., 0.]), b=array([0., 0., 1.]), "
+                "b_prime=array([1., 0., 0.]))")
+HALF_STATE = DensityOperator(np.eye(2) / 2)
+IDENTITY_MAP = locc.CPMap((np.eye(2),))
+SETTING = bell.MeasurementSetting(*np.eye(3)[[0, 1, 2, 0]])
+FAILURE = arrangements.ChainFailure(0, "why")
+#: Every value class: one value (two calls hold the same values), whether the class compares and
+#: hashes by its fields (else by identity), and the value's repr, as the dataclasses made it.
+VALUE_CLASSES = {
+    "Factorization": (lambda: Factorization((2, 3)), True, "Factorization(screen_dims=(2, 3))"),
+    "DetectorBasis": (lambda: DetectorBasis((np.eye(2),)), False, f"DetectorBasis(screens=({I2_REPR},))"),
+    "ExperimentalArrangement": (
+        lambda: arrangements.ExperimentalArrangement(np.eye(2) / 2, Factorization((2,)), np.eye(2)), False,
+        "ExperimentalArrangement(factorization=Factorization(screen_dims=(2,)))"),
+    "ChainLink": (lambda: arrangements.ChainLink(((0,), (1, 2))), True, "ChainLink(kept_detectors=((0,), (1, 2)))"),
+    "ChainFailure": (lambda: arrangements.ChainFailure(0, "why"), True, "ChainFailure(link=0, reason='why')"),
+    "ChainReport": (lambda: arrangements.ChainReport((2, 4), (FAILURE,)), True,
+                    "ChainReport(degrees=(2, 4), failures=(ChainFailure(link=0, reason='why'),))"),
+    "CorrelationMatrix": (lambda: bell.CorrelationMatrix(np.eye(3)), False,
+                          "CorrelationMatrix(t=array([[1., 0., 0.],\n       [0., 1., 0.],\n       [0., 0., 1.]]))"),
+    "MeasurementSetting": (lambda: bell.MeasurementSetting(*np.eye(3)[[0, 1, 2, 0]]), False, SETTING_REPR),
+    "ChshMax": (lambda: bell.ChshMax(2.0, SETTING), True, f"ChshMax(value=2.0, setting={SETTING_REPR})"),
+    "SeparabilityVerdict": (
+        lambda: SeparabilityVerdict(Verdict.SEPARABLE, "ppt", 0.5), True,
+        "SeparabilityVerdict(verdict=<Verdict.SEPARABLE: 'Separable'>, criterion='ppt', evidence=0.5)"),
+    "WitnessOperator": (lambda: WitnessOperator(np.eye(2), HALF_STATE), False,
+                        f"WitnessOperator(matrix={I2_REPR}, reference_state={HALF_REPR}, min_pt_eigenvalue=None)"),
+    "StateFile": (
+        lambda: fileio.StateFile(HALF_STATE, Factorization((2,)), None, "label", False, "sha256:00"), True,
+        f"StateFile(density={HALF_REPR}, factorization=Factorization(screen_dims=(2,)), basis=None, label='label', "
+        "has_explicit_factorization=False, digest='sha256:00')"),
+    "CPMap": (lambda: locc.CPMap((np.eye(2),)), False, f"CPMap(kraus=({I2_REPR},))"),
+    "QuantumInstrument": (lambda: locc.QuantumInstrument((IDENTITY_MAP,)), True,
+                          f"QuantumInstrument(branches=(CPMap(kraus=({I2_REPR},)),), _bystanders=(None,))"),
+    "BranchOutcome": (lambda: locc.BranchOutcome(1.0, None), True, "BranchOutcome(probability=1.0, post_state=None)"),
+    "PowerNode": (lambda: PowerNode(np.eye(2), "I"), False, f"PowerNode(projector={I2_REPR}, label='I')"),
+    "PowersGraph": (lambda: powers.PowersGraph(IDENTITY_GRAPH.nodes, frozenset({(0, 1)}), 2, 0), True,
+                    f"PowersGraph(nodes=(PowerNode(projector={I2_REPR}, label='I'),), edges=frozenset({{(0, 1)}}), "
+                    "dim=2, identity_index=0)"),
+    "Context": (lambda: powers.Context(frozenset({0, 1})), True, "Context(node_indices=frozenset({0, 1}))"),
+    "ISAValuation": (lambda: powers.ISAValuation(IDENTITY_GRAPH, [1.0]), False,
+                     f"ISAValuation(graph=PowersGraph(nodes=(PowerNode(projector={I2_REPR}, label='I'),), "
+                     "edges=frozenset(), dim=2, identity_index=0), potentia=array([1.]))"),
+    "AdditivityViolation": (lambda: powers.AdditivityViolation((0, 1), 2, 0.5, 1.0), True,
+                            "AdditivityViolation(family=(0, 1), sum_node=2, member_total=0.5, sum_value=1.0)"),
+    "AxiomReport": (lambda: powers.AxiomReport(True, 1.0, ()), True,
+                    "AxiomReport(identity_ok=True, identity_value=1.0, additivity_violations=())"),
+    "PureVector": (lambda: PureVector([1, 0]), False, "PureVector(amplitudes=array([1.+0.j, 0.+0.j]))"),
+    "DensityOperator": (lambda: DensityOperator(np.eye(2) / 2), False, HALF_REPR),
+    "BlochPoint": (lambda: BlochPoint(0.0, 0.0, 1.0), True, "BlochPoint(x=0.0, y=0.0, z=1.0)"),
+    "MixtureDecomposition": (lambda: MixtureDecomposition([1.0], (PureVector([1, 0]),)), False,
+                             "MixtureDecomposition(weights=array([1.]))"),
+}
+
+
+class TestValueBase:
+    def test_the_table_lists_every_value_class(self):
+        modules = [importlib.import_module(f"potentia.{m.name}") for m in pkgutil.iter_modules(potentia.__path__)]
+        found = {name for module in modules for name, cls in vars(module).items() if isinstance(cls, type)
+                 and cls.__module__ == module.__name__ and qlin._Value in cls.__mro__[1:]}
+        assert found == set(VALUE_CLASSES)
+
+    @pytest.mark.parametrize("name", sorted(VALUE_CLASSES))
+    def test_repr_equality_hash_and_freezing(self, name):
+        """Each value class keeps the repr, equality, hash and freezing its frozen dataclass had."""
+        make, by_fields, shown = VALUE_CLASSES[name]
+        value, twin = make(), make()
+        assert type(value).__name__ == name and repr(value) == shown
+        assert value == value and hash(value) == hash(value)
+        if by_fields:
+            assert value == twin and hash(value) == hash(twin)
+            assert value.__eq__(object()) is NotImplemented
+        else:
+            assert value != twin and type(value).__eq__ is object.__eq__
+            assert hash(value) == object.__hash__(value)
+        first = type(value)._fields[0]
+        for act, verb, field in ((setattr, "assign to", first), (setattr, "assign to", "other"),
+                                 (delattr, "delete", first)):
+            with pytest.raises(FrozenInstanceError, match=f"^cannot {verb} field {field!r}$"):
+                act(value, field, *(None,) * (act is setattr))
+        assert repr(value) == shown
+
+    def test_the_constructor_binds_its_arguments_as_a_call_does(self):
+        """By position or by name, a missing field takes its class default, and a missing field
+        without one, an unknown or a repeated name, or one argument too many raise ``TypeError``."""
+        assert locc.BranchOutcome(post_state=None, probability=0.5) == locc.BranchOutcome(0.5, None)
+        assert locc.QuantumInstrument((IDENTITY_MAP,))._bystanders == (None,)
+        assert Factorization([2, 3]).screen_dims == (2, 3)  # the gate ran
+        for args, kwargs in (((0.5,), {}), ((0.5, None), {"other": 1}), ((0.5,), {"probability": 0.5}),
+                             ((0.5, None, 1), {}), ((), {"post_state": None})):
+            message = (f"BranchOutcome takes ('probability', 'post_state'), "
+                       f"got {len(args)} positional and {list(kwargs)}")
+            with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+                locc.BranchOutcome(*args, **kwargs)
+
+    def test_no_class_is_a_dataclass(self):
+        """In a fresh interpreter, the CLI and every submodule make no dataclass."""
+        probe = """if True:
+            import importlib, json, pkgutil, potentia, potentia.cli
+            names = [f"potentia.{m.name}" for m in pkgutil.iter_modules(potentia.__path__)]
+            modules = [importlib.import_module(name) for name in names]
+            made = sorted(name for module in modules for name, cls in vars(module).items()
+                          if isinstance(cls, type) and hasattr(cls, "__dataclass_fields__"))
+            print(json.dumps([len(modules), made]))
+        """
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [13, []]

@@ -1,6 +1,5 @@
 """The one table of thresholds, ``potentia.tolerances``, and its value gate ``require_at_most``."""
 
-import dataclasses
 import importlib
 import math
 import re
@@ -95,7 +94,7 @@ def test_the_table_is_the_defaults_and_the_fixed_thresholds():
     """Every float in ``tolerances`` is a ``--tol`` default or one of the fixed thresholds."""
     floats = {name for name, value in vars(tolerances).items() if isinstance(value, float)}
     assert floats == set(FIXED) | set(DEFAULTS.values())
-    fields = {field.name: field.default for field in dataclasses.fields(tolerances.Tolerances)}
+    fields = {name: getattr(tolerances.Tolerances, name) for name in tolerances.Tolerances.__annotations__}
     assert fields == {name: getattr(tolerances, constant) for name, constant in DEFAULTS.items()}
 
 

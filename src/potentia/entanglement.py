@@ -217,5 +217,7 @@ def _werner_matrices(p: np.ndarray) -> np.ndarray:
 
 
 def werner(p: float) -> DensityOperator:
-    """p |phi+><phi+| + (1 - p) I/4 on two qubits: a state by construction, so not solved."""
-    return qlin._made(DensityOperator, matrix=_werner_matrices(np.asarray(p, dtype=np.float64)))
+    """p |phi+><phi+| + (1 - p) I/4 on two qubits, for one real p: a state by construction, so not solved."""
+    if (grid := qlin._numbers([p], "Werner parameter", real=True)).shape != (1,):
+        raise ShapeError(f"Werner parameter must be one real number, got {p!r}")
+    return qlin._made(DensityOperator, matrix=_werner_matrices(grid)[0])

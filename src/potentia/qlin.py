@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import FrozenInstanceError
 from typing import Literal, Sequence
 
 import numpy as np
@@ -146,12 +145,11 @@ class _Value:
 
     def __init__(self, *args, **kwargs):
         cls, fields = type(self), self._fields
-        if kwargs or len(args) != len(fields):  # bound as a call binds; all by position needs no binding
-            rest = fields[len(args):]
-            named = {f: getattr(cls, f) for f in rest if hasattr(cls, f)} | kwargs
-            if len(args) > len(fields) or named.keys() != {*rest}:
-                raise TypeError(f"{cls.__name__} takes {fields}, got {len(args)} positional and {[*kwargs]}")
-            args += tuple(named[f] for f in rest)
+        rest = fields[len(args):]
+        named = {f: getattr(cls, f) for f in rest if hasattr(cls, f)} | kwargs
+        if len(args) > len(fields) or named.keys() != {*rest}:
+            raise TypeError(f"{cls.__name__} takes {fields}, got {len(args)} positional and {[*kwargs]}")
+        args += tuple(named[f] for f in rest)
         vars(self).update(zip(fields, args))
         if hasattr(cls, "__post_init__"):
             self.__post_init__()
@@ -166,7 +164,7 @@ class _Value:
         return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
 
     def __setattr__(self, name, *value):  # with no value, as __delattr__
-        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
     __delattr__ = __setattr__
 

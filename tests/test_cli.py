@@ -838,6 +838,32 @@ class TestExitCodes:
         assert (code, captured.out) == (4, "")
         assert captured.err == "capacity error: out of memory; the input is too large for this machine\n"
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_a_parse_past_an_address_space_cap_is_a_capacity_error(self, tmp_path):
+        """``analyze`` of a file whose parse does not fit under the process's address-space cap exits 4
+        with one stderr line, not a ``MemoryError`` traceback.  The cap is the child's own peak after
+        ``import potentia.cli``, plus 32 MB: room for the 12 MB file's bytes and its text, but not for
+        the ~120 MB of lists ``json.loads`` makes of the maximally mixed state at dim 1024."""
+        import resource
+
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}  # each BLAS thread would reserve address space
+        probe = ("import potentia.cli; "
+                 "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmPeak:')))")
+        baseline = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+        assert baseline.returncode == 0, baseline.stderr
+        cap = (int(baseline.stdout) << 10) + (32 << 20)  # VmPeak is in kB
+        dim = 1024
+        rows = (", ".join(f"[{1 / dim!r}, 0.0]" if j == i else "[0.0, 0.0]" for j in range(dim)) for i in range(dim))
+        matrix = ", ".join(f"[{row}]" for row in rows)
+        state = tmp_path / "large.json"
+        state.write_text(f'{{"schema_version": "1", "dim": {dim}, "matrix": [{matrix}]}}', encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "potentia.cli", "analyze", str(state)], env=env, capture_output=True, text=True,
+            timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == "capacity error: out of memory; the input is too large for this machine\n"
+
     def test_integer_beyond_float64_is_parse_error(self, capsys, tmp_path):
         huge = tmp_path / "huge_entry.json"
         huge.write_text(

@@ -1,5 +1,4 @@
 import functools
-from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -220,8 +219,10 @@ class TestSpectrum:
         if oracle[0] >= EIGENVALUE_FLOOR:
             rho = DensityOperator(matrix)
             assert np.array_equal(rho.eigenvalues, oracle)
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(AttributeError) as refused:
                 rho.eigenvalues = oracle
+            assert type(refused.value) is AttributeError
+            assert str(refused.value) == "cannot assign to field 'eigenvalues'"
         else:
             with pytest.raises(DomainError) as excinfo:
                 DensityOperator(matrix)

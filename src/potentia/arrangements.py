@@ -91,7 +91,7 @@ class ExperimentalArrangement(qlin._Value):
         gram_error = qlin.require_isometry(basis, what="basis matrix")
         rho = DensityOperator(mat)  # the one state check
         provenance = Provenance(object(), scale=_growth(n, gram_error))
-        steps = (((n,), {0: frozen(basis)}),)
+        steps = (((n,), {0: frozen(basis, basis_matrix)}),)
         vars(self).update(_cell={"matrix": rho.matrix}, steps=steps, provenance=provenance)
 
     @property
@@ -103,7 +103,7 @@ class ExperimentalArrangement(qlin._Value):
         cell = vars(self)["_cell"]
         if (pending := cell.get("pending")) is not None:
             m = qlin._conjugated(pending.source, *pending.run)
-            cell.setdefault("matrix", qlin._frozen_in_place(m))
+            cell.setdefault("matrix", frozen(m))
             cell.pop("pending", None)
         return cell["matrix"]
 
@@ -117,7 +117,7 @@ class ExperimentalArrangement(qlin._Value):
         m = np.eye(self.degree, dtype=np.complex128)
         for dims, factors in _runs(self.steps):
             m = qlin._mode_product(m, dims, factors, len(m), owned=True)  # in place in the identity
-        return qlin._frozen_in_place(m)
+        return frozen(m)
 
     def intensities(self) -> np.ndarray:
         """Flat potentia vector (clipped to [0, 1]): the diagonal, which ``_diagonal`` reads from a
@@ -218,7 +218,7 @@ def make_ea(
     matrix = qlin._conjugated(rho.matrix, dims, factors)
     origin = Provenance(vars(rho).setdefault("_origin", object()))
     provenance = _stepped(origin, dims, {k: basis.gram_errors[k] for k in factors})
-    return qlin._made(ExperimentalArrangement, _cell={"matrix": qlin._frozen_in_place(matrix)},
+    return qlin._made(ExperimentalArrangement, _cell={"matrix": frozen(matrix)},
                       factorization=factorization, steps=((dims, factors),), provenance=provenance)
 
 
@@ -253,8 +253,8 @@ def change_detectors(
     if v.shape != (dims[screen], dims[screen]):
         raise ShapeError(f"screen {screen} basis must be {dims[screen]}x{dims[screen]}, got {v.shape}")
     gram_error = qlin.require_isometry(v, what="new detector basis")
-    # A copy: ``v`` may be the caller's own array.  The identity is no factor, as in make_ea.
-    step = {} if qlin._is_identity(v) else {screen: frozen(v)}
+    # The identity is no factor, as in make_ea.
+    step = {} if qlin._is_identity(v) else {screen: frozen(v, new_basis)}
     steps, cell = ea.steps + ((dims, step),), vars(ea)["_cell"]
     pending = cell.get("pending")
     if pending is None or pending.run[0] != dims or screen in pending.run[1]:  # else no product to round

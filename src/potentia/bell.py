@@ -37,9 +37,9 @@ class CorrelationMatrix(qlin._Value):
         # Each is a Tr(rho O), ||O|| = 1: at most ||rho||_1, and at most 3 eigenvalues are < 0.
         bound = 1 + TRACE_TOL - 6 * EIGENVALUE_FLOOR
         require_at_most("correlation max |entry|", np.max(np.abs(mat)), bound)
-        svd = tuple(qlin._frozen_in_place(part) for part in np.linalg.svd(mat))
+        svd = tuple(map(qlin.frozen, np.linalg.svd(mat)))
         require_at_most("correlation top singular value", svd[1][0], bound)
-        vars(self).update(t=qlin.frozen(mat), svd=svd)
+        vars(self).update(t=qlin.frozen(mat, self.t), svd=svd)
 
 
 def _unit(vector) -> np.ndarray:
@@ -60,7 +60,7 @@ class MeasurementSetting(qlin._Value):
 
     def __post_init__(self):
         for name in self._fields:
-            vars(self)[name] = qlin.frozen(_unit(getattr(self, name)))
+            vars(self)[name] = qlin.frozen(_unit(given := getattr(self, name)), given)
 
 
 def correlation_matrix(rho: DensityOperator) -> CorrelationMatrix:

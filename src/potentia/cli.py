@@ -341,7 +341,7 @@ def cmd_werner(args, tols: Tolerances) -> dict:
         except ValueError:
             raise ParseError(f"--scan expects numbers, got {args.scan!r}")
         if not (0.0 <= lo < hi <= 1.0):
-            raise DomainError(f"scan range [{lo}, {hi}] must lie inside [0, 1]")
+            raise DomainError(f"scan range [{lo}, {hi}] must satisfy 0 <= from < to <= 1")
         require_within("scan step count", qlin._count(steps, 2, "--scan step count"), SCAN_STEPS_CAP)
         grid, parameters = np.linspace(lo, hi, steps), f"werner scan={lo!r},{hi!r},{steps}"
 

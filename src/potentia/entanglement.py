@@ -144,7 +144,7 @@ class WitnessOperator(qlin._Value):
         qlin.require_hermitian(mat, what="witness")
         if (dim := self.reference_state.dim) != len(mat):
             raise ShapeError(f"witness is {len(mat)}-dimensional, its reference state {dim}-dimensional")
-        vars(self)["matrix"] = frozen(mat)
+        vars(self)["matrix"] = frozen(mat, self.matrix)
 
     def expectation(self, rho: DensityOperator) -> float:
         """Tr(W rho), summed entrywise: rho is Hermitian, so no product is formed."""

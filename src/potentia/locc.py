@@ -32,9 +32,9 @@ class CPMap(qlin._Value):
                 raise ShapeError(f"Kraus operator {k} is {mat.shape}, expected {mats[0].shape}")
             # |K_ij| <= ||K||_2 <= sqrt(top eigenvalue of sum K^dag K); checked before it can overflow.
             require_at_most(f"Kraus operator {k} |entry|", max_abs(mat), math.sqrt(1 + COMPLETENESS_TOL))
-        completeness = qlin._frozen_in_place(sum(dagger(mat) @ mat for mat in mats))
+        completeness = qlin.frozen(sum(dagger(mat) @ mat for mat in mats))
         require_at_most("map trace gain", np.linalg.eigvalsh(completeness)[-1] - 1, COMPLETENESS_TOL)
-        vars(self).update(kraus=tuple(map(qlin.frozen, mats)), completeness=completeness)
+        vars(self).update(kraus=tuple(map(qlin.frozen, mats, kraus)), completeness=completeness)
 
     @property
     def in_dim(self) -> int:

@@ -31,7 +31,7 @@ class PowerNode(qlin._Value):
         with np.errstate(over="ignore", invalid="ignore"):  # I @ I = I exactly: no GEMM for it
             idempotence_error = 0.0 if qlin._is_identity(mat) else max_abs(mat @ mat - mat)
         require_at_most(f"power {self.label!r} idempotence error", idempotence_error, PROJECTOR_TOL)
-        vars(self)["projector"] = frozen(mat)
+        vars(self)["projector"] = frozen(mat, self.projector)
 
     @property
     def dim(self) -> int:

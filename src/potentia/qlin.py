@@ -115,17 +115,17 @@ def max_abs(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix))) if matrix.size else 0.0
 
 
-def frozen(arr: np.ndarray | Sequence) -> np.ndarray:
-    """Read-only C-contiguous copy of ``arr``, same dtype; the caller's array is untouched."""
-    out = np.array(arr, order="C")
-    out.flags.writeable = False
-    return out
+def _unshared(arr: np.ndarray, given=None) -> np.ndarray:
+    """``arr`` C-contiguous, copied only if it may still be the memory of ``given``, the caller's
+    argument a gate converted it from (a list or tuple never is): an array a value may keep and write."""
+    shared = not isinstance(given, (list, tuple)) and np.may_share_memory(arr, given)
+    return np.array(arr, order="C") if shared else np.ascontiguousarray(arr)
 
 
-def _frozen_in_place(arr: np.ndarray) -> np.ndarray:
-    """``arr`` made read-only, copied only to make it C-contiguous.  Only for an array the
-    caller just built and no one else holds: unlike ``frozen``, it may return ``arr`` itself."""
-    arr = np.ascontiguousarray(arr)
+def frozen(arr: np.ndarray, given=None) -> np.ndarray:
+    """``_unshared(arr, given)`` made read-only: the array a value keeps, with the caller's never
+    written, frozen or aliased; with no ``given``, ``arr`` itself, if it is C-contiguous."""
+    arr = _unshared(arr, given)
     arr.flags.writeable = False
     return arr
 
@@ -174,7 +174,7 @@ def _made(cls, **fields):
     refuse.  Each array field is made read-only in place: one no one else holds, or read-only already."""
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
-            fields[name] = _frozen_in_place(value)
+            fields[name] = frozen(value)
     vars(made := object.__new__(cls)).update(fields)
     return made
 
@@ -248,7 +248,7 @@ class DetectorBasis(_Value):
             if mat.shape[0] != mat.shape[1]:
                 raise ShapeError(f"screen {k} basis is not square: {mat.shape}")
             errors.append(require_isometry(mat, what=f"screen {k} basis"))
-            mats.append(frozen(mat))
+            mats.append(frozen(mat, raw))
         vars(self).update(screens=tuple(mats), gram_errors=tuple(errors))
 
 

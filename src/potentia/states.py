@@ -32,7 +32,7 @@ class PureVector(qlin._Value):
     def __post_init__(self):
         amps = qlin._numbers(self.amplitudes, "amplitudes").reshape(-1)
         require_at_most("vector |norm - 1|", abs(_norm(amps) - 1.0), NORM_TOL)
-        vars(self)["amplitudes"] = frozen(amps)
+        vars(self)["amplitudes"] = frozen(amps, self.amplitudes)
 
     @property
     def dim(self) -> int:
@@ -76,7 +76,7 @@ class DensityOperator(qlin._Value):
         mat = qlin.as_complex(self.matrix)
         qlin.require_hermitian(mat, what="density operator")
         require_at_most("density operator |trace - 1|", abs(complex(np.trace(mat)) - 1.0), TRACE_TOL)
-        self._admit(np.array(mat))  # the one copy: shifted by the Cholesky check, then frozen
+        self._admit(qlin._unshared(mat, self.matrix))  # shifted by the Cholesky check, then frozen
 
     def _admit(self, mat: np.ndarray, slack: float = 0.0) -> "DensityOperator":
         """The one positivity rule, on ``mat``, a finite Hermitian trace-one array no one else holds,
@@ -99,7 +99,7 @@ class DensityOperator(qlin._Value):
             vars(self)["eigenvalues"] = frozen(eigenvalues)
         else:
             mat.flat[:: len(mat) + 1] = diagonal
-        vars(self)["matrix"] = qlin._frozen_in_place(mat)
+        vars(self)["matrix"] = frozen(mat)
         return self
 
     @functools.cached_property
@@ -193,7 +193,7 @@ class MixtureDecomposition(qlin._Value):
             raise ShapeError(f"mixture components differ in dimension: {dims}")
         require_at_most("mixture negated least weight", -np.min(weights, initial=0.0), WEIGHT_FLOOR)
         require_at_most("mixture |weight sum - 1|", abs(float(weights.sum()) - 1.0), NORM_TOL)
-        vars(self).update(weights=frozen(weights), components=components)
+        vars(self).update(weights=frozen(weights, self.weights), components=components)
 
     @property
     def _rows(self) -> np.ndarray:

@@ -6,6 +6,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from collections.abc import Sized
 from decimal import Decimal
@@ -264,12 +265,113 @@ class TestFrozen:
         "arr", [np.arange(3.0), np.eye(2, dtype=np.complex128)[:, ::-1], np.arange(4)]
     )
     def test_read_only_contiguous_copy_with_dtype_kept(self, arr):
-        out = qlin.frozen(arr)
+        """An array that may still be the caller's, ``given``, is copied; the caller's stays writable."""
+        out = qlin.frozen(arr, arr)
         assert out.dtype == arr.dtype
         assert np.array_equal(out, arr)
         assert not np.shares_memory(out, arr)
         assert out.flags.c_contiguous and not out.flags.writeable
         assert arr.flags.writeable
+
+    @pytest.mark.parametrize("make", [lambda: np.arange(3.0), lambda: np.eye(2, dtype=np.complex128)[:, ::-1],
+                                      lambda: np.arange(4)], ids=["float64", "reversed view", "int"])
+    def test_with_no_given_array_frozen_in_place(self, make):
+        """An array potentia just made is frozen in place, copied only to make it C-contiguous."""
+        arr = make()
+        out = qlin.frozen(arr)
+        assert out.dtype == arr.dtype and np.array_equal(out, arr)
+        assert out.flags.c_contiguous and not out.flags.writeable
+        assert (out is arr) is arr.flags.c_contiguous
+
+    @pytest.mark.parametrize("given", [np.arange(4), [0, 1, 2, 3], (0, 1, 2, 3)])
+    def test_a_conversion_is_no_callers_memory(self, given):
+        """A gate's converted array shares no memory with the caller's argument: it is kept as made."""
+        converted = np.asarray(given, dtype=np.complex128)
+        assert qlin.frozen(converted, given) is converted
+
+
+HALF = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=np.complex128)
+UP = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=np.complex128)
+HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2)
+#: Each gate that keeps an array the caller hands in: the entries of its arguments, in the gate's
+#: own dtype, the value made from those arguments, and the arrays the value keeps of them.
+COPY_RULE_GATES = {
+    "DensityOperator": ([HALF], DensityOperator, lambda v: [v.matrix]),
+    "PureVector": ([np.array([0.6, 0.8], dtype=np.complex128)], PureVector, lambda v: [v.amplitudes]),
+    "MixtureDecomposition": (
+        [np.array([0.5, 0.5])],
+        lambda w: MixtureDecomposition(w, (PureVector.basis_state(2, 0), PureVector.basis_state(2, 1))),
+        lambda v: [v.weights]),
+    "PowerNode": ([UP], lambda p: PowerNode(p, "up"), lambda v: [v.projector]),
+    "CPMap": ([UP, UP[::-1, ::-1]], lambda *kraus: locc.CPMap(kraus), lambda v: list(v.kraus)),
+    "DetectorBasis": ([HADAMARD, UP + UP[::-1, ::-1]], lambda *screens: DetectorBasis(screens),
+                      lambda v: list(v.screens)),
+    "WitnessOperator": ([UP], lambda m: WitnessOperator(m, DensityOperator.maximally_mixed(2)),
+                        lambda v: [v.matrix]),
+    "CorrelationMatrix": ([np.diag([0.5, -0.25, 0.75])], bell.CorrelationMatrix, lambda v: [v.t]),
+    "MeasurementSetting": (list(np.eye(3)[[0, 1, 2, 0]]), bell.MeasurementSetting,
+                           lambda v: [v.a, v.a_prime, v.b, v.b_prime]),
+    "ExperimentalArrangement": (
+        [HALF, HADAMARD], lambda m, b: arrangements.ExperimentalArrangement(m, Factorization((2,)), b),
+        lambda v: [v.matrix, v.steps[0][1][0]]),
+    "change_detectors": (
+        [HADAMARD], lambda b: change_detectors(make_ea(DensityOperator(HALF), Factorization((2,))), 0, b),
+        lambda v: [v.steps[-1][1][0]]),
+}
+
+
+def _contiguous_slice(ref: np.ndarray) -> np.ndarray:
+    """A C-contiguous view of ``ref``'s entries: the leading part of a larger array."""
+    base = np.zeros((len(ref) + 1, *ref.shape[1:]), ref.dtype)
+    base[: len(ref)] = ref
+    return base[: len(ref)]
+
+
+#: How a caller may hand in an array whose entries are ``ref``'s, of the gate's own dtype.  A
+#: complex gate is handed float64 entries; a real gate, float32 ones, each exact.
+COPY_RULE_KINDS = {
+    "own dtype, C-contiguous": np.array,
+    "another dtype": lambda ref: ref.real.copy() if ref.dtype.kind == "c" else ref.astype(np.float32),
+    "Fortran-ordered": lambda ref: np.array(ref, order="F"),
+    "list": lambda ref: ref.tolist(),
+    "slice view": _contiguous_slice,
+}
+
+
+class TestCopyRule:
+    @pytest.mark.parametrize("kind", COPY_RULE_KINDS)
+    @pytest.mark.parametrize("gate", COPY_RULE_GATES)
+    def test_a_gate_never_keeps_the_callers_array(self, gate, kind):
+        """Each array the value keeps is read-only and shares no memory with the caller's, which
+        stays writable; writing the caller's arrays afterwards leaves the value unchanged."""
+        refs, build, kept_of = COPY_RULE_GATES[gate]
+        given = [COPY_RULE_KINDS[kind](ref) for ref in refs]
+        kept = kept_of(build(*given))
+        before = [arr.copy() for arr in kept]
+        assert all(not arr.flags.writeable for arr in kept)
+        for arg in given:
+            assert not any(np.shares_memory(arr, arg) for arr in kept)
+            if isinstance(arg, np.ndarray):
+                assert arg.flags.writeable
+                arg[...] = 0
+            else:
+                arg.clear()
+        assert all(np.array_equal(arr, old) for arr, old in zip(kept, before))
+
+    def test_a_real_state_is_admitted_with_no_copy_of_its_conversion(self):
+        """``DensityOperator`` of a float64 state at 1024 peaks at two complex N x N arrays, traced:
+        the conversion, kept, and the Cholesky factor.  A copy of the conversion would make three."""
+        n = 1024
+        v = np.random.default_rng(5).standard_normal((n, 64))
+        state = v @ v.T / np.vdot(v, v)
+        tracemalloc.start()
+        try:
+            rho = DensityOperator(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not np.shares_memory(rho.matrix, state)
+        assert peak <= 2.05 * 16 * n * n, peak / (16 * n * n)
 
 
 class TestCommutes:

@@ -83,16 +83,13 @@ class ExperimentalArrangement(qlin._Value):
 
     def __post_init__(self, matrix, basis_matrix):
         """Check everything; the dense basis becomes the one step ``((N,), {0: B})``."""
-        mat, basis = qlin.as_complex(matrix), qlin.as_complex(basis_matrix)
         n = self.factorization.degree
-        for what, arr in (("matrix", mat), ("basis matrix", basis)):
-            if arr.shape != (n, n):
-                raise ShapeError(f"{what} is {arr.shape}, factorization degree is {n}")
-        gram_error = qlin.require_isometry(basis, what="basis matrix")
-        rho = DensityOperator(mat)  # the one state check
+        basis, gram_error = qlin._basis(basis_matrix, "basis matrix", n)
+        rho = DensityOperator(matrix)  # the one state check, on the caller's matrix
+        if rho.dim != n:
+            raise ShapeError(f"matrix is {rho.matrix.shape}, factorization degree is {n}")
         provenance = Provenance(object(), scale=_growth(n, gram_error))
-        steps = (((n,), {0: frozen(basis, basis_matrix)}),)
-        vars(self).update(_cell={"matrix": rho.matrix}, steps=steps, provenance=provenance)
+        vars(self).update(_cell={"matrix": rho.matrix}, steps=(((n,), {0: basis}),), provenance=provenance)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -153,10 +150,7 @@ def _diagonal(ea: ExperimentalArrangement) -> np.ndarray:
     out = [axis[k] for k in free + fixed if k in axis] + [len(big) + axis[k] for k in fixed if k in axis]
     blocks = np.einsum(source.reshape([dims[k] for k in big] * 2), [*range(len(big)), *cols], out)
     blocks = np.ascontiguousarray(blocks).reshape(du * dc, dc)
-    sub = tuple(dims[k] for k in fixed)
-    left = qlin._mode_product(blocks, sub, {i: factors[k].conj() for i, k in enumerate(fixed)}, du)
-    both = qlin._mode_product(left, sub, {i: factors[k] for i, k in enumerate(fixed)}, du * dc,
-                              owned=left is not blocks)
+    both = qlin._conjugated(blocks, [dims[k] for k in fixed], dict(enumerate(factors[k] for k in fixed)), du)
     diag = np.real(both.reshape(du, dc, dc).diagonal(axis1=1, axis2=2))
     return diag.reshape([dims[k] for k in free + fixed]).transpose(np.argsort(free + fixed)).ravel()
 
@@ -249,12 +243,8 @@ def change_detectors(
     """
     dims = ea.factorization.screen_dims
     screen = _index(screen, len(dims), "screen")
-    v = qlin.as_complex(new_basis)
-    if v.shape != (dims[screen], dims[screen]):
-        raise ShapeError(f"screen {screen} basis must be {dims[screen]}x{dims[screen]}, got {v.shape}")
-    gram_error = qlin.require_isometry(v, what="new detector basis")
-    # The identity is no factor, as in make_ea.
-    step = {} if qlin._is_identity(v) else {screen: frozen(v, new_basis)}
+    v, gram_error = qlin._basis(new_basis, "new detector basis", dims[screen])
+    step = {} if qlin._is_identity(v) else {screen: v}  # the identity is no factor, as in make_ea
     steps, cell = ea.steps + ((dims, step),), vars(ea)["_cell"]
     pending = cell.get("pending")
     if pending is None or pending.run[0] != dims or screen in pending.run[1]:  # else no product to round

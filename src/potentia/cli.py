@@ -232,15 +232,13 @@ def cmd_transform(args, tols: Tolerances) -> dict:
                 "refactor of a file with non-computational detector bases cannot be "
                 "expressed in the state-file schema; change detectors back first"
             )
-        if args.screen is not None and screen in ea.steps[0][1]:  # a product of two admitted factors
-            what = f"screen {args.screen} basis to write, the file's basis times the new one:"
-            fileio._validated("--out-state", qlin.require_isometry, factors[screen], what)
         written = state.has_explicit_factorization or dims is not None
         layout = transformed.factorization if written else None
         basis = None  # refactored layouts start from computational detectors
         if dims is None and (factors or state.basis is not None or args.screen is not None):
-            sizes = enumerate(transformed.factorization.screen_dims)
-            basis = qlin.DetectorBasis(tuple(factors.get(k, np.eye(d)) for k, d in sizes))
+            screens = [factors.get(k, np.eye(d)) for k, d in enumerate(transformed.factorization.screen_dims)]
+            what = f"--out-state: the file's basis times --screen {args.screen}'s would not load back"
+            basis = fileio._validated(what, qlin.DetectorBasis, screens)  # a product is the one new factor
         document = fileio.state_document(state.density, layout, basis, state.label)
         fileio.dump_state(args.out_state, document)
         results["state_written"] = args.out_state

@@ -1,12 +1,12 @@
-"""Dense complex linear-algebra substrate, on plain C-contiguous complex128 ``numpy`` arrays
-that no operation mutates, so concurrent use is safe.  Its gates judge what callers pass:
-``as_complex`` every matrix, ``_numbers`` every vector, ``_screen_dims`` every screen layout or
-single size, ``_index`` and ``_count`` every index and count, and ``_sequence`` every list of them,
-each before anything is formed.  Every value class derives from ``_Value``, whose constructor runs
-the class's gate; a value built from admitted inputs, which no gate could refuse, is made by
+"""Dense complex linear-algebra substrate, on plain C-contiguous complex128 ``numpy`` arrays that no
+operation mutates, so concurrent use is safe.  Its gates judge what callers pass: ``as_complex`` every
+matrix, ``_numbers`` every vector, ``_basis`` every detector basis, ``_screen_dims`` every screen
+layout or single size, ``_index`` and ``_count`` every index and count, and ``_sequence`` every list of
+them, each before anything is formed.  Every value class derives from ``_Value``, whose constructor
+runs the class's gate; a value built from admitted inputs, which no gate could refuse, is made by
 ``_made``.  ``Factorization`` (a screen layout) and ``DetectorBasis`` (a basis per screen) are the
-values the gates here admit.  One local-factor kernel, ``_mode_product``, applies per-screen
-factors to the rows or the columns of a matrix alike; ``_conjugated`` forms R^dag M R with it."""
+values the gates here admit.  One local-factor kernel, ``_mode_product``, applies per-screen factors to
+the rows or the columns of a matrix alike; ``_conjugated`` forms R^dag M R with it."""
 
 from __future__ import annotations
 
@@ -235,6 +235,16 @@ class Factorization(_Value, eq=True):
         return tuple(int(k) for k in np.unravel_index(flat, self.screen_dims))
 
 
+def _basis(raw, what: str, dim: int | None = None) -> tuple[np.ndarray, float]:
+    """The one gate of a detector basis: ``raw`` as a ``dim`` x ``dim`` matrix or, with no ``dim``, any square
+    one of at least one detector, of orthonormal columns; frozen, and returned with its max Gram error."""
+    mat = as_complex(raw)
+    size = _count(len(mat) if dim is None else dim, 1, f"{what} detector count")
+    if mat.shape != (size, size):
+        raise ShapeError(f"{what} must be {size}x{size}, got {mat.shape}")
+    return frozen(mat, raw), require_isometry(mat, what=what)
+
+
 class DetectorBasis(_Value):
     """One orthonormal basis per screen; columns are detector vectors.  Its gate keeps each basis's
     max Gram error in ``gram_errors``."""
@@ -242,14 +252,10 @@ class DetectorBasis(_Value):
     screens: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        mats, errors = [], []
-        for k, raw in enumerate(_sequence(self.screens, "screen bases")):
-            mat = as_complex(raw)
-            if mat.shape[0] != mat.shape[1]:
-                raise ShapeError(f"screen {k} basis is not square: {mat.shape}")
-            errors.append(require_isometry(mat, what=f"screen {k} basis"))
-            mats.append(frozen(mat, raw))
-        vars(self).update(screens=tuple(mats), gram_errors=tuple(errors))
+        if not (screens := _sequence(self.screens, "screen bases")):
+            raise DomainError(f"screen bases must be a nonempty list, got {screens}")
+        mats, errors = zip(*(_basis(raw, f"screen {k} basis") for k, raw in enumerate(screens)))
+        vars(self).update(screens=mats, gram_errors=errors)
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -326,12 +332,12 @@ def _mode_product(m: np.ndarray, dims: Sequence[int], factors: dict[int, np.ndar
     return out
 
 
-def _conjugated(m: np.ndarray, dims: Sequence[int], factors: dict[int, np.ndarray]) -> np.ndarray:
-    """``R^dag @ m @ R`` without forming ``R``: ``R^dag`` applied to the rows of ``m``, then
-    ``R`` to the columns of the product, in the one new array the rows were written to.  No
-    other code applies a product of factors, and ``m`` is never written."""
-    left = _mode_product(m, dims, {k: w.conj() for k, w in factors.items()})
-    return _mode_product(left, dims, factors, len(left), owned=left is not m)
+def _conjugated(m: np.ndarray, dims: Sequence[int], factors: dict, lead: int = 1) -> np.ndarray:
+    """``R^dag @ B @ R`` without forming ``R``, for ``B`` each of m's ``lead`` stacked square blocks:
+    ``R^dag`` applied to the rows of each, then ``R`` to the columns of the product, in the one new
+    array the rows were written to.  No other code applies a product of factors; ``m`` is never written."""
+    left = _mode_product(m, dims, {k: w.conj() for k, w in factors.items()}, lead)
+    return _mode_product(left, dims, factors, left.size // math.prod(dims), owned=left is not m)
 
 
 def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:

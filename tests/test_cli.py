@@ -246,8 +246,8 @@ class TestTransform:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert re.fullmatch(
-            r"validation error: --out-state: screen 1 basis to write, the file's basis times the "
-            r"new one: max Gram error 1\.96\d*e-09 exceeds 1e-09\n",
+            r"validation error: --out-state: the file's basis times --screen 1's would not load back: "
+            r"screen 0 basis max Gram error 1\.96\d*e-09 exceeds 1e-09\n",
             captured.err,
         )
         assert not out_state.exists()

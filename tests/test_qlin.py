@@ -374,6 +374,99 @@ class TestCopyRule:
         assert peak <= 2.05 * 16 * n * n, peak / (16 * n * n)
 
 
+WORKED_EA = Path(__file__).resolve().parent.parent / "samples" / "worked_ea.json"
+#: A real rotation: a list, float64 or Fortran-ordered copy converts to its complex128 entries exactly.
+ROTATION = np.array([[0.6, -0.8], [0.8, 0.6]])
+#: The library entries that reach a detector basis, each on a two-detector screen: the value made
+#: from a basis, and the basis it keeps with its Gram error (the public constructor keeps the bound
+#: ``arrangements._growth`` makes of it).
+BASIS_ENTRIES = {
+    "DetectorBasis": (lambda b: DetectorBasis((b,)), lambda v: (v.screens[0], v.gram_errors[0])),
+    "change_detectors": (
+        lambda b: change_detectors(make_ea(DensityOperator(HALF), Factorization((2,))), 0, b),
+        lambda v: (v.steps[-1][1][0], vars(v)["_cell"]["pending"].gram_errors[0])),
+    "ExperimentalArrangement": (
+        lambda b: arrangements.ExperimentalArrangement(HALF, Factorization((2,)), b),
+        lambda v: (v.steps[0][1][0], v.provenance.scale)),
+}
+NON_SQUARE, NAN = np.full((2, 3), 0.5), np.array([[1.0, np.nan], [0.0, 1.0]])
+#: Per entry and malformed basis: the exception type, or for the CLI the exit code, and the message,
+#: which names the entry; a NaN entry is refused by ``as_complex``, the one matrix gate, first.
+#: ``transform --out-state`` reads its basis from a file, ``{basis}`` in its message.
+BASIS_REFUSALS = {
+    ("DetectorBasis", "non-square"): (NON_SQUARE, ShapeError, "screen 0 basis must be 2x2, got (2, 3)"),
+    ("DetectorBasis", "the wrong size"): (
+        np.zeros((0, 0)), DomainError, "screen 0 basis detector count must be an integer >= 1, got 0"),
+    ("DetectorBasis", "2 I"): (2 * np.eye(2), DomainError, "screen 0 basis max Gram error 3.0 exceeds 1e-09"),
+    ("DetectorBasis", "a NaN entry"): (NAN, DomainError, "matrix has non-finite entries"),
+    ("change_detectors", "non-square"): (NON_SQUARE, ShapeError, "new detector basis must be 2x2, got (2, 3)"),
+    ("change_detectors", "the wrong size"): (np.eye(3), ShapeError, "new detector basis must be 2x2, got (3, 3)"),
+    ("change_detectors", "2 I"): (2 * np.eye(2), DomainError, "new detector basis max Gram error 3.0 exceeds 1e-09"),
+    ("change_detectors", "a NaN entry"): (NAN, DomainError, "matrix has non-finite entries"),
+    ("ExperimentalArrangement", "non-square"): (NON_SQUARE, ShapeError, "basis matrix must be 2x2, got (2, 3)"),
+    ("ExperimentalArrangement", "the wrong size"): (np.eye(3), ShapeError, "basis matrix must be 2x2, got (3, 3)"),
+    ("ExperimentalArrangement", "2 I"): (2 * np.eye(2), DomainError, "basis matrix max Gram error 3.0 exceeds 1e-09"),
+    ("ExperimentalArrangement", "a NaN entry"): (NAN, DomainError, "matrix has non-finite entries"),
+    ("transform --out-state", "non-square"): (
+        NON_SQUARE, 3, "validation error: {basis}: basis shape (2, 3) does not match screen dim 2"),
+    ("transform --out-state", "the wrong size"): (
+        np.eye(3), 3, "validation error: {basis}: basis shape (3, 3) does not match screen dim 2"),
+    ("transform --out-state", "2 I"): (
+        2 * np.eye(2), 3, "validation error: new detector basis max Gram error 3.0 exceeds 1e-09"),
+    ("transform --out-state", "a NaN entry"): (NAN, 3, "validation error: matrix has non-finite entries"),
+}
+
+
+class TestBasisGate:
+    """Every entry that reaches a detector basis reaches it through ``qlin._basis``: one conversion,
+    size check, isometry check and freeze."""
+
+    @pytest.mark.parametrize("entry, case", BASIS_REFUSALS, ids=[": ".join(key) for key in BASIS_REFUSALS])
+    def test_a_malformed_basis_is_refused_at_every_entry(self, entry, case, capsys, tmp_path):
+        basis, gives, message = BASIS_REFUSALS[entry, case]
+        if entry == "transform --out-state":
+            path, out_state = tmp_path / "basis.json", tmp_path / "out.json"
+            path.write_text(json.dumps({"matrix": fileio.matrix_to_json(basis)}))
+            argv = ["transform", str(WORKED_EA), "--screen", "1", "--basis", str(path), "--out-state", str(out_state)]
+            assert importlib.import_module("potentia.cli").main(argv) == gives
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", message.format(basis=path) + "\n")
+            assert not out_state.exists()
+        else:
+            with pytest.raises(gives) as caught:
+                BASIS_ENTRIES[entry][0](basis)
+            assert type(caught.value) is gives and str(caught.value) == message
+
+    @pytest.mark.parametrize("entry", BASIS_ENTRIES)
+    def test_every_input_kind_keeps_one_array_and_gram_error(self, entry):
+        """A list, a float64 and a Fortran-ordered basis keep what a complex128 one keeps: the same
+        read-only C-contiguous complex128 array and the same Gram error."""
+        build, kept_of = BASIS_ENTRIES[entry]
+        kinds = (ROTATION.astype(np.complex128), ROTATION.tolist(), ROTATION, np.asfortranarray(ROTATION))
+        (reference, gram), *others = [kept_of(build(given)) for given in kinds]
+        assert reference.dtype == np.complex128 and reference.flags.c_contiguous
+        assert not reference.flags.writeable and np.array_equal(reference, ROTATION)
+        for kept, error in others:
+            assert kept.dtype == np.complex128 and kept.flags.c_contiguous and not kept.flags.writeable
+            assert np.array_equal(kept, reference) and error == gram
+
+    def test_the_constructor_admits_a_real_state_with_no_copy_of_its_conversion(self):
+        """The public arrangement constructor on a float64 rank-64 state at 1024, with a float64 identity
+        basis, peaks at three complex N x N arrays, traced: the basis kept, the state's conversion, kept,
+        and its Cholesky factor.  Converting the state, then copying that conversion, made four."""
+        n = 1024
+        v = np.random.default_rng(5).standard_normal((n, 64))
+        state, identity = v @ v.T / np.vdot(v, v), np.eye(n)
+        tracemalloc.start()
+        try:
+            ea = arrangements.ExperimentalArrangement(state, Factorization((n,)), identity)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not np.shares_memory(ea.matrix, state)
+        assert peak <= 3.6 * 16 * n * n, peak / (16 * n * n)
+
+
 class TestCommutes:
     def test_self(self):
         p = projector([1, 2j, 0])

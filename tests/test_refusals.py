@@ -54,7 +54,7 @@ REFUSALS = {
         ShapeError, "1 screen bases for 2 screens"),
     "change_detectors: the screen's shape": (
         lambda: change_detectors(computational(2), 0, np.eye(3)),
-        ShapeError, "screen 0 basis must be 2x2, got (3, 3)"),
+        ShapeError, "new detector basis must be 2x2, got (3, 3)"),
     "ea_equivalent: two degrees": (lambda: ea_equivalent(computational(2), computational(2, 2)), None, False),
     "complexity_chain_check: one link per step": (
         lambda: complexity_chain_check([computational(2), computational(2, 2)]),
@@ -120,7 +120,12 @@ REFUSALS = {
     "require_hermitian: square": (lambda: require_hermitian(np.zeros((2, 3))), ShapeError,
                                   "matrix must be square, got (2, 3)"),
     "DetectorBasis: square": (lambda: DetectorBasis((np.zeros((2, 3)),)), ShapeError,
-                              "screen 0 basis is not square: (2, 3)"),
+                              "screen 0 basis must be 2x2, got (2, 3)"),
+    "DetectorBasis: a detector per screen, as a layout holds": (
+        lambda: DetectorBasis((np.zeros((0, 0)),)),
+        DomainError, "screen 0 basis detector count must be an integer >= 1, got 0"),
+    "DetectorBasis: a screen, as a layout holds": (lambda: DetectorBasis(()), DomainError,
+                                                   "screen bases must be a nonempty list, got ()"),
     "partial_transpose: party A or B": (lambda: partial_transpose(np.eye(4), (2, 2), "C"), DomainError,
                                         "party must be 'A' or 'B', got 'C'"),
     # states

@@ -380,8 +380,8 @@ def complexity_chain_check(
     knowledge-quantification measure reported either way.
     """
     eas, links = _sequence(eas, "chain arrangements"), _sequence(links, "chain links")
-    if len(eas) > 1 and len(links) != len(eas) - 1:
-        raise ShapeError(f"{len(eas)} arrangements need {len(eas) - 1} links, got {len(links)}")
+    if len(links) != (steps := max(len(eas) - 1, 0)):
+        raise ShapeError(f"{len(eas)} arrangements need {steps} links, got {len(links)}")
     reasons = [_link_failure(eas[i], eas[i + 1], links[i]) for i in range(len(eas) - 1)]
     failures = tuple(ChainFailure(i, reason) for i, reason in enumerate(reasons) if reason)
     return ChainReport(tuple(ea.degree for ea in eas), failures)

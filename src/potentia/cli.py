@@ -171,17 +171,16 @@ def cmd_analyze(args, tols: Tolerances) -> dict:
 
 
 def _basis_arg(source: str, dim: int) -> tuple[np.ndarray, str | None]:
-    """The basis matrix, and the digest of its file when ``source`` is not a named basis."""
+    """The basis matrix, for ``change_detectors``'s basis gate to judge, and the digest of its file
+    when ``source`` is not a named basis; ``dim`` sizes the computational and Fourier bases."""
     if source == "computational":
         return np.eye(dim, dtype=np.complex128), None
     if source == "hadamard":
-        if dim != 2:
-            raise ValidationError(f"hadamard basis is two-dimensional, screen has dim {dim}")
         return np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0), None
     if source == "fourier":
         indices = np.arange(dim)
         return np.exp(2j * np.pi * np.outer(indices, indices) / dim) / np.sqrt(dim), None
-    return fileio.load_basis(source, dim)
+    return fileio.load_basis(source)
 
 
 def cmd_transform(args, tols: Tolerances) -> dict:
@@ -213,7 +212,8 @@ def cmd_transform(args, tols: Tolerances) -> dict:
         new_basis, basis_digest = _basis_arg(args.basis, state.factorization.screen_dims[screen])
         if basis_digest:
             digests["basis"] = basis_digest
-        transformed = arrangements.change_detectors(ea, screen, new_basis)
+        what = f"--basis {args.basis}"  # the basis gate is the one check of a --basis value
+        transformed = fileio._validated(what, arrangements.change_detectors, ea, screen, new_basis)
         results["transform"] = {"screen": args.screen, "basis": args.basis}
     else:
         transformed = ea

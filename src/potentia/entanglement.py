@@ -140,8 +140,7 @@ class WitnessOperator(qlin._Value):
     min_pt_eigenvalue: float | None = None
 
     def __post_init__(self):
-        mat = qlin.as_complex(self.matrix)
-        qlin.require_hermitian(mat, what="witness")
+        mat = qlin.require_hermitian(self.matrix, what="witness")
         if (dim := self.reference_state.dim) != len(mat):
             raise ShapeError(f"witness is {len(mat)}-dimensional, its reference state {dim}-dimensional")
         vars(self)["matrix"] = frozen(mat, self.matrix)

@@ -140,7 +140,7 @@ class StateFile(qlin._Value, eq=True):
 
 
 def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateFile:
-    """Parse and validate a state file.
+    """Parse and validate a state file: its layout, bases and label, then its matrix, which is solved last.
 
     The matrix must be Hermitian and of unit trace within the configured
     tolerances; it is then canonicalized (symmetrized and trace-normalized),
@@ -149,22 +149,6 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
     tols = tolerances or Tolerances()
     document, name, digest = _load_document(path)
     dim = _require_dim(document, name)
-    matrix = matrix_from_json(_require(document, "matrix", list, name), f"{name}.matrix", (dim, dim))
-
-    try:
-        qlin.require_hermitian(qlin.as_complex(matrix), tols.hermiticity)  # rejects non-finite first
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as non-finite
-            trace = complex(np.trace(matrix))
-            require_at_most("matrix |trace - 1|", abs(trace - 1.0), tols.trace)
-            if not trace.real > 0:
-                raise DomainError(f"matrix violates unit trace (trace {trace:.12g})")
-            matrix += matrix.conj().T  # canonical in the parsed array, which is admitted in place
-            matrix /= 2.0
-            matrix /= np.real(np.trace(matrix))
-        density = qlin._made(DensityOperator)._admit(qlin.as_complex(matrix))
-    except DomainError as exc:
-        raise ValidationError(f"{name}: {exc}")
-
     dims = _require(document, "factorization", list, name, [dim])  # absent: one screen
     try:
         factorization = Factorization(tuple(dims))
@@ -183,8 +167,22 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
         for k, (raw, d) in enumerate(zip(raw_bases, factorization.screen_dims))
     )
     basis = _validated(name, DetectorBasis, screens) if raw_bases else None
-
     label = _require(document, "label", str, name, None)
+
+    matrix = matrix_from_json(_require(document, "matrix", list, name), f"{name}.matrix", (dim, dim))
+    try:
+        matrix = qlin.require_hermitian(matrix, tols.hermiticity)  # rejects non-finite first
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as non-finite
+            trace = complex(np.trace(matrix))
+            require_at_most("matrix |trace - 1|", abs(trace - 1.0), tols.trace)
+            if not trace.real > 0:
+                raise DomainError(f"matrix violates unit trace (trace {trace:.12g})")
+            matrix += matrix.conj().T  # canonical in the parsed array, which is admitted in place
+            matrix /= 2.0
+            matrix /= np.real(np.trace(matrix))
+        density = qlin._made(DensityOperator)._admit(qlin.as_complex(matrix))
+    except DomainError as exc:
+        raise ValidationError(f"{name}: {exc}")
     return StateFile(density, factorization, basis, label, "factorization" in document, digest)
 
 
@@ -257,14 +255,11 @@ def load_instrument(path: str | Path) -> tuple[QuantumInstrument, str]:
     return _validated(name, QuantumInstrument, tuple(branches)), digest
 
 
-def load_basis(path: str | Path, dim: int) -> tuple[np.ndarray, str]:
-    """A basis file's matrix, for a screen of ``dim`` detector slots, and the digest of its bytes."""
+def load_basis(path: str | Path) -> tuple[np.ndarray, str]:
+    """A basis file's matrix, judged by the basis gate where it is used, and the digest of its bytes."""
     document, digest = _load_json(path)
     name = str(path)
-    matrix = matrix_from_json(_require(document, "matrix", list, name), f"{name}.matrix")
-    if matrix.shape != (dim, dim):  # the screen comes from another input: a validation error
-        raise ValidationError(f"{name}: basis shape {matrix.shape} does not match screen dim {dim}")
-    return matrix, digest
+    return matrix_from_json(_require(document, "matrix", list, name), f"{name}.matrix"), digest
 
 
 def load_tolerances(path: str | Path) -> Tolerances:

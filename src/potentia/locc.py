@@ -26,7 +26,7 @@ class CPMap(qlin._Value):
         if not (kraus := qlin._sequence(self.kraus, "Kraus operators")):
             raise DomainError("a CP map needs at least one Kraus operator")
         require_within("Kraus rank", len(kraus), KRAUS_RANK_CAP)
-        mats = [qlin.as_complex(raw) for raw in kraus]
+        mats = [qlin.as_complex(raw, f"Kraus operator {k}") for k, raw in enumerate(kraus)]
         for k, mat in enumerate(mats):
             if mat.shape != mats[0].shape:
                 raise ShapeError(f"Kraus operator {k} is {mat.shape}, expected {mats[0].shape}")

@@ -26,8 +26,7 @@ class PowerNode(qlin._Value):
     label: str
 
     def __post_init__(self):
-        mat = qlin.as_complex(self.projector)
-        qlin.require_hermitian(mat, PROJECTOR_TOL, f"power {self.label!r}")
+        mat = qlin.require_hermitian(self.projector, PROJECTOR_TOL, f"power {self.label!r}")
         with np.errstate(over="ignore", invalid="ignore"):  # I @ I = I exactly: no GEMM for it
             idempotence_error = 0.0 if qlin._is_identity(mat) else max_abs(mat @ mat - mat)
         require_at_most(f"power {self.label!r} idempotence error", idempotence_error, PROJECTOR_TOL)

@@ -23,17 +23,17 @@ from .tolerances import (
 )
 
 
-def as_complex(matrix: np.ndarray | Sequence) -> np.ndarray:
-    """Return ``matrix`` as a C-contiguous complex128 2-D array.  This is the one gate every
-    matrix passes, so it checks the entries' kind, then the dimension cap, before anything else."""
-    arr = _numbers(matrix, "matrix")
-    require_within("matrix dimension", max(arr.shape, default=0), DIM_CAP)
+def as_complex(matrix: np.ndarray | Sequence, what: str = "matrix") -> np.ndarray:
+    """``matrix`` as a C-contiguous complex128 2-D array.  The one gate every matrix passes checks the
+    entries' kind, then the dimension cap, before anything else, and names ``what`` in each refusal."""
+    arr = _numbers(matrix, what)
+    require_within(f"{what} dimension", max(arr.shape, default=0), DIM_CAP)
     if arr.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={arr.ndim}")
+        raise ShapeError(f"expected a 2-D {what}, got ndim={arr.ndim}")
     floats = arr.view(np.float64)
     with np.errstate(invalid="ignore"):  # min and max propagate NaN, and make no N x N temporary
         if not (np.isfinite(floats.min(initial=0.0)) and np.isfinite(floats.max(initial=0.0))):
-            raise DomainError("matrix has non-finite entries")
+            raise DomainError(f"{what} has non-finite entries")
     return arr
 
 
@@ -183,10 +183,11 @@ def _made(cls, **fields):
 _HERMITICITY_TILE = 64
 
 
-def require_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL, what: str = "matrix") -> None:
-    """Raise unless ``mat`` is square and within ``tol`` of its adjoint.  The upper triangle
-    is read in row tiles; as |m_ij - conj(m_ji)| = |m_ji - conj(m_ij)| exactly, the max is
-    that of the dense ``mat - mat^dag``.  Overflow gives ``inf``, which is rejected."""
+def require_hermitian(raw, tol: float = HERMITICITY_TOL, what: str = "matrix") -> np.ndarray:
+    """The one Hermitian gate: ``raw`` by ``as_complex``, if square and within ``tol`` of its adjoint.  The
+    upper triangle is read in row tiles; as |m_ij - conj(m_ji)| = |m_ji - conj(m_ij)| exactly, the max
+    is that of the dense ``mat - mat^dag``.  Overflow gives ``inf``, which is rejected."""
+    mat = as_complex(raw, what)
     if mat.shape[0] != mat.shape[1]:
         raise ShapeError(f"{what} must be square, got {mat.shape}")
     t = _HERMITICITY_TILE
@@ -196,6 +197,7 @@ def require_hermitian(mat: np.ndarray, tol: float = HERMITICITY_TOL, what: str =
             default=0.0,
         )
     require_at_most(f"{what} max asymmetry", asymmetry, tol)
+    return mat
 
 
 def require_isometry(mat: np.ndarray, what: str = "basis") -> float:
@@ -238,7 +240,7 @@ class Factorization(_Value, eq=True):
 def _basis(raw, what: str, dim: int | None = None) -> tuple[np.ndarray, float]:
     """The one gate of a detector basis: ``raw`` as a ``dim`` x ``dim`` matrix or, with no ``dim``, any square
     one of at least one detector, of orthonormal columns; frozen, and returned with its max Gram error."""
-    mat = as_complex(raw)
+    mat = as_complex(raw, what)
     size = _count(len(mat) if dim is None else dim, 1, f"{what} detector count")
     if mat.shape != (size, size):
         raise ShapeError(f"{what} must be {size}x{size}, got {mat.shape}")

@@ -73,8 +73,7 @@ class DensityOperator(qlin._Value):
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = qlin.as_complex(self.matrix)
-        qlin.require_hermitian(mat, what="density operator")
+        mat = qlin.require_hermitian(self.matrix, what="density operator")
         require_at_most("density operator |trace - 1|", abs(complex(np.trace(mat)) - 1.0), TRACE_TOL)
         self._admit(qlin._unshared(mat, self.matrix))  # shifted by the Cholesky check, then frozen
 
@@ -297,7 +296,7 @@ def alternative_decomposition(
     sum_j mixer[i, j] sqrt(w_j)|v_j>; the mixture reproduces the same
     density operator.
     """
-    mixer = qlin.as_complex(mixer)
+    mixer = qlin.as_complex(mixer, "mixer")
     k = len(decomposition.components)
     if mixer.shape[1] != k:
         raise ShapeError(f"mixer must have {k} columns, got shape {mixer.shape}")

@@ -973,7 +973,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "validation error: new detector basis max Gram error 3.0 exceeds 1e-09\n"
+            f"validation error: --basis {stretch}: new detector basis max Gram error 3.0 exceeds 1e-09\n"
         )
 
     @pytest.mark.parametrize(
@@ -1012,7 +1012,7 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"validation error: {basis}: basis shape (3, 3) does not match screen dim 2\n"
+            f"validation error: --basis {basis}: new detector basis must be 2x2, got (3, 3)\n"
         )
 
     @pytest.mark.parametrize(
@@ -1200,7 +1200,7 @@ class TestExitCodes:
             (
                 ("transform", SAMPLES / "worked_ea.json", "--screen", "1", "--basis"),
                 {"matrix": fileio.matrix_to_json(np.eye(2))}, ("matrix", 0, 0), [1e308, 0],
-                "new detector basis max Gram error inf exceeds 1e-09",
+                "--basis {file}: new detector basis max Gram error inf exceeds 1e-09",
             ),
         ],
         ids=["instrument", "powers", "transform"],

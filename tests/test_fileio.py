@@ -105,6 +105,20 @@ class TestStateFiles:
         with pytest.raises(ValidationError, match=r": screen 0 basis max Gram error 2\.0 exceeds 1e-09$"):
             load_state(path)
 
+    @pytest.mark.parametrize("layout, error, message", [
+        ({"factorization": [3, 3]}, ValidationError, r": factorization \[3, 3\] multiplies to 9, dim is 8$"),
+        ({"factorization": [2, 4], "bases": [fileio.matrix_to_json(np.eye(2))]}, ParseError,
+         r"\.bases: expected one basis per screen \(2\)$"),
+    ], ids=["factorization", "bases"])
+    def test_the_layout_is_checked_before_the_matrix_is_solved(
+        self, tmp_path, rng, eigensolve_counter, layout, error, message
+    ):
+        path = write(tmp_path, "layout.json", state_payload(random_density(8, rng).matrix, **layout))
+        eigensolve_counter.clear()
+        with pytest.raises(error, match=message):
+            load_state(path)
+        assert not eigensolve_counter
+
     def test_dim_above_cap_rejected_before_matrix_is_read(self, tmp_path):
         # The 1x1 matrix would fail the shape check; the cap must fire first.
         path = write(tmp_path, "huge.json", state_payload(np.eye(1, dtype=complex), dim=5000))

@@ -97,7 +97,7 @@ class TestValidity:
         # A (DIM_CAP + 1) x 1 isometry is trace-preserving on a 1-dim input.
         tall = np.zeros((DIM_CAP + 1, 1))
         tall[0, 0] = 1.0
-        with pytest.raises(CapacityError, match="^matrix dimension 4097 exceeds the cap of 4096$"):
+        with pytest.raises(CapacityError, match="^Kraus operator 0 dimension 4097 exceeds the cap of 4096$"):
             CPMap((tall,))
         with pytest.raises(CapacityError):
             CPMap((tall.T,))

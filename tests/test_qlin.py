@@ -391,29 +391,34 @@ BASIS_ENTRIES = {
 }
 NON_SQUARE, NAN = np.full((2, 3), 0.5), np.array([[1.0, np.nan], [0.0, 1.0]])
 #: Per entry and malformed basis: the exception type, or for the CLI the exit code, and the message,
-#: which names the entry; a NaN entry is refused by ``as_complex``, the one matrix gate, first.
-#: ``transform --out-state`` reads its basis from a file, ``{basis}`` in its message.
+#: which names the entry; a NaN entry is refused first by ``as_complex``, the one matrix gate, which
+#: names the entry too.  ``transform --out-state`` reads its basis from a file or, for a named basis, on a
+#: screen of four detectors; its message names the ``--basis`` value, ``{basis}``.
 BASIS_REFUSALS = {
     ("DetectorBasis", "non-square"): (NON_SQUARE, ShapeError, "screen 0 basis must be 2x2, got (2, 3)"),
     ("DetectorBasis", "the wrong size"): (
         np.zeros((0, 0)), DomainError, "screen 0 basis detector count must be an integer >= 1, got 0"),
     ("DetectorBasis", "2 I"): (2 * np.eye(2), DomainError, "screen 0 basis max Gram error 3.0 exceeds 1e-09"),
-    ("DetectorBasis", "a NaN entry"): (NAN, DomainError, "matrix has non-finite entries"),
+    ("DetectorBasis", "a NaN entry"): (NAN, DomainError, "screen 0 basis has non-finite entries"),
     ("change_detectors", "non-square"): (NON_SQUARE, ShapeError, "new detector basis must be 2x2, got (2, 3)"),
     ("change_detectors", "the wrong size"): (np.eye(3), ShapeError, "new detector basis must be 2x2, got (3, 3)"),
     ("change_detectors", "2 I"): (2 * np.eye(2), DomainError, "new detector basis max Gram error 3.0 exceeds 1e-09"),
-    ("change_detectors", "a NaN entry"): (NAN, DomainError, "matrix has non-finite entries"),
+    ("change_detectors", "a NaN entry"): (NAN, DomainError, "new detector basis has non-finite entries"),
     ("ExperimentalArrangement", "non-square"): (NON_SQUARE, ShapeError, "basis matrix must be 2x2, got (2, 3)"),
     ("ExperimentalArrangement", "the wrong size"): (np.eye(3), ShapeError, "basis matrix must be 2x2, got (3, 3)"),
     ("ExperimentalArrangement", "2 I"): (2 * np.eye(2), DomainError, "basis matrix max Gram error 3.0 exceeds 1e-09"),
-    ("ExperimentalArrangement", "a NaN entry"): (NAN, DomainError, "matrix has non-finite entries"),
+    ("ExperimentalArrangement", "a NaN entry"): (NAN, DomainError, "basis matrix has non-finite entries"),
     ("transform --out-state", "non-square"): (
-        NON_SQUARE, 3, "validation error: {basis}: basis shape (2, 3) does not match screen dim 2"),
+        NON_SQUARE, 3, "validation error: --basis {basis}: new detector basis must be 2x2, got (2, 3)"),
     ("transform --out-state", "the wrong size"): (
-        np.eye(3), 3, "validation error: {basis}: basis shape (3, 3) does not match screen dim 2"),
+        np.eye(3), 3, "validation error: --basis {basis}: new detector basis must be 2x2, got (3, 3)"),
     ("transform --out-state", "2 I"): (
-        2 * np.eye(2), 3, "validation error: new detector basis max Gram error 3.0 exceeds 1e-09"),
-    ("transform --out-state", "a NaN entry"): (NAN, 3, "validation error: matrix has non-finite entries"),
+        2 * np.eye(2), 3,
+        "validation error: --basis {basis}: new detector basis max Gram error 3.0 exceeds 1e-09"),
+    ("transform --out-state", "a NaN entry"): (
+        NAN, 3, "validation error: --basis {basis}: new detector basis has non-finite entries"),
+    ("transform --out-state", "a named basis"): (
+        "hadamard", 3, "validation error: --basis {basis}: new detector basis must be 4x4, got (2, 2)"),
 }
 
 
@@ -425,9 +430,13 @@ class TestBasisGate:
     def test_a_malformed_basis_is_refused_at_every_entry(self, entry, case, capsys, tmp_path):
         basis, gives, message = BASIS_REFUSALS[entry, case]
         if entry == "transform --out-state":
-            path, out_state = tmp_path / "basis.json", tmp_path / "out.json"
-            path.write_text(json.dumps({"matrix": fileio.matrix_to_json(basis)}))
-            argv = ["transform", str(WORKED_EA), "--screen", "1", "--basis", str(path), "--out-state", str(out_state)]
+            state, path, out_state = WORKED_EA, tmp_path / "basis.json", tmp_path / "out.json"
+            if isinstance(basis, str):
+                state, path = tmp_path / "four.json", basis
+                fileio.dump_state(state, fileio.state_document(DensityOperator.maximally_mixed(4)))
+            else:
+                path.write_text(json.dumps({"matrix": fileio.matrix_to_json(basis)}))
+            argv = ["transform", str(state), "--screen", "1", "--basis", str(path), "--out-state", str(out_state)]
             assert importlib.import_module("potentia.cli").main(argv) == gives
             captured = capsys.readouterr()
             assert (captured.out, captured.err) == ("", message.format(basis=path) + "\n")
@@ -465,6 +474,69 @@ class TestBasisGate:
             tracemalloc.stop()
         assert not np.shares_memory(ea.matrix, state)
         assert peak <= 3.6 * 16 * n * n, peak / (16 * n * n)
+
+
+#: The entries that reach a Hermitian matrix, each on a two-detector space: the value made from it;
+#: ``analyze`` reads it from a state file through ``cli.main``.
+HERMITIAN_ENTRIES = {
+    "DensityOperator": DensityOperator,
+    "PowerNode": lambda m: PowerNode(m, "P"),
+    "WitnessOperator": lambda m: WitnessOperator(m, DensityOperator(HALF)),
+}
+ASYMMETRIC, TEXT = np.array([[0.5, 0.3], [0.0, 0.5]]), [["a", "b"], ["c", "d"]]
+#: Per entry and malformed matrix: the exception type, or for ``analyze`` the exit code, and the
+#: message, which names the entry: a value by its kind, a file by its path, ``{file}`` here.  A state
+#: file fixes its matrix's shape and entry form, so it refuses a non-square or text matrix as a parse
+#: error, before the gate.
+HERMITIAN_REFUSALS = {
+    ("DensityOperator", "non-square"): (NON_SQUARE, ShapeError, "density operator must be square, got (2, 3)"),
+    ("DensityOperator", "asymmetric"): (ASYMMETRIC, DomainError, "density operator max asymmetry 0.3 exceeds 1e-09"),
+    ("DensityOperator", "a NaN entry"): (NAN, DomainError, "density operator has non-finite entries"),
+    ("DensityOperator", "a string entry"): (
+        TEXT, DomainError, "density operator entries must be numbers, got dtype <U1"),
+    ("PowerNode", "non-square"): (NON_SQUARE, ShapeError, "power 'P' must be square, got (2, 3)"),
+    ("PowerNode", "asymmetric"): (ASYMMETRIC, DomainError, "power 'P' max asymmetry 0.3 exceeds 1e-08"),
+    ("PowerNode", "a NaN entry"): (NAN, DomainError, "power 'P' has non-finite entries"),
+    ("PowerNode", "a string entry"): (TEXT, DomainError, "power 'P' entries must be numbers, got dtype <U1"),
+    ("WitnessOperator", "non-square"): (NON_SQUARE, ShapeError, "witness must be square, got (2, 3)"),
+    ("WitnessOperator", "asymmetric"): (ASYMMETRIC, DomainError, "witness max asymmetry 0.3 exceeds 1e-09"),
+    ("WitnessOperator", "a NaN entry"): (NAN, DomainError, "witness has non-finite entries"),
+    ("WitnessOperator", "a string entry"): (TEXT, DomainError, "witness entries must be numbers, got dtype <U1"),
+    ("analyze", "non-square"): (NON_SQUARE, 2, "parse error: {file}.matrix: shape (2, 3), expected (2, 2)"),
+    ("analyze", "asymmetric"): (ASYMMETRIC, 3, "validation error: {file}: matrix max asymmetry 0.3 exceeds 1e-09"),
+    ("analyze", "a NaN entry"): (NAN, 3, "validation error: {file}: matrix has non-finite entries"),
+    ("analyze", "a string entry"): (
+        TEXT, 2, "parse error: {file}.matrix[0][0]: complex entries must be [re, im] number pairs"),
+}
+
+
+class TestHermitianGate:
+    """Every entry that reaches a Hermitian matrix reaches it through ``qlin.require_hermitian``: one
+    conversion, then the squareness and asymmetry checks, each refusal naming the entry."""
+
+    @pytest.mark.parametrize("entry, case", HERMITIAN_REFUSALS, ids=[": ".join(key) for key in HERMITIAN_REFUSALS])
+    def test_a_malformed_matrix_is_refused_at_every_entry(self, entry, case, capsys, tmp_path):
+        matrix, gives, message = HERMITIAN_REFUSALS[entry, case]
+        if entry == "analyze":
+            path = tmp_path / "state.json"
+            rows = fileio.matrix_to_json(matrix) if isinstance(matrix, np.ndarray) else matrix
+            path.write_text(json.dumps({"schema_version": "1", "dim": 2, "matrix": rows}))
+            assert importlib.import_module("potentia.cli").main(["analyze", str(path)]) == gives
+            captured = capsys.readouterr()
+            assert (captured.out, captured.err) == ("", message.format(file=path) + "\n")
+        else:
+            with pytest.raises(gives) as caught:
+                HERMITIAN_ENTRIES[entry](matrix)
+            assert type(caught.value) is gives and str(caught.value) == message
+
+    def test_the_gate_returns_the_conversion_it_judged(self):
+        """A complex128 C-contiguous matrix is judged and returned as it is; any other is converted
+        once, by ``as_complex``, and that conversion is returned."""
+        assert qlin.require_hermitian(HALF) is HALF
+        for given in (HALF.real, HALF.real.tolist(), np.asfortranarray(HALF)):
+            judged = qlin.require_hermitian(given)
+            assert judged.dtype == np.complex128 and judged.flags.c_contiguous
+            assert np.array_equal(judged, HALF)
 
 
 class TestCommutes:
@@ -569,9 +641,10 @@ def test_werner_takes_one_real_number(p, error, message):
 def test_as_complex_keeps_a_complex_array_and_refuses_ragged_rows():
     matrix = np.eye(3, dtype=np.complex128)
     assert qlin.as_complex(matrix) is matrix
-    with pytest.raises(ShapeError, match=r"^matrix must be an array or a regular sequence, got \[\[1, 0\], \[0\]\]$"):
+    with pytest.raises(ShapeError,
+                       match=r"^density operator must be an array or a regular sequence, got \[\[1, 0\], \[0\]\]$"):
         DensityOperator([[1, 0], [0]])
-    with pytest.raises(DomainError, match="^matrix entries must be numbers, got dtype <U1$"):
+    with pytest.raises(DomainError, match="^density operator entries must be numbers, got dtype <U1$"):
         DensityOperator("a")
 
 

@@ -59,6 +59,12 @@ REFUSALS = {
     "complexity_chain_check: one link per step": (
         lambda: complexity_chain_check([computational(2), computational(2, 2)]),
         ShapeError, "2 arrangements need 1 links, got 0"),
+    "complexity_chain_check: no link for one arrangement": (
+        lambda: complexity_chain_check([computational(2)], [ChainLink(((0,),))]),
+        ShapeError, "1 arrangements need 0 links, got 1"),
+    "complexity_chain_check: no link for no arrangement": (
+        lambda: complexity_chain_check([], [ChainLink(((0,),))]),
+        ShapeError, "0 arrangements need 0 links, got 1"),
     "complexity_chain_check: the degree must increase": (
         lambda: complexity_chain_check([computational(2, 2), computational(2)], [ChainLink(((0,),))]),
         None, ChainReport((4, 2), (ChainFailure(0, "degree does not increase: 4 -> 2"),))),
@@ -77,7 +83,7 @@ REFUSALS = {
     # cli
     "transform: hadamard needs a two-detector screen": (
         ("transform", ONE_SCREEN_OF_FOUR, "--screen", "1", "--basis", "hadamard"),
-        3, "validation error: hadamard basis is two-dimensional, screen has dim 4"),
+        3, "validation error: --basis hadamard: new detector basis must be 4x4, got (2, 2)"),
     "_bisect: a zero at the lower end": (lambda: cli._bisect(lambda p: p - 0.25, 0.25, 1.0), None, 0.25),
     "_bisect: a zero at the upper end": (lambda: cli._bisect(lambda p: p - 0.75, 0.0, 0.75), None, 0.75),
     "_bisect: a zero at a midpoint": (lambda: cli._bisect(lambda p: p - 0.25, 0.0, 1.0), None, 0.25),

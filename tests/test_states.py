@@ -180,19 +180,21 @@ class TestSpectrum:
     def test_dimension_cap_is_checked_before_anything_is_solved(self, eigensolve_counter):
         matrix = np.eye(DIM_CAP + 1, dtype=complex)
         matrix /= DIM_CAP + 1
-        with pytest.raises(CapacityError, match="^matrix dimension 4097 exceeds the cap of 4096$"):
+        with pytest.raises(CapacityError, match="^density operator dimension 4097 exceeds the cap of 4096$"):
             DensityOperator(matrix)
         assert not eigensolve_counter
 
-    @pytest.mark.parametrize("make", [
-        lambda m: PowerNode(m, "P"),
-        lambda m: DetectorBasis((m,)),
-        lambda m: WitnessOperator(m, HALF),
-        lambda m: CPMap((m,)),
-    ])
-    def test_every_matrix_gate_checks_the_dimension_cap(self, make):
-        with pytest.raises(CapacityError, match="^matrix dimension 4097 exceeds the cap of 4096$"):
+    @pytest.mark.parametrize("make, what", [
+        (lambda m: PowerNode(m, "P"), "power 'P'"),
+        (lambda m: DetectorBasis((m,)), "screen 0 basis"),
+        (lambda m: WitnessOperator(m, HALF), "witness"),
+        (lambda m: CPMap((m,)), "Kraus operator 0"),
+    ], ids=["PowerNode", "DetectorBasis", "WitnessOperator", "CPMap"])
+    def test_every_matrix_gate_checks_the_dimension_cap(self, make, what):
+        """The cap is checked first, and its refusal names the matrix."""
+        with pytest.raises(CapacityError) as refused:
             make(np.zeros((DIM_CAP + 1, 1)))
+        assert str(refused.value) == f"{what} dimension 4097 exceeds the cap of 4096"
 
     def test_spectrum_is_solved_once_on_first_read(self, rng, eigensolve_counter):
         rho = random_density(12, rng)

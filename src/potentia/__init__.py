@@ -25,9 +25,9 @@ _EXPORTS = {
     ),
     "states": (
         "BlochPoint", "DensityOperator", "MixtureDecomposition", "PureVector", "abstract_purity",
-        "alternative_decomposition", "bloch_from_density", "density_from_bloch",
+        "alternative_decomposition", "bloch_from_density",
         "density_from_vector", "operational_purity", "operational_purity_exists",
-        "projective_distance", "shadow", "spectral_decomposition",
+        "spectral_decomposition",
     ),
     "powers": (
         "AxiomReport", "Context", "ISAValuation", "PowerNode", "PowersGraph", "actualization_map",
@@ -41,7 +41,7 @@ _EXPORTS = {
     ),
     "entanglement": (
         "SeparabilityVerdict", "Verdict", "WernerRegion", "WitnessOperator",
-        "check_witness_on_products", "entropy_additivity_check", "marginal_verdicts",
+        "check_witness_on_products", "marginal_verdicts",
         "min_pt_eigenvalue", "ppt_criterion", "schmidt", "schmidt_rank", "von_neumann_entropy",
         "werner", "witness_from_entangled",
     ),

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import qlin
 from .errors import ShapeError
-from .states import PAULI_X, PAULI_Y, PAULI_Z, DensityOperator
+from .states import PAULI_X, PAULI_Y, PAULI_Z, DensityOperator, _norm
 from .entanglement import SeparabilityVerdict, Verdict, WernerRegion
 from .tolerances import CHSH_TOL, EIGENVALUE_FLOOR, NORM_TOL, SIGN_FLOOR, TRACE_TOL, require_at_most
 
@@ -46,7 +46,7 @@ def _unit(vector) -> np.ndarray:
     v = qlin._numbers(vector, "Bloch direction", real=True).reshape(-1)
     if v.shape != (3,):
         raise ShapeError(f"Bloch direction must be a 3-vector, got shape {v.shape}")
-    require_at_most("Bloch direction |norm - 1|", abs(float(np.linalg.norm(v)) - 1.0), NORM_TOL)
+    require_at_most("Bloch direction |norm - 1|", abs(_norm(v) - 1.0), NORM_TOL)
     return v
 
 

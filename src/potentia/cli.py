@@ -199,7 +199,8 @@ def cmd_transform(args, tols: Tolerances) -> dict:
         raise ParseError(f"--refactor expects positive screen dims, got {args.refactor!r}")
     if args.basis not in (None, *NAMED_BASES) and not Path(args.basis).is_file():
         raise ParseError(f"unknown basis {args.basis!r}; named bases: {', '.join(NAMED_BASES)}")
-    state = fileio.load_state(args.state, tols)
+    in_range = None if args.screen is None else lambda f: qlin._count(args.screen, 1, "--screen", f.screens)
+    state = fileio.load_state(args.state, tols, in_range)
     digests = {"state": state.digest}
     ea = arrangements.make_ea(state.density, state.factorization, state.basis)
     results: dict = {"before_intensities": _float_list(ea.intensities())}
@@ -208,7 +209,7 @@ def cmd_transform(args, tols: Tolerances) -> dict:
         transformed = arrangements.refactor(ea, new_layout)
         results["transform"] = {"refactor": list(dims)}
     elif args.screen is not None:
-        screen = qlin._count(args.screen, 1, "--screen", state.factorization.screens) - 1
+        screen = args.screen - 1  # in range: the layout rule checked it
         new_basis, basis_digest = _basis_arg(args.basis, state.factorization.screen_dims[screen])
         if basis_digest:
             digests["basis"] = basis_digest
@@ -376,7 +377,7 @@ def cmd_witness(args, tols: Tolerances) -> dict:
     from . import entanglement
 
     entanglement._require_samples(args.samples, args.seed)
-    state = fileio.load_state(args.state, tols)
+    state = fileio.load_state(args.state, tols, lambda f: qlin._bipartite(f.screen_dims))
     dims = state.factorization.screen_dims
     witness = entanglement.witness_from_entangled(state.density, dims, tols.verdict)
     worst = entanglement.check_witness_on_products(
@@ -399,14 +400,15 @@ def cmd_witness(args, tols: Tolerances) -> dict:
 # ---------------------------------------------------------------- bell
 
 
+def _two_qubits(factorization: qlin.Factorization) -> None:
+    if (dims := list(factorization.screen_dims)) != [2, 2]:
+        raise ValidationError(f"CHSH analysis needs factorization [2, 2], got {dims}")
+
+
 def cmd_bell(args, tols: Tolerances) -> dict:
     from . import bell, entanglement
 
-    state = fileio.load_state(args.state, tols)
-    if state.factorization.screen_dims != (2, 2):
-        raise ValidationError(
-            f"CHSH analysis needs factorization [2, 2], got {list(state.factorization.screen_dims)}"
-        )
+    state = fileio.load_state(args.state, tols, _two_qubits)
     density = state.density
     correlations = bell.correlation_matrix(density)
     best = bell.chsh_max(density)

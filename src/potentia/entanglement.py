@@ -18,7 +18,7 @@ from .errors import DomainError, NoWitnessError, ShapeError
 from .qlin import _bipartite, _count, frozen, partial_trace, partial_transpose
 from .states import DensityOperator, PureVector
 from .tolerances import (
-    ENTROPY_TOL, SCHMIDT_FLOOR, VERDICT_TOL, WITNESS_SAMPLES, WITNESS_SAMPLES_CAP, require_within,
+    SCHMIDT_FLOOR, VERDICT_TOL, WITNESS_SAMPLES, WITNESS_SAMPLES_CAP, require_within,
 )
 
 #: Complex entries per batch of sampled product states in a witness check;
@@ -97,13 +97,6 @@ def marginal_verdicts(
         SeparabilityVerdict(Verdict.ENTANGLED if m < -tol else Verdict.INCONCLUSIVE, name, m)
         for name, m in margins.items()
     )
-
-
-def entropy_additivity_check(a: DensityOperator, b: DensityOperator) -> bool:
-    """|S(a (x) b) - S(a) - S(b)| <= ENTROPY_TOL, spectra over their sums: traces multiply."""
-    spectra = (np.linalg.eigvalsh(qlin.kron(a.matrix, b.matrix)), a.eigenvalues, b.eigenvalues)
-    joint, s_a, s_b = (float(_entropy_bits(s / s.sum())) for s in spectra)
-    return abs(joint - s_a - s_b) <= ENTROPY_TOL
 
 
 def _majorization_margin(global_spec: np.ndarray, reduced_spec: np.ndarray) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -139,8 +139,11 @@ class StateFile(qlin._Value, eq=True):
     digest: str  # "sha256:" and the hex SHA-256 of the file's bytes
 
 
-def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateFile:
-    """Parse and validate a state file: its layout, bases and label, then its matrix, which is solved last.
+def load_state(
+    path: str | Path, tolerances: Tolerances | None = None, layout: Callable | None = None
+) -> StateFile:
+    """Parse and validate a state file: its layout, then ``layout``, the caller's rule on it, if any, whose
+    refusal propagates as it is; then its bases and label, then its matrix, which is solved last.
 
     The matrix must be Hermitian and of unit trace within the configured
     tolerances; it is then canonicalized (symmetrized and trace-normalized),
@@ -158,6 +161,8 @@ def load_state(path: str | Path, tolerances: Tolerances | None = None) -> StateF
         raise ValidationError(
             f"{name}: factorization {dims} multiplies to {factorization.degree}, dim is {dim}"
         )
+    if layout is not None:
+        layout(factorization)
 
     raw_bases = _require(document, "bases", list, name, ())  # absent: computational detectors
     if raw_bases and len(raw_bases) != factorization.screens:

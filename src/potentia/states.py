@@ -1,9 +1,10 @@
 """State representations: pure vectors, density operators, Bloch geometry,
-the two rival purity predicates, shadows, and mixture decompositions."""
+the two rival purity predicates, and mixture decompositions."""
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -74,7 +75,8 @@ class DensityOperator(qlin._Value):
 
     def __post_init__(self):
         mat = qlin.require_hermitian(self.matrix, what="density operator")
-        require_at_most("density operator |trace - 1|", abs(complex(np.trace(mat)) - 1.0), TRACE_TOL)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing trace is refused as inf
+            require_at_most("density operator |trace - 1|", abs(complex(np.trace(mat)) - 1.0), TRACE_TOL)
         self._admit(qlin._unshared(mat, self.matrix))  # shifted by the Cholesky check, then frozen
 
     def _admit(self, mat: np.ndarray, slack: float = 0.0) -> "DensityOperator":
@@ -144,20 +146,25 @@ def _conditioned(
 
 
 class BlochPoint(qlin._Value, eq=True):
-    """Point of the qubit Bloch ball in Cartesian coordinates.  The norm may
-    exceed 1 by as much as the Bloch vector of an accepted state can."""
+    """Point of the qubit Bloch ball in Cartesian coordinates, each kept as a Python float.  The norm
+    may exceed 1 by as much as the Bloch vector of an accepted state can."""
 
     x: float
     y: float
     z: float
 
     def __post_init__(self):
+        coordinates = qlin._numbers([self.x, self.y, self.z], "Bloch point (x, y, z)", real=True)
+        if coordinates.shape != (3,):
+            raise ShapeError(f"Bloch point (x, y, z) must be three numbers, got shape {coordinates.shape}")
+        vars(self).update(zip(self._fields, coordinates.tolist()))
         # rho = (Tr(rho) I + r.sigma) / 2 has least eigenvalue (Tr(rho) - |r|) / 2.
         require_at_most("Bloch point norm", self.norm, 1.0 + TRACE_TOL - 2 * EIGENVALUE_FLOOR)
 
     @property
     def norm(self) -> float:
-        return float(np.sqrt(self.x**2 + self.y**2 + self.z**2))
+        """|r|, with no overflow: a finite point past the bound is refused by its norm, not an error."""
+        return math.hypot(self.x, self.y, self.z)
 
     @classmethod
     def from_angles(cls, theta: float, phi: float) -> "BlochPoint":
@@ -191,7 +198,8 @@ class MixtureDecomposition(qlin._Value):
         if len(dims := sorted({c.dim for c in components})) > 1:
             raise ShapeError(f"mixture components differ in dimension: {dims}")
         require_at_most("mixture negated least weight", -np.min(weights, initial=0.0), WEIGHT_FLOOR)
-        require_at_most("mixture |weight sum - 1|", abs(float(weights.sum()) - 1.0), NORM_TOL)
+        with np.errstate(over="ignore"):  # an overflowing sum is refused as inf
+            require_at_most("mixture |weight sum - 1|", abs(float(weights.sum()) - 1.0), NORM_TOL)
         vars(self).update(weights=frozen(weights, self.weights), components=components)
 
     @property
@@ -232,18 +240,6 @@ def operational_purity_exists(rho: DensityOperator, tol: float = PURITY_TOL) -> 
     return float(rho.eigenvalues[-1]) >= 1.0 - tol
 
 
-def density_from_bloch(point: BlochPoint) -> DensityOperator:
-    """rho = (I + x*sx + y*sy + z*sz) / 2 on the qubit, admitted with a slack of ``TRACE_TOL`` / 2, as far
-    below the floor as a ``BlochPoint`` puts it, and a 2 x 2 solve's rounding (2 gamma_4, norm < 2)."""
-    mat = (
-        np.eye(2, dtype=np.complex128)
-        + point.x * PAULI_X
-        + point.y * PAULI_Y
-        + point.z * PAULI_Z
-    ) / 2.0
-    return qlin._made(DensityOperator)._admit(mat, TRACE_TOL / 2 + 4 * _gamma(4))
-
-
 def bloch_from_density(rho: DensityOperator) -> BlochPoint:
     if rho.dim != 2:
         raise ShapeError(f"Bloch coordinates are defined for qubits only, got dim {rho.dim}")
@@ -252,31 +248,6 @@ def bloch_from_density(rho: DensityOperator) -> BlochPoint:
         float(np.real(np.trace(rho.matrix @ PAULI_Y))),
         float(np.real(np.trace(rho.matrix @ PAULI_Z))),
     )
-
-
-def shadow(vector: PureVector, axis: PureVector) -> tuple[complex, np.ndarray]:
-    """Projection of ``vector`` onto the ray spanned by ``axis``.
-
-    Returns (<axis|vector>, <axis|vector> * |axis>); the squared magnitude of
-    the coefficient is the intensity on that axis.
-    """
-    if vector.dim != axis.dim:
-        raise ShapeError(f"dimension mismatch {vector.dim} vs {axis.dim}")
-    coefficient = complex(np.vdot(axis.amplitudes, vector.amplitudes))
-    return coefficient, coefficient * axis.amplitudes
-
-
-def projective_distance(p: DensityOperator, q: DensityOperator) -> float:
-    """Hilbert-Schmidt distance sqrt(Tr((P-Q)^2)) between rank-one projectors.
-
-    Equals sqrt(2) exactly on orthogonal pairs.
-    """
-    if not abstract_purity(p) or not abstract_purity(q):
-        raise DomainError("projective distance is defined for rank-one projectors")
-    if p.dim != q.dim:
-        raise ShapeError(f"dimension mismatch {p.dim} vs {q.dim}")
-    diff = p.matrix - q.matrix
-    return float(np.sqrt(np.vdot(diff, diff).real))
 
 
 def spectral_decomposition(rho: DensityOperator) -> MixtureDecomposition:

@@ -42,7 +42,6 @@ RESIDUAL_TOL = 1e-7
 #: Singular values of the reconstruction design below this do not count to its rank.
 RANK_TOL = 1e-10
 COMPLETENESS_TOL = 1e-8
-ENTROPY_TOL = 1e-9
 #: Schmidt coefficients below this count as zero when ranking.
 SCHMIDT_FLOOR = 1e-9
 CHSH_TOL = 1e-9

@@ -451,10 +451,8 @@ REACH = {
     "commutes": ("command", "powers"),
     "complexity_chain_check": ("library", "test_arrangements.py::TestChain::test_worked_chain"),
     "correlation_matrix": ("command", "bell"),
-    "density_from_bloch": ("library", "test_states.py::TestBloch::test_north_pole"),
     "density_from_vector": ("library", "test_acceptance.py::test_criterion_03_purity_schism"),
     "ea_equivalent": ("command", "transform"),
-    "entropy_additivity_check": ("library", "test_entanglement.py::TestEntropy::test_additivity_pure"),
     "families": ("library", "test_acceptance.py::test_criterion_05_isa_axioms_and_reconstruction"),
     "find_additive_binary_valuation": (
         "library", "test_acceptance.py::test_criterion_05_isa_axioms_and_reconstruction"),
@@ -473,7 +471,6 @@ REACH = {
     "partial_transpose": ("command", "analyze"),
     "power_intensity": ("library", "test_arrangements.py::TestMakeEa::test_pure_product"),
     "ppt_criterion": ("paper", "spectrum_product_frame.json"),
-    "projective_distance": ("library", "test_states.py::TestProjectiveDistance::test_orthogonal_pair"),
     "projective_instrument": ("library", "test_acceptance.py::test_criterion_09_instrument_layer"),
     "reconstruct_density": ("library", "test_acceptance.py::test_criterion_05_isa_axioms_and_reconstruction"),
     "refactor": ("command", "transform"),
@@ -482,7 +479,6 @@ REACH = {
     "sampling": ("library", "test_sampling.py::TestSeededDraws::test_pure_and_unitary"),
     "schmidt": ("command", "analyze"),
     "schmidt_rank": ("library", "test_entanglement.py::TestSchmidt::test_factoring_superposition"),
-    "shadow": ("library", "test_states.py::TestShadow::test_on_itself"),
     "spectral_decomposition": ("library", "test_acceptance.py::test_criterion_06_mixture_non_uniqueness"),
     "von_neumann_entropy": ("command", "analyze"),
     "werner": ("library", "test_acceptance.py::test_criterion_02_werner_boundaries"),

@@ -1157,11 +1157,14 @@ class TestExitCodes:
         self, capsys, tmp_path, argv, diagonal, off_diagonal, tol
     ):
         """A Hermitian file within its trace tolerance whose canonical form, (M + M^dag) / 2 over
-        its trace, overflows: refused as non-finite, with no numpy warning (an error here)."""
-        entry = lambda x: [x, 0]  # noqa: E731
+        its trace, overflows: refused as non-finite, with no numpy warning (an error here).  The
+        file has the layout the command's rule takes, which is read before the matrix."""
+        dims = [2, 2] if argv[0] in ("witness", "bell") else [2]
+        dim = math.prod(dims)
+        value = {(0, 1): off_diagonal, (1, 0): off_diagonal} | {(i, i): diagonal * 2 / dim for i in range(dim)}
         state = tmp_path / "overflow.json"
-        state.write_text(json.dumps({"schema_version": "1", "dim": 2, "matrix": [
-            [entry(diagonal), entry(off_diagonal)], [entry(off_diagonal), entry(diagonal)]
+        state.write_text(json.dumps({"schema_version": "1", "dim": dim, "factorization": dims, "matrix": [
+            [[value.get((i, j), 0.0), 0] for j in range(dim)] for i in range(dim)
         ]}), encoding="utf-8")
         assert main([argv[0], str(state), *map(str, argv[1:]), *tol]) == 3
         captured = capsys.readouterr()
@@ -1373,6 +1376,32 @@ class TestExitCodes:
         assert main(argv) == code
         err = capsys.readouterr().err
         assert err == (message.format(file=path) + "\n" if message else "")
+
+
+#: A command's rule on a file's layout, refusing an 8-dim file: the argv after the state path, the
+#: file's layout, and the one stderr line.
+LAYOUT_REFUSALS = {
+    "bell on [2, 4]": (
+        ("bell",), (2, 4), "validation error: CHSH analysis needs factorization [2, 2], got [2, 4]"),
+    "witness on [2, 2, 2]": (
+        ("witness",), (2, 2, 2), "validation error: a bipartite layout needs two screens, got dims (2, 2, 2)"),
+    "transform --screen 3 on two screens": (
+        ("transform", "--screen", "3", "--basis", "hadamard"), (2, 4),
+        "validation error: --screen must be an integer in 1..2, got 3"),
+}
+
+
+@pytest.mark.parametrize("case", list(LAYOUT_REFUSALS))
+def test_a_layout_rule_refuses_before_the_matrix_is_solved(case, capsys, tmp_path, eigensolve_counter):
+    """``load_state`` runs the command's layout rule as soon as it has read the layout: the file exits
+    ``3`` with the rule's one line, and no Cholesky factorization or eigensolve is made first."""
+    (command, *options), layout, line = LAYOUT_REFUSALS[case]
+    source = tmp_path / "state.json"
+    fileio.dump_state(source, fileio.state_document(DensityOperator.maximally_mixed(8), Factorization(layout)))
+    eigensolve_counter.clear()
+    assert main([command, str(source), *options]) == 3
+    assert capsys.readouterr().err == line + "\n"
+    assert not eigensolve_counter
 
 
 @settings(max_examples=60, derandomize=True, deadline=None,

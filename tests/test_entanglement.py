@@ -11,7 +11,6 @@ from potentia.entanglement import (
     Verdict,
     WernerRegion,
     check_witness_on_products,
-    entropy_additivity_check,
     marginal_verdicts,
     min_pt_eigenvalue,
     ppt_criterion,
@@ -81,16 +80,10 @@ class TestEntropy:
         rho = DensityOperator(np.diag([0.7, 0.3]).astype(complex))
         assert von_neumann_entropy(rho) == pytest.approx(expected, abs=1e-12)
 
-    def test_additivity_pure(self, rng):
-        a = density_from_vector(random_pure(2, rng))
-        b = density_from_vector(random_pure(3, rng))
-        assert entropy_additivity_check(a, b)
-
     def test_additivity_maximally_mixed(self):
         half = DensityOperator.maximally_mixed(2)
         joint = DensityOperator(kron(half.matrix, half.matrix))
         assert von_neumann_entropy(joint) == pytest.approx(2.0, abs=1e-12)
-        assert entropy_additivity_check(half, half)
 
     def test_additivity_value_by_eigenvalue_products(self):
         # Eigenvalue-product oracle: spectrum of a (x) b is the outer product.

@@ -20,8 +20,8 @@ from potentia.locc import CPMap, QuantumInstrument, one_way_local
 from potentia.powers import ISAValuation, PowerNode, build_graph, reconstruct_density
 from potentia.qlin import partial_transpose, require_hermitian
 from potentia.states import (
-    DensityOperator, MixtureDecomposition, PureVector, alternative_decomposition, bloch_from_density,
-    density_from_vector, projective_distance, spectral_decomposition,
+    BlochPoint, DensityOperator, MixtureDecomposition, PureVector, alternative_decomposition,
+    bloch_from_density, density_from_vector, spectral_decomposition,
 )
 
 
@@ -80,6 +80,9 @@ REFUSALS = {
     "MeasurementSetting: 3-vectors": (
         lambda: MeasurementSetting([1.0, 0.0], *np.eye(3)[:3]),
         ShapeError, "Bloch direction must be a 3-vector, got shape (2,)"),
+    "MeasurementSetting: a norm that overflows": (
+        lambda: MeasurementSetting([1e200, 0.0, 0.0], *np.eye(3)[:3]),
+        DomainError, "Bloch direction |norm - 1| inf exceeds 1e-09"),
     # cli
     "transform: hadamard needs a two-detector screen": (
         ("transform", ONE_SCREEN_OF_FOUR, "--screen", "1", "--basis", "hadamard"),
@@ -137,10 +140,27 @@ REFUSALS = {
     # states
     "MixtureDecomposition: a weight per component": (lambda: MixtureDecomposition([1.0], ()), ShapeError,
                                                      "weights and components differ in length"),
+    "MixtureDecomposition: a weight sum that overflows": (
+        lambda: MixtureDecomposition([1e308, 1e308], (PureVector.basis_state(2, 0),) * 2),
+        DomainError, "mixture |weight sum - 1| inf exceeds 1e-09"),
+    "DensityOperator: a trace that overflows": (lambda: DensityOperator(np.diag([1e308, 1e308])), DomainError,
+                                                "density operator |trace - 1| inf exceeds 1e-09"),
+    "BlochPoint: real coordinates": (lambda: BlochPoint(1j, 0, 0), DomainError,
+                                     "Bloch point (x, y, z) entries must be real numbers, got dtype complex128"),
+    "BlochPoint: numbers, not text": (lambda: BlochPoint("a", 0, 0), DomainError,
+                                      "Bloch point (x, y, z) entries must be real numbers, got dtype <U"),
+    "BlochPoint: numbers, not None": (lambda: BlochPoint(None, 0, 0), DomainError,
+                                      "Bloch point (x, y, z) entries must be real numbers, got dtype object"),
+    "BlochPoint: one number per coordinate": (
+        lambda: BlochPoint([1], 0, 0),
+        ShapeError, "Bloch point (x, y, z) must be an array or a regular sequence, got [[1], 0, 0]"),
+    "BlochPoint: three numbers": (
+        lambda: BlochPoint(*np.eye(3)),
+        ShapeError, "Bloch point (x, y, z) must be three numbers, got shape (3, 3)"),
+    "BlochPoint: a norm past the bound, not an overflow": (
+        lambda: BlochPoint(1e200, 0, 0), DomainError, "Bloch point norm 1e+200 exceeds 1.000000201"),
     "bloch_from_density: a qubit": (lambda: bloch_from_density(mixed(4)), ShapeError,
                                     "Bloch coordinates are defined for qubits only, got dim 4"),
-    "projective_distance: one dim": (lambda: projective_distance(pure(2), pure(3)), ShapeError,
-                                     "dimension mismatch 2 vs 3"),
     "alternative_decomposition: a column per component": (
         lambda: alternative_decomposition(spectral_decomposition(pure(2)), np.eye(2)),
         ShapeError, "mixer must have 1 columns, got shape (2, 2)"),

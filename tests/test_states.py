@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from potentia import fileio, qlin, states
 from potentia.arrangements import DetectorBasis, Factorization, change_detectors, make_ea
 from potentia.bell import CorrelationMatrix, MeasurementSetting
-from potentia.entanglement import WitnessOperator, entropy_additivity_check, werner
+from potentia.entanglement import WitnessOperator, werner
 from potentia.errors import CapacityError, DomainError, ShapeError
 from potentia.families import qubit_two_bases
 from potentia.locc import CPMap
@@ -24,12 +24,9 @@ from potentia.states import (
     abstract_purity,
     alternative_decomposition,
     bloch_from_density,
-    density_from_bloch,
     density_from_vector,
     operational_purity,
     operational_purity_exists,
-    projective_distance,
-    shadow,
     spectral_decomposition,
 )
 
@@ -38,6 +35,11 @@ from conftest import projector
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 UNIFORM = PureVector.normalized([1, 1])
 QUBIT = Factorization((2,))
+
+
+def bloch_state(x: float, y: float, z: float) -> DensityOperator:
+    """The state (I + x X + y Y + z Z) / 2 of Bloch point (x, y, z), admitted by ``DensityOperator``."""
+    return DensityOperator((np.eye(2) + x * states.PAULI_X + y * states.PAULI_Y + z * states.PAULI_Z) / 2)
 
 
 class TestDensityFromVector:
@@ -52,8 +54,9 @@ class TestDensityFromVector:
 
     def test_bloch_equator_matches_uniform(self):
         # cos(pi/4)|0> + e^{i*0} sin(pi/4)|1> is the uniform superposition.
-        rho = density_from_bloch(BlochPoint.from_angles(np.pi / 2, 0.0))
-        assert np.allclose(rho.matrix, density_from_vector(UNIFORM).matrix, atol=1e-12)
+        point = bloch_from_density(density_from_vector(UNIFORM))
+        equator = BlochPoint.from_angles(np.pi / 2, 0.0)
+        assert max(abs(point.x - equator.x), abs(point.y - equator.y), abs(point.z - equator.z)) <= 1e-12
 
     def test_unnormalized_rejected(self):
         with pytest.raises(DomainError):
@@ -94,19 +97,17 @@ EDGE = st.sampled_from([-0.999, 0.999]) | st.floats(-0.999, 0.999)
 class TestDerivedStatesAtTheEdge:
     """A state derived from inputs that passed admission is admitted too.  ``NORM_TOL``
     bounds |v| - 1, so <v|v> - 1 reaches 2 NORM_TOL: a derived projector or mixture is
-    divided by its own trace.  Traces multiply under (x): a (x) b is not admitted again."""
+    divided by its own trace."""
 
     def test_reported_calls(self):
         v = PureVector([1 + 9e-10, 0])
         assert np.trace(density_from_vector(v).matrix) == 1.0
         mixture = MixtureDecomposition([0.5, 0.5 + 9e-10], (v, v)).reconstruct()
         assert np.array_equal(mixture.matrix, np.diag([1.0, 0.0]))
-        a = DensityOperator(np.diag([0.5 + 9e-10, 0.5]))
-        assert entropy_additivity_check(a, a) is True
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1), EDGE, EDGE, EDGE)
-    def test_no_call_raises(self, dim, count, seed, norm, weight, trace):
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1), EDGE, EDGE)
+    def test_no_call_raises(self, dim, count, seed, norm, weight):
         rng = np.random.default_rng(seed)
         vectors = [
             PureVector(random_pure(dim, rng).amplitudes * (1 + norm * states.NORM_TOL))
@@ -118,11 +119,6 @@ class TestDerivedStatesAtTheEdge:
         mixture = MixtureDecomposition(weights, tuple(vectors)).reconstruct()
         total = sum(w * np.outer(v.amplitudes, v.amplitudes.conj()) for w, v in zip(weights, vectors))
         assert np.max(np.abs(mixture.matrix - total / np.trace(total).real)) <= 1e-15
-        a, b = (
-            DensityOperator(random_density(d, rng).matrix * (1 + trace * states.TRACE_TOL))
-            for d in (dim, 3)
-        )
-        assert entropy_additivity_check(a, b) is True
 
 
 #: Least eigenvalues planted on and around the floor and half the floor, where
@@ -383,27 +379,13 @@ class TestPurity:
 
 
 class TestBloch:
-    def test_north_pole(self):
-        rho = density_from_bloch(BlochPoint(0, 0, 1))
-        assert np.allclose(rho.matrix, np.diag([1.0, 0.0]), atol=1e-12)
-
-    def test_south_pole_orthogonal(self):
-        north = density_from_bloch(BlochPoint(0, 0, 1))
-        south = density_from_bloch(BlochPoint(0, 0, -1))
-        assert np.allclose(south.matrix, np.diag([0.0, 1.0]), atol=1e-12)
-        assert abs(np.trace(north.matrix @ south.matrix)) <= 1e-12
-
-    def test_center(self):
-        rho = density_from_bloch(BlochPoint(0, 0, 0))
-        assert np.allclose(rho.matrix, np.eye(2) / 2)
-
     def test_roundtrip_over_the_ball(self, rng):
         for _ in range(1000):
             direction = rng.standard_normal(3)
             direction /= np.linalg.norm(direction)
             radius = rng.uniform(0.0, 1.0)
             point = BlochPoint(*(radius * direction))
-            back = bloch_from_density(density_from_bloch(point))
+            back = bloch_from_density(bloch_state(point.x, point.y, point.z))
             assert abs(back.x - point.x) <= 1e-9
             assert abs(back.y - point.y) <= 1e-9
             assert abs(back.z - point.z) <= 1e-9
@@ -411,8 +393,8 @@ class TestBloch:
     def test_surface_iff_abstract_pure(self, rng):
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
-        assert abstract_purity(density_from_bloch(BlochPoint(*direction)))
-        assert not abstract_purity(density_from_bloch(BlochPoint(*(0.8 * direction))))
+        assert abstract_purity(bloch_state(*direction))
+        assert not abstract_purity(bloch_state(*(0.8 * direction)))
 
     def test_outside_ball_rejected(self):
         with pytest.raises(DomainError):
@@ -429,8 +411,8 @@ class TestBloch:
     def test_every_admitted_state_round_trips(self, least, excess, theta, phi):
         """A qubit state with its least eigenvalue planted at or above the floor and its trace at or
         within ``TRACE_TOL`` of one: if ``DensityOperator`` admits it, its Bloch point does too, and
-        ``density_from_bloch`` makes from that point the state with its trace moved to one along I.
-        A point past ``BlochPoint``'s bound, in the same direction, is refused."""
+        the point with the state's trace gives the state back, (Tr(rho) I + r.sigma) / 2.  A point
+        past ``BlochPoint``'s bound, in the same direction, is refused."""
         c, s = np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)
         u = np.array([[c, -s.conjugate()], [s, c]])
         matrix = u @ np.diag([1 + excess * states.TRACE_TOL - least, least]) @ u.conj().T
@@ -439,23 +421,22 @@ class TestBloch:
         except DomainError:
             assume(False)
         point = bloch_from_density(rho)
-        back = density_from_bloch(point)
-        moved = rho.matrix + (1 - np.trace(rho.matrix).real) * np.eye(2) / 2
-        assert np.max(np.abs(back.matrix - moved)) <= 1e-15
+        pauli = point.x * states.PAULI_X + point.y * states.PAULI_Y + point.z * states.PAULI_Z
+        assert np.max(np.abs((np.trace(rho.matrix).real * np.eye(2) + pauli) / 2 - rho.matrix)) <= 1e-15
         bound = 1 + states.TRACE_TOL - 2 * EIGENVALUE_FLOOR
         if point.norm:
             with pytest.raises(DomainError, match="^Bloch point norm"):
                 BlochPoint(*(np.array([point.x, point.y, point.z]) * (bound * (1 + 1e-12) / point.norm)))
 
-    def test_the_slack_is_the_trace_tolerance_and_rounding(self):
-        """A point on ``BlochPoint``'s bound makes a state ``TRACE_TOL`` / 2 below the floor, which is
-        admitted; a point beyond it by more than the slack, made without its gate, is refused."""
+    def test_the_bound_is_the_trace_tolerance_past_the_floor(self):
+        """A point on ``BlochPoint``'s bound, 1 + ``TRACE_TOL`` + 2 |floor|, is admitted, on each axis;
+        the next float past it is refused."""
         bound = 1 + states.TRACE_TOL - 2 * EIGENVALUE_FLOOR
-        on = density_from_bloch(BlochPoint(0.0, 0.0, -bound))
-        assert on.eigenvalues[0] == pytest.approx(EIGENVALUE_FLOOR - states.TRACE_TOL / 2, abs=1e-16)
-        beyond = qlin._made(BlochPoint, x=0.0, y=bound + states.TRACE_TOL, z=0.0)
-        with pytest.raises(DomainError, match="^density operator negated least eigenvalue"):
-            density_from_bloch(beyond)
+        past = float(np.nextafter(bound, 2.0))
+        for axis in np.eye(3):
+            assert BlochPoint(*(-bound * axis)).norm == bound
+            with pytest.raises(DomainError, match=f"^Bloch point norm {past!r} exceeds {bound!r}$"):
+                BlochPoint(*(past * axis))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -469,66 +450,6 @@ class TestBloch:
 
     def test_center_angles(self):
         assert BlochPoint(0.0, 0.0, 0.0).angles() == (np.pi / 2, 0.0)
-
-
-class TestShadow:
-    def test_on_itself(self):
-        axis = PureVector.basis_state(3, 0)
-        coefficient, projected = shadow(axis, axis)
-        assert coefficient == pytest.approx(1.0)
-        assert np.allclose(projected, axis.amplitudes)
-
-    def test_orthogonal(self):
-        coefficient, projected = shadow(PureVector.basis_state(2, 0), PureVector.basis_state(2, 1))
-        assert coefficient == pytest.approx(0.0)
-        assert np.allclose(projected, 0.0)
-
-    def test_diagonal_vector(self):
-        x = PureVector.basis_state(2, 0)
-        y = PureVector.basis_state(2, 1)
-        diagonal = PureVector.normalized(x.amplitudes + y.amplitudes)
-        # Inner-product oracle.
-        expected = complex(np.vdot(x.amplitudes, diagonal.amplitudes))
-        assert expected == pytest.approx(1 / np.sqrt(2))
-        coefficient, _ = shadow(diagonal, x)
-        assert coefficient == pytest.approx(expected)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            shadow(PureVector.basis_state(2, 0), PureVector.basis_state(3, 0))
-
-
-class TestProjectiveDistance:
-    def test_self_distance(self):
-        rho = density_from_vector(UNIFORM)
-        assert projective_distance(rho, rho) == pytest.approx(0.0, abs=1e-9)
-
-    def test_orthogonal_pair(self):
-        zero = density_from_vector(PureVector.basis_state(2, 0))
-        one = density_from_vector(PureVector.basis_state(2, 1))
-        assert projective_distance(zero, one) == pytest.approx(np.sqrt(2), abs=1e-12)
-
-    def test_zero_vs_plus(self):
-        # Oracle: sqrt(2 - 2|<0|+>|^2) = sqrt(2 - 1) = 1.
-        overlap = abs(np.vdot([1, 0], np.array([1, 1]) / np.sqrt(2))) ** 2
-        assert np.sqrt(2 - 2 * overlap) == pytest.approx(1.0)
-        zero = density_from_vector(PureVector.basis_state(2, 0))
-        plus = density_from_vector(UNIFORM)
-        assert projective_distance(zero, plus) == pytest.approx(1.0, abs=1e-12)
-
-    def test_range_and_extremes(self, rng):
-        for _ in range(200):
-            p = density_from_vector(random_pure(3, rng))
-            q = density_from_vector(random_pure(3, rng))
-            dist = projective_distance(p, q)
-            assert -1e-12 <= dist <= np.sqrt(2) + 1e-12
-
-    def test_mixed_input_rejected(self):
-        with pytest.raises(DomainError):
-            projective_distance(
-                DensityOperator.maximally_mixed(2),
-                density_from_vector(UNIFORM),
-            )
 
 
 class TestDecompositions:

@@ -22,7 +22,6 @@ FIXED = {
     "CHSH_TOL": "bell",
     "SIGN_FLOOR": "bell",
     "BISECT_TOL": "cli",
-    "ENTROPY_TOL": "entanglement",
     "SCHMIDT_FLOOR": "entanglement",
     "COMPLETENESS_TOL": "locc",
     "PROJECTOR_TOL": "powers",
